@@ -1,11 +1,12 @@
-"""Benchmark E11 — the batched commit pipeline.
+"""Benchmark E11 — commit throughput vs. chain length (batch size).
 
-The paper's commit protocol pays one Master round-trip, one KTS timestamp
-and one multi-placement log publish per edit; the batched pipeline pays one
-of each per *batch*.  This benchmark sweeps the batch size over the same
-seed and asserts the scaling lever actually levers: at batch size 16 the
-commit throughput must be at least 3x the batch-size-1 (unbatched-cost)
-profile, with dense timestamps and full convergence at every size.
+The commit pipeline pays one Master round-trip, one KTS allocation and one
+grouped log publish per proposed chain; the paper's per-edit commit is the
+chain of one, a staged batch pays them once per *batch*.  This benchmark
+sweeps the batch size over the same seed and asserts the scaling lever
+actually levers: at batch size 16 the commit throughput must be at least 3x
+the batch-size-1 (per-edit) profile, with dense timestamps and full
+convergence at every size.
 
 Run with ``pytest benchmarks/bench_batched_commit.py --benchmark-only -s``.
 """

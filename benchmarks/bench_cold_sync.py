@@ -1,10 +1,9 @@
 """Benchmark E12 — checkpointed retrieval for cold-start synchronisation.
 
 The paper's retrieval procedure replays the timestamped patch log entry by
-entry, so a freshly joined or long-offline peer pays one routed fetch per
-timestamp of document history.  With the checkpointing subsystem the peer
-bootstraps from the newest DHT-stored snapshot and fetches only the suffix
-through the grouped ``fetch_span`` path.  This benchmark runs the same
+entry, so a freshly joined or long-offline peer pays for every timestamp
+of document history.  With the checkpointing subsystem the peer bootstraps
+from the newest DHT-stored snapshot and fetches only the suffix.  This benchmark runs the same
 256-commit history with checkpointing off and on and asserts the headline
 claim: at history length 256 a cold sync sends **at least 5x fewer
 messages** with checkpointing enabled, while converging to the identical

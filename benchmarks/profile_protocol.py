@@ -4,7 +4,8 @@
 Answers "where does a commit's wall-clock go at 10^3+ peers?" — the
 question behind the protocol-at-scale performance pass.  The harness
 builds a warm ring (``bootstrap_warm``, the E18 starting point), drives
-the commit pipeline (batched or unbatched) from one writer, and reports:
+the commit pipeline at one chain length (``--batch``) from one writer, and
+reports:
 
 * a plain timing pass: wall-clock commits/sec, simulated time, message
   count, peak RSS — the number the >=2x acceptance bar is measured on;
@@ -18,7 +19,7 @@ Usage::
     PYTHONPATH=src python benchmarks/profile_protocol.py \
         --peers 1000 --edits 64 --batch 16 [--alloc] [--json OUT.json]
 
-``--batch 1`` runs the unbatched pipeline (one Master round + one KTS
+``--batch 1`` is the paper's per-edit commit (one Master round + one KTS
 timestamp + one log publish per edit).  ``--no-profile`` skips the
 attribution pass, ``--alloc`` adds tracemalloc allocation attribution to
 it (slower; timing columns of an ``--alloc`` run are not comparable).
@@ -39,70 +40,30 @@ except ImportError:  # pragma: no cover - direct invocation without PYTHONPATH
 
 from repro.core import LtrConfig, LtrSystem
 from repro.experiments.scenarios import (
-    PROTOCOL_SCALE_KEY,
     PROTOCOL_SCALE_LINES,
     SCALE_CHORD_CONFIG,
     _peak_rss_mb,
-    protocol_revision_text,
+    drive_protocol_edits,
 )
 from repro.metrics.profiling import HotpathProfiler
 from repro.net import ConstantLatency
 
-DOCUMENT_KEY = PROTOCOL_SCALE_KEY
-
-#: Lines rewritten per edit — the E20 workload's multi-line revisions
-#: (see ``protocol_revision_text`` for the rationale).
+#: Lines rewritten per edit — the E20 workload's multi-line revisions; the
+#: E20 scenario and this harness stage byte-identical revisions through
+#: ``drive_protocol_edits`` (see ``protocol_revision_text`` for the rationale).
 DEFAULT_LINES = PROTOCOL_SCALE_LINES
-
-#: The E20 scenario and this harness stage byte-identical revisions.
-revision_text = protocol_revision_text
 
 
 def build_system(peers: int, batch: int, seed: int) -> LtrSystem:
     """A warm ring of ``peers`` nodes with the commit pipeline configured."""
-    if batch > 1:
-        ltr_config = LtrConfig(
-            batch_enabled=True, batch_max_edits=batch, parallel_retrieval=True
-        )
-    else:
-        ltr_config = LtrConfig(parallel_retrieval=True)
     system = LtrSystem(
-        ltr_config=ltr_config,
+        ltr_config=LtrConfig(batch_max_edits=batch),
         chord_config=SCALE_CHORD_CONFIG,
         seed=seed,
         latency=ConstantLatency(0.003),
     )
     system.bootstrap(peers, warm=True)
     return system
-
-
-def run_pipeline(
-    system: LtrSystem, writer: str, edits: int, batch: int,
-    lines: int = DEFAULT_LINES,
-) -> int:
-    """Drive ``edits`` edits through the commit pipeline; returns commits."""
-    committed = 0
-    if batch > 1:
-        for index in range(edits):
-            outcome = system.stage(
-                writer, DOCUMENT_KEY, revision_text(index, lines),
-                comment=f"edit-{index}",
-            )
-            if outcome is not None:
-                committed += outcome.edits
-        if edits % batch:
-            outcome = system.flush(writer, DOCUMENT_KEY)
-            if outcome is not None:
-                committed += outcome.edits
-    else:
-        for index in range(edits):
-            result = system.edit_and_commit(
-                writer, DOCUMENT_KEY, revision_text(index, lines),
-                comment=f"edit-{index}",
-            )
-            if result is not None:
-                committed += 1
-    return committed
 
 
 def measure(peers: int, edits: int, batch: int, seed: int,
@@ -113,7 +74,7 @@ def measure(peers: int, edits: int, batch: int, seed: int,
     sent_before = system.network.stats.sent
     sim_before = system.runtime.now
     started = time.perf_counter()
-    committed = run_pipeline(system, writer, edits, batch, lines)
+    committed = drive_protocol_edits(system, writer, edits, batch, lines)
     wall = time.perf_counter() - started
     sim_elapsed = system.runtime.now - sim_before
     messages = system.network.stats.sent - sent_before
@@ -140,7 +101,7 @@ def profile(peers: int, edits: int, batch: int, seed: int,
     writer = system.peer_names()[0]
     profiler = HotpathProfiler(allocations=allocations)
     with profiler:
-        committed = run_pipeline(system, writer, edits, batch, lines)
+        committed = drive_protocol_edits(system, writer, edits, batch, lines)
     system.shutdown()
     report = profiler.report()
     return report.as_dict(), report.render(per=max(committed, 1))
@@ -151,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--peers", type=int, default=1000)
     parser.add_argument("--edits", type=int, default=64)
     parser.add_argument("--batch", type=int, default=16,
-                        help="batch size; 1 = unbatched pipeline")
+                        help="edits per commit chain; 1 = the paper's per-edit commit")
     parser.add_argument("--seed", type=int, default=20)
     parser.add_argument("--lines", type=int, default=DEFAULT_LINES,
                         help="lines rewritten per edit (payload weight)")

@@ -42,12 +42,6 @@ def build_live_system(peers: int, seed: int = 23) -> LtrSystem:
     config = LtrConfig(
         runtime_backend="asyncio",
         validation_retry_delay=0.02,
-        parallel_retrieval=True,
-        # Under sustained wall-clock contention a proposer can stay behind
-        # for many rounds before winning the Master's FIFO race; give the
-        # validate-retrieve-retry loop real headroom before it reports a
-        # livelock.
-        max_validation_attempts=256,
     )
     system = LtrSystem(
         ltr_config=config,

@@ -52,9 +52,9 @@ Snapshots are plain deterministic data: on the simulation backend the same
 runs, which the test-suite asserts.
 
 Caveat: the snapshot gap check assumes log publication is ordered per key
-(the unbatched pipeline, or quiescent batches at fault boundaries).  A
-snapshot taken mid-flight of a *batched* publish may observe a transient
-gap, because a batch's placements are written in parallel.
+(chains of one patch, or quiescent batches at fault boundaries).  A
+snapshot taken mid-flight of a longer chain's publish may observe a
+transient gap, because a chain's placements are written in parallel.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ class ConvergenceChecker:
         #: item anywhere in the ring is discovered at snapshot time.
         self.tracked: list[str] = sorted(set(keys)) if keys else []
         #: How far the newest log entry may run ahead of the counter at a
-        #: fault boundary (publish-before-ack in-flight window).  One for
-        #: the unbatched pipeline; batched runs should pass the batch size.
+        #: fault boundary (publish-before-ack in-flight window): the longest
+        #: chain the run commits — one for ``edit``/``commit``, the batch
+        #: size for staged runs.
         self.max_in_flight = max_in_flight
         self.snapshots: list[CheckSnapshot] = []
 

@@ -538,7 +538,7 @@ class ChordNode:
         """Store a batch of items locally with one replication push.
 
         ``items`` is a list of ``{"key", "value", "key_id"}`` mappings.  This
-        is the server side of the batched commit pipeline: a whole commit
+        is the server side of the commit pipeline: a whole commit
         batch headed for this node lands in one RPC, and the successor
         replicas receive one ``receive_items`` notification instead of one
         per item.
@@ -569,7 +569,7 @@ class ChordNode:
         """Return the locally stored values for every held key of ``keys``.
 
         The server side of grouped range reads (``DhtClient.get_many`` /
-        the P2P-Log's ``fetch_span``): a whole span of entries headed for
+        the P2P-Log's ``fetch_range``): a whole span of entries headed for
         this Log-Peer is answered in one RPC.  Keys not held here are
         simply absent from the answer — the caller falls back per key.
         """

@@ -26,8 +26,6 @@ from .protocol import (
     STATUS_BEHIND,
     STATUS_OK,
     STATUS_REJECTED,
-    BatchCommitResult,
-    BatchValidationResult,
     CommitResult,
     SyncResult,
     ValidationResult,
@@ -37,8 +35,6 @@ from .user_peer import UserPeer
 
 __all__ = [
     "DEFAULT_CHORD_CONFIG",
-    "BatchCommitResult",
-    "BatchValidationResult",
     "CommitBatch",
     "CommitResult",
     "ConsistencyReport",

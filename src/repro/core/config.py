@@ -21,7 +21,10 @@ class LtrConfig:
     max_validation_attempts:
         Upper bound on the validate → retrieve → retry loop of the user
         peer.  The paper loops "until last-ts value is equal to ts value";
-        the bound only exists to turn a livelock into a diagnosable error.
+        the bound only exists to turn a livelock into a diagnosable error,
+        so it sits well above plain starvation — on a hot document an editor
+        routed many hops from the Master loses the race to nearer editors
+        for dozens of rounds (91 measured on the Zipf benchmark).
     validation_retries:
         How many times a single validation RPC is re-routed when the
         Master-key peer is unreachable (crash/churn window).
@@ -32,22 +35,15 @@ class LtrConfig:
     publish_before_ack:
         When ``True`` (paper behaviour) the Master-key peer replicates the
         patch in the P2P-Log before acknowledging the user peer.
-    parallel_retrieval:
-        When ``True``, user peers fetch all missing patches of a retrieval
-        round concurrently instead of one timestamp at a time (the ablation
-        discussed in ``DESIGN.md`` §6); the integration order is unchanged.
-    batch_enabled:
-        When ``True``, user peers may accumulate edits into a
-        :class:`~repro.core.batch.CommitBatch` and commit the whole batch
-        through one Master round-trip, one KTS range allocation and one
-        grouped P2P-Log publish (the batched commit pipeline, ``DESIGN.md``
-        §"Batched commit pipeline").  ``False`` (the default) keeps the
-        paper's one-round-trip-per-edit path; ``UserPeer.stage`` refuses to
-        run so the two modes cannot be mixed by accident.
     batch_max_edits:
-        Size bound of a commit batch: ``stage`` marks the batch as full once
-        it holds this many edits, at which point it must be flushed before
-        more edits are staged.
+        Size bound of a commit batch: ``UserPeer.stage`` accumulates edits
+        into a :class:`~repro.core.batch.CommitBatch` that is committed as
+        one chain — one Master round-trip, one KTS range allocation and one
+        grouped P2P-Log publish (``DESIGN.md`` §"The commit pipeline") — and
+        marks the batch as full once it holds this many edits, at which
+        point it must be flushed before more edits are staged.  ``1`` is the
+        paper's one-round-trip-per-edit shape, which ``edit`` / ``commit``
+        always use.
     batch_deadline:
         Deadline bound, in simulated seconds: a non-empty batch older than
         this is reported as due by ``CommitBatch.due`` / flushed by
@@ -69,16 +65,6 @@ class LtrConfig:
         How many checkpoints per document are retained; older ones are
         garbage-collected from the DHT when a new checkpoint slides them
         out of the window (the log's compaction story).
-    grouped_fetch:
-        When ``True``, range retrievals (sync catch-up and the behind path
-        of commit/flush) go through the grouped ``fetch_span`` path: one
-        ``fetch_many`` request per responsible Log-Peer instead of one
-        routed fetch per timestamp.  ``False`` (the default) keeps the
-        paper's per-timestamp retrieval loop.
-    max_parallel_fetches:
-        Upper bound on in-flight fetches of a ``parallel_retrieval`` range
-        (the range is worked through in windows of this size), so a very
-        long catch-up cannot flood the network.
     runtime_backend:
         Which execution runtime a :class:`~repro.core.LtrSystem` built from
         this config runs on when no explicit runtime is supplied:
@@ -114,19 +100,15 @@ class LtrConfig:
     """
 
     log_replication_factor: int = 3
-    max_validation_attempts: int = 64
+    max_validation_attempts: int = 256
     validation_retries: int = 8
     validation_retry_delay: float = 0.5
     publish_before_ack: bool = True
-    parallel_retrieval: bool = False
-    batch_enabled: bool = False
     batch_max_edits: int = 16
     batch_deadline: float = 0.25
     checkpoint_enabled: bool = False
     checkpoint_interval: int = 32
     checkpoint_retention: int = 2
-    grouped_fetch: bool = False
-    max_parallel_fetches: int = 16
     runtime_backend: str = "sim"
     storage_backend: str = "memory"
     storage_dir: Optional[str] = None
@@ -179,8 +161,4 @@ class LtrConfig:
         if self.checkpoint_retention < 1:
             raise ConfigurationError(
                 f"checkpoint_retention must be >= 1, got {self.checkpoint_retention}"
-            )
-        if self.max_parallel_fetches < 1:
-            raise ConfigurationError(
-                f"max_parallel_fetches must be >= 1, got {self.max_parallel_fetches}"
             )

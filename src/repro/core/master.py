@@ -5,13 +5,14 @@ peer for the documents whose ``ht(key)`` falls into its responsibility
 interval.  The service implements the heart of P2P-LTR (Section 3 of the
 paper):
 
-* ``ltr_validate_and_publish`` — the patch timestamp validation procedure.
-  If the proposed timestamp equals ``last-ts + 1`` the Master publishes the
-  patch at the Log-Peers (``sendToPublish``), advances ``last-ts`` through
-  the timestamp authority (which also replicates it to the Master-key-Succ)
-  and acknowledges the user peer with the validated timestamp.  Otherwise it
-  answers ``behind`` with the current ``last-ts`` so the user peer runs the
-  retrieval procedure first.
+* ``ltr_validate_and_publish`` — the patch timestamp validation procedure,
+  run on a chain of ``n >= 1`` patches (the paper's per-edit commit is the
+  chain of length one).  If the proposed timestamp equals ``last-ts + 1`` the
+  Master publishes the chain at the Log-Peers (``sendToPublish``), advances
+  ``last-ts`` by ``n`` through the timestamp authority (which also replicates
+  it to the Master-key-Succ) and acknowledges the user peer with the validated
+  timestamps.  Otherwise it answers ``behind`` with the current ``last-ts`` so
+  the user peer runs the retrieval procedure first.
 * Per-document serialization — concurrent validation requests for the same
   document are served strictly one after the other, "a new timestamp for a
   given document d is provided after the replication of the previous
@@ -37,7 +38,7 @@ from ..ot import Document, InsertLine
 from ..p2plog import Checkpoint, LogEntry, P2PLogClient, sign_checkpoint, verify_commit
 from ..runtime import FifoLock
 from .config import LtrConfig
-from .protocol import BatchValidationResult, ValidationResult
+from .protocol import ValidationResult
 
 #: ``(checkpoint ts, snapshot lines or None)`` jobs scheduled inside the
 #: per-document critical section and executed after the lock is released.
@@ -57,19 +58,15 @@ class MasterService(NodeService):
         self.log: Optional[P2PLogClient] = None
         self.authority: Optional[TimestampAuthority] = None
         self._locks: dict[str, FifoLock] = {}
-        self.validations_ok = 0
-        self.validations_behind = 0
-        self.validations_rejected = 0
-        self.validations_auth_rejected = 0
+        # One proposal = one validation request, whatever its chain length.
+        self.proposals_ok = 0
+        self.proposals_behind = 0
+        self.proposals_rejected = 0
+        self.proposals_auth_rejected = 0
         self.patches_published = 0
-        self.batches_ok = 0
-        self.batches_behind = 0
-        self.batches_rejected = 0
-        self.batches_auth_rejected = 0
-        self.batch_edits_published = 0
         # Fault-injection knob, set by the ``MasterEquivocation`` nemesis
-        # action: while positive, each successful (unbatched) validation
-        # additionally overwrites the entry's *secondary* log placements
+        # action: while positive, each successfully published entry
+        # additionally gets its *secondary* log placements overwritten
         # with a forked copy, so the peer sets reading h1 and h2..hn
         # observe diverging timestamp sequences.  Never set in production.
         self.equivocate_next = 0
@@ -105,12 +102,10 @@ class MasterService(NodeService):
         self.log = P2PLogClient(
             ChordDhtClient(node),
             self._hash_family,
-            max_parallel=self.config.max_parallel_fetches,
             entry_verifier=entry_verifier,
             checkpoint_verifier=checkpoint_verifier,
         )
         node.rpc.expose("ltr_validate_and_publish", self.validate_and_publish)
-        node.rpc.expose("ltr_validate_and_publish_batch", self.validate_and_publish_batch)
         node.rpc.expose("ltr_last_ts", self.handle_last_ts)
 
     @property
@@ -144,129 +139,25 @@ class MasterService(NodeService):
         """Return ``last-ts`` for ``key`` (0 when no patch was ever validated)."""
         return self._authority().last_ts(key)
 
-    def validate_and_publish(self, key: str, ts: int, patch: Any, author: str = "unknown",
+    def validate_and_publish(self, key: str, ts: int, patches: Any,
+                             author: str = "unknown",
                              base_ts: Optional[int] = None,
-                             signature: Optional[str] = None):
-        """Validate a tentative patch timestamp and publish the patch.
+                             signatures: Optional[Any] = None):
+        """Validate a proposed chain of patches and publish it.
 
-        Generator RPC handler (it performs DHT puts while publishing).
-        Returns a :class:`~repro.core.protocol.ValidationResult` payload.
-        When ``auth_enabled``, ``signature`` must be the author's HMAC over
-        the commit (see :mod:`repro.p2plog.auth`); a missing or invalid
-        signature raises :class:`~repro.errors.AuthenticationError` before
-        any timestamp state is consulted.
-        """
-        lock = self._lock_for(key)
-        retract: list[LogEntry] = []
-        checkpoints: list[CheckpointJob] = []
-        yield from lock.acquire()
-        try:
-            payload = yield from self._validate_one_locked(
-                key, ts, patch, author, base_ts, retract, checkpoints, signature
-            )
-        finally:
-            lock.release()
-        if retract:
-            # Cleanup of a rejected in-flight publish happens outside the
-            # critical section — the removal round-trips need no
-            # serialization and must not stall queued proposers.
-            yield from self.log.retract_many(retract)
-        yield from self._run_checkpoint_jobs(key, checkpoints)
-        return payload
-
-    def _validate_one_locked(self, key: str, ts: int, patch: Any, author: str,
-                             base_ts: Optional[int], retract: list[LogEntry],
-                             checkpoints: list[CheckpointJob],
-                             signature: Optional[str] = None):
-        """The critical section of :meth:`validate_and_publish`."""
-        node = self.node
-        authority = self._authority()
-        if self.config.auth_enabled and not verify_commit(
-            self.config.auth_secret, signature, key, ts, patch, author, base_ts
-        ):
-            self.validations_auth_rejected += 1
-            node.runtime.trace.annotate(
-                node.runtime.now,
-                "ltr-master",
-                f"{node.address.name} rejects {key}@{ts} from {author}: "
-                f"bad or missing commit signature",
-            )
-            raise AuthenticationError(
-                f"commit {key!r}@{ts} from {author!r} failed signature verification",
-                key=key,
-                ts=ts,
-            )
-        last_ts = authority.last_ts(key)
-        if ts != last_ts + 1:
-            self.validations_behind += 1
-            node.runtime.trace.annotate(
-                node.runtime.now,
-                "ltr-master",
-                f"{node.address.name} rejects {key}@{ts} from {author} "
-                f"(last-ts={last_ts})",
-            )
-            return ValidationResult.behind(last_ts).to_payload()
-
-        entry = LogEntry(
-            document_key=key,
-            ts=ts,
-            patch=patch,
-            author=author,
-            published_at=node.runtime.now,
-            base_ts=base_ts,
-            # The author's proof travels with every replica; metadata is
-            # excluded from entry equality, so signed and unsigned copies
-            # compare the same everywhere else.
-            metadata={"sig": signature} if signature is not None else {},
-        )
-        replicas = 0
-        if self.config.publish_before_ack:
-            replicas = yield from self.log.publish(entry)
-        if self._lost_master_role(key, last_ts):
-            # Re-election while the publish was in flight: advancing the
-            # (handed-off) counter would fork the timestamp sequence.
-            self.validations_rejected += 1
-            node.runtime.trace.annotate(
-                node.runtime.now,
-                "ltr-master",
-                f"{node.address.name} rejects in-flight patch for {key}: "
-                f"master role moved during publication",
-            )
-            if self.config.publish_before_ack:
-                retract.append(entry)
-            return ValidationResult.reelection(authority.last_ts(key)).to_payload()
-        validated_ts = authority.gen_ts(key)
-        if not self.config.publish_before_ack:
-            replicas = yield from self.log.publish(entry)
-        if self.equivocate_next > 0:
-            yield from self._equivocate(entry)
-        self._note_published(key, [patch], validated_ts, checkpoints)
-        self.validations_ok += 1
-        self.patches_published += 1
-        node.runtime.trace.annotate(
-            node.runtime.now,
-            "ltr-master",
-            f"{node.address.name} validated {key}@{validated_ts} from {author} "
-            f"({replicas} log replicas)",
-        )
-        return ValidationResult.ok(validated_ts, replicas).to_payload()
-
-    def validate_and_publish_batch(self, key: str, ts: int, patches: Any,
-                                   author: str = "unknown",
-                                   base_ts: Optional[int] = None,
-                                   signatures: Optional[Any] = None):
-        """Validate and publish a whole commit batch under one critical section.
-
-        Generator RPC handler, the batched counterpart of
-        :meth:`validate_and_publish`: if the proposed base timestamp equals
-        ``last-ts + 1`` the Master publishes *all* of the batch's patches at
-        the Log-Peers through one grouped write per responsible peer
+        Generator RPC handler — the patch timestamp validation procedure.
+        ``patches`` is a chain of ``n >= 1`` patches, each expressed against
+        its predecessor's output (the paper's single tentative patch is the
+        chain of length one).  If the proposed base timestamp ``ts`` equals
+        ``last-ts + 1`` the Master publishes *all* of the chain at the
+        Log-Peers through one grouped write per responsible peer
         (:meth:`~repro.p2plog.P2PLogClient.append_many`) and consumes one
         dense timestamp range through
         :meth:`~repro.kts.TimestampAuthority.next_timestamps` — one KTS
-        advance and one replica push for the whole batch.
+        advance and one replica push for the whole chain.  Returns a
+        :class:`~repro.core.protocol.ValidationResult` payload.
 
-        The batch is atomic: it either commits completely or not at all.  In
+        The chain is atomic: it either commits completely or not at all.  In
         particular, when a re-election moves the Master-key role away while
         the (yielding) log publication is in flight, the handler detects the
         hand-over before advancing any timestamp and answers ``rejected``
@@ -274,37 +165,44 @@ class MasterService(NodeService):
         delivers the retry to the new Master.  Without that guard the old
         Master would resurrect a counter it no longer owns and fork the
         timestamp sequence (see ``tests/test_core_master.py``).
+
+        When ``auth_enabled``, ``signatures`` must hold the author's HMAC
+        over each chained commit (see :mod:`repro.p2plog.auth`); a missing
+        or invalid signature raises
+        :class:`~repro.errors.AuthenticationError` before any timestamp
+        state is consulted.
         """
         lock = self._lock_for(key)
         retract: list[LogEntry] = []
         checkpoints: list[CheckpointJob] = []
+        publish_failure: Optional[PatchUnavailable] = None
         yield from lock.acquire()
         try:
-            try:
-                payload = yield from self._validate_batch_locked(
-                    key, ts, patches, author, base_ts, retract, checkpoints,
-                    signatures,
-                )
-            finally:
-                lock.release()
-        except PatchUnavailable:
-            # Partial publish failure: what landed carries timestamps that
-            # were never allocated.  Clean up *after* releasing the lock —
-            # the removal round-trips need no serialization, and holding
-            # the lock through them would stall every other proposer.
-            if retract:
-                yield from self.log.retract_many(retract)
-            raise
+            payload = yield from self._validate_locked(
+                key, ts, patches, author, base_ts, retract, checkpoints,
+                signatures,
+            )
+        except PatchUnavailable as error:
+            publish_failure = error
+        finally:
+            lock.release()
         if retract:
+            # A rejected or partially failed publish left entries carrying
+            # timestamps that were never allocated.  Clean up *after*
+            # releasing the lock — the removal round-trips need no
+            # serialization, and holding the lock through them would stall
+            # every other proposer.
             yield from self.log.retract_many(retract)
+        if publish_failure is not None:
+            raise publish_failure
         yield from self._run_checkpoint_jobs(key, checkpoints)
         return payload
 
-    def _validate_batch_locked(self, key: str, ts: int, patches: Any, author: str,
-                               base_ts: Optional[int], retract: list[LogEntry],
-                               checkpoints: list[CheckpointJob],
-                               signatures: Optional[Any] = None):
-        """The critical section of :meth:`validate_and_publish_batch`.
+    def _validate_locked(self, key: str, ts: int, patches: Any, author: str,
+                         base_ts: Optional[int], retract: list[LogEntry],
+                         checkpoints: list[CheckpointJob],
+                         signatures: Optional[Any] = None):
+        """The critical section of :meth:`validate_and_publish`.
 
         Runs with the per-document lock held.  Entries that must be removed
         from the log (rejected or partially-failed publishes) are appended
@@ -315,7 +213,8 @@ class MasterService(NodeService):
         authority = self._authority()
         patches = list(patches)
         if not patches:
-            raise ValueError(f"empty commit batch proposed for {key!r}")
+            raise ValueError(f"empty commit chain proposed for {key!r}")
+        span = f"{key}@{ts}(+{len(patches)})"
         sigs: list[Optional[str]] = (
             list(signatures) if signatures is not None else [None] * len(patches)
         )
@@ -329,30 +228,28 @@ class MasterService(NodeService):
                 for offset in range(len(patches))
             )
             if not valid:
-                self.batches_auth_rejected += 1
+                self.proposals_auth_rejected += 1
                 node.runtime.trace.annotate(
                     node.runtime.now,
                     "ltr-master",
-                    f"{node.address.name} rejects batch {key}@{ts}"
-                    f"(+{len(patches)}) from {author}: bad or missing "
-                    f"commit signatures",
+                    f"{node.address.name} rejects {span} from {author}: "
+                    f"bad or missing commit signatures",
                 )
                 raise AuthenticationError(
-                    f"batch {key!r}@{ts}(+{len(patches)}) from {author!r} "
-                    f"failed signature verification",
+                    f"commit {span} from {author!r} failed signature verification",
                     key=key,
                     ts=ts,
                 )
         last_ts = authority.last_ts(key)
         if ts != last_ts + 1:
-            self.batches_behind += 1
+            self.proposals_behind += 1
             node.runtime.trace.annotate(
                 node.runtime.now,
                 "ltr-master",
-                f"{node.address.name} rejects batch {key}@{ts}(+{len(patches)}) "
-                f"from {author} (last-ts={last_ts})",
+                f"{node.address.name} rejects {span} from {author} "
+                f"(last-ts={last_ts})",
             )
-            return BatchValidationResult.behind(last_ts).to_payload()
+            return ValidationResult.behind(last_ts).to_payload()
 
         entries = [
             LogEntry(
@@ -363,8 +260,11 @@ class MasterService(NodeService):
                 published_at=node.runtime.now,
                 # The chain: patch `offset` is expressed against the
                 # state produced by its predecessor, i.e. `offset`
-                # timestamps past the batch's base.
+                # timestamps past the chain's base.
                 base_ts=(base_ts + offset) if base_ts is not None else None,
+                # The author's proof travels with every replica; metadata is
+                # excluded from entry equality, so signed and unsigned copies
+                # compare the same everywhere else.
                 metadata=(
                     {"sig": sigs[offset]} if sigs[offset] is not None else {}
                 ),
@@ -378,7 +278,7 @@ class MasterService(NodeService):
             except PatchUnavailable:
                 # Partial publish: what landed carries timestamps that were
                 # never allocated — schedule it for removal, then propagate
-                # so the proposer keeps its batch staged and retries.
+                # so the proposer keeps its edits and retries.
                 retract.extend(entries)
                 raise
             replicas = min(per_entry)
@@ -387,11 +287,11 @@ class MasterService(NodeService):
         # so the Master role may have moved since the request arrived (in
         # either ordering mode).
         if self._lost_master_role(key, last_ts):
-            self.batches_rejected += 1
+            self.proposals_rejected += 1
             node.runtime.trace.annotate(
                 node.runtime.now,
                 "ltr-master",
-                f"{node.address.name} rejects in-flight batch for {key}: "
+                f"{node.address.name} rejects in-flight {span}: "
                 f"master role moved during publication",
             )
             if self.config.publish_before_ack:
@@ -399,29 +299,29 @@ class MasterService(NodeService):
                 # allocated; retract them so no reader can observe them
                 # before the new Master reuses the range.
                 retract.extend(entries)
-            return BatchValidationResult.reelection(
-                authority.last_ts(key)
-            ).to_payload()
+            return ValidationResult.reelection(authority.last_ts(key)).to_payload()
         first_ts = authority.next_timestamps(key, len(patches))
         if not self.config.publish_before_ack:
             # Timestamps are consumed at this point, so a partial publish
             # failure must NOT retract what landed (that would turn an
             # incomplete prefix into a permanent gap); the error propagates
-            # and the proposer's restaged batch re-publishes under the same
-            # semantics as the unbatched ack-before-publish ablation.
+            # and the proposer's restored edits are re-published by its
+            # retry.
             per_entry = yield from self.log.append_many(entries)
             replicas = min(per_entry)
+        for entry in entries[:self.equivocate_next]:
+            yield from self._equivocate(entry)
         self._note_published(key, patches, first_ts, checkpoints)
-        self.batches_ok += 1
-        self.batch_edits_published += len(patches)
+        self.proposals_ok += 1
+        self.patches_published += len(patches)
         node.runtime.trace.annotate(
             node.runtime.now,
             "ltr-master",
-            f"{node.address.name} validated batch {key}@{first_ts}.."
+            f"{node.address.name} validated {key}@{first_ts}.."
             f"{first_ts + len(patches) - 1} from {author} "
             f"({replicas} log replicas)",
         )
-        return BatchValidationResult.ok(
+        return ValidationResult.ok(
             first_ts, first_ts + len(patches) - 1, replicas
         ).to_payload()
 
@@ -630,10 +530,7 @@ class MasterService(NodeService):
             base.applied_ts = checkpoint.ts
         if base.applied_ts < ts:
             try:
-                entries = yield from self.log.fetch_range(
-                    key, base.applied_ts + 1, ts,
-                    grouped=self.config.grouped_fetch,
-                )
+                entries = yield from self.log.fetch_range(key, base.applied_ts + 1, ts)
             except PatchUnavailable:
                 return None
             for entry in entries:
@@ -695,16 +592,11 @@ class MasterService(NodeService):
     def statistics(self) -> dict[str, Any]:
         """Counters for the experiment reports."""
         stats = {
-            "validations_ok": self.validations_ok,
-            "validations_behind": self.validations_behind,
-            "validations_rejected": self.validations_rejected,
-            "validations_auth_rejected": self.validations_auth_rejected,
+            "proposals_ok": self.proposals_ok,
+            "proposals_behind": self.proposals_behind,
+            "proposals_rejected": self.proposals_rejected,
+            "proposals_auth_rejected": self.proposals_auth_rejected,
             "patches_published": self.patches_published,
-            "batches_ok": self.batches_ok,
-            "batches_behind": self.batches_behind,
-            "batches_rejected": self.batches_rejected,
-            "batches_auth_rejected": self.batches_auth_rejected,
-            "batch_edits_published": self.batch_edits_published,
             "equivocations": self.equivocations,
             "checkpoints_written": self.checkpoints_written,
             "checkpoint_rebuilds": self.checkpoint_rebuilds,

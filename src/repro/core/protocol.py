@@ -17,16 +17,23 @@ STATUS_REJECTED = "rejected"
 
 @dataclass(frozen=True)
 class ValidationResult:
-    """Answer of the Master-key peer to a patch validation request."""
+    """Answer of the Master-key peer to a validation request.
+
+    A proposal is a chain of ``n >= 1`` patches (the paper's single patch is
+    the chain of length one).  On success the Master assigned the dense
+    timestamp range ``first_ts .. last_ts`` to the chain's patches (in
+    order) and published all of them; ``behind`` and ``rejected`` carry the
+    Master's current ``last_ts`` so the user peer can retrieve / re-propose.
+    """
 
     status: str
-    ts: Optional[int] = None
+    first_ts: Optional[int] = None
     last_ts: Optional[int] = None
     replicas: int = 0
 
     @property
     def accepted(self) -> bool:
-        """``True`` when the patch was validated and published."""
+        """``True`` when the whole chain was validated and published."""
         return self.status == STATUS_OK
 
     @property
@@ -35,9 +42,9 @@ class ValidationResult:
         return self.status == STATUS_REJECTED
 
     @classmethod
-    def ok(cls, ts: int, replicas: int) -> "ValidationResult":
-        """The Master accepted the proposed timestamp and published the patch."""
-        return cls(status=STATUS_OK, ts=ts, replicas=replicas)
+    def ok(cls, first_ts: int, last_ts: int, replicas: int) -> "ValidationResult":
+        """The chain was committed with timestamps ``first_ts..last_ts``."""
+        return cls(status=STATUS_OK, first_ts=first_ts, last_ts=last_ts, replicas=replicas)
 
     @classmethod
     def behind(cls, last_ts: int) -> "ValidationResult":
@@ -53,73 +60,13 @@ class ValidationResult:
         """Serialise for transmission over the (simulated) network."""
         return {
             "status": self.status,
-            "ts": self.ts,
-            "last_ts": self.last_ts,
-            "replicas": self.replicas,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ValidationResult":
-        """Rebuild from a network payload."""
-        return cls(
-            status=payload["status"],
-            ts=payload.get("ts"),
-            last_ts=payload.get("last_ts"),
-            replicas=payload.get("replicas", 0),
-        )
-
-
-@dataclass(frozen=True)
-class BatchValidationResult:
-    """Answer of the Master-key peer to a *batched* validation request.
-
-    On success the Master assigned the dense timestamp range
-    ``first_ts .. last_ts`` to the batch's patches (in staging order) and
-    published all of them; ``behind`` and ``rejected`` carry the Master's
-    current ``last_ts`` so the user peer can retrieve / re-propose.
-    """
-
-    status: str
-    first_ts: Optional[int] = None
-    last_ts: Optional[int] = None
-    replicas: int = 0
-
-    @property
-    def accepted(self) -> bool:
-        """``True`` when the whole batch was validated and published."""
-        return self.status == STATUS_OK
-
-    @property
-    def rejected(self) -> bool:
-        """``True`` when the Master refused the batch atomically (re-election)."""
-        return self.status == STATUS_REJECTED
-
-    @classmethod
-    def ok(cls, first_ts: int, last_ts: int, replicas: int) -> "BatchValidationResult":
-        """The whole batch was committed with timestamps ``first_ts..last_ts``."""
-        return cls(status=STATUS_OK, first_ts=first_ts, last_ts=last_ts, replicas=replicas)
-
-    @classmethod
-    def behind(cls, last_ts: int) -> "BatchValidationResult":
-        """The proposer is behind; it must retrieve patches up to ``last_ts``."""
-        return cls(status=STATUS_BEHIND, last_ts=last_ts)
-
-    @classmethod
-    def reelection(cls, last_ts: int) -> "BatchValidationResult":
-        """The Master lost the key mid-batch; nothing was committed."""
-        return cls(status=STATUS_REJECTED, last_ts=last_ts)
-
-    def to_payload(self) -> dict:
-        """Serialise for transmission over the (simulated) network."""
-        return {
-            "status": self.status,
             "first_ts": self.first_ts,
             "last_ts": self.last_ts,
             "replicas": self.replicas,
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "BatchValidationResult":
+    def from_payload(cls, payload: dict) -> "ValidationResult":
         """Rebuild from a network payload."""
         return cls(
             status=payload["status"],
@@ -131,9 +78,15 @@ class BatchValidationResult:
 
 @dataclass(frozen=True)
 class CommitResult:
-    """Outcome of a user peer's edit-commit (procedures 2 and 3 of the paper)."""
+    """Outcome of committing one chain of edits (procedures 2 and 3 of the paper).
+
+    ``UserPeer.commit`` commits a chain of one (``edits == 1``, the paper's
+    shape); ``UserPeer.flush`` commits a staged batch, whose patches received
+    the dense range ``first_ts .. ts``.
+    """
 
     document_key: str
+    #: Timestamp validated for the chain's last (or only) patch.
     ts: int
     attempts: int
     retrieved_patches: int
@@ -141,42 +94,17 @@ class CommitResult:
     finished_at: float
     author: str = "unknown"
     log_replicas: int = 0
+    edits: int = 1
+
+    @property
+    def first_ts(self) -> int:
+        """Timestamp validated for the chain's first patch."""
+        return self.ts - self.edits + 1
 
     @property
     def latency(self) -> float:
         """Wall-clock (simulated) duration of the whole commit."""
         return self.finished_at - self.started_at
-
-    @property
-    def had_conflicts(self) -> bool:
-        """``True`` when concurrent updates forced at least one retrieval round."""
-        return self.retrieved_patches > 0
-
-
-@dataclass(frozen=True)
-class BatchCommitResult:
-    """Outcome of flushing one commit batch through the batched pipeline."""
-
-    document_key: str
-    first_ts: int
-    last_ts: int
-    edits: int
-    attempts: int
-    retrieved_patches: int
-    started_at: float
-    finished_at: float
-    author: str = "unknown"
-    log_replicas: int = 0
-
-    @property
-    def latency(self) -> float:
-        """Wall-clock (simulated) duration of the whole flush."""
-        return self.finished_at - self.started_at
-
-    @property
-    def per_edit_latency(self) -> float:
-        """Flush latency amortised over the batch's edits."""
-        return self.latency / self.edits if self.edits else 0.0
 
     @property
     def had_conflicts(self) -> bool:

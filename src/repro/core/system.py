@@ -26,7 +26,7 @@ from ..storage import StorageBackend, create_backend
 from .config import LtrConfig
 from .consistency import ConsistencyReport, build_report, verify_log_continuity
 from .master import MasterService
-from .protocol import BatchCommitResult, CommitResult
+from .protocol import CommitResult
 from .user_peer import UserPeer
 
 #: Chord parameters sized for interactive experiments (small rings, fast churn).
@@ -280,25 +280,25 @@ class LtrSystem:
         self.edit(peer, key, text, comment=comment)
         return self.commit(peer, key)
 
-    # --------------------------------------------------------- batched drivers --
+    # ---------------------------------------------------------- staged drivers --
 
     def stage(self, peer: str, key: str, text: str,
-              *, comment: str = "") -> Optional[BatchCommitResult]:
+              *, comment: str = "") -> Optional[CommitResult]:
         """Stage an edit into ``peer``'s commit batch; auto-flush when full.
 
-        Requires ``ltr_config.batch_enabled``.  Returns the flush outcome
-        when the staged edit filled the batch, ``None`` otherwise.
+        Returns the flush outcome when the staged edit filled the batch,
+        ``None`` otherwise.
         """
         batch = self.user(peer).stage(key, text, comment=comment)
         if batch.full:
             return self.flush(peer, key)
         return None
 
-    def flush(self, peer: str, key: str) -> Optional[BatchCommitResult]:
-        """Flush ``peer``'s staged batch of ``key`` through one batched commit."""
+    def flush(self, peer: str, key: str) -> Optional[CommitResult]:
+        """Commit ``peer``'s staged batch of ``key`` as one chain."""
         return self.runtime.run(until=self.runtime.process(self.user(peer).flush(key)))
 
-    def flush_due(self, peer: Optional[str] = None) -> list[BatchCommitResult]:
+    def flush_due(self, peer: Optional[str] = None) -> list[CommitResult]:
         """Flush every batch past its deadline (for one peer or all users)."""
         users = [self.user(peer)] if peer is not None else self.users()
         results = []
@@ -312,18 +312,21 @@ class LtrSystem:
 
     def run_concurrent_flushes(
         self, flushes: Iterable[tuple[str, str]]
-    ) -> list[BatchCommitResult]:
+    ) -> list[CommitResult]:
         """Flush several peers' batches at the same simulated instant.
 
-        ``flushes`` is a sequence of ``(peer, key)``; the batched analogue
+        ``flushes`` is a sequence of ``(peer, key)``; the staged analogue
         of :meth:`run_concurrent_commits`.
         """
-        processes = [
+        return self._run_commits(
             self.runtime.process(self.user(peer).flush(key), name=f"flush:{peer}:{key}")
             for peer, key in flushes
-        ]
-        results: list[BatchCommitResult] = []
-        for process in processes:
+        )
+
+    def _run_commits(self, processes: Iterable[Any]) -> list[CommitResult]:
+        """Run already-started commit processes to completion; collect outcomes."""
+        results: list[CommitResult] = []
+        for process in list(processes):
             outcome = self.runtime.run(until=process)
             if outcome is not None:
                 results.append(outcome)
@@ -353,16 +356,10 @@ class LtrSystem:
         for peer, key, text in edits:
             self.edit(peer, key, text)
             staged.append((peer, key))
-        processes = [
+        return self._run_commits(
             self.runtime.process(self.user(peer).commit(key), name=f"commit:{peer}:{key}")
             for peer, key in staged
-        ]
-        results: list[CommitResult] = []
-        for process in processes:
-            outcome = self.runtime.run(until=process)
-            if outcome is not None:
-                results.append(outcome)
-        return results
+        )
 
     # --------------------------------------------------------------- inspection --
 
@@ -384,11 +381,7 @@ class LtrSystem:
     def log_client(self, via: Optional[str] = None) -> P2PLogClient:
         """A P2P-Log client bound to ``via`` (or an arbitrary live peer)."""
         node = self.ring.node(via) if via is not None else self.ring.gateway()
-        return P2PLogClient(
-            ChordDhtClient(node),
-            self.hash_family,
-            max_parallel=self.ltr_config.max_parallel_fetches,
-        )
+        return P2PLogClient(ChordDhtClient(node), self.hash_family)
 
     def fetch_log(self, key: str, from_ts: int, to_ts: int):
         """Retrieve log entries ``from_ts .. to_ts`` (synchronous driver)."""
@@ -453,7 +446,7 @@ class LtrSystem:
         return {
             "peers": len(self.ring.live_nodes()),
             "network": self.network.stats.snapshot(),
-            "validations_ok": sum(stats["validations_ok"] for stats in master_stats),
-            "validations_behind": sum(stats["validations_behind"] for stats in master_stats),
+            "proposals_ok": sum(stats["proposals_ok"] for stats in master_stats),
+            "proposals_behind": sum(stats["proposals_behind"] for stats in master_stats),
             "users": [user.statistics() for user in self.users()],
         }

@@ -8,7 +8,8 @@ P2P-LTR procedures:
 1. *Edit a page locally* — :meth:`UserPeer.edit` (produces a tentative
    patch against the last validated state).
 2. *Validate the tentative patch timestamp value and retrieve patches if
-   necessary* — the loop inside :meth:`UserPeer.commit`.
+   necessary* — the one loop behind :meth:`UserPeer.commit` (a chain of one
+   patch) and :meth:`UserPeer.flush` (a staged chain of several).
 3. *Replicate the new patch at the P2P-Log* — performed by the Master-key
    peer during validation; the user peer only applies the patch locally once
    the Master has acknowledged the validated timestamp.
@@ -40,13 +41,7 @@ from ..ot import (
 from ..p2plog import P2PLogClient, author_key, sign_commit, verify_checkpoint, verify_entry
 from .batch import CommitBatch
 from .config import LtrConfig
-from .protocol import (
-    BatchCommitResult,
-    BatchValidationResult,
-    CommitResult,
-    SyncResult,
-    ValidationResult,
-)
+from .protocol import CommitResult, SyncResult, ValidationResult
 
 _ROUTING_ERRORS = (RequestTimeout, NodeUnreachable)
 
@@ -85,7 +80,7 @@ class UserPeer:
             entry_verifier = None
             checkpoint_verifier = None
         self.log = P2PLogClient(
-            self.dht, hash_family, max_parallel=self.config.max_parallel_fetches,
+            self.dht, hash_family,
             entry_verifier=entry_verifier,
             checkpoint_verifier=checkpoint_verifier,
         )
@@ -94,7 +89,6 @@ class UserPeer:
         self.batches: dict[str, CommitBatch] = {}
         self._flushing: set[str] = set()
         self.commit_results: list[CommitResult] = []
-        self.batch_results: list[BatchCommitResult] = []
         self.sync_results: list[SyncResult] = []
 
     # ------------------------------------------------------------ local copies --
@@ -149,7 +143,7 @@ class UserPeer:
         if (batch is not None and len(batch) > 0) or key in self._flushing:
             raise ConfigurationError(
                 f"{key!r} has a staged or in-flight commit batch; flush or "
-                f"discard it before using the unbatched edit() path"
+                f"discard it before using edit()"
             )
         replica = self.document(key)
         before = self.working_lines(key)
@@ -167,7 +161,7 @@ class UserPeer:
         """Drop local tentative edits of ``key`` without publishing them."""
         self.pending.pop(key, None)
 
-    # ----------------------------------------------------------- batched editing --
+    # ------------------------------------------------------------ staged editing --
 
     def batch(self, key: str) -> Optional[CommitBatch]:
         """The open commit batch for ``key``, if any."""
@@ -187,18 +181,13 @@ class UserPeer:
         Unlike :meth:`edit`, consecutive staged edits are *not* composed:
         each keeps its own patch (and will receive its own timestamp and log
         entry), chained against its predecessor's output.  The batch must be
-        flushed with :meth:`flush` once it is full or due.  Requires
-        ``config.batch_enabled`` — the batched and unbatched pipelines are
-        never mixed implicitly.
+        flushed with :meth:`flush` once it is full or due.  A document is
+        edited through one front at a time: :meth:`edit` and ``stage``
+        refuse to mix on the same key.
         """
-        if not self.config.batch_enabled:
-            raise ConfigurationError(
-                "UserPeer.stage requires LtrConfig(batch_enabled=True); "
-                "use edit()/commit() for the unbatched path"
-            )
         if self.has_pending(key):
             raise ConfigurationError(
-                f"{key!r} has a pending unbatched edit; commit or discard it "
+                f"{key!r} has a pending edit(); commit or discard it "
                 f"before staging into a batch"
             )
         if key in self._flushing:
@@ -248,237 +237,147 @@ class UserPeer:
 
         Simulation process returning a
         :class:`~repro.core.protocol.CommitResult`, or ``None`` when there
-        was nothing to commit.  The loop matches the paper: propose
-        ``ts = applied_ts + 1``; if the Master-key peer answers *behind*,
-        retrieve the missing patches from the P2P-Log in continuous order,
-        integrate them (transforming the pending patch) and retry until the
-        proposal is accepted.
+        was nothing to commit.  The paper's per-edit commit: the pending
+        patch goes through :meth:`_commit_chain` as a chain of one.  When
+        the commit fails, the (possibly rebased) tentative patch is restored
+        so the user's edit is never lost.
         """
         started_at = self.node.runtime.now
-        replica = self.document(key)
         pending = self.pending.pop(key, None)
         if pending is None:
             return None
-
-        attempts = 0
-        retrieved_total = 0
-        while True:
-            attempts += 1
-            if attempts > self.config.max_validation_attempts:
-                self.pending[key] = pending
-                raise ValidationFailed(
-                    f"{self.author} could not validate a patch for {key!r} after "
-                    f"{attempts - 1} attempts"
-                )
-            proposal_ts = replica.applied_ts + 1
-            arguments: dict[str, Any] = dict(
-                ts=proposal_ts,
-                patch=pending,
-                author=self.author,
-                base_ts=replica.applied_ts,
-            )
-            if self._auth_key is not None:
-                # Signed per attempt: a behind round rebases the pending
-                # patch and moves the proposal timestamp, so each proposal
-                # carries a fresh HMAC over exactly what it submits.
-                arguments["signature"] = sign_commit(
-                    self._auth_key, key, proposal_ts, pending,
-                    self.author, replica.applied_ts,
-                )
-            try:
-                payload = yield from self._call_master(
-                    key, "ltr_validate_and_publish", **arguments
-                )
-            except MasterUnavailable:
-                self.pending[key] = pending
-                raise
-            result = ValidationResult.from_payload(payload)
-
-            if result.accepted:
-                replica.apply_patch(pending, ts=result.ts)
-                commit = CommitResult(
-                    document_key=key,
-                    ts=result.ts,
-                    attempts=attempts,
-                    retrieved_patches=retrieved_total,
-                    started_at=started_at,
-                    finished_at=self.node.runtime.now,
-                    author=self.author,
-                    log_replicas=result.replicas,
-                )
-                self.commit_results.append(commit)
-                self.node.runtime.trace.annotate(
-                    self.node.runtime.now,
-                    "ltr-user",
-                    f"{self.author} committed {key}@{result.ts} "
-                    f"after {attempts} attempt(s)",
-                )
-                return commit
-
-            if result.rejected:
-                # Atomic rejection (re-election mid-publication): nothing
-                # was committed; retry after a stabilization-sized pause so
-                # the re-routed proposal reaches the new Master.
-                yield self.node.runtime.timeout(self.config.validation_retry_delay)
-                continue
-
-            if result.last_ts <= replica.applied_ts:
-                # The answering peer is behind *us*: a stale counter copy —
-                # routing landed on a spuriously promoted or not-yet-caught-up
-                # Master during a fault window.  There is nothing to retrieve;
-                # hot-retrying would burn the whole attempt budget in
-                # milliseconds, so pause a stabilization-sized delay and let
-                # routing re-converge on the real Master.
-                yield self.node.runtime.timeout(self.config.validation_retry_delay)
-                continue
-
-            # We are behind: run the retrieval procedure and try again.
-            entries = yield from self.log.fetch_range(
-                key, replica.applied_ts + 1, result.last_ts,
-                parallel=self.config.parallel_retrieval,
-                grouped=self.config.grouped_fetch,
-            )
-            merge = integrate_remote_patches(
-                replica, [(entry.ts, entry.patch) for entry in entries], pending
-            )
-            pending = merge.rebased_local
-            retrieved_total += len(entries)
-
-    # ----------------------------------------------------------------- batch flush --
+        chain = [pending]
+        try:
+            outcome = yield from self._commit_chain(key, chain, started_at)
+            return outcome
+        except ReproError:
+            self.pending[key] = chain[0]
+            raise
 
     def flush(self, key: str):
         """Commit the staged batch of ``key`` in one pipelined round (process).
 
-        The batched counterpart of :meth:`commit`: the whole batch is
-        proposed to the Master-key peer in a single
-        ``ltr_validate_and_publish_batch`` round-trip.  On *behind*, the
-        missing patches are retrieved and every staged patch is rebased
-        (preserving the chain) before retrying; on *rejected* (the Master
-        lost the key to a re-election mid-flight) the proposal is simply
-        retried, which re-routes it to the new Master.  Returns a
-        :class:`~repro.core.protocol.BatchCommitResult`, or ``None`` when
-        the batch was empty or absent.
+        The whole batch is proposed to the Master-key peer as one chain
+        (:meth:`_commit_chain`).  Returns a
+        :class:`~repro.core.protocol.CommitResult`, or ``None`` when the
+        batch was empty or absent.
         """
         started_at = self.node.runtime.now
-        replica = self.document(key)
         batch = self.batches.pop(key, None)
         if batch is None or len(batch) == 0:
             return None
-        staged = list(batch.patches)
-
-        staged_box = [staged]
+        chain = list(batch.patches)
         self._flushing.add(key)  # stage() refuses this key until we finish
         try:
-            outcome = yield from self._flush_loop(key, replica, staged_box, started_at)
+            outcome = yield from self._commit_chain(key, chain, started_at)
             return outcome
         except ReproError:
             # Whatever went wrong — unreachable Master, failed publish at
             # the Log-Peers, a failed behind-path retrieval, too many
             # attempts — nothing was committed: the (possibly rebased)
             # edits go back into the batch for a later flush.
-            self._restage(key, batch, staged_box[0])
+            batch.replace_patches(chain)
+            self.batches[key] = batch
             raise
         finally:
             self._flushing.discard(key)
 
-    def _flush_loop(self, key: str, replica: Document, staged_box: list[list[Patch]],
-                    started_at: float):
-        """The validate → retrieve → retry loop of :meth:`flush` (process).
+    def _commit_chain(self, key: str, chain: list[Patch], started_at: float):
+        """The validate → retrieve → retry loop (process).
 
-        ``staged_box[0]`` always names the current (rebased) chain so the
-        caller can restage it when any round raises.
+        The loop matches the paper: propose ``ts = applied_ts + 1`` for the
+        chain's first patch; if the Master-key peer answers *behind*,
+        retrieve the missing patches from the P2P-Log in continuous order,
+        integrate them (rebasing every patch of the chain, preserving the
+        chain) and retry until the proposal is accepted; on *rejected* (the
+        Master lost the key to a re-election mid-flight) the proposal is
+        simply retried, which re-routes it to the new Master.
+
+        ``chain`` is rebased *in place*, so the caller still holds the
+        current chain and can put it back when any round raises.
         """
-        staged = staged_box[0]
+        replica = self.document(key)
         attempts = 0
         retrieved_total = 0
         while True:
             attempts += 1
             if attempts > self.config.max_validation_attempts:
                 raise ValidationFailed(
-                    f"{self.author} could not validate a batch of {len(staged)} "
-                    f"edits for {key!r} after {attempts - 1} attempts"
+                    f"{self.author} could not validate {len(chain)} edit(s) "
+                    f"for {key!r} after {attempts - 1} attempts"
                 )
             proposal_ts = replica.applied_ts + 1
             arguments: dict[str, Any] = dict(
                 ts=proposal_ts,
-                patches=staged,
+                patches=chain,
                 author=self.author,
                 base_ts=replica.applied_ts,
             )
             if self._auth_key is not None:
-                # One HMAC per chained patch, re-signed on every attempt
-                # (behind rounds rebase the chain and move the base).
+                # One HMAC per chained patch, re-signed on every attempt: a
+                # behind round rebases the chain and moves the proposal
+                # timestamp, so each proposal carries fresh HMACs over
+                # exactly what it submits.
                 arguments["signatures"] = [
                     sign_commit(
                         self._auth_key, key, proposal_ts + offset, patch,
                         self.author, replica.applied_ts + offset,
                     )
-                    for offset, patch in enumerate(staged)
+                    for offset, patch in enumerate(chain)
                 ]
             payload = yield from self._call_master(
-                key, "ltr_validate_and_publish_batch", **arguments
+                key, "ltr_validate_and_publish", **arguments
             )
-            result = BatchValidationResult.from_payload(payload)
+            result = ValidationResult.from_payload(payload)
 
             if result.accepted:
-                for offset, patch in enumerate(staged):
+                for offset, patch in enumerate(chain):
                     entry_ts = result.first_ts + offset
                     # Skip timestamps something else (e.g. a racing
                     # retrieval that fetched our own published entries)
                     # already integrated — the content is identical.
                     if entry_ts > replica.applied_ts:
                         replica.apply_patch(patch, ts=entry_ts)
-                outcome = BatchCommitResult(
+                outcome = CommitResult(
                     document_key=key,
-                    first_ts=result.first_ts,
-                    last_ts=result.last_ts,
-                    edits=len(staged),
+                    ts=result.last_ts,
                     attempts=attempts,
                     retrieved_patches=retrieved_total,
                     started_at=started_at,
                     finished_at=self.node.runtime.now,
                     author=self.author,
                     log_replicas=result.replicas,
+                    edits=len(chain),
                 )
-                self.batch_results.append(outcome)
+                self.commit_results.append(outcome)
                 self.node.runtime.trace.annotate(
                     self.node.runtime.now,
                     "ltr-user",
-                    f"{self.author} committed batch {key}@{result.first_ts}.."
+                    f"{self.author} committed {key}@{result.first_ts}.."
                     f"{result.last_ts} after {attempts} attempt(s)",
                 )
                 return outcome
 
-            if result.rejected:
-                # Atomic rejection (re-election mid-batch): nothing was
-                # committed; retry after a stabilization-sized pause so the
-                # re-routed proposal reaches the new Master.
+            if result.rejected or result.last_ts <= replica.applied_ts:
+                # Nothing was committed and there is nothing to retrieve.
+                # Either an atomic rejection (re-election mid-publication),
+                # or the answering peer is behind *us*: a stale counter copy
+                # — routing landed on a spuriously promoted or
+                # not-yet-caught-up Master during a fault window.
+                # Hot-retrying would burn the whole attempt budget in
+                # milliseconds, so pause a stabilization-sized delay and let
+                # routing re-converge on the real Master.
                 yield self.node.runtime.timeout(self.config.validation_retry_delay)
                 continue
 
-            if result.last_ts <= replica.applied_ts:
-                # A Master behind our own replica (stale counter copy in a
-                # fault window): nothing to retrieve — back off and let
-                # routing re-converge instead of hot-looping (see commit()).
-                yield self.node.runtime.timeout(self.config.validation_retry_delay)
-                continue
-
-            # We are behind: retrieve, rebase the whole chain, try again.
+            # We are behind: run the retrieval procedure, rebase, try again.
             entries = yield from self.log.fetch_range(
-                key, replica.applied_ts + 1, result.last_ts,
-                parallel=self.config.parallel_retrieval,
-                grouped=self.config.grouped_fetch,
+                key, replica.applied_ts + 1, result.last_ts
             )
-            staged = integrate_remote_into_staged(
-                replica, [(entry.ts, entry.patch) for entry in entries], staged
+            chain[:] = integrate_remote_into_staged(
+                replica, [(entry.ts, entry.patch) for entry in entries], chain
             )
-            staged_box[0] = staged
             retrieved_total += len(entries)
-
-    def _restage(self, key: str, batch: CommitBatch, staged: Sequence[Patch]) -> None:
-        """Put a failed flush's (possibly rebased) patches back in the batch."""
-        batch.replace_patches(staged)
-        self.batches[key] = batch
 
     # ----------------------------------------------------------------------- sync --
 
@@ -538,16 +437,12 @@ class UserPeer:
             if checkpoint is not None and checkpoint.ts > replica.applied_ts:
                 self._install_checkpoint(key, replica, checkpoint)
                 checkpoint_ts = checkpoint.ts
-        entries = yield from self.log.fetch_range(
-            key, replica.applied_ts + 1, last_ts,
-            parallel=self.config.parallel_retrieval,
-            grouped=self.config.grouped_fetch,
-        )
+        entries = yield from self.log.fetch_range(key, replica.applied_ts + 1, last_ts)
         pairs = [(entry.ts, entry.patch) for entry in entries]
         pending = self.pending.get(key)
         batch = self.batches.get(key)
         if batch is not None and len(batch) > 0:
-            # Batched mode: rebase the whole staged chain instead.  A
+            # A staged batch: rebase the whole chain instead.  A
             # coexisting pending patch can only be empty (stage() refuses
             # otherwise), so dropping it loses nothing.
             self.pending.pop(key, None)
@@ -626,15 +521,10 @@ class UserPeer:
     def statistics(self) -> dict[str, Any]:
         """Per-peer counters used by the experiment reports."""
         commits = self.commit_results
-        batches = self.batch_results
         return {
             "author": self.author,
             "commits": len(commits),
-            "batches": len(batches),
-            "batched_edits": sum(batch.edits for batch in batches),
-            "mean_batch_latency": (
-                sum(batch.latency for batch in batches) / len(batches) if batches else 0.0
-            ),
+            "edits": sum(commit.edits for commit in commits),
             "conflict_commits": sum(1 for commit in commits if commit.had_conflicts),
             "mean_commit_latency": (
                 sum(commit.latency for commit in commits) / len(commits) if commits else 0.0

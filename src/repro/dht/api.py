@@ -42,7 +42,7 @@ class DhtClient(ABC):
         The default implementation simply loops over :meth:`put` (one routed
         write per item); implementations backed by a real overlay override it
         to group items by responsible peer so a batch costs one replicated
-        write per owner (the batched commit pipeline relies on this).
+        write per owner (the commit pipeline relies on this).
         """
         stored: list[bool] = []
         owners: set[Any] = set()

@@ -19,7 +19,7 @@ EXPERIMENT_DESCRIPTIONS = {
     "E8": "Substrate validation: Chord lookup correctness, hop counts and route cache.",
     "E9": "Extension: Zipf-skewed edits concentrating load on few Master-key peers.",
     "E10": "Extension: periodic commits soaked in scripted join/leave/crash churn.",
-    "E11": "Extension: batched commit pipeline — one Master round-trip, one KTS range, one grouped log write per batch.",
+    "E11": "Extension: commit chain length (batch size) sweep — one Master round-trip, one KTS range, one grouped log write per chain.",
     "E12": "Extension: checkpointed retrieval — cold-start sync bootstraps from a DHT-stored snapshot plus a grouped suffix fetch.",
     "E13": "Extension: live mode — the unchanged stack on the wall-clock asyncio runtime, commit invariants verified under real interleavings.",
     "E14": "Nemesis: partition + heal + re-join swept over duration and edit rate; invariant snapshots at every fault boundary, post-heal convergence timed.",
@@ -28,7 +28,7 @@ EXPERIMENT_DESCRIPTIONS = {
     "E17": "Adversarial: byzantine storage peers (drop/corrupt/replay) and an equivocating Master under authenticated patches; every misbehavior masked by replication or detected and attributed by the checker's signature scan.",
     "E18": "Scale: warm-wired rings of 10^3..10^5 peers serving Zipf lookups; kernel events/sec and peak RSS headlines.",
     "E19": "Durable storage: a log shard's owner and backup crash together; restart-from-disk (SQLite/WAL) vs amnesiac re-replication, messages and time to a cold reader's convergence.",
-    "E20": "Scale: the full commit pipeline (batched and unbatched) on warm 10^3..10^4-peer rings; commits/sec, events/sec, hop-count and peak-RSS headlines.",
+    "E20": "Scale: the full commit pipeline (chains of 16 and of 1) on warm 10^3..10^4-peer rings; commits/sec, events/sec, hop-count and peak-RSS headlines.",
 }
 
 

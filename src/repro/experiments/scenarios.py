@@ -1012,11 +1012,7 @@ def _measure_batched_commit(ctx: ScenarioContext) -> dict:
     batch_size = ctx.params["batch_size"]
     peers = ctx.params["peers"]
     edits = ctx.params["edits"]
-    config = LtrConfig(
-        batch_enabled=True,
-        batch_max_edits=batch_size,
-        parallel_retrieval=True,
-    )
+    config = LtrConfig(batch_max_edits=batch_size)
     system = ctx.build_system(peers, ltr_config=config)
     writer = system.peer_names()[0]
     key = f"xwiki:batch-{batch_size}"
@@ -1116,7 +1112,6 @@ def _measure_cold_sync(ctx: ScenarioContext) -> dict:
     config = LtrConfig(
         checkpoint_enabled=checkpointing,
         checkpoint_interval=interval,
-        grouped_fetch=checkpointing,
     )
     system = ctx.build_system(peers, ltr_config=config)
     writer = system.peer_names()[0]
@@ -1161,9 +1156,8 @@ def cold_sync_spec(
             "document of growing age.  The paper's retrieval procedure "
             "replays the whole patch log (cost O(history)); with the "
             "checkpointing subsystem the peer bootstraps from the newest "
-            "DHT-stored snapshot and fetches only the suffix through the "
-            "grouped fetch_span path (cost O(staleness past the last "
-            "checkpoint))."
+            "DHT-stored snapshot and fetches only the suffix (cost "
+            "O(staleness past the last checkpoint))."
         ),
         columns=(
             "history", "checkpointing", "sync_messages", "retrieved_patches",
@@ -1226,7 +1220,6 @@ def _measure_live_runtime(ctx: ScenarioContext) -> dict:
     config = LtrConfig(
         runtime_backend="asyncio",
         validation_retry_delay=0.02,
-        parallel_retrieval=True,
     )
     system = ctx.build_system(
         peers,
@@ -2220,6 +2213,29 @@ def protocol_revision_text(index: int, lines: int = PROTOCOL_SCALE_LINES) -> str
     return "\n".join(f"revision {index} line {line}" for line in range(lines)) + "\n"
 
 
+def drive_protocol_edits(system: LtrSystem, writer: str, edits: int, batch: int,
+                         lines: int = PROTOCOL_SCALE_LINES) -> int:
+    """Stage ``edits`` E20 revisions in chains of ``batch``; returns commits.
+
+    ``system`` must be configured with ``batch_max_edits=batch`` so every
+    full batch flushes itself.  Shared with
+    ``benchmarks/profile_protocol.py`` like :func:`protocol_revision_text`.
+    """
+    committed = 0
+    for index in range(edits):
+        outcome = system.stage(
+            writer, PROTOCOL_SCALE_KEY, protocol_revision_text(index, lines),
+            comment=f"edit-{index}",
+        )
+        if outcome is not None:
+            committed += outcome.edits
+    if edits % batch:
+        outcome = system.flush(writer, PROTOCOL_SCALE_KEY)
+        if outcome is not None:
+            committed += outcome.edits
+    return committed
+
+
 def _measure_protocol_scale(ctx: ScenarioContext) -> dict:
     peers = ctx.params["peers"]
     batch = ctx.params["batch"]
@@ -2227,12 +2243,9 @@ def _measure_protocol_scale(ctx: ScenarioContext) -> dict:
     lines = ctx.param("lines", PROTOCOL_SCALE_LINES)
     probes = ctx.param("probes", 32)
 
-    if batch > 1:
-        ltr_config = LtrConfig(
-            batch_enabled=True, batch_max_edits=batch, parallel_retrieval=True
-        )
-    else:
-        ltr_config = LtrConfig(parallel_retrieval=True)
+    # ``batch == 1`` is the paper's per-edit commit: every staged edit fills
+    # its batch and goes out as a chain of one.
+    ltr_config = LtrConfig(batch_max_edits=batch)
     # Built directly rather than through ``ctx.build_system``: the scale
     # points need the warm-wired bootstrap (E18's starting point) — growing
     # a 10^4-peer ring join by join would dominate the run many times over.
@@ -2252,28 +2265,8 @@ def _measure_protocol_scale(ctx: ScenarioContext) -> dict:
         sent_before = system.network.stats.sent
         events_before = system.runtime.processed_events
         sim_before = system.runtime.now
-        committed = 0
         started = time.perf_counter()
-        if batch > 1:
-            for index in range(edits):
-                outcome = system.stage(
-                    writer, key, protocol_revision_text(index, lines),
-                    comment=f"edit-{index}",
-                )
-                if outcome is not None:
-                    committed += outcome.edits
-            if edits % batch:
-                outcome = system.flush(writer, key)
-                if outcome is not None:
-                    committed += outcome.edits
-        else:
-            for index in range(edits):
-                result = system.edit_and_commit(
-                    writer, key, protocol_revision_text(index, lines),
-                    comment=f"edit-{index}",
-                )
-                if result is not None:
-                    committed += 1
+        committed = drive_protocol_edits(system, writer, edits, batch, lines)
         pipeline_wall = time.perf_counter() - started
         messages = system.network.stats.sent - sent_before
         pipeline_events = system.runtime.processed_events - events_before

@@ -203,9 +203,9 @@ class RestoreStorage(FaultAction):
 
 @dataclass(frozen=True)
 class MasterEquivocation(FaultAction):
-    """Arm ``peer``'s Master service to fork its next ``count`` validations.
+    """Arm ``peer``'s Master service to fork the next ``count`` entries it publishes.
 
-    Each armed validation publishes the genuine entry at the primary
+    Each armed entry is published genuine at the primary
     placement and a diverging copy at the secondary placements (see
     ``MasterService._equivocate``), so the peer sets reading ``h1`` and
     ``h2..hn`` observe different timestamp sequences for the same key.

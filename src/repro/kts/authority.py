@@ -119,7 +119,7 @@ class TimestampAuthority(NodeService):
 
         The range ``first .. first + count - 1`` is consumed by a single
         counter update and a single replication push to the successor(s), so
-        a batched commit pays one KTS round-trip regardless of its size.
+        a commit pays one KTS round-trip regardless of its chain length.
         Returns ``first`` (``last_ts + 1`` at the moment of the call); the
         range stays dense and gap-free because nothing else can advance the
         counter between the read and the write (the update is atomic within
@@ -162,7 +162,7 @@ class TimestampAuthority(NodeService):
         ``True`` for an owned counter item, ``False`` for a replica copy
         (e.g. the stale copy a departing Master keeps after handing the key
         to a joining peer), ``None`` when no counter has materialised here
-        at all.  The batched commit path uses this to detect a re-election
+        at all.  The Master uses this to detect a re-election
         that happened while a publish was in flight: advancing a replica
         copy would fork the timestamp sequence.
         """

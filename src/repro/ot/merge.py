@@ -96,8 +96,9 @@ def integrate_remote_into_staged(
 ) -> list[Patch]:
     """Apply remote patches and rebase a *sequence* of staged patches.
 
-    The batched commit path stages several individual patches
-    ``p1 .. pk`` where each ``p(i+1)`` is expressed against the state
+    A commit proposes a chain of individual patches ``p1 .. pk``
+    (``k = 1`` for ``UserPeer.commit``, a staged batch for
+    ``UserPeer.flush``) where each ``p(i+1)`` is expressed against the state
     produced by ``p(i)``.  When the Master answers *behind*, the whole
     sequence must be transformed against the missing remote patches while
     preserving that chaining: each remote patch is transformed forward

@@ -82,10 +82,8 @@ class P2PLogClient:
         self.auth_rejects = 0
         self.checkpoint_auth_rejects = 0
         self.published_entries = 0
-        self.batched_publishes = 0
         self.retrievals = 0
         self.fallback_reads = 0
-        self.span_fetches = 0
         self.checkpoints_published = 0
         self.checkpoints_fetched = 0
         self.checkpoint_misses = 0
@@ -98,38 +96,19 @@ class P2PLogClient:
 
     # -- publication ------------------------------------------------------------
 
-    def publish(self, entry: LogEntry):
-        """Store ``entry`` at all its Log-Peers (process).
-
-        Returns the number of placements successfully written.  Publication
-        is performed placement by placement; a placement whose Log-Peer is
-        unreachable is skipped (its successor replica will be rebuilt by the
-        DHT replication when the ring stabilizes), so publication succeeds
-        as long as at least one placement is written.
-        """
-        log_key = entry.log_key
-        stored = 0
-        for function in self.hash_family:
-            storage_key = function.placement_key(log_key)
-            try:
-                yield from self.dht.put(storage_key, entry, key_id=function(log_key))
-                stored += 1
-            except (RequestTimeout, NodeUnreachable):
-                continue
-        if stored == 0:
-            raise PatchUnavailable(entry.document_key, entry.ts)
-        self.published_entries += 1
-        return stored
-
     def append_many(self, entries: Sequence[LogEntry]):
-        """Store a batch of entries at all their Log-Peers in one sweep (process).
+        """Store ``entries`` at all their Log-Peers in one sweep (process).
 
-        Every entry still gets its full ``|Hr|`` placements, but the
-        placements of the whole batch are pushed through
-        :meth:`~repro.dht.DhtClient.put_many`, which groups them by
-        responsible peer — so a batch lands in the log with one replicated
-        write per peer instead of one per placement.  Returns the list of
-        per-entry placement counts (aligned with ``entries``); raises
+        Every entry gets its full ``|Hr|`` placements
+        (``Put(h1(key+ts), patch) ... Put(hn(key+ts), patch)``); the
+        placements of the whole chain are pushed through
+        :meth:`~repro.dht.DhtClient.put_many`, which resolves them
+        concurrently and groups them by responsible peer — so the chain
+        lands in the log with one replicated write per peer instead of one
+        per placement.  A placement whose Log-Peer is unreachable is skipped
+        (its successor replica is rebuilt by the DHT replication when the
+        ring stabilizes).  Returns the list of per-entry placement counts
+        (aligned with ``entries``); raises
         :class:`~repro.errors.PatchUnavailable` if any entry could not be
         stored at a single Log-Peer.
         """
@@ -152,7 +131,6 @@ class P2PLogClient:
             if placements == 0:
                 raise PatchUnavailable(entries[index].document_key, entries[index].ts)
         self.published_entries += len(entries)
-        self.batched_publishes += 1
         return per_entry
 
     def retract_many(self, entries: Sequence[LogEntry]):
@@ -225,8 +203,7 @@ class P2PLogClient:
             )
         raise PatchUnavailable(document_key, ts)
 
-    def fetch_range(self, document_key: str, from_ts: int, to_ts: int, *,
-                    parallel: bool = False, grouped: bool = False):
+    def fetch_range(self, document_key: str, from_ts: int, to_ts: int):
         """Retrieve entries ``from_ts .. to_ts`` inclusive, in timestamp order.
 
         This is the retrieval procedure a user peer runs when the Master-key
@@ -234,51 +211,24 @@ class P2PLogClient:
         *continuous total order* ready to be integrated by the
         reconciliation engine.
 
-        The paper fetches one missing patch at a time (``get(hi(key+ts))``);
-        ``parallel=True`` is the ablation discussed in ``DESIGN.md``: all
-        missing timestamps are requested concurrently (at most
-        :attr:`max_parallel` in flight) and the results are re-assembled in
-        timestamp order, trading extra in-flight messages for lower
-        retrieval latency.  ``grouped=True`` replaces the per-timestamp
-        loop of both modes with :meth:`fetch_span`: one ``fetch_many``
-        request per responsible Log-Peer returning everything it holds in
-        the range.
-        """
-        if from_ts > to_ts:
-            return []
-        if grouped:
-            entries = yield from self.fetch_span(document_key, from_ts, to_ts)
-            return entries
-        if parallel:
-            entries = yield from self._fetch_range_parallel(document_key, from_ts, to_ts)
-            return entries
-        entries = []
-        for ts in range(from_ts, to_ts + 1):
-            entry = yield from self.fetch(document_key, ts)
-            entries.append(entry)
-        return entries
-
-    def fetch_span(self, document_key: str, from_ts: int, to_ts: int):
-        """Grouped retrieval of ``from_ts .. to_ts`` (process).
-
         The range's primary placements (``h1(key+ts)``) are resolved
-        concurrently, grouped by responsible Log-Peer and fetched with one
-        ``fetch_many`` RPC per peer — so a cold catch-up over *n* entries
-        costs one request per distinct Log-Peer instead of *n* routed
-        round-trips.  A timestamp the grouped read could not serve (its
-        primary Log-Peer is down or lost the entry) falls back to the
-        paper's per-timestamp retrieval chain over the remaining hash
-        functions; :class:`~repro.errors.PatchUnavailable` is raised only
-        when every placement of some entry is gone.
+        concurrently — at most :attr:`max_parallel` at a time — grouped by
+        responsible Log-Peer and fetched with one ``fetch_many`` RPC per
+        peer, so a cold catch-up over *n* entries costs one request per
+        distinct Log-Peer per window instead of *n* routed round-trips
+        (``max_parallel=1`` is the paper's one ``get(hi(key+ts))`` at a
+        time).  A timestamp the grouped read could not serve (its primary
+        Log-Peer is down, lost the entry or serves a tampered copy) falls
+        back to the per-timestamp chain over the remaining hash functions
+        (:meth:`fetch`); :class:`~repro.errors.PatchUnavailable` is raised
+        only when every placement of some entry is gone.
         """
-        if from_ts > to_ts:
-            return []
         primary = self.hash_family[0]
         entries = []
-        # Windowed like the parallel mode: each get_many resolves its
-        # items' placements concurrently, so handing it the whole range at
-        # once would put one in-flight routing per timestamp on the wire —
-        # exactly the flood max_parallel exists to prevent.
+        # Windowed: each get_many resolves its items' placements
+        # concurrently, so handing it the whole range at once would put one
+        # in-flight routing per timestamp on the wire — exactly the flood
+        # max_parallel exists to prevent.
         window_start = from_ts
         while window_start <= to_ts:
             window_end = min(window_start + self.max_parallel - 1, to_ts)
@@ -303,40 +253,7 @@ class P2PLogClient:
                     self.retrievals += 1
                 entries.append(value)
             window_start = window_end + 1
-        self.span_fetches += 1
         return entries
-
-    def _fetch_range_parallel(self, document_key: str, from_ts: int, to_ts: int):
-        """Concurrent variant of :meth:`fetch_range` (one process per timestamp).
-
-        In-flight fetches are bounded by :attr:`max_parallel`: the range is
-        worked through in windows of that size, so a very long catch-up
-        (hundreds of missing timestamps) cannot flood the network with one
-        simultaneous routed lookup per entry.
-        """
-        runtime = self._runtime()
-        entries: list[Any] = []
-        window_start = from_ts
-        while window_start <= to_ts:
-            window_end = min(window_start + self.max_parallel - 1, to_ts)
-            processes = [
-                runtime.process(self.fetch(document_key, ts), name=f"fetch:{document_key}@{ts}")
-                for ts in range(window_start, window_end + 1)
-            ]
-            yield runtime.all_of(processes)
-            entries.extend(process.value for process in processes)
-            window_start = window_end + 1
-        return entries
-
-    def _runtime(self):
-        """The execution runtime driving the underlying DHT client."""
-        node = getattr(self.dht, "node", None)
-        if node is not None:
-            return node.runtime
-        runtime = getattr(self.dht, "runtime", None)
-        if runtime is None:
-            raise RuntimeError("parallel retrieval requires a runtime-backed DHT client")
-        return runtime
 
     def availability(self, document_key: str, ts: int):
         """Count how many placements of ``(document_key, ts)`` still answer (process).
@@ -360,7 +277,7 @@ class P2PLogClient:
     def publish_checkpoint(self, checkpoint: Checkpoint):
         """Store ``checkpoint`` at all its placements (process).
 
-        Mirrors :meth:`publish`: one ``Put`` per checkpoint hash function,
+        One ``Put`` per checkpoint hash function,
         skipping unreachable placements, succeeding as long as at least one
         copy lands.  Returns the number of placements written.
         """
@@ -510,10 +427,8 @@ class P2PLogClient:
         """Publication / retrieval counters for experiment reports."""
         return {
             "published_entries": self.published_entries,
-            "batched_publishes": self.batched_publishes,
             "retrievals": self.retrievals,
             "fallback_reads": self.fallback_reads,
-            "span_fetches": self.span_fetches,
             "checkpoints_published": self.checkpoints_published,
             "checkpoints_fetched": self.checkpoints_fetched,
             "checkpoint_misses": self.checkpoint_misses,

@@ -135,12 +135,12 @@ def test_unsigned_submission_is_rejected_when_auth_enabled():
     def submit():
         return client.call_owner(KEY, "ltr_validate_and_publish",
                                  key_id=system.ht(KEY), key=KEY, ts=last + 1,
-                                 patch=patch, author=writer)
+                                 patches=[patch], author=writer)
 
     with pytest.raises(AuthenticationError):
         system.runtime.run(until=system.runtime.process(submit()))
     service = system.master_service(KEY)
-    assert service.statistics()["validations_auth_rejected"] == 1
+    assert service.statistics()["proposals_auth_rejected"] == 1
 
 
 def test_forged_signature_is_rejected_when_auth_enabled():
@@ -153,15 +153,15 @@ def test_forged_signature_is_rejected_when_auth_enabled():
     def submit():
         return client.call_owner(KEY, "ltr_validate_and_publish",
                                  key_id=system.ht(KEY), key=KEY, ts=last + 1,
-                                 patch=patch, author=writer,
-                                 signature="not-a-real-hmac")
+                                 patches=[patch], author=writer,
+                                 signatures=["not-a-real-hmac"])
 
     with pytest.raises(AuthenticationError):
         system.runtime.run(until=system.runtime.process(submit()))
 
 
 def test_batched_signed_commits_converge():
-    config = replace(AUTH_CONFIG, batch_enabled=True, batch_max_edits=4)
+    config = replace(AUTH_CONFIG, batch_max_edits=4)
     system = LtrSystem(seed=11, ltr_config=config)
     system.bootstrap(6)
     writer = system.peer_names()[0]
@@ -270,6 +270,26 @@ def test_mutation_forked_timestamp_sequence_names_the_master():
     assert snapshot.keys[KEY]["forked_ts"] == [forked[0]["ts"]]
     assert any("forked by Master-key peer" in violation
                for violation in snapshot.violations)
+
+
+def test_equivocation_forks_every_armed_entry_of_a_staged_chain():
+    """The fork is applied per published entry, whatever the chain length."""
+    system = signed_system()
+    master = system.master_of(KEY)
+    service = system.ring.node(master).service("ltr-master")
+    service.equivocate_next = 2
+    writer = system.peer_names()[0]
+    base = system.last_ts(KEY)
+    for index in range(3):
+        system.user(writer).stage(KEY, f"staged revision {index}")
+    outcome = system.flush(writer, KEY)
+    assert (outcome.first_ts, outcome.ts) == (base + 1, base + 3)
+    assert service.statistics()["equivocations"] == 2
+    assert service.equivocate_next == 0
+    snapshot = ConvergenceChecker(keys=[KEY]).check_now(system)
+    assert snapshot.keys[KEY]["forked_ts"] == [base + 1, base + 2]
+    assert {record["peer"] for record in snapshot.structured
+            if record["kind"] == "forked"} == {master}
 
 
 def test_mutation_corrupted_checkpoint_is_reported():

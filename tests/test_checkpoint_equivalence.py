@@ -14,9 +14,10 @@ catch up cold on each.  The differential property:
   invariant (dense timestamps, prefix-complete log, OT convergence — see
   ``test_invariants.py``) holds on both deployments afterwards.
 
-The sweep covers >= 25 seeds for both the unbatched and the batched commit
-pipeline, rotating the cold peer's local-edit mode (none / pending /
-staged batch) across seeds.
+The sweep covers >= 25 seeds at both chain lengths — ``unbatched`` commits
+every edit as a chain of one (``edit``/``commit``), ``batched`` stages chains
+of up to three (``stage``/``flush``) — rotating the cold peer's local-edit
+mode (none / pending / staged batch) across seeds.
 """
 
 import pytest
@@ -33,14 +34,12 @@ INTERVAL = 4
 SEEDS = range(25)
 
 
-def build_system(seed: int, *, batched: bool, checkpointing: bool) -> LtrSystem:
+def build_system(seed: int, *, checkpointing: bool) -> LtrSystem:
     config = LtrConfig(
-        batch_enabled=batched,
         batch_max_edits=3,
         checkpoint_enabled=checkpointing,
         checkpoint_interval=INTERVAL,
         checkpoint_retention=2,
-        grouped_fetch=checkpointing,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))
     system.bootstrap(PEERS)
@@ -78,8 +77,8 @@ def add_cold_local_edits(system: LtrSystem, cold: str, *, mode: str) -> None:
 
 def run_differential(seed: int, *, batched: bool, mode: str) -> None:
     steps = 10 + (seed % 5)  # history varies per seed, always > INTERVAL
-    fast = build_system(seed, batched=batched, checkpointing=True)
-    full = build_system(seed, batched=batched, checkpointing=False)
+    fast = build_system(seed, checkpointing=True)
+    full = build_system(seed, checkpointing=False)
     for system in (fast, full):
         drive_history(system, seed=seed, batched=batched, steps=steps)
     assert fast.last_ts(KEY) == full.last_ts(KEY) == steps
@@ -139,7 +138,7 @@ def test_checkpoint_sync_matches_full_replay_smoke(seed, batched):
 
 @pytest.mark.parametrize("mode", ["pending", "staged"])
 def test_checkpoint_sync_preserves_local_edits_every_mode(mode):
-    """Each local-edit mode explicitly, on the batched pipeline."""
+    """Each local-edit mode explicitly, on staged chains."""
     run_differential(7, batched=True, mode=mode)
 
 
@@ -147,5 +146,5 @@ def test_checkpoint_sync_preserves_local_edits_every_mode(mode):
 @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
 @pytest.mark.parametrize("seed", list(SEEDS))
 def test_checkpoint_sync_matches_full_replay(seed, batched):
-    """The acceptance sweep: >= 25 seeds per commit pipeline."""
+    """The acceptance sweep: >= 25 seeds per chain length."""
     run_differential(seed, batched=batched, mode=mode_for(seed, batched))

@@ -251,12 +251,10 @@ RPC_EXEMPLARS: dict[str, dict] = {
     "kts_last_ts": {"key": "doc"},
     "kts_advance_ts": {"key": "doc", "value": 41},
     "kts_managed_keys": {},
-    "ltr_validate_and_publish": {"key": "doc", "ts": 4, "patch": _PATCH,
-                                 "author": "alice", "signature": "ab" * 32},
-    "ltr_validate_and_publish_batch": {"key": "doc", "ts": 4,
-                                       "patches": [_PATCH, _PATCH],
-                                       "author": "alice",
-                                       "signatures": ["ab" * 32, "cd" * 32]},
+    "ltr_validate_and_publish": {"key": "doc", "ts": 4,
+                                 "patches": [_PATCH, _PATCH],
+                                 "author": "alice",
+                                 "signatures": ["ab" * 32, "cd" * 32]},
     "ltr_last_ts": {"key": "doc"},
 }
 

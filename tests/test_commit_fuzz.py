@@ -1,10 +1,13 @@
-"""Property-based fuzzing of the commit pipelines under churn.
+"""Property-based fuzzing of the commit pipeline under churn.
 
 Random interleavings of edits, batch flushes, synchronisations, Master
 departures/re-elections and peer churn are generated deterministically from
 a seed (via :mod:`repro.sim.rng`) and replayed against a fresh system; at
 the end the paper's invariants (dense timestamps, prefix-complete log,
-OT convergence — see ``test_invariants.py``) must hold.
+OT convergence — see ``test_invariants.py``) must hold.  Every script runs
+at two chain lengths: ``unbatched`` commits each edit as a chain of one
+(``edit``/``commit``), ``batched`` stages up to four edits per chain
+(``stage``/``flush``).
 
 On a violation the harness *shrinks* the failing run to the shortest action
 prefix that still fails and reports the seed plus prefix length, so every
@@ -36,7 +39,7 @@ def generate_actions(seed: int, steps: int = STEPS) -> list[tuple]:
     Action forms (all fields drawn here so any prefix replays identically):
 
     * ``("edit", writer_index, key, revision_lines)``
-    * ``("flush", writer_index, key)`` — no-op on the unbatched path
+    * ``("flush", writer_index, key)`` — a (normally empty) ``commit`` at chain length one
     * ``("sync", writer_index, key)``
     * ``("join", tag)``
     * ``("depart_master", key, crash?)`` — re-election of the key's Master
@@ -75,19 +78,15 @@ def generate_actions(seed: int, steps: int = STEPS) -> list[tuple]:
 def run_actions(seed: int, batched: bool, actions: list[tuple]) -> None:
     """Replay an action script and assert the invariants at the end.
 
-    Both pipelines run with the checkpointing subsystem enabled (small
-    interval, grouped fetch) so the fuzz covers checkpoint production, GC
-    and cold-start syncs interleaved with flushes, churn and re-elections.
+    Both chain lengths run with the checkpointing subsystem enabled (small
+    interval) so the fuzz covers checkpoint production, GC and cold-start
+    syncs interleaved with flushes, churn and re-elections.
     """
-    checkpointing = {
-        "checkpoint_enabled": True,
-        "checkpoint_interval": 4,
-        "checkpoint_retention": 2,
-        "grouped_fetch": True,
-    }
-    config = (
-        LtrConfig(batch_enabled=True, batch_max_edits=4, **checkpointing)
-        if batched else LtrConfig(**checkpointing)
+    config = LtrConfig(
+        batch_max_edits=4,
+        checkpoint_enabled=True,
+        checkpoint_interval=4,
+        checkpoint_retention=2,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))
     system.bootstrap(PEERS)
@@ -209,16 +208,12 @@ def run_adversarial_actions(seed: int, batched: bool,
     from repro.check import ConvergenceChecker
     from repro.faults import MisbehavingStore
 
-    checkpointing = {
-        "auth_enabled": True,
-        "checkpoint_enabled": True,
-        "checkpoint_interval": 4,
-        "checkpoint_retention": 2,
-        "grouped_fetch": True,
-    }
-    config = (
-        LtrConfig(batch_enabled=True, batch_max_edits=4, **checkpointing)
-        if batched else LtrConfig(**checkpointing)
+    config = LtrConfig(
+        auth_enabled=True,
+        batch_max_edits=4,
+        checkpoint_enabled=True,
+        checkpoint_interval=4,
+        checkpoint_retention=2,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))
     system.bootstrap(PEERS)

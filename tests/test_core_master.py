@@ -4,7 +4,7 @@ The protocol-level behaviour is covered by ``test_core_protocol.py``; these
 tests target the MasterService internals the paper describes explicitly:
 per-document serialization of validations, the behind/ok decision, the
 publish-before-ack ordering and the bookkeeping used by the experiments —
-plus the batched validation path and its atomicity under re-election.
+on chains of one patch and of several, plus atomicity under re-election.
 """
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from repro.chord.hashing import hash_to_id
 from repro.chord.idspace import in_interval_open_closed
 from repro.core import LtrConfig, LtrSystem, MasterService
-from repro.core.protocol import BatchValidationResult, ValidationResult
+from repro.core.protocol import ValidationResult
 from repro.net import ConstantLatency
 from repro.ot import InsertLine, Patch
 
@@ -31,8 +31,8 @@ def make_patch(author, text, base_ts=0):
     return Patch((InsertLine(0, text),), base_ts=base_ts, author=author)
 
 
-def run_validation(system, master, key, ts, patch, author):
-    handler = master.validate_and_publish(key=key, ts=ts, patch=patch, author=author)
+def run_validation(system, master, key, ts, patches, author):
+    handler = master.validate_and_publish(key=key, ts=ts, patches=patches, author=author)
     payload = system.sim.run(until=system.sim.process(handler))
     return ValidationResult.from_payload(payload)
 
@@ -47,19 +47,19 @@ def test_validate_ok_then_behind():
     system = build_system()
     key = "xwiki:direct"
     master = system.master_service(key)
-    first = run_validation(system, master, key, 1, make_patch("u1", "a"), "u1")
-    assert first.accepted and first.ts == 1
+    first = run_validation(system, master, key, 1, [make_patch("u1", "a")], "u1")
+    assert first.accepted and (first.first_ts, first.last_ts) == (1, 1)
     assert first.replicas == system.ltr_config.log_replication_factor
     # a stale proposal (same ts again) is answered with "behind"
-    stale = run_validation(system, master, key, 1, make_patch("u2", "b"), "u2")
+    stale = run_validation(system, master, key, 1, [make_patch("u2", "b")], "u2")
     assert not stale.accepted
     assert stale.last_ts == 1
     # a proposal too far in the future is also rejected
-    future = run_validation(system, master, key, 5, make_patch("u2", "b"), "u2")
+    future = run_validation(system, master, key, 5, [make_patch("u2", "b")], "u2")
     assert not future.accepted and future.last_ts == 1
     stats = master.statistics()
-    assert stats["validations_ok"] == 1
-    assert stats["validations_behind"] == 2
+    assert stats["proposals_ok"] == 1
+    assert stats["proposals_behind"] == 2
     assert master.keys_mastered() == {key: 1}
 
 
@@ -69,10 +69,10 @@ def test_concurrent_validations_are_serialized_per_document():
     master = system.master_service(key)
     # two peers propose ts=1 at the same simulated instant: exactly one wins
     first = system.sim.process(
-        master.validate_and_publish(key=key, ts=1, patch=make_patch("u1", "a"), author="u1")
+        master.validate_and_publish(key=key, ts=1, patches=[make_patch("u1", "a")], author="u1")
     )
     second = system.sim.process(
-        master.validate_and_publish(key=key, ts=1, patch=make_patch("u2", "b"), author="u2")
+        master.validate_and_publish(key=key, ts=1, patches=[make_patch("u2", "b")], author="u2")
     )
     results = [
         ValidationResult.from_payload(system.sim.run(until=first)),
@@ -80,7 +80,7 @@ def test_concurrent_validations_are_serialized_per_document():
     ]
     accepted = [result for result in results if result.accepted]
     rejected = [result for result in results if not result.accepted]
-    assert len(accepted) == 1 and accepted[0].ts == 1
+    assert len(accepted) == 1 and accepted[0].last_ts == 1
     assert len(rejected) == 1 and rejected[0].last_ts == 1
 
 
@@ -88,9 +88,9 @@ def test_distinct_documents_use_distinct_locks():
     system = build_system()
     key_a, key_b = "xwiki:lock-a", "xwiki:lock-b"
     master_a = system.master_service(key_a)
-    result_a = run_validation(system, master_a, key_a, 1, make_patch("u1", "a"), "u1")
+    result_a = run_validation(system, master_a, key_a, 1, [make_patch("u1", "a")], "u1")
     master_b = system.master_service(key_b)
-    result_b = run_validation(system, master_b, key_b, 1, make_patch("u1", "b"), "u1")
+    result_b = run_validation(system, master_b, key_b, 1, [make_patch("u1", "b")], "u1")
     assert result_a.accepted and result_b.accepted
     assert master_a._lock_for(key_a) is not master_a._lock_for(key_b)
 
@@ -99,7 +99,7 @@ def test_publish_before_ack_writes_log_before_advancing_counter():
     system = build_system()
     key = "xwiki:ordering"
     master = system.master_service(key)
-    result = run_validation(system, master, key, 1, make_patch("u1", "a"), "u1")
+    result = run_validation(system, master, key, 1, [make_patch("u1", "a")], "u1")
     assert result.accepted
     # the published entry is retrievable and the counter matches it
     entries = system.fetch_log(key, 1, 1)
@@ -117,20 +117,12 @@ def test_ack_before_publish_variant_still_converges():
     assert report.converged and report.last_ts == 2
 
 
-def run_batch_validation(system, master, key, ts, patches, author):
-    handler = master.validate_and_publish_batch(
-        key=key, ts=ts, patches=patches, author=author
-    )
-    payload = system.sim.run(until=system.sim.process(handler))
-    return BatchValidationResult.from_payload(payload)
-
-
 def test_batch_validation_assigns_a_dense_range_in_one_round():
     system = build_system()
     key = "xwiki:batch-direct"
     master = system.master_service(key)
     patches = [make_patch("u1", f"line {index}") for index in range(3)]
-    result = run_batch_validation(system, master, key, 1, patches, "u1")
+    result = run_validation(system, master, key, 1, patches, "u1")
     assert result.accepted
     assert (result.first_ts, result.last_ts) == (1, 3)
     assert result.replicas == system.ltr_config.log_replication_factor
@@ -139,17 +131,15 @@ def test_batch_validation_assigns_a_dense_range_in_one_round():
     authority = master._authority()
     assert authority.last_ts(key) == 3
     assert authority.allocations == 1  # the whole batch consumed one advance
-    stale = run_batch_validation(system, master, key, 1,
-                                 [make_patch("u2", "late")], "u2")
+    stale = run_validation(system, master, key, 1, [make_patch("u2", "late")], "u2")
     assert not stale.accepted and stale.last_ts == 3
     stats = master.statistics()
-    assert stats["batches_ok"] == 1 and stats["batches_behind"] == 1
-    assert stats["batch_edits_published"] == 3
+    assert stats["proposals_ok"] == 1 and stats["proposals_behind"] == 1
+    assert stats["patches_published"] == 3
 
 
 def test_batched_ack_before_publish_variant_still_converges():
-    system = build_system(publish_before_ack=False, batch_enabled=True,
-                          batch_max_edits=4)
+    system = build_system(publish_before_ack=False, batch_max_edits=4)
     key = "xwiki:batch-variant"
     for index in range(6):
         system.stage("peer-0", key, f"v{index}")
@@ -176,16 +166,12 @@ def find_takeover_joiner(system, key: str) -> str:
     raise AssertionError(f"no takeover joiner found for {key!r}")
 
 
-def test_reelection_during_in_flight_batch_rejects_atomically():
-    """Regression: a join that takes over the Master-key role while a batch
-    is being published must not let the old Master advance the (now
-    handed-off) counter — the whole batch is rejected, no timestamp is
-    consumed, and the sequence continues densely at the new Master."""
-    system = LtrSystem(
-        ltr_config=LtrConfig(batch_enabled=True),
-        seed=42,
-        latency=ConstantLatency(0.02),
-    )
+def assert_in_flight_chain_is_rejected_atomically(chain_length):
+    """A join that takes over the Master-key role while a chain is being
+    published must not let the old Master advance the (now handed-off)
+    counter — the whole chain is rejected, no timestamp is consumed, and
+    the sequence continues densely at the new Master."""
+    system = LtrSystem(ltr_config=LtrConfig(), seed=42, latency=ConstantLatency(0.02))
     system.bootstrap(8)
     key = "xwiki:reelect"
     system.edit_and_commit("peer-0", key, "base revision")
@@ -193,24 +179,25 @@ def test_reelection_during_in_flight_batch_rejects_atomically():
     joiner = find_takeover_joiner(system, key)
 
     old_master = system.master_service(key)
-    patches = [make_patch("u9", f"batch line {index}", base_ts=1) for index in range(3)]
+    patches = [make_patch("u9", f"chain line {index}", base_ts=1)
+               for index in range(chain_length)]
     process = system.sim.process(
-        old_master.validate_and_publish_batch(key=key, ts=2, patches=patches,
-                                              author="u9", base_ts=1)
+        old_master.validate_and_publish(key=key, ts=2, patches=patches,
+                                        author="u9", base_ts=1)
     )
     system.sim.run(until=system.sim.now + 0.005)  # the publish is now in flight
-    system.add_peer(joiner)  # hand-off happens while the batch publishes
-    result = BatchValidationResult.from_payload(system.sim.run(until=process))
+    system.add_peer(joiner)  # hand-off happens while the chain publishes
+    result = ValidationResult.from_payload(system.sim.run(until=process))
 
-    assert result.rejected, "old master committed a batch after losing the key"
-    assert old_master.batches_rejected == 1
+    assert result.rejected, "old master committed a chain after losing the key"
+    assert old_master.proposals_rejected == 1
     assert system.master_of(key) == joiner
     assert system.last_ts(key) == 1  # nothing was consumed
-    # The rejected batch's published entries were retracted: no orphan
+    # The rejected chain's published entries were retracted: no orphan
     # patches are readable at the never-allocated timestamps.
     from repro.errors import KeyNotFound, PatchUnavailable
     log = system.log_client()
-    for orphan_ts in (2, 3, 4):
+    for orphan_ts in range(2, 2 + chain_length):
         with pytest.raises((PatchUnavailable, KeyNotFound)):
             system.sim.run(until=system.sim.process(log.fetch(key, orphan_ts)))
     # The sequence continues densely at the new Master.
@@ -220,40 +207,21 @@ def test_reelection_during_in_flight_batch_rejects_atomically():
     assert report.converged and report.log_continuous
 
 
+def test_reelection_during_in_flight_batch_rejects_atomically():
+    """Regression: the re-election guard rejects a chain of three wholesale."""
+    assert_in_flight_chain_is_rejected_atomically(3)
+
+
 def test_reelection_during_in_flight_single_validation_rejects_atomically():
-    """The re-election guard protects the unbatched path identically."""
-    system = LtrSystem(ltr_config=LtrConfig(), seed=42, latency=ConstantLatency(0.02))
-    system.bootstrap(8)
-    key = "xwiki:reelect"
-    system.edit_and_commit("peer-0", key, "base revision")
-    system.run_for(2.0)
-    joiner = find_takeover_joiner(system, key)
-
-    old_master = system.master_service(key)
-    process = system.sim.process(
-        old_master.validate_and_publish(key=key, ts=2,
-                                        patch=make_patch("u9", "late", base_ts=1),
-                                        author="u9", base_ts=1)
-    )
-    system.sim.run(until=system.sim.now + 0.005)
-    system.add_peer(joiner)
-    result = ValidationResult.from_payload(system.sim.run(until=process))
-
-    assert result.rejected
-    assert old_master.validations_rejected == 1
-    assert system.last_ts(key) == 1
-    follow_up = system.edit_and_commit("peer-0", key, "post-reelection revision")
-    assert follow_up.ts == 2
-    report = system.check_consistency(key)
-    assert report.converged and report.log_continuous
+    """The same guard on the paper's shape, a chain of one."""
+    assert_in_flight_chain_is_rejected_atomically(1)
 
 
 def test_flush_retries_through_reelection_and_commits_at_new_master():
     """End-to-end: a user flush racing a Master takeover retries after the
     atomic rejection and lands the whole batch at the new Master."""
     system = LtrSystem(
-        ltr_config=LtrConfig(batch_enabled=True, batch_max_edits=8,
-                             validation_retry_delay=0.3),
+        ltr_config=LtrConfig(batch_max_edits=8, validation_retry_delay=0.3),
         seed=42,
         latency=ConstantLatency(0.02),
     )
@@ -272,7 +240,7 @@ def test_flush_retries_through_reelection_and_commits_at_new_master():
     outcome = system.sim.run(until=flush)
 
     assert outcome is not None and outcome.edits == 3
-    assert (outcome.first_ts, outcome.last_ts) == (2, 4)
+    assert (outcome.first_ts, outcome.ts) == (2, 4)
     assert system.last_ts(key) == 4
     report = system.check_consistency(key)
     assert report.converged and report.log_continuous

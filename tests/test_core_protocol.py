@@ -41,7 +41,7 @@ def test_ltr_config_validation():
 
 
 def test_validation_result_payload_round_trip():
-    ok = ValidationResult.ok(ts=4, replicas=3)
+    ok = ValidationResult.ok(first_ts=4, last_ts=6, replicas=3)
     assert ok.accepted and ok.status == STATUS_OK
     assert ValidationResult.from_payload(ok.to_payload()) == ok
     behind = ValidationResult.behind(last_ts=9)
@@ -233,8 +233,8 @@ def test_master_statistics_track_validations():
     system.edit_and_commit("peer-0", "wiki:stats", "v1")
     system.edit_and_commit("peer-1", "wiki:stats", "v2")
     stats = system.master_service("wiki:stats").statistics()
-    assert stats["validations_ok"] == 2
-    assert stats["validations_behind"] >= 1  # peer-1 was behind at least once
+    assert stats["proposals_ok"] == 2
+    assert stats["proposals_behind"] >= 1  # peer-1 was behind at least once
     assert stats["patches_published"] == 2
 
 
@@ -251,10 +251,10 @@ def test_user_statistics_summarise_commits():
     system.edit_and_commit("peer-0", "wiki:a", "x")
     system.edit_and_commit("peer-0", "wiki:b", "y")
     stats = system.user("peer-0").statistics()
-    assert stats["commits"] == 2
+    assert stats["commits"] == stats["edits"] == 2
     assert stats["documents"] == ["wiki:a", "wiki:b"]
     assert stats["mean_attempts"] >= 1.0
-    assert system.statistics()["validations_ok"] == 2
+    assert system.statistics()["proposals_ok"] == 2
 
 
 def test_independent_documents_do_not_interfere():

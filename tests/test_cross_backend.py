@@ -100,8 +100,8 @@ def test_sim_runtime_reproduces_pr3_differential_rows(seed, batched):
     """The refactored stack reproduces the pre-refactor golden rows exactly."""
     golden = GOLDEN_DIFFERENTIAL[(seed, batched)]
     steps = golden["steps"]
-    fast = build_diff_system(seed, batched=batched, checkpointing=True)
-    full = build_diff_system(seed, batched=batched, checkpointing=False)
+    fast = build_diff_system(seed, checkpointing=True)
+    full = build_diff_system(seed, checkpointing=False)
     for system in (fast, full):
         drive_history(system, seed=seed, batched=batched, steps=steps)
     cold = fast.peer_names()[2]
@@ -127,7 +127,6 @@ def build_live_system(peers: int, seed: int) -> LtrSystem:
     config = LtrConfig(
         runtime_backend="asyncio",
         validation_retry_delay=0.02,
-        parallel_retrieval=True,
     )
     system = LtrSystem(
         ltr_config=config,

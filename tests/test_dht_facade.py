@@ -3,7 +3,6 @@
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, HashFunctionFamily, hash_to_id
-from repro.core import LtrConfig, LtrSystem
 from repro.dht import ChordDhtClient, LocalDht
 from repro.errors import KeyNotFound
 from repro.net import ConstantLatency
@@ -146,22 +145,25 @@ def test_chord_client_remove_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# parallel retrieval (P2P-Log ablation)
+# the retrieval window (P2P-Log)
 # ---------------------------------------------------------------------------
 
 
 def _publish_entries(sim, log, count):
-    for ts in range(1, count + 1):
-        entry = LogEntry(document_key="doc", ts=ts, patch=f"patch-{ts}")
-        sim.run(until=sim.process(log.publish(entry)))
+    entries = [LogEntry(document_key="doc", ts=ts, patch=f"patch-{ts}")
+               for ts in range(1, count + 1)]
+    sim.run(until=sim.process(log.append_many(entries)))
 
 
 def test_parallel_fetch_range_matches_sequential_order():
     sim = Simulator()
-    log = P2PLogClient(LocalDht(sim), HashFunctionFamily.create(2, bits=BITS))
+    dht = LocalDht(sim)
+    family = HashFunctionFamily.create(2, bits=BITS)
+    log = P2PLogClient(dht, family)
     _publish_entries(sim, log, 6)
-    sequential = sim.run(until=sim.process(log.fetch_range("doc", 1, 6)))
-    parallel = sim.run(until=sim.process(log.fetch_range("doc", 1, 6, parallel=True)))
+    one_at_a_time = P2PLogClient(dht, family, max_parallel=1)
+    sequential = sim.run(until=sim.process(one_at_a_time.fetch_range("doc", 1, 6)))
+    parallel = sim.run(until=sim.process(log.fetch_range("doc", 1, 6)))
     assert parallel == sequential
     assert [entry.ts for entry in parallel] == [1, 2, 3, 4, 5, 6]
 
@@ -170,31 +172,15 @@ def test_parallel_fetch_range_is_faster_over_the_ring():
     ring = build_ring(node_count=8, seed=73)
     family = HashFunctionFamily.create(2, bits=BITS)
     log = P2PLogClient(ChordDhtClient(ring.gateway()), family)
+    one_at_a_time = P2PLogClient(ChordDhtClient(ring.gateway()), family, max_parallel=1)
     _publish_entries(ring.sim, log, 8)
 
     start = ring.sim.now
-    ring.sim.run(until=ring.sim.process(log.fetch_range("doc", 1, 8)))
+    ring.sim.run(until=ring.sim.process(one_at_a_time.fetch_range("doc", 1, 8)))
     sequential_time = ring.sim.now - start
 
     start = ring.sim.now
-    ring.sim.run(until=ring.sim.process(log.fetch_range("doc", 1, 8, parallel=True)))
+    ring.sim.run(until=ring.sim.process(log.fetch_range("doc", 1, 8)))
     parallel_time = ring.sim.now - start
 
     assert parallel_time < sequential_time
-
-
-def test_parallel_retrieval_option_in_full_protocol():
-    system = LtrSystem(
-        ltr_config=LtrConfig(parallel_retrieval=True),
-        seed=77,
-        latency=ConstantLatency(0.004),
-    )
-    system.bootstrap(8)
-    key = "xwiki:parallel"
-    for index in range(4):
-        system.edit_and_commit("peer-0", key, f"revision {index}")
-    sync = system.sync("peer-3", key)
-    assert sync.retrieved_patches == 4
-    result = system.edit_and_commit("peer-5", key, "late contribution")
-    assert result.ts == 5
-    assert system.check_consistency(key).converged

@@ -411,7 +411,6 @@ def test_plan_replays_best_effort_on_the_asyncio_backend():
     config = LtrConfig(
         runtime_backend="asyncio",
         validation_retry_delay=0.02,
-        parallel_retrieval=True,
     )
     system = LtrSystem(
         ltr_config=config,

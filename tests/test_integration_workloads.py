@@ -133,7 +133,7 @@ def test_statistics_reflect_workload_activity():
         [(name, key, f"text by {name}") for name in system.peer_names()[:4]]
     )
     stats = system.statistics()
-    assert stats["validations_ok"] == 4
+    assert stats["proposals_ok"] == 4
     assert stats["peers"] == 8
     assert stats["network"]["delivered"] > 0
     per_user = {entry["author"]: entry for entry in stats["users"]}

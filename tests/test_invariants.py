@@ -1,11 +1,12 @@
-"""Reusable invariant checkers for the P2P-LTR commit pipelines.
+"""Reusable invariant checkers for the P2P-LTR commit pipeline.
 
 The paper's guarantees — dense, gap-free timestamps per document; a
 prefix-complete P2P-Log readable from every peer; OT convergence of all
-replicas — must hold on the unbatched path *and* on the batched commit
-pipeline.  This module provides the checkers as plain functions (also
-imported by ``test_commit_fuzz.py``) and asserts them over randomized,
-seeded multi-writer runs of both paths.
+replicas — must hold whatever the chain length: through ``edit``/``commit``
+(chains of one patch, ids ``unbatched``) *and* through ``stage``/``flush``
+(chains of several, ids ``batched``).  This module provides the checkers as
+plain functions (also imported by ``test_commit_fuzz.py``) and asserts them
+over randomized, seeded multi-writer runs of both fronts.
 """
 
 import pytest
@@ -153,7 +154,7 @@ def run_random_workload(system: LtrSystem, *, seed: int, keys, writers,
 @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
 @pytest.mark.parametrize("seed", [3, 41, 2024])
 def test_randomized_runs_preserve_all_invariants(seed, batched):
-    overrides = {"batch_enabled": True, "batch_max_edits": 3} if batched else {}
+    overrides = {"batch_max_edits": 3} if batched else {}
     system = build_system(peers=8, seed=seed, **overrides)
     keys = ["xwiki:inv-a", "xwiki:inv-b"]
     writers = system.peer_names()[:3]
@@ -166,28 +167,39 @@ def test_randomized_runs_preserve_all_invariants(seed, batched):
 
 
 def test_batched_and_unbatched_paths_agree_on_canonical_state():
-    """The same single-writer edit sequence yields the same document text."""
+    """Chain length does not change the outcome: the same edit sequence
+    committed through ``edit``/``commit``, as k one-patch chains, as chains
+    of four or as one chain of k yields the same converged text and the
+    same dense log, entry for entry."""
     texts = [f"rev {index}\nshared tail" for index in range(6)]
     key = "xwiki:agree"
+
+    def log_of(system):
+        return [(entry.ts, entry.base_ts, entry.author, entry.patch.operations)
+                for entry in system.fetch_log(key, 1, system.last_ts(key))]
 
     plain = build_system(peers=6, seed=9)
     for text in texts:
         plain.edit_and_commit("peer-0", key, text)
     plain_report = assert_replicas_converge(plain, key)
+    assert plain_report.last_ts == len(texts)
 
-    batched = build_system(peers=6, seed=9, batch_enabled=True, batch_max_edits=4)
-    for text in texts:
-        batched.stage("peer-0", key, text)
-    batched.flush("peer-0", key)
-    batched_report = assert_replicas_converge(batched, key)
-
-    assert plain_report.last_ts == batched_report.last_ts == len(texts)
-    assert plain_report.canonical_lines == batched_report.canonical_lines
+    for chain_length in (1, 4, len(texts)):
+        staged = build_system(peers=6, seed=9, batch_max_edits=chain_length)
+        for text in texts:
+            staged.stage("peer-0", key, text)
+        staged.flush("peer-0", key)
+        staged_report = assert_replicas_converge(staged, key)
+        assert staged_report.last_ts == plain_report.last_ts
+        assert staged_report.canonical_lines == plain_report.canonical_lines
+        assert log_of(staged) == log_of(plain)
+        proposals = staged.master_service(key).statistics()["proposals_ok"]
+        assert proposals == -(-len(texts) // chain_length)
 
 
 def test_concurrent_batched_flushes_converge():
     """Contending batches are serialized, rebased and still converge."""
-    system = build_system(peers=10, seed=13, batch_enabled=True, batch_max_edits=8)
+    system = build_system(peers=10, seed=13, batch_max_edits=8)
     key = "xwiki:contend"
     first, second = system.peer_names()[:2]
     for index in range(3):
@@ -204,15 +216,21 @@ def test_concurrent_batched_flushes_converge():
 # ----------------------------------------------------- unit-level gates --
 
 
-def test_stage_requires_the_batch_gate():
-    system = build_system(peers=4, seed=5)  # batch_enabled defaults to False
+def test_edit_and_stage_refuse_to_mix_on_one_document():
+    system = build_system(peers=4, seed=5)
+    user = system.user("peer-0")
+    user.edit("xwiki:fronts", "pending text")
     with pytest.raises(ConfigurationError):
-        system.user("peer-0").stage("xwiki:gated", "text")
+        user.stage("xwiki:fronts", "staged text")
+    user.discard_pending("xwiki:fronts")
+    user.stage("xwiki:fronts", "staged text")
+    with pytest.raises(ConfigurationError):
+        user.edit("xwiki:fronts", "pending text")
 
 
 def test_edit_refused_while_a_flush_is_in_flight():
     """edit() mid-flush would base its patch on the pre-flush replica."""
-    system = build_system(peers=8, seed=61, batch_enabled=True, batch_max_edits=8)
+    system = build_system(peers=8, seed=61, batch_max_edits=8)
     key = "xwiki:midflight"
     user = system.user("peer-0")
     for index in range(3):
@@ -220,7 +238,7 @@ def test_edit_refused_while_a_flush_is_in_flight():
     flush = system.sim.process(user.flush(key))
     system.sim.run(until=system.sim.now + 0.001)  # flush now awaits the Master
     with pytest.raises(ConfigurationError):
-        user.edit(key, "unbatched edit during flush")
+        user.edit(key, "edit() during flush")
     with pytest.raises(ConfigurationError):
         user.stage(key, "staged during flush")
     outcome = system.sim.run(until=flush)
@@ -229,8 +247,7 @@ def test_edit_refused_while_a_flush_is_in_flight():
 
 
 def test_noop_stage_does_not_start_the_deadline_clock():
-    system = build_system(peers=6, seed=67, batch_enabled=True,
-                          batch_max_edits=16, batch_deadline=1.0)
+    system = build_system(peers=6, seed=67, batch_max_edits=16, batch_deadline=1.0)
     key = "xwiki:noop-deadline"
     user = system.user("peer-0")
     user.stage(key, "")  # a no-op against the empty document: opens nothing
@@ -260,8 +277,7 @@ def test_commit_batch_size_and_deadline_bounds():
 
 
 def test_flush_due_respects_the_deadline():
-    system = build_system(peers=6, seed=21, batch_enabled=True,
-                          batch_max_edits=16, batch_deadline=2.0)
+    system = build_system(peers=6, seed=21, batch_max_edits=16, batch_deadline=2.0)
     key = "xwiki:deadline"
     system.user("peer-0").stage(key, "first revision")
     assert system.flush_due() == []  # too young
@@ -292,13 +308,9 @@ def test_next_timestamps_allocates_dense_ranges():
 def test_randomized_checkpointed_runs_preserve_all_invariants():
     """The paper invariants plus checkpoint placement, checkpointing on."""
     for batched in (False, True):
-        overrides = {
-            "checkpoint_enabled": True,
-            "checkpoint_interval": 3,
-            "grouped_fetch": True,
-        }
+        overrides = {"checkpoint_enabled": True, "checkpoint_interval": 3}
         if batched:
-            overrides.update({"batch_enabled": True, "batch_max_edits": 3})
+            overrides["batch_max_edits"] = 3
         system = build_system(peers=8, seed=77, **overrides)
         keys = ["xwiki:ckpt-a", "xwiki:ckpt-b"]
         writers = system.peer_names()[:3]
@@ -315,7 +327,7 @@ def test_checkpoints_survive_responsible_peer_departure():
     """Hand-off on churn keeps checkpoints reachable (placement invariant)."""
     system = build_system(
         peers=12, seed=29, checkpoint_enabled=True, checkpoint_interval=3,
-        checkpoint_retention=2, grouped_fetch=True,
+        checkpoint_retention=2,
     )
     key = "xwiki:ckpt-churn"
     writer = system.peer_names()[0]
@@ -364,7 +376,6 @@ def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     """No reachable checkpoint replica => the paper's full replay, silently."""
     system = build_system(
         peers=8, seed=31, checkpoint_enabled=True, checkpoint_interval=3,
-        grouped_fetch=True,
     )
     key = "xwiki:ckpt-fallback"
     writer = system.peer_names()[0]
@@ -412,7 +423,7 @@ def test_checkpoint_index_survives_out_of_order_writes():
     """
     system = build_system(
         peers=8, seed=41, checkpoint_enabled=True, checkpoint_interval=3,
-        checkpoint_retention=3, grouped_fetch=True,
+        checkpoint_retention=3,
     )
     key = "xwiki:ckpt-order"
     writer = system.peer_names()[0]
@@ -433,7 +444,7 @@ def test_gc_checkpoints_trims_beyond_the_retention_window():
     """The compaction story: old snapshots leave the DHT as new ones land."""
     system = build_system(
         peers=8, seed=37, checkpoint_enabled=True, checkpoint_interval=2,
-        checkpoint_retention=2, grouped_fetch=True,
+        checkpoint_retention=2,
     )
     key = "xwiki:ckpt-gc"
     writer = system.peer_names()[0]
@@ -454,8 +465,8 @@ def test_gc_checkpoints_trims_beyond_the_retention_window():
 
 def test_validation_failure_restages_the_batch():
     """A flush that cannot complete puts the (rebased) edits back."""
-    system = build_system(peers=6, seed=55, batch_enabled=True,
-                          batch_max_edits=8, max_validation_attempts=1)
+    system = build_system(peers=6, seed=55, batch_max_edits=8,
+                          max_validation_attempts=1)
     key = "xwiki:restage"
     # Make the proposer stale: another peer commits out from under it.
     user = system.user("peer-0")
@@ -470,4 +481,33 @@ def test_validation_failure_restages_the_batch():
     system.sync("peer-0", key)
     result = system.flush("peer-0", key)
     assert result is not None and result.first_ts == 2
+    assert_system_invariants(system, [key])
+
+
+def test_failed_retrieval_restores_the_pending_edit():
+    """Regression: a commit whose behind-path retrieval raises used to drop
+    the user's tentative patch (only an unreachable Master or an exhausted
+    attempt budget put it back)."""
+    from repro.errors import PatchUnavailable
+
+    system = build_system(peers=6, seed=55)
+    key = "xwiki:restore"
+    user = system.user("peer-0")
+    system.edit_and_commit(system.peer_names()[1], key, "committed first")
+    user.edit(key, "my draft")
+
+    def unavailable(document_key, from_ts, to_ts):
+        raise PatchUnavailable(document_key, from_ts)
+        yield  # pragma: no cover - makes this a generator like the original
+
+    plain_fetch_range = user.log.fetch_range
+    user.log.fetch_range = unavailable
+    with pytest.raises(PatchUnavailable):
+        system.commit("peer-0", key)
+    assert user.has_pending(key)
+    assert user.working_text(key) == "my draft"
+    # Once the log answers again the very same edit commits.
+    user.log.fetch_range = plain_fetch_range
+    result = system.commit("peer-0", key)
+    assert result is not None and result.ts == 2 and result.retrieved_patches == 1
     assert_system_invariants(system, [key])

@@ -78,8 +78,8 @@ def test_publish_and_fetch_roundtrip_local():
     log = P2PLogClient(dht, HashFunctionFamily.create(3, bits=BITS))
     entry = make_entry(1)
 
-    stored = sim.run(until=sim.process(log.publish(entry)))
-    assert stored == 3
+    stored = sim.run(until=sim.process(log.append_many([entry])))
+    assert stored == [3]
     assert len(dht) == 3  # three distinct placements
 
     fetched = sim.run(until=sim.process(log.fetch("doc", 1)))
@@ -96,8 +96,7 @@ def test_fetch_missing_entry_raises_local():
 def test_fetch_range_in_order_local():
     sim = Simulator()
     log = P2PLogClient(LocalDht(sim), HashFunctionFamily.create(2, bits=BITS))
-    for ts in range(1, 6):
-        sim.run(until=sim.process(log.publish(make_entry(ts))))
+    sim.run(until=sim.process(log.append_many([make_entry(ts) for ts in range(1, 6)])))
     entries = sim.run(until=sim.process(log.fetch_range("doc", 2, 4)))
     assert [entry.ts for entry in entries] == [2, 3, 4]
     assert sim.run(until=sim.process(log.fetch_range("doc", 4, 2))) == []
@@ -129,8 +128,8 @@ def test_publish_places_entries_at_responsible_log_peers():
     ring = build_ring()
     client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
     entry = make_entry(1, key="wiki:home")
-    stored = run(ring, client.publish(entry))
-    assert stored == 3
+    stored = run(ring, client.append_many([entry]))
+    assert stored == [3]
     for storage_key, identifier in client.placements("wiki:home", 1):
         owner = ring.responsible_node_for_id(identifier)
         assert owner.storage.value(storage_key) == entry
@@ -140,7 +139,7 @@ def test_fetch_from_any_peer_returns_same_entry():
     ring = build_ring()
     publisher = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(2, bits=BITS))
     entry = make_entry(1, key="wiki:shared")
-    run(ring, publisher.publish(entry))
+    run(ring, publisher.append_many([entry]))
     for name in ring.ring_order()[:4]:
         reader = P2PLogClient(ChordDhtClient(ring.node(name)), HashFunctionFamily.create(2, bits=BITS))
         assert run(ring, reader.fetch("wiki:shared", 1)) == entry
@@ -150,7 +149,7 @@ def test_entries_survive_log_peer_crash_with_multiple_placements():
     ring = build_ring(node_count=10)
     client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
     entry = make_entry(1, key="wiki:resilient")
-    run(ring, client.publish(entry))
+    run(ring, client.append_many([entry]))
     ring.run_for(2)
     # crash the primary Log-Peer of the first placement
     _key, identifier = client.placements("wiki:resilient", 1)[0]
@@ -167,7 +166,7 @@ def test_entries_survive_log_peer_crash_with_multiple_placements():
 def test_availability_counts_placements():
     ring = build_ring()
     client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
-    run(ring, client.publish(make_entry(1, key="wiki:avail")))
+    run(ring, client.append_many([make_entry(1, key="wiki:avail")]))
     assert run(ring, client.availability("wiki:avail", 1)) == 3
     assert run(ring, client.availability("wiki:avail", 2)) == 0
 
@@ -175,7 +174,7 @@ def test_availability_counts_placements():
 def test_statistics_track_publications_and_fallbacks():
     ring = build_ring()
     client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(2, bits=BITS))
-    run(ring, client.publish(make_entry(1, key="wiki:stats")))
+    run(ring, client.append_many([make_entry(1, key="wiki:stats")]))
     run(ring, client.fetch("wiki:stats", 1))
     stats = client.statistics()
     assert stats["published_entries"] == 1
@@ -193,23 +192,22 @@ def test_append_many_places_whole_batch_with_grouped_writes():
         assert run(ring, client.fetch("wiki:batch", ts)) == entries[ts - 1]
     stats = client.statistics()
     assert stats["published_entries"] == 5
-    assert stats["batched_publishes"] == 1
     assert run(ring, client.append_many([])) == []
 
 
 def test_fetch_span_groups_reads_and_matches_per_ts_fetch():
-    """The grouped range read returns exactly what the per-ts loop returns."""
+    """The grouped range read returns exactly what the per-ts chain returns."""
     ring = build_ring(node_count=10)
     client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
     entries = [make_entry(ts, key="wiki:span") for ts in range(1, 9)]
     run(ring, client.append_many(entries))
     ring.run_for(1.0)
-    spanned = run(ring, client.fetch_range("wiki:span", 1, 8, grouped=True))
+    spanned = run(ring, client.fetch_range("wiki:span", 1, 8))
     assert spanned == entries
-    assert client.span_fetches == 1
-    looped = run(ring, client.fetch_range("wiki:span", 1, 8))
+    assert client.fallback_reads == 0  # every entry came from its primary
+    looped = [run(ring, client.fetch("wiki:span", ts)) for ts in range(1, 9)]
     assert looped == spanned
-    assert run(ring, client.fetch_range("wiki:span", 5, 3, grouped=True)) == []
+    assert run(ring, client.fetch_range("wiki:span", 5, 3)) == []
 
 
 def test_fetch_span_falls_back_per_timestamp_when_primary_is_gone():
@@ -224,18 +222,18 @@ def test_fetch_span_falls_back_per_timestamp_when_primary_is_gone():
     primary = client.hash_family[0]
     log_key = make_log_key("wiki:spanfall", 2)
     run(ring, client.dht.remove(primary.placement_key(log_key), key_id=primary(log_key)))
-    spanned = run(ring, client.fetch_range("wiki:spanfall", 1, 4, grouped=True))
+    spanned = run(ring, client.fetch_range("wiki:spanfall", 1, 4))
     assert spanned == entries
     assert client.fallback_reads >= 1
 
 
 def test_fetch_span_windows_grouped_reads_by_max_parallel():
-    """Regression: the grouped path must honour the fan-out bound too.
+    """Regression: range retrieval must honour the fan-out bound.
 
     ``get_many`` resolves its items' placements concurrently, so handing
     it a whole 500-entry range at once would put one in-flight routing per
-    timestamp on the wire — the same flood the windowed parallel mode
-    prevents.
+    timestamp on the wire; the range is worked through in windows of
+    ``max_parallel`` instead.
     """
     sim = Simulator(seed=2)
     dht = LocalDht(sim)
@@ -254,45 +252,53 @@ def test_fetch_span_windows_grouped_reads_by_max_parallel():
         return result
 
     dht.get_many = tracking_get_many
-    entries = sim.run(until=sim.process(log.fetch_span("doc", 1, 500)))
+    entries = sim.run(until=sim.process(log.fetch_range("doc", 1, 500)))
     assert [entry.ts for entry in entries] == list(range(1, 501))
     assert batch_sizes and max(batch_sizes) <= 16
-
-
-def test_parallel_fetch_range_bounds_in_flight_requests():
-    """Regression: a 500-entry range must not exceed max_parallel fetches.
-
-    The parallel retrieval mode used to spawn one process per timestamp
-    with no bound, flooding the network with one simultaneous routed
-    lookup per missing entry on long catch-ups.
-    """
-    sim = Simulator(seed=1)
-    dht = LocalDht(sim, operation_delay=0.002)
-    log = P2PLogClient(dht, HashFunctionFamily.create(2, bits=BITS), max_parallel=16)
-    for ts in range(1, 501):
-        entry = make_entry(ts)
-        dht._table[log.hash_family[0].placement_key(entry.log_key)] = entry
-
-    in_flight = 0
-    peak = 0
-    plain_fetch = log.fetch
-
-    def tracked_fetch(document_key, ts):
-        nonlocal in_flight, peak
-        in_flight += 1
-        peak = max(peak, in_flight)
-        try:
-            entry = yield from plain_fetch(document_key, ts)
-        finally:
-            in_flight -= 1
-        return entry
-
-    log.fetch = tracked_fetch
-    entries = sim.run(until=sim.process(log.fetch_range("doc", 1, 500, parallel=True)))
-    assert [entry.ts for entry in entries] == list(range(1, 501))
-    assert peak <= 16, f"{peak} fetches were in flight at once"
     with pytest.raises(ValueError):
         P2PLogClient(LocalDht(sim), HashFunctionFamily.create(2, bits=BITS), max_parallel=0)
+
+
+@pytest.mark.parametrize("fault", ["none", "primary-down", "primary-tampered"])
+def test_window_of_one_returns_what_the_default_window_returns(fault):
+    """``max_parallel=1`` (the paper's one get at a time) and the default
+    window retrieve the same entries, entry for entry — also when the
+    primary Log-Peer of some timestamp is down or serves a tampered copy."""
+    ring = build_ring(node_count=10)
+    family = HashFunctionFamily.create(3, bits=BITS)
+    entries = [make_entry(ts, key="wiki:window") for ts in range(1, 25)]
+    for entry in entries:
+        entry.metadata["sig"] = f"sig-{entry.ts}"
+    verifier = lambda entry: entry.metadata.get("sig") == f"sig-{entry.ts}"  # noqa: E731
+    publisher = P2PLogClient(ChordDhtClient(ring.gateway()), family)
+    run(ring, publisher.append_many(entries))
+    ring.run_for(1.0)
+
+    primary = family[0]
+    log_key = make_log_key("wiki:window", 7)
+    victim = ring.responsible_node_for_id(primary(log_key))
+    if fault == "primary-down":
+        ring.crash(victim.address.name)
+        assert ring.wait_until_stable(max_time=90)
+    elif fault == "primary-tampered":
+        storage_key = primary.placement_key(log_key)
+        item = victim.storage.get(storage_key)
+        victim.storage.put(storage_key, LogEntry("wiki:window", 7, "evil patch"),
+                           is_replica=item.is_replica, now=ring.sim.now,
+                           key_id=item.key_id)
+
+    reader = next(name for name in ring.ring_order() if name != victim.address.name)
+    one = P2PLogClient(ChordDhtClient(ring.node(reader)), family,
+                       max_parallel=1, entry_verifier=verifier)
+    windowed = P2PLogClient(ChordDhtClient(ring.node(reader)), family,
+                            entry_verifier=verifier)
+    assert windowed.max_parallel == 16
+    one_by_one = run(ring, one.fetch_range("wiki:window", 1, 24))
+    assert one_by_one == run(ring, windowed.fetch_range("wiki:window", 1, 24)) == entries
+    assert [entry.metadata for entry in one_by_one] == [entry.metadata for entry in entries]
+    if fault == "primary-tampered":
+        assert one.auth_rejects >= 1 and windowed.auth_rejects >= 1
+        assert one.fallback_reads >= 1 and windowed.fallback_reads >= 1
 
 
 # ---------------------------------------------------------------------------
