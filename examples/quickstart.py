@@ -5,7 +5,7 @@ the three things P2P-LTR guarantees: continuous timestamps, a complete
 patch log, and eventual consistency of every replica.  The closing section
 declares the same measurement as a :class:`~repro.engine.ScenarioSpec` and
 lets the scenario engine do the sweeping and tabulation — that is how all
-of E1..E10 are written.
+of E1..E20 are written.
 
 Run with ``python examples/quickstart.py``.
 """

@@ -12,9 +12,9 @@ runtime (observer callbacks run inside timer callbacks, where re-entrant
 1. **Dense timestamps** — the authoritative counter of every tracked
    document stays within ``max_in_flight`` of the newest *surviving* log
    entry, in both directions.  The Master publishes *before* it advances
-   the counter (``publish_before_ack``), so mid-commit snapshots
-   legitimately observe the newest entry without its timestamp allocation;
-   a counter further behind would let a timestamp be re-issued and fork
+   the counter (publish-then-allocate is the protocol), so mid-commit
+   snapshots legitimately observe the newest entry without its timestamp
+   allocation; a counter further behind would let a timestamp be re-issued and fork
    the total order, and a counter further *ahead* means acked tail entries
    vanished from every live peer.
 2. **Prefix-complete log** — every timestamp ``1 .. log_max`` survives on
@@ -344,11 +344,10 @@ class ConvergenceChecker:
                 f"(timestamp fork hazard)"
             )
         if last_ts - log_max > allowance:
-            # Publish-before-ack means an entry exists before its timestamp
-            # is allocated, so a counter ahead of the *surviving* log is the
-            # tail-loss direction: acked timestamps whose entries vanished
-            # from every live peer.  (The allowance covers the
-            # ack-before-publish ablation's in-flight window.)
+            # An entry exists before its timestamp is allocated (the Master
+            # publishes, then advances the counter), so a counter ahead of
+            # the *surviving* log is the tail-loss direction: acked
+            # timestamps whose entries vanished from every live peer.
             violations.append(
                 f"{key}: counter last-ts {last_ts} ahead of surviving log "
                 f"max {log_max} (newest acked entries lost)"

@@ -32,9 +32,6 @@ class LtrConfig:
         Delay between those re-routing attempts, in simulated seconds.  It
         should be of the order of the DHT stabilization interval so a
         retried request reaches the new Master-key peer.
-    publish_before_ack:
-        When ``True`` (paper behaviour) the Master-key peer replicates the
-        patch in the P2P-Log before acknowledging the user peer.
     batch_max_edits:
         Size bound of a commit batch: ``UserPeer.stage`` accumulates edits
         into a :class:`~repro.core.batch.CommitBatch` that is committed as
@@ -103,7 +100,6 @@ class LtrConfig:
     max_validation_attempts: int = 256
     validation_retries: int = 8
     validation_retry_delay: float = 0.5
-    publish_before_ack: bool = True
     batch_max_edits: int = 16
     batch_deadline: float = 0.25
     checkpoint_enabled: bool = False

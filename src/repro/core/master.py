@@ -271,21 +271,18 @@ class MasterService(NodeService):
             )
             for offset, patch in enumerate(patches)
         ]
-        replicas = 0
-        if self.config.publish_before_ack:
-            try:
-                per_entry = yield from self.log.append_many(entries)
-            except PatchUnavailable:
-                # Partial publish: what landed carries timestamps that were
-                # never allocated — schedule it for removal, then propagate
-                # so the proposer keeps its edits and retries.
-                retract.extend(entries)
-                raise
-            replicas = min(per_entry)
+        try:
+            per_entry = yield from self.log.append_many(entries)
+        except PatchUnavailable:
+            # Partial publish: what landed carries timestamps that were
+            # never allocated — schedule it for removal, then propagate
+            # so the proposer keeps its edits and retries.
+            retract.extend(entries)
+            raise
+        replicas = min(per_entry)
         # Re-election check before any timestamp is consumed: the publish
         # above yields, and even the lock acquisition can span a takeover,
-        # so the Master role may have moved since the request arrived (in
-        # either ordering mode).
+        # so the Master role may have moved since the request arrived.
         if self._lost_master_role(key, last_ts):
             self.proposals_rejected += 1
             node.runtime.trace.annotate(
@@ -294,21 +291,12 @@ class MasterService(NodeService):
                 f"{node.address.name} rejects in-flight {span}: "
                 f"master role moved during publication",
             )
-            if self.config.publish_before_ack:
-                # The published entries carry timestamps that were never
-                # allocated; retract them so no reader can observe them
-                # before the new Master reuses the range.
-                retract.extend(entries)
+            # The published entries carry timestamps that were never
+            # allocated; retract them so no reader can observe them
+            # before the new Master reuses the range.
+            retract.extend(entries)
             return ValidationResult.reelection(authority.last_ts(key)).to_payload()
         first_ts = authority.next_timestamps(key, len(patches))
-        if not self.config.publish_before_ack:
-            # Timestamps are consumed at this point, so a partial publish
-            # failure must NOT retract what landed (that would turn an
-            # incomplete prefix into a permanent gap); the error propagates
-            # and the proposer's restored edits are re-published by its
-            # retry.
-            per_entry = yield from self.log.append_many(entries)
-            replicas = min(per_entry)
         for entry in entries[:self.equivocate_next]:
             yield from self._equivocate(entry)
         self._note_published(key, patches, first_ts, checkpoints)

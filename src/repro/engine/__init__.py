@@ -3,12 +3,12 @@
 Instead of hand-building rings, loops and tables, an experiment declares a
 :class:`ScenarioSpec` — topology, parameter grid, repeat count, measurement
 callback — and the engine does the sweeping, seeding, tabulation and
-artifact writing.  ``repro.experiments`` defines the paper's E1..E10 as
-specs over this engine; examples and one-off studies can declare their own
-in a few lines.
+artifact writing.  ``repro.experiments`` defines E1..E20 (the paper's
+scenarios plus extensions) as specs over this engine; examples and one-off
+studies can declare their own in a few lines.
 """
 
-from .artifacts import headline_metrics, read_artifact, write_artifact, write_artifacts
+from .artifacts import headline_metrics, read_artifact, write_artifact
 from .runner import Experiment, ScenarioResult, render_results, run_scenario
 from .spec import (
     EXPERIMENT_CHORD_CONFIG,
@@ -37,5 +37,4 @@ __all__ = [
     "run_scenario",
     "with_parameters",
     "write_artifact",
-    "write_artifacts",
 ]

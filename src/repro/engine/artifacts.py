@@ -1,16 +1,17 @@
 """Machine-readable experiment artifacts.
 
 Every engine run can be snapshotted as one JSON file per scenario, so the
-performance trajectory of the reproduction is diffable across commits
-(``benchmarks/run_all.py`` writes ``BENCH_<id>.json`` files this way) and
-reports can be re-rendered without re-simulating.
+trajectory of the reproduction is diffable across commits
+(``python -m repro.experiments --artifacts DIR`` writes the committed
+``BENCH_<id>.json`` baselines this way) and reports can be re-rendered
+without re-simulating.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Optional, Union
 
 from .runner import ScenarioResult
 
@@ -48,25 +49,23 @@ def write_artifact(
     directory: Union[str, Path],
     *,
     prefix: str = "",
+    profile: Optional[str] = None,
 ) -> Path:
-    """Write one scenario's JSON artifact; returns the file path."""
+    """Write one scenario's JSON artifact; returns the file path.
+
+    The payload is the result's rows and spec plus the ``headline``
+    aggregates; ``profile`` (when given) records which parameter profile
+    produced it, so a gate can refuse to compare across profiles.
+    """
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     payload = result.to_json_dict()
     payload["headline"] = headline_metrics(result)
+    if profile is not None:
+        payload["profile"] = profile
     path = target / f"{prefix}{result.scenario_id}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
     return path
-
-
-def write_artifacts(
-    results: Iterable[ScenarioResult],
-    directory: Union[str, Path],
-    *,
-    prefix: str = "",
-) -> list[Path]:
-    """Write one JSON artifact per scenario result; returns the file paths."""
-    return [write_artifact(result, directory, prefix=prefix) for result in results]
 
 
 def read_artifact(path: Union[str, Path]) -> dict[str, Any]:

@@ -2,7 +2,7 @@
 
 ``run_scenario`` executes one :class:`~repro.engine.spec.ScenarioSpec`;
 :class:`Experiment` groups several specs (the paper's evaluation is one
-``Experiment`` with scenarios E1..E10) and runs them in order.  Both emit
+``Experiment`` with scenarios E1..E20) and runs them in order.  Both emit
 :class:`ScenarioResult` objects carrying the rendered
 :class:`~repro.metrics.ResultTable` *and* the raw rows, so reports can be
 re-generated and artifacts diffed across runs without re-simulating.

@@ -1,58 +1,35 @@
 """Experiment harness: the code that regenerates every scenario and figure.
 
-Every experiment is a declarative :class:`~repro.engine.ScenarioSpec` (see
-:mod:`repro.experiments.scenarios`); this package keeps the stable public
-API (``run_experiment``, ``run_all``, the legacy ``experiment_*`` table
-functions) on top of the engine.
+There is one of each: one registry (:data:`SPEC_FACTORIES` — experiment id
+to :class:`~repro.engine.ScenarioSpec` factory, whose keyword defaults are
+the quick profile), one runner (:func:`run_experiment`; :func:`run_all` is
+a loop over it), one override table (:data:`FULL_PARAMETERS`), one artifact
+format (``BENCH_<id>.json``: rows + headline + profile) and one command
+line (``python -m repro.experiments``), whose ``--check`` is the
+equality-or-explained gate against the committed baselines in
+``benchmarks/artifacts``.
 """
 
-from .report import (
-    EXPERIMENT_DESCRIPTIONS,
-    generate_experiments_md,
-    render_markdown_report,
-)
+from .report import EXPERIMENT_DESCRIPTIONS, render_markdown_report
 from .runner import (
     FULL_PARAMETERS,
-    QUICK_PARAMETERS,
     ExperimentRun,
+    check_baselines,
+    load_baselines,
     paper_experiment,
     render_runs,
     run_all,
     run_experiment,
 )
-from .scenarios import (
-    SPEC_FACTORIES,
-    experiment_baseline_comparison,
-    experiment_chord_lookup,
-    experiment_churn_soak,
-    experiment_concurrent_publishing,
-    experiment_hot_document_skew,
-    experiment_log_availability,
-    experiment_master_departure,
-    experiment_master_join,
-    experiment_response_time,
-    experiment_timestamp_generation,
-    iter_all_experiments,
-)
+from .scenarios import SPEC_FACTORIES
 
 __all__ = [
     "EXPERIMENT_DESCRIPTIONS",
     "ExperimentRun",
     "FULL_PARAMETERS",
-    "QUICK_PARAMETERS",
     "SPEC_FACTORIES",
-    "experiment_baseline_comparison",
-    "experiment_chord_lookup",
-    "experiment_churn_soak",
-    "experiment_concurrent_publishing",
-    "experiment_hot_document_skew",
-    "experiment_log_availability",
-    "experiment_master_departure",
-    "experiment_master_join",
-    "experiment_response_time",
-    "experiment_timestamp_generation",
-    "generate_experiments_md",
-    "iter_all_experiments",
+    "check_baselines",
+    "load_baselines",
     "paper_experiment",
     "render_markdown_report",
     "render_runs",

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
-from .runner import ExperimentRun, run_all
+from .runner import ExperimentRun
 
 #: One-line description of what each experiment reproduces.
 EXPERIMENT_DESCRIPTIONS = {
@@ -36,9 +35,8 @@ def render_markdown_report(runs: Sequence[ExperimentRun], *, title: str = "Exper
     """Render runs as a markdown document (tables + descriptions)."""
     lines = [f"# {title}", ""]
     for run in runs:
-        description = EXPERIMENT_DESCRIPTIONS.get(run.experiment_id, "")
-        if not description and run.result is not None:
-            description = run.result.spec.description
+        spec = run.result.spec
+        description = EXPERIMENT_DESCRIPTIONS.get(run.experiment_id, spec.description)
         title = run.table.title
         if title.startswith(f"{run.experiment_id} "):
             title = title[len(run.experiment_id) + 1:]
@@ -46,8 +44,12 @@ def render_markdown_report(runs: Sequence[ExperimentRun], *, title: str = "Exper
         if description:
             lines.append("")
             lines.append(description)
-        if run.parameters:
-            rendered = ", ".join(f"{key}={value}" for key, value in sorted(run.parameters.items()))
+        # The parameters in force, read off the spec that ran: swept axes
+        # (tuples) and constants, whatever profile or override set them.
+        parameters = {**{name: tuple(values) for name, values in spec.grid.items()},
+                      **spec.constants}
+        if parameters:
+            rendered = ", ".join(f"{key}={value}" for key, value in sorted(parameters.items()))
             lines.append("")
             lines.append(f"Parameters: `{rendered}`")
         lines.append("")
@@ -56,28 +58,3 @@ def render_markdown_report(runs: Sequence[ExperimentRun], *, title: str = "Exper
             lines.append(f"*{note}*")
             lines.append("")
     return "\n".join(lines)
-
-
-def generate_experiments_md(
-    path: Union[str, Path] = "EXPERIMENTS.md",
-    *,
-    quick: bool = True,
-    only: Optional[Sequence[str]] = None,
-) -> Path:
-    """Run the suite through the engine and write ``EXPERIMENTS.md``.
-
-    This is how the committed ``EXPERIMENTS.md`` snapshot is produced::
-
-        PYTHONPATH=src python -c "from repro.experiments import generate_experiments_md; generate_experiments_md()"
-
-    (equivalently ``python -m repro.experiments --markdown --output EXPERIMENTS.md``).
-    """
-    runs = run_all(quick=quick, only=only)
-    document = render_markdown_report(
-        runs,
-        title="Experiment results (generated by the scenario engine, quick parameters)"
-        if quick else "Experiment results (generated by the scenario engine, full parameters)",
-    )
-    target = Path(path)
-    target.write_text(document + "\n")
-    return target

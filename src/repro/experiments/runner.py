@@ -1,56 +1,41 @@
-"""Experiment runner: the paper's evaluation as one engine campaign.
+"""Experiment runner: one way to run an experiment, and the gate over it.
 
-``python -m repro.experiments`` runs everything with the default (quick)
-parameters and prints the tables; the benchmark modules call individual
-experiments with their own parameters.  Under the hood every experiment is
-a :class:`~repro.engine.ScenarioSpec` (see
-:mod:`repro.experiments.scenarios`) grouped into one
-:class:`~repro.engine.Experiment`, so runs can also emit machine-readable
-JSON artifacts via ``artifacts_dir``.
+:func:`run_experiment` instantiates one registered spec factory
+(:data:`~repro.experiments.scenarios.SPEC_FACTORIES`) and runs it through
+the engine; :func:`run_all` is a loop over it that can also snapshot one
+``BENCH_<id>.json`` artifact per experiment; ``python -m repro.experiments``
+is the command line over both.  The factories' keyword defaults are the
+quick profile; :data:`FULL_PARAMETERS` is the only override table.
+
+:func:`check_baselines` is the gate: it compares fresh quick-profile runs
+with committed artifacts, *equality-or-explained* — simulated-clock values
+and counts repeat exactly, so any deterministic headline that moves is a
+behavioural change and must be re-baselined on purpose (``--artifacts``
+into the baseline directory, the diff explained in the PR).  Host-dependent
+headlines are printed, never compared: wall-clock claims belong to
+``benchmarks/ltrbench`` pairs, not to single-shot fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ..engine import Experiment, ScenarioResult, run_scenario, write_artifacts
+from ..engine import (
+    Experiment,
+    ScenarioResult,
+    ScenarioSpec,
+    headline_metrics,
+    read_artifact,
+    run_scenario,
+    write_artifact,
+)
 from ..metrics import ResultTable, render_tables
 from .scenarios import SPEC_FACTORIES
 
-#: Parameter overrides for a fast smoke run of every experiment.
-QUICK_PARAMETERS: dict[str, dict] = {
-    "E1": {"peer_counts": (8, 16), "documents": 24, "updates_per_document": 2},
-    "E2": {"updater_counts": (2, 4), "peers": 10},
-    "E3": {"events": ("leave", "crash"), "peers": 10},
-    "E4": {"joiners": 2, "peers": 6, "documents": 12},
-    "E5": {"peer_counts": (8, 16), "latency_presets": ("lan", "wan"), "commits_per_setting": 5},
-    "E6": {"updater_counts": (2, 4), "peers": 10},
-    "E7": {"replication_factors": (1, 2, 3), "crashed_log_peers": 1, "peers": 12, "entries": 6},
-    "E8": {"peer_counts": (8, 16), "lookups": 20, "hot_lookups": 8},
-    "E9": {"zipf_exponents": (0.0, 1.5), "peers": 10, "documents": 12, "waves": 4,
-           "writers_per_wave": 3},
-    "E10": {"profiles": ("stable", "aggressive"), "peers": 10, "duration": 15.0,
-            "commit_interval": 1.5},
-    "E11": {"batch_sizes": (1, 4, 16), "peers": 10, "edits": 32},
-    "E12": {"histories": (24, 48), "peers": 8, "checkpoint_interval": 8},
-    "E13": {"editor_counts": (2, 4), "peers": 8, "edits": 24},
-    "E14": {"partition_durations": (2.0, 4.0), "edit_intervals": (1.0,),
-            "peers": 8, "converge_budget": 15.0},
-    "E15": {"restart_delays": (3.0,), "load_intervals": (0.75,),
-            "peers": 8, "tail": 4.0},
-    "E16": {"process_counts": (3,), "peers_per_process": 2, "commits": 18},
-    "E17": {"misbehaviors": ("drop", "corrupt", "replay", "equivocate"),
-            "rates": (0.5, 1.0), "peers": 8, "probes": 8},
-    "E18": {"peer_counts": (1000, 2000), "lookups": 120, "documents": 128},
-    "E19": {"recoveries": ("durable", "amnesiac"), "peers": 10, "edits": 16,
-            "converge_budget": 20.0},
-    "E20": {"peer_counts": (1000,), "batches": (16, 1), "edits": 64,
-            "probes": 16},
-}
-
-#: Parameters closer to the paper's demonstration scale (slower).
+#: Parameters closer to the paper's demonstration scale (slower), applied
+#: over the spec factories' keyword defaults (which are the quick profile).
 FULL_PARAMETERS: dict[str, dict] = {
     "E1": {"peer_counts": (8, 16, 32, 64), "documents": 64, "updates_per_document": 3},
     "E2": {"updater_counts": (2, 4, 8, 16), "peers": 24},
@@ -83,53 +68,64 @@ FULL_PARAMETERS: dict[str, dict] = {
             "edits": 256, "probes": 32},
 }
 
+#: Experiments whose every metric is wall-clock-dependent (live backends).
+WALL_CLOCK_EXPERIMENTS = frozenset({"E13", "E16"})
+
+#: Headline-name fragments marking a metric as host-machine-dependent.
+WALL_CLOCK_TAGS = ("wall", "per_sec", "per_s", "rss")
+
 
 @dataclass
 class ExperimentRun:
     """The outcome of running one experiment."""
 
-    experiment_id: str
-    table: ResultTable
-    parameters: dict = field(default_factory=dict)
-    result: Optional[ScenarioResult] = None
+    result: ScenarioResult
+
+    @property
+    def experiment_id(self) -> str:
+        return self.result.scenario_id
+
+    @property
+    def table(self) -> ResultTable:
+        return self.result.table
+
+
+def _require_known(experiment_ids: Sequence[str]) -> None:
+    """Raise :class:`KeyError` naming every id that is not registered."""
+    unknown = [experiment_id for experiment_id in experiment_ids
+               if experiment_id not in SPEC_FACTORIES]
+    if unknown:
+        raise KeyError(
+            f"unknown experiment ids {unknown}; known: {list(SPEC_FACTORIES)}"
+        )
+
+
+def _spec(experiment_id: str, quick: bool, overrides: Optional[dict] = None) -> ScenarioSpec:
+    """The registered spec at the quick or full profile, overrides on top."""
+    _require_known([experiment_id])
+    parameters = {} if quick else dict(FULL_PARAMETERS.get(experiment_id, {}))
+    parameters.update(overrides or {})
+    return SPEC_FACTORIES[experiment_id](**parameters)
 
 
 def paper_experiment(*, quick: bool = True) -> Experiment:
-    """The whole evaluation as one :class:`~repro.engine.Experiment`.
-
-    Every registered scenario is instantiated with the quick or full
-    parameter profile; ``Experiment.run(only=...)`` then selects subsets.
-    """
-    profile = QUICK_PARAMETERS if quick else FULL_PARAMETERS
-    specs = [
-        factory(**profile.get(experiment_id, {}))
-        for experiment_id, factory in SPEC_FACTORIES.items()
-    ]
+    """The whole evaluation as one :class:`~repro.engine.Experiment`."""
     return Experiment(
         name="p2p-ltr-evaluation",
-        description="P2P-LTR reproduction: paper scenarios E1..E8 plus extensions",
-        specs=specs,
+        description="P2P-LTR reproduction: paper scenarios E1..E8 plus extensions E9..E20",
+        specs=[_spec(experiment_id, quick) for experiment_id in SPEC_FACTORIES],
     )
 
 
 def run_experiment(experiment_id: str, *, quick: bool = True,
                    overrides: Optional[dict] = None) -> ExperimentRun:
-    """Run one experiment by id (``"E1"`` .. ``"E10"``)."""
-    factory = SPEC_FACTORIES.get(experiment_id)
-    if factory is None:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {list(SPEC_FACTORIES)}"
-        )
-    parameters = dict((QUICK_PARAMETERS if quick else FULL_PARAMETERS).get(experiment_id, {}))
-    if overrides:
-        parameters.update(overrides)
-    result = run_scenario(factory(**parameters))
-    return ExperimentRun(
-        experiment_id=experiment_id,
-        table=result.table,
-        parameters=parameters,
-        result=result,
-    )
+    """Run one experiment by id (``"E1"`` .. ``"E20"``).
+
+    ``quick`` selects the profile (factory defaults, or
+    :data:`FULL_PARAMETERS` over them); ``overrides`` are factory keyword
+    arguments applied last.  Unknown ids raise :class:`KeyError`.
+    """
+    return ExperimentRun(run_scenario(_spec(experiment_id, quick, overrides)))
 
 
 def run_all(
@@ -138,27 +134,129 @@ def run_all(
     only: Optional[Sequence[str]] = None,
     artifacts_dir: Optional[Union[str, Path]] = None,
 ) -> list[ExperimentRun]:
-    """Run every experiment (or the subset in ``only``) and return the results.
+    """Run every experiment (or the subset in ``only``), in registry order.
 
-    Unknown ids in ``only`` raise :class:`KeyError`.  When ``artifacts_dir``
-    is given, one JSON artifact per experiment is written there.
+    Unknown ids in ``only`` raise :class:`KeyError` before anything runs.
+    When ``artifacts_dir`` is given, one ``BENCH_<id>.json`` artifact per
+    experiment (rows + headline + profile) is written there.
     """
-    profile = QUICK_PARAMETERS if quick else FULL_PARAMETERS
-    results = paper_experiment(quick=quick).run(only=only)
+    if only is not None:
+        _require_known(only)
     runs = [
-        ExperimentRun(
-            experiment_id=result.scenario_id,
-            table=result.table,
-            parameters=dict(profile.get(result.scenario_id, {})),
-            result=result,
-        )
-        for result in results
+        run_experiment(experiment_id, quick=quick)
+        for experiment_id in SPEC_FACTORIES
+        if only is None or experiment_id in only
     ]
     if artifacts_dir is not None:
-        write_artifacts([run.result for run in runs], artifacts_dir)
+        for run in runs:
+            write_artifact(run.result, artifacts_dir, prefix="BENCH_",
+                           profile="quick" if quick else "full")
     return runs
 
 
 def render_runs(runs: Sequence[ExperimentRun]) -> str:
     """Human-readable rendering of a list of experiment runs."""
     return render_tables([run.table for run in runs])
+
+
+# ------------------------------------------------------------------ gate --
+
+
+def load_baselines(directory: Union[str, Path],
+                   only: Optional[Sequence[str]] = None) -> dict[str, dict]:
+    """The committed ``BENCH_<id>.json`` payloads the gate compares against.
+
+    Every baseline in ``directory`` (or the ``only`` subset), keyed by
+    experiment id.  Raises :class:`KeyError` for an id that is not a
+    registered experiment or has no baseline file, and :class:`ValueError`
+    for a baseline that was not snapshotted with the quick profile (the
+    gate re-runs quick parameters, so comparing would be meaningless).
+    """
+    available = {
+        path.stem.removeprefix("BENCH_"): path
+        for path in Path(directory).glob("BENCH_*.json")
+    }
+    selected = list(only) if only else list(available)
+    _require_known(selected)
+    missing = [experiment_id for experiment_id in selected
+               if experiment_id not in available]
+    if missing or not selected:
+        raise KeyError(
+            f"no committed baseline for {missing or 'any experiment'} in {directory}; "
+            f"snapshot one with --artifacts {directory}"
+        )
+    baselines = {}
+    for experiment_id in selected:
+        payload = read_artifact(available[experiment_id])
+        if payload.get("profile") != "quick":
+            raise ValueError(
+                f"{available[experiment_id]} was snapshotted with the "
+                f"{payload.get('profile')!r} profile; the gate re-runs the quick "
+                f"profile, so refresh it without --full"
+            )
+        baselines[experiment_id] = payload
+    return baselines
+
+
+def host_dependent(experiment_id: str, metric: str) -> bool:
+    """Whether a headline is measured in host seconds or host memory.
+
+    ``fraction_*`` correctness flags never are: a live run's invariants must
+    hold on every host.
+    """
+    if metric.startswith("fraction_"):
+        return False
+    return (experiment_id in WALL_CLOCK_EXPERIMENTS
+            or any(tag in metric for tag in WALL_CLOCK_TAGS))
+
+
+def compare_headlines(experiment_id: str, baseline: dict[str, float],
+                      fresh: dict[str, float]) -> tuple[list[str], list[str]]:
+    """``(problems, notes)`` for one experiment's headline metrics.
+
+    A metric present on one side only is a problem whatever its kind; a
+    deterministic metric (and every ``fraction_*`` flag) must be *equal* to
+    its baseline; a host-dependent metric is reported as a note.
+    """
+    problems: list[str] = []
+    notes: list[str] = []
+    for metric in sorted(set(baseline) | set(fresh)):
+        if metric not in fresh:
+            problems.append(f"{experiment_id}: metric {metric!r} disappeared "
+                            f"(baseline {baseline[metric]!r})")
+        elif metric not in baseline:
+            problems.append(f"{experiment_id}: new metric {metric!r} has no "
+                            f"committed baseline (got {fresh[metric]!r})")
+        elif host_dependent(experiment_id, metric):
+            notes.append(f"{experiment_id}: {metric} = {fresh[metric]!r} on this host "
+                         f"(baseline {baseline[metric]!r}, not compared)")
+        elif fresh[metric] != baseline[metric]:
+            problems.append(f"{experiment_id}: {metric} = {fresh[metric]!r} differs "
+                            f"from baseline {baseline[metric]!r}")
+    return problems, notes
+
+
+def check_baselines(runs: Sequence[ExperimentRun],
+                    baselines: dict[str, dict]) -> tuple[str, int]:
+    """Compare quick-profile ``runs`` with their baselines.
+
+    Returns the gate report and the number of problems (0 = passed).
+    """
+    lines: list[str] = []
+    failures = 0
+    for run in runs:
+        baseline = baselines[run.experiment_id]["headline"]
+        problems, notes = compare_headlines(
+            run.experiment_id, baseline, headline_metrics(run.result)
+        )
+        status = "FAIL" if problems else "ok"
+        lines.append(f"{run.experiment_id}: {status} ({len(baseline)} metrics)")
+        lines.extend(f"  {line}" for line in problems + notes)
+        failures += len(problems)
+    if failures:
+        lines.append(f"gate FAILED: {failures} headline(s) differ from the committed "
+                     f"baselines (re-baseline with --artifacts if intended, and "
+                     f"explain the diff)")
+    else:
+        lines.append(f"gate passed: {len(runs)} experiment(s) match their baselines")
+    return "\n".join(lines), failures

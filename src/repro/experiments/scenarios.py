@@ -1,21 +1,20 @@
-"""The paper's scenarios (E1..E8) plus extensions, as declarative specs.
+"""The paper's scenarios (E1..E8) plus extensions (E9..E20), as declarative specs.
 
-Each scenario is now three small pieces over the engine
-(:mod:`repro.engine`):
+Each scenario is two small pieces over the engine (:mod:`repro.engine`):
 
 * a *measurement callback* ``_measure_<name>(ctx)`` that builds what it
-  needs through the context's builders and returns plain row dicts,
+  needs through the context's builders and returns plain row dicts, and
 * a *spec factory* ``<name>_spec(...)`` whose keyword arguments are the
-  scenario's parameters (the quick/full profiles in
-  :mod:`repro.experiments.runner` feed these), and
-* a thin legacy wrapper ``experiment_<name>(...)`` returning the
-  :class:`~repro.metrics.ResultTable` directly, which keeps every seed-era
-  call site working.
+  scenario's parameters.  The keyword defaults **are** the quick profile —
+  what ``python -m repro.experiments`` runs and what the committed
+  ``benchmarks/artifacts/BENCH_<id>.json`` baselines record;
+  :data:`repro.experiments.runner.FULL_PARAMETERS` is the one override
+  table (paper-scale values) on top of them.
 
-Adding a new workload is now a factory + a callback (~30 lines) instead of
-a hand-rolled ~80-line loop; E9 (Zipf hot-document skew) and E10 (mixed
-churn + commit soak) are written exactly that way.  See ``DESIGN.md`` for
-the experiment-id ↔ paper-artefact mapping.
+:data:`SPEC_FACTORIES` is the registry: experiment id -> factory, in paper
+order.  Adding a workload is a callback + a factory (~30 lines) + one
+registry line.  See ``DESIGN.md`` for the experiment-id <-> paper-artefact
+mapping.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..baselines import CentralSystem, LwwSystem
 from ..check import ConvergenceChecker
@@ -37,12 +36,11 @@ from ..engine import (
     ScenarioContext,
     ScenarioSpec,
     Topology,
-    run_scenario,
 )
 from ..errors import KeyNotFound, MasterUnavailable, PatchUnavailable, ReproError
 from ..faults import FaultPlan
 from ..kts import KtsClient, TimestampAuthority
-from ..metrics import RecoveryTracker, ResultTable, jains_fairness, summarize
+from ..metrics import RecoveryTracker, jains_fairness, summarize
 from ..net import ConstantLatency, latency_preset
 from ..workloads import (
     PROFILES,
@@ -58,30 +56,8 @@ from ..workloads import (
 
 __all__ = [
     "EXPERIMENT_CHORD_CONFIG",
-    "SPEC_FACTORIES",
-    "experiment_adversarial_sweep",
-    "experiment_baseline_comparison",
-    "experiment_batched_commit",
-    "experiment_chord_lookup",
-    "experiment_churn_soak",
-    "experiment_cold_sync",
-    "experiment_concurrent_publishing",
-    "experiment_durable_restart",
-    "experiment_hot_document_skew",
-    "experiment_live_cluster",
-    "experiment_live_runtime",
-    "experiment_log_availability",
-    "experiment_master_departure",
-    "experiment_master_join",
-    "experiment_master_takeover",
-    "experiment_partition_heal",
-    "experiment_protocol_scale",
-    "experiment_response_time",
-    "experiment_scale_sweep",
-    "experiment_timestamp_generation",
-    "iter_all_experiments",
-    "protocol_revision_text",
     "SCALE_CHORD_CONFIG",
+    "SPEC_FACTORIES",
 ]
 
 
@@ -130,9 +106,9 @@ def _measure_timestamp_generation(ctx: ScenarioContext) -> dict:
 
 
 def timestamp_generation_spec(
-    peer_counts: Sequence[int] = (8, 16, 32),
-    documents: int = 48,
-    updates_per_document: int = 3,
+    peer_counts: Sequence[int] = (8, 16),
+    documents: int = 24,
+    updates_per_document: int = 2,
     seed: int = 1,
 ) -> ScenarioSpec:
     """Continuous timestamp generation distributed over the Master-key peers."""
@@ -158,17 +134,6 @@ def timestamp_generation_spec(
             "documents and timestamps are continuous (ts' = ts + 1)",
         ),
     )
-
-
-def experiment_timestamp_generation(
-    peer_counts: Sequence[int] = (8, 16, 32),
-    documents: int = 48,
-    updates_per_document: int = 3,
-    seed: int = 1,
-) -> ResultTable:
-    """Legacy entry point for E1; see :func:`timestamp_generation_spec`."""
-    return run_scenario(timestamp_generation_spec(
-        peer_counts, documents, updates_per_document, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +164,8 @@ def _measure_concurrent_publishing(ctx: ScenarioContext) -> dict:
 
 
 def concurrent_publishing_spec(
-    updater_counts: Sequence[int] = (2, 4, 8),
-    peers: int = 16,
+    updater_counts: Sequence[int] = (2, 4),
+    peers: int = 10,
     seed: int = 2,
 ) -> ScenarioSpec:
     """Concurrent updates on one document: serialization, retrieval, consistency."""
@@ -226,15 +191,6 @@ def concurrent_publishing_spec(
             "(continuous timestamps) and retrieval returns missing patches in total order",
         ),
     )
-
-
-def experiment_concurrent_publishing(
-    updater_counts: Sequence[int] = (2, 4, 8),
-    peers: int = 16,
-    seed: int = 2,
-) -> ResultTable:
-    """Legacy entry point for E2; see :func:`concurrent_publishing_spec`."""
-    return run_scenario(concurrent_publishing_spec(updater_counts, peers, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +235,8 @@ def _measure_master_departure(ctx: ScenarioContext) -> list[dict]:
 
 
 def master_departure_spec(
-    events: Sequence[str] = ("leave", "crash", "leave", "crash"),
-    peers: int = 12,
+    events: Sequence[str] = ("leave", "crash"),
+    peers: int = 10,
     seed: int = 3,
 ) -> ScenarioSpec:
     """Timestamp continuity across Master-key departures and crashes."""
@@ -304,15 +260,6 @@ def master_departure_spec(
             "timestamp sequence continues without gaps",
         ),
     )
-
-
-def experiment_master_departure(
-    events: Sequence[str] = ("leave", "crash", "leave", "crash"),
-    peers: int = 12,
-    seed: int = 3,
-) -> ResultTable:
-    """Legacy entry point for E3; see :func:`master_departure_spec`."""
-    return run_scenario(master_departure_spec(events, peers, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +311,9 @@ def _measure_master_join(ctx: ScenarioContext) -> list[dict]:
 
 
 def master_join_spec(
-    joiners: int = 3,
-    peers: int = 8,
-    documents: int = 24,
+    joiners: int = 2,
+    peers: int = 6,
+    documents: int = 12,
     seed: int = 4,
 ) -> ScenarioSpec:
     """Key/timestamp hand-over to newly joining Master-key peers."""
@@ -390,16 +337,6 @@ def master_join_spec(
             "the new Master-key peer without violating eventual consistency",
         ),
     )
-
-
-def experiment_master_join(
-    joiners: int = 3,
-    peers: int = 8,
-    documents: int = 24,
-    seed: int = 4,
-) -> ResultTable:
-    """Legacy entry point for E4; see :func:`master_join_spec`."""
-    return run_scenario(master_join_spec(joiners, peers, documents, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +367,9 @@ def _measure_response_time(ctx: ScenarioContext) -> dict:
 
 
 def response_time_spec(
-    peer_counts: Sequence[int] = (8, 16, 32),
-    latency_presets: Sequence[str] = ("lan", "campus", "wan"),
-    commits_per_setting: int = 10,
+    peer_counts: Sequence[int] = (8, 16),
+    latency_presets: Sequence[str] = ("lan", "wan"),
+    commits_per_setting: int = 5,
     seed: int = 5,
 ) -> ScenarioSpec:
     """Update response time as a function of ring size and network latency."""
@@ -457,17 +394,6 @@ def response_time_spec(
             "count per validation) and only logarithmically with the number of peers",
         ),
     )
-
-
-def experiment_response_time(
-    peer_counts: Sequence[int] = (8, 16, 32),
-    latency_presets: Sequence[str] = ("lan", "campus", "wan"),
-    commits_per_setting: int = 10,
-    seed: int = 5,
-) -> ResultTable:
-    """Legacy entry point for E5; see :func:`response_time_spec`."""
-    return run_scenario(response_time_spec(
-        peer_counts, latency_presets, commits_per_setting, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +475,8 @@ def _measure_baseline_comparison(ctx: ScenarioContext) -> list[dict]:
 
 
 def baseline_comparison_spec(
-    updater_counts: Sequence[int] = (2, 4, 8),
-    peers: int = 16,
+    updater_counts: Sequence[int] = (2, 4),
+    peers: int = 10,
     seed: int = 6,
 ) -> ScenarioSpec:
     """P2P-LTR vs. centralized reconciler vs. last-writer-wins."""
@@ -576,15 +502,6 @@ def baseline_comparison_spec(
             "preserves every concurrent contribution",
         ),
     )
-
-
-def experiment_baseline_comparison(
-    updater_counts: Sequence[int] = (2, 4, 8),
-    peers: int = 16,
-    seed: int = 6,
-) -> ResultTable:
-    """Legacy entry point for E6; see :func:`baseline_comparison_spec`."""
-    return run_scenario(baseline_comparison_spec(updater_counts, peers, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +557,9 @@ def _measure_log_availability(ctx: ScenarioContext) -> dict:
 
 def log_availability_spec(
     replication_factors: Sequence[int] = (1, 2, 3),
-    crashed_log_peers: int = 2,
-    peers: int = 16,
-    entries: int = 12,
+    crashed_log_peers: int = 1,
+    peers: int = 12,
+    entries: int = 6,
     seed: int = 7,
 ) -> ScenarioSpec:
     """Patch availability under Log-Peer failures, by replication factor."""
@@ -673,18 +590,6 @@ def log_availability_spec(
     )
 
 
-def experiment_log_availability(
-    replication_factors: Sequence[int] = (1, 2, 3),
-    crashed_log_peers: int = 2,
-    peers: int = 16,
-    entries: int = 12,
-    seed: int = 7,
-) -> ResultTable:
-    """Legacy entry point for E7; see :func:`log_availability_spec`."""
-    return run_scenario(log_availability_spec(
-        replication_factors, crashed_log_peers, peers, entries, seed)).table
-
-
 # ---------------------------------------------------------------------------
 # E8 — Chord substrate health (lookup correctness, hop counts, route cache)
 # ---------------------------------------------------------------------------
@@ -702,7 +607,7 @@ def _hot_gateway(ring: ChordRing, key: str) -> str:
 def _measure_chord_lookup(ctx: ScenarioContext) -> dict:
     peers = ctx.params["peers"]
     lookups = ctx.params["lookups"]
-    hot_lookups = ctx.param("hot_lookups", 12)
+    hot_lookups = ctx.params["hot_lookups"]
     cached_config = ctx.topology.chord_config
     plain_config = replace(cached_config, route_cache_enabled=False)
     cached_ring = ctx.build_ring(peers, latency=ConstantLatency(0.003),
@@ -745,9 +650,9 @@ def _measure_chord_lookup(ctx: ScenarioContext) -> dict:
 
 
 def chord_lookup_spec(
-    peer_counts: Sequence[int] = (8, 16, 32),
-    lookups: int = 40,
-    hot_lookups: int = 12,
+    peer_counts: Sequence[int] = (8, 16),
+    lookups: int = 20,
+    hot_lookups: int = 8,
     seed: int = 8,
 ) -> ScenarioSpec:
     """Lookup correctness and hop counts of the Chord substitute."""
@@ -773,16 +678,6 @@ def chord_lookup_spec(
             "repeated lookups towards one master cost ~0 hops with the route cache",
         ),
     )
-
-
-def experiment_chord_lookup(
-    peer_counts: Sequence[int] = (8, 16, 32),
-    lookups: int = 40,
-    hot_lookups: int = 12,
-    seed: int = 8,
-) -> ResultTable:
-    """Legacy entry point for E8; see :func:`chord_lookup_spec`."""
-    return run_scenario(chord_lookup_spec(peer_counts, lookups, hot_lookups, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -832,10 +727,10 @@ def _measure_hot_document_skew(ctx: ScenarioContext) -> dict:
 
 
 def hot_document_skew_spec(
-    zipf_exponents: Sequence[float] = (0.0, 1.0, 2.0),
-    peers: int = 12,
-    documents: int = 16,
-    waves: int = 6,
+    zipf_exponents: Sequence[float] = (0.0, 1.5),
+    peers: int = 10,
+    documents: int = 12,
+    waves: int = 4,
     writers_per_wave: int = 3,
     seed: int = 9,
 ) -> ScenarioSpec:
@@ -869,19 +764,6 @@ def hot_document_skew_spec(
             "masters (hot share up, fairness down) and increases retrieval work",
         ),
     )
-
-
-def experiment_hot_document_skew(
-    zipf_exponents: Sequence[float] = (0.0, 1.0, 2.0),
-    peers: int = 12,
-    documents: int = 16,
-    waves: int = 6,
-    writers_per_wave: int = 3,
-    seed: int = 9,
-) -> ResultTable:
-    """Legacy-style entry point for E9; see :func:`hot_document_skew_spec`."""
-    return run_scenario(hot_document_skew_spec(
-        zipf_exponents, peers, documents, waves, writers_per_wave, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -953,10 +835,10 @@ def _measure_churn_soak(ctx: ScenarioContext) -> dict:
 
 
 def churn_soak_spec(
-    profiles: Sequence[str] = ("stable", "gentle", "aggressive"),
-    peers: int = 12,
-    duration: float = 30.0,
-    commit_interval: float = 1.0,
+    profiles: Sequence[str] = ("stable", "aggressive"),
+    peers: int = 10,
+    duration: float = 15.0,
+    commit_interval: float = 1.5,
     seed: int = 10,
 ) -> ScenarioSpec:
     """Commits interleaved with scripted churn over a long soak window."""
@@ -989,18 +871,6 @@ def churn_soak_spec(
             "under churn; success rate dips only under aggressive failure rates",
         ),
     )
-
-
-def experiment_churn_soak(
-    profiles: Sequence[str] = ("stable", "gentle", "aggressive"),
-    peers: int = 12,
-    duration: float = 30.0,
-    commit_interval: float = 1.0,
-    seed: int = 10,
-) -> ResultTable:
-    """Legacy-style entry point for E10; see :func:`churn_soak_spec`."""
-    return run_scenario(churn_soak_spec(
-        profiles, peers, duration, commit_interval, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -1054,8 +924,8 @@ def _measure_batched_commit(ctx: ScenarioContext) -> dict:
 
 def batched_commit_spec(
     batch_sizes: Sequence[int] = (1, 4, 16),
-    peers: int = 12,
-    edits: int = 48,
+    peers: int = 10,
+    edits: int = 32,
     seed: int = 11,
 ) -> ScenarioSpec:
     """Commit throughput and latency as a function of the batch size."""
@@ -1087,16 +957,6 @@ def batched_commit_spec(
             "batch_size=1 matches the unbatched pipeline's cost profile",
         ),
     )
-
-
-def experiment_batched_commit(
-    batch_sizes: Sequence[int] = (1, 4, 16),
-    peers: int = 12,
-    edits: int = 48,
-    seed: int = 11,
-) -> ResultTable:
-    """Legacy-style entry point for E11; see :func:`batched_commit_spec`."""
-    return run_scenario(batched_commit_spec(batch_sizes, peers, edits, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -1142,9 +1002,9 @@ def _measure_cold_sync(ctx: ScenarioContext) -> dict:
 
 
 def cold_sync_spec(
-    histories: Sequence[int] = (32, 64, 128),
-    peers: int = 10,
-    checkpoint_interval: int = 16,
+    histories: Sequence[int] = (24, 48),
+    peers: int = 8,
+    checkpoint_interval: int = 8,
     seed: int = 12,
 ) -> ScenarioSpec:
     """Cold-start catch-up cost vs. document age, with/without checkpoints."""
@@ -1173,19 +1033,10 @@ def cold_sync_spec(
         notes=(
             "expected shape: without checkpoints sync messages grow linearly with "
             "history; with checkpoints they stay bounded by the checkpoint interval, "
-            "a >=5x message saving at history 256 (see benchmarks/bench_cold_sync.py)",
+            "a >=5x message saving at history 256 (a --full row; the quick rows "
+            "are too short to show it)",
         ),
     )
-
-
-def experiment_cold_sync(
-    histories: Sequence[int] = (32, 64, 128),
-    peers: int = 10,
-    checkpoint_interval: int = 16,
-    seed: int = 12,
-) -> ResultTable:
-    """Legacy-style entry point for E12; see :func:`cold_sync_spec`."""
-    return run_scenario(cold_sync_spec(histories, peers, checkpoint_interval, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -1267,8 +1118,8 @@ def _measure_live_runtime(ctx: ScenarioContext) -> dict:
 
 def live_runtime_spec(
     editor_counts: Sequence[int] = (2, 4),
-    peers: int = 16,
-    edits: int = 48,
+    peers: int = 8,
+    edits: int = 24,
     seed: int = 13,
 ) -> ScenarioSpec:
     """Concurrent editing on the wall-clock asyncio runtime (live mode)."""
@@ -1301,16 +1152,6 @@ def live_runtime_spec(
             "must always be True",
         ),
     )
-
-
-def experiment_live_runtime(
-    editor_counts: Sequence[int] = (2, 4),
-    peers: int = 16,
-    edits: int = 48,
-    seed: int = 13,
-) -> ResultTable:
-    """Legacy-style entry point for E13; see :func:`live_runtime_spec`."""
-    return run_scenario(live_runtime_spec(editor_counts, peers, edits, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -1437,10 +1278,10 @@ def _measure_partition_heal(ctx: ScenarioContext) -> dict:
 
 
 def partition_heal_spec(
-    partition_durations: Sequence[float] = (2.0, 4.0, 8.0),
-    edit_intervals: Sequence[float] = (0.5, 1.0),
-    peers: int = 10,
-    converge_budget: float = 20.0,
+    partition_durations: Sequence[float] = (2.0, 4.0),
+    edit_intervals: Sequence[float] = (1.0,),
+    peers: int = 8,
+    converge_budget: float = 15.0,
     seed: int = 14,
 ) -> ScenarioSpec:
     """Convergence after a partition, swept over duration and edit rate."""
@@ -1474,18 +1315,6 @@ def partition_heal_spec(
             "partition duration (more suffix to retrieve) but not with edit rate",
         ),
     )
-
-
-def experiment_partition_heal(
-    partition_durations: Sequence[float] = (2.0, 4.0, 8.0),
-    edit_intervals: Sequence[float] = (0.5, 1.0),
-    peers: int = 10,
-    converge_budget: float = 20.0,
-    seed: int = 14,
-) -> ResultTable:
-    """Legacy-style entry point for E14; see :func:`partition_heal_spec`."""
-    return run_scenario(partition_heal_spec(
-        partition_durations, edit_intervals, peers, converge_budget, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -1549,10 +1378,10 @@ def _measure_master_takeover(ctx: ScenarioContext) -> dict:
 
 
 def master_takeover_spec(
-    restart_delays: Sequence[float] = (2.0, 5.0),
-    load_intervals: Sequence[float] = (0.5, 1.0),
-    peers: int = 10,
-    tail: float = 5.0,
+    restart_delays: Sequence[float] = (3.0,),
+    load_intervals: Sequence[float] = (0.75,),
+    peers: int = 8,
+    tail: float = 4.0,
     seed: int = 15,
 ) -> ScenarioSpec:
     """Master crash + amnesiac restart under sustained commit load."""
@@ -1589,18 +1418,6 @@ def master_takeover_spec(
             "of the failure-detection interval",
         ),
     )
-
-
-def experiment_master_takeover(
-    restart_delays: Sequence[float] = (2.0, 5.0),
-    load_intervals: Sequence[float] = (0.5, 1.0),
-    peers: int = 10,
-    tail: float = 5.0,
-    seed: int = 15,
-) -> ResultTable:
-    """Legacy-style entry point for E15; see :func:`master_takeover_spec`."""
-    return run_scenario(master_takeover_spec(
-        restart_delays, load_intervals, peers, tail, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -1643,7 +1460,7 @@ def _measure_live_cluster(ctx: ScenarioContext) -> dict:
 def live_cluster_spec(
     process_counts: Sequence[int] = (3,),
     peers_per_process: int = 2,
-    commits: int = 24,
+    commits: int = 18,
     kill: bool = True,
     seed: int = 16,
 ) -> ScenarioSpec:
@@ -1684,18 +1501,6 @@ def live_cluster_spec(
             "log_continuous and post_kill_ok > 0 must always hold",
         ),
     )
-
-
-def experiment_live_cluster(
-    process_counts: Sequence[int] = (3,),
-    peers_per_process: int = 2,
-    commits: int = 24,
-    kill: bool = True,
-    seed: int = 16,
-) -> ResultTable:
-    """Legacy-style entry point for E16; see :func:`live_cluster_spec`."""
-    return run_scenario(live_cluster_spec(
-        process_counts, peers_per_process, commits, kill, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -1835,19 +1640,6 @@ def adversarial_sweep_spec(
     )
 
 
-def experiment_adversarial_sweep(
-    misbehaviors: Sequence[str] = E17_MISBEHAVIORS,
-    rates: Sequence[float] = (0.5, 1.0),
-    peers: int = 8,
-    probes: int = 8,
-    edit_interval: float = 0.5,
-    seed: int = 17,
-) -> ResultTable:
-    """Legacy-style entry point for E17; see :func:`adversarial_sweep_spec`."""
-    return run_scenario(adversarial_sweep_spec(
-        misbehaviors, rates, peers, probes, edit_interval, seed)).table
-
-
 # ---------------------------------------------------------------------------
 # E18 — Kernel scale sweep (warm ring construction + Zipf lookup traffic)
 # ---------------------------------------------------------------------------
@@ -1883,8 +1675,8 @@ def _peak_rss_mb() -> float:
 def _measure_scale_sweep(ctx: ScenarioContext) -> dict:
     peers = ctx.params["peers"]
     lookups = ctx.params["lookups"]
-    documents = ctx.param("documents", 256)
-    zipf_s = ctx.param("zipf_s", 1.0)
+    documents = ctx.params["documents"]
+    zipf_s = ctx.params["zipf_s"]
 
     started = time.perf_counter()
     ring = ChordRing(config=SCALE_CHORD_CONFIG, seed=ctx.seed,
@@ -1937,9 +1729,9 @@ def _measure_scale_sweep(ctx: ScenarioContext) -> dict:
 
 
 def scale_sweep_spec(
-    peer_counts: Sequence[int] = (1000, 10000, 100000),
-    lookups: int = 500,
-    documents: int = 256,
+    peer_counts: Sequence[int] = (1000, 2000),
+    lookups: int = 120,
+    documents: int = 128,
     zipf_s: float = 1.0,
     seed: int = 18,
 ) -> ScenarioSpec:
@@ -1973,18 +1765,6 @@ def scale_sweep_spec(
             "from byte-identity checks",
         ),
     )
-
-
-def experiment_scale_sweep(
-    peer_counts: Sequence[int] = (1000, 10000, 100000),
-    lookups: int = 500,
-    documents: int = 256,
-    zipf_s: float = 1.0,
-    seed: int = 18,
-) -> ResultTable:
-    """Legacy entry point for E18; see :func:`scale_sweep_spec`."""
-    return run_scenario(scale_sweep_spec(
-        peer_counts, lookups, documents, zipf_s, seed)).table
 
 
 # ---------------------------------------------------------------------------
@@ -2133,9 +1913,9 @@ def _measure_durable_restart(ctx: ScenarioContext) -> dict:
 def durable_restart_spec(
     recoveries: Sequence[str] = ("durable", "amnesiac"),
     peers: int = 10,
-    edits: int = 24,
+    edits: int = 16,
     restart_delay: float = 1.0,
-    converge_budget: float = 30.0,
+    converge_budget: float = 20.0,
     seed: int = 19,
 ) -> ScenarioSpec:
     """Crash a log shard's owner *and* backup; recover from disk vs rebuild."""
@@ -2178,19 +1958,6 @@ def durable_restart_spec(
     )
 
 
-def experiment_durable_restart(
-    recoveries: Sequence[str] = ("durable", "amnesiac"),
-    peers: int = 10,
-    edits: int = 24,
-    restart_delay: float = 1.0,
-    converge_budget: float = 30.0,
-    seed: int = 19,
-) -> ResultTable:
-    """Legacy entry point for E19; see :func:`durable_restart_spec`."""
-    return run_scenario(durable_restart_spec(
-        recoveries, peers, edits, restart_delay, converge_budget, seed)).table
-
-
 # ---------------------------------------------------------------------------
 # E20 — Protocol scale sweep (commit pipeline on warm 10^3-10^4-peer rings)
 # ---------------------------------------------------------------------------
@@ -2205,11 +1972,7 @@ PROTOCOL_SCALE_LINES = 16
 
 
 def protocol_revision_text(index: int, lines: int = PROTOCOL_SCALE_LINES) -> str:
-    """The document content staged by edit ``index`` of the E20 workload.
-
-    Shared with ``benchmarks/profile_protocol.py`` so the benchmark harness
-    and the committed experiment drive byte-identical commit pipelines.
-    """
+    """The document content staged by edit ``index`` of the E20 workload."""
     return "\n".join(f"revision {index} line {line}" for line in range(lines)) + "\n"
 
 
@@ -2218,8 +1981,7 @@ def drive_protocol_edits(system: LtrSystem, writer: str, edits: int, batch: int,
     """Stage ``edits`` E20 revisions in chains of ``batch``; returns commits.
 
     ``system`` must be configured with ``batch_max_edits=batch`` so every
-    full batch flushes itself.  Shared with
-    ``benchmarks/profile_protocol.py`` like :func:`protocol_revision_text`.
+    full batch flushes itself.
     """
     committed = 0
     for index in range(edits):
@@ -2239,9 +2001,9 @@ def drive_protocol_edits(system: LtrSystem, writer: str, edits: int, batch: int,
 def _measure_protocol_scale(ctx: ScenarioContext) -> dict:
     peers = ctx.params["peers"]
     batch = ctx.params["batch"]
-    edits = ctx.param("edits", 256)
-    lines = ctx.param("lines", PROTOCOL_SCALE_LINES)
-    probes = ctx.param("probes", 32)
+    edits = ctx.params["edits"]
+    lines = ctx.params["lines"]
+    probes = ctx.params["probes"]
 
     # ``batch == 1`` is the paper's per-edit commit: every staged edit fills
     # its batch and goes out as a chain of one.
@@ -2304,11 +2066,11 @@ def _measure_protocol_scale(ctx: ScenarioContext) -> dict:
 
 
 def protocol_scale_spec(
-    peer_counts: Sequence[int] = (1000, 3000, 10000),
+    peer_counts: Sequence[int] = (1000,),
     batches: Sequence[int] = (16, 1),
-    edits: int = 256,
+    edits: int = 64,
     lines: int = PROTOCOL_SCALE_LINES,
-    probes: int = 32,
+    probes: int = 16,
     seed: int = 20,
 ) -> ScenarioSpec:
     """Commit pipeline throughput on warm 10^3-10^4-peer rings."""
@@ -2347,19 +2109,6 @@ def protocol_scale_spec(
     )
 
 
-def experiment_protocol_scale(
-    peer_counts: Sequence[int] = (1000, 3000, 10000),
-    batches: Sequence[int] = (16, 1),
-    edits: int = 256,
-    lines: int = PROTOCOL_SCALE_LINES,
-    probes: int = 32,
-    seed: int = 20,
-) -> ResultTable:
-    """Legacy entry point for E20; see :func:`protocol_scale_spec`."""
-    return run_scenario(protocol_scale_spec(
-        peer_counts, batches, edits, lines, probes, seed)).table
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -2388,28 +2137,3 @@ SPEC_FACTORIES: dict[str, Callable[..., ScenarioSpec]] = {
     "E20": protocol_scale_spec,
 }
 
-
-def iter_all_experiments() -> Iterable[tuple[str, Callable[..., ResultTable]]]:
-    """(experiment id, legacy table function) pairs in paper order."""
-    return [
-        ("E1", experiment_timestamp_generation),
-        ("E2", experiment_concurrent_publishing),
-        ("E3", experiment_master_departure),
-        ("E4", experiment_master_join),
-        ("E5", experiment_response_time),
-        ("E6", experiment_baseline_comparison),
-        ("E7", experiment_log_availability),
-        ("E8", experiment_chord_lookup),
-        ("E9", experiment_hot_document_skew),
-        ("E10", experiment_churn_soak),
-        ("E11", experiment_batched_commit),
-        ("E12", experiment_cold_sync),
-        ("E13", experiment_live_runtime),
-        ("E14", experiment_partition_heal),
-        ("E15", experiment_master_takeover),
-        ("E16", experiment_live_cluster),
-        ("E17", experiment_adversarial_sweep),
-        ("E18", experiment_scale_sweep),
-        ("E19", experiment_durable_restart),
-        ("E20", experiment_protocol_scale),
-    ]

@@ -1,15 +1,11 @@
-"""Measurement helpers: statistics, collectors, profiling and result tables."""
+"""Measurement helpers: statistics, collectors and result tables."""
 
 from .collector import MetricsCollector
-from .profiling import HOTPATH_CATEGORIES, HotpathProfiler, HotpathReport
 from .recovery import ProbeOutcome, RecoveryTracker
 from .stats import Summary, jains_fairness, percentile, summarize
 from .tables import ResultTable, render_tables
 
 __all__ = [
-    "HOTPATH_CATEGORIES",
-    "HotpathProfiler",
-    "HotpathReport",
     "MetricsCollector",
     "ProbeOutcome",
     "RecoveryTracker",

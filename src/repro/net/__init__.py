@@ -41,7 +41,7 @@ from .latency import (
 )
 from .message import DeliveryReceipt, Message, MessageKind, TrafficStats
 from .rpc import RpcAgent, normalize_backend_error
-from .transport import WIRE_FIDELITIES, Network
+from .transport import Network
 from .wire import WireEndpoint, WireNetwork
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "Address",
     "ErrorEnvelope",
     "FrameDecoder",
-    "WIRE_FIDELITIES",
     "WIRE_VERSION",
     "copy_payload",
     "decode",

@@ -29,9 +29,9 @@ upward imports:
   codes map to :class:`~repro.errors.NetworkError`.
 
 The same registry powers :func:`copy_payload`, the structural copy the
-simulated network applies per delivery (``wire_fidelity="copy"``) so that
-sim-mode semantics match what serialization enforces, without paying
-byte-level encoding on every simulated message.
+simulated network applies per delivery so that sim-mode semantics match
+what serialization enforces, without paying byte-level encoding on every
+simulated message.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class WireType:
 
     ``pack(obj, to_wire)`` returns the jsonable body stored under the tag;
     ``unpack(body, from_wire)`` rebuilds the object; ``copy(obj, copier)``
-    is the structural copy used by ``wire_fidelity="copy"`` (identity for
+    is the structural copy applied per simulated delivery (identity for
     fully immutable types).
     """
 
@@ -328,7 +328,7 @@ def from_wire(wire: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Structural payload copy (wire_fidelity="copy")
+# Structural payload copy (applied per simulated delivery)
 # ---------------------------------------------------------------------------
 
 #: Types whose instances are immutable all the way down: shared, not copied.

@@ -12,27 +12,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Protocol
 
-from ..errors import ConfigurationError, NetworkError
+from ..errors import NetworkError
 from ..runtime import Runtime
 from .address import Address
-from .codec import copy_message, decode_message, encode_message
+from .codec import copy_message
 from .failures import LossModel, NoLoss, PartitionManager, PerturbationWindow
 from .latency import ConstantLatency, LatencyModel
 from .message import DeliveryReceipt, Message, TrafficStats
-
-#: How faithfully the simulated wire severs payload aliasing on delivery:
-#:
-#: * ``"copy"`` (default) — structural copy of the payload
-#:   (:func:`repro.net.codec.copy_payload`): a receiver mutating what it
-#:   was handed can never reach back into the sender's state, matching
-#:   real-network semantics at a fraction of serialization cost.
-#: * ``"codec"`` — full encode/decode round-trip through the wire codec;
-#:   the strictest setting, additionally rejecting payloads a real wire
-#:   could not carry.  Used by codec-conformance tests.
-#: * ``"reference"`` — the historical by-reference delivery (no copy);
-#:   an escape hatch for benchmarks that measure the substrate itself.
-WIRE_FIDELITIES = ("copy", "codec", "reference")
-
 
 class Endpoint(Protocol):
     """Anything that can receive messages from the network."""
@@ -59,9 +45,6 @@ class Network:
         caller does not specify one.  It defaults to a generous multiple of
         the mean latency so that timeouts only fire for genuinely lost
         messages or crashed peers.
-    wire_fidelity:
-        How payload aliasing is severed on delivery; one of
-        :data:`WIRE_FIDELITIES`.
     """
 
     def __init__(
@@ -70,13 +53,7 @@ class Network:
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
         default_timeout: Optional[float] = None,
-        wire_fidelity: str = "copy",
     ) -> None:
-        if wire_fidelity not in WIRE_FIDELITIES:
-            raise ConfigurationError(
-                f"wire_fidelity must be one of {WIRE_FIDELITIES}, got {wire_fidelity!r}"
-            )
-        self.wire_fidelity = wire_fidelity
         self.runtime = runtime
         self.latency = latency if latency is not None else ConstantLatency(0.01)
         self.loss = loss if loss is not None else NoLoss()
@@ -252,9 +229,6 @@ class Network:
         # Aliasing is severed per *delivery*, not per send: a perturbation
         # window's duplicate and its original must hand the receiver two
         # independent payloads, exactly as two datagrams would.
-        if self.wire_fidelity == "copy":
-            message = copy_message(message)
-        elif self.wire_fidelity == "codec":
-            message = decode_message(encode_message(message))
+        message = copy_message(message)
         self.stats.record_delivered(message)
         endpoint.deliver(message)

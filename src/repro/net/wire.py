@@ -184,7 +184,6 @@ class WireNetwork(Network):
         routes: Optional[Mapping[str, Union[str, WireEndpoint]]] = None,
         latency: Optional[LatencyModel] = None,
         default_timeout: Optional[float] = None,
-        wire_fidelity: str = "copy",
     ) -> None:
         if getattr(runtime, "loop", None) is None:
             raise ConfigurationError(
@@ -192,12 +191,7 @@ class WireNetwork(Network):
                 "(AsyncioRuntime); the deterministic SimRuntime stays on the "
                 "in-memory transport"
             )
-        super().__init__(
-            runtime,
-            latency=latency,
-            default_timeout=default_timeout,
-            wire_fidelity=wire_fidelity,
-        )
+        super().__init__(runtime, latency=latency, default_timeout=default_timeout)
         self.process_name = process_name
         self.listen_endpoint = WireEndpoint.parse(listen)
         self.routes: Dict[str, WireEndpoint] = {

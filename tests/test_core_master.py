@@ -108,15 +108,6 @@ def test_publish_before_ack_writes_log_before_advancing_counter():
     assert system.last_ts(key) == 1
 
 
-def test_ack_before_publish_variant_still_converges():
-    system = build_system(publish_before_ack=False)
-    key = "xwiki:variant"
-    system.edit_and_commit("peer-0", key, "v1")
-    system.edit_and_commit("peer-1", key, "v2")
-    report = system.check_consistency(key)
-    assert report.converged and report.last_ts == 2
-
-
 def test_batch_validation_assigns_a_dense_range_in_one_round():
     system = build_system()
     key = "xwiki:batch-direct"
@@ -136,16 +127,6 @@ def test_batch_validation_assigns_a_dense_range_in_one_round():
     stats = master.statistics()
     assert stats["proposals_ok"] == 1 and stats["proposals_behind"] == 1
     assert stats["patches_published"] == 3
-
-
-def test_batched_ack_before_publish_variant_still_converges():
-    system = build_system(publish_before_ack=False, batch_max_edits=4)
-    key = "xwiki:batch-variant"
-    for index in range(6):
-        system.stage("peer-0", key, f"v{index}")
-    system.flush("peer-0", key)
-    report = system.check_consistency(key)
-    assert report.converged and report.last_ts == 6
 
 
 def find_takeover_joiner(system, key: str) -> str:

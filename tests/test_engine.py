@@ -14,7 +14,7 @@ from repro.engine import (
     resolve_latency,
     run_scenario,
     with_parameters,
-    write_artifacts,
+    write_artifact,
 )
 from repro.net import ConstantLatency, LogNormalLatency
 
@@ -145,15 +145,16 @@ def test_experiment_per_scenario_overrides():
 
 def test_artifacts_round_trip(tmp_path):
     result = run_scenario(simple_spec())
-    paths = write_artifacts([result], tmp_path, prefix="BENCH_")
-    assert [path.name for path in paths] == ["BENCH_T1.json"]
-    payload = read_artifact(paths[0])
+    path = write_artifact(result, tmp_path, prefix="BENCH_", profile="quick")
+    assert path.name == "BENCH_T1.json"
+    payload = read_artifact(path)
     assert payload["scenario_id"] == "T1"
     assert payload["columns"] == ["x", "y", "seed"]
     assert payload["rows"] == result.rows
     assert "headline" in payload
+    assert payload["profile"] == "quick"
     # the artifact is plain JSON, diffable across commits
-    assert json.loads(paths[0].read_text())["grid"] == {"x": [1, 2], "y": [10, 20]}
+    assert json.loads(path.read_text())["grid"] == {"x": [1, 2], "y": [10, 20]}
 
 
 def test_headline_metrics_average_numeric_columns_and_flag_fractions():

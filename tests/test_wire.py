@@ -27,7 +27,6 @@ from repro.net import (
     WireNetwork,
 )
 from repro.net.rpc import REQUEST_ID_LIMIT
-from repro.net.transport import WIRE_FIDELITIES
 from repro.runtime import AsyncioRuntime, SimRuntime
 from repro.sim import Simulator
 
@@ -226,7 +225,6 @@ def _send_payload(network, sim, payload):
 def test_default_fidelity_severs_receiver_to_sender_aliasing():
     sim = Simulator(seed=1)
     network = Network(sim, latency=ConstantLatency(0.01))
-    assert network.wire_fidelity == "copy"
     payload = {"ops": [{"kind": "insert", "text": "x"}], "ts": 3}
     (delivered,) = _send_payload(network, sim, payload)
     assert delivered.payload == payload
@@ -250,32 +248,6 @@ def test_perturbation_duplicate_deliveries_are_independent():
     first.payload["ops"].append("mutant")
     assert second.payload == {"ops": ["keep"]}
     assert payload == {"ops": ["keep"]}
-
-
-def test_reference_fidelity_preserves_aliasing_escape_hatch():
-    sim = Simulator(seed=1)
-    network = Network(sim, latency=ConstantLatency(0.01), wire_fidelity="reference")
-    payload = {"ops": ["keep"]}
-    (delivered,) = _send_payload(network, sim, payload)
-    assert delivered.payload is payload  # the historical by-reference path
-
-
-def test_codec_fidelity_round_trips_payload_through_the_wire_format():
-    sim = Simulator(seed=1)
-    network = Network(sim, latency=ConstantLatency(0.01), wire_fidelity="codec")
-    payload = {"succ": (1, 2), "id": 1 << 100, "raw": b"\x00\xff"}
-    (delivered,) = _send_payload(network, sim, payload)
-    assert delivered.payload == payload
-    assert isinstance(delivered.payload["succ"], tuple)
-    assert delivered.payload["raw"] == b"\x00\xff"
-    assert delivered.payload is not payload
-
-
-def test_invalid_wire_fidelity_rejected():
-    sim = Simulator(seed=1)
-    with pytest.raises(ConfigurationError):
-        Network(sim, wire_fidelity="telepathy")
-    assert WIRE_FIDELITIES == ("copy", "codec", "reference")
 
 
 # ---------------------------------------------------------------------------
