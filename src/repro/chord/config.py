@@ -44,13 +44,16 @@ class ChordConfig:
         When ``True`` (the default) every node memoizes recently resolved
         responsibility intervals so repeated lookups towards the same
         Master-key peer skip the O(log N) hop chain; see
-        :class:`~repro.chord.routecache.RouteCache`.
+        :class:`~repro.chord.routecache.RouteCache`.  Routes are learned
+        from authoritative answers and from answers relayed out of other
+        nodes' caches alike (the latter back-dated by their reported age).
     route_cache_size:
         Maximum number of cached intervals per node.
     route_cache_ttl:
-        Lifetime of a cached route in simulated seconds; it should stay a
-        small multiple of ``stabilize_interval`` so stale routes die out at
-        the same pace the ring repairs itself.
+        Lifetime of a cached route in simulated seconds, counted from the
+        authoritative answer however many caches relayed it since; it
+        should stay a small multiple of ``stabilize_interval`` so stale
+        routes die out at the same pace the ring repairs itself.
     maintenance_stagger:
         Fraction of each maintenance interval used to spread the *first*
         firing of a node's maintenance timers, by a deterministic per-node

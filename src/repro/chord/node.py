@@ -394,8 +394,11 @@ class ChordNode:
 
         cached = self._cached_route(target_id)
         if cached is not None:
-            interval, owner = cached
-            return {"node": owner, "hops": hops, "interval": interval, "cached": True}
+            interval, owner, stamp = cached
+            return {
+                "node": owner, "hops": hops, "interval": interval,
+                "cached": True, "age": self.runtime.now - stamp,
+            }
 
         # The exclusion set tracks refs found unresponsive during *this*
         # lookup; allocated lazily because the overwhelmingly common lookup
@@ -426,8 +429,10 @@ class ChordNode:
                 if self.route_cache is not None:
                     self.route_cache.invalidate_node(candidate)
 
-    def _cached_route(self, target_id: int) -> Optional[tuple[tuple[int, int], NodeRef]]:
-        """A fresh cached ``(interval, owner)`` for ``target_id``, if usable.
+    def _cached_route(
+        self, target_id: int
+    ) -> Optional[tuple[tuple[int, int], NodeRef, float]]:
+        """A fresh cached ``(interval, owner, stamp)`` for ``target_id``, if usable.
 
         A hit is only served while the owner is still registered with the
         network; an entry pointing at a crashed/departed peer is purged
@@ -438,7 +443,7 @@ class ChordNode:
         cached = self.route_cache.lookup(target_id, self.runtime.now)
         if cached is None:
             return None
-        interval, owner = cached
+        owner = cached[1]
         if not self.network.is_up(owner.address):
             self.route_cache.invalidate_node(owner)
             return None
@@ -450,22 +455,37 @@ class ChordNode:
             # pre-partition claim after the heal.
             self.route_cache.invalidate_node(owner)
             return None
-        return interval, owner
+        return cached
 
     def _remember_route(self, answer: dict) -> None:
         """Cache the responsibility interval carried by a lookup answer.
 
-        Answers served from another node's cache (``cached`` flag) are not
-        re-stored: re-stamping them with a fresh insertion time would let a
-        stale route circulate between nodes past its TTL.  Only authoritative
-        base-case answers (re)start the clock.
+        Only an authoritative base-case answer (re)starts the TTL clock.  An
+        answer served from another node's cache (``cached`` flag) is learned
+        too — otherwise every node behind a finger would relay through that
+        finger for the whole TTL — but *back-dated* by the ``age`` the
+        serving node reported (``now - stamp`` on its own clock, so the
+        figure survives process boundaries).  The route therefore still dies
+        at the authoritative stamp plus TTL however many caches it travelled
+        through; re-stamping it with the arrival time instead would let a
+        stale route circulate between nodes forever.  A relayed answer whose
+        age is missing, not a number or not below the TTL is not stored; a
+        negative age counts as zero.
         """
-        if self.route_cache is None or answer.get("cached"):
+        cache = self.route_cache
+        if cache is None:
             return
         interval = answer.get("interval")
         if interval is None:
             return
-        self.route_cache.store(tuple(interval), answer["node"], self.runtime.now)
+        stamp = self.runtime.now
+        if answer.get("cached"):
+            age = answer.get("age")
+            # ``age < ttl`` is also False for NaN.
+            if not isinstance(age, (int, float)) or not age < cache.ttl:
+                return
+            stamp -= max(age, 0.0)
+        cache.store(tuple(interval), answer["node"], stamp)
 
     def _first_live_successor_candidate(
         self, excluded: Optional[set[NodeRef]]

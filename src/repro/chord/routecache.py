@@ -13,7 +13,9 @@ hops.  Because cached routes go stale under churn, three safety mechanisms
 bound the staleness window:
 
 * entries expire after a TTL (a small multiple of the stabilization
-  period by default),
+  period by default), counted from the *authoritative* answer: a route
+  learned from another node's cache is stored back-dated by the age that
+  node reported, so relaying a route never extends its life,
 * entries pointing at peers observed to be unreachable are purged, and
 * membership events seen by the node (successor change, predecessor
   hand-off, departure notifications) clear or purge the cache; the
@@ -56,8 +58,14 @@ class RouteCache:
 
     # -- queries ------------------------------------------------------------
 
-    def lookup(self, target_id: int, now: float) -> Optional[tuple[Interval, NodeRef]]:
-        """The cached ``(interval, owner)`` containing ``target_id``, if fresh.
+    def lookup(
+        self, target_id: int, now: float
+    ) -> Optional[tuple[Interval, NodeRef, float]]:
+        """The cached ``(interval, owner, stamp)`` containing ``target_id``, if fresh.
+
+        ``stamp`` is when the route was (authoritatively) learned; a node
+        that serves the hit to another peer reports ``now - stamp`` as the
+        answer's age.
 
         One pass over the entries: expired intervals are collected for
         removal while the first fresh containing interval is remembered —
@@ -67,7 +75,7 @@ class RouteCache:
         """
         ttl = self.ttl
         expired: Optional[list[Interval]] = None
-        hit: Optional[tuple[Interval, NodeRef]] = None
+        hit: Optional[tuple[Interval, NodeRef, float]] = None
         for interval, entry in self._entries.items():
             if now - entry[1] > ttl:
                 if expired is None:
@@ -82,7 +90,7 @@ class RouteCache:
                 start, end = interval
                 if (start < target_id <= end) if start < end \
                         else (target_id > start or target_id <= end):
-                    hit = (interval, entry[0])
+                    hit = (interval, entry[0], entry[1])
         if expired is not None:
             for interval in expired:
                 del self._entries[interval]
@@ -97,8 +105,11 @@ class RouteCache:
     # -- updates ------------------------------------------------------------
 
     def store(self, interval: Interval, owner: NodeRef, now: float) -> None:
-        """Remember that ``owner`` is responsible for ``(start, end]``.
+        """Remember that ``owner`` is responsible for ``(start, end]`` as of ``now``.
 
+        ``now`` is the stamp the TTL counts from: the current time for an
+        authoritative answer, an earlier one for a route relayed out of
+        another node's cache (see :meth:`ChordNode._remember_route`).
         Degenerate intervals (``start == end``) are refused: under the
         open-closed convention they cover the entire ring, which is only
         ever true for a single-node ring — not worth caching, and poisonous
@@ -106,7 +117,11 @@ class RouteCache:
         """
         if interval[0] == interval[1]:
             return
-        self._entries[interval] = (owner, now)
+        known = self._entries.get(interval)
+        if known is None or known[0] != owner or known[1] < now:
+            # ``now`` may be back-dated (a relayed route): an older relay
+            # never ages a fresher stamp of the same owner.
+            self._entries[interval] = (owner, now)
         self._entries.move_to_end(interval)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -114,9 +129,18 @@ class RouteCache:
 
     def invalidate_node(self, node: NodeRef) -> int:
         """Drop every entry whose owner is ``node`` (observed dead/departed)."""
-        stale = [
+        return self._drop([
             interval for interval, (owner, _t) in self._entries.items() if owner == node
-        ]
+        ])
+
+    def forget(self, target_id: int) -> int:
+        """Drop every entry covering ``target_id`` (its owner answered wrongly)."""
+        return self._drop([
+            interval for interval in self._entries
+            if in_interval_open_closed(target_id, *interval)
+        ])
+
+    def _drop(self, stale: list[Interval]) -> int:
         for interval in stale:
             del self._entries[interval]
         self.invalidations += len(stale)

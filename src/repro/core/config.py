@@ -23,8 +23,8 @@ class LtrConfig:
         peer.  The paper loops "until last-ts value is equal to ts value";
         the bound only exists to turn a livelock into a diagnosable error,
         so it sits well above plain starvation — on a hot document an editor
-        routed many hops from the Master loses the race to nearer editors
-        for dozens of rounds (91 measured on the Zipf benchmark).
+        loses the race to the others for a few rounds in a row (27 at most
+        measured on the Zipf benchmark, round seeds 1000 .. 10000).
     validation_retries:
         How many times a single validation RPC is re-routed when the
         Master-key peer is unreachable (crash/churn window).
@@ -97,7 +97,7 @@ class LtrConfig:
     """
 
     log_replication_factor: int = 3
-    max_validation_attempts: int = 256
+    max_validation_attempts: int = 64
     validation_retries: int = 8
     validation_retry_delay: float = 0.5
     batch_max_edits: int = 16

@@ -11,8 +11,10 @@ paper):
   Master publishes the chain at the Log-Peers (``sendToPublish``), advances
   ``last-ts`` by ``n`` through the timestamp authority (which also replicates
   it to the Master-key-Succ) and acknowledges the user peer with the validated
-  timestamps.  Otherwise it answers ``behind`` with the current ``last-ts`` so
-  the user peer runs the retrieval procedure first.
+  timestamps.  Otherwise it answers ``behind`` with the current ``last-ts`` —
+  and, when it still holds them, the entries the proposer is missing
+  (:class:`EntryTail`) — so the user peer integrates those first; a gap the
+  Master cannot supply is retrieved from the P2P-Log.
 * Per-document serialization — concurrent validation requests for the same
   document are served strictly one after the other, "a new timestamp for a
   given document d is provided after the replication of the previous
@@ -22,9 +24,9 @@ paper):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
-from ..chord import HashFunctionFamily, NodeService
+from ..chord import HashFunctionFamily, NodeService, StoredItem
 from ..dht import ChordDhtClient
 from ..errors import (
     AuthenticationError,
@@ -34,6 +36,7 @@ from ..errors import (
     RequestTimeout,
 )
 from ..kts import TimestampAuthority
+from ..net import payload_size
 from ..ot import Document, InsertLine
 from ..p2plog import Checkpoint, LogEntry, P2PLogClient, sign_checkpoint, verify_commit
 from ..runtime import FifoLock
@@ -43,6 +46,59 @@ from .protocol import ValidationResult
 #: ``(checkpoint ts, snapshot lines or None)`` jobs scheduled inside the
 #: per-document critical section and executed after the lock is released.
 CheckpointJob = tuple[int, Optional[list[str]]]
+
+#: Bounds of the per-document tail of allocated entries a *behind* answer is
+#: served from, in entries and in ``payload_size`` bytes (what the reply
+#: costs on the wire).  64 entries cover every gap a chain-of-one editor
+#: falls behind by under Zipf contention; batched editors fall behind by
+#: whole chains of 16.  A larger gap is read from the P2P-Log.
+TAIL_MAX_ENTRIES = 256
+TAIL_MAX_BYTES = 256 * 1024
+
+
+class EntryTail:
+    """The newest entries one Master allocated for one document, contiguous.
+
+    Holds only entries whose timestamps were consumed (never an unallocated
+    or retracted one), in timestamp order without gaps, trimmed from the old
+    end to :data:`TAIL_MAX_ENTRIES` and :data:`TAIL_MAX_BYTES`.  It is a
+    cache of what this Master published during its current tenure; the
+    P2P-Log stays the source of truth.
+    """
+
+    __slots__ = ("entries", "sizes", "bytes")
+
+    def __init__(self) -> None:
+        self.entries: list[LogEntry] = []
+        self.sizes: list[int] = []
+        self.bytes = 0
+
+    def extend(self, entries: list[LogEntry]) -> None:
+        """Append a freshly allocated chain; a gap restarts the tail."""
+        if self.entries and self.last_ts + 1 != entries[0].ts:
+            self.entries, self.sizes, self.bytes = [], [], 0
+        for entry in entries:
+            size = payload_size(entry)
+            self.entries.append(entry)
+            self.sizes.append(size)
+            self.bytes += size
+        while len(self.entries) > TAIL_MAX_ENTRIES or self.bytes > TAIL_MAX_BYTES:
+            del self.entries[0]
+            self.bytes -= self.sizes.pop(0)
+
+    @property
+    def last_ts(self) -> int:
+        """Timestamp of the newest entry held (0 when empty)."""
+        return self.entries[-1].ts if self.entries else 0
+
+    def suffix(self, after_ts: int) -> Optional[list[LogEntry]]:
+        """Every entry newer than ``after_ts``, if the tail reaches back that far."""
+        if not self.entries:
+            return None
+        skip = after_ts + 1 - self.entries[0].ts
+        if skip < 0 or skip >= len(self.entries):
+            return None
+        return self.entries[skip:]
 
 
 class MasterService(NodeService):
@@ -58,6 +114,10 @@ class MasterService(NodeService):
         self.log: Optional[P2PLogClient] = None
         self.authority: Optional[TimestampAuthority] = None
         self._locks: dict[str, FifoLock] = {}
+        # Per document, the entries allocated here during the current tenure
+        # as its Master (created on the first publish, dropped when the
+        # tenure ends); read and written under the document's lock.
+        self._tails: dict[str, EntryTail] = {}
         # One proposal = one validation request, whatever its chain length.
         self.proposals_ok = 0
         self.proposals_behind = 0
@@ -214,7 +274,6 @@ class MasterService(NodeService):
         patches = list(patches)
         if not patches:
             raise ValueError(f"empty commit chain proposed for {key!r}")
-        span = f"{key}@{ts}(+{len(patches)})"
         sigs: list[Optional[str]] = (
             list(signatures) if signatures is not None else [None] * len(patches)
         )
@@ -230,13 +289,13 @@ class MasterService(NodeService):
             if not valid:
                 self.proposals_auth_rejected += 1
                 node.runtime.trace.annotate(
-                    node.runtime.now,
-                    "ltr-master",
-                    f"{node.address.name} rejects {span} from {author}: "
-                    f"bad or missing commit signatures",
+                    node.runtime.now, "ltr-master",
+                    "{} rejects {}@{}(+{}) from {}: bad or missing commit signatures",
+                    node.address.name, key, ts, len(patches), author,
                 )
                 raise AuthenticationError(
-                    f"commit {span} from {author!r} failed signature verification",
+                    f"commit {key}@{ts}(+{len(patches)}) from {author!r} "
+                    f"failed signature verification",
                     key=key,
                     ts=ts,
                 )
@@ -244,12 +303,13 @@ class MasterService(NodeService):
         if ts != last_ts + 1:
             self.proposals_behind += 1
             node.runtime.trace.annotate(
-                node.runtime.now,
-                "ltr-master",
-                f"{node.address.name} rejects {span} from {author} "
-                f"(last-ts={last_ts})",
+                node.runtime.now, "ltr-master",
+                "{} rejects {}@{}(+{}) from {} (last-ts={})",
+                node.address.name, key, ts, len(patches), author, last_ts,
             )
-            return ValidationResult.behind(last_ts).to_payload()
+            return ValidationResult.behind(
+                last_ts, self._missing_suffix(key, ts - 1, last_ts)
+            ).to_payload()
 
         entries = [
             LogEntry(
@@ -286,28 +346,33 @@ class MasterService(NodeService):
         if self._lost_master_role(key, last_ts):
             self.proposals_rejected += 1
             node.runtime.trace.annotate(
-                node.runtime.now,
-                "ltr-master",
-                f"{node.address.name} rejects in-flight {span}: "
-                f"master role moved during publication",
+                node.runtime.now, "ltr-master",
+                "{} rejects in-flight {}@{}(+{}): master role moved during publication",
+                node.address.name, key, ts, len(patches),
             )
             # The published entries carry timestamps that were never
             # allocated; retract them so no reader can observe them
             # before the new Master reuses the range.
             retract.extend(entries)
+            self._tails.pop(key, None)  # the tenure these came from is over
             return ValidationResult.reelection(authority.last_ts(key)).to_payload()
         first_ts = authority.next_timestamps(key, len(patches))
+        # Only now are the entries part of the log for good: remember them
+        # for the proposers this commit has just put behind.
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = EntryTail()
+        tail.extend(entries)
         for entry in entries[:self.equivocate_next]:
             yield from self._equivocate(entry)
         self._note_published(key, patches, first_ts, checkpoints)
         self.proposals_ok += 1
         self.patches_published += len(patches)
         node.runtime.trace.annotate(
-            node.runtime.now,
-            "ltr-master",
-            f"{node.address.name} validated {key}@{first_ts}.."
-            f"{first_ts + len(patches) - 1} from {author} "
-            f"({replicas} log replicas)",
+            node.runtime.now, "ltr-master",
+            "{} validated {}@{}..{} from {} ({} log replicas)",
+            node.address.name, key, first_ts, first_ts + len(patches) - 1,
+            author, replicas,
         )
         return ValidationResult.ok(
             first_ts, first_ts + len(patches) - 1, replicas
@@ -342,11 +407,48 @@ class MasterService(NodeService):
             except (RequestTimeout, NodeUnreachable):
                 continue
         self.node.runtime.trace.annotate(
-            self.node.runtime.now,
-            "ltr-master",
-            f"{self.node.address.name} EQUIVOCATES on {entry.document_key}@{entry.ts}: "
-            f"secondary placements forked",
+            self.node.runtime.now, "ltr-master",
+            "{} EQUIVOCATES on {}@{}: secondary placements forked",
+            self.node.address.name, entry.document_key, entry.ts,
         )
+
+    # -- the tail a *behind* answer is served from ------------------------------------
+
+    def _missing_suffix(self, key: str, after_ts: int,
+                        last_ts: int) -> Optional[list[LogEntry]]:
+        """Entries ``(after_ts, last_ts]`` of ``key`` if the tail covers them.
+
+        Runs under the document's lock.  A tail that does not end at
+        ``last-ts`` belongs to an earlier tenure (the counter moved on
+        elsewhere) and is dropped; ``None`` sends the proposer to the
+        P2P-Log, exactly as for a gap older than the tail.
+        """
+        tail = self._tails.get(key)
+        if tail is None:
+            return None
+        if tail.last_ts != last_ts:
+            del self._tails[key]
+            return None
+        return tail.suffix(after_ts)
+
+    def _forget_tails(self, items: Iterable[StoredItem]) -> None:
+        """Drop the tail of every document whose counter is among ``items``."""
+        if self._tails:
+            storage_key = self._authority().storage_key
+            moved = {item.key for item in items}
+            for key in [key for key in self._tails if storage_key(key) in moved]:
+                del self._tails[key]
+
+    def on_items_handed_off(self, items: Iterable[StoredItem],
+                            successor_name: str) -> None:
+        self._forget_tails(items)  # the new Master answers from its own tenure
+
+    def on_items_received(self, items: Iterable[StoredItem], *,
+                          as_replica: bool) -> None:
+        if not as_replica:
+            # A counter coming (back) here was advanced by someone else: what
+            # a previous tenure left behind no longer describes the log.
+            self._forget_tails(items)
 
     def _lost_master_role(self, key: str, expected_last_ts: int) -> bool:
         """Did a re-election move the Master-key role away mid-request?
@@ -497,10 +599,9 @@ class MasterService(NodeService):
             removed = yield from self.log.gc_checkpoint(key, old_ts)
             self.checkpoint_placements_removed += removed
         node.runtime.trace.annotate(
-            node.runtime.now,
-            "ltr-master",
-            f"{node.address.name} checkpointed {key}@{ts} "
-            f"(retained {list(keep)}, collected {list(drop)})",
+            node.runtime.now, "ltr-master",
+            "{} checkpointed {}@{} (retained {}, collected {})",
+            node.address.name, key, ts, list(keep), list(drop),
         )
         return ts
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 
 #: Validation statuses returned by the Master-key peer.
@@ -24,12 +24,17 @@ class ValidationResult:
     timestamp range ``first_ts .. last_ts`` to the chain's patches (in
     order) and published all of them; ``behind`` and ``rejected`` carry the
     Master's current ``last_ts`` so the user peer can retrieve / re-propose.
+    A ``behind`` answer also carries, in ``entries``, the log entries
+    ``(proposed ts - 1, last_ts]`` the proposer is missing whenever the
+    Master still holds all of them; on the receiving side that field is
+    outside input, checked by the user peer before anything is integrated.
     """
 
     status: str
     first_ts: Optional[int] = None
     last_ts: Optional[int] = None
     replicas: int = 0
+    entries: Any = None
 
     @property
     def accepted(self) -> bool:
@@ -47,9 +52,14 @@ class ValidationResult:
         return cls(status=STATUS_OK, first_ts=first_ts, last_ts=last_ts, replicas=replicas)
 
     @classmethod
-    def behind(cls, last_ts: int) -> "ValidationResult":
-        """The proposer is behind; it must retrieve patches up to ``last_ts``."""
-        return cls(status=STATUS_BEHIND, last_ts=last_ts)
+    def behind(cls, last_ts: int,
+               entries: Optional[Sequence[Any]] = None) -> "ValidationResult":
+        """The proposer is behind; it must integrate patches up to ``last_ts``.
+
+        ``entries`` is the missing suffix when the Master can supply it;
+        without it the proposer retrieves the range from the P2P-Log.
+        """
+        return cls(status=STATUS_BEHIND, last_ts=last_ts, entries=entries)
 
     @classmethod
     def reelection(cls, last_ts: int) -> "ValidationResult":
@@ -58,12 +68,15 @@ class ValidationResult:
 
     def to_payload(self) -> dict:
         """Serialise for transmission over the (simulated) network."""
-        return {
+        payload = {
             "status": self.status,
             "first_ts": self.first_ts,
             "last_ts": self.last_ts,
             "replicas": self.replicas,
         }
+        if self.entries:
+            payload["entries"] = self.entries
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ValidationResult":
@@ -73,6 +86,7 @@ class ValidationResult:
             first_ts=payload.get("first_ts"),
             last_ts=payload.get("last_ts"),
             replicas=payload.get("replicas", 0),
+            entries=payload.get("entries"),
         )
 
 

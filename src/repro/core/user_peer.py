@@ -38,7 +38,14 @@ from ..ot import (
     integrate_remote_patches,
     make_patch,
 )
-from ..p2plog import P2PLogClient, author_key, sign_commit, verify_checkpoint, verify_entry
+from ..p2plog import (
+    LogEntry,
+    P2PLogClient,
+    author_key,
+    sign_commit,
+    verify_checkpoint,
+    verify_entry,
+)
 from .batch import CommitBatch
 from .config import LtrConfig
 from .protocol import CommitResult, SyncResult, ValidationResult
@@ -286,12 +293,14 @@ class UserPeer:
         """The validate → retrieve → retry loop (process).
 
         The loop matches the paper: propose ``ts = applied_ts + 1`` for the
-        chain's first patch; if the Master-key peer answers *behind*,
-        retrieve the missing patches from the P2P-Log in continuous order,
-        integrate them (rebasing every patch of the chain, preserving the
-        chain) and retry until the proposal is accepted; on *rejected* (the
-        Master lost the key to a re-election mid-flight) the proposal is
-        simply retried, which re-routes it to the new Master.
+        chain's first patch; if the Master-key peer answers *behind*, take
+        the missing patches in continuous order — from the answer itself
+        when the Master carried them (:meth:`_carried_suffix`), from the
+        P2P-Log otherwise — integrate them (rebasing every patch of the
+        chain, preserving the chain) and retry until the proposal is
+        accepted; on *rejected* (the Master lost the key to a re-election
+        mid-flight) the proposal is simply retried, which re-routes it to
+        the new Master.
 
         ``chain`` is rebased *in place*, so the caller still holds the
         current chain and can put it back when any round raises.
@@ -351,10 +360,9 @@ class UserPeer:
                 )
                 self.commit_results.append(outcome)
                 self.node.runtime.trace.annotate(
-                    self.node.runtime.now,
-                    "ltr-user",
-                    f"{self.author} committed {key}@{result.first_ts}.."
-                    f"{result.last_ts} after {attempts} attempt(s)",
+                    self.node.runtime.now, "ltr-user",
+                    "{} committed {}@{}..{} after {} attempt(s)",
+                    self.author, key, result.first_ts, result.last_ts, attempts,
                 )
                 return outcome
 
@@ -366,18 +374,56 @@ class UserPeer:
                 # not-yet-caught-up Master during a fault window.
                 # Hot-retrying would burn the whole attempt budget in
                 # milliseconds, so pause a stabilization-sized delay and let
-                # routing re-converge on the real Master.
+                # routing re-converge on the real Master — and forget the
+                # route the answer came by, or the retry rides the same
+                # cached interval to the same wrong peer until its TTL.
+                cache = self.node.route_cache
+                if cache is not None:
+                    cache.forget(self.ht(key))
                 yield self.node.runtime.timeout(self.config.validation_retry_delay)
                 continue
 
-            # We are behind: run the retrieval procedure, rebase, try again.
-            entries = yield from self.log.fetch_range(
-                key, replica.applied_ts + 1, result.last_ts
-            )
+            # We are behind: integrate what the Master handed over if it is
+            # exactly the missing suffix, else run the retrieval procedure;
+            # rebase, try again.
+            entries = self._carried_suffix(key, replica.applied_ts, result)
+            if entries is None:
+                entries = yield from self.log.fetch_range(
+                    key, replica.applied_ts + 1, result.last_ts
+                )
             chain[:] = integrate_remote_into_staged(
                 replica, [(entry.ts, entry.patch) for entry in entries], chain
             )
             retrieved_total += len(entries)
+
+    def _carried_suffix(self, key: str, applied_ts: int,
+                        result: ValidationResult) -> Optional[Sequence[LogEntry]]:
+        """The entries a *behind* answer carried, if they can stand in for the log.
+
+        The reply is outside input: it is used only when it is exactly
+        ``applied_ts + 1 .. last_ts`` of this document, every item a
+        :class:`~repro.p2plog.LogEntry` that passes the verifier a fetched
+        entry passes.  Anything else returns ``None`` and the caller reads
+        the range from the P2P-Log, which stays the source of truth.
+        """
+        entries = result.entries
+        if (
+            not isinstance(entries, (list, tuple))
+            or len(entries) != result.last_ts - applied_ts
+        ):
+            return None
+        verifier = self.log.entry_verifier
+        for offset, entry in enumerate(entries, start=1):
+            if (
+                not isinstance(entry, LogEntry)
+                or entry.document_key != key
+                or entry.ts != applied_ts + offset
+            ):
+                return None
+            if verifier is not None and not verifier(entry):
+                self.log.auth_rejects += 1
+                return None
+        return entries
 
     # ----------------------------------------------------------------------- sync --
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from ..chord import ChordNode, hash_to_id
-from ..errors import PLACEMENT_FAILURES
+from ..errors import PLACEMENT_FAILURES, NodeUnreachable, RequestTimeout
 from .api import DhtClient, GetItem, PutItem
 
 
@@ -94,6 +94,19 @@ class ChordDhtClient(DhtClient):
             return None
         return answer["node"], answer["hops"]
 
+    def _forget_routes_to(self, owner) -> None:
+        """``owner`` did not answer: stop serving cached routes that name it.
+
+        The route cache only refuses an owner the network *knows* to be
+        down; a peer hosted by another process (or a crash nobody announced)
+        is found out here, by the RPC that went unanswered — without the
+        purge every retry would be routed to the same dead peer until the
+        entry's TTL.
+        """
+        cache = self.node.route_cache
+        if cache is not None:
+            cache.invalidate_node(owner)
+
     def _store_group(self, owner, group: Sequence[PutItem]):
         """Write one owner's share of a batch in a single RPC."""
         payload = [
@@ -112,6 +125,7 @@ class ChordDhtClient(DhtClient):
                 timeout=self.node.config.rpc_timeout,
             )
         except PLACEMENT_FAILURES:
+            self._forget_routes_to(owner)
             return False
         return True
 
@@ -182,6 +196,7 @@ class ChordDhtClient(DhtClient):
                 timeout=self.node.config.rpc_timeout,
             )
         except PLACEMENT_FAILURES:
+            self._forget_routes_to(owner)
             return None
         return answer
 
@@ -205,5 +220,11 @@ class ChordDhtClient(DhtClient):
         identifier = key_id if key_id is not None else self.hash_key(routing_key)
         answer = yield from self.node.find_successor(identifier)
         owner = answer["node"]
-        outcome = yield self.node.rpc.call(owner.address, method, timeout=timeout, **arguments)
+        try:
+            outcome = yield self.node.rpc.call(
+                owner.address, method, timeout=timeout, **arguments
+            )
+        except (RequestTimeout, NodeUnreachable):
+            self._forget_routes_to(owner)
+            raise
         return {"owner": owner, "hops": answer["hops"], "result": outcome}

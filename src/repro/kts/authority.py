@@ -144,10 +144,8 @@ class TimestampAuthority(NodeService):
             self.range_allocations += 1
         first = item.value - count + 1
         node.runtime.trace.annotate(
-            node.runtime.now,
-            "kts",
-            f"{node.address.name} next_timestamps({key}, {count}) -> "
-            f"{first}..{item.value}",
+            node.runtime.now, "kts", "{} next_timestamps({}, {}) -> {}..{}",
+            node.address.name, key, count, first, item.value,
         )
         return first
 

@@ -39,7 +39,7 @@ from .latency import (
     UniformLatency,
     latency_preset,
 )
-from .message import DeliveryReceipt, Message, MessageKind, TrafficStats
+from .message import DeliveryReceipt, Message, MessageKind, TrafficStats, payload_size
 from .rpc import RpcAgent, normalize_backend_error
 from .transport import Network
 from .wire import WireEndpoint, WireNetwork
@@ -82,4 +82,5 @@ __all__ = [
     "latency_preset",
     "make_addresses",
     "normalize_backend_error",
+    "payload_size",
 ]

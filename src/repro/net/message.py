@@ -168,6 +168,10 @@ def _payload_size(payload: Any) -> int:
     return 32
 
 
+#: Public name: the Master-key peer bounds what a *behind* answer may carry
+#: in the same currency the traffic accounting uses.
+payload_size = _payload_size
+
 _TAIL_SCALAR = 0   # bool/int/float subclasses -> 8
 _TAIL_SIZED = 1    # str/bytes subclasses -> len()
 _TAIL_MAPPING = 2  # Mapping ABC -> per-entry sum

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Union
 
 from ..errors import CodecError, ConfigurationError
+from .address import Address
 from .codec import FrameDecoder, decode_any, encode_hello, encode_message, frame
 from .latency import LatencyModel
 from .message import DeliveryReceipt, Message
@@ -265,6 +266,19 @@ class WireNetwork(Network):
         """``True`` when ``name`` routes to another process."""
         target = self.routes.get(name)
         return target is not None and target != self.listen_endpoint
+
+    def is_up(self, address: Address) -> bool:
+        """Liveness as far as this process can know it.
+
+        A local peer is up while it is registered.  A peer hosted by another
+        process is up until an RPC says otherwise: this process cannot see
+        the other's endpoint table, and answering "down" for every remote
+        name (what the inherited registry check did) disabled the route
+        cache and half of stabilization across processes.  The callers act
+        on the evidence instead — an unanswered RPC purges the peer from
+        fingers, successor list and route cache.
+        """
+        return self.is_remote(address.name) or super().is_up(address)
 
     # -- sending ------------------------------------------------------------
 

@@ -37,12 +37,21 @@ class TraceLog:
             return
         self.annotate(time, "event", type(event).__name__, payload=event)
 
-    def annotate(self, time: float, category: str, detail: str, payload: Any = None) -> None:
-        """Record a user-level annotation (peer actions, protocol steps...)."""
+    def annotate(self, time: float, category: str, detail: str, *args: Any,
+                 payload: Any = None) -> None:
+        """Record a user-level annotation (peer actions, protocol steps...).
+
+        With ``args``, ``detail`` is a :meth:`str.format` template that is
+        only rendered when the record is kept: the protocol annotates on the
+        commit hot path, where a disabled trace must cost one attribute
+        check and no string building.
+        """
         if not self.enabled:
             return
         if self.max_records is not None and len(self.records) >= self.max_records:
             return
+        if args:
+            detail = detail.format(*args)
         self.records.append(TraceRecord(time, category, detail, payload))
 
     # -- querying ----------------------------------------------------------

@@ -1,0 +1,246 @@
+"""Differential harness: one seeded contended script, run once per *arm*.
+
+A change that replaces (or short-cuts) a path of the commit pipeline proves
+itself here before the old path goes: the same seeded script — three
+writers racing on a hot and a cold document, optionally through a fault,
+in two bursts with the fault between them — is run on each arm, and every
+arm must end with the checker trio green
+(dense timestamps, prefix-complete log, OT convergence), every replica
+converged and every acknowledged edit in the log.
+
+Commit *orders* may differ between arms (an arm that saves a round-trip
+changes who wins the next race); invariants may not.  An edit that the log
+holds twice is *reported* (:attr:`ArmReport.doubled`), not asserted: a
+proposal re-sent after an RPC timeout is committed twice today on every
+arm (ROADMAP, "at-most-once proposals"), and tightening this harness to
+exactly-once belongs to the change that fixes that.
+
+An arm is any context manager that is active while the script runs; see
+``test_diff_paths.py`` for the carried-suffix / log-retrieval pair.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import random
+from dataclasses import dataclass, field
+from typing import Any, Callable, ContextManager, Iterator
+
+from repro.check import ConvergenceChecker
+from repro.core import LtrConfig, LtrSystem
+from repro.errors import ReproError
+from repro.net import UniformLatency
+from repro.ot import InsertLine
+
+from test_core_master import find_takeover_joiner
+
+FAULTS = ("none", "partition-heal", "master-crash", "churn")
+HOT, COLD = "xwiki:diff-hot", "xwiki:diff-cold"
+KEYS = (HOT, COLD)
+PEERS = 8
+WRITERS = 3
+#: Edits per writer and burst, by chain length; with three writers mostly on
+#: one document, well over half of the proposals are answered *behind*.
+EDITS = {1: 8, 16: 24}
+
+Arm = Callable[[], ContextManager[Any]]
+
+
+@dataclass
+class ArmReport:
+    """What one arm left behind (everything the assertions read)."""
+
+    acked: dict[str, set[str]] = field(default_factory=dict)
+    logged: dict[str, list[str]] = field(default_factory=dict)
+    violations: list[str] = field(default_factory=list)
+    converged: bool = True
+    #: ``fetch_many`` requests sent while only commits were running: every
+    #: one of them is a *behind* round that read the P2P-Log.
+    write_phase_log_reads: int = 0
+    behind_answers: int = 0
+
+    @property
+    def missing(self) -> list[tuple[str, str]]:
+        """Acknowledged edits the log does not hold."""
+        return sorted(
+            (key, marker)
+            for key, markers in self.acked.items()
+            for marker in markers - set(self.logged.get(key, ()))
+        )
+
+    @property
+    def doubled(self) -> list[tuple[str, str]]:
+        """Edits the log holds more than once (reported, see module docstring)."""
+        return sorted(
+            (key, marker)
+            for key, markers in self.logged.items()
+            for marker in set(markers) if markers.count(marker) > 1
+        )
+
+    def assert_invariants(self, label: str) -> None:
+        assert self.violations == [], (label, self.violations)
+        assert self.converged, f"{label}: replicas did not converge"
+        assert self.missing == [], f"{label}: acked edits not in the log: {self.missing}"
+
+
+def _writer(system: LtrSystem, name: str, seed: int, chain: int, phase: int,
+            acked: dict[str, set[str]]) -> Iterator[Any]:
+    """One closed-loop writer: edit (or stage a chain), commit, repeat."""
+    rng = random.Random(f"diff-paths:{seed}:{name}:{phase}")
+    user = system.user(name)
+    runtime = system.runtime
+    unacked: dict[str, list[str]] = {key: [] for key in KEYS}
+
+    def commit(key: str) -> Iterator[Any]:
+        # A failed commit keeps the (rebased) edits pending / staged: retry
+        # a few times across the fault window, then move on — a later
+        # commit of the same document carries them along.
+        for _attempt in range(6):
+            try:
+                result = yield from (user.flush(key) if chain > 1 else user.commit(key))
+            except ReproError:
+                yield runtime.timeout(0.5)
+                continue
+            if result is not None:
+                acked.setdefault(key, set()).update(unacked[key])
+                unacked[key] = []
+            return
+
+    for number in range(EDITS[chain]):
+        key = HOT if rng.random() < 0.75 else COLD
+        marker = f"{name}#{phase}.{number}"
+        lines = user.staged_lines(key) if chain > 1 else user.working_lines(key)
+        # Never delete an edit of ours that is still unacknowledged: composed
+        # into one pending patch, insert + delete would cancel out and the
+        # edit would (rightly) never reach the log.
+        deletable = [line for line in lines if line not in unacked[key]]
+        if len(lines) > 12 and deletable:
+            lines.remove(rng.choice(deletable))
+        lines.insert(rng.randrange(len(lines) + 1), marker)
+        unacked[key].append(marker)
+        if chain > 1:
+            user.stage(key, "\n".join(lines))
+            if not user.batch(key).full:
+                continue
+        else:
+            user.edit(key, "\n".join(lines))
+        yield from commit(key)
+        yield runtime.timeout(rng.uniform(0.0, 0.02))
+    for key in KEYS:
+        if unacked[key]:
+            yield from commit(key)
+
+
+def _burst(system: LtrSystem, writers: list[str], seed: int, chain: int,
+           phase: int, report: ArmReport) -> None:
+    """Every writer runs its script for ``phase`` concurrently, to completion."""
+    stats = system.network.stats
+    reads = stats.per_method.get("fetch_many", 0)
+    lanes = [
+        system.runtime.process(
+            _writer(system, name, seed, chain, phase, report.acked)
+        )
+        for name in writers
+    ]
+    system.runtime.run(until=system.runtime.all_of(lanes))
+    report.write_phase_log_reads += stats.per_method.get("fetch_many", 0) - reads
+
+
+def _inject(system: LtrSystem, fault: str, writers: list[str]) -> Callable[[], None]:
+    """Apply ``fault`` between the two bursts; returns what undoes it after.
+
+    Faults land on a quiescent system and membership changes settle before
+    the next burst: a proposal that is in flight while its Master leaves,
+    or whose publish outlasts the proposer's RPC timeout, trips hazards
+    that predate any arm compared here (ROADMAP open item 1) and would
+    only make every cell red on every arm.  The second burst then meets
+    what this harness is about: a Master fresh from a takeover, a ring
+    routing around a partition, a log whose placements moved.
+    """
+    bystanders = [name for name in system.peer_names() if name not in writers]
+    masters = {system.master_of(key) for key in KEYS}
+    if fault == "partition-heal":
+        cut = [name for name in bystanders if name not in masters][:2]
+        system.network.partitions.split(
+            [[system.ring.node(name).address for name in cut]]
+        )
+        system.notify_fault("partition", {})
+        system.run_for(2.0)
+
+        def heal() -> None:
+            system.network.partitions.heal()
+            for name in cut:
+                gateway = system.ring.node(writers[0]).address
+                system.runtime.run(
+                    until=system.runtime.process(system.ring.node(name).rejoin(gateway))
+                )
+            system.notify_fault("heal", {})
+        return heal
+    if fault == "master-crash":
+        system.crash(system.master_of(HOT))
+    elif fault == "churn":
+        system.add_peer(find_takeover_joiner(system, HOT))
+        system.leave(next(name for name in bystanders if name not in masters))
+        system.add_peer("diff-joiner")
+    if fault != "none":
+        system.notify_fault(fault, {})
+        system.run_for(2.0)
+    return lambda: None
+
+
+def run_arm(seed: int, fault: str, chain: int,
+            arm: Arm = contextlib.nullcontext) -> ArmReport:
+    """Run the script for ``(seed, fault, chain)`` inside ``arm()``."""
+    if fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
+    report = ArmReport()
+    with arm():
+        system = LtrSystem(
+            ltr_config=LtrConfig(batch_max_edits=chain),
+            seed=seed,
+            latency=UniformLatency(0.002, 0.006),
+        )
+        try:
+            system.bootstrap(PEERS)
+            # The documents' Masters are fault targets, not writers.
+            masters = {system.master_of(key) for key in KEYS}
+            writers = [name for name in system.peer_names()
+                       if name not in masters][:WRITERS]
+            checker = ConvergenceChecker(KEYS, max_in_flight=chain)
+            system.add_observer(checker)
+            _burst(system, writers, seed, chain, 1, report)
+            undo = _inject(system, fault, writers)
+            _burst(system, writers, seed, chain, 2, report)
+            undo()
+            report.behind_answers = system.statistics()["proposals_behind"]
+            final = checker.final_check(system, settle=4.0)
+            report.violations = [
+                f"[{snapshot.label}] {violation}"
+                for snapshot in checker.snapshots
+                for violation in snapshot.violations
+            ]
+            report.converged = all(
+                info.get("converged", False) for info in final.keys.values()
+            )
+            for key in KEYS:
+                last_ts = system.last_ts(key)
+                entries = system.fetch_log(key, 1, last_ts) if last_ts else []
+                report.logged[key] = [
+                    operation.line
+                    for entry in entries
+                    for operation in entry.patch.operations
+                    if isinstance(operation, InsertLine)
+                ]
+        finally:
+            system.shutdown()
+    return report
+
+
+def run_differential(seed: int, fault: str, chain: int,
+                     arms: dict[str, Arm]) -> dict[str, ArmReport]:
+    """Run every arm on the same cell and assert the invariants on each."""
+    reports = {}
+    for name, arm in arms.items():
+        reports[name] = run_arm(seed, fault, chain, arm)
+        reports[name].assert_invariants(f"seed {seed} / {fault} / chain {chain} / {name}")
+    return reports

@@ -10,6 +10,7 @@ uncached protocol.
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, NodeRef, RouteCache
+from repro.chord.hashing import hash_to_id
 from repro.dht import ChordDhtClient
 from repro.net import Address, ConstantLatency
 
@@ -58,13 +59,13 @@ def test_route_cache_store_lookup_and_lru_eviction():
     a, b, c = _ref(100, "a"), _ref(200, "b"), _ref(300, "c")
     cache.store((0, 100), a, now=0.0)
     cache.store((100, 200), b, now=0.0)
-    assert cache.lookup(150, now=1.0) == ((100, 200), b)
+    assert cache.lookup(150, now=1.0) == ((100, 200), b, 0.0)  # with its stamp
     # Storing a third interval evicts the least recently used one ((0, 100]:
     # the hit above refreshed (100, 200]).
     cache.store((200, 300), c, now=1.0)
     assert cache.lookup(50, now=1.0) is None
-    assert cache.lookup(150, now=1.0) == ((100, 200), b)
-    assert cache.lookup(250, now=1.0) == ((200, 300), c)
+    assert cache.lookup(150, now=1.0) == ((100, 200), b, 0.0)  # a hit re-stamps nothing
+    assert cache.lookup(250, now=1.0) == ((200, 300), c, 1.0)
 
 
 def test_route_cache_ttl_expiry():
@@ -84,7 +85,7 @@ def test_route_cache_invalidate_node_and_clear():
     cache.store((100, 200), b, now=0.0)
     assert cache.invalidate_node(a) == 2
     assert cache.lookup(50, now=0.0) is None
-    assert cache.lookup(150, now=0.0) == ((100, 200), b)
+    assert cache.lookup(150, now=0.0) == ((100, 200), b, 0.0)
     cache.clear()
     assert len(cache) == 0
     stats = cache.stats()
@@ -235,24 +236,120 @@ def test_cache_expires_entries_with_simulated_time():
 
 
 def test_forwarded_cache_hits_do_not_restart_the_ttl():
-    """An answer served from another node's cache must not be re-stored:
-    re-stamping it with a fresh insertion time would let a stale route
+    """A relayed route is learned, but back-dated by the age it travelled
+    with: it dies at the *authoritative* stamp + TTL however many caches it
+    crossed.  Re-stamping it with the arrival time would let a stale route
     circulate between nodes past its TTL."""
     ring = build_ring(8)
-    key = "ttl-circulation"
-    via = ring.ring_order()[0]
-    first = ring.lookup(key, via=via)
-    node = ring.node(via)
-    entries_before = len(node.route_cache)
-    node._remember_route({
-        "node": first["node"],
-        "hops": 1,
-        "interval": (0, 1),
-        "cached": True,
-    })
-    assert len(node.route_cache) == entries_before  # cached answers are skipped
-    node._remember_route({"node": first["node"], "hops": 1, "interval": (0, 1)})
-    assert len(node.route_cache) == entries_before + 1  # authoritative ones stored
+    ttl = CACHED_CONFIG.route_cache_ttl
+    first, second = (ring.node(name) for name in ring.ring_order()[:2])
+    owner = ring.lookup("ttl-circulation", via=first.address.name)["node"]
+    interval, target = (10, 20), 15
+    first.route_cache.clear()
+    second.route_cache.clear()
+    stamped_at = ring.sim.now  # when some third node learned it authoritatively
+
+    # Relay 1: a node serves its 2 s old entry; `first` stores it back-dated.
+    ring.run_for(2.0)
+    first._remember_route({"node": owner, "hops": 1, "interval": interval,
+                           "cached": True, "age": ring.sim.now - stamped_at})
+    assert first.route_cache.lookup(target, ring.sim.now) == (interval, owner, stamped_at)
+
+    # Relay 2: `first` serves its copy 1.5 s later, reporting the full age.
+    ring.run_for(1.5)
+    _interval, _owner, stamp = first._cached_route(target)
+    second._remember_route({"node": owner, "hops": 1, "interval": interval,
+                            "cached": True, "age": ring.sim.now - stamp})
+    assert second.route_cache.lookup(target, ring.sim.now) == (interval, owner, stamped_at)
+
+    # Both copies expire together, at the original stamp + TTL.
+    ring.run_for(stamped_at + ttl - ring.sim.now - 0.01)
+    assert first.route_cache.lookup(target, ring.sim.now) is not None
+    assert second.route_cache.lookup(target, ring.sim.now) is not None
+    ring.run_for(0.02)
+    assert first.route_cache.lookup(target, ring.sim.now) is None
+    assert second.route_cache.lookup(target, ring.sim.now) is None
+
+
+@pytest.mark.parametrize("age", [None, "3", float("nan"), float("inf"),
+                                 CACHED_CONFIG.route_cache_ttl, [1.0]])
+def test_relayed_route_without_a_usable_age_is_not_stored(age):
+    """Missing, non-numeric, NaN or >= TTL: nothing to back-date by."""
+    ring = build_ring(4)
+    node = ring.gateway()
+    node.route_cache.clear()
+    answer = {"node": node.successor, "hops": 1, "interval": (10, 20), "cached": True}
+    if age is not None:
+        answer["age"] = age
+    node._remember_route(answer)
+    assert len(node.route_cache) == 0
+
+
+def test_relayed_route_with_negative_age_counts_as_fresh_not_as_future():
+    ring = build_ring(4)
+    node = ring.gateway()
+    node.route_cache.clear()
+    node._remember_route({"node": node.successor, "hops": 1, "interval": (10, 20),
+                          "cached": True, "age": -30.0})
+    assert node.route_cache.lookup(15, ring.sim.now)[2] == ring.sim.now
+
+
+def test_older_relay_never_overwrites_a_fresher_stamp():
+    ring = build_ring(4)
+    node = ring.gateway()
+    node.route_cache.clear()
+    owner, interval = node.successor, (10, 20)
+    ring.run_for(3.0)
+    learned_at = ring.sim.now
+    node._remember_route({"node": owner, "hops": 1, "interval": interval})
+    node._remember_route({"node": owner, "hops": 1, "interval": interval,
+                          "cached": True, "age": 2.5})
+    assert node.route_cache.lookup(15, ring.sim.now) == (interval, owner, learned_at)
+    # ... while a fresher (authoritative) answer does move the stamp forward.
+    ring.run_for(1.0)
+    node._remember_route({"node": owner, "hops": 1, "interval": interval})
+    assert node.route_cache.lookup(15, ring.sim.now) == (interval, owner, ring.sim.now)
+
+
+def test_route_served_from_a_cache_is_learned_by_the_asker():
+    """The point of the age: the second asker behind a caching node learns
+    the route too, instead of relaying through that node for the whole TTL."""
+    ring = build_ring(12)
+    key = "learned-route"
+    via = far_gateway(ring, key)
+    asker = ring.node(via)
+    owner = ring.responsible_node(key).ref
+    ring.lookup(key, via=via)  # warms every cache on the recursion path
+    relay = asker.fingers.closest_preceding(hash_to_id(key, ring.config.bits))
+    assert relay != owner, "pick a key that routes through at least one relay"
+    asker.route_cache.clear()
+    relayed = ring.lookup(key, via=via)
+    assert relayed["node"] == owner
+    assert relayed.get("cached") is True and 0.0 <= relayed["age"] < 1.0
+    assert relayed["hops"] == 1  # answered out of the relay's cache
+    again = ring.lookup(key, via=via)
+    assert again["hops"] == 0 and again.get("cached") is True
+
+
+def test_unanswered_owner_rpc_purges_the_cached_route():
+    """An owner the network still lists (a peer in another process, an
+    unannounced crash) is found out by the RPC that goes unanswered: the
+    DHT client purges its routes instead of re-serving them on every retry."""
+    from repro.errors import RequestTimeout
+    from repro.net import TargetedLoss
+
+    ring = build_ring(8)
+    key = "silent-owner"
+    gateway, target = warm_cached_route(ring, key)
+    owner = ring.responsible_node(key)
+    ring.network.loss = TargetedLoss(frozenset({owner.address.name}), direction="to")
+    client = ChordDhtClient(gateway)
+    with pytest.raises(RequestTimeout):
+        ring.sim.run(until=ring.sim.process(
+            client.call_owner(key, "ping", key_id=target)
+        ))
+    assert ring.network.is_up(owner.address)  # nothing told the network
+    assert gateway.route_cache.lookup(target, ring.sim.now) is None
 
 
 def test_batched_put_many_lookups_are_served_from_the_route_cache():
@@ -315,8 +412,6 @@ def warm_cached_route(ring: ChordRing, key: str):
     The second lookup must already be served from the cache, which the
     regression tests below then subject to a partition window.
     """
-    from repro.chord.hashing import hash_to_id
-
     via = far_gateway(ring, key)
     gateway = ring.node(via)
     ring.lookup(key, via=via)

@@ -228,3 +228,33 @@ def test_three_process_cluster_commits_across_the_wire():
         assert stats["frames_out"] > 0
         assert stats["frames_in"] > 0
         assert stats["decode_errors"] == 0
+
+
+def test_route_cache_and_stabilization_work_across_processes():
+    """Regression: ``Network.is_up`` only knows this process's endpoints, so
+    on a wire every peer hosted elsewhere read as down — the client purged
+    each cached route on sight (0 entries after any number of commits),
+    never adopted a remote predecessor-of-successor and kept a successor
+    list of one process's peers with no predecessor at all."""
+    config = ClusterConfig(processes=2, peers_per_process=3, seed=3,
+                           settle_time=1.0)
+    with Cluster(config) as cluster:
+        # Several documents: a Master that happens to be the client's own
+        # successor is resolved without the cache.
+        for index in range(12):
+            result, _attempts = cluster.commit_with_retries(
+                f"cache-doc-{index % 4}", f"line-{index}"
+            )
+            assert result is not None, f"commit {index} failed"
+        client = cluster.ring.node(CLIENT_NAME)
+        stats = client.route_cache.stats()
+        assert stats["entries"] > 0, "every cached route was purged on sight"
+        assert stats["hits"] > stats["invalidations"], stats  # hits were served
+        ids = ring_ids(config.all_peers(), config.bits)
+        ring_order, name = [], CLIENT_NAME
+        for _ in range(client.config.successor_list_size):
+            name = next_on_ring(ids, name)
+            ring_order.append(name)
+        assert [ref.name for ref in client.successors.entries()] == ring_order
+        assert client.predecessor is not None
+        assert next_on_ring(ids, client.predecessor.name) == CLIENT_NAME

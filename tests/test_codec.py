@@ -396,3 +396,110 @@ def test_copy_message_severs_payload_aliasing():
     assert dataclasses.replace(clone, payload=None) == dataclasses.replace(
         message, payload=None
     )
+
+
+# ---------------------------------------------------------------------------
+# Response shapes that in-process rings never push through the codec
+# ---------------------------------------------------------------------------
+
+
+def _response_round_trip(method: str, payload):
+    response = Message(
+        source=Address("b", "s2"), destination=Address("a", "s1"),
+        kind=MessageKind.RESPONSE, method=method, payload=payload,
+        request_id=1, sent_at=0.25,
+    )
+    decoded = decode_message(encode_message(response))
+    assert repr(decoded) == repr(response)  # repr: NaN never equals itself
+    return decoded.payload
+
+
+def _route_cache_node():
+    from repro.chord import ChordConfig, ChordRing
+
+    ring = ChordRing(config=ChordConfig(bits=32, route_cache_ttl=5.0), seed=3)
+    ring.bootstrap(3)
+    ring.run_for(10.0)
+    node = ring.gateway()
+    node.route_cache.clear()
+    return ring, node
+
+
+def test_cached_find_successor_answer_round_trips_with_its_age():
+    answer = {"node": _REF, "hops": 2, "interval": (5, 9), "cached": True, "age": 1.75}
+    decoded = _response_round_trip("find_successor", answer)
+    assert decoded["age"] == 1.75 and decoded["interval"] == (5, 9)
+    # What crossed the wire is learned back-dated by exactly that age.
+    ring, node = _route_cache_node()
+    node._remember_route(decoded)
+    assert node.route_cache.lookup(7, ring.sim.now) == ((5, 9), _REF, ring.sim.now - 1.75)
+
+
+@pytest.mark.parametrize("age", [float("nan"), float("inf"), "1.75", 2**70, [1.75],
+                                 {"age": 1}, None, b"\x01"])
+def test_hostile_route_ages_cross_the_codec_and_are_not_learned(age):
+    decoded = _response_round_trip(
+        "find_successor",
+        {"node": _REF, "hops": 2, "interval": (5, 9), "cached": True, "age": age},
+    )
+    ring, node = _route_cache_node()
+    node._remember_route(decoded)
+    assert len(node.route_cache) == 0
+
+
+def test_negative_route_age_crosses_the_codec_and_is_clamped():
+    decoded = _response_round_trip(
+        "find_successor",
+        {"node": _REF, "hops": 2, "interval": (5, 9), "cached": True, "age": -1e9},
+    )
+    ring, node = _route_cache_node()
+    node._remember_route(decoded)
+    assert node.route_cache.lookup(7, ring.sim.now)[2] == ring.sim.now  # not the future
+
+
+def _behind_entries():
+    return [
+        LogEntry("doc", ts, _PATCH, author="alice", published_at=0.5, base_ts=ts - 1,
+                 metadata={"sig": "ab" * 32})
+        for ts in (4, 5)
+    ]
+
+
+def test_behind_payload_round_trips_with_its_entries():
+    from repro.core.protocol import ValidationResult
+
+    payload = ValidationResult.behind(5, _behind_entries()).to_payload()
+    decoded = _response_round_trip("ltr_validate_and_publish", payload)
+    result = ValidationResult.from_payload(decoded)
+    assert result.last_ts == 5 and result.entries == _behind_entries()
+    assert [entry.metadata for entry in result.entries] == [{"sig": "ab" * 32}] * 2
+    system = LtrSystem()
+    try:
+        system.bootstrap(3)
+        user = system.user(system.peer_names()[0])
+        assert user._carried_suffix("doc", 3, result) == _behind_entries()
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.parametrize("entries", [
+    "not a list", 7, {"ts": 4}, [4, 5], [None, None], [["doc", 4], ["doc", 5]],
+    [_PATCH, _PATCH], _behind_entries()[::-1], _behind_entries()[:1] * 2,
+    [LogEntry("other", ts, _PATCH) for ts in (4, 5)],
+], ids=["string", "int", "mapping", "ints", "nones", "lists", "patches",
+        "reversed", "repeated", "mis-keyed"])
+def test_hostile_behind_entries_cross_the_codec_and_are_refused(entries):
+    from repro.core.protocol import ValidationResult
+
+    payload = {"status": "behind", "first_ts": None, "last_ts": 5, "replicas": 0,
+               "entries": entries}
+    result = ValidationResult.from_payload(
+        _response_round_trip("ltr_validate_and_publish", payload)
+    )
+    system = LtrSystem()
+    try:
+        system.bootstrap(3)
+        user = system.user(system.peer_names()[0])
+        assert user._carried_suffix("doc", 3, result) is None  # -> fetch_range
+    finally:
+        system.shutdown()

@@ -172,6 +172,8 @@ def assert_in_flight_chain_is_rejected_atomically(chain_length):
 
     assert result.rejected, "old master committed a chain after losing the key"
     assert old_master.proposals_rejected == 1
+    # Never-allocated entries must not be handed to a stale proposer later.
+    assert key not in old_master._tails
     assert system.master_of(key) == joiner
     assert system.last_ts(key) == 1  # nothing was consumed
     # The rejected chain's published entries were retracted: no orphan

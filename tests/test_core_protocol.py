@@ -266,3 +266,37 @@ def test_independent_documents_do_not_interfere():
     assert system.last_ts("wiki:doc-b") == 1
     assert system.check_consistency("wiki:doc-a").converged
     assert system.check_consistency("wiki:doc-b").converged
+
+
+def test_stale_master_answer_purges_the_route_it_came_by():
+    """A peer that is not the Master answers with a counter behind the
+    proposer's replica.  The retry must re-resolve the Master, not ride the
+    same cached route to the same wrong peer until its TTL."""
+    from repro.chord import ChordConfig
+
+    ttl, delay = 30.0, 0.5
+    system = LtrSystem(
+        ltr_config=LtrConfig(validation_retry_delay=delay),
+        chord_config=ChordConfig(route_cache_ttl=ttl),
+        seed=7,
+        latency=ConstantLatency(0.004),
+    )
+    system.bootstrap(8)
+    key = "wiki:stale-master"
+    master = system.master_of(key)
+    names = system.peer_names()
+    # A proposer whose successor is not the Master (so the lookup consults
+    # the cache) and a third peer to pose as the Master.
+    proposer = next(name for name in names
+                    if name != master and system.ring.node(name).successor.name != master)
+    impostor = next(name for name in names if name not in (master, proposer))
+    system.edit_and_commit(proposer, key, "first revision")
+    target = system.ht(key)
+    node = system.ring.node(proposer)
+    node.route_cache.clear()
+    node.route_cache.store((target - 1, target), system.ring.node(impostor).ref,
+                           system.sim.now)
+    result = system.edit_and_commit(proposer, key, "second revision")
+    assert result.ts == 2 and result.attempts == 2  # one stale answer, one delay
+    assert delay <= result.latency < 2 * delay < ttl
+    assert node.route_cache.lookup(target, system.sim.now)[1].name == master

@@ -502,6 +502,9 @@ def test_failed_retrieval_restores_the_pending_edit():
 
     plain_fetch_range = user.log.fetch_range
     user.log.fetch_range = unavailable
+    # Force the fallback: with its tail in place the Master would hand the
+    # missing entry over and the log would not be read at all.
+    system.master_service(key)._tails.clear()
     with pytest.raises(PatchUnavailable):
         system.commit("peer-0", key)
     assert user.has_pending(key)
