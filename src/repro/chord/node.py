@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from ..errors import (
+    PLACEMENT_FAILURES,
     KeyNotFound,
     LookupFailed,
     NodeNotJoined,
@@ -23,7 +24,7 @@ from ..errors import (
     RequestTimeout,
 )
 from ..net import Address, Network, RpcAgent
-from ..runtime import Runtime
+from ..runtime import Process, Runtime
 from ..storage import StorageBackend
 from .config import ChordConfig
 from .finger import FingerTable
@@ -91,6 +92,9 @@ class ChordNode:
             if self.config.route_cache_enabled
             else None
         )
+        # Identifier -> the background lookup :meth:`warm_route` started for
+        # it, while that lookup is in flight.
+        self._warming: dict[int, Process] = {}
 
         self.services: list[NodeService] = list(services or [])
         self.rpc.expose_object(self)
@@ -324,6 +328,12 @@ class ChordNode:
         """
         if not self.alive:
             raise NodeNotJoined(f"{self.address.name} is not part of a ring")
+        warming = self._warming.get(target_id)
+        if warming is not None:
+            # A warm-up of this very identifier is on its way: wait for it
+            # instead of walking the same fingers twice, then read its
+            # answer from the cache like any later lookup would.
+            yield warming
         result = yield from self._find_successor_local(target_id, 0)
         return result
 
@@ -456,6 +466,62 @@ class ChordNode:
             self.route_cache.invalidate_node(owner)
             return None
         return cached
+
+    # The route cache seen from outside ``repro.chord``: three verbs, each a
+    # no-op on a node that has no cache.
+
+    def forget_route(self, target_id: int) -> None:
+        """Drop the cached routes covering ``target_id`` (its owner answered wrongly)."""
+        if self.route_cache is not None:
+            self.route_cache.forget(target_id)
+
+    def forget_routes_to(self, owner: NodeRef) -> None:
+        """Drop the cached routes naming ``owner``: an RPC to it went unanswered.
+
+        The cache itself only refuses an owner the network *knows* to be
+        down; a peer hosted by another process (or a crash nobody announced)
+        is found out by the caller whose RPC got no answer — without the
+        purge every retry would be routed to the same dead peer until the
+        entry's TTL.
+        """
+        if self.route_cache is not None:
+            self.route_cache.invalidate_node(owner)
+
+    def warm_route(self, target_id: int) -> None:
+        """Learn the route to ``target_id`` before the operation that needs it.
+
+        Fire and forget, for a caller that knows an identifier it is about
+        to look up (the Master: the placements of the timestamps it hands
+        out next; a reader: its next window).  A synchronous probe first —
+        when this node's own arc or a fresh cache entry would already answer
+        the lookup, nothing happens at all: no process, timer or message.
+        Only a miss starts a background lookup; it sends ``find_successor``
+        and nothing else, stores nothing but the route (an ordinary cache
+        entry, stale by the same rules as any other), never raises, and a
+        :meth:`find_successor` that needs the identifier meanwhile joins it.
+        """
+        cache = self.route_cache
+        if cache is None or not self.alive or target_id in self._warming:
+            return
+        successor = self.successors.head or self.ref
+        if (
+            successor == self.ref
+            or in_interval_open_closed(target_id, self.node_id, successor.node_id)
+            or cache.covers(target_id, self.runtime.now)
+        ):
+            return
+        self._warming[target_id] = self.runtime.process(
+            self._warm_lookup(target_id), name=f"warm:{target_id}"
+        )
+
+    def _warm_lookup(self, target_id: int):
+        """The background lookup of :meth:`warm_route`; failing is not an error."""
+        try:
+            yield from self._find_successor_local(target_id, 0)
+        except PLACEMENT_FAILURES:
+            pass  # the operation that needs the route will look it up itself
+        finally:
+            del self._warming[target_id]
 
     def _remember_route(self, answer: dict) -> None:
         """Cache the responsibility interval carried by a lookup answer.

@@ -22,6 +22,12 @@ bound the staleness window:
   :class:`~repro.chord.ring.ChordRing` driver additionally clears every
   live node's cache when it orchestrates a join, leave or crash.
 
+A caller that knows an identifier before it needs the route can have it
+learned ahead of time (:meth:`~repro.chord.node.ChordNode.warm_route`); what
+that stores is an ordinary entry under the same three mechanisms, and the
+probe it starts with (:meth:`RouteCache.covers`) deliberately has none of
+:meth:`RouteCache.lookup`'s side effects.
+
 The cache is deliberately tiny and scan-based: with the default capacity a
 lookup touches at most ``capacity`` tuples, which in a discrete-event
 simulation is orders of magnitude cheaper than a single simulated RPC.
@@ -101,6 +107,22 @@ class RouteCache:
             return hit
         self.misses += 1
         return None
+
+    def covers(self, target_id: int, now: float) -> bool:
+        """Whether a fresh entry contains ``target_id`` — a probe, not a use.
+
+        Unlike :meth:`lookup` it counts no hit or miss, leaves the LRU order
+        alone and evicts nothing: warming asks *whether* a later lookup
+        would be served, and that lookup is the one that counts.
+        """
+        ttl = self.ttl
+        for (start, end), (_owner, stamp) in self._entries.items():
+            if now - stamp <= ttl and (
+                (start < target_id <= end) if start < end
+                else (target_id > start or target_id <= end)
+            ):
+                return True
+        return False
 
     # -- updates ------------------------------------------------------------
 

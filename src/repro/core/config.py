@@ -23,7 +23,7 @@ class LtrConfig:
         peer.  The paper loops "until last-ts value is equal to ts value";
         the bound only exists to turn a livelock into a diagnosable error,
         so it sits well above plain starvation — on a hot document an editor
-        loses the race to the others for a few rounds in a row (27 at most
+        loses the race to the others for a few rounds in a row (28 at most
         measured on the Zipf benchmark, round seeds 1000 .. 10000).
     validation_retries:
         How many times a single validation RPC is re-routed when the

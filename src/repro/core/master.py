@@ -18,7 +18,9 @@ paper):
 * Per-document serialization — concurrent validation requests for the same
   document are served strictly one after the other, "a new timestamp for a
   given document d is provided after the replication of the previous
-  timestamped patch on d".
+  timestamped patch on d".  Routing is kept out of that critical section:
+  the Master knows the next timestamps, so it has their Log-Peers resolved
+  ahead of the proposals that will need them (``_warm_ahead``).
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ CheckpointJob = tuple[int, Optional[list[str]]]
 TAIL_MAX_ENTRIES = 256
 TAIL_MAX_BYTES = 256 * 1024
 
+#: How far past ``last-ts`` the Master resolves Log-Peers ahead of the
+#: proposals that will need them, in chains of the proposal being answered.
+#: One chain is not enough: a hot document's next proposal arrives one
+#: round-trip after the ack, a lookup that misses the route cache takes two.
+WARM_AHEAD_CHAINS = 4
+
 
 class EntryTail:
     """The newest entries one Master allocated for one document, contiguous.
@@ -64,19 +72,24 @@ class EntryTail:
     end to :data:`TAIL_MAX_ENTRIES` and :data:`TAIL_MAX_BYTES`.  It is a
     cache of what this Master published during its current tenure; the
     P2P-Log stays the source of truth.
+
+    :attr:`warmed_ts` looks the other way: the *warmed horizon*, the highest
+    timestamp whose Log-Peers this tenure already had resolved
+    (:meth:`MasterService._warm_ahead`).  It lives and dies with the tail.
     """
 
-    __slots__ = ("entries", "sizes", "bytes")
+    __slots__ = ("entries", "sizes", "bytes", "warmed_ts")
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
         self.sizes: list[int] = []
         self.bytes = 0
+        self.warmed_ts = 0
 
     def extend(self, entries: list[LogEntry]) -> None:
         """Append a freshly allocated chain; a gap restarts the tail."""
         if self.entries and self.last_ts + 1 != entries[0].ts:
-            self.entries, self.sizes, self.bytes = [], [], 0
+            self.entries, self.sizes, self.bytes, self.warmed_ts = [], [], 0, 0
         for entry in entries:
             size = payload_size(entry)
             self.entries.append(entry)
@@ -217,6 +230,14 @@ class MasterService(NodeService):
         advance and one replica push for the whole chain.  Returns a
         :class:`~repro.core.protocol.ValidationResult` payload.
 
+        What runs under the per-document lock sets a hot document's commit
+        rate, so it is kept to: validate, one ``store_many`` round-trip per
+        Log-Peer, allocate.  The Log-Peers themselves are resolved *before*
+        the proposal that needs them: every answer, ``ok`` or ``behind``,
+        has the placements of the next timestamps routed in the background
+        (:meth:`_warm_ahead`), which the publish then finds in the node's
+        route cache.
+
         The chain is atomic: it either commits completely or not at all.  In
         particular, when a re-election moves the Master-key role away while
         the (yielding) log publication is in flight, the handler detects the
@@ -307,9 +328,9 @@ class MasterService(NodeService):
                 "{} rejects {}@{}(+{}) from {} (last-ts={})",
                 node.address.name, key, ts, len(patches), author, last_ts,
             )
-            return ValidationResult.behind(
-                last_ts, self._missing_suffix(key, ts - 1, last_ts)
-            ).to_payload()
+            suffix = self._missing_suffix(key, ts - 1, last_ts)
+            self._warm_ahead(key, last_ts, len(patches))
+            return ValidationResult.behind(last_ts, suffix).to_payload()
 
         entries = [
             LogEntry(
@@ -362,6 +383,8 @@ class MasterService(NodeService):
         tail = self._tails.get(key)
         if tail is None:
             tail = self._tails[key] = EntryTail()
+        # Paced by the allocation before this one, so: before it joins the tail.
+        self._warm_ahead(key, entries[-1].ts, len(patches))
         tail.extend(entries)
         for entry in entries[:self.equivocate_next]:
             yield from self._equivocate(entry)
@@ -430,6 +453,37 @@ class MasterService(NodeService):
             del self._tails[key]
             return None
         return tail.suffix(after_ts)
+
+    def _warm_ahead(self, key: str, last_ts: int, chain: int) -> None:
+        """Resolve the Log-Peers of the timestamps about to be handed out.
+
+        Called for every proposal this Master answers, *ok* or *behind*,
+        under the document's lock — and it only spawns, it never yields:
+        ``h_i(key + ts)`` is a pure function and the next ``ts`` is known
+        here, so the placement lookups of the coming publishes run now, in
+        the background, instead of inside a later proposal's critical
+        section (a new ``key + ts`` lands on a random arc; a route-cache miss
+        costs more than the publish it delays).  The proposal extends the
+        document's warmed horizon by its own chain length, at most
+        :data:`WARM_AHEAD_CHAINS` chains past ``last_ts`` and never over a
+        timestamp twice.  Nothing is warmed that would be stale when used:
+        only while the document's previous allocation is younger than the
+        route-cache TTL, only on a node that has a route cache, and only
+        during a tenure (no tail — first publish, takeover — no horizon).
+        """
+        tail = self._tails.get(key)
+        config = self.node.config
+        if (
+            tail is None or not tail.entries or not config.route_cache_enabled
+            or self.node.runtime.now - tail.entries[-1].published_at
+            >= config.route_cache_ttl
+        ):
+            return
+        warmed = max(tail.warmed_ts, last_ts)
+        horizon = min(warmed + chain, last_ts + WARM_AHEAD_CHAINS * chain)
+        if horizon > warmed:
+            self.log.warm(key, warmed + 1, horizon)
+            tail.warmed_ts = horizon
 
     def _forget_tails(self, items: Iterable[StoredItem]) -> None:
         """Drop the tail of every document whose counter is among ``items``."""

@@ -377,9 +377,7 @@ class UserPeer:
                 # routing re-converge on the real Master — and forget the
                 # route the answer came by, or the retry rides the same
                 # cached interval to the same wrong peer until its TTL.
-                cache = self.node.route_cache
-                if cache is not None:
-                    cache.forget(self.ht(key))
+                self.node.forget_route(self.ht(key))
                 yield self.node.runtime.timeout(self.config.validation_retry_delay)
                 continue
 

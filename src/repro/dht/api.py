@@ -2,14 +2,16 @@
 
 The timestamping and logging services of P2P-LTR only need four operations
 from the DHT: ``put``, ``get``, ``remove`` and ``lookup`` (find the peer
-responsible for a key).  This module defines that contract so the services
-can run either against the full Chord ring (production path, used by all
-experiments) or against a trivial in-process table (used by the centralized
-baseline and by fast unit tests of client-side logic).
+responsible for a key) — plus their batched forms and ``warm``, the hint
+that lets an overlay resolve a known placement before it is needed.  This
+module defines that contract so the services can run either against the
+full Chord ring (production path, used by all experiments) or against a
+trivial in-process table (used by the centralized baseline and by fast unit
+tests of client-side logic).
 
-All operations are *simulation processes* (generator functions used with
-``yield from``) because the Chord-backed implementation needs to perform
-network round trips.
+All operations but ``warm`` are *simulation processes* (generator functions
+used with ``yield from``) because the Chord-backed implementation needs to
+perform network round trips.
 """
 
 from __future__ import annotations
@@ -29,7 +31,14 @@ GetItem = tuple[str, Optional[int]]
 
 
 class DhtClient(ABC):
-    """Client-side view of a distributed hash table."""
+    """Client-side view of a distributed hash table.
+
+    ``put`` / ``get`` / ``remove`` / ``lookup`` / ``call_owner`` route one
+    key each; ``put_many`` / ``get_many`` take a batch and, on an overlay,
+    cost one RPC per responsible peer.  :meth:`warm` is the one call that is
+    not a process: a hint that lets the overlay route a key it will be asked
+    for shortly, off the asker's critical path.
+    """
 
     @abstractmethod
     def put(self, key: str, value: Any, *, key_id: Optional[int] = None):
@@ -62,7 +71,7 @@ class DhtClient(ABC):
     def get(self, key: str, *, key_id: Optional[int] = None):
         """Fetch the value stored under ``key`` (process; raises KeyNotFound)."""
 
-    def get_many(self, items: Sequence[GetItem]):
+    def get_many(self, items: Sequence[GetItem], warm_next: Sequence[GetItem] = ()):
         """Fetch several items in one batched operation (process).
 
         Returns ``{"values": [value-or-None per item], "owners": int,
@@ -72,6 +81,12 @@ class DhtClient(ABC):
         item); implementations backed by a real overlay override it to
         group items by responsible peer so a range read costs one RPC per
         owner (the checkpointed retrieval fast path relies on this).
+
+        ``warm_next`` names the items the caller will ask for next (a range
+        read's following window).  An overlay-backed implementation hands
+        them to :meth:`warm` once this batch's own placements are resolved,
+        so their routing overlaps this batch's reads instead of following
+        them; it changes neither the answer nor what is read.
         """
         values: list[Any] = []
         owners: set[Any] = set()
@@ -86,6 +101,19 @@ class DhtClient(ABC):
             owners.add(answer.get("owner"))
             hops += answer.get("hops", 0)
         return {"values": values, "owners": len(owners), "hops": hops}
+
+    def warm(self, items: Sequence[GetItem]) -> None:
+        """Resolve the placements of ``items`` ahead of the operation that needs them.
+
+        Fire and forget — a plain call, not a process: it returns at once,
+        never raises, reads and writes no item.  One rule decides who calls
+        it: *a placement whose key is already known is resolved before the
+        operation that needs it* (the Master knows the next timestamps of a
+        document, a range reader its next window).  Whatever routing it
+        starts is remembered by the overlay's own route cache, so the later
+        ``put_many`` / ``get_many`` finds the owner without a lookup.  The
+        default does nothing: a table without routing has nothing to warm.
+        """
 
     @abstractmethod
     def remove(self, key: str, *, key_id: Optional[int] = None):

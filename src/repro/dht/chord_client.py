@@ -94,19 +94,6 @@ class ChordDhtClient(DhtClient):
             return None
         return answer["node"], answer["hops"]
 
-    def _forget_routes_to(self, owner) -> None:
-        """``owner`` did not answer: stop serving cached routes that name it.
-
-        The route cache only refuses an owner the network *knows* to be
-        down; a peer hosted by another process (or a crash nobody announced)
-        is found out here, by the RPC that went unanswered — without the
-        purge every retry would be routed to the same dead peer until the
-        entry's TTL.
-        """
-        cache = self.node.route_cache
-        if cache is not None:
-            cache.invalidate_node(owner)
-
     def _store_group(self, owner, group: Sequence[PutItem]):
         """Write one owner's share of a batch in a single RPC."""
         payload = [
@@ -125,7 +112,7 @@ class ChordDhtClient(DhtClient):
                 timeout=self.node.config.rpc_timeout,
             )
         except PLACEMENT_FAILURES:
-            self._forget_routes_to(owner)
+            self.node.forget_routes_to(owner)
             return False
         return True
 
@@ -133,7 +120,7 @@ class ChordDhtClient(DhtClient):
         result = yield from self.node.get(key, key_id=key_id)
         return result
 
-    def get_many(self, items: Sequence[GetItem]):
+    def get_many(self, items: Sequence[GetItem], warm_next: Sequence[GetItem] = ()):
         """Batched fetch: group items by responsible peer, one RPC per peer.
 
         The read-side mirror of :meth:`put_many`: all placements are
@@ -143,6 +130,12 @@ class ChordDhtClient(DhtClient):
         RPC.  An item whose placement cannot be resolved, whose owner is
         unreachable, or which the owner does not hold is reported as
         ``None``; the batch itself never fails wholesale.
+
+        ``warm_next`` is warmed *between* the two stages: after this batch's
+        own resolutions returned (issued together, both batches would walk
+        the arcs the first was about to teach the cache) and while its
+        ``fetch_many`` RPCs are in flight — so the routings in flight never
+        belong to more than one batch.
         """
         items = list(items)
         if not items:
@@ -176,6 +169,7 @@ class ChordDhtClient(DhtClient):
             )
             for owner, indexes in groups.items()
         ]
+        self.warm(warm_next)
         if reads:
             yield runtime.all_of([process for _indexes, process in reads])
         for indexes, process in reads:
@@ -196,9 +190,14 @@ class ChordDhtClient(DhtClient):
                 timeout=self.node.config.rpc_timeout,
             )
         except PLACEMENT_FAILURES:
-            self._forget_routes_to(owner)
+            self.node.forget_routes_to(owner)
             return None
         return answer
+
+    def warm(self, items: Sequence[GetItem]) -> None:
+        """Have the node learn the routes to ``items`` in the background."""
+        for key, key_id in items:
+            self.node.warm_route(key_id if key_id is not None else self.hash_key(key))
 
     def remove(self, key: str, *, key_id: Optional[int] = None):
         result = yield from self.node.remove(key, key_id=key_id)
@@ -225,6 +224,6 @@ class ChordDhtClient(DhtClient):
                 owner.address, method, timeout=timeout, **arguments
             )
         except (RequestTimeout, NodeUnreachable):
-            self._forget_routes_to(owner)
+            self.node.forget_routes_to(owner)
             raise
         return {"owner": owner, "hops": answer["hops"], "result": outcome}

@@ -133,6 +133,21 @@ class P2PLogClient:
         self.published_entries += len(entries)
         return per_entry
 
+    def warm(self, document_key: str, from_ts: int, to_ts: int) -> None:
+        """Resolve the Log-Peers of entries ``from_ts .. to_ts`` ahead of their publish.
+
+        Placements are a pure function of ``key + ts``, so whoever knows the
+        next timestamps (the Master-key peer) can have every one of their
+        ``|Hr|`` placements routed before :meth:`append_many` needs them.
+        Fire and forget (:meth:`~repro.dht.DhtClient.warm`): it returns at
+        once, never raises and writes nothing.
+        """
+        self.dht.warm([
+            placement
+            for ts in range(from_ts, to_ts + 1)
+            for placement in self.placements(document_key, ts)
+        ])
+
     def retract_many(self, entries: Sequence[LogEntry]):
         """Best-effort removal of every placement of ``entries`` (process).
 
@@ -167,17 +182,24 @@ class P2PLogClient:
 
     # -- retrieval ---------------------------------------------------------------
 
-    def fetch(self, document_key: str, ts: int):
+    def fetch(self, document_key: str, ts: int, *, skip: int = 0, tampered: int = 0):
         """Retrieve the entry ``(document_key, ts)`` from any placement (process).
 
         Tries the replication hash functions in order, exactly like the
         paper's ``get(hi(key+ts))`` retrieval, and raises
-        :class:`~repro.errors.PatchUnavailable` when no placement answers.
+        :class:`~repro.errors.PatchUnavailable` when no placement answers
+        (:class:`~repro.errors.AuthenticationError` when the only copies
+        that do answer fail verification).  A caller that already tried the
+        first ``skip`` placements — :meth:`fetch_range` reads ``h1`` through
+        the grouped read — starts the chain after them, and says how many of
+        those served a ``tampered`` copy (already counted in
+        :attr:`auth_rejects`), so the outcome is that of the whole chain.
         """
         log_key = make_log_key(document_key, ts)
         self.retrievals += 1
-        tampered = 0
         for index, function in enumerate(self.hash_family):
+            if index < skip:
+                continue
             storage_key = function.placement_key(log_key)
             try:
                 answer = yield from self.dht.get(storage_key, key_id=function(log_key))
@@ -211,48 +233,69 @@ class P2PLogClient:
         *continuous total order* ready to be integrated by the
         reconciliation engine.
 
-        The range's primary placements (``h1(key+ts)``) are resolved
-        concurrently — at most :attr:`max_parallel` at a time — grouped by
-        responsible Log-Peer and fetched with one ``fetch_many`` RPC per
-        peer, so a cold catch-up over *n* entries costs one request per
-        distinct Log-Peer per window instead of *n* routed round-trips
-        (``max_parallel=1`` is the paper's one ``get(hi(key+ts))`` at a
-        time).  A timestamp the grouped read could not serve (its primary
-        Log-Peer is down, lost the entry or serves a tampered copy) falls
-        back to the per-timestamp chain over the remaining hash functions
-        (:meth:`fetch`); :class:`~repro.errors.PatchUnavailable` is raised
-        only when every placement of some entry is gone.
+        The range's primary placements (``h1(key+ts)``) are worked through
+        in windows of :attr:`max_parallel`: a window is resolved
+        concurrently, grouped by responsible Log-Peer and fetched with one
+        ``fetch_many`` RPC per peer, so a cold catch-up over *n* entries
+        costs one request per distinct Log-Peer per window instead of *n*
+        routed round-trips (``max_parallel=1`` is the paper's one
+        ``get(hi(key+ts))`` at a time).  The range is known exactly, so each
+        window hands :meth:`~repro.dht.DhtClient.get_many` the placements of
+        the next one: they are resolved while this window's reads are in
+        flight — after its own resolutions returned, so never more than
+        ``max_parallel`` routings are in flight and nothing is resolved that
+        is not fetched.
+
+        A timestamp the grouped read could not serve (its primary Log-Peer
+        is down, lost the entry or serves a tampered copy) falls back to the
+        per-timestamp chain over the *remaining* hash functions
+        (:meth:`fetch`) once the last window is in — a fallback routes too,
+        and must not add to a window's routings;
+        :class:`~repro.errors.PatchUnavailable` is raised only when every
+        placement of some entry is gone.
         """
         primary = self.hash_family[0]
-        entries = []
-        # Windowed: each get_many resolves its items' placements
-        # concurrently, so handing it the whole range at once would put one
-        # in-flight routing per timestamp on the wire — exactly the flood
-        # max_parallel exists to prevent.
-        window_start = from_ts
-        while window_start <= to_ts:
-            window_end = min(window_start + self.max_parallel - 1, to_ts)
-            items = []
-            for ts in range(window_start, window_end + 1):
-                log_key = make_log_key(document_key, ts)
-                items.append((primary.placement_key(log_key), primary(log_key)))
-            answer = yield from self.dht.get_many(items)
-            for offset, value in enumerate(answer["values"]):
-                ts = window_start + offset
-                if value is not None and self.entry_verifier is not None \
-                        and not self.entry_verifier(value):
-                    # Tampered primary copy: treat it like a miss so the
-                    # per-timestamp chain below hunts for an honest replica.
+
+        def window(start_ts: int) -> list[tuple[str, int]]:
+            # Windowed: each get_many resolves its items' placements
+            # concurrently, so handing it the whole range at once would put
+            # one in-flight routing per timestamp on the wire — exactly the
+            # flood max_parallel exists to prevent.
+            end_ts = min(start_ts + self.max_parallel - 1, to_ts)
+            return [
+                (primary.placement_key(log_key), primary(log_key))
+                for log_key in (
+                    make_log_key(document_key, ts)
+                    for ts in range(start_ts, end_ts + 1)
+                )
+            ]
+
+        entries: list[Any] = []
+        unserved: list[tuple[int, int]] = []  # (index in entries, tampered 0 | 1)
+        items = window(from_ts)
+        while items:
+            following = window(from_ts + len(entries) + len(items))
+            answer = yield from self.dht.get_many(items, following)
+            for value in answer["values"]:
+                tampered = (
+                    value is not None and self.entry_verifier is not None
+                    and not self.entry_verifier(value)
+                )
+                if tampered:
                     self.auth_rejects += 1
-                    value = None
-                if value is None:
-                    # Fall back to the per-timestamp chain (counts its own
-                    # retrieval and fallback statistics).
-                    value = yield from self.fetch(document_key, ts)
+                if value is None or tampered:
+                    # A miss, or a tampered primary copy treated like one:
+                    # the chain below hunts for an honest replica (and
+                    # counts its own retrieval and fallback statistics).
+                    unserved.append((len(entries), int(tampered)))
                 else:
                     self.retrievals += 1
                 entries.append(value)
-            window_start = window_end + 1
+            items = following
+        for index, tampered in unserved:
+            entries[index] = yield from self.fetch(
+                document_key, from_ts + index, skip=1, tampered=tampered
+            )
         return entries
 
     def availability(self, document_key: str, ts: int):

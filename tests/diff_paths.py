@@ -16,7 +16,8 @@ arm (ROADMAP, "at-most-once proposals"), and tightening this harness to
 exactly-once belongs to the change that fixes that.
 
 An arm is any context manager that is active while the script runs; see
-``test_diff_paths.py`` for the carried-suffix / log-retrieval pair.
+``test_diff_paths.py`` for the arms: the carried suffix against the log
+retrieval it short-cuts, warmed routes against routing under the lock.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.errors import ReproError
 from repro.net import UniformLatency
 from repro.ot import InsertLine
 
+from route_probe import trace_routing
 from test_core_master import find_takeover_joiner
 
 FAULTS = ("none", "partition-heal", "master-crash", "churn")
@@ -58,6 +60,14 @@ class ArmReport:
     #: one of them is a *behind* round that read the P2P-Log.
     write_phase_log_reads: int = 0
     behind_answers: int = 0
+    #: Publishes, and the lookups they sent out themselves, i.e. while holding
+    #: the per-document lock (``route_probe``: routing that was not done
+    #: ahead) — of all publishes, and of those whose timestamps the Master
+    #: had warmed before they arrived.
+    publishes: int = 0
+    lookups_under_lock: int = 0
+    warmed_publishes: int = 0
+    warmed_lookups_under_lock: int = 0
 
     @property
     def missing(self) -> list[tuple[str, str]]:
@@ -194,7 +204,7 @@ def run_arm(seed: int, fault: str, chain: int,
     if fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
     report = ArmReport()
-    with arm():
+    with arm(), trace_routing() as routing:
         system = LtrSystem(
             ltr_config=LtrConfig(batch_max_edits=chain),
             seed=seed,
@@ -233,6 +243,13 @@ def run_arm(seed: int, fault: str, chain: int,
                 ]
         finally:
             system.shutdown()
+    for publish in routing.publishes:
+        routed = len(routing.lookups_under_lock(publish))
+        warmed = routing.was_warmed(publish)
+        report.publishes += 1
+        report.lookups_under_lock += routed
+        report.warmed_publishes += warmed
+        report.warmed_lookups_under_lock += routed * warmed
     return report
 
 

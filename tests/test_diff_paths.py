@@ -1,10 +1,14 @@
-"""The carried suffix against the log retrieval it short-cuts (``diff_paths``).
+"""The short cuts of the commit path against what they short-cut (``diff_paths``).
 
 Arm ``suffix`` is the code as it is: a *behind* answer carries the missing
-entries out of the Master's tail.  Arm ``log`` empties every tail (the bound
-is patched to zero entries, so nothing is ever held), which sends every
-*behind* round through ``P2PLogClient.fetch_range`` — the path that remains
-for gaps beyond the tail, fresh Masters and failed verification.
+entries out of the Master's tail, and the Master resolves the Log-Peers of the
+timestamps it is about to hand out ahead of the proposals that need them.
+Arm ``log`` empties every tail (the bound is patched to zero entries, so
+nothing is ever held), which sends every *behind* round through
+``P2PLogClient.fetch_range`` — the path that remains for gaps beyond the tail,
+fresh Masters and failed verification.  Arm ``cold`` patches the warmed
+horizon's cap to zero chains, which puts every placement lookup of a publish
+back under the per-document lock.  Same invariants on every arm.
 """
 
 import contextlib
@@ -18,12 +22,13 @@ from repro.core import master as master_module
 ARMS = {
     "suffix": contextlib.nullcontext,
     "log": lambda: mock.patch.object(master_module, "TAIL_MAX_ENTRIES", 0),
+    "cold": lambda: mock.patch.object(master_module, "WARM_AHEAD_CHAINS", 0),
 }
 
 
 def check_cell(seed, fault, chain):
     reports = diff_paths.run_differential(seed, fault, chain, ARMS)
-    suffix, log = reports["suffix"], reports["log"]
+    suffix, log, cold = reports["suffix"], reports["log"], reports["cold"]
     # The arms really took different paths: with every tail empty each behind
     # round read the log, with the tail in place (almost) none did — a
     # takeover or a join leaves a new Master with nothing to hand over.
@@ -31,6 +36,18 @@ def check_cell(seed, fault, chain):
     assert suffix.write_phase_log_reads < log.write_phase_log_reads
     if fault in ("none", "partition-heal"):  # the Masters kept their tenure
         assert suffix.write_phase_log_reads == 0
+    # ... and with the cap at zero no publish found its timestamps warmed
+    # (nor without a tail to pace by), while nearly all did otherwise — and
+    # those routed less under the lock than a publish that had to do it all
+    # itself: nothing at all while no fault cleared the caches in between.
+    assert cold.warmed_publishes == log.warmed_publishes == 0
+    assert suffix.warmed_publishes > suffix.publishes / 2
+    assert (suffix.warmed_lookups_under_lock / suffix.warmed_publishes
+            < cold.lookups_under_lock / cold.publishes)
+    if fault == "none":
+        assert suffix.warmed_lookups_under_lock == 0
+    if chain == 1:  # (chains of 16: ~16 publishes, the few cold ones route 48 placements each)
+        assert suffix.lookups_under_lock < cold.lookups_under_lock
     return reports
 
 

@@ -79,9 +79,15 @@ def test_e2_concurrent_publishing_shape():
     rows = rows_of("E2", updater_counts=(2, 4), peers=8, seed=102)
     assert all(row["converged"] for row in rows)
     assert [row["validated_ts"] for row in rows] == [2, 4]
-    # more updaters means more retrieval work and a longer commit on average
-    assert rows[1]["mean_retrieved"] >= rows[0]["mean_retrieved"]
-    assert rows[1]["mean_commit_latency_s"] >= rows[0]["mean_commit_latency_s"]
+    # What E2 is about: more updaters of one document means more validation
+    # rounds and more retrieval work per commit, and the slowest commit waits
+    # for more publishes ahead of it.  The *mean* latency is not pinned: every
+    # proposal the Master answers, the losers' too, has the Log-Peers of the
+    # next timestamps resolved ahead of time, so with four updaters the later
+    # publishes are cheaper than with two (85.0 vs 82.5 ms at this seed).
+    assert rows[1]["mean_attempts"] > rows[0]["mean_attempts"]
+    assert rows[1]["mean_retrieved"] > rows[0]["mean_retrieved"]
+    assert rows[1]["p95_commit_latency_s"] > rows[0]["p95_commit_latency_s"]
 
 
 def test_e3_master_departure_shape():

@@ -161,8 +161,8 @@ def test_partition_blocks_and_heal_restores_traffic():
     assert system.network.partitions.allows(source, cut)
 
 
-def test_loss_burst_drops_messages_only_inside_the_window():
-    system = build_system(seed=13)
+def loss_burst_script(seed: int) -> None:
+    system = build_system(seed=seed)
     writer = system.peer_names()[0]
     plan = FaultPlan().loss_burst(at=1.0, duration=3.0, probability=0.2)
     Nemesis(system, plan).start()
@@ -178,6 +178,37 @@ def test_loss_burst_drops_messages_only_inside_the_window():
     # The protocol rode through the burst: sequence intact.
     report = system.check_consistency(KEY)
     assert report.converged and report.log_continuous
+
+
+def test_loss_burst_drops_messages_only_inside_the_window():
+    # Seed 13 is one of the seeds this script passes on — not all do, see the
+    # sweep below; re-pin it only with the sweep's count next to the change.
+    loss_burst_script(seed=13)
+
+
+#: How many of the seeds 1..40 the loss-burst script failed on when the sweep
+#: below was added (PR 18) — and at its parent: 6 of 40 each.  Here
+#: ``ValidationFailed`` after 64 paced retries on 16, 32, 36, 38 (two peers
+#: *own* the document's counter after the burst, with different ``last-ts``,
+#: and routing serves the stale one) and ``PatchUnavailable`` on 3, 34; at the
+#: parent ``ValidationFailed`` on 3, 32, 36, 38, ``PatchUnavailable`` on 20,
+#: 34.  A pre-existing hazard of a lossy window (CHANGES.md, "Found,
+#: pre-existing, not fixed"); which seeds it hits moves with any change in
+#: timing, which is why the pinned seed above says what it is.
+LOSS_BURST_KNOWN_FAILURES = 6
+
+
+@pytest.mark.slow
+def test_loss_burst_seed_sweep_reports_the_seeds_that_fail(record_property):
+    failing = {}
+    for seed in range(1, 41):
+        try:
+            loss_burst_script(seed)
+        except (AssertionError, ReproError) as error:
+            failing[seed] = f"{type(error).__name__}: {error}"
+    # Reported, not hidden behind a lucky pin; and it may not get worse.
+    record_property("loss_burst_failing_seeds", failing)
+    assert len(failing) <= LOSS_BURST_KNOWN_FAILURES, failing
 
 
 def test_duplicate_and_reorder_bursts_perturb_but_preserve_invariants():

@@ -133,3 +133,25 @@ def test_runtime_layer_is_the_backend_choke_point():
     for layer, allowed in ALLOWED_DEPENDENCIES.items():
         if layer != "runtime":
             assert "sim" not in allowed, f"layer map grants {layer} access to sim"
+
+
+def test_the_route_cache_is_reached_only_through_the_node():
+    """Nothing outside ``repro.chord`` touches a node's ``route_cache``.
+
+    The node offers the verbs — ``forget_route``, ``forget_routes_to``,
+    ``warm_route`` (each a no-op without a cache) — and the ring the
+    drivers' ``clear_route_caches()`` / ``route_cache_stats()``; an attribute
+    access to the cache object from another layer couples that layer to how
+    routes are remembered.
+    """
+    offenders = [
+        f"{path.relative_to(SRC_ROOT)}:{node.lineno}"
+        for layer, path, tree in iter_modules()
+        if layer != "chord"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "route_cache"
+    ]
+    assert not offenders, (
+        f"route_cache reached into from outside repro.chord: {offenders}; "
+        "use ChordNode.forget_route / forget_routes_to / warm_route"
+    )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chord import ChordConfig, ChordRing, HashFunctionFamily
 from repro.dht import ChordDhtClient, LocalDht
-from repro.errors import CheckpointUnavailable, PatchUnavailable
+from repro.errors import AuthenticationError, CheckpointUnavailable, PatchUnavailable
 from repro.p2plog import (
     Checkpoint,
     LogEntry,
@@ -242,19 +242,22 @@ def test_fetch_span_windows_grouped_reads_by_max_parallel():
         entry = make_entry(ts)
         dht._table[log.hash_family[0].placement_key(entry.log_key)] = entry
 
-    batch_sizes = []
+    batches, announced = [], []
     plain_get_many = dht.get_many
 
-    def tracking_get_many(items):
-        items = list(items)
-        batch_sizes.append(len(items))
-        result = yield from plain_get_many(items)
+    def tracking_get_many(items, warm_next=()):
+        batches.append(list(items))
+        announced.append(list(warm_next))
+        result = yield from plain_get_many(items, warm_next)
         return result
 
     dht.get_many = tracking_get_many
     entries = sim.run(until=sim.process(log.fetch_range("doc", 1, 500)))
     assert [entry.ts for entry in entries] == list(range(1, 501))
-    assert batch_sizes and max(batch_sizes) <= 16
+    assert batches and max(len(batch) for batch in batches) <= 16
+    # Each window announces exactly the next one (the range is known), the
+    # last one nothing: no placement is resolved that is not fetched.
+    assert announced == batches[1:] + [[]]
     with pytest.raises(ValueError):
         P2PLogClient(LocalDht(sim), HashFunctionFamily.create(2, bits=BITS), max_parallel=0)
 
@@ -281,11 +284,7 @@ def test_window_of_one_returns_what_the_default_window_returns(fault):
         ring.crash(victim.address.name)
         assert ring.wait_until_stable(max_time=90)
     elif fault == "primary-tampered":
-        storage_key = primary.placement_key(log_key)
-        item = victim.storage.get(storage_key)
-        victim.storage.put(storage_key, LogEntry("wiki:window", 7, "evil patch"),
-                           is_replica=item.is_replica, now=ring.sim.now,
-                           key_id=item.key_id)
+        tamper(ring, family, "wiki:window", 7, [0])
 
     reader = next(name for name in ring.ring_order() if name != victim.address.name)
     one = P2PLogClient(ChordDhtClient(ring.node(reader)), family,
@@ -297,8 +296,83 @@ def test_window_of_one_returns_what_the_default_window_returns(fault):
     assert one_by_one == run(ring, windowed.fetch_range("wiki:window", 1, 24)) == entries
     assert [entry.metadata for entry in one_by_one] == [entry.metadata for entry in entries]
     if fault == "primary-tampered":
-        assert one.auth_rejects >= 1 and windowed.auth_rejects >= 1
-        assert one.fallback_reads >= 1 and windowed.fallback_reads >= 1
+        # One tampered copy: rejected once, one read of the next placement.
+        assert one.auth_rejects == 1 and windowed.auth_rejects == 1
+        assert one.fallback_reads == 1 and windowed.fallback_reads == 1
+
+
+def tamper(ring, family, key, ts, which):
+    """Overwrite the ``which`` placements of ``(key, ts)`` with a forged copy."""
+    log_key = make_log_key(key, ts)
+    for index in which:
+        storage_key = family[index].placement_key(log_key)
+        holder = ring.responsible_node_for_id(family[index](log_key))
+        item = holder.storage.get(storage_key)
+        holder.storage.put(storage_key, LogEntry(key, ts, "evil patch"),
+                           is_replica=item.is_replica, now=ring.sim.now,
+                           key_id=item.key_id)
+
+
+def signed_window(which_tampered, removed=()):
+    """A published range whose ts 7 has tampered / removed placements."""
+    ring = build_ring(node_count=10)
+    family = HashFunctionFamily.create(3, bits=BITS)
+    entries = [make_entry(ts, key="wiki:window") for ts in range(1, 13)]
+    for entry in entries:
+        entry.metadata["sig"] = f"sig-{entry.ts}"
+    verifier = lambda entry: entry.metadata.get("sig") == f"sig-{entry.ts}"  # noqa: E731
+    gateway = ChordDhtClient(ring.gateway())
+    run(ring, P2PLogClient(gateway, family).append_many(entries))
+    ring.run_for(1.0)
+    tamper(ring, family, "wiki:window", 7, which_tampered)
+    log_key = make_log_key("wiki:window", 7)
+    for index in removed:
+        run(ring, gateway.remove(family[index].placement_key(log_key),
+                                 key_id=family[index](log_key)))
+    reader = P2PLogClient(ChordDhtClient(ring.gateway()), family, entry_verifier=verifier)
+    return ring, reader, entries
+
+
+def test_fallback_starts_after_the_placement_the_grouped_read_tried():
+    """Regression: a tampered (or missing) primary copy used to be read — and,
+    when tampered, counted — a second time by the per-timestamp chain, which
+    started over at ``h1``: ``auth_rejects`` 2 and two ``fetch`` RPCs where
+    one each is right."""
+    ring, reader, entries = signed_window(which_tampered=[0])
+    fetches = ring.network.stats.per_method.get("fetch", 0)
+    assert run(ring, reader.fetch_range("wiki:window", 1, 12)) == entries
+    assert reader.auth_rejects == 1 and reader.fallback_reads == 1
+    assert reader.retrievals == 12
+    assert ring.network.stats.per_method["fetch"] - fetches == 2  # one request, one reply
+
+    ring, reader, entries = signed_window(which_tampered=[], removed=[0])
+    fetches = ring.network.stats.per_method.get("fetch", 0)
+    assert run(ring, reader.fetch_range("wiki:window", 1, 12)) == entries
+    assert reader.auth_rejects == 0 and reader.fallback_reads == 1
+    assert ring.network.stats.per_method["fetch"] - fetches == 2
+
+
+def test_fallback_outcome_is_that_of_the_whole_chain_when_every_copy_is_bad():
+    # Every copy tampered: each is rejected once, and the error says so.
+    ring, reader, _entries = signed_window(which_tampered=[0, 1, 2])
+    with pytest.raises(AuthenticationError) as failure:
+        run(ring, reader.fetch_range("wiki:window", 1, 12))
+    assert reader.auth_rejects == 3 and "3 tampered" in str(failure.value)
+    # The primary tampered, the others gone: still an authentication failure —
+    # the only copy that answered was forged — although the chain saw none.
+    ring, reader, _entries = signed_window(which_tampered=[0], removed=[1, 2])
+    with pytest.raises(AuthenticationError) as failure:
+        run(ring, reader.fetch_range("wiki:window", 1, 12))
+    assert reader.auth_rejects == 1 and "1 tampered" in str(failure.value)
+    # Every copy gone: unavailable.
+    ring, reader, _entries = signed_window(which_tampered=[], removed=[0, 1, 2])
+    with pytest.raises(PatchUnavailable):
+        run(ring, reader.fetch_range("wiki:window", 1, 12))
+    assert reader.auth_rejects == 0
+    # The unit read is unchanged: it starts at h1 and counts what it sees.
+    ring, reader, entries = signed_window(which_tampered=[0])
+    assert run(ring, reader.fetch("wiki:window", 7)) == entries[6]
+    assert reader.auth_rejects == 1 and reader.fallback_reads == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,367 @@
+"""Routes are resolved before they are needed (chord / dht / p2plog / core).
+
+One rule, two callers: *a placement whose timestamp is already known is
+resolved before the operation that needs it*.  The Master-key peer warms the
+Log-Peers of the timestamps it is about to hand out
+(``MasterService._warm_ahead`` → ``P2PLogClient.warm`` → ``DhtClient.warm`` →
+``ChordNode.warm_route``); a range reader has its next window resolved while
+this one is fetched (``fetch_range`` → ``get_many(items, warm_next)``).  These
+tests pin what warming may cost (nothing on a hit, ``find_successor`` only on
+a miss, no write ever), when it must stay silent, how far the horizon
+reaches, and that it lives and dies with the Master's tenure.  That a warmed
+publish routes nothing under the lock is ``tests/test_commit_budget.py``;
+that warm and cold runs keep the same invariants is ``tests/diff_paths.py``.
+"""
+
+from collections import Counter
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+
+from route_probe import trace_routing
+from test_behind_suffix import publish
+from test_core_master import build_system, find_takeover_joiner, make_patch, run_validation
+from test_p2plog import tamper
+
+from repro.chord import ChordRing, HashFunctionFamily
+from repro.core import LtrConfig, LtrSystem
+from repro.core import master as master_module
+from repro.dht import ChordDhtClient, LocalDht
+from repro.experiments.scenarios import SCALE_CHORD_CONFIG
+from repro.net import ConstantLatency, UniformLatency
+from repro.p2plog import LogEntry, P2PLogClient, make_log_key
+from repro.sim import Simulator
+
+KEY = "xwiki:suffix"  # the document test_behind_suffix.publish() writes
+
+
+def quiet_ring(peers=24, seed=5):
+    """A wired ring whose maintenance sleeps for the length of a test."""
+    ring = ChordRing(config=SCALE_CHORD_CONFIG, seed=seed, latency=ConstantLatency(0.003))
+    ring.bootstrap_warm(peers)
+    return ring
+
+
+def remote_identifier(ring, node):
+    """An identifier owned neither by ``node`` nor by its successor."""
+    space = 2 ** ring.config.bits
+    for step in range(1, 64):
+        target = (node.node_id + step * space // 64) % space
+        owner = ring.responsible_node_for_id(target)
+        if owner is not node and owner.ref != node.successor:
+            return target
+    raise AssertionError("ring too small")
+
+
+def activity(ring):
+    return (ring.sim.pending_events, ring.sim.processed_events,
+            ring.network.stats.sent)
+
+
+# ------------------------------------------------------------------ the node --
+
+
+def test_a_hit_spawns_no_process_timer_or_message():
+    ring = quiet_ring()
+    node = ring.gateway()
+    target = remote_identifier(ring, node)
+    ring.sim.run(until=ring.sim.process(node.find_successor(target)))  # learn it
+    cache = node.route_cache
+    before = activity(ring), cache.stats(), list(cache._entries)
+    node.warm_route(target)                       # covered by the cache
+    node.warm_route((node.node_id + 1) % 2 ** 32)  # covered by the node's own arc
+    assert node._warming == {}
+    assert (activity(ring), cache.stats(), list(cache._entries)) == before
+    ring.run_for(0.05)
+    assert ring.network.stats.sent == before[0][2]
+
+
+def test_a_miss_sends_find_successor_only_and_stores_nothing():
+    system = LtrSystem(chord_config=SCALE_CHORD_CONFIG, seed=3,
+                       latency=UniformLatency(0.002, 0.004))
+    system.bootstrap(24, warm=True)
+    master = system.master_service(KEY)
+    node = master.node
+    stored = {peer.address.name: len(peer.storage) for peer in system.ring.live_nodes()}
+    sent = dict(system.network.stats.per_method)
+    cached = len(node.route_cache)
+    master.log.warm(KEY, 1, 8)
+    assert node._warming  # 24 placements on 24 arcs: some are news to this node
+    in_flight = len(node._warming)
+    master.log.warm(KEY, 1, 8)  # asked again while in flight: not duplicated
+    assert len(node._warming) == in_flight
+    system.run_for(0.2)
+    assert node._warming == {}
+    delta = {method: count - sent.get(method, 0)
+             for method, count in system.network.stats.per_method.items()
+             if count != sent.get(method, 0)}
+    assert set(delta) == {"find_successor"}
+    assert {peer.address.name: len(peer.storage)
+            for peer in system.ring.live_nodes()} == stored
+    assert len(node.route_cache) > cached  # ordinary cache entries, nothing else
+    # ... and now every one of those placements is a hit: silence.
+    sent = system.network.stats.sent
+    master.log.warm(KEY, 1, 8)
+    assert node._warming == {} and system.network.stats.sent == sent
+    assert system.runtime.crashed_processes == []
+
+
+def test_a_lookup_joins_the_warm_up_in_flight_instead_of_repeating_it():
+    ring = quiet_ring()
+    node = ring.gateway()
+    target = remote_identifier(ring, node)
+    sent = ring.network.stats.per_method.get("find_successor", 0)
+    with trace_routing() as trace:
+        node.warm_route(target)
+        answer = ring.sim.run(until=ring.sim.process(node.find_successor(target)))
+    assert answer["node"] == ring.responsible_node_for_id(target).ref
+    assert [(lookup.target_id, lookup.warm) for lookup in trace.routed
+            if lookup.node == node.address.name] == [(target, True)]
+    # One request and one reply per leg (the relays' legs are traced too).
+    assert ring.network.stats.per_method["find_successor"] - sent == 2 * len(trace.routed)
+    assert answer["hops"] == 0  # read from the cache the warm-up filled
+
+
+def test_warming_never_raises_on_a_node_that_cannot_route():
+    ring = quiet_ring()
+    node = ring.gateway()
+    target = remote_identifier(ring, node)
+    node.warm_route(target)
+    assert target in node._warming
+    ring.crash(node.address.name, stabilize=False)  # the lookup's RPC dies with the node
+    ring.run_for(1.0)
+    assert node._warming == {}
+    node.warm_route(target)  # not part of a ring any more: a no-op
+    assert node._warming == {}
+    assert ring.sim.crashed_processes == []
+
+
+def test_no_route_cache_no_warming():
+    plain = replace(SCALE_CHORD_CONFIG, route_cache_enabled=False)
+    system = LtrSystem(chord_config=plain, seed=3, latency=ConstantLatency(0.003))
+    system.bootstrap(12, warm=True)
+    node = system.ring.gateway()
+    before = activity(system.ring)
+    node.warm_route(remote_identifier(system.ring, node))
+    node.forget_route(7)
+    node.forget_routes_to(node.successor)
+    assert node._warming == {} and activity(system.ring) == before
+    with trace_routing() as trace:
+        publish(system, 4)  # back to back, well inside any TTL
+    assert trace.warmed == [] and trace.warm_calls == []
+
+
+def test_local_dht_has_nothing_to_warm():
+    sim = Simulator(seed=2)
+    dht = LocalDht(sim)
+    log = P2PLogClient(dht, HashFunctionFamily.create(3, bits=32))
+    assert log.warm("doc", 1, 16) is None
+    assert sim.pending_events == 0 and len(dht) == 0
+    assert "warm" not in vars(LocalDht)  # the no-op default, untouched
+
+
+# ---------------------------------------------------------------- the Master --
+
+
+def contended_run(chain, seed=7):
+    """Three writers racing on one document; also returns ``last-ts`` at each warm."""
+    system = LtrSystem(ltr_config=LtrConfig(batch_max_edits=chain), seed=seed,
+                       chord_config=SCALE_CHORD_CONFIG,
+                       latency=UniformLatency(0.002, 0.004))
+    names = system.bootstrap(32, warm=True)
+    key = "xwiki:horizon"
+    authority = system.master_service(key)._authority()
+    seen_last_ts = []
+
+    def recording_warm(self, document_key, from_ts, to_ts):
+        seen_last_ts.append(authority.last_ts(key))
+        return traced_warm(self, document_key, from_ts, to_ts)
+
+    def writer(user, edits):
+        for number in range(edits):
+            line = f"{user.author} #{number}"
+            if chain == 1:
+                user.edit(key, "\n".join(user.working_lines(key) + [line]))
+                yield from user.commit(key)
+            else:
+                for part in range(chain):
+                    user.stage(key, "\n".join(user.staged_lines(key) + [f"{line}.{part}"]))
+                yield from user.flush(key)
+
+    with trace_routing() as trace:
+        traced_warm = P2PLogClient.warm
+        with mock.patch.object(P2PLogClient, "warm", recording_warm):
+            lanes = [system.runtime.process(writer(system.user(names[slot * 9]), 12))
+                     for slot in range(3)]
+            system.runtime.run(until=system.runtime.all_of(lanes))
+    assert system.last_ts(key) == 3 * 12 * chain
+    assert system.statistics()["proposals_behind"] > 0  # it was contended
+    report = system.check_consistency(key)
+    assert report.converged and report.log_continuous
+    return system, trace, seen_last_ts
+
+
+@pytest.mark.parametrize("chain", [1, 16])
+def test_horizon_stays_within_the_cap_and_warms_no_timestamp_twice(chain):
+    _system, trace, seen_last_ts = contended_run(chain)
+    assert len(trace.warmed) == len(seen_last_ts) > 0
+    cap = master_module.WARM_AHEAD_CHAINS * chain
+    previous_high = 0
+    for (_node, _key, low, high, _at), last_ts in zip(trace.warmed, seen_last_ts):
+        assert last_ts < low <= high <= last_ts + cap   # ahead of last-ts, within the cap
+        assert high - low < chain                       # one chain per proposal answered
+        assert low > previous_high                      # the horizon only moves forward
+        previous_high = high
+    # Every identifier is asked for once, and routed at most once — by the
+    # warm-up or by the publish that needed it, never by both.
+    assert set(Counter(trace.warm_calls).values()) == {1}
+    routed = Counter((lookup.node, lookup.target_id) for lookup in trace.routed)
+    placements = {identifier for publish_ in trace.publishes
+                  for identifier in publish_.identifiers}
+    assert all(count == 1 for (_node, identifier), count in routed.items()
+               if identifier in placements)
+
+
+def test_both_answers_extend_the_horizon_and_the_tail_carries_it():
+    system = build_system()
+    master = publish(system, 1)
+    tail = master._tails[KEY]
+    assert tail.warmed_ts == 0  # the first publish of a tenure has no pace to go by
+    publish(system, 1, start=2)
+    assert tail.warmed_ts == 3  # ok: last-ts 2, one chain further
+    stale = run_validation(system, master, KEY, 1, [make_patch("late", "x")], "late")
+    assert not stale.accepted and tail.warmed_ts == 4  # behind: one more
+    for _ in range(5):
+        run_validation(system, master, KEY, 1, [make_patch("late", "x")], "late")
+    assert tail.warmed_ts == 2 + master_module.WARM_AHEAD_CHAINS  # the cap
+    with mock.patch.object(master_module, "WARM_AHEAD_CHAINS", 0), \
+            trace_routing() as trace:
+        publish(system, 2, start=3)
+    assert trace.warmed == []  # cap 0: the cold arm of tests/diff_paths.py
+
+
+def test_commits_further_apart_than_the_ttl_are_not_warmed():
+    system = build_system()
+    ttl = system.chord_config.route_cache_ttl
+    with trace_routing() as trace:
+        publish(system, 1)
+        for ts in range(2, 5):
+            system.run_for(ttl + 0.2)  # the route would be stale when used
+            publish(system, 1, start=ts)
+        assert trace.warmed == []
+        system.run_for(ttl / 4)
+        publish(system, 1, start=5)   # within the TTL of the previous allocation
+    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(6, 6)]
+
+
+def test_horizon_ends_with_the_tenure():
+    system = LtrSystem(ltr_config=LtrConfig(), seed=42, latency=ConstantLatency(0.02))
+    system.bootstrap(8)
+    old_master = publish(system, 3)
+    assert old_master._tails[KEY].warmed_ts > 3
+    system.run_for(2.0)
+    system.add_peer(find_takeover_joiner(system, KEY))      # on_items_handed_off
+    assert old_master._tails == {}
+    new_master = system.master_service(KEY)
+    with trace_routing() as trace:
+        publish(system, 1, start=4)   # first publish of the new tenure: no horizon yet
+        assert trace.warmed == [] and new_master._tails[KEY].warmed_ts == 0
+        publish(system, 1, start=5)
+    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(6, 6)]
+    # A counter coming back from a stand-in ends the tenure too ...
+    counter = new_master.node.storage.get(new_master._authority().storage_key(KEY))
+    new_master.on_items_received([counter], as_replica=False)
+    assert KEY not in new_master._tails
+    # ... as does a counter that moved on elsewhere (found by the next proposal).
+    publish(system, 2, start=6)
+    assert new_master._tails[KEY].warmed_ts > 7
+    new_master._authority().advance_ts(KEY, 9)
+    run_validation(system, new_master, KEY, 8, [make_patch("late", "x", 7)], "late")
+    assert KEY not in new_master._tails
+    # (the re-election guard's drop is test_core_master's in-flight rejection)
+
+
+def test_master_crash_with_warm_ups_in_flight_is_clean_and_the_next_master_commits():
+    system = LtrSystem(chord_config=replace(SCALE_CHORD_CONFIG, stabilize_interval=0.25,
+                                            check_predecessor_interval=0.5),
+                       seed=11, latency=UniformLatency(0.002, 0.004))
+    names = system.bootstrap(24, warm=True)
+    key = "xwiki:crash-while-warming"
+    master_name = system.master_of(key)
+    writer = next(name for name in names if name != master_name)
+    for number in range(3):
+        system.edit_and_commit(writer, key, f"revision {number}")
+    node = system.ring.node(master_name)
+    stale = system.runtime.process(system.master_service(key).validate_and_publish(
+        key=key, ts=1, patches=[make_patch("late", "x")], author="late"))
+    system.runtime.run(until=stale)  # answered behind; its warm-ups are on the wire
+    assert node._warming
+    system.crash(master_name)
+    system.run_for(3.0)
+    assert node._warming == {}
+    result = system.edit_and_commit(writer, key, "after the crash")
+    assert result.ts == 4 and system.master_of(key) != master_name
+    assert system.runtime.crashed_processes == []
+    report = system.check_consistency(key)
+    assert report.converged and report.log_continuous
+
+
+# ---------------------------------------------------------------- the reader --
+
+
+@pytest.mark.parametrize("fault", ["none", "primary-down", "primary-tampered"])
+def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
+    """Six windows of four: same entries as one get at a time, every
+    identifier routed once, never more than a window's routings in flight."""
+    ring = quiet_ring(seed=13)
+    family = HashFunctionFamily.create(3, bits=32)
+    key = "wiki:windows"
+    entries = [LogEntry(key, ts, f"patch-{ts}", author="u1", metadata={"sig": f"sig-{ts}"})
+               for ts in range(1, 25)]
+    verifier = lambda entry: entry.metadata.get("sig") == f"sig-{entry.ts}"  # noqa: E731
+    run = lambda generator: ring.sim.run(until=ring.sim.process(generator))  # noqa: E731
+    run(P2PLogClient(ChordDhtClient(ring.gateway()), family).append_many(entries))
+    ring.run_for(1.0)
+
+    primary = family[0]
+    log_key = make_log_key(key, 7)
+    victim = ring.responsible_node_for_id(primary(log_key))
+    wanted = {primary(make_log_key(key, ts)) for ts in range(1, 25)}
+    on_victim = {identifier for identifier in wanted
+                 if ring.responsible_node_for_id(identifier) is victim}
+    if fault == "primary-down":
+        # Maintenance sleeps: the ring keeps routing to the dead Log-Peer, and
+        # nobody promotes its successor's replica before the reads are over.
+        ring.crash(victim.address.name, stabilize=False)
+    elif fault == "primary-tampered":
+        tamper(ring, family, key, 7, [0])
+
+    readers = [name for name in ring.ring_order() if name != victim.address.name]
+    one = P2PLogClient(ChordDhtClient(ring.node(readers[0])), family,
+                       max_parallel=1, entry_verifier=verifier)
+    windowed = P2PLogClient(ChordDhtClient(ring.node(readers[8])), family,
+                            max_parallel=4, entry_verifier=verifier)
+    ring.clear_route_caches()
+    with trace_routing() as trace:
+        assert run(one.fetch_range(key, 1, 24)) == entries
+        assert run(windowed.fetch_range(key, 1, 24)) == entries
+    for log, name in ((one, readers[0]), (windowed, readers[8])):
+        mine = [lookup for lookup in trace.routed if lookup.node == name]
+        times_routed = Counter(lookup.target_id for lookup in mine)
+        assert {times_routed[identifier] for identifier in wanted - on_victim} <= {0, 1}
+        if fault == "primary-down":
+            # The cache refuses to serve a route to a peer the network knows
+            # is down: what the warm-up learned is purged and routed again.
+            assert {times_routed[identifier] for identifier in on_victim} <= {1, 2}
+        else:
+            assert {times_routed[identifier] for identifier in on_victim} <= {0, 1}
+        assert trace.peak_in_flight(name) <= log.max_parallel
+        assert any(lookup.warm for lookup in mine)  # windows 2.. were resolved ahead
+        assert log.retrievals == 24
+        assert log.auth_rejects == (1 if fault == "primary-tampered" else 0)
+        assert log.fallback_reads == {"none": 0, "primary-tampered": 1,
+                                      "primary-down": len(on_victim)}[fault]
+    # Only primary placements of the range were asked for: nothing is
+    # resolved that is not fetched.
+    assert {identifier for _node, identifier in trace.warm_calls} <= wanted
