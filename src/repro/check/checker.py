@@ -5,9 +5,9 @@ subsystem (:mod:`repro.faults`).  It is attached to a running
 :class:`~repro.core.LtrSystem` as an opt-in fault observer; at every fault
 boundary it takes a *global-state snapshot* — reading node storage, counter
 items and user replicas directly, with the omniscience only a test harness
-has — and verifies the paper's three commit invariants without driving the
-runtime (observer callbacks run inside timer callbacks, where re-entrant
-``run`` calls are forbidden):
+has — and verifies the paper's three commit invariants, and the one its
+retry loop needs, without driving the runtime (observer callbacks run
+inside timer callbacks, where re-entrant ``run`` calls are forbidden):
 
 1. **Dense timestamps** — the authoritative counter of every tracked
    document stays within ``max_in_flight`` of the newest *surviving* log
@@ -25,14 +25,21 @@ runtime (observer callbacks run inside timer callbacks, where re-entrant
    benign as long as the replayed content is identical.
 3. **OT convergence** — every caught-up user replica equals the canonical
    replay of the log prefix.
+4. **At most once** — no proposal identity (``author`` +
+   ``LogEntry.proposal``) appears under two timestamps of one document, over
+   every surviving copy.  The first three cannot see a proposal that was
+   re-sent and committed twice: the timestamps are dense, the log complete
+   and the replicas agree — on a text that holds the edit twice.  Entries
+   without an identity (rows from before identities, hand-built entries)
+   are skipped, not flagged.
 
 When the system runs with authenticated patches
 (``ltr_config.auth_enabled``), two *adversarial* detectors join the pass:
 
-4. **Tamper detection** — every surviving log-entry and checkpoint copy is
+5. **Tamper detection** — every surviving log-entry and checkpoint copy is
    re-verified against its carried HMAC signature; a copy whose content no
    longer matches is reported with the name of the peer custodying it.
-5. **Equivocation detection** — surviving copies of one timestamp are
+6. **Equivocation detection** — surviving copies of one timestamp are
    compared across placements; diverging content is attributed to the
    Master-key peer of the document (the only role that can write a
    timestamp to multiple placements), i.e. a forked timestamp sequence.
@@ -84,8 +91,10 @@ class CheckSnapshot:
     keys: dict[str, dict[str, Any]] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     #: Structured adversarial findings: ``{"kind", "key", "ts", "peer",
-    #: "detail"}`` dicts, one per tampered copy / forked timestamp.  Kinds:
-    #: ``tampered-entry``, ``tampered-checkpoint``, ``forked``.
+    #: "detail"}`` dicts, one per tampered copy / forked timestamp / doubled
+    #: proposal.  Kinds: ``tampered-entry``, ``tampered-checkpoint``,
+    #: ``forked``, ``doubled`` (``peer`` is the proposal's author, ``ts`` the
+    #: later timestamp).
     structured: list[dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -258,6 +267,8 @@ class ConvergenceChecker:
         mismatched: list[int] = []
         tampered: list[int] = []
         forked: list[int] = []
+        doubled: list[int] = []
+        landed_at: dict[tuple[str, Any], int] = {}  # proposal identity -> first ts
         entries: list[LogEntry] = []
         for ts in range(1, log_max + 1):
             located = self._entry_copies_located(system, key, ts)
@@ -286,6 +297,26 @@ class ConvergenceChecker:
                     })
                 if verified:
                     trusted = verified
+            # At most once: an identity this document already holds under an
+            # earlier timestamp is a proposal that was committed again.  (Over
+            # the copies that verify, where entries are signed: what a
+            # tampered copy claims is its custodian's doing, reported above,
+            # not its author's.)
+            for author, proposal in sorted({
+                (copy.author, copy.proposal) for copy in trusted
+                if copy.proposal is not None
+            }):
+                first_ts = landed_at.setdefault((author, proposal), ts)
+                if first_ts != ts:
+                    doubled.append(ts)
+                    violations.append(
+                        f"{key}: proposal {proposal} of {author} is in the log "
+                        f"twice, at ts {first_ts} and ts {ts}"
+                    )
+                    structured.append({
+                        "kind": "doubled", "key": key, "ts": ts, "peer": author,
+                        "detail": f"proposal {proposal} already landed at ts {first_ts}",
+                    })
             # Content signature: what a replay applies.  Copies re-stamped
             # by a retried publish differ only in provenance and agree here.
             signatures = {(copy.base_ts, repr(copy.patch)) for copy in trusted}
@@ -390,6 +421,7 @@ class ConvergenceChecker:
             "mismatched_ts": mismatched,
             "tampered_ts": tampered,
             "forked_ts": forked,
+            "doubled_ts": doubled,
             "tampered_checkpoints": tampered_checkpoints,
             "caught_up": caught_up,
             "lagging": lagging,

@@ -21,10 +21,17 @@ class LtrConfig:
     max_validation_attempts:
         Upper bound on the validate → retrieve → retry loop of the user
         peer.  The paper loops "until last-ts value is equal to ts value";
-        the bound only exists to turn a livelock into a diagnosable error,
-        so it sits well above plain starvation — on a hot document an editor
-        loses the race to the others for a few rounds in a row (28 at most
-        measured on the Zipf benchmark, round seeds 1000 .. 10000).
+        the bound only exists to turn a livelock into a diagnosable error.
+        Losing a race no longer costs an attempt — the Master commits a
+        stale proposal behind what it missed, so on the Zipf benchmark every
+        commit takes one attempt on the paper path and at most two with
+        chains of 16 (round seeds 1000 .. 10000; 28 and 13 while a loser
+        was sent back).  What the number still guards is where *behind*
+        remains the answer and a proposer can lose again on the way back:
+        signed deployments (``auth_enabled``: the Master cannot re-sign a
+        transformed patch), Masters fresh from a takeover, gaps older than
+        the Master's tail — and the paced retries while routing re-converges
+        after a fault.
     validation_retries:
         How many times a single validation RPC is re-routed when the
         Master-key peer is unreachable (crash/churn window).

@@ -11,10 +11,17 @@ paper):
   Master publishes the chain at the Log-Peers (``sendToPublish``), advances
   ``last-ts`` by ``n`` through the timestamp authority (which also replicates
   it to the Master-key-Succ) and acknowledges the user peer with the validated
-  timestamps.  Otherwise it answers ``behind`` with the current ``last-ts`` —
-  and, when it still holds them, the entries the proposer is missing
-  (:class:`EntryTail`) — so the user peer integrates those first; a gap the
-  Master cannot supply is retrieved from the P2P-Log.
+  timestamps.  A *stale* proposal whose missing entries the Master still holds
+  (:class:`EntryTail`) is transformed over them — by the function the proposer
+  would run on the same entries — and committed the same way, in the same
+  round; the acknowledgement carries those entries.  Only where it cannot do
+  that (a signed chain, a gap older than the tail, a proposal ahead of
+  ``last-ts``) does it answer ``behind`` with the current ``last-ts``, so the
+  user peer integrates first and comes round again; a gap the Master cannot
+  supply is retrieved from the P2P-Log.
+* At most once — a proposal carries an identity, every entry records it, and
+  a proposal whose identity is among the entries it missed is a re-sent one:
+  it is answered with the acknowledgement of the entry that carries it.
 * Per-document serialization — concurrent validation requests for the same
   document are served strictly one after the other, "a new timestamp for a
   given document d is provided after the replication of the previous
@@ -26,7 +33,7 @@ paper):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from ..chord import HashFunctionFamily, NodeService, StoredItem
 from ..dht import ChordDhtClient
@@ -39,8 +46,15 @@ from ..errors import (
 )
 from ..kts import TimestampAuthority
 from ..net import payload_size
-from ..ot import Document, InsertLine
-from ..p2plog import Checkpoint, LogEntry, P2PLogClient, sign_checkpoint, verify_commit
+from ..ot import Document, InsertLine, rebase_chain
+from ..p2plog import (
+    Checkpoint,
+    LogEntry,
+    P2PLogClient,
+    find_proposal,
+    sign_checkpoint,
+    verify_commit,
+)
 from ..runtime import FifoLock
 from .config import LtrConfig
 from .protocol import ValidationResult
@@ -49,11 +63,12 @@ from .protocol import ValidationResult
 #: per-document critical section and executed after the lock is released.
 CheckpointJob = tuple[int, Optional[list[str]]]
 
-#: Bounds of the per-document tail of allocated entries a *behind* answer is
-#: served from, in entries and in ``payload_size`` bytes (what the reply
-#: costs on the wire).  64 entries cover every gap a chain-of-one editor
-#: falls behind by under Zipf contention; batched editors fall behind by
-#: whole chains of 16.  A larger gap is read from the P2P-Log.
+#: Bounds of the per-document tail of allocated entries a stale proposal is
+#: served from — transformed over, and handed with the answer — in entries
+#: and in ``payload_size`` bytes (what the reply costs on the wire).  64
+#: entries cover every gap a chain-of-one editor falls behind by under Zipf
+#: contention; batched editors fall behind by whole chains of 16.  A larger
+#: gap is answered *behind* and read from the P2P-Log.
 TAIL_MAX_ENTRIES = 256
 TAIL_MAX_BYTES = 256 * 1024
 
@@ -71,11 +86,18 @@ class EntryTail:
     or retracted one), in timestamp order without gaps, trimmed from the old
     end to :data:`TAIL_MAX_ENTRIES` and :data:`TAIL_MAX_BYTES`.  It is a
     cache of what this Master published during its current tenure; the
-    P2P-Log stays the source of truth.
+    P2P-Log stays the source of truth.  Three things are served from it:
 
-    :attr:`warmed_ts` looks the other way: the *warmed horizon*, the highest
-    timestamp whose Log-Peers this tenure already had resolved
-    (:meth:`MasterService._warm_ahead`).  It lives and dies with the tail.
+    * the **gap** a stale proposal is transformed over and that comes back
+      with its *ok* — or with *behind*, where the Master cannot transform —
+      so the bounds of the tail are the bounds of that work and of that reply;
+    * the **identities** of the proposals that landed lately: the tail is the
+      Master's whole table of them (walked with the gap, bounded with it,
+      gone with the tenure; beyond it the log is the table and the proposer
+      the one who looks, ``UserPeer._integrate``);
+    * :attr:`warmed_ts`, which looks the other way: the *warmed horizon*, the
+      highest timestamp whose Log-Peers this tenure already had resolved
+      (:meth:`MasterService._warm_ahead`).  It lives and dies with the tail.
     """
 
     __slots__ = ("entries", "sizes", "bytes", "warmed_ts")
@@ -133,6 +155,10 @@ class MasterService(NodeService):
         self._tails: dict[str, EntryTail] = {}
         # One proposal = one validation request, whatever its chain length.
         self.proposals_ok = 0
+        # ... of which transformed over the tail before they were published,
+        self.proposals_rebased = 0
+        # and, counted in none of the others, answered from it: re-sent.
+        self.proposals_deduplicated = 0
         self.proposals_behind = 0
         self.proposals_rejected = 0
         self.proposals_auth_rejected = 0
@@ -215,7 +241,8 @@ class MasterService(NodeService):
     def validate_and_publish(self, key: str, ts: int, patches: Any,
                              author: str = "unknown",
                              base_ts: Optional[int] = None,
-                             signatures: Optional[Any] = None):
+                             signatures: Optional[Any] = None,
+                             proposal: Optional[int] = None):
         """Validate a proposed chain of patches and publish it.
 
         Generator RPC handler — the patch timestamp validation procedure.
@@ -230,13 +257,40 @@ class MasterService(NodeService):
         advance and one replica push for the whole chain.  Returns a
         :class:`~repro.core.protocol.ValidationResult` payload.
 
+        **A stale proposal** (``ts <= last-ts``) is one pass too, whenever the
+        document's :class:`EntryTail` covers the gap ``(ts - 1, last-ts]``:
+        the chain is transformed over the gap's patches by
+        :func:`~repro.ot.rebase_chain` — the function the proposer would run
+        on the same entries after a *behind* answer — re-based to ``last-ts``
+        and then takes the very code a current proposal takes.  The answer is
+        ``ok first_ts..last_ts`` and carries the gap in ``entries``; the
+        proposer integrates it and only then applies its chain, so what it
+        applies is what the log holds.  *behind* is still the answer wherever
+        the Master cannot do this: ``signatures`` given (the author's HMAC
+        covers patch, timestamp and base; the Master cannot sign the
+        transformed chain for it), a gap the tail does not cover (older than
+        its bounds, or a Master fresh from a takeover), a proposal ahead of
+        ``last-ts``.  Which of the two goes out is decided by what the
+        proposal and the tail hold; no switch selects it.
+
+        **At most once.**  ``proposal`` is the identity of the chain's first
+        patch (the author's, dense per document; the following patches carry
+        the following numbers) and is recorded on every entry.  Walking the
+        gap it is about to transform over, the Master looks for it: a hit is
+        a re-sent proposal whose first copy landed, and is answered with the
+        ``ok`` that copy was (or would have been) answered — the timestamps
+        it landed at, the gap before them — while nothing is published.  The
+        tail is the whole table; a copy that arrives after its original left
+        the tail is answered *behind* and recognised by its proposer in the
+        log.
+
         What runs under the per-document lock sets a hot document's commit
-        rate, so it is kept to: validate, one ``store_many`` round-trip per
+        rate, so it is kept to: validate — with the transform, which is local
+        and bounded by the tail's bounds —, one ``store_many`` round-trip per
         Log-Peer, allocate.  The Log-Peers themselves are resolved *before*
-        the proposal that needs them: every answer, ``ok`` or ``behind``,
-        has the placements of the next timestamps routed in the background
-        (:meth:`_warm_ahead`), which the publish then finds in the node's
-        route cache.
+        the proposal that needs them: every answer has the placements of the
+        next timestamps routed in the background (:meth:`_warm_ahead`), which
+        the publish then finds in the node's route cache.
 
         The chain is atomic: it either commits completely or not at all.  In
         particular, when a re-election moves the Master-key role away while
@@ -261,7 +315,7 @@ class MasterService(NodeService):
         try:
             payload = yield from self._validate_locked(
                 key, ts, patches, author, base_ts, retract, checkpoints,
-                signatures,
+                signatures, proposal,
             )
         except PatchUnavailable as error:
             publish_failure = error
@@ -282,7 +336,8 @@ class MasterService(NodeService):
     def _validate_locked(self, key: str, ts: int, patches: Any, author: str,
                          base_ts: Optional[int], retract: list[LogEntry],
                          checkpoints: list[CheckpointJob],
-                         signatures: Optional[Any] = None):
+                         signatures: Optional[Any] = None,
+                         proposal: Optional[int] = None):
         """The critical section of :meth:`validate_and_publish`.
 
         Runs with the per-document lock held.  Entries that must be removed
@@ -298,12 +353,18 @@ class MasterService(NodeService):
         sigs: list[Optional[str]] = (
             list(signatures) if signatures is not None else [None] * len(patches)
         )
+        # The chain's patches are numbered on from the identity of its first.
+        identities: Sequence[Optional[int]] = (
+            range(proposal, proposal + len(patches)) if proposal is not None
+            else [None] * len(patches)
+        )
         if self.config.auth_enabled:
             valid = len(sigs) == len(patches) and all(
                 verify_commit(
                     self.config.auth_secret, sigs[offset], key, ts + offset,
                     patches[offset], author,
                     (base_ts + offset) if base_ts is not None else None,
+                    identities[offset],
                 )
                 for offset in range(len(patches))
             )
@@ -321,16 +382,43 @@ class MasterService(NodeService):
                     ts=ts,
                 )
         last_ts = authority.last_ts(key)
+        gap: Optional[list[LogEntry]] = None
         if ts != last_ts + 1:
-            self.proposals_behind += 1
-            node.runtime.trace.annotate(
-                node.runtime.now, "ltr-master",
-                "{} rejects {}@{}(+{}) from {} (last-ts={})",
-                node.address.name, key, ts, len(patches), author, last_ts,
-            )
-            suffix = self._missing_suffix(key, ts - 1, last_ts)
-            self._warm_ahead(key, last_ts, len(patches))
-            return ValidationResult.behind(last_ts, suffix).to_payload()
+            gap = self._missing_suffix(key, ts - 1, last_ts)
+            if gap is None or signatures is not None:
+                # Ahead of last-ts, a gap the tail does not cover, or a
+                # signed chain (the author's HMAC covers the patch and its
+                # timestamp; the Master cannot sign a transformed one for
+                # it): the proposer integrates and comes round again.
+                self.proposals_behind += 1
+                node.runtime.trace.annotate(
+                    node.runtime.now, "ltr-master",
+                    "{} rejects {}@{}(+{}) from {} (last-ts={})",
+                    node.address.name, key, ts, len(patches), author, last_ts,
+                )
+                self._warm_ahead(key, last_ts, len(patches))
+                return ValidationResult.behind(last_ts, gap).to_payload()
+            landed = find_proposal(gap, author, proposal, len(patches))
+            if landed is not None:
+                # A re-sent proposal: its first copy is in the gap.  Answer
+                # what the first copy was answered; publish nothing.
+                first, count = landed
+                self.proposals_deduplicated += 1
+                node.runtime.trace.annotate(
+                    node.runtime.now, "ltr-master",
+                    "{} has {}@{}(+{}) from {} already, at ts {}",
+                    node.address.name, key, ts, len(patches), author, gap[first].ts,
+                )
+                return ValidationResult.ok(
+                    gap[first].ts, gap[first].ts + count - 1, 0, gap[:first],
+                ).to_payload()
+            # Stale, and everything it missed is right here: transform the
+            # chain over the gap — the function the proposer would run on the
+            # same entries — and carry on as if it had been proposed now.
+            patches = rebase_chain(patches, [entry.patch for entry in gap], last_ts)
+            ts = last_ts + 1
+            if base_ts is not None:
+                base_ts = last_ts
 
         entries = [
             LogEntry(
@@ -349,6 +437,7 @@ class MasterService(NodeService):
                 metadata=(
                     {"sig": sigs[offset]} if sigs[offset] is not None else {}
                 ),
+                proposal=identities[offset],
             )
             for offset, patch in enumerate(patches)
         ]
@@ -390,6 +479,7 @@ class MasterService(NodeService):
             yield from self._equivocate(entry)
         self._note_published(key, patches, first_ts, checkpoints)
         self.proposals_ok += 1
+        self.proposals_rebased += gap is not None
         self.patches_published += len(patches)
         node.runtime.trace.annotate(
             node.runtime.now, "ltr-master",
@@ -398,7 +488,7 @@ class MasterService(NodeService):
             author, replicas,
         )
         return ValidationResult.ok(
-            first_ts, first_ts + len(patches) - 1, replicas
+            first_ts, first_ts + len(patches) - 1, replicas, gap
         ).to_payload()
 
     def _equivocate(self, entry: LogEntry):
@@ -435,7 +525,7 @@ class MasterService(NodeService):
             self.node.address.name, entry.document_key, entry.ts,
         )
 
-    # -- the tail a *behind* answer is served from ------------------------------------
+    # -- the tail stale proposals are served from -------------------------------------
 
     def _missing_suffix(self, key: str, after_ts: int,
                         last_ts: int) -> Optional[list[LogEntry]]:
@@ -443,8 +533,9 @@ class MasterService(NodeService):
 
         Runs under the document's lock.  A tail that does not end at
         ``last-ts`` belongs to an earlier tenure (the counter moved on
-        elsewhere) and is dropped; ``None`` sends the proposer to the
-        P2P-Log, exactly as for a gap older than the tail.
+        elsewhere) and is dropped; ``None`` — also for a gap older than the
+        tail, and for a proposal that is not behind at all — means *behind*
+        without entries, which sends the proposer to the P2P-Log.
         """
         tail = self._tails.get(key)
         if tail is None:
@@ -457,14 +548,18 @@ class MasterService(NodeService):
     def _warm_ahead(self, key: str, last_ts: int, chain: int) -> None:
         """Resolve the Log-Peers of the timestamps about to be handed out.
 
-        Called for every proposal this Master answers, *ok* or *behind*,
-        under the document's lock — and it only spawns, it never yields:
-        ``h_i(key + ts)`` is a pure function and the next ``ts`` is known
-        here, so the placement lookups of the coming publishes run now, in
-        the background, instead of inside a later proposal's critical
+        Called for every proposal this Master answers by publishing or with
+        *behind*, under the document's lock — and it only spawns, it never
+        yields: ``h_i(key + ts)`` is a pure function and the next ``ts`` is
+        known here, so the placement lookups of the coming publishes run now,
+        in the background, instead of inside a later proposal's critical
         section (a new ``key + ts`` lands on a random arc; a route-cache miss
-        costs more than the publish it delays).  The proposal extends the
-        document's warmed horizon by its own chain length, at most
+        costs more than the publish it delays).
+
+        Paced by what is queued: the proposals waiting for this lock will be
+        published back to back, the first of them the instant the lock is
+        released, so the warmed horizon moves on by this proposal's chain
+        length for itself and for each of them — at most
         :data:`WARM_AHEAD_CHAINS` chains past ``last_ts`` and never over a
         timestamp twice.  Nothing is warmed that would be stale when used:
         only while the document's previous allocation is younger than the
@@ -473,14 +568,20 @@ class MasterService(NodeService):
         """
         tail = self._tails.get(key)
         config = self.node.config
-        if (
-            tail is None or not tail.entries or not config.route_cache_enabled
-            or self.node.runtime.now - tail.entries[-1].published_at
-            >= config.route_cache_ttl
+        waiters = self._lock_for(key).waiters
+        if tail is None or not config.route_cache_enabled or not (
+            waiters or (
+                tail.entries
+                and self.node.runtime.now - tail.entries[-1].published_at
+                < config.route_cache_ttl
+            )
         ):
             return
         warmed = max(tail.warmed_ts, last_ts)
-        horizon = min(warmed + chain, last_ts + WARM_AHEAD_CHAINS * chain)
+        horizon = min(
+            warmed + chain * (1 + waiters),
+            last_ts + WARM_AHEAD_CHAINS * chain,
+        )
         if horizon > warmed:
             self.log.warm(key, warmed + 1, horizon)
             tail.warmed_ts = horizon
@@ -736,6 +837,8 @@ class MasterService(NodeService):
         """Counters for the experiment reports."""
         stats = {
             "proposals_ok": self.proposals_ok,
+            "proposals_rebased": self.proposals_rebased,
+            "proposals_deduplicated": self.proposals_deduplicated,
             "proposals_behind": self.proposals_behind,
             "proposals_rejected": self.proposals_rejected,
             "proposals_auth_rejected": self.proposals_auth_rejected,

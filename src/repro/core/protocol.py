@@ -24,15 +24,28 @@ class ValidationResult:
     timestamp range ``first_ts .. last_ts`` to the chain's patches (in
     order) and published all of them; ``behind`` and ``rejected`` carry the
     Master's current ``last_ts`` so the user peer can retrieve / re-propose.
-    A ``behind`` answer also carries, in ``entries``, the log entries
-    ``(proposed ts - 1, last_ts]`` the proposer is missing whenever the
-    Master still holds all of them; on the receiving side that field is
-    outside input, checked by the user peer before anything is integrated.
+
+    ``first_ts`` need not be the timestamp that was proposed.  A stale
+    proposal whose gap ``(proposed ts - 1, first_ts - 1]`` the Master still
+    held was transformed over it and committed behind it; the answer is
+    ``ok`` and ``entries`` carries that gap, which the proposer integrates
+    (transforming its chain by the same function) before it applies the
+    chain at ``first_ts ..``.  A proposal that had already landed — a re-sent
+    one — is answered with the same shape and the timestamps it landed at;
+    ``last_ts`` then ends what landed, which is less than what was proposed
+    when the chain has grown since.  A ``behind`` answer carries in
+    ``entries`` the whole of what the proposer is missing, ``(proposed ts -
+    1, last_ts]``, whenever the Master holds all of it.  On the receiving
+    side ``entries`` is outside input either way, checked by the user peer
+    (``UserPeer._carried_suffix``) before anything is integrated; without it
+    the range is read from the P2P-Log.
     """
 
     status: str
     first_ts: Optional[int] = None
     last_ts: Optional[int] = None
+    #: Placements the publish reached (0 on an *ok* that repeats an earlier
+    #: one: the Master does not keep what it reported then).
     replicas: int = 0
     entries: Any = None
 
@@ -46,10 +59,25 @@ class ValidationResult:
         """``True`` when the Master refused atomically (re-election mid-flight)."""
         return self.status == STATUS_REJECTED
 
+    @property
+    def catch_up_ts(self) -> int:
+        """What the proposer has to have integrated before it acts on this answer.
+
+        Just below where its chain landed for an *ok*, the Master's ``last_ts``
+        otherwise — and so the end of the range ``entries`` stands for.
+        """
+        return self.first_ts - 1 if self.accepted else self.last_ts
+
     @classmethod
-    def ok(cls, first_ts: int, last_ts: int, replicas: int) -> "ValidationResult":
-        """The chain was committed with timestamps ``first_ts..last_ts``."""
-        return cls(status=STATUS_OK, first_ts=first_ts, last_ts=last_ts, replicas=replicas)
+    def ok(cls, first_ts: int, last_ts: int, replicas: int,
+           entries: Optional[Sequence[Any]] = None) -> "ValidationResult":
+        """The chain was committed with timestamps ``first_ts..last_ts``.
+
+        ``entries`` is the gap the chain was transformed over, when there
+        was one: what lies between the proposer's replica and ``first_ts``.
+        """
+        return cls(status=STATUS_OK, first_ts=first_ts, last_ts=last_ts,
+                   replicas=replicas, entries=entries)
 
     @classmethod
     def behind(cls, last_ts: int,
@@ -102,17 +130,27 @@ class CommitResult:
     document_key: str
     #: Timestamp validated for the chain's last (or only) patch.
     ts: int
+    #: Proposals sent; one even when the chain was stale, unless the Master
+    #: had to send it back (``ValidationResult``).
     attempts: int
+    #: Patches of others integrated on the way, whoever supplied them.
     retrieved_patches: int
     started_at: float
     finished_at: float
     author: str = "unknown"
+    #: Placements the Master reported for the publish; 0 when nobody reported
+    #: any — the chain had landed earlier and was recognised, not published.
     log_replicas: int = 0
     edits: int = 1
 
     @property
     def first_ts(self) -> int:
-        """Timestamp validated for the chain's first patch."""
+        """Timestamp validated for the chain's first patch.
+
+        A chain lands as one dense range.  (The one exception: a chain that
+        grew after a failed attempt that had landed all the same — its old
+        part is where it landed then, ``ts`` is where the rest landed now.)
+        """
         return self.ts - self.edits + 1
 
     @property

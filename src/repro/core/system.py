@@ -446,7 +446,10 @@ class LtrSystem:
         return {
             "peers": len(self.ring.live_nodes()),
             "network": self.network.stats.snapshot(),
-            "proposals_ok": sum(stats["proposals_ok"] for stats in master_stats),
-            "proposals_behind": sum(stats["proposals_behind"] for stats in master_stats),
+            **{
+                counter: sum(stats[counter] for stats in master_stats)
+                for counter in ("proposals_ok", "proposals_rebased",
+                                "proposals_deduplicated", "proposals_behind")
+            },
             "users": [user.statistics() for user in self.users()],
         }

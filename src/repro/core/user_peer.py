@@ -42,6 +42,7 @@ from ..p2plog import (
     LogEntry,
     P2PLogClient,
     author_key,
+    find_proposal,
     sign_commit,
     verify_checkpoint,
     verify_entry,
@@ -95,6 +96,22 @@ class UserPeer:
         self.pending: dict[str, Patch] = {}
         self.batches: dict[str, CommitBatch] = {}
         self._flushing: set[str] = set()
+        # Proposal identities (at-most-once commits; see _commit_chain).  A
+        # patch is named by its author and a number that is dense per
+        # document: the base is drawn once per incarnation of this peer, so a
+        # restarted peer never re-uses the identities of its former self.
+        self._proposal_base = node.runtime.rng.stream(
+            f"proposals:{self.author}"
+        ).getrandbits(48)
+        # Per document: how many of its patches were acknowledged (or given
+        # up) so far, i.e. the offset of its first tentative patch ...
+        self._acknowledged: dict[str, int] = {}
+        # ... and the operation counts of the leading tentative patches that
+        # were proposed without an answer — a failed commit put them back,
+        # they may have landed all the same.  They keep their identities, so
+        # they keep their boundaries: a pending patch that grew since is
+        # proposed as the chain it was plus what is new.
+        self._in_doubt: dict[str, list[int]] = {}
         self.commit_results: list[CommitResult] = []
         self.sync_results: list[SyncResult] = []
 
@@ -167,6 +184,7 @@ class UserPeer:
     def discard_pending(self, key: str) -> None:
         """Drop local tentative edits of ``key`` without publishing them."""
         self.pending.pop(key, None)
+        self._retire_proposals(key)
 
     # ------------------------------------------------------------ staged editing --
 
@@ -236,6 +254,7 @@ class UserPeer:
     def discard_batch(self, key: str) -> None:
         """Drop the staged batch of ``key`` without publishing it."""
         self.batches.pop(key, None)
+        self._retire_proposals(key)
 
     # --------------------------------------------------------------------- commit --
 
@@ -247,18 +266,26 @@ class UserPeer:
         was nothing to commit.  The paper's per-edit commit: the pending
         patch goes through :meth:`_commit_chain` as a chain of one.  When
         the commit fails, the (possibly rebased) tentative patch is restored
-        so the user's edit is never lost.
+        so the user's edit is never lost — and remembered as proposed: it may
+        have landed all the same, so the next commit proposes it under the
+        identity it had, ahead of whatever was edited since
+        (:meth:`_pending_chain`).
         """
         started_at = self.node.runtime.now
         pending = self.pending.pop(key, None)
         if pending is None:
             return None
-        chain = [pending]
+        chain = self._pending_chain(key, pending)
         try:
             outcome = yield from self._commit_chain(key, chain, started_at)
             return outcome
         except ReproError:
-            self.pending[key] = chain[0]
+            self._restore_pending(key, chain)
+            self._mark_in_doubt(key, chain)
+            if not self.has_pending(key):
+                # Nothing to keep — and an empty patch left in doubt would
+                # not stop stage() from opening a batch under its identity.
+                self.discard_pending(key)
             raise
 
     def flush(self, key: str):
@@ -281,10 +308,12 @@ class UserPeer:
         except ReproError:
             # Whatever went wrong — unreachable Master, failed publish at
             # the Log-Peers, a failed behind-path retrieval, too many
-            # attempts — nothing was committed: the (possibly rebased)
-            # edits go back into the batch for a later flush.
+            # attempts — nothing is known to be committed: the (possibly
+            # rebased) edits go back into the batch for a later flush, which
+            # proposes them under the identities they had.
             batch.replace_patches(chain)
             self.batches[key] = batch
+            self._mark_in_doubt(key, chain)
             raise
         finally:
             self._flushing.discard(key)
@@ -293,21 +322,48 @@ class UserPeer:
         """The validate → retrieve → retry loop (process).
 
         The loop matches the paper: propose ``ts = applied_ts + 1`` for the
-        chain's first patch; if the Master-key peer answers *behind*, take
-        the missing patches in continuous order — from the answer itself
-        when the Master carried them (:meth:`_carried_suffix`), from the
-        P2P-Log otherwise — integrate them (rebasing every patch of the
-        chain, preserving the chain) and retry until the proposal is
-        accepted; on *rejected* (the Master lost the key to a re-election
-        mid-flight) the proposal is simply retried, which re-routes it to
-        the new Master.
+        chain's first patch and repeat until the chain has landed.  What the
+        peer is missing comes back with the answer whenever the Master holds
+        it (:meth:`_carried_suffix`) and from the P2P-Log otherwise, and is
+        integrated by one function (:meth:`_integrate`: the chain is rebased
+        over it patch by patch, preserving the chain):
 
-        ``chain`` is rebased *in place*, so the caller still holds the
-        current chain and can put it back when any round raises.
+        * *ok* ``first_ts .. last_ts`` — the chain is in the log at those
+          timestamps.  They need not start where it was proposed: the Master
+          transforms a stale chain over the gap ``(applied_ts, first_ts - 1]``
+          itself, by the function this peer would have used, so the gap is
+          integrated first and only then is the chain applied — what a
+          proposer applies is what the log holds.
+        * *behind* — the Master could not do that (a signed proposal, a gap
+          older than its tail, a Master fresh from a takeover): integrate up
+          to its ``last_ts``, re-propose.
+        * *rejected* (the Master lost the key to a re-election mid-flight),
+          or an answer from a peer that is behind *us* — nothing was
+          committed; the proposal is simply retried, which re-routes it to
+          the new Master.
+
+        **At most once.**  Every patch of the chain travels under a proposal
+        identity (this author + :meth:`_proposal` + its offset in the chain)
+        that it keeps across re-sends, rebases and a failed commit, until it
+        is acknowledged; every log entry records it.  A proposal that landed
+        without this peer learning of it — the reply was lost, the Master
+        died between publish and ack — is therefore recognised, not committed
+        again: by the Master, which answers a re-sent identity it still holds
+        with the *ok* of the entry that carries it, and by this peer, which
+        adopts entries carrying its own identity wherever it comes across
+        them (:meth:`_integrate`).  An *ok* may thus acknowledge fewer patches
+        than were proposed (the chain grew after the attempt that landed);
+        the loop goes on with the rest.
+
+        ``chain`` is rebased *in place* and shrinks as its patches land, so
+        the caller still holds what is left and can put it back when any
+        round raises.
         """
         replica = self.document(key)
+        edits = len(chain)
         attempts = 0
         retrieved_total = 0
+        replicas = 0
         while True:
             attempts += 1
             if attempts > self.config.max_validation_attempts:
@@ -316,11 +372,13 @@ class UserPeer:
                     f"for {key!r} after {attempts - 1} attempts"
                 )
             proposal_ts = replica.applied_ts + 1
+            proposal = self._proposal(key)
             arguments: dict[str, Any] = dict(
                 ts=proposal_ts,
                 patches=chain,
                 author=self.author,
                 base_ts=replica.applied_ts,
+                proposal=proposal,
             )
             if self._auth_key is not None:
                 # One HMAC per chained patch, re-signed on every attempt: a
@@ -331,6 +389,7 @@ class UserPeer:
                     sign_commit(
                         self._auth_key, key, proposal_ts + offset, patch,
                         self.author, replica.applied_ts + offset,
+                        proposal + offset,
                     )
                     for offset, patch in enumerate(chain)
                 ]
@@ -339,34 +398,9 @@ class UserPeer:
             )
             result = ValidationResult.from_payload(payload)
 
-            if result.accepted:
-                for offset, patch in enumerate(chain):
-                    entry_ts = result.first_ts + offset
-                    # Skip timestamps something else (e.g. a racing
-                    # retrieval that fetched our own published entries)
-                    # already integrated — the content is identical.
-                    if entry_ts > replica.applied_ts:
-                        replica.apply_patch(patch, ts=entry_ts)
-                outcome = CommitResult(
-                    document_key=key,
-                    ts=result.last_ts,
-                    attempts=attempts,
-                    retrieved_patches=retrieved_total,
-                    started_at=started_at,
-                    finished_at=self.node.runtime.now,
-                    author=self.author,
-                    log_replicas=result.replicas,
-                    edits=len(chain),
-                )
-                self.commit_results.append(outcome)
-                self.node.runtime.trace.annotate(
-                    self.node.runtime.now, "ltr-user",
-                    "{} committed {}@{}..{} after {} attempt(s)",
-                    self.author, key, result.first_ts, result.last_ts, attempts,
-                )
-                return outcome
-
-            if result.rejected or result.last_ts <= replica.applied_ts:
+            if not result.accepted and (
+                result.rejected or result.last_ts <= replica.applied_ts
+            ):
                 # Nothing was committed and there is nothing to retrieve.
                 # Either an atomic rejection (re-election mid-publication),
                 # or the answering peer is behind *us*: a stale counter copy
@@ -381,33 +415,69 @@ class UserPeer:
                 yield self.node.runtime.timeout(self.config.validation_retry_delay)
                 continue
 
-            # We are behind: integrate what the Master handed over if it is
-            # exactly the missing suffix, else run the retrieval procedure;
-            # rebase, try again.
-            entries = self._carried_suffix(key, replica.applied_ts, result)
-            if entries is None:
-                entries = yield from self.log.fetch_range(
-                    key, replica.applied_ts + 1, result.last_ts
-                )
-            chain[:] = integrate_remote_into_staged(
-                replica, [(entry.ts, entry.patch) for entry in entries], chain
+            # Catch up first: to just below where the chain landed, or to the
+            # Master's last-ts when it did not.  What the Master handed over
+            # is used if it is exactly the missing range, else the retrieval
+            # procedure runs.
+            landed_ts = 0
+            if result.catch_up_ts > replica.applied_ts:
+                entries = self._carried_suffix(key, replica.applied_ts, result)
+                if entries is None:
+                    entries = yield from self.log.fetch_range(
+                        key, replica.applied_ts + 1, result.catch_up_ts
+                    )
+                landed_ts = self._integrate(key, replica, entries, chain)
+                retrieved_total += len(entries)
+            if result.accepted:
+                landed = chain[:result.last_ts - result.first_ts + 1]
+                for offset, patch in enumerate(landed):
+                    landed_ts = result.first_ts + offset
+                    # Skip timestamps something else (e.g. a racing
+                    # retrieval that fetched our own published entries)
+                    # already integrated — the content is identical.
+                    if landed_ts > replica.applied_ts:
+                        replica.apply_patch(patch, ts=landed_ts)
+                del chain[:len(landed)]
+                self._acknowledge(key, len(landed))
+                replicas = result.replicas
+            if chain:
+                continue  # behind, or a grown chain whose head had landed
+            outcome = CommitResult(
+                document_key=key,
+                ts=landed_ts,
+                attempts=attempts,
+                retrieved_patches=retrieved_total,
+                started_at=started_at,
+                finished_at=self.node.runtime.now,
+                author=self.author,
+                log_replicas=replicas,
+                edits=edits,
             )
-            retrieved_total += len(entries)
+            self.commit_results.append(outcome)
+            self.node.runtime.trace.annotate(
+                self.node.runtime.now, "ltr-user",
+                "{} committed {} edit(s) of {} up to ts {} after {} attempt(s)",
+                self.author, edits, key, landed_ts, attempts,
+            )
+            return outcome
 
     def _carried_suffix(self, key: str, applied_ts: int,
                         result: ValidationResult) -> Optional[Sequence[LogEntry]]:
-        """The entries a *behind* answer carried, if they can stand in for the log.
+        """The entries an answer carried, if they can stand in for the log.
 
-        The reply is outside input: it is used only when it is exactly
-        ``applied_ts + 1 .. last_ts`` of this document, every item a
-        :class:`~repro.p2plog.LogEntry` that passes the verifier a fetched
-        entry passes.  Anything else returns ``None`` and the caller reads
-        the range from the P2P-Log, which stays the source of truth.
+        The reply is outside input: it is used only when it is exactly the
+        range this peer has to integrate next — ``applied_ts + 1 .. last_ts``
+        of this document for a *behind* answer, ``applied_ts + 1 .. first_ts
+        - 1`` (the gap the Master transformed the chain over) for an *ok* —
+        every item a :class:`~repro.p2plog.LogEntry` that passes the verifier
+        a fetched entry passes.  Anything else returns ``None`` and the
+        caller reads the range from the P2P-Log, which stays the source of
+        truth.  This is the only check of carried entries.
         """
         entries = result.entries
         if (
             not isinstance(entries, (list, tuple))
-            or len(entries) != result.last_ts - applied_ts
+            or len(entries) != result.catch_up_ts - applied_ts
         ):
             return None
         verifier = self.log.entry_verifier
@@ -422,6 +492,111 @@ class UserPeer:
                 self.log.auth_rejects += 1
                 return None
         return entries
+
+    def _integrate(self, key: str, replica: Document,
+                   entries: Sequence[LogEntry], chain: list[Patch]) -> int:
+        """Integrate ``entries`` (continuous from ``applied_ts + 1``) under ``chain``.
+
+        The replica advances over every entry and the tentative ``chain`` is
+        rebased over them in place
+        (:func:`~repro.ot.integrate_remote_into_staged`) — except over
+        entries that *are* the chain: entries carrying this author and the
+        identity of the chain's leading patches are a proposal of this peer
+        that landed unacknowledged.  Those are adopted, not rebased over:
+        what precedes them is integrated, they are applied as the log holds
+        them, the patches they stand for leave the chain, and the rest of the
+        range is integrated under the rest of the chain.  Rebasing over them
+        instead would commit the edit a second time.
+
+        Returns the timestamp of the last adopted entry (0 when there was
+        none).
+        """
+        pairs = [(entry.ts, entry.patch) for entry in entries]
+        found = find_proposal(
+            entries, self.author, self._proposal(key), len(chain)
+        ) if chain else None
+        if found is None:
+            chain[:] = integrate_remote_into_staged(replica, pairs, chain)
+            return 0
+        own, landed = found
+        chain[:] = integrate_remote_into_staged(replica, pairs[:own], chain)
+        for ts, patch in pairs[own:own + landed]:
+            replica.apply_patch(patch, ts=ts)
+        del chain[:landed]
+        self._acknowledge(key, landed)
+        chain[:] = integrate_remote_into_staged(replica, pairs[own + landed:], chain)
+        self.node.runtime.trace.annotate(
+            self.node.runtime.now, "ltr-user",
+            "{} adopts its own {}@{}..{}: landed unacknowledged",
+            self.author, key, entries[own].ts, entries[own + landed - 1].ts,
+        )
+        return entries[own + landed - 1].ts
+
+    # ---------------------------------------------------------- proposal identity --
+
+    def _proposal(self, key: str) -> int:
+        """Identity of the first patch of ``key`` that is not acknowledged yet.
+
+        The patches of a chain are numbered from it, in order; with the
+        author's name the number identifies a patch for the life of the
+        document.  One chain per document is in flight at a time, so the
+        numbers of a document are dense and survive whatever happens to the
+        chain in between: re-sends, rebases, a restore after a failed commit,
+        further edits behind it.
+        """
+        return self._proposal_base + self._acknowledged.get(key, 0)
+
+    def _acknowledge(self, key: str, count: int) -> None:
+        """The first ``count`` tentative patches of ``key`` are settled."""
+        self._acknowledged[key] = self._acknowledged.get(key, 0) + count
+        in_doubt = self._in_doubt.get(key)
+        if in_doubt is not None:
+            del in_doubt[:count]
+            if not in_doubt:
+                del self._in_doubt[key]
+
+    def _mark_in_doubt(self, key: str, chain: Sequence[Patch]) -> None:
+        """``chain`` was proposed and is going back unacknowledged."""
+        if chain:
+            self._in_doubt[key] = [len(patch) for patch in chain]
+
+    def _retire_proposals(self, key: str) -> None:
+        """Dropped edits take their identities with them.
+
+        What was proposed under them may have landed; nothing else may ever
+        be proposed under the same identities.
+        """
+        self._acknowledge(key, len(self._in_doubt.get(key, ())))
+
+    def _pending_chain(self, key: str, pending: Patch) -> list[Patch]:
+        """The pending patch of ``key`` as the chain it is proposed as.
+
+        A chain of one — unless part of it was proposed before without an
+        answer (a failed commit put it back, further saves were composed onto
+        it): that part keeps the identities, hence the boundaries, it was
+        proposed with, and what is new follows as one more patch.  Rebasing
+        preserves the number of operations, so the boundaries are operation
+        counts.
+        """
+        in_doubt = self._in_doubt.get(key)
+        if not in_doubt:
+            return [pending]
+        operations = pending.operations
+        chain, start = [], 0
+        for count in in_doubt:
+            chain.append(pending.with_operations(operations[start:start + count]))
+            start += count
+        if start < len(operations):
+            chain.append(pending.with_operations(operations[start:]))
+        return chain
+
+    def _restore_pending(self, key: str, chain: Sequence[Patch]) -> None:
+        """Put what is left of a pending chain back as one pending patch."""
+        if chain:
+            pending = chain[0]
+            for later in chain[1:]:
+                pending = pending.compose(later)
+            self.pending[key] = pending
 
     # ----------------------------------------------------------------------- sync --
 
@@ -476,25 +651,35 @@ class UserPeer:
         if (
             self.config.checkpoint_enabled
             and last_ts - replica.applied_ts > self.config.checkpoint_interval
+            # A snapshot cannot tell whether it contains a proposal of ours
+            # that is still in doubt; the log can (see _integrate).
+            and key not in self._in_doubt
         ):
             checkpoint = yield from self.log.latest_checkpoint(key, last_ts)
             if checkpoint is not None and checkpoint.ts > replica.applied_ts:
                 self._install_checkpoint(key, replica, checkpoint)
                 checkpoint_ts = checkpoint.ts
         entries = yield from self.log.fetch_range(key, replica.applied_ts + 1, last_ts)
-        pairs = [(entry.ts, entry.patch) for entry in entries]
-        pending = self.pending.get(key)
         batch = self.batches.get(key)
         if batch is not None and len(batch) > 0:
             # A staged batch: rebase the whole chain instead.  A
             # coexisting pending patch can only be empty (stage() refuses
             # otherwise), so dropping it loses nothing.
             self.pending.pop(key, None)
-            batch.replace_patches(
-                integrate_remote_into_staged(replica, pairs, batch.patches)
-            )
+            chain = list(batch.patches)
+            self._integrate(key, replica, entries, chain)
+            batch.replace_patches(chain)
+        elif key in self._in_doubt and key in self.pending:
+            # Part of the pending patch was proposed and may be among what
+            # was just fetched: integrate it as the chain it was proposed as.
+            chain = self._pending_chain(key, self.pending.pop(key))
+            self._integrate(key, replica, entries, chain)
+            self._restore_pending(key, chain)
         else:
-            merge = integrate_remote_patches(replica, pairs, pending)
+            pending = self.pending.get(key)
+            merge = integrate_remote_patches(
+                replica, [(entry.ts, entry.patch) for entry in entries], pending
+            )
             if pending is not None and merge.rebased_local is not None:
                 self.pending[key] = merge.rebased_local
         result = SyncResult(

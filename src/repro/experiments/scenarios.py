@@ -1269,6 +1269,7 @@ def _measure_partition_heal(ctx: ScenarioContext) -> dict:
         "commits_attempted": summary["probes_attempted"],
         "commits_ok": summary["probes_ok"],
         "success_fraction": round(summary["success_fraction"], 3),
+        "last_ts": system.last_ts(key),
         "time_to_converge_s": time_to_converge,
         "checker_snapshots": len(checker.snapshots),
         "violations": len(checker.violations()),
@@ -1298,8 +1299,8 @@ def partition_heal_spec(
         ),
         columns=(
             "partition_s", "edit_interval", "commits_attempted", "commits_ok",
-            "success_fraction", "time_to_converge_s", "checker_snapshots",
-            "violations", "injection_errors", "converged",
+            "success_fraction", "last_ts", "time_to_converge_s",
+            "checker_snapshots", "violations", "injection_errors", "converged",
         ),
         grid={
             "partition_s": tuple(partition_durations),
@@ -1311,8 +1312,12 @@ def partition_heal_spec(
         measure=_measure_partition_heal,
         notes=(
             "expected shape: success fraction stays high (the Master side keeps "
-            "serving), violations stay 0, and time-to-converge grows with the "
-            "partition duration (more suffix to retrieve) but not with edit rate",
+            "serving), no probe is in the log twice (last_ts = commits_attempted "
+            "+ the base revision: a probe re-sent across the split is answered, "
+            "not committed again, and the edit of a probe that failed goes in "
+            "with the next one, under the identity it had), violations stay 0, and "
+            "time-to-converge grows with the partition duration (more suffix to "
+            "retrieve) but not with edit rate",
         ),
     )
 

@@ -16,6 +16,7 @@ from .merge import (
     install_snapshot_into_staged,
     integrate_remote_into_staged,
     integrate_remote_patches,
+    rebase_chain,
 )
 from .operations import DeleteLine, InsertLine, NoOp, TextOperation, is_noop
 from .patch import Patch
@@ -43,6 +44,7 @@ __all__ = [
     "integrate_remote_patches",
     "is_noop",
     "make_patch",
+    "rebase_chain",
     "transform",
     "transform_operation_against_sequence",
     "transform_pair",

@@ -89,6 +89,39 @@ def integrate_remote_patches(
     return MergeResult(document=document, rebased_local=rebased_local, integrated=integrated)
 
 
+def rebase_chain(
+    staged: Sequence[Patch],
+    remote_patches: Sequence[Patch],
+    base_ts: int,
+) -> list[Patch]:
+    """Transform a chain of staged patches over concurrent remote patches.
+
+    The OT chaining itself, with no document involved: ``staged`` is a chain
+    ``p1 .. pk`` (each ``p(i+1)`` expressed against the state produced by
+    ``p(i)``) and ``remote_patches`` the validated patches it must follow, in
+    timestamp order, the first of them concurrent with ``p1``.  Each remote
+    patch is transformed forward through the chain as each staged patch is
+    transformed against it, so the result still applies cleanly, in order, on
+    top of the state the last remote patch produces — ``base_ts``.
+
+    A pure function of operations: whoever holds the chain and the patches it
+    missed computes the same result.  The user peer calls it through
+    :func:`integrate_remote_into_staged` when it integrates what it was
+    behind by; the Master-key peer calls it on a stale proposal whose gap it
+    still holds — which is why the entry the Master logs is, byte for byte,
+    the patch the proposer applies.
+    """
+    staged_ops = [list(patch.operations) for patch in staged]
+    for remote in remote_patches:
+        remote_ops = list(remote.operations)
+        for index, ops in enumerate(staged_ops):
+            staged_ops[index], remote_ops = transform_sequences(ops, remote_ops)
+    return [
+        patch.with_operations(ops).with_base(base_ts)
+        for patch, ops in zip(staged, staged_ops)
+    ]
+
+
 def integrate_remote_into_staged(
     document: Document,
     remote_patches: Sequence[tuple[int, Patch]],
@@ -99,33 +132,28 @@ def integrate_remote_into_staged(
     A commit proposes a chain of individual patches ``p1 .. pk``
     (``k = 1`` for ``UserPeer.commit``, a staged batch for
     ``UserPeer.flush``) where each ``p(i+1)`` is expressed against the state
-    produced by ``p(i)``.  When the Master answers *behind*, the whole
-    sequence must be transformed against the missing remote patches while
-    preserving that chaining: each remote patch is transformed forward
-    through the staged sequence as each staged patch is transformed against
-    it (the standard OT chaining), so the rebased sequence still applies
-    cleanly in order on top of the refreshed replica.
+    produced by ``p(i)``.  When the proposer turns out to be behind, the
+    whole sequence must be transformed against the missing remote patches
+    while preserving that chaining (:func:`rebase_chain`, the standard OT
+    chaining), so the rebased sequence still applies cleanly in order on top
+    of the refreshed replica.
 
-    ``document`` advances exactly like in :func:`integrate_remote_patches`;
-    the returned list replaces the staged patches.
+    ``document`` advances exactly like in :func:`integrate_remote_patches`
+    (a stream that is not continuous is refused before anything moves); the
+    returned list replaces the staged patches.
     """
-    staged_ops = [list(patch.operations) for patch in staged]
-    for ts, remote in remote_patches:
-        expected = document.applied_ts + 1
+    expected = document.applied_ts
+    for ts, _remote in remote_patches:
+        expected += 1
         if ts != expected:
             raise DivergenceDetected(
                 f"patch stream for {document.key!r} is not continuous: "
                 f"expected ts {expected}, got {ts}"
             )
-        remote_ops = list(remote.operations)
-        for index, ops in enumerate(staged_ops):
-            staged_ops[index], remote_ops = transform_sequences(ops, remote_ops)
+    rebased = rebase_chain(staged, [remote for _ts, remote in remote_patches], expected)
+    for ts, remote in remote_patches:
         document.apply_patch(remote, ts=ts)
-    base = document.applied_ts
-    return [
-        patch.with_operations(ops).with_base(base)
-        for patch, ops in zip(staged, staged_ops)
-    ]
+    return rebased
 
 
 def _snapshot_jump(document: Document, lines: Sequence[str], ts: int) -> Patch:
@@ -189,16 +217,10 @@ def install_snapshot_into_staged(
     of the installed snapshot.
     """
     jump = _snapshot_jump(document, lines, ts)
-    staged_ops = [list(patch.operations) for patch in staged]
-    remote_ops = list(jump.operations)
-    for index, ops in enumerate(staged_ops):
-        staged_ops[index], remote_ops = transform_sequences(ops, remote_ops)
+    rebased = rebase_chain(staged, [jump], ts)
     document.apply_patch(jump)
     document.applied_ts = ts
-    return [
-        patch.with_operations(ops).with_base(ts)
-        for patch, ops in zip(staged, staged_ops)
-    ]
+    return rebased
 
 
 def converge_check(replicas: Sequence[Document]) -> None:

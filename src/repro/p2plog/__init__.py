@@ -15,7 +15,7 @@ from .checkpoint import (
     make_checkpoint_index_key,
     make_checkpoint_key,
 )
-from .entry import LogEntry, make_log_key
+from .entry import LogEntry, find_proposal, make_log_key
 from .log import P2PLogClient
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "P2PLogClient",
     "author_key",
     "canonical_bytes",
+    "find_proposal",
     "make_checkpoint_index_key",
     "make_checkpoint_key",
     "make_log_key",

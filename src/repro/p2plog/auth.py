@@ -18,12 +18,15 @@ model table in ``DESIGN.md`` spells out what is masked vs detected).
 
 What gets signed:
 
-* **Commits** — ``("commit", document_key, ts, patch, author, base_ts)``,
-  signed by the submitting user peer, verified by the Master before the
-  timestamp check, then stored in ``LogEntry.metadata["sig"]`` so every
-  replica carries the proof.  ``published_at`` is excluded (the Master
+* **Commits** — ``("commit", document_key, ts, patch, author, base_ts,
+  proposal)``, signed by the submitting user peer, verified by the Master
+  before the timestamp check, then stored in ``LogEntry.metadata["sig"]`` so
+  every replica carries the proof.  ``published_at`` is excluded (the Master
   stamps it after verification) and ``metadata`` is excluded (it holds the
-  signature itself).
+  signature itself).  The proposal identity is inside, so nobody can make an
+  author's entry pass for another of its proposals; a commit without one
+  (``None``: entries signed before identities existed) signs the six-tuple
+  it always did.
 * **Checkpoints** — ``("checkpoint", document_key, ts, lines, author)``,
   signed by the Master that materializes the snapshot and stored in
   ``Checkpoint.metadata["sig"]``; verified by user peers before trusting a
@@ -77,9 +80,11 @@ def _signature(key: bytes, payload: Any) -> str:
 
 
 def _commit_payload(
-    document_key: str, ts: int, patch: Any, author: str, base_ts: Optional[int]
+    document_key: str, ts: int, patch: Any, author: str, base_ts: Optional[int],
+    proposal: Optional[int],
 ) -> tuple:
-    return ("commit", document_key, int(ts), patch, author, base_ts)
+    payload = ("commit", document_key, int(ts), patch, author, base_ts)
+    return payload if proposal is None else payload + (proposal,)
 
 
 def sign_commit(
@@ -89,9 +94,12 @@ def sign_commit(
     patch: Any,
     author: str,
     base_ts: Optional[int] = None,
+    proposal: Optional[int] = None,
 ) -> str:
     """Sign one tentative commit with the author's derived ``key``."""
-    return _signature(key, _commit_payload(document_key, ts, patch, author, base_ts))
+    return _signature(
+        key, _commit_payload(document_key, ts, patch, author, base_ts, proposal)
+    )
 
 
 def verify_commit(
@@ -102,12 +110,14 @@ def verify_commit(
     patch: Any,
     author: str,
     base_ts: Optional[int] = None,
+    proposal: Optional[int] = None,
 ) -> bool:
     """``True`` iff ``signature`` is ``author``'s valid HMAC for this commit."""
     if not isinstance(signature, str):
         return False
     expected = sign_commit(
-        author_key(secret, author), document_key, ts, patch, author, base_ts
+        author_key(secret, author), document_key, ts, patch, author, base_ts,
+        proposal,
     )
     return hmac.compare_digest(signature, expected)
 
@@ -122,6 +132,7 @@ def verify_entry(secret: str, entry: Any) -> bool:
         entry.patch,
         entry.author,
         entry.base_ts,
+        entry.proposal,
     )
 
 

@@ -10,7 +10,7 @@ P2P-Log trivially consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,15 @@ class LogEntry:
         against concurrent ones.
     metadata:
         Optional free-form annotations (experiment ids, sizes, ...).
+    proposal:
+        The proposal identity the author gave this patch: together with
+        ``author`` it names one patch of one proposal for the life of the
+        document, however often the proposal was re-sent or rebased before
+        it landed (``None``: an entry from before identities, or built by
+        hand).  It is what makes a commit at-most-once — the Master-key peer
+        and the author both recognise a proposal that already landed by it
+        (``DESIGN.md`` §"The commit pipeline", *At most once*) — and it is
+        part of what the author signs.
     """
 
     document_key: str
@@ -47,6 +56,7 @@ class LogEntry:
     published_at: float = 0.0
     base_ts: Optional[int] = None
     metadata: dict[str, Any] = field(default_factory=dict, compare=False, hash=False)
+    proposal: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.ts < 1:
@@ -60,6 +70,33 @@ class LogEntry:
     def describe(self) -> str:
         """One-line human readable description (used in traces)."""
         return f"{self.document_key}@{self.ts} by {self.author}"
+
+
+def find_proposal(entries: Sequence[LogEntry], author: str,
+                  proposal: Optional[int], count: int) -> Optional[tuple[int, int]]:
+    """Where in ``entries`` a proposal landed: ``(index, patches)`` or ``None``.
+
+    A proposal is recognised by its first patch's identity — ``author`` and
+    ``proposal`` — and covers the entries that follow it with the following
+    identities, at most ``count``, the length of the chain being looked for
+    (a chain that grew since it was first sent holds more patches than
+    landed).  The one search behind at-most-once commits: the Master-key peer
+    runs it over the gap of a stale proposal, the author over whatever range
+    it integrates.
+    """
+    if proposal is None:
+        return None
+    for first, entry in enumerate(entries):
+        if entry.proposal == proposal and entry.author == author:
+            landed = 1
+            while (
+                landed < count and first + landed < len(entries)
+                and entries[first + landed].proposal == proposal + landed
+                and entries[first + landed].author == author
+            ):
+                landed += 1
+            return first, landed
+    return None
 
 
 def make_log_key(document_key: str, ts: int) -> str:
@@ -116,15 +153,18 @@ register_wire_type(
     "log-entry",
     pack=lambda obj, enc: [
         obj.document_key, obj.ts, enc(obj.patch), obj.author,
-        obj.published_at, obj.base_ts, enc(obj.metadata),
+        obj.published_at, obj.base_ts, enc(obj.metadata), obj.proposal,
     ],
+    # Frames written before entries carried a proposal identity have no
+    # eighth element.
     unpack=lambda body, dec: LogEntry(
         document_key=body[0], ts=body[1], patch=dec(body[2]), author=body[3],
         published_at=body[4], base_ts=body[5], metadata=dec(body[6]),
+        proposal=body[7] if len(body) > 7 else None,
     ),
     copy=lambda obj, copier: LogEntry(
         document_key=obj.document_key, ts=obj.ts, patch=copier(obj.patch),
         author=obj.author, published_at=obj.published_at, base_ts=obj.base_ts,
-        metadata=copier(obj.metadata),
+        metadata=copier(obj.metadata), proposal=obj.proposal,
     ),
 )

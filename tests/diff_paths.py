@@ -1,22 +1,28 @@
-"""Differential harness: one seeded contended script, run once per *arm*.
+"""Differential harness: one seeded script, run once per *arm*.
 
 A change that replaces (or short-cuts) a path of the commit pipeline proves
 itself here before the old path goes: the same seeded script — three
-writers racing on a hot and a cold document, optionally through a fault,
-in two bursts with the fault between them — is run on each arm, and every
-arm must end with the checker trio green
-(dense timestamps, prefix-complete log, OT convergence), every replica
-converged and every acknowledged edit in the log.
+writers on a hot and a cold document, optionally through a fault, in two
+bursts with the fault between them — is run on each arm, and every arm must
+end with the checker's four invariants green (dense timestamps,
+prefix-complete log, OT convergence, no proposal in the log twice), every
+replica converged, every acknowledged edit in the log and none of them
+twice.
 
-Commit *orders* may differ between arms (an arm that saves a round-trip
-changes who wins the next race); invariants may not.  An edit that the log
-holds twice is *reported* (:attr:`ArmReport.doubled`), not asserted: a
-proposal re-sent after an RPC timeout is committed twice today on every
-arm (ROADMAP, "at-most-once proposals"), and tightening this harness to
-exactly-once belongs to the change that fixes that.
+There are two scripts.  In the **contended** one (:func:`run_arm`) the
+writers race; commit *orders* may differ between arms (an arm that saves a
+round-trip changes who wins the next race), invariants may not.  In the
+**sequential** one (``sequential=True``) the writers take turns, two commits
+each, never synchronising in between: every other commit is stale, nothing
+depends on timing (a partition is healed again before the second burst), and
+so two arms must agree on more than invariants — the same log, entry for
+entry, and the same replica texts
+(:meth:`ArmReport.assert_same_outcome`).  That is how a transform that moved
+(the Master rebasing a stale proposal) is proven equal to the one it
+replaces (the proposer rebasing after a *behind* answer and a log read).
 
 An arm is any context manager that is active while the script runs; see
-``test_diff_paths.py`` for the arms: the carried suffix against the log
+``test_diff_paths.py`` for the arms: the Master's tail against the log
 retrieval it short-cuts, warmed routes against routing under the lock.
 """
 
@@ -54,12 +60,21 @@ class ArmReport:
 
     acked: dict[str, set[str]] = field(default_factory=dict)
     logged: dict[str, list[str]] = field(default_factory=dict)
+    #: Per document the log ``1 .. last-ts`` as ``(ts, author, base_ts,
+    #: operations)``, and the text of every writer's replica after the final
+    #: synchronisation: what two arms of the sequential script must share.
+    log: dict[str, list[tuple]] = field(default_factory=dict)
+    texts: dict[str, dict[str, str]] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     converged: bool = True
+    #: Commits that raised (the sequential script expects none).
+    failed_commits: int = 0
     #: ``fetch_many`` requests sent while only commits were running: every
     #: one of them is a *behind* round that read the P2P-Log.
     write_phase_log_reads: int = 0
     behind_answers: int = 0
+    #: Stale proposals the Master transformed and committed itself.
+    rebased_proposals: int = 0
     #: Publishes, and the lookups they sent out themselves, i.e. while holding
     #: the per-document lock (``route_probe``: routing that was not done
     #: ahead) — of all publishes, and of those whose timestamps the Master
@@ -80,7 +95,7 @@ class ArmReport:
 
     @property
     def doubled(self) -> list[tuple[str, str]]:
-        """Edits the log holds more than once (reported, see module docstring)."""
+        """Edits the log holds more than once."""
         return sorted(
             (key, marker)
             for key, markers in self.logged.items()
@@ -91,6 +106,65 @@ class ArmReport:
         assert self.violations == [], (label, self.violations)
         assert self.converged, f"{label}: replicas did not converge"
         assert self.missing == [], f"{label}: acked edits not in the log: {self.missing}"
+        assert self.doubled == [], f"{label}: edits in the log twice: {self.doubled}"
+
+    def assert_same_outcome(self, other: "ArmReport", label: str) -> None:
+        """Both arms produced the same log and the same replicas, byte for byte."""
+        assert self.failed_commits == other.failed_commits == 0, label
+        for key in KEYS:
+            ours, theirs = self.log.get(key, []), other.log.get(key, [])
+            assert len(ours) == len(theirs), (label, key, len(ours), len(theirs))
+            for mine, yours in zip(ours, theirs):
+                assert mine == yours, f"{label}: {key} differs at ts {mine[0]}: {mine} != {yours}"
+        assert self.texts == other.texts, f"{label}: replica texts differ"
+
+
+def _edit(rng: random.Random, lines: list[str], marker: str,
+          keep: list[str]) -> str:
+    """The next text: ``marker`` in at a random line, one line out once there
+    are more than twelve — never one of ``keep`` (an edit of ours that is
+    still unacknowledged: composed into one pending patch, insert + delete
+    would cancel out and the edit would, rightly, never reach the log)."""
+    deletable = [line for line in lines if line not in keep]
+    if len(lines) > 12 and deletable:
+        lines.remove(rng.choice(deletable))
+    lines.insert(rng.randrange(len(lines) + 1), marker)
+    return "\n".join(lines)
+
+
+def _turns(system: LtrSystem, writers: list[str], seed: int, chain: int,
+           phase: int, report: ArmReport) -> None:
+    """The sequential script: one commit at a time, every other one stale.
+
+    The writers take turns of two commits, each writer on the document the
+    turn picks; nobody synchronises.  The first commit of a turn is behind
+    by whatever the others committed since this writer's last turn, the
+    second is current.  With ``chain > 1`` a commit is a staged chain of
+    2 .. ``chain`` edits.
+    """
+    rng = random.Random(f"diff-paths-sequential:{seed}:{phase}")
+    stats = system.network.stats
+    reads = stats.per_method.get("fetch_many", 0)
+    for turn in range(9 if chain == 1 else 6):
+        name = writers[turn % len(writers)]
+        user = system.user(name)
+        key = HOT if rng.random() < 0.75 else COLD
+        for commit in range(2):
+            markers = [f"{name}#{phase}.{turn}.{commit}.{edit}"
+                       for edit in range(1 if chain == 1 else rng.randint(2, chain))]
+            for marker in markers:
+                if chain > 1:
+                    user.stage(key, _edit(rng, user.staged_lines(key), marker, markers))
+                else:
+                    user.edit(key, _edit(rng, user.working_lines(key), marker, markers))
+            try:
+                result = (system.flush if chain > 1 else system.commit)(name, key)
+            except ReproError:
+                report.failed_commits += 1
+                continue
+            if result is not None:
+                report.acked.setdefault(key, set()).update(markers)
+    report.write_phase_log_reads += stats.per_method.get("fetch_many", 0) - reads
 
 
 def _writer(system: LtrSystem, name: str, seed: int, chain: int, phase: int,
@@ -120,20 +194,14 @@ def _writer(system: LtrSystem, name: str, seed: int, chain: int, phase: int,
         key = HOT if rng.random() < 0.75 else COLD
         marker = f"{name}#{phase}.{number}"
         lines = user.staged_lines(key) if chain > 1 else user.working_lines(key)
-        # Never delete an edit of ours that is still unacknowledged: composed
-        # into one pending patch, insert + delete would cancel out and the
-        # edit would (rightly) never reach the log.
-        deletable = [line for line in lines if line not in unacked[key]]
-        if len(lines) > 12 and deletable:
-            lines.remove(rng.choice(deletable))
-        lines.insert(rng.randrange(len(lines) + 1), marker)
+        text = _edit(rng, lines, marker, unacked[key])
         unacked[key].append(marker)
         if chain > 1:
-            user.stage(key, "\n".join(lines))
+            user.stage(key, text)
             if not user.batch(key).full:
                 continue
         else:
-            user.edit(key, "\n".join(lines))
+            user.edit(key, text)
         yield from commit(key)
         yield runtime.timeout(rng.uniform(0.0, 0.02))
     for key in KEYS:
@@ -160,12 +228,12 @@ def _inject(system: LtrSystem, fault: str, writers: list[str]) -> Callable[[], N
     """Apply ``fault`` between the two bursts; returns what undoes it after.
 
     Faults land on a quiescent system and membership changes settle before
-    the next burst: a proposal that is in flight while its Master leaves,
-    or whose publish outlasts the proposer's RPC timeout, trips hazards
-    that predate any arm compared here (ROADMAP open item 1) and would
-    only make every cell red on every arm.  The second burst then meets
-    what this harness is about: a Master fresh from a takeover, a ring
-    routing around a partition, a log whose placements moved.
+    the next burst: proposals in flight while their Master leaves, or
+    re-sent because a publish outlasts the proposer's RPC timeout, are what
+    ``test_at_most_once.py`` and the commit fuzzer are for.  The second
+    burst then meets what this harness is about: a Master fresh from a
+    takeover, a ring routing around a partition, a log whose placements
+    moved.
     """
     bystanders = [name for name in system.peer_names() if name not in writers]
     masters = {system.master_of(key) for key in KEYS}
@@ -199,11 +267,15 @@ def _inject(system: LtrSystem, fault: str, writers: list[str]) -> Callable[[], N
 
 
 def run_arm(seed: int, fault: str, chain: int,
-            arm: Arm = contextlib.nullcontext) -> ArmReport:
-    """Run the script for ``(seed, fault, chain)`` inside ``arm()``."""
+            arm: Arm = contextlib.nullcontext, *, sequential: bool = False) -> ArmReport:
+    """Run a script for ``(seed, fault, chain)`` inside ``arm()``.
+
+    The contended script by default, the sequential one on request.
+    """
     if fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
     report = ArmReport()
+    script = _turns if sequential else _burst
     with arm(), trace_routing() as routing:
         system = LtrSystem(
             ltr_config=LtrConfig(batch_max_edits=chain),
@@ -218,11 +290,22 @@ def run_arm(seed: int, fault: str, chain: int,
                        if name not in masters][:WRITERS]
             checker = ConvergenceChecker(KEYS, max_in_flight=chain)
             system.add_observer(checker)
-            _burst(system, writers, seed, chain, 1, report)
+            script(system, writers, seed, chain, 1, report)
             undo = _inject(system, fault, writers)
-            _burst(system, writers, seed, chain, 2, report)
+            if sequential:
+                # Both bursts on a whole ring, the fault and its repair on the
+                # boundary: while the partition lasts an entry whose
+                # placements are all cut off cannot be read, so the arm that
+                # reads the log fails commits the other one does not need the
+                # log for — a difference in availability, not in outcome.
+                undo()
+                undo = lambda: None  # noqa: E731
+                system.run_for(2.0)  # the re-joined peers settle into their arcs
+            script(system, writers, seed, chain, 2, report)
             undo()
-            report.behind_answers = system.statistics()["proposals_behind"]
+            statistics = system.statistics()
+            report.behind_answers = statistics["proposals_behind"]
+            report.rebased_proposals = statistics["proposals_rebased"]
             final = checker.final_check(system, settle=4.0)
             report.violations = [
                 f"[{snapshot.label}] {violation}"
@@ -241,6 +324,13 @@ def run_arm(seed: int, fault: str, chain: int,
                     for operation in entry.patch.operations
                     if isinstance(operation, InsertLine)
                 ]
+                report.log[key] = [
+                    (entry.ts, entry.author, entry.base_ts, entry.patch.operations)
+                    for entry in entries
+                ]
+                report.texts[key] = {
+                    name: system.user(name).document(key).text for name in writers
+                }
         finally:
             system.shutdown()
     for publish in routing.publishes:
@@ -253,11 +343,11 @@ def run_arm(seed: int, fault: str, chain: int,
     return report
 
 
-def run_differential(seed: int, fault: str, chain: int,
-                     arms: dict[str, Arm]) -> dict[str, ArmReport]:
+def run_differential(seed: int, fault: str, chain: int, arms: dict[str, Arm],
+                     *, sequential: bool = False) -> dict[str, ArmReport]:
     """Run every arm on the same cell and assert the invariants on each."""
     reports = {}
     for name, arm in arms.items():
-        reports[name] = run_arm(seed, fault, chain, arm)
+        reports[name] = run_arm(seed, fault, chain, arm, sequential=sequential)
         reports[name].assert_invariants(f"seed {seed} / {fault} / chain {chain} / {name}")
     return reports

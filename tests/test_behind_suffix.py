@@ -1,11 +1,15 @@
-"""A *behind* answer carries the missing suffix (repro.core.master / user_peer).
+"""The answer to a stale proposal carries what it missed (repro.core.master / user_peer).
 
-The Master keeps a bounded tail of the entries it allocated per document and
-hands a stale proposer ``(base_ts, last_ts]`` with the *behind* answer; the
-user peer integrates it only if it is exactly the missing range and passes
-the checks a fetched entry passes, and reads the P2P-Log otherwise.  These
-tests pin the reply shape, the tail's bounds and lifetime, and every way the
-proposer falls back to ``fetch_range``.
+The Master keeps a bounded tail of the entries it allocated per document.  A
+stale proposal whose gap the tail covers is transformed over it and committed
+— the answer is *ok* and carries the gap; where the Master cannot do that (a
+signed proposal, a gap older than the tail, a Master fresh from a takeover)
+the answer is *behind*, carrying ``(base_ts, last_ts]`` when the tail holds
+it.  Either way the user peer integrates what was carried only if it is
+exactly the missing range and passes the checks a fetched entry passes, and
+reads the P2P-Log otherwise.  These tests pin the reply shapes, the tail's
+bounds and lifetime, and every way the proposer falls back to
+``fetch_range``; ``tests/test_master_rebase.py`` pins the transform.
 """
 
 from dataclasses import replace
@@ -36,6 +40,13 @@ def publish(system, count, key=KEY, start=1):
     return master
 
 
+def handle(system, master, key, ts, patches, author, **arguments):
+    """``run_validation`` with the optional arguments of the RPC."""
+    handler = master.validate_and_publish(key=key, ts=ts, patches=patches,
+                                          author=author, **arguments)
+    return ValidationResult.from_payload(system.sim.run(until=system.sim.process(handler)))
+
+
 def log_reads(system):
     per_method = system.network.stats.per_method
     return per_method.get("fetch_many", 0) + per_method.get("fetch", 0)
@@ -45,15 +56,27 @@ def log_reads(system):
 
 
 def test_behind_answer_carries_exactly_the_missing_suffix():
+    """(Pinned *behind* + ``(ts - 1, last_ts]`` for every stale proposal; a
+    covered gap is committed now, and what it carries is the same range.)"""
     system = build_system()
     master = publish(system, 5)
     stale = run_validation(system, master, KEY, 3, [make_patch("late", "x", 2)], "late")
-    assert not stale.accepted and stale.last_ts == 5
-    assert [entry.ts for entry in stale.entries] == [3, 4, 5]  # (ts - 1, last_ts]
+    assert stale.accepted and (stale.first_ts, stale.last_ts) == (6, 6)
+    assert [entry.ts for entry in stale.entries] == [3, 4, 5]  # (ts - 1, first_ts - 1]
     assert list(stale.entries) == system.fetch_log(KEY, 3, 5)  # what the log holds
     # The proposer that is only one behind gets one entry, not the tail.
-    near = run_validation(system, master, KEY, 5, [make_patch("late", "x", 4)], "late")
-    assert [entry.ts for entry in near.entries] == [5]
+    near = run_validation(system, master, KEY, 6, [make_patch("late", "x", 5)], "late")
+    assert near.accepted and [entry.ts for entry in near.entries] == [6]
+    stats = master.statistics()
+    assert (stats["proposals_ok"], stats["proposals_rebased"],
+            stats["proposals_behind"]) == (7, 2, 0)
+    # A signed chain cannot be transformed for its author: behind, same range.
+    signed = handle(system, master, KEY, 5, [make_patch("late", "x", 4)], "late",
+                    signatures=["not checked without auth_enabled"])
+    assert not signed.accepted and signed.last_ts == 7
+    assert [entry.ts for entry in signed.entries] == [5, 6, 7]  # (ts - 1, last_ts]
+    assert list(signed.entries) == system.fetch_log(KEY, 5, 7)
+    assert master.statistics()["proposals_behind"] == 1
 
 
 def test_other_answers_carry_no_entries():
@@ -72,6 +95,9 @@ def test_payload_round_trip_keeps_the_entries():
     result = ValidationResult.behind(5, entries)
     assert ValidationResult.from_payload(result.to_payload()).entries == entries
     assert "entries" not in ValidationResult.behind(5).to_payload()
+    result = ValidationResult.ok(6, 6, 3, entries)
+    assert ValidationResult.from_payload(result.to_payload()) == result
+    assert "entries" not in ValidationResult.ok(6, 6, 3, []).to_payload()
 
 
 # ------------------------------------------------------------- the tail --
@@ -90,10 +116,12 @@ def test_tail_is_bounded_in_entries(monkeypatch):
     tail = master._tails[KEY]
     assert [entry.ts for entry in tail.entries] == [4, 5, 6, 7]
     assert tail.bytes == sum(tail.sizes) == sum(payload_size(e) for e in tail.entries)
-    # A gap that reaches behind the tail carries nothing; one inside it does.
+    # A gap that reaches behind the tail is answered behind and carries
+    # nothing; one inside it is committed over what it carries.
     far = run_validation(system, master, KEY, 3, [make_patch("late", "x", 2)], "late")
-    assert far.last_ts == 7 and far.entries is None
+    assert not far.accepted and far.last_ts == 7 and far.entries is None
     near = run_validation(system, master, KEY, 4, [make_patch("late", "x", 3)], "late")
+    assert near.accepted and near.first_ts == 8
     assert [entry.ts for entry in near.entries] == [4, 5, 6, 7]
 
 
@@ -122,7 +150,7 @@ def test_tail_restarts_on_a_gap_and_is_dropped_when_the_counter_moved_on():
     master = publish(system, 3)
     master._authority().advance_ts(KEY, 5)  # someone else allocated 4 and 5
     stale = run_validation(system, master, KEY, 3, [make_patch("late", "x", 2)], "late")
-    assert stale.last_ts == 5 and stale.entries is None
+    assert not stale.accepted and stale.last_ts == 5 and stale.entries is None
     assert KEY not in master._tails
 
 
@@ -139,11 +167,11 @@ def test_tail_is_allocated_lazily_and_dropped_on_hand_off():
     new_master = system.master_service(KEY)
     assert new_master is not old_master and new_master._tails == {}
     stale = run_validation(system, new_master, KEY, 2, [make_patch("late", "x", 1)], "late")
-    assert stale.last_ts == 3 and stale.entries is None
-    # ... so a stale editor's commit reads the log, and lands.
+    assert not stale.accepted and stale.last_ts == 3 and stale.entries is None
+    # ... so a stale editor's commit reads the log, and lands on the second try.
     reads = log_reads(system)
     result = system.edit_and_commit(system.peer_names()[0], KEY, "after the takeover")
-    assert result.ts == 4 and result.retrieved_patches == 3
+    assert (result.ts, result.attempts, result.retrieved_patches) == (4, 2, 3)
     assert log_reads(system) > reads
     assert [entry.ts for entry in new_master._tails[KEY].entries] == [4]
 
@@ -174,12 +202,17 @@ def stale_editor(system, behind_by=3, key=KEY):
 
 
 def test_commit_served_by_a_carried_suffix_makes_zero_log_reads():
+    """(Pinned two attempts — behind, then ok; the covered gap costs one.)"""
     system = build_system()
     user = stale_editor(system)
     reads, retrievals = log_reads(system), user.log.retrievals
+    proposals = system.network.stats.per_method["ltr_validate_and_publish"]
     result = system.commit(user.author, KEY)
-    assert (result.ts, result.attempts, result.retrieved_patches) == (4, 2, 3)
+    assert (result.ts, result.attempts, result.retrieved_patches) == (4, 1, 3)
     assert log_reads(system) == reads and user.log.retrievals == retrievals
+    # One request, one reply.
+    assert system.network.stats.per_method["ltr_validate_and_publish"] == proposals + 2
+    assert user.document(KEY).applied_ts == 4 and "my draft" in user.document(KEY).lines
     report = system.check_consistency(KEY)
     assert report.converged and report.log_continuous
 
@@ -190,13 +223,36 @@ def test_gap_beyond_the_tail_falls_back_to_the_log(monkeypatch):
     user = stale_editor(system, behind_by=4)
     reads = log_reads(system)
     result = system.commit(user.author, KEY)
-    assert (result.ts, result.retrieved_patches) == (5, 4)
+    assert (result.ts, result.attempts, result.retrieved_patches) == (5, 2, 4)
     assert log_reads(system) > reads and user.log.retrievals == 4
+    assert system.master_service(KEY).statistics()["proposals_behind"] == 1
     assert system.check_consistency(KEY).converged
 
 
-def carried(user, applied_ts, last_ts, entries):
-    return user._carried_suffix(KEY, applied_ts, ValidationResult.behind(last_ts, entries))
+def carried(user, applied_ts, last_ts, entries, answer=ValidationResult.behind):
+    return user._carried_suffix(KEY, applied_ts, answer(last_ts, entries))
+
+
+def ok_after(last_ts, entries):
+    """An *ok* for a chain of one that landed right behind ``last_ts``."""
+    return ValidationResult.ok(last_ts + 1, last_ts + 1, 3, entries)
+
+
+def test_carried_gap_of_an_ok_answer_is_checked_the_same_way():
+    """``applied_ts + 1 .. first_ts - 1`` for *ok*, ``.. last_ts`` for *behind*."""
+    system = build_system()
+    user = system.user(system.peer_names()[0])
+    entry = LogEntry(KEY, 1, make_patch("u", "x"))
+    three = [replace(entry, ts=ts) for ts in (3, 4, 5)]
+    assert carried(user, 2, 5, three, ok_after) == three
+    assert carried(user, 2, 5, None, ok_after) is None
+    assert carried(user, 1, 5, three, ok_after) is None              # starts too late
+    assert carried(user, 2, 6, three, ok_after) is None              # ends too early
+    assert carried(user, 2, 4, three, ok_after) is None              # reaches into the chain
+    assert carried(user, 2, 5, three[::-1], ok_after) is None
+    assert carried(user, 2, 5, three[:2] + [{"ts": 5}], ok_after) is None
+    # A chain of three that landed at 6..8: the gap still ends at 5.
+    assert user._carried_suffix(KEY, 2, ValidationResult.ok(6, 8, 3, three)) == three
 
 
 def test_carried_suffix_is_used_only_if_it_is_exactly_the_missing_range():
@@ -223,19 +279,28 @@ def test_carried_suffix_is_used_only_if_it_is_exactly_the_missing_range():
     lambda entries: [vars(e) for e in entries],                         # not LogEntry
 ], ids=["non-contiguous", "mis-keyed", "non-log-entry"])
 def test_unusable_carried_suffix_falls_back_to_the_log(mangle, monkeypatch):
+    """(The mangled entries came with *behind*; they come with the *ok* of a
+    commit that has landed, so the fallback has to finish it: exactly the
+    gap is read, then the chain is applied where it landed.)"""
     system = build_system()
     user = stale_editor(system)
-    master = system.master_service(KEY)
-    honest = master._missing_suffix
-    monkeypatch.setattr(
-        master, "_missing_suffix", lambda *args: mangle(list(honest(*args)))
-    )
-    reads = log_reads(system)
+    honest = ValidationResult.to_payload
+
+    def mangled(self):
+        payload = honest(self)
+        if "entries" in payload:
+            payload["entries"] = mangle(list(payload["entries"]))
+        return payload
+
+    monkeypatch.setattr(ValidationResult, "to_payload", mangled)
+    reads, retrievals = log_reads(system), user.log.retrievals
     result = system.commit(user.author, KEY)
-    assert (result.ts, result.retrieved_patches) == (4, 3)
+    assert (result.ts, result.attempts, result.retrieved_patches) == (4, 1, 3)
     assert log_reads(system) > reads  # the honest copies came from the log
+    assert user.log.retrievals == retrievals + 3  # ... ts 1..3, not its own ts 4
     report = system.check_consistency(KEY)
     assert report.converged and report.log_continuous
+    assert system.last_ts(KEY) == 4
 
 
 def test_tampered_tail_entry_is_rejected_counted_and_the_log_copy_used():
@@ -250,7 +315,7 @@ def test_tampered_tail_entry_is_rejected_counted_and_the_log_copy_used():
     tail.entries[1] = replace(honest, patch=forged)  # keeps the author's signature
     reads, rejects = log_reads(system), user.log.auth_rejects
     result = system.commit(user.author, KEY)
-    assert (result.ts, result.retrieved_patches) == (4, 3)
+    assert (result.ts, result.attempts, result.retrieved_patches) == (4, 2, 3)
     assert user.log.auth_rejects == rejects + 1
     assert log_reads(system) > reads
     assert "<forged in the tail>" not in user.document(KEY).lines
@@ -264,5 +329,7 @@ def test_signed_carried_suffix_verifies_and_skips_the_log():
     user = stale_editor(system)
     reads, rejects = log_reads(system), user.log.auth_rejects
     result = system.commit(user.author, KEY)
-    assert (result.ts, result.retrieved_patches) == (4, 3)
+    assert (result.ts, result.attempts, result.retrieved_patches) == (4, 2, 3)  # behind, ok
     assert log_reads(system) == reads and user.log.auth_rejects == rejects
+    stats = system.master_service(KEY).statistics()
+    assert (stats["proposals_behind"], stats["proposals_rebased"]) == (1, 0)

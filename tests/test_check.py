@@ -147,6 +147,58 @@ def test_mutation_forked_placement_content_is_reported():
     assert snapshot.keys[KEY]["mismatched_ts"] == [3]
 
 
+def test_mutation_doubled_proposal_is_reported():
+    """A re-sent proposal committed again: dense, complete, converged — and
+    the same identity under two timestamps."""
+    from dataclasses import replace
+
+    system = committed_system()
+    healthy = ConvergenceChecker(keys=[KEY]).check_now(system)
+    assert healthy.ok and healthy.keys[KEY]["doubled_ts"] == []
+    original = placement_items(system, ts=2)[0][2].value
+    assert original.proposal is not None
+    # Every copy of ts 4 now carries the identity ts 2 landed under.
+    for node, storage_key, item in placement_items(system, ts=4):
+        node.storage.put(storage_key, replace(item.value, proposal=original.proposal),
+                         is_replica=item.is_replica, now=system.runtime.now,
+                         key_id=item.key_id)
+    checker = ConvergenceChecker(keys=[KEY])
+    snapshot = checker.check_now(system)
+    assert snapshot.keys[KEY]["doubled_ts"] == [4]
+    assert snapshot.violations == [
+        f"{KEY}: proposal {original.proposal} of {original.author} is in the log "
+        f"twice, at ts 2 and ts 4"
+    ]
+    assert snapshot.structured == [{
+        "kind": "doubled", "key": KEY, "ts": 4, "peer": original.author,
+        "detail": f"proposal {original.proposal} already landed at ts 2",
+    }]
+    # The other three invariants see nothing wrong with it.
+    info = snapshot.keys[KEY]
+    assert info["missing_ts"] == info["mismatched_ts"] == info["diverged"] == []
+    assert info["last_ts"] == info["log_max"] == 4
+    # Another author's proposal may carry the same number.
+    for node, storage_key, item in placement_items(system, ts=4):
+        node.storage.put(storage_key, replace(item.value, author="somebody-else"),
+                         is_replica=item.is_replica, now=system.runtime.now,
+                         key_id=item.key_id)
+    assert ConvergenceChecker(keys=[KEY]).check_now(system).keys[KEY]["doubled_ts"] == []
+
+
+def test_entries_without_an_identity_are_skipped_not_flagged():
+    """Rows from before identities, hand-built entries: ``proposal is None``."""
+    from dataclasses import replace
+
+    system = committed_system()
+    for ts in (1, 2, 3, 4):
+        for node, storage_key, item in placement_items(system, ts=ts):
+            node.storage.put(storage_key, replace(item.value, proposal=None),
+                             is_replica=item.is_replica, now=system.runtime.now,
+                             key_id=item.key_id)
+    snapshot = ConvergenceChecker(keys=[KEY]).check_now(system)
+    assert snapshot.ok and snapshot.keys[KEY]["doubled_ts"] == []
+
+
 def test_mutation_restamped_copy_with_identical_content_is_benign():
     from dataclasses import replace
 
@@ -265,7 +317,9 @@ def test_orphan_entry_beyond_counter_is_strict_only():
     node, _storage_key, item = placement_items(system, ts=4)[0]
     from dataclasses import replace
 
-    orphan = replace(item.value, ts=5)
+    # (A proposal of its own: a copy of ts 4's identity at ts 5 would be the
+    # at-most-once violation, which is not this test's subject.)
+    orphan = replace(item.value, ts=5, proposal=item.value.proposal + 1)
     log_key = make_log_key(KEY, 5)
     function = system.hash_family[0]
     node.storage.put(function.placement_key(log_key), orphan,

@@ -92,6 +92,7 @@ log_entries = st.builds(
     author=names,
     published_at=floats,
     metadata=st.dictionaries(names, timestamps, max_size=3),
+    proposal=st.none() | st.integers(min_value=0, max_value=2**62),
 )
 checkpoints = st.builds(
     Checkpoint,
@@ -460,9 +461,80 @@ def test_negative_route_age_crosses_the_codec_and_is_clamped():
 def _behind_entries():
     return [
         LogEntry("doc", ts, _PATCH, author="alice", published_at=0.5, base_ts=ts - 1,
-                 metadata={"sig": "ab" * 32})
+                 metadata={"sig": "ab" * 32}, proposal=2**47 + ts)
         for ts in (4, 5)
     ]
+
+
+def test_log_entry_proposal_round_trips_and_older_frames_still_load():
+    from repro.net.codec import from_wire, to_wire
+
+    entry = _behind_entries()[0]
+    decoded = _response_round_trip("fetch", {"value": entry})["value"]
+    assert decoded == entry and decoded.proposal == 2**47 + 4
+    assert copy_payload(entry).proposal == entry.proposal
+    # Part of what equality compares: two proposals are two entries.
+    assert dataclasses.replace(entry, proposal=7) != entry
+    plain = dataclasses.replace(entry, proposal=None)
+    assert _response_round_trip("fetch", {"value": plain})["value"].proposal is None
+    # A frame from before entries carried an identity has no eighth element.
+    tree = to_wire(entry)
+    assert tree["~t"] == "log-entry" and tree["v"][7] == entry.proposal
+    del tree["v"][7]
+    old = from_wire(tree)
+    assert old == plain and old.metadata == entry.metadata
+    # ... and a row pickled before it has no such attribute.
+    import pickle
+
+    state = dict(vars(plain))
+    del state["proposal"]
+    row = LogEntry.__new__(LogEntry)
+    row.__dict__.update(state)
+    loaded = pickle.loads(pickle.dumps(row))
+    assert loaded.proposal is None and loaded == plain
+
+
+def test_ok_payload_round_trips_with_the_gap_it_carries():
+    from repro.core.protocol import ValidationResult
+
+    payload = ValidationResult.ok(6, 7, 3, _behind_entries()).to_payload()
+    decoded = _response_round_trip("ltr_validate_and_publish", payload)
+    result = ValidationResult.from_payload(decoded)
+    assert result.accepted and (result.first_ts, result.last_ts, result.replicas) == (6, 7, 3)
+    assert result.entries == _behind_entries()
+    assert [entry.proposal for entry in result.entries] == [2**47 + 4, 2**47 + 5]
+    system = LtrSystem()
+    try:
+        system.bootstrap(3)
+        user = system.user(system.peer_names()[0])
+        assert user._carried_suffix("doc", 3, result) == _behind_entries()
+        assert user._carried_suffix("doc", 2, result) is None
+    finally:
+        system.shutdown()
+
+
+@pytest.mark.parametrize("entries", [
+    "not a list", 7, {"ts": 4}, [4, 5], [None, None], [["doc", 4], ["doc", 5]],
+    [_PATCH, _PATCH], _behind_entries()[::-1], _behind_entries()[:1] * 2,
+    [LogEntry("other", ts, _PATCH) for ts in (4, 5)], _behind_entries()[:1],
+    _behind_entries() + [LogEntry("doc", 6, _PATCH)],
+], ids=["string", "int", "mapping", "ints", "nones", "lists", "patches",
+        "reversed", "repeated", "mis-keyed", "short", "into-the-chain"])
+def test_hostile_ok_entries_cross_the_codec_and_are_refused(entries):
+    from repro.core.protocol import ValidationResult
+
+    payload = {"status": "ok", "first_ts": 6, "last_ts": 6, "replicas": 3,
+               "entries": entries}
+    result = ValidationResult.from_payload(
+        _response_round_trip("ltr_validate_and_publish", payload)
+    )
+    system = LtrSystem()
+    try:
+        system.bootstrap(3)
+        user = system.user(system.peer_names()[0])
+        assert user._carried_suffix("doc", 3, result) is None  # -> fetch_range of 4..5
+    finally:
+        system.shutdown()
 
 
 def test_behind_payload_round_trips_with_its_entries():

@@ -2,7 +2,9 @@
 
 One commit of the paper's protocol is: route to the Master-key peer,
 validate, ``Put`` at the ``|Hr|`` Log-Peers, ack — and, when *behind*, one
-more validation round.  Two redundant routed round-trips used to ride along
+more validation round, which a stale proposal no longer pays: the Master
+transforms it over what it missed and commits it in the round it arrived in.
+Two redundant routed round-trips used to ride along
 (76 % of the traffic): re-routing to peers already known, because a route
 relayed out of another node's cache was never learned, and re-reading from
 the P2P-Log what the Master had just published.  This test pins the budget
@@ -15,10 +17,11 @@ them ahead of the proposal that needs them, so a publish whose timestamps
 were warmed sends no ``find_successor`` between lock acquire and release —
 pinned here too, next to what warming costs (lookups for each document's
 last, never-used warmed timestamps; lanes that reach a hot document sooner
-propose more often).  Exact counts of this run (360 commits), parent → now:
-``find_successor`` 1162 → 1258, ``ltr_validate_and_publish`` 1684 → 1752,
-``store_many`` 2120 and ``receive_items`` 1420 unchanged, total 6386 → 6550
-(17.74 → 18.19 a commit).
+propose more often).  Exact counts of this run (360 commits), before the
+Master transformed stale proposals → now: ``find_successor`` 1258 → 1260,
+``ltr_validate_and_publish`` 1752 → 720 (2.43 → 1.00 proposals a commit: one
+request, one reply), ``store_many`` 2120 and ``receive_items`` 1420 unchanged,
+total 6550 → 5520 (18.19 → 15.33 a commit).
 """
 
 import random
@@ -74,7 +77,9 @@ def test_contended_commit_pays_only_for_the_round_trips_it_needs():
     assert len(attempts) == COMMITS
     proposals = sent["ltr_validate_and_publish"] / 2  # request + response
     assert proposals == sum(attempts)
-    assert proposals / COMMITS > 1.5  # contended: most commits ran behind once
+    # Contended (most proposals are stale when they arrive: 2.43 a commit
+    # while they were sent back), and every one of them lands all the same.
+    assert set(attempts) == {1}
     per_commit = {method: count / COMMITS for method, count in sent.items()}
     # No Master changed hands, every gap fits the tail: the log is never read.
     assert sent.get("fetch_many", 0) == 0 and sent.get("fetch", 0) == 0
@@ -84,15 +89,15 @@ def test_contended_commit_pays_only_for_the_round_trips_it_needs():
     # paid 22.5 (and 7.4 fetch_many) whatever the length.
     assert per_commit["find_successor"] <= 4.0, per_commit
     # The protocol itself: proposals, grouped puts, replica pushes
-    # (4.9 + 5.9 + 3.9 measured).
-    assert per_commit["ltr_validate_and_publish"] <= 5.0, per_commit
+    # (2.0 + 5.9 + 3.9 measured).
+    assert per_commit["ltr_validate_and_publish"] == 2.0, per_commit
     assert per_commit["store_many"] <= 6.0, per_commit
     assert per_commit["receive_items"] <= 4.0, per_commit
     # The exact budget (module docstring): a count that moves is a
     # behavioural change of the commit path and has to be explained.
-    assert sent == {"find_successor": 1258, "ltr_validate_and_publish": 1752,
+    assert sent == {"find_successor": 1260, "ltr_validate_and_publish": 720,
                     "store_many": 2120, "receive_items": 1420}
-    assert sum(sent.values()) == 6550  # 18.19 a commit; PR 16 paid 44.8
+    assert sum(sent.values()) == 5520  # 15.33 a commit; PR 16 paid 44.8
 
 
 def test_a_warmed_publish_routes_nothing_under_the_lock():
@@ -101,7 +106,10 @@ def test_a_warmed_publish_routes_nothing_under_the_lock():
     assert len(trace.publishes) == COMMITS
     warmed = [publish for publish in trace.publishes if trace.was_warmed(publish)]
     cold = [publish for publish in trace.publishes if not trace.was_warmed(publish)]
-    # All but each tenure's first publish (no previous allocation to pace by).
+    # All but each tenure's first publish (no previous allocation to pace by,
+    # so it leaves no horizon either) and its second, unless that one was
+    # already queued behind the first: 338 of 360 (345 while a *behind* answer
+    # in between pushed the horizon on as well).
     assert len(warmed) >= COMMITS - 2 * DOCUMENTS
     assert [trace.lookups_under_lock(publish) for publish in warmed] == [[]] * len(warmed)
     # ... which is where the routing of the others still sits, and was for all.

@@ -44,44 +44,61 @@ def test_unattached_master_service_raises():
 
 
 def test_validate_ok_then_behind():
+    """(Pinned *behind* for a stale proposal too; one whose gap the Master
+    holds is committed behind it now.  *behind* is what is left for what the
+    Master cannot place: a proposal ahead of last-ts, a gap it does not hold.)"""
     system = build_system()
     key = "xwiki:direct"
     master = system.master_service(key)
     first = run_validation(system, master, key, 1, [make_patch("u1", "a")], "u1")
     assert first.accepted and (first.first_ts, first.last_ts) == (1, 1)
     assert first.replicas == system.ltr_config.log_replication_factor
-    # a stale proposal (same ts again) is answered with "behind"
+    # a stale proposal (same ts again) lands at the next timestamp
     stale = run_validation(system, master, key, 1, [make_patch("u2", "b")], "u2")
-    assert not stale.accepted
-    assert stale.last_ts == 1
-    # a proposal too far in the future is also rejected
+    assert stale.accepted and (stale.first_ts, stale.last_ts) == (2, 2)
+    assert [entry.ts for entry in stale.entries] == [1]
+    # a proposal too far in the future is answered with "behind"
     future = run_validation(system, master, key, 5, [make_patch("u2", "b")], "u2")
-    assert not future.accepted and future.last_ts == 1
+    assert not future.accepted and future.last_ts == 2 and future.entries is None
+    # ... and so is a stale one whose gap this Master does not hold any more
+    del master._tails[key]
+    lost = run_validation(system, master, key, 1, [make_patch("u3", "c")], "u3")
+    assert not lost.accepted and lost.last_ts == 2 and lost.entries is None
     stats = master.statistics()
-    assert stats["proposals_ok"] == 1
+    assert stats["proposals_ok"] == 2 and stats["proposals_rebased"] == 1
     assert stats["proposals_behind"] == 2
-    assert master.keys_mastered() == {key: 1}
+    assert master.keys_mastered() == {key: 2}
 
 
 def test_concurrent_validations_are_serialized_per_document():
     system = build_system()
     key = "xwiki:serialized"
     master = system.master_service(key)
-    # two peers propose ts=1 at the same simulated instant: exactly one wins
+    # (Pinned: exactly one wins, the other is sent back.)  Two peers propose
+    # ts=1 at the same simulated instant: served one after the other, in
+    # arrival order, the second committed behind the first.
     first = system.sim.process(
-        master.validate_and_publish(key=key, ts=1, patches=[make_patch("u1", "a")], author="u1")
+        master.validate_and_publish(key=key, ts=1, patches=[make_patch("u1", "a")],
+                                    author="u1", base_ts=0)
     )
     second = system.sim.process(
-        master.validate_and_publish(key=key, ts=1, patches=[make_patch("u2", "b")], author="u2")
+        master.validate_and_publish(key=key, ts=1, patches=[make_patch("u2", "b")],
+                                    author="u2", base_ts=0)
     )
     results = [
         ValidationResult.from_payload(system.sim.run(until=first)),
         ValidationResult.from_payload(system.sim.run(until=second)),
     ]
-    accepted = [result for result in results if result.accepted]
-    rejected = [result for result in results if not result.accepted]
-    assert len(accepted) == 1 and accepted[0].last_ts == 1
-    assert len(rejected) == 1 and rejected[0].last_ts == 1
+    assert [(result.accepted, result.first_ts, result.last_ts)
+            for result in results] == [(True, 1, 1), (True, 2, 2)]
+    assert results[0].entries is None
+    one, two = system.fetch_log(key, 1, 2)
+    assert list(results[1].entries) == [one]
+    # The second entry is expressed against the first: both insert at line 0,
+    # "a" sorts first, so "b" moved down — and says which state it applies to.
+    assert (two.author, two.base_ts, two.patch.base_ts) == ("u2", 1, 1)
+    assert two.patch.operations == (InsertLine(1, "b"),)
+    assert two.patch.apply(one.patch.apply([])) == ["a", "b"]
 
 
 def test_distinct_documents_use_distinct_locks():
@@ -122,11 +139,17 @@ def test_batch_validation_assigns_a_dense_range_in_one_round():
     authority = master._authority()
     assert authority.last_ts(key) == 3
     assert authority.allocations == 1  # the whole batch consumed one advance
-    stale = run_validation(system, master, key, 1, [make_patch("u2", "late")], "u2")
-    assert not stale.accepted and stale.last_ts == 3
+    # (Pinned *behind* for the stale chain.)  A stale chain of two lands as
+    # one dense range behind the three it missed, in one more round.
+    stale = run_validation(system, master, key, 1,
+                           [make_patch("u2", "late"), make_patch("u2", "later")], "u2")
+    assert stale.accepted and (stale.first_ts, stale.last_ts) == (4, 5)
+    assert [entry.ts for entry in stale.entries] == [1, 2, 3]
+    assert authority.last_ts(key) == 5 and authority.allocations == 2
     stats = master.statistics()
-    assert stats["proposals_ok"] == 1 and stats["proposals_behind"] == 1
-    assert stats["patches_published"] == 3
+    assert stats["proposals_ok"] == 2 and stats["proposals_rebased"] == 1
+    assert stats["proposals_behind"] == 0
+    assert stats["patches_published"] == 5
 
 
 def find_takeover_joiner(system, key: str) -> str:

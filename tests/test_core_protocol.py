@@ -121,15 +121,19 @@ def test_commit_publishes_to_log_with_configured_replication():
 
 
 def test_second_writer_must_retrieve_before_validation():
+    """(Pinned two attempts: behind, retrieve, ok.  The Master commits the
+    stale patch behind what it missed now, and hands that over with the ok —
+    the writer still integrates it before it applies its own patch.)"""
     system = build_system()
     system.edit_and_commit("peer-0", "wiki:page", "from peer-0")
     # peer-1 edits without having seen peer-0's patch
     result = system.edit_and_commit("peer-1", "wiki:page", "from peer-1")
     assert result.ts == 2
-    assert result.retrieved_patches == 1
-    assert result.attempts == 2
+    assert result.retrieved_patches == 1 and result.had_conflicts
+    assert result.attempts == 1
     user = system.user("peer-1")
     assert user.document("wiki:page").applied_ts == 2
+    assert user.document("wiki:page").history[0].author == "peer-0"  # integrated first
     # both contributions survive in the merged document
     merged = user.document("wiki:page").lines
     assert any("peer-0" in line for line in merged)
@@ -234,8 +238,14 @@ def test_master_statistics_track_validations():
     system.edit_and_commit("peer-1", "wiki:stats", "v2")
     stats = system.master_service("wiki:stats").statistics()
     assert stats["proposals_ok"] == 2
-    assert stats["proposals_behind"] >= 1  # peer-1 was behind at least once
+    # (Pinned proposals_behind >= 1.)  peer-1 was behind once: its patch was
+    # transformed at the Master, not sent back.
+    assert (stats["proposals_rebased"], stats["proposals_behind"],
+            stats["proposals_deduplicated"]) == (1, 0, 0)
     assert stats["patches_published"] == 2
+    totals = system.statistics()
+    assert (totals["proposals_ok"], totals["proposals_rebased"],
+            totals["proposals_deduplicated"], totals["proposals_behind"]) == (2, 1, 0, 0)
 
 
 def test_master_of_is_the_kts_responsible_peer():

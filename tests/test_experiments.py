@@ -76,18 +76,24 @@ def test_e1_timestamp_generation_shape():
 
 
 def test_e2_concurrent_publishing_shape():
-    rows = rows_of("E2", updater_counts=(2, 4), peers=8, seed=102)
+    rows = rows_of("E2", updater_counts=(2, 4, 8), peers=8, seed=102)
     assert all(row["converged"] for row in rows)
-    assert [row["validated_ts"] for row in rows] == [2, 4]
-    # What E2 is about: more updaters of one document means more validation
-    # rounds and more retrieval work per commit, and the slowest commit waits
-    # for more publishes ahead of it.  The *mean* latency is not pinned: every
-    # proposal the Master answers, the losers' too, has the Log-Peers of the
-    # next timestamps resolved ahead of time, so with four updaters the later
-    # publishes are cheaper than with two (85.0 vs 82.5 ms at this seed).
-    assert rows[1]["mean_attempts"] > rows[0]["mean_attempts"]
-    assert rows[1]["mean_retrieved"] > rows[0]["mean_retrieved"]
-    assert rows[1]["p95_commit_latency_s"] > rows[0]["p95_commit_latency_s"]
+    assert [row["validated_ts"] for row in rows] == [2, 4, 8]
+    # What E2 is about: the Master serialises the updaters of one document.
+    # (Pinned ``mean_attempts`` growing with the updaters: a loser was sent
+    # back and came round again.  Nobody is sent back now — the Master
+    # transforms a stale patch over what it missed — so every commit takes one
+    # attempt, and the serialisation shows in what comes back with the ok: the
+    # k-th in line integrates the k - 1 patches committed ahead of it.)
+    assert [row["mean_attempts"] for row in rows] == [1.0, 1.0, 1.0]
+    assert [row["mean_retrieved"] for row in rows] == [0.5, 1.5, 3.5]  # mean of 0 .. n - 1
+    # The slowest commit waits for more publishes ahead of it: 98.5, 98.5 and
+    # 136.5 ms (two and four updaters tie — their documents' Masters and
+    # Log-Peers differ by exactly as much; hence the third point).  The *mean*
+    # latency is not pinned (85.0, 75.0, 102.5 ms: with four updaters one of
+    # them is the document's Master).
+    slowest = [round(row["p95_commit_latency_s"], 9) for row in rows]
+    assert slowest == sorted(slowest) and slowest[-1] > slowest[0]
 
 
 def test_e3_master_departure_shape():
@@ -228,8 +234,12 @@ def test_e13_live_runtime_shape():
 def test_e14_partition_heal_shape():
     (row,) = rows_of("E14", partition_durations=(6.0,), edit_intervals=(0.5,),
                      peers=10, converge_budget=20.0)
-    # the Master side never stops serving: every probe commit lands
+    # the Master side never stops serving: every probe commit lands — once:
+    # 18 probes and the base revision under 19 timestamps (21 while a probe
+    # re-sent across the split was committed again: the at-most-once regression)
     assert row["success_fraction"] == 1.0
+    assert row["commits_ok"] == row["commits_attempted"] == 18
+    assert row["last_ts"] == row["commits_ok"] + 1
     # the checker snapshotted every fault boundary and found nothing
     assert row["checker_snapshots"] >= 4
     assert row["violations"] == 0

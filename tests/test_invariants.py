@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import CommitBatch, LtrConfig, LtrSystem
 from repro.core.consistency import replay_log, verify_log_continuity
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, ValidationFailed
 from repro.net import ConstantLatency
 from repro.sim.rng import RandomStreams
 
@@ -97,14 +97,26 @@ def assert_checkpoint_placements(system: LtrSystem, key: str):
     return index
 
 
+def assert_proposals_landed_once(key: str, entries) -> None:
+    """No proposal identity (author + number) is in the log of ``key`` twice."""
+    landed_at: dict = {}
+    for entry in entries:
+        if entry.proposal is not None:
+            first_ts = landed_at.setdefault((entry.author, entry.proposal), entry.ts)
+            assert first_ts == entry.ts, (
+                f"proposal {entry.proposal} of {entry.author} is in the log of "
+                f"{key!r} twice: ts {first_ts} and ts {entry.ts}"
+            )
+
+
 def assert_system_invariants(system: LtrSystem, keys) -> None:
-    """All three paper invariants, over every given document key.
+    """All three paper invariants and at-most-once, over every given key.
 
     When the system runs with the checkpointing subsystem, the
     checkpoint-placement invariant is verified as well.
     """
     for key in keys:
-        assert_timestamps_dense(system, key)
+        assert_proposals_landed_once(key, assert_timestamps_dense(system, key))
         assert_log_prefix_complete(system, key)
         assert_replicas_converge(system, key)
         if system.ltr_config.checkpoint_enabled:
@@ -464,7 +476,13 @@ def test_gc_checkpoints_trims_beyond_the_retention_window():
 
 
 def test_validation_failure_restages_the_batch():
-    """A flush that cannot complete puts the (rebased) edits back."""
+    """A flush that cannot complete puts the (rebased) edits back.
+
+    (The proposer used to fail by being stale with a budget of one attempt;
+    a stale chain whose gap the Master holds is committed in one attempt now,
+    so the Master is made to forget the gap: *behind*, and the budget is
+    spent.)
+    """
     system = build_system(peers=6, seed=55, batch_max_edits=8,
                           max_validation_attempts=1)
     key = "xwiki:restage"
@@ -473,10 +491,13 @@ def test_validation_failure_restages_the_batch():
     user.stage(key, "staged once")
     other = system.peer_names()[1]
     system.edit_and_commit(other, key, "committed first")
-    with pytest.raises(ReproError):
+    system.master_service(key)._tails.clear()  # as after a takeover
+    with pytest.raises(ValidationFailed):
         system.flush("peer-0", key)
     restaged = user.batch(key)
     assert restaged is not None and len(restaged) == 1
+    assert restaged.patches[0].base_ts == 1  # rebased over what was retrieved
+    assert system.last_ts(key) == 1  # nothing of it was committed
     # After syncing, the retried flush lands cleanly.
     system.sync("peer-0", key)
     result = system.flush("peer-0", key)

@@ -165,17 +165,22 @@ def test_local_dht_has_nothing_to_warm():
 
 
 def contended_run(chain, seed=7):
-    """Three writers racing on one document; also returns ``last-ts`` at each warm."""
+    """Three writers racing on one document.
+
+    Also returns, for each warm-up, ``last-ts`` and the number of proposals
+    queued on the document's lock at that moment.
+    """
     system = LtrSystem(ltr_config=LtrConfig(batch_max_edits=chain), seed=seed,
                        chord_config=SCALE_CHORD_CONFIG,
                        latency=UniformLatency(0.002, 0.004))
     names = system.bootstrap(32, warm=True)
     key = "xwiki:horizon"
-    authority = system.master_service(key)._authority()
-    seen_last_ts = []
+    master = system.master_service(key)
+    authority = master._authority()
+    seen = []
 
     def recording_warm(self, document_key, from_ts, to_ts):
-        seen_last_ts.append(authority.last_ts(key))
+        seen.append((authority.last_ts(key), master._lock_for(key).waiters))
         return traced_warm(self, document_key, from_ts, to_ts)
 
     def writer(user, edits):
@@ -196,23 +201,31 @@ def contended_run(chain, seed=7):
                      for slot in range(3)]
             system.runtime.run(until=system.runtime.all_of(lanes))
     assert system.last_ts(key) == 3 * 12 * chain
-    assert system.statistics()["proposals_behind"] > 0  # it was contended
+    stats = system.statistics()
+    # It was contended — and (pinned: proposals_behind > 0) nobody was sent back.
+    assert stats["proposals_rebased"] > 0 and stats["proposals_behind"] == 0
     report = system.check_consistency(key)
     assert report.converged and report.log_continuous
-    return system, trace, seen_last_ts
+    return system, trace, seen
 
 
 @pytest.mark.parametrize("chain", [1, 16])
 def test_horizon_stays_within_the_cap_and_warms_no_timestamp_twice(chain):
-    _system, trace, seen_last_ts = contended_run(chain)
-    assert len(trace.warmed) == len(seen_last_ts) > 0
+    """(Pinned one chain per answer: ``high - low < chain``.  An answer now
+    moves the horizon on by one chain for itself and one for each proposal
+    queued behind it — no answer is *behind* any more, and the queue is what
+    the Master can see of the publishes to come.)"""
+    _system, trace, seen = contended_run(chain)
+    assert len(trace.warmed) == len(seen) > 0
     cap = master_module.WARM_AHEAD_CHAINS * chain
     previous_high = 0
-    for (_node, _key, low, high, _at), last_ts in zip(trace.warmed, seen_last_ts):
+    for (_node, _key, low, high, _at), (last_ts, waiters) in zip(trace.warmed, seen):
         assert last_ts < low <= high <= last_ts + cap   # ahead of last-ts, within the cap
-        assert high - low < chain                       # one chain per proposal answered
+        assert high - low < chain * (1 + waiters)       # a chain for itself, one per waiter
         assert low > previous_high                      # the horizon only moves forward
         previous_high = high
+    assert any(waiters > 0 for _last_ts, waiters in seen)   # the queue was seen
+    assert any(high - low >= chain for _n, _k, low, high, _at in trace.warmed)
     # Every identifier is asked for once, and routed at most once — by the
     # warm-up or by the publish that needed it, never by both.
     assert set(Counter(trace.warm_calls).values()) == {1}
@@ -224,21 +237,58 @@ def test_horizon_stays_within_the_cap_and_warms_no_timestamp_twice(chain):
 
 
 def test_both_answers_extend_the_horizon_and_the_tail_carries_it():
+    """(The *behind* answers here were stale proposals; those are committed
+    now, so *behind* comes from a proposal ahead of last-ts — and the queue,
+    which no test looked at, is what lets an answer warm more than a chain.)"""
     system = build_system()
     master = publish(system, 1)
     tail = master._tails[KEY]
     assert tail.warmed_ts == 0  # the first publish of a tenure has no pace to go by
     publish(system, 1, start=2)
     assert tail.warmed_ts == 3  # ok: last-ts 2, one chain further
-    stale = run_validation(system, master, KEY, 1, [make_patch("late", "x")], "late")
-    assert not stale.accepted and tail.warmed_ts == 4  # behind: one more
+    ahead = run_validation(system, master, KEY, 9, [make_patch("early", "x")], "early")
+    assert not ahead.accepted and tail.warmed_ts == 4  # behind: one more
     for _ in range(5):
-        run_validation(system, master, KEY, 1, [make_patch("late", "x")], "late")
+        run_validation(system, master, KEY, 9, [make_patch("early", "x")], "early")
     assert tail.warmed_ts == 2 + master_module.WARM_AHEAD_CHAINS  # the cap
+    stale = run_validation(system, master, KEY, 1, [make_patch("late", "x")], "late")
+    assert stale.accepted and tail.warmed_ts == 3 + master_module.WARM_AHEAD_CHAINS
     with mock.patch.object(master_module, "WARM_AHEAD_CHAINS", 0), \
             trace_routing() as trace:
-        publish(system, 2, start=3)
+        publish(system, 2, start=4)
     assert trace.warmed == []  # cap 0: the cold arm of tests/diff_paths.py
+
+
+def test_an_answer_warms_for_the_proposals_queued_behind_it():
+    system = build_system()
+    master = publish(system, 2)
+    tail = master._tails[KEY]
+    assert tail.warmed_ts == 3
+    lanes = [system.sim.process(master.validate_and_publish(
+        key=KEY, ts=3, patches=[make_patch(f"w{lane}", "x", 2)], author=f"w{lane}"))
+        for lane in range(3)]
+    with trace_routing() as trace:
+        system.sim.run(until=system.sim.all_of(lanes))
+    # The first answer saw two proposals queued: a chain for itself and one
+    # for each of them, from where the horizon stood; the second saw one; the
+    # third none — and none of them asked for a timestamp twice.
+    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == \
+        [(4, 6), (7, 8), (9, 9)]
+    assert system.last_ts(KEY) == 5 and tail.warmed_ts == 9
+
+
+def test_the_first_publish_of_a_tenure_warms_only_for_a_queue():
+    """No tail, no pace: a document's first commit does not say whether a
+    second will follow — unless it is already waiting."""
+    system = build_system()
+    master = system.master_service(KEY)
+    lanes = [system.sim.process(master.validate_and_publish(
+        key=KEY, ts=1, patches=[make_patch(f"w{lane}", "x")], author=f"w{lane}"))
+        for lane in range(2)]
+    with trace_routing() as trace:
+        system.sim.run(until=system.sim.all_of(lanes))
+    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == \
+        [(2, 3), (4, 4)]
 
 
 def test_commits_further_apart_than_the_ttl_are_not_warmed():
@@ -293,9 +343,9 @@ def test_master_crash_with_warm_ups_in_flight_is_clean_and_the_next_master_commi
     for number in range(3):
         system.edit_and_commit(writer, key, f"revision {number}")
     node = system.ring.node(master_name)
-    stale = system.runtime.process(system.master_service(key).validate_and_publish(
-        key=key, ts=1, patches=[make_patch("late", "x")], author="late"))
-    system.runtime.run(until=stale)  # answered behind; its warm-ups are on the wire
+    ahead = system.runtime.process(system.master_service(key).validate_and_publish(
+        key=key, ts=9, patches=[make_patch("early", "x")], author="early"))
+    system.runtime.run(until=ahead)  # answered behind; its warm-ups are on the wire
     assert node._warming
     system.crash(master_name)
     system.run_for(3.0)
