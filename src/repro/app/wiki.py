@@ -151,9 +151,10 @@ class EditorSession:
         user = self.wiki.system.user(self.peer)
         if not user.has_pending(self.key):
             return None
-        if comment and user.pending.get(self.key) is not None:
-            pending = user.pending[self.key]
-            user.pending[self.key] = pending.with_operations(pending.operations)
+        if comment:
+            # One more save that changes nothing, wrapped into the pending
+            # patch like the others: it carries the comment into the entry.
+            user.edit_lines(self.key, lambda lines: lines, comment=comment)
         result = self.wiki.system.commit(self.peer, self.key)
         if result is not None:
             self.saves.append(result)

@@ -1,21 +1,23 @@
-"""Commit batches: size- and deadline-bounded accumulation of edits.
+"""The tentative chain of one document, bounded in size and age.
 
-The paper's commit protocol pays one Master round-trip, one KTS timestamp
-and one multi-placement log publish *per edit*.  A :class:`CommitBatch`
-accumulates a user peer's consecutive edits of one document so the whole
-batch is committed through a single round of each: the Master validates the
-batch's base timestamp once, allocates a dense timestamp range through
-``next_timestamps(key, n)`` and lands every entry in the P2P-Log with one
-replicated write per responsible Log-Peer.
+A :class:`CommitBatch` is everything a user peer holds of a document that is
+not validated yet: the chain of patches its saves produced, committed in one
+round — the Master validates the chain's base timestamp once, allocates a
+dense timestamp range through ``next_timestamps(key, n)`` and lands every
+entry in the P2P-Log with one replicated write per responsible Log-Peer.  A
+save joins the chain one of two ways: *composed* into its last patch
+(``UserPeer.edit``, the paper's one patch per commit — the chain stays a
+chain of one) or *added* as a patch, timestamp and log entry of its own
+(``UserPeer.stage``).
 
-A batch is bounded two ways (both config-gated via
+A chain is bounded two ways (both set through
 :class:`~repro.core.config.LtrConfig`):
 
-* **size** — once ``batch_max_edits`` patches are staged the batch is
-  *full* and must be flushed before more edits are staged;
-* **deadline** — a non-empty batch older than ``batch_deadline`` simulated
-  seconds reports itself as *due*, so drivers flushing on a timer never
-  park a trickle of edits indefinitely.
+* **size** — once ``batch_max_edits`` patches are staged the chain is
+  *full* and must be committed before more edits are staged;
+* **deadline** — a chain older than ``batch_deadline`` simulated seconds
+  reports itself as *due*, so drivers committing on a timer never park a
+  trickle of edits indefinitely.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from ..ot import Patch
 
 @dataclass
 class CommitBatch:
-    """Edits of one document staged for a single batched commit.
+    """The saves of one document waiting for a single commit.
 
-    The staged patches form a chain: each patch is expressed against the
+    The patches form a chain: each patch is expressed against the
     state produced by its predecessor (the first against the replica's
     validated state), so committing them in order with consecutive
     timestamps reproduces the user's editing history exactly.
@@ -57,7 +59,7 @@ class CommitBatch:
 
     @property
     def full(self) -> bool:
-        """``True`` once the size bound is reached (flush before staging more)."""
+        """``True`` once the size bound is reached (commit before staging more)."""
         return len(self.patches) >= self.max_edits
 
     def tip_lines(self, base_lines: Sequence[str]) -> list[str]:
@@ -66,7 +68,7 @@ class CommitBatch:
         The result is memoized; it stays valid while the base (the
         replica's validated state) is unchanged, which the user peer
         guarantees by replacing the chain through :meth:`replace_patches`
-        whenever the replica advances under the batch.
+        whenever the replica advances under it.
         """
         if not self.patches:
             # An empty chain has no state of its own: never memoize the
@@ -93,39 +95,34 @@ class CommitBatch:
         self.patches.append(patch)
         self._tip = list(tip) if tip is not None else None
 
+    def compose(self, patch: Patch, *, tip: Sequence[str], proposed: int) -> None:
+        """Record one more save, wrapped into the chain's last patch.
+
+        The first ``proposed`` patches are out of bounds — they were proposed
+        as they are and may have landed — so a save behind them follows as a
+        patch of its own (whatever the size bound: it is the user's one
+        pending patch).  A save that changed nothing opens a chain, an
+        explicit save always having something to commit, but is not worth a
+        patch behind proposed ones.
+        """
+        if len(self.patches) > proposed:
+            self.patches[-1] = self.patches[-1].compose(patch)
+        elif len(patch) > 0 or not self.patches:
+            self.patches.append(patch)
+        self._tip = list(tip)
+
     def replace_patches(self, patches: Sequence[Patch]) -> None:
-        """Swap the whole chain (rebase after a sync or a failed flush)."""
+        """Swap the whole chain (rebase after a sync or a failed commit)."""
         self.patches = list(patches)
         self._tip = None
 
     def age(self, now: float) -> float:
-        """Simulated seconds since the first edit was staged."""
+        """Simulated seconds since the chain's first save."""
         return now - self.opened_at
 
     def due(self, now: float) -> bool:
-        """``True`` when the batch should be flushed (full or past deadline)."""
+        """``True`` when the chain should be committed (full or past deadline)."""
         if not self.patches:
             return False
         return self.full or self.age(now) >= self.deadline
 
-
-# -- wire registration (see repro.net.codec) ---------------------------------
-
-from ..net.codec import register_wire_type  # noqa: E402
-
-register_wire_type(
-    CommitBatch,
-    "commit-batch",
-    pack=lambda obj, enc: [
-        obj.key, obj.opened_at, obj.max_edits, obj.deadline,
-        [enc(patch) for patch in obj.patches],
-    ],
-    unpack=lambda body, dec: CommitBatch(
-        key=body[0], opened_at=body[1], max_edits=body[2], deadline=body[3],
-        patches=[dec(patch) for patch in body[4]],
-    ),
-    copy=lambda obj, copier: CommitBatch(
-        key=obj.key, opened_at=obj.opened_at, max_edits=obj.max_edits,
-        deadline=obj.deadline, patches=list(obj.patches),
-    ),
-)

@@ -40,19 +40,24 @@ class LtrConfig:
         should be of the order of the DHT stabilization interval so a
         retried request reaches the new Master-key peer.
     batch_max_edits:
-        Size bound of a commit batch: ``UserPeer.stage`` accumulates edits
-        into a :class:`~repro.core.batch.CommitBatch` that is committed as
-        one chain — one Master round-trip, one KTS range allocation and one
-        grouped P2P-Log publish (``DESIGN.md`` §"The commit pipeline") — and
-        marks the batch as full once it holds this many edits, at which
-        point it must be flushed before more edits are staged.  ``1`` is the
-        paper's one-round-trip-per-edit shape, which ``edit`` / ``commit``
-        always use.
+        Size bound of a document's tentative chain
+        (:class:`~repro.core.batch.CommitBatch`): every ``UserPeer.stage``
+        adds a patch of its own to the chain, which is committed in one round
+        — one Master round-trip, one KTS range allocation and one grouped
+        P2P-Log publish (``DESIGN.md`` §"The commit pipeline") — and is
+        *full* once it holds this many, at which point it must be committed
+        before more edits are staged.  ``1`` is the paper's
+        one-round-trip-per-edit shape.  ``UserPeer.edit`` is not bounded by
+        it: it wraps every save into the chain's last patch instead of
+        adding one (a peer that saves with ``edit`` alone proposes chains of
+        one).
     batch_deadline:
-        Deadline bound, in simulated seconds: a non-empty batch older than
-        this is reported as due by ``CommitBatch.due`` / flushed by
-        ``LtrSystem.flush_due`` even when it is not full, so a trickle of
-        edits is never parked indefinitely.
+        Deadline bound, in simulated seconds: a chain whose first save is
+        older than this is reported as due by ``CommitBatch.due`` / committed
+        by ``LtrSystem.flush_due`` even when it is not full, so a trickle of
+        edits is never parked indefinitely.  The clock does not ask which
+        verb made the save: a chain built by ``edit`` alone is due, and
+        committed by ``flush_due``, like a staged one.
     checkpoint_enabled:
         When ``True``, the Master-key peer materializes a document snapshot
         every ``checkpoint_interval`` published timestamps and stores it

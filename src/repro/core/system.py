@@ -271,8 +271,10 @@ class LtrSystem:
         self.user(peer).edit(key, text, comment=comment)
 
     def commit(self, peer: str, key: str) -> Optional[CommitResult]:
-        """Run the validation/publication procedure for ``peer``'s pending patch."""
+        """Run the validation/publication procedure on ``peer``'s chain of ``key``."""
         return self.runtime.run(until=self.runtime.process(self.user(peer).commit(key)))
+
+    flush = commit
 
     def edit_and_commit(self, peer: str, key: str, text: str,
                         *, comment: str = "") -> Optional[CommitResult]:
@@ -280,57 +282,58 @@ class LtrSystem:
         self.edit(peer, key, text, comment=comment)
         return self.commit(peer, key)
 
-    # ---------------------------------------------------------- staged drivers --
-
     def stage(self, peer: str, key: str, text: str,
               *, comment: str = "") -> Optional[CommitResult]:
-        """Stage an edit into ``peer``'s commit batch; auto-flush when full.
+        """Stage an edit into ``peer``'s chain; commit it when that filled it.
 
-        Returns the flush outcome when the staged edit filled the batch,
+        Returns the commit outcome when the staged edit filled the chain,
         ``None`` otherwise.
         """
         batch = self.user(peer).stage(key, text, comment=comment)
         if batch.full:
-            return self.flush(peer, key)
+            return self.commit(peer, key)
         return None
 
-    def flush(self, peer: str, key: str) -> Optional[CommitResult]:
-        """Commit ``peer``'s staged batch of ``key`` as one chain."""
-        return self.runtime.run(until=self.runtime.process(self.user(peer).flush(key)))
-
     def flush_due(self, peer: Optional[str] = None) -> list[CommitResult]:
-        """Flush every batch past its deadline (for one peer or all users)."""
+        """Commit every chain past its deadline (for one peer or all users)."""
         users = [self.user(peer)] if peer is not None else self.users()
         results = []
         for user in users:
             for key in [key for key, batch in user.batches.items()
                         if batch.due(self.runtime.now)]:
-                outcome = self.flush(user.author, key)
+                outcome = self.commit(user.author, key)
                 if outcome is not None:
                     results.append(outcome)
         return results
 
     def run_concurrent_flushes(
-        self, flushes: Iterable[tuple[str, str]]
+        self, commits: Iterable[tuple[str, str]]
     ) -> list[CommitResult]:
-        """Flush several peers' batches at the same simulated instant.
+        """Commit several peers' chains at the same simulated instant.
 
-        ``flushes`` is a sequence of ``(peer, key)``; the staged analogue
-        of :meth:`run_concurrent_commits`.
+        ``commits`` is a sequence of ``(peer, key)``; the call returns when
+        all of them have completed.
         """
-        return self._run_commits(
-            self.runtime.process(self.user(peer).flush(key), name=f"flush:{peer}:{key}")
-            for peer, key in flushes
-        )
+        processes = [
+            self.runtime.process(self.user(peer).commit(key), name=f"commit:{peer}:{key}")
+            for peer, key in commits
+        ]
+        results = [self.runtime.run(until=process) for process in processes]
+        return [outcome for outcome in results if outcome is not None]
 
-    def _run_commits(self, processes: Iterable[Any]) -> list[CommitResult]:
-        """Run already-started commit processes to completion; collect outcomes."""
-        results: list[CommitResult] = []
-        for process in list(processes):
-            outcome = self.runtime.run(until=process)
-            if outcome is not None:
-                results.append(outcome)
-        return results
+    def run_concurrent_commits(
+        self, edits: Iterable[tuple[str, str, str]]
+    ) -> list[CommitResult]:
+        """Issue simultaneous updates from different peers (scenario E2).
+
+        ``edits`` is a sequence of ``(peer, key, text)``.  All edits are
+        registered first, then every commit starts at the same simulated
+        instant (:meth:`run_concurrent_flushes`).
+        """
+        edits = list(edits)
+        for peer, key, text in edits:
+            self.edit(peer, key, text)
+        return self.run_concurrent_flushes((peer, key) for peer, key, _text in edits)
 
     def sync(self, peer: str, key: str):
         """Bring ``peer``'s replica of ``key`` up to date."""
@@ -342,24 +345,6 @@ class LtrSystem:
         for name in names:
             if name in self.ring.nodes and self.ring.node(name).alive:
                 self.sync(name, key)
-
-    def run_concurrent_commits(
-        self, edits: Iterable[tuple[str, str, str]]
-    ) -> list[CommitResult]:
-        """Issue simultaneous updates from different peers (scenario E2).
-
-        ``edits`` is a sequence of ``(peer, key, text)``.  All edits are
-        registered first, then every commit starts at the same simulated
-        instant; the call returns when all of them have completed.
-        """
-        staged = []
-        for peer, key, text in edits:
-            self.edit(peer, key, text)
-            staged.append((peer, key))
-        return self._run_commits(
-            self.runtime.process(self.user(peer).commit(key), name=f"commit:{peer}:{key}")
-            for peer, key in staged
-        )
 
     # --------------------------------------------------------------- inspection --
 

@@ -5,14 +5,29 @@ A :class:`UserPeer` is the application side of a P2P-LTR peer (the paper's
 copies of documents, captures tentative patches on save, and runs the three
 P2P-LTR procedures:
 
-1. *Edit a page locally* — :meth:`UserPeer.edit` (produces a tentative
-   patch against the last validated state).
+1. *Edit a page locally* — :meth:`UserPeer.edit` / :meth:`UserPeer.stage`
+   (a save becomes a tentative patch against the last validated state).
 2. *Validate the tentative patch timestamp value and retrieve patches if
-   necessary* — the one loop behind :meth:`UserPeer.commit` (a chain of one
-   patch) and :meth:`UserPeer.flush` (a staged chain of several).
+   necessary* — :meth:`UserPeer.commit` (:meth:`UserPeer.flush` is the same
+   function under its other name).
 3. *Replicate the new patch at the P2P-Log* — performed by the Master-key
    peer during validation; the user peer only applies the patch locally once
    the Master has acknowledged the validated timestamp.
+
+**One chain per document.**  The tentative state of a document is one thing:
+its chain of patches, ``batches[key]`` (a
+:class:`~repro.core.batch.CommitBatch`), each patch expressed against the
+output of its predecessor and the first against the validated replica.  The
+two saving verbs differ in how a save joins it — ``edit`` composes it into
+the chain's last patch (the paper's "updates are wrapped together in the form
+of a patch": a chain of one), ``stage`` appends it as a patch, and a log
+entry, of its own — and every other operation sees just the chain.
+
+**One operation per document at a time.**  While :meth:`UserPeer.commit` has
+a document's chain out with the Master the document is marked
+(``_flushing``): ``edit`` / ``stage`` are refused and :meth:`UserPeer.sync`
+stands back.  Everything between two waits of a process is atomic, so the
+mark is a plain set, not a lock.
 """
 
 from __future__ import annotations
@@ -32,7 +47,6 @@ from ..errors import (
 from ..ot import (
     Document,
     Patch,
-    install_snapshot,
     install_snapshot_into_staged,
     integrate_remote_into_staged,
     integrate_remote_patches,
@@ -93,8 +107,9 @@ class UserPeer:
             checkpoint_verifier=checkpoint_verifier,
         )
         self.documents: dict[str, Document] = {}
-        self.pending: dict[str, Patch] = {}
+        # The tentative chain of every document that has one (never empty) ...
         self.batches: dict[str, CommitBatch] = {}
+        # ... and the documents whose chain is out with the Master right now.
         self._flushing: set[str] = set()
         # Proposal identities (at-most-once commits; see _commit_chain).  A
         # patch is named by its author and a number that is dense per
@@ -106,12 +121,11 @@ class UserPeer:
         # Per document: how many of its patches were acknowledged (or given
         # up) so far, i.e. the offset of its first tentative patch ...
         self._acknowledged: dict[str, int] = {}
-        # ... and the operation counts of the leading tentative patches that
-        # were proposed without an answer — a failed commit put them back,
-        # they may have landed all the same.  They keep their identities, so
-        # they keep their boundaries: a pending patch that grew since is
-        # proposed as the chain it was plus what is new.
-        self._in_doubt: dict[str, list[int]] = {}
+        # ... and how many of the chain's leading patches were proposed
+        # without an answer — a failed commit put them back, they may have
+        # landed all the same.  They keep their identities, so nothing is
+        # composed into them any more: what is edited since follows them.
+        self._in_doubt: dict[str, int] = {}
         self.commit_results: list[CommitResult] = []
         self.sync_results: list[SyncResult] = []
 
@@ -125,18 +139,22 @@ class UserPeer:
             self.documents[key] = replica
         return replica
 
+    def batch(self, key: str) -> Optional[CommitBatch]:
+        """The tentative chain of ``key``, if it has one."""
+        return self.batches.get(key)
+
     def has_pending(self, key: str) -> bool:
         """``True`` when there are local edits not yet validated."""
-        patch = self.pending.get(key)
-        return patch is not None and len(patch) > 0
+        batch = self.batches.get(key)
+        return batch is not None and any(len(patch) > 0 for patch in batch.patches)
 
     def working_lines(self, key: str) -> list[str]:
-        """The document as the user sees it: validated state plus pending edits."""
+        """The document as the user sees it: validated state plus the chain."""
         replica = self.document(key)
-        patch = self.pending.get(key)
-        if patch is None:
-            return list(replica.lines)
-        return patch.apply(replica.lines)
+        batch = self.batches.get(key)
+        return batch.tip_lines(replica.lines) if batch is not None else list(replica.lines)
+
+    staged_lines = working_lines
 
     def working_text(self, key: str) -> str:
         """:meth:`working_lines` joined with newlines."""
@@ -149,174 +167,124 @@ class UserPeer:
 
         The difference between the current working copy and ``new_text`` is
         captured as a tentative patch; successive edits before a commit are
-        composed into a single pending patch, mirroring "updates are wrapped
-        together in the form of a patch after each document save operation".
+        composed into a single patch, mirroring "updates are wrapped together
+        in the form of a patch after each document save operation".  A save
+        that changed nothing is recorded too (an empty patch: an explicit
+        save always has something to commit).  Returns the patch the save
+        went into.
         """
         new_lines = new_text.split("\n") if new_text else []
         return self.edit_lines(key, lambda _current: new_lines, comment=comment)
 
-    def edit_lines(
-        self,
-        key: str,
-        mutate: Callable[[list[str]], Sequence[str]],
-        *,
-        comment: str = "",
-    ) -> Patch:
+    def edit_lines(self, key: str, mutate: Callable[[list[str]], Sequence[str]],
+                   *, comment: str = "") -> Patch:
         """Apply ``mutate`` to the working copy and record the tentative patch."""
-        batch = self.batches.get(key)
-        if (batch is not None and len(batch) > 0) or key in self._flushing:
-            raise ConfigurationError(
-                f"{key!r} has a staged or in-flight commit batch; flush or "
-                f"discard it before using edit()"
-            )
-        replica = self.document(key)
-        before = self.working_lines(key)
-        after = list(mutate(list(before)))
-        increment = make_patch(before, after, base_ts=replica.applied_ts,
-                               author=self.author, comment=comment)
-        existing = self.pending.get(key)
-        if existing is None:
-            self.pending[key] = increment
-        else:
-            self.pending[key] = existing.compose(increment)
-        return self.pending[key]
-
-    def discard_pending(self, key: str) -> None:
-        """Drop local tentative edits of ``key`` without publishing them."""
-        self.pending.pop(key, None)
-        self._retire_proposals(key)
-
-    # ------------------------------------------------------------ staged editing --
-
-    def batch(self, key: str) -> Optional[CommitBatch]:
-        """The open commit batch for ``key``, if any."""
-        return self.batches.get(key)
-
-    def staged_lines(self, key: str) -> list[str]:
-        """The document as the staging user sees it: validated state plus batch."""
-        replica = self.document(key)
-        batch = self.batches.get(key)
-        if batch is None:
-            return list(replica.lines)
-        return batch.tip_lines(replica.lines)
+        return self._save(key, mutate, comment, compose=True).patches[-1]
 
     def stage(self, key: str, new_text: str, *, comment: str = "") -> CommitBatch:
-        """Stage one edit of ``key`` into the open commit batch.
+        """Stage one edit of ``key`` as a patch of its own.
 
-        Unlike :meth:`edit`, consecutive staged edits are *not* composed:
-        each keeps its own patch (and will receive its own timestamp and log
-        entry), chained against its predecessor's output.  The batch must be
-        flushed with :meth:`flush` once it is full or due.  A document is
-        edited through one front at a time: :meth:`edit` and ``stage``
-        refuse to mix on the same key.
+        Unlike :meth:`edit`, a staged edit is *not* composed into its
+        predecessor: it keeps its own patch (and will receive its own
+        timestamp and log entry), so the chain — returned — grows by one,
+        up to ``batch_max_edits``; commit it once it is full or due.  An edit
+        that changes nothing is skipped.
         """
-        if self.has_pending(key):
-            raise ConfigurationError(
-                f"{key!r} has a pending edit(); commit or discard it "
-                f"before staging into a batch"
-            )
+        new_lines = new_text.split("\n") if new_text else []
+        return self._save(key, lambda _current: new_lines, comment, compose=False)
+
+    def _save(self, key: str, mutate: Callable[[list[str]], Sequence[str]],
+              comment: str, *, compose: bool) -> CommitBatch:
+        """One save of the working copy joins the chain of ``key``.
+
+        Composed into the chain's last patch (``edit``) or appended behind it
+        (``stage``).  Nothing is ever composed into a patch that was proposed
+        (``_in_doubt``): the proposal may have landed as it was, so what is
+        saved after it follows as a patch of its own.
+        """
         if key in self._flushing:
             raise ConfigurationError(
-                f"a flush of {key!r} is in flight; stage again once it "
-                f"completes (edits staged now could be lost or mis-based)"
+                f"a commit of {key!r} is in flight; edit again once it "
+                f"completes (edits made now could be lost or mis-based)"
             )
-        now = self.node.runtime.now
         replica = self.document(key)
         batch = self.batches.get(key)
-        before = (batch.tip_lines(replica.lines) if batch is not None
-                  else list(replica.lines))
-        after = new_text.split("\n") if new_text else []
-        patch = make_patch(before, after, base_ts=replica.applied_ts,
-                           author=self.author, comment=comment)
-        if len(patch) == 0:
-            # A no-op edit deserves no timestamp or log entry — and must not
-            # open (or age) a batch, or the deadline clock would start
-            # before the first real edit.
-            if batch is None:
-                batch = CommitBatch(
-                    key=key, opened_at=now,
-                    max_edits=self.config.batch_max_edits,
-                    deadline=self.config.batch_deadline,
-                )  # returned for inspection, deliberately not registered
-            return batch
         if batch is None:
             batch = CommitBatch(
-                key=key, opened_at=now,
+                key=key, opened_at=self.node.runtime.now,
                 max_edits=self.config.batch_max_edits,
                 deadline=self.config.batch_deadline,
             )
-            self.batches[key] = batch
-        elif len(batch) == 0:
-            batch.opened_at = now  # the deadline runs from the first real edit
-        batch.add(patch, tip=after)
+        before = batch.tip_lines(replica.lines)
+        after = list(mutate(list(before)))
+        patch = make_patch(before, after, base_ts=replica.applied_ts,
+                           author=self.author, comment=comment)
+        if compose:
+            batch.compose(patch, tip=after, proposed=self._in_doubt.get(key, 0))
+        elif len(patch) == 0:
+            # A no-op edit deserves no timestamp or log entry — and must not
+            # open a chain, or the deadline clock would start before the
+            # first real edit (a new one is returned for inspection only).
+            return batch
+        else:
+            batch.add(patch, tip=after)
+        self.batches[key] = batch
         return batch
 
-    def discard_batch(self, key: str) -> None:
-        """Drop the staged batch of ``key`` without publishing it."""
+    def discard_pending(self, key: str) -> None:
+        """Drop the tentative chain of ``key`` without publishing it.
+
+        Dropped edits take their identities with them: what was proposed
+        under them may have landed, nothing else may ever be proposed under
+        the same identities.
+        """
         self.batches.pop(key, None)
-        self._retire_proposals(key)
+        self._acknowledge(key, self._in_doubt.get(key, 0))
+
+    discard_batch = discard_pending
 
     # --------------------------------------------------------------------- commit --
 
     def commit(self, key: str):
-        """Validate and publish the pending patch of ``key`` (procedures 2 + 3).
+        """Validate and publish the chain of ``key`` (procedures 2 + 3).
 
         Simulation process returning a
         :class:`~repro.core.protocol.CommitResult`, or ``None`` when there
-        was nothing to commit.  The paper's per-edit commit: the pending
-        patch goes through :meth:`_commit_chain` as a chain of one.  When
-        the commit fails, the (possibly rebased) tentative patch is restored
-        so the user's edit is never lost — and remembered as proposed: it may
-        have landed all the same, so the next commit proposes it under the
-        identity it had, ahead of whatever was edited since
-        (:meth:`_pending_chain`).
-        """
-        started_at = self.node.runtime.now
-        pending = self.pending.pop(key, None)
-        if pending is None:
-            return None
-        chain = self._pending_chain(key, pending)
-        try:
-            outcome = yield from self._commit_chain(key, chain, started_at)
-            return outcome
-        except ReproError:
-            self._restore_pending(key, chain)
-            self._mark_in_doubt(key, chain)
-            if not self.has_pending(key):
-                # Nothing to keep — and an empty patch left in doubt would
-                # not stop stage() from opening a batch under its identity.
-                self.discard_pending(key)
-            raise
+        was nothing to commit.  The whole chain is proposed to the Master-key
+        peer in one round (:meth:`_commit_chain`) — a chain of one is the
+        paper's per-edit commit — and the document is marked for as long as
+        it is out: no save is accepted, no :meth:`sync` integrates, a second
+        commit finds nothing to do.
 
-    def flush(self, key: str):
-        """Commit the staged batch of ``key`` in one pipelined round (process).
-
-        The whole batch is proposed to the Master-key peer as one chain
-        (:meth:`_commit_chain`).  Returns a
-        :class:`~repro.core.protocol.CommitResult`, or ``None`` when the
-        batch was empty or absent.
+        Whatever goes wrong — unreachable Master, failed publish at the
+        Log-Peers, a failed retrieval, too many attempts — nothing is known
+        to be committed: the (possibly rebased) chain goes back so the user's
+        edits are never lost, and is remembered as proposed.  It may have
+        landed all the same, so the next commit proposes it under the
+        identities it had, ahead of whatever is saved since.
         """
         started_at = self.node.runtime.now
         batch = self.batches.pop(key, None)
-        if batch is None or len(batch) == 0:
+        if batch is None:
             return None
         chain = list(batch.patches)
-        self._flushing.add(key)  # stage() refuses this key until we finish
+        self._flushing.add(key)
         try:
             outcome = yield from self._commit_chain(key, chain, started_at)
             return outcome
         except ReproError:
-            # Whatever went wrong — unreachable Master, failed publish at
-            # the Log-Peers, a failed behind-path retrieval, too many
-            # attempts — nothing is known to be committed: the (possibly
-            # rebased) edits go back into the batch for a later flush, which
-            # proposes them under the identities they had.
             batch.replace_patches(chain)
             self.batches[key] = batch
-            self._mark_in_doubt(key, chain)
+            self._in_doubt[key] = len(chain)
+            if not self.has_pending(key):
+                # Nothing to keep: empty patches are given up with their
+                # identities rather than proposed again.
+                self.discard_pending(key)
             raise
         finally:
             self._flushing.discard(key)
+
+    flush = commit
 
     def _commit_chain(self, key: str, chain: list[Patch], started_at: float):
         """The validate → retrieve → retry loop (process).
@@ -499,7 +467,9 @@ class UserPeer:
 
         The replica advances over every entry and the tentative ``chain`` is
         rebased over them in place
-        (:func:`~repro.ot.integrate_remote_into_staged`) — except over
+        (:func:`~repro.ot.integrate_remote_into_staged`; with no chain — a
+        reader — the entries are simply applied,
+        :func:`~repro.ot.integrate_remote_patches`) — except over
         entries that *are* the chain: entries carrying this author and the
         identity of the chain's leading patches are a proposal of this peer
         that landed unacknowledged.  Those are adopted, not rebased over:
@@ -512,9 +482,10 @@ class UserPeer:
         none).
         """
         pairs = [(entry.ts, entry.patch) for entry in entries]
-        found = find_proposal(
-            entries, self.author, self._proposal(key), len(chain)
-        ) if chain else None
+        if not chain:
+            integrate_remote_patches(replica, pairs)
+            return 0
+        found = find_proposal(entries, self.author, self._proposal(key), len(chain))
         if found is None:
             chain[:] = integrate_remote_into_staged(replica, pairs, chain)
             return 0
@@ -549,54 +520,10 @@ class UserPeer:
     def _acknowledge(self, key: str, count: int) -> None:
         """The first ``count`` tentative patches of ``key`` are settled."""
         self._acknowledged[key] = self._acknowledged.get(key, 0) + count
-        in_doubt = self._in_doubt.get(key)
-        if in_doubt is not None:
-            del in_doubt[:count]
-            if not in_doubt:
-                del self._in_doubt[key]
-
-    def _mark_in_doubt(self, key: str, chain: Sequence[Patch]) -> None:
-        """``chain`` was proposed and is going back unacknowledged."""
-        if chain:
-            self._in_doubt[key] = [len(patch) for patch in chain]
-
-    def _retire_proposals(self, key: str) -> None:
-        """Dropped edits take their identities with them.
-
-        What was proposed under them may have landed; nothing else may ever
-        be proposed under the same identities.
-        """
-        self._acknowledge(key, len(self._in_doubt.get(key, ())))
-
-    def _pending_chain(self, key: str, pending: Patch) -> list[Patch]:
-        """The pending patch of ``key`` as the chain it is proposed as.
-
-        A chain of one — unless part of it was proposed before without an
-        answer (a failed commit put it back, further saves were composed onto
-        it): that part keeps the identities, hence the boundaries, it was
-        proposed with, and what is new follows as one more patch.  Rebasing
-        preserves the number of operations, so the boundaries are operation
-        counts.
-        """
-        in_doubt = self._in_doubt.get(key)
-        if not in_doubt:
-            return [pending]
-        operations = pending.operations
-        chain, start = [], 0
-        for count in in_doubt:
-            chain.append(pending.with_operations(operations[start:start + count]))
-            start += count
-        if start < len(operations):
-            chain.append(pending.with_operations(operations[start:]))
-        return chain
-
-    def _restore_pending(self, key: str, chain: Sequence[Patch]) -> None:
-        """Put what is left of a pending chain back as one pending patch."""
-        if chain:
-            pending = chain[0]
-            for later in chain[1:]:
-                pending = pending.compose(later)
-            self.pending[key] = pending
+        if self._in_doubt.get(key, 0) > count:
+            self._in_doubt[key] -= count
+        else:
+            self._in_doubt.pop(key, None)
 
     # ----------------------------------------------------------------------- sync --
 
@@ -604,50 +531,53 @@ class UserPeer:
         """Bring the local replica of ``key`` up to date (retrieval procedure).
 
         Simulation process returning a :class:`~repro.core.protocol.SyncResult`.
-        Pending local edits, if any, are transformed so they still apply to
-        the refreshed replica.
+        The tentative chain, if any, is transformed so it still applies to
+        the refreshed replica (:meth:`_integrate`).
 
         With ``config.checkpoint_enabled``, a replica more than
         ``checkpoint_interval`` timestamps behind first bootstraps from the
         newest reachable checkpoint at or below the Master's ``last-ts``
-        (installing the snapshot and rebasing pending / staged-batch edits
-        over the jump), then fetches only the remaining suffix — so a cold
-        catch-up costs O(staleness past the last checkpoint) instead of
-        O(document age).  When every checkpoint replica is unreachable the
-        sync silently falls back to the paper's full log replay.
+        (installing the snapshot and rebasing the chain over the jump,
+        :func:`~repro.ot.install_snapshot_into_staged`), then fetches only
+        the remaining suffix — so a cold catch-up costs O(staleness past the
+        last checkpoint) instead of O(document age).  When every checkpoint
+        replica is unreachable the sync silently falls back to the paper's
+        full log replay.
+
+        A document whose chain is out with the Master is left alone — at the
+        start and after every wait, since a commit may begin while this
+        process waits: the commit brings the replica up to date itself, and a
+        retrieval that advanced the replica under it would make the accepted
+        chain apply a second time, or un-rebased (the result then says
+        ``details["deferred_to_flush"]``).  A commit that began *and ended*
+        during a wait leaves nothing to stand back from; what it integrated
+        already is skipped.
         """
         started_at = self.node.runtime.now
         replica = self.document(key)
-        if key in self._flushing:
-            # A flush of this key is in flight: it will bring the replica up
-            # to date itself, and a concurrent retrieval advancing the
-            # replica under it would make its accepted batch double-apply.
+        from_ts = replica.applied_ts
+        checkpoint_ts = None
+
+        def finished(retrieved: int = 0) -> SyncResult:
             result = SyncResult(
                 document_key=key,
-                from_ts=replica.applied_ts,
+                from_ts=from_ts,
                 to_ts=replica.applied_ts,
-                already_current=True,
+                retrieved_patches=retrieved,
                 started_at=started_at,
                 finished_at=self.node.runtime.now,
-                details={"deferred_to_flush": True},
-            )
-            self.sync_results.append(result)
-            return result
-        last_ts = yield from self._call_master(key, "ltr_last_ts")
-        if last_ts <= replica.applied_ts:
-            result = SyncResult(
-                document_key=key,
-                from_ts=replica.applied_ts,
-                to_ts=replica.applied_ts,
-                already_current=True,
-                started_at=started_at,
-                finished_at=self.node.runtime.now,
+                already_current=replica.applied_ts == from_ts,
+                checkpoint_ts=checkpoint_ts,
+                details={"deferred_to_flush": True} if key in self._flushing else {},
             )
             self.sync_results.append(result)
             return result
 
-        from_ts = replica.applied_ts
-        checkpoint_ts = None
+        if key in self._flushing:
+            return finished()
+        last_ts = yield from self._call_master(key, "ltr_last_ts")
+        if key in self._flushing or last_ts <= replica.applied_ts:
+            return finished()
         if (
             self.config.checkpoint_enabled
             and last_ts - replica.applied_ts > self.config.checkpoint_interval
@@ -656,66 +586,34 @@ class UserPeer:
             and key not in self._in_doubt
         ):
             checkpoint = yield from self.log.latest_checkpoint(key, last_ts)
+            if key in self._flushing:
+                return finished()
             if checkpoint is not None and checkpoint.ts > replica.applied_ts:
-                self._install_checkpoint(key, replica, checkpoint)
+                self._rebased(key, install_snapshot_into_staged(
+                    replica, checkpoint.lines, checkpoint.ts, self._chain(key)
+                ))
                 checkpoint_ts = checkpoint.ts
         entries = yield from self.log.fetch_range(key, replica.applied_ts + 1, last_ts)
+        if key in self._flushing:
+            return finished()
+        entries = [entry for entry in entries if entry.ts > replica.applied_ts]
+        chain = self._chain(key)
+        self._integrate(key, replica, entries, chain)
+        self._rebased(key, chain)
+        return finished(len(entries))
+
+    def _chain(self, key: str) -> list[Patch]:
+        """The patches of the tentative chain of ``key`` (none: an empty list)."""
         batch = self.batches.get(key)
-        if batch is not None and len(batch) > 0:
-            # A staged batch: rebase the whole chain instead.  A
-            # coexisting pending patch can only be empty (stage() refuses
-            # otherwise), so dropping it loses nothing.
-            self.pending.pop(key, None)
-            chain = list(batch.patches)
-            self._integrate(key, replica, entries, chain)
-            batch.replace_patches(chain)
-        elif key in self._in_doubt and key in self.pending:
-            # Part of the pending patch was proposed and may be among what
-            # was just fetched: integrate it as the chain it was proposed as.
-            chain = self._pending_chain(key, self.pending.pop(key))
-            self._integrate(key, replica, entries, chain)
-            self._restore_pending(key, chain)
+        return list(batch.patches) if batch is not None else []
+
+    def _rebased(self, key: str, chain: Sequence[Patch]) -> None:
+        """The replica advanced under the chain of ``key``; ``chain`` is what
+        it is now (nothing, once all of it turned out to have landed)."""
+        if chain:
+            self.batches[key].replace_patches(chain)
         else:
-            pending = self.pending.get(key)
-            merge = integrate_remote_patches(
-                replica, [(entry.ts, entry.patch) for entry in entries], pending
-            )
-            if pending is not None and merge.rebased_local is not None:
-                self.pending[key] = merge.rebased_local
-        result = SyncResult(
-            document_key=key,
-            from_ts=from_ts,
-            to_ts=replica.applied_ts,
-            retrieved_patches=len(entries),
-            started_at=started_at,
-            finished_at=self.node.runtime.now,
-            checkpoint_ts=checkpoint_ts,
-        )
-        self.sync_results.append(result)
-        return result
-
-    def _install_checkpoint(self, key: str, replica: Document, checkpoint) -> None:
-        """Install a snapshot as the replica's validated state (fast path).
-
-        Local tentative edits survive the jump: a pending patch is
-        transformed against the synthetic snapshot diff
-        (:func:`~repro.ot.install_snapshot`), a staged batch chain through
-        its chained counterpart — mirroring how the full-replay path
-        rebases them patch by patch.
-        """
-        batch = self.batches.get(key)
-        if batch is not None and len(batch) > 0:
-            self.pending.pop(key, None)  # can only be empty; see sync()
-            batch.replace_patches(
-                install_snapshot_into_staged(
-                    replica, checkpoint.lines, checkpoint.ts, batch.patches
-                )
-            )
-            return
-        pending = self.pending.get(key)
-        rebased = install_snapshot(replica, checkpoint.lines, checkpoint.ts, pending)
-        if pending is not None and rebased is not None:
-            self.pending[key] = rebased
+            self.batches.pop(key, None)
 
     def last_known_ts(self, key: str) -> int:
         """Timestamp of the last patch integrated into the local replica."""

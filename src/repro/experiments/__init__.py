@@ -16,7 +16,6 @@ from .runner import (
     ExperimentRun,
     check_baselines,
     load_baselines,
-    paper_experiment,
     render_runs,
     run_all,
     run_experiment,
@@ -30,7 +29,6 @@ __all__ = [
     "SPEC_FACTORIES",
     "check_baselines",
     "load_baselines",
-    "paper_experiment",
     "render_markdown_report",
     "render_runs",
     "run_all",

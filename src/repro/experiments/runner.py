@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..engine import (
-    Experiment,
     ScenarioResult,
     ScenarioSpec,
     headline_metrics,
@@ -106,15 +105,6 @@ def _spec(experiment_id: str, quick: bool, overrides: Optional[dict] = None) -> 
     parameters = {} if quick else dict(FULL_PARAMETERS.get(experiment_id, {}))
     parameters.update(overrides or {})
     return SPEC_FACTORIES[experiment_id](**parameters)
-
-
-def paper_experiment(*, quick: bool = True) -> Experiment:
-    """The whole evaluation as one :class:`~repro.engine.Experiment`."""
-    return Experiment(
-        name="p2p-ltr-evaluation",
-        description="P2P-LTR reproduction: paper scenarios E1..E8 plus extensions E9..E20",
-        specs=[_spec(experiment_id, quick) for experiment_id in SPEC_FACTORIES],
-    )
 
 
 def run_experiment(experiment_id: str, *, quick: bool = True,

@@ -19,8 +19,8 @@ upward imports:
   it, so each layer registers its own wire types at import time
   (:func:`register_wire_type`): chord registers ``NodeRef`` and
   ``StoredItem``, p2plog registers ``LogEntry``/``Checkpoint`` and the OT
-  patch types, core registers ``CommitBatch``.  Decoding a tag nobody
-  registered raises :class:`~repro.errors.CodecError`.
+  patch types.  Decoding a tag nobody registered raises
+  :class:`~repro.errors.CodecError`.
 * **Typed error envelopes.**  Exceptions never cross the wire as live
   objects: :func:`envelope_from_exception` flattens them to an
   :class:`ErrorEnvelope` (code + constructor args from the

@@ -12,7 +12,6 @@ from .document import Document, all_converged
 from .merge import (
     MergeResult,
     converge_check,
-    install_snapshot,
     install_snapshot_into_staged,
     integrate_remote_into_staged,
     integrate_remote_patches,
@@ -38,7 +37,6 @@ __all__ = [
     "all_converged",
     "converge_check",
     "diff_lines",
-    "install_snapshot",
     "install_snapshot_into_staged",
     "integrate_remote_into_staged",
     "integrate_remote_patches",

@@ -156,67 +156,36 @@ def integrate_remote_into_staged(
     return rebased
 
 
-def _snapshot_jump(document: Document, lines: Sequence[str], ts: int) -> Patch:
-    """The synthetic remote patch carrying ``document`` onto a snapshot state."""
-    if ts <= document.applied_ts:
-        raise InvalidOperation(
-            f"snapshot of {document.key!r} at ts {ts} is not ahead of the "
-            f"replica (applied_ts {document.applied_ts})"
-        )
-    return make_patch(
-        document.lines, list(lines), base_ts=document.applied_ts, author="checkpoint",
-        comment=f"snapshot jump to ts {ts}",
-    )
-
-
-def install_snapshot(
-    document: Document,
-    lines: Sequence[str],
-    ts: int,
-    local_pending: Optional[Patch] = None,
-) -> Optional[Patch]:
-    """Replace the replica's validated state with a snapshot, rebasing pending.
-
-    The checkpointed retrieval fast path cannot transform local edits
-    against the individual missing patches (it deliberately never fetched
-    them); instead the whole jump from the replica's current validated
-    state to the snapshot is expressed as *one* synthetic remote patch (the
-    line diff between the two states) and the pending patch is transformed
-    against it, preserving the user's intent against the new validated
-    state.  The replica's content becomes exactly ``lines`` and its
-    ``applied_ts`` becomes ``ts``; the suffix of real log entries after
-    ``ts`` is then integrated through :func:`integrate_remote_patches` as
-    usual.
-
-    Returns the rebased pending patch (``None`` if none was supplied).
-    """
-    jump = _snapshot_jump(document, lines, ts)
-    rebased_ops = None
-    if local_pending is not None:
-        rebased_ops, _ = transform_sequences(
-            list(local_pending.operations), list(jump.operations)
-        )
-    document.apply_patch(jump)  # tentative-style application: content only
-    document.applied_ts = ts
-    if local_pending is None:
-        return None
-    return local_pending.with_operations(rebased_ops).with_base(ts)
-
-
 def install_snapshot_into_staged(
     document: Document,
     lines: Sequence[str],
     ts: int,
     staged: Sequence[Patch],
 ) -> list[Patch]:
-    """Snapshot counterpart of :func:`integrate_remote_into_staged`.
+    """Replace the replica's validated state with a snapshot, rebasing ``staged``.
 
-    The staged chain ``p1 .. pk`` is transformed against the single
-    synthetic jump patch with the same forward-chaining as the patch-wise
-    variant, so the rebased sequence still applies cleanly in order on top
-    of the installed snapshot.
+    Snapshot counterpart of :func:`integrate_remote_into_staged`.  The
+    checkpointed retrieval fast path cannot transform local edits against
+    the individual missing patches (it deliberately never fetched them);
+    instead the whole jump from the replica's current validated state to the
+    snapshot is expressed as *one* synthetic remote patch (the line diff
+    between the two states) and the staged chain ``p1 .. pk`` — possibly
+    empty: a reader — is transformed against it with the same
+    forward-chaining as the patch-wise variant, so the rebased sequence
+    still applies cleanly in order on top of the installed snapshot.  The
+    replica's content becomes exactly ``lines`` and its ``applied_ts``
+    becomes ``ts``; the suffix of real log entries after ``ts`` is then
+    integrated patch by patch as usual.
     """
-    jump = _snapshot_jump(document, lines, ts)
+    if ts <= document.applied_ts:
+        raise InvalidOperation(
+            f"snapshot of {document.key!r} at ts {ts} is not ahead of the "
+            f"replica (applied_ts {document.applied_ts})"
+        )
+    jump = make_patch(
+        document.lines, list(lines), base_ts=document.applied_ts, author="checkpoint",
+        comment=f"snapshot jump to ts {ts}",
+    )
     rebased = rebase_chain(staged, [jump], ts)
     document.apply_patch(jump)
     document.applied_ts = ts

@@ -24,6 +24,23 @@ replaces (the proposer rebasing after a *behind* answer and a log read).
 An arm is any context manager that is active while the script runs; see
 ``test_diff_paths.py`` for the arms: the Master's tail against the log
 retrieval it short-cuts, warmed routes against routing under the lock.
+
+**Across trees.**  A collapse that leaves no arm behind — the old path is
+gone from the tree that has the new one — proves itself between two
+checkouts instead: every report carries a canonical text dump
+(:func:`canonical_dump`: every replica as the script left it and after the
+final synchronisation, the log entry for entry with its proposal identities),
+and run as a script this module writes the dumps of a whole grid to a file::
+
+    PYTHONPATH=<tree>/src python tests/diff_paths.py <out> [--seeds 25]
+
+Run it once per tree (this file against either ``src``) and compare the two
+files byte for byte.  The grid is the contended script over every fault and
+both chain lengths, and the **in-doubt** script (:func:`run_in_doubt`): a
+commit whose reply is lost after the publish, further saves behind it, a
+foreign commit, and then one of three ways on — through ``edit``/``commit``
+and through ``stage``/``flush``, which must agree with each other too
+(``test_invariants.py``).
 """
 
 from __future__ import annotations
@@ -41,6 +58,10 @@ from repro.ot import InsertLine
 
 from route_probe import trace_routing
 from test_core_master import find_takeover_joiner
+
+IN_DOUBT_KEY = "xwiki:diff-in-doubt"
+#: How the writer goes on after the commit that failed although it landed.
+IN_DOUBT_VARIANTS = ("commit-again", "sync-then-commit", "discard-then-edit")
 
 FAULTS = ("none", "partition-heal", "master-crash", "churn")
 HOT, COLD = "xwiki:diff-hot", "xwiki:diff-cold"
@@ -65,6 +86,9 @@ class ArmReport:
     #: synchronisation: what two arms of the sequential script must share.
     log: dict[str, list[tuple]] = field(default_factory=dict)
     texts: dict[str, dict[str, str]] = field(default_factory=dict)
+    #: :func:`canonical_dump` of the final state, after the replicas as the
+    #: script left them: what two *trees* must share, byte for byte.
+    dump: str = ""
     violations: list[str] = field(default_factory=list)
     converged: bool = True
     #: Commits that raised (the sequential script expects none).
@@ -266,6 +290,140 @@ def _inject(system: LtrSystem, fault: str, writers: list[str]) -> Callable[[], N
     return lambda: None
 
 
+def canonical_dump(system: LtrSystem, keys, logs=None) -> str:
+    """Replicas and logs of ``keys`` as text, one line each.
+
+    ``replica <key> <peer> <applied_ts> <text>`` for every user peer, and,
+    for the entries ``logs`` holds of a key (none: replicas only), ``entry
+    <key> <ts> <author> <base_ts> <proposal> <operations>`` — the proposal
+    identity less its author's base, so it reads 0, 1, 2 … per author and
+    document (as drawn where the author is no longer around to ask).
+    """
+    users = {user.author: user for user in system.users()}
+    lines = []
+    for key in keys:
+        for name in sorted(users):
+            replica = users[name].documents.get(key)
+            if replica is not None:
+                lines.append(f"replica {key} {name} {replica.applied_ts} {replica.text!r}")
+        for entry in (logs or {}).get(key, ()):
+            proposal = entry.proposal
+            if proposal is not None and entry.author in users:
+                proposal -= users[entry.author]._proposal_base
+            lines.append(
+                f"entry {key} {entry.ts} {entry.author} {entry.base_ts} "
+                f"{proposal} {entry.patch.operations!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _finish(system: LtrSystem, checker: ConvergenceChecker, keys,
+            report: ArmReport, settle: float) -> None:
+    """The final check of a script, and what the script left, into ``report``."""
+    report.dump = canonical_dump(system, keys)
+    final = checker.final_check(system, settle=settle)
+    report.violations = [
+        f"[{snapshot.label}] {violation}"
+        for snapshot in checker.snapshots
+        for violation in snapshot.violations
+    ]
+    report.converged = all(
+        info.get("converged", False) for info in final.keys.values()
+    )
+    logs = {}
+    for key in keys:
+        last_ts = system.last_ts(key)
+        logs[key] = entries = system.fetch_log(key, 1, last_ts) if last_ts else []
+        report.logged[key] = [
+            operation.line
+            for entry in entries
+            for operation in entry.patch.operations
+            if isinstance(operation, InsertLine)
+        ]
+        report.log[key] = [
+            (entry.ts, entry.author, entry.base_ts, entry.patch.operations)
+            for entry in entries
+        ]
+    report.dump += canonical_dump(system, keys, logs)
+
+
+def run_in_doubt(seed: int, variant: str, *, staged: bool, further: int = 2,
+                 max_edits: int = 4) -> ArmReport:
+    """The in-doubt script: a commit fails although it landed; what then.
+
+    The Master publishes the writer's proposal and dies before the answer
+    leaves; the writer, too impatient to wait for the ring to route around
+    it, is left with edits it proposed and no answer.  It saves ``further``
+    more times, somebody else commits in between, and then it goes on one of
+    :data:`IN_DOUBT_VARIANTS` ways.  With ``staged`` every save is a patch of
+    its own (``stage``/``flush``, chains of up to ``max_edits``), otherwise
+    the saves after the lost one are wrapped into one patch behind it
+    (``edit``/``commit``); with no more than one of them the two fronts
+    propose the same chains.
+    """
+    from test_at_most_once import lose_next_reply
+
+    if variant not in IN_DOUBT_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; known: {IN_DOUBT_VARIANTS}")
+    key = IN_DOUBT_KEY
+    rng = random.Random(f"diff-paths-in-doubt:{seed}")
+    report = ArmReport()
+    system = LtrSystem(
+        ltr_config=LtrConfig(batch_max_edits=max_edits, validation_retries=0),
+        seed=seed,
+        latency=UniformLatency(0.002, 0.006),
+    )
+    try:
+        system.bootstrap(PEERS)
+        master = system.master_of(key)
+        name, other = [peer for peer in system.peer_names() if peer != master][:2]
+        user = system.user(name)
+        checker = ConvergenceChecker([key], max_in_flight=max_edits)
+        system.add_observer(checker)
+        save = user.stage if staged else user.edit
+        working_lines = user.staged_lines if staged else user.working_lines
+        commit = system.flush if staged else system.commit
+        markers: list[str] = []
+
+        def saves(count: int) -> None:
+            for _save in range(count):
+                markers.append(f"{name}#{len(markers)}")
+                save(key, _edit(rng, working_lines(key), markers[-1], markers))
+
+        def foreign(marker: str) -> None:
+            system.sync(other, key)
+            lines = system.user(other).working_lines(key)
+            system.edit_and_commit(other, key, _edit(rng, lines, marker, []))
+            report.acked.setdefault(key, set()).add(marker)
+
+        foreign(f"{other}#base")
+        system.sync(name, key)
+        system.run_for(1.0)
+        lose_next_reply(system, key)
+        saves(1)
+        try:
+            commit(name, key)
+        except ReproError:
+            report.failed_commits += 1
+        system.ring.wait_until_stable(max_time=60)
+        saves(further)
+        foreign(f"{other}#between")
+        if variant == "sync-then-commit":
+            system.sync(name, key)
+        elif variant == "discard-then-edit":
+            (user.discard_batch if staged else user.discard_pending)(key)
+            del markers[1:]  # the lost one may be in the log, the rest is not
+            saves(1)
+        commit(name, key)
+        saves(1)
+        commit(name, key)
+        report.acked[key].update(markers)
+        _finish(system, checker, [key], report, settle=1.0)
+    finally:
+        system.shutdown()
+    return report
+
+
 def run_arm(seed: int, fault: str, chain: int,
             arm: Arm = contextlib.nullcontext, *, sequential: bool = False) -> ArmReport:
     """Run a script for ``(seed, fault, chain)`` inside ``arm()``.
@@ -306,28 +464,8 @@ def run_arm(seed: int, fault: str, chain: int,
             statistics = system.statistics()
             report.behind_answers = statistics["proposals_behind"]
             report.rebased_proposals = statistics["proposals_rebased"]
-            final = checker.final_check(system, settle=4.0)
-            report.violations = [
-                f"[{snapshot.label}] {violation}"
-                for snapshot in checker.snapshots
-                for violation in snapshot.violations
-            ]
-            report.converged = all(
-                info.get("converged", False) for info in final.keys.values()
-            )
+            _finish(system, checker, KEYS, report, settle=4.0)
             for key in KEYS:
-                last_ts = system.last_ts(key)
-                entries = system.fetch_log(key, 1, last_ts) if last_ts else []
-                report.logged[key] = [
-                    operation.line
-                    for entry in entries
-                    for operation in entry.patch.operations
-                    if isinstance(operation, InsertLine)
-                ]
-                report.log[key] = [
-                    (entry.ts, entry.author, entry.base_ts, entry.patch.operations)
-                    for entry in entries
-                ]
                 report.texts[key] = {
                     name: system.user(name).document(key).text for name in writers
                 }
@@ -351,3 +489,33 @@ def run_differential(seed: int, fault: str, chain: int, arms: dict[str, Arm],
         reports[name] = run_arm(seed, fault, chain, arm, sequential=sequential)
         reports[name].assert_invariants(f"seed {seed} / {fault} / chain {chain} / {name}")
     return reports
+
+
+def dump_grid(seeds: int) -> Iterator[str]:
+    """The dumps of every cell of the cross-tree grid, labelled, in order."""
+    for seed in range(1, seeds + 1):
+        for fault in FAULTS:
+            for chain in (1, 16):
+                report = run_arm(seed, fault, chain)
+                report.assert_invariants(f"seed {seed} / {fault} / chain {chain}")
+                yield f"== contended seed={seed} fault={fault} chain={chain}\n{report.dump}"
+        for variant in IN_DOUBT_VARIANTS:
+            for staged in (False, True):
+                report = run_in_doubt(seed, variant, staged=staged)
+                report.assert_invariants(f"seed {seed} / in doubt / {variant} / staged={staged}")
+                yield f"== in-doubt seed={seed} variant={variant} staged={staged}\n{report.dump}"
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("out", help="file the dumps are written to")
+    parser.add_argument("--seeds", type=int, default=25)
+    arguments = parser.parse_args()
+    with open(arguments.out, "w", encoding="utf-8") as out:
+        cells = 0
+        for cell in dump_grid(arguments.seeds):
+            out.write(cell)
+            cells += 1
+    print(f"{cells} cells written to {arguments.out}")

@@ -84,6 +84,19 @@ def test_editor_session_edit_save_cycle(wiki):
     assert len(session.saves) == 1
 
 
+def test_editor_session_save_comment_reaches_the_log(wiki):
+    session = EditorSession(wiki, "peer-0", "Draft")
+    session.replace("hello\nworld")
+    session.save(comment="first draft")
+    wiki.save("peer-1", "Draft", "hello\nworld\nagain", comment="via save")
+    session.append("and again")
+    session.save(comment="second draft")
+    history = [(revision.ts, revision.comment) for revision in wiki.history("Draft")]
+    assert history == [(1, "first draft"), (2, "via save"), (3, "second draft")]
+    assert session.save(comment="nothing changed") is None
+    assert wiki.revision_count("Draft") == 3
+
+
 def test_editor_sessions_from_two_users_merge(wiki):
     alice = EditorSession(wiki, "peer-0", "Minutes")
     alice.replace("agenda")

@@ -54,10 +54,10 @@ def slow_next_publish(system, delay):
     log.append_many = slowed
 
 
-def lose_next_reply(system):
-    """The Master publishes and allocates the next proposal of ``KEY`` — and
+def lose_next_reply(system, key=KEY):
+    """The Master publishes and allocates the next proposal of ``key`` — and
     crashes before the answer leaves.  Returns the Master's name."""
-    master = system.master_service(KEY)
+    master = system.master_service(key)
     name = master.node.address.name
     plain = master._note_published
 
@@ -177,7 +177,7 @@ def test_failed_commit_keeps_its_identity_and_the_next_commit_adopts_what_landed
     system.run_for(1.0)
     user = fail_in_doubt(system, writer, "base\nthe edit")
     assert user.has_pending(KEY) and user.working_lines(KEY) == ["base", "the edit"]
-    assert user._in_doubt == {KEY: [1]} and user._acknowledged.get(KEY, 0) == 0
+    assert user._in_doubt == {KEY: 1} and user._acknowledged.get(KEY, 0) == 0
     system.ring.wait_until_stable(max_time=60)
     assert system.last_ts(KEY) == 2  # it had landed
     result = system.commit(writer, KEY)
@@ -188,8 +188,8 @@ def test_failed_commit_keeps_its_identity_and_the_next_commit_adopts_what_landed
 
 
 def test_edits_made_after_a_failed_commit_follow_it_as_a_patch_of_their_own():
-    """The pending patch grew since it was proposed: what was proposed keeps
-    its identity and its boundary, and is adopted; what is new is committed
+    """The chain grew since it was proposed: what was proposed keeps its
+    identity and its boundary, and is adopted; what is new is committed
     behind it."""
     system = build_system(**IMPATIENT)
     writer, other = cast(system)
@@ -198,9 +198,8 @@ def test_edits_made_after_a_failed_commit_follow_it_as_a_patch_of_their_own():
     system.run_for(1.0)
     user = fail_in_doubt(system, writer, "base\nthe edit")
     system.ring.wait_until_stable(max_time=60)
-    user.edit(KEY, "base\nthe edit\nand more")  # composed onto the pending patch
-    assert len(user.pending[KEY]) == 2
-    assert [len(patch) for patch in user._pending_chain(KEY, user.pending[KEY])] == [1, 1]
+    user.edit(KEY, "base\nthe edit\nand more")  # follows the proposed patch
+    assert [len(patch) for patch in user.batch(KEY).patches] == [1, 1]
     system.sync(other, KEY)
     system.edit_and_commit(other, KEY, "somebody else\nbase\nthe edit")
     result = system.commit(writer, KEY)
@@ -222,8 +221,9 @@ def test_sync_after_a_failed_commit_adopts_what_landed_instead_of_rebasing_over_
     user.edit(KEY, "base\nthe edit\nand more")
     sync = system.sync(writer, KEY)
     assert sync.to_ts == 2 and user.document(KEY).lines == ["base", "the edit"]
-    # What landed left the pending patch; what was edited since is still there.
-    assert [operation.line for operation in user.pending[KEY].operations] == ["and more"]
+    # What landed left the chain; what was edited since is still there.
+    assert [[operation.line for operation in patch.operations]
+            for patch in user.batch(KEY).patches] == [["and more"]]
     assert user._in_doubt == {} and user._acknowledged[KEY] == 1
     result = system.commit(writer, KEY)
     assert result.ts == 3 and result.edits == 1
@@ -241,7 +241,7 @@ def test_failed_flush_keeps_its_identities_through_sync_and_further_staging():
     user.stage(KEY, "base\none")
     user = fail_in_doubt(system, writer, "base\none\ntwo", staged=True)
     system.ring.wait_until_stable(max_time=60)
-    assert len(user.batch(KEY)) == 2 and user._in_doubt == {KEY: [1, 1]}
+    assert len(user.batch(KEY)) == 2 and user._in_doubt == {KEY: 2}
     user.stage(KEY, "base\none\ntwo\nthree")
     assert system.last_ts(KEY) == 3
     result = system.flush(writer, KEY)
@@ -348,10 +348,10 @@ def test_an_empty_edit_that_failed_is_given_up_with_its_identity():
     first = user._proposal(KEY)
     lose_next_reply(system)
     user.edit(KEY, "base")  # a save that changed nothing: an empty patch
-    assert KEY in user.pending and not user.has_pending(KEY)
+    assert len(user.batch(KEY)) == 1 and not user.has_pending(KEY)
     with pytest.raises(MasterUnavailable):
         system.commit(writer, KEY)
-    assert KEY not in user.pending and user._in_doubt == {}
+    assert user.batch(KEY) is None and user._in_doubt == {}
     assert user._proposal(KEY) == first + 1
     system.ring.wait_until_stable(max_time=60)
     user.stage(KEY, "base\nstaged")

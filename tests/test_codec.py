@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.chord import NodeRef
 from repro.chord.storage import StoredItem
 from repro.core import LtrSystem
-from repro.core.batch import CommitBatch
 from repro.errors import (
     CodecError,
     KeyNotFound,
@@ -112,15 +111,6 @@ stored_items = st.builds(
     version=st.integers(min_value=0, max_value=2**31),
     stored_at=floats,
 )
-commit_batches = st.builds(
-    CommitBatch,
-    key=names.filter(bool),
-    opened_at=floats,
-    max_edits=st.integers(min_value=1, max_value=64),
-    deadline=st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
-    patches=st.lists(patches, max_size=4),
-)
-
 scalars = st.one_of(
     st.none(), st.booleans(), names, floats,
     st.integers(min_value=-(2**200), max_value=2**200),  # beyond 64-bit on purpose
@@ -171,8 +161,7 @@ def test_message_round_trip(message):
 
 
 @SEEDED
-@given(st.one_of(noderefs, stored_items, log_entries, checkpoints,
-                 patches, commit_batches))
+@given(st.one_of(noderefs, stored_items, log_entries, checkpoints, patches))
 def test_registered_types_round_trip(obj):
     restored = decode(encode(obj))
     assert type(restored) is type(obj)

@@ -1,7 +1,8 @@
 """Property-based fuzzing of the commit pipeline under churn.
 
-Random interleavings of edits, batch flushes, synchronisations, Master
-departures/re-elections and peer churn are generated deterministically from
+Random interleavings of edits, batch flushes, synchronisations (also of one
+peer with its own commit), Master departures/re-elections and peer churn are
+generated deterministically from
 a seed (via :mod:`repro.sim.rng`) and replayed against a fresh system; at
 the end the paper's invariants (dense timestamps, prefix-complete log,
 OT convergence — see ``test_invariants.py``) must hold.  Every script runs
@@ -39,6 +40,9 @@ def generate_actions(seed: int, steps: int = STEPS) -> list[tuple]:
     Action forms (all fields drawn here so any prefix replays identically):
 
     * ``("edit", writer_index, key, revision_lines)``
+    * ``("overlap", writer_index, key, revision_lines, delay, sync_first)`` —
+      the edit is saved, then the writer overlaps with itself: ``sync`` and
+      the commit of ``key`` start ``delay`` seconds apart, in either order
     * ``("flush", writer_index, key)`` — a (normally empty) ``commit`` at chain length one
     * ``("sync", writer_index, key)``
     * ``("join", tag)``
@@ -49,13 +53,22 @@ def generate_actions(seed: int, steps: int = STEPS) -> list[tuple]:
     * ``("settle", seconds)``
     """
     rng = RandomStreams(seed).stream("fuzz-actions")
+    # An overlap is an edit as far as the main stream goes; what it draws on
+    # top comes from a stream of its own, so the rest of a seed's script is
+    # what it was before the grammar knew overlaps.
+    overlap_rng = RandomStreams(seed).stream("fuzz-overlaps")
     actions: list[tuple] = []
     for step in range(steps):
         roll = rng.random()
         if roll < 0.40:
             lines = rng.randint(1, 4)
-            actions.append(("edit", rng.randrange(WRITERS), rng.choice(KEYS),
-                            [f"r{step}l{line}" for line in range(lines)]))
+            edit = (rng.randrange(WRITERS), rng.choice(KEYS),
+                    [f"r{step}l{line}" for line in range(lines)])
+            if roll < 0.30:
+                actions.append(("edit", *edit))
+            else:
+                actions.append(("overlap", *edit, overlap_rng.randrange(0, 45, 5) / 1000,
+                                overlap_rng.random() < 0.5))
         elif roll < 0.52:
             actions.append(("flush", rng.randrange(WRITERS), rng.choice(KEYS)))
         elif roll < 0.60:
@@ -134,7 +147,7 @@ def _shrink(seed: int, batched: bool, actions: list[tuple]) -> int:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
-@pytest.mark.parametrize("seed", [8, 71, 512])
+@pytest.mark.parametrize("seed", [8, 31, 71, 512])  # 31: a peer overlapping itself
 def test_fuzzed_interleavings_preserve_invariants(seed, batched):
     actions = generate_actions(seed)
     failure = _failure(seed, batched, actions)
@@ -285,6 +298,29 @@ def _replay_honest_action(system, writers, batched, action) -> None:
             system.stage(writer, key, text)
         else:
             system.edit_and_commit(writer, key, text)
+    elif kind == "overlap":
+        _, writer_index, key, lines, delay, sync_first = action
+        user = system.user(writers[writer_index])
+        text = "\n".join(f"{line} by {user.author}" for line in lines)
+        (system.stage if batched else system.edit)(user.author, key, text)
+        operations = [user.sync, user.flush if batched else user.commit]
+        if not sync_first:
+            operations.reverse()
+
+        def delayed():
+            yield system.runtime.timeout(delay)
+            yield from operations[1](key)
+
+        processes = [system.runtime.process(operations[0](key)),
+                     system.runtime.process(delayed())]
+        failures = []
+        for process in processes:  # both run to their end, whatever the first did
+            try:
+                system.runtime.run(until=process)
+            except ReproError as error:
+                failures.append(error)
+        if failures:
+            raise failures[0]
     elif kind == "flush":
         _, writer_index, key = action
         if batched:

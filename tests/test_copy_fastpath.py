@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chord import NodeRef
-from repro.core.batch import CommitBatch
 from repro.net import Address, ErrorEnvelope, Message, MessageKind
 from repro.net.codec import (
     _IMMUTABLE_LEAVES,  # noqa: PLC2701 - the fast path under test
@@ -95,14 +94,6 @@ stored_items = st.builds(
     version=st.integers(min_value=0, max_value=2**31),
     stored_at=floats,
 )
-commit_batches = st.builds(
-    CommitBatch,
-    key=names.filter(bool),
-    opened_at=floats,
-    max_edits=st.integers(min_value=1, max_value=64),
-    deadline=st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
-    patches=st.lists(patches, max_size=4),
-)
 error_envelopes = st.builds(
     ErrorEnvelope,
     code=names.filter(bool),
@@ -138,7 +129,6 @@ messages = st.builds(
 TAG_STRATEGIES: dict[str, st.SearchStrategy] = {
     "addr": addresses,
     "checkpoint": checkpoints,
-    "commit-batch": commit_batches,
     "error": error_envelopes,
     "kind": st.sampled_from(list(MessageKind)),
     "log-entry": log_entries,
@@ -236,16 +226,6 @@ def test_stored_item_with_mutable_value_is_severed():
     assert copied == item
     item.value["v"].append(3)
     assert copied.value == {"v": [1, 2]}
-
-
-def test_commit_batch_patch_list_is_severed():
-    patch = Patch(operations=(InsertLine(0, "x"),), base_ts=1, author="a")
-    batch = CommitBatch(key="doc", opened_at=0.0, max_edits=4, deadline=10.0,
-                        patches=[patch])
-    copied = copy_payload(batch)
-    assert copied == batch
-    batch.patches.append(patch)
-    assert len(copied.patches) == 1
 
 
 def test_mutable_containers_are_always_rebuilt():

@@ -18,13 +18,13 @@ from repro.experiments import (
     EXPERIMENT_DESCRIPTIONS,
     FULL_PARAMETERS,
     SPEC_FACTORIES,
-    paper_experiment,
     render_markdown_report,
     render_runs,
     run_all,
     run_experiment,
 )
 from repro.experiments.__main__ import main
+from repro.experiments.runner import _spec
 
 BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "artifacts"
 
@@ -57,13 +57,10 @@ def test_run_all_rejects_unknown_ids():
         run_all(quick=True, only=["E3", "E99"])
 
 
-def test_paper_experiment_groups_every_spec():
-    experiment = paper_experiment(quick=True)
-    assert experiment.scenario_ids() == list(SPEC_FACTORIES)
-    # quick = the factories' keyword defaults; full = FULL_PARAMETERS on top
-    assert experiment.spec("E8").constants["lookups"] == 20
-    assert SPEC_FACTORIES["E8"]().constants == experiment.spec("E8").constants
-    assert paper_experiment(quick=False).spec("E8").constants["lookups"] == 40
+def test_profiles_are_the_factory_defaults_and_full_parameters_on_top():
+    assert _spec("E8", quick=True).constants == SPEC_FACTORIES["E8"]().constants
+    assert _spec("E8", quick=True).constants["lookups"] == 20
+    assert _spec("E8", quick=False).constants["lookups"] == 40
 
 
 def test_e1_timestamp_generation_shape():

@@ -17,6 +17,8 @@ from repro.errors import ConfigurationError, ReproError, ValidationFailed
 from repro.net import ConstantLatency
 from repro.sim.rng import RandomStreams
 
+import diff_paths
+
 # ------------------------------------------------------------- checkers --
 
 
@@ -209,6 +211,28 @@ def test_batched_and_unbatched_paths_agree_on_canonical_state():
         assert proposals == -(-len(texts) // chain_length)
 
 
+@pytest.mark.parametrize("further", [0, 1])
+@pytest.mark.parametrize("variant", diff_paths.IN_DOUBT_VARIANTS)
+def test_both_saving_verbs_agree_after_a_commit_left_in_doubt(variant, further):
+    """... and neither does the verb when a commit fails although it landed:
+    the reply is lost after the publish, ``further`` saves follow, somebody
+    else commits, the writer goes on (``diff_paths.run_in_doubt``) — through
+    ``edit``/``commit`` and through ``stage``/``flush`` (bound: the patch in
+    doubt and the saves behind it, each one a chain of one otherwise) the
+    same log, entry for entry, identities included, and the same replicas."""
+    reports = {}
+    for staged in (False, True):
+        report = diff_paths.run_in_doubt(9, variant, staged=staged, further=further,
+                                         max_edits=1 + further)
+        report.assert_invariants(f"in doubt / {variant} / staged={staged}")
+        assert report.failed_commits == 1  # the one that had landed
+        reports[staged] = report
+    assert reports[True].dump == reports[False].dump
+    assert len(reports[True].logged[diff_paths.IN_DOUBT_KEY]) == (
+        5 if variant == "discard-then-edit" else 4 + further
+    )
+
+
 def test_concurrent_batched_flushes_converge():
     """Contending batches are serialized, rebased and still converge."""
     system = build_system(peers=10, seed=13, batch_max_edits=8)
@@ -228,16 +252,33 @@ def test_concurrent_batched_flushes_converge():
 # ----------------------------------------------------- unit-level gates --
 
 
-def test_edit_and_stage_refuse_to_mix_on_one_document():
-    system = build_system(peers=4, seed=5)
+def test_edit_and_stage_share_one_chain():
+    """One chain per document: ``stage`` adds a patch to it, ``edit`` wraps a
+    save into its last patch, and every other verb sees just the chain."""
+    system = build_system(peers=6, seed=5, batch_deadline=2.0)
+    key = "xwiki:fronts"
     user = system.user("peer-0")
-    user.edit("xwiki:fronts", "pending text")
-    with pytest.raises(ConfigurationError):
-        user.stage("xwiki:fronts", "staged text")
-    user.discard_pending("xwiki:fronts")
-    user.stage("xwiki:fronts", "staged text")
-    with pytest.raises(ConfigurationError):
-        user.edit("xwiki:fronts", "pending text")
+    user.edit(key, "first")
+    user.stage(key, "first\nsecond")
+    assert user.has_pending(key) and len(user.batch(key)) == 2
+    user.edit(key, "first\nsecond\nthird")  # joins the staged patch
+    assert len(user.batch(key)) == 2
+    assert user.working_lines(key) == user.staged_lines(key) == ["first", "second", "third"]
+    result = system.commit("peer-0", key)
+    assert (result.first_ts, result.ts, result.edits) == (1, 2, 2)
+    inserted = [[operation.line for operation in entry.patch.operations]
+                for entry in system.fetch_log(key, 1, 2)]
+    assert inserted == [["first"], ["second", "third"]]
+    assert not user.has_pending(key) and user.batch(key) is None
+    # The deadline runs from a chain's first save, whichever verb made it.
+    user.edit(key, "first\nsecond\nthird\nfourth")
+    assert system.flush_due() == []
+    system.run_for(2.5)
+    assert [outcome.ts for outcome in system.flush_due()] == [3]
+    user.stage(key, "dropped")
+    user.discard_pending(key)
+    assert user.working_lines(key) == ["first", "second", "third", "fourth"]
+    assert_system_invariants(system, [key])
 
 
 def test_edit_refused_while_a_flush_is_in_flight():

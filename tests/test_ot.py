@@ -20,6 +20,8 @@ from repro.ot import (
     all_converged,
     converge_check,
     diff_lines,
+    install_snapshot_into_staged,
+    integrate_remote_into_staged,
     integrate_remote_patches,
     is_noop,
     make_patch,
@@ -375,3 +377,38 @@ def test_integrate_preserves_intent_under_conflicting_edits():
     # both sides deleted the same line; the pending patch must become a no-op
     assert result.rebased_local.is_empty()
     assert result.rebased_local.apply(document.lines) == ["a", "c"]
+
+
+# ---------------------------------------------------------------------------
+# snapshot install (the checkpointed retrieval's one path)
+# ---------------------------------------------------------------------------
+
+
+def test_install_snapshot_under_an_empty_chain_is_what_a_cold_reader_runs():
+    document = Document("page", lines=["stale"], applied_ts=2)
+    assert install_snapshot_into_staged(document, ["a", "b", "c"], 9, []) == []
+    assert (document.lines, document.applied_ts) == (["a", "b", "c"], 9)
+    with pytest.raises(InvalidOperation):  # a snapshot must be ahead of the replica
+        install_snapshot_into_staged(document, ["older"], 9, [])
+    assert (document.lines, document.applied_ts) == (["a", "b", "c"], 9)
+
+
+def test_install_snapshot_rebases_a_chain_of_one_like_the_patches_it_stands_for():
+    """The user's one pending patch, jumped over a snapshot: the same replica
+    and the same working copy as integrating the missing patches one by one."""
+    remote = [
+        (4, Patch((InsertLine(0, "remote-header"),), base_ts=3, author="other")),
+        (5, Patch((DeleteLine(2, "body"),), base_ts=4, author="other")),
+    ]
+    pending = Patch((InsertLine(2, "local-footer"), DeleteLine(0, "title")),
+                    base_ts=3, author="me", comment="mine")
+    replayed = Document("page", lines=["title", "body"], applied_ts=3)
+    (patch_wise,) = integrate_remote_into_staged(replayed, remote, [pending])
+    jumped = Document("page", lines=["title", "body"], applied_ts=3)
+    (rebased,) = install_snapshot_into_staged(jumped, replayed.lines, 5, [pending])
+    assert (jumped.lines, jumped.applied_ts) == (["remote-header", "title"], 5)
+    assert (rebased.base_ts, rebased.author, rebased.comment) == (5, "me", "mine")
+    assert len(rebased) == len(pending)  # boundaries survive: counts are kept
+    assert rebased.apply(jumped.lines) == patch_wise.apply(replayed.lines) \
+        == ["remote-header", "local-footer"]
+
