@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..errors import ConfigurationError
 from ..ot import Patch
 
 
@@ -88,7 +89,7 @@ class CommitBatch:
         tip current; without it the memo is dropped and recomputed lazily.
         """
         if self.full:
-            raise ValueError(
+            raise ConfigurationError(
                 f"batch for {self.key!r} already holds {len(self.patches)} edits "
                 f"(max_edits={self.max_edits}); flush it first"
             )

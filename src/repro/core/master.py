@@ -22,16 +22,21 @@ paper):
 * At most once — a proposal carries an identity, every entry records it, and
   a proposal whose identity is among the entries it missed is a re-sent one:
   it is answered with the acknowledgement of the entry that carries it.
-* Per-document serialization — concurrent validation requests for the same
-  document are served strictly one after the other, "a new timestamp for a
-  given document d is provided after the replication of the previous
-  timestamped patch on d".  Routing is kept out of that critical section:
+* Per-document serialization — "a new timestamp for a given document d is
+  provided after the replication of the previous timestamped patch on d":
+  one replication round per document at a time, and timestamps only for what
+  that round replicated.  The round carries every proposal that queued while
+  the previous one ran (*group commit*): the handler that gets the document's
+  lock serves the queue behind it too — one publish, one allocation, one
+  counter push — and each proposer is answered as if it had been served
+  alone, in arrival order.  Routing is kept out of that critical section:
   the Master knows the next timestamps, so it has their Log-Peers resolved
   ahead of the proposals that will need them (``_warm_ahead``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace
 from typing import Any, Iterable, Optional, Sequence
 
@@ -43,6 +48,7 @@ from ..errors import (
     NodeUnreachable,
     PatchUnavailable,
     RequestTimeout,
+    ValidationFailed,
 )
 from ..kts import TimestampAuthority
 from ..net import payload_size
@@ -73,7 +79,8 @@ TAIL_MAX_ENTRIES = 256
 TAIL_MAX_BYTES = 256 * 1024
 
 #: How far past ``last-ts`` the Master resolves Log-Peers ahead of the
-#: proposals that will need them, in chains of the proposal being answered.
+#: proposals that will need them, in multiples of what it is looking at: the
+#: chains queued plus the chains being answered (``_warm_ahead``).
 #: One chain is not enough: a hot document's next proposal arrives one
 #: round-trip after the ack, a lookup that misses the route cache takes two.
 WARM_AHEAD_CHAINS = 4
@@ -90,14 +97,19 @@ class EntryTail:
 
     * the **gap** a stale proposal is transformed over and that comes back
       with its *ok* — or with *behind*, where the Master cannot transform —
-      so the bounds of the tail are the bounds of that work and of that reply;
+      so the bounds of the tail are the bounds of that work and of that reply
+      (a gap may end in the entries of the proposals served ahead of it in
+      the same round, which join the tail with it; a round is held to the
+      tail's bounds too, :meth:`DocumentQueue.take`);
     * the **identities** of the proposals that landed lately: the tail is the
       Master's whole table of them (walked with the gap, bounded with it,
       gone with the tenure; beyond it the log is the table and the proposer
       the one who looks, ``UserPeer._integrate``);
     * :attr:`warmed_ts`, which looks the other way: the *warmed horizon*, the
       highest timestamp whose Log-Peers this tenure already had resolved
-      (:meth:`MasterService._warm_ahead`).  It lives and dies with the tail.
+      (:meth:`MasterService._warm_ahead`).  It lives and dies with the tail
+      — which is why a proposal that queues behind the first publish of a
+      tenure finds an empty tail made for it.
     """
 
     __slots__ = ("entries", "sizes", "bytes", "warmed_ts")
@@ -136,6 +148,76 @@ class EntryTail:
         return self.entries[skip:]
 
 
+class Proposal:
+    """One validation request, for as long as it is at the Master.
+
+    What was proposed, and the slot its outcome is put into — by the handler
+    that holds the document's lock when the proposal is served, which is its
+    own or that of a proposal queued ahead of it
+    (:meth:`MasterService.validate_and_publish`).
+    """
+
+    __slots__ = ("ts", "patches", "author", "base_ts", "signatures", "proposal",
+                 "answer", "error")
+
+    def __init__(self, ts: int, patches: list, author: str, base_ts: Optional[int],
+                 signatures: Optional[Any], proposal: Optional[int]) -> None:
+        self.ts = ts
+        self.patches = patches
+        self.author = author
+        self.base_ts = base_ts
+        self.signatures = signatures
+        self.proposal = proposal
+        self.answer: Optional[dict] = None
+        self.error: Optional[BaseException] = None
+
+    @property
+    def served(self) -> bool:
+        """Has a lock holder put this proposal's outcome into its slot?"""
+        return self.answer is not None or self.error is not None
+
+
+class DocumentQueue:
+    """The proposals one Master has for one document: its lock and who waits.
+
+    ``waiting`` holds, in arrival order, the proposals no lock holder has
+    taken yet (so it is the order of the lock's own queue, minus the
+    proposals already served); ``publishing`` is how many entries the lock
+    holder has out at the Log-Peers right now, published and not allocated.
+    """
+
+    __slots__ = ("lock", "waiting", "publishing")
+
+    def __init__(self, runtime) -> None:
+        self.lock = FifoLock(runtime)
+        self.waiting: deque[Proposal] = deque()
+        self.publishing = 0
+
+    @property
+    def queued(self) -> int:
+        """Entries the waiting proposals will add to the log."""
+        return sum(len(member.patches) for member in self.waiting)
+
+    def take(self) -> list[Proposal]:
+        """The next group: the head of the queue and who fits in behind it.
+
+        A group's entries are one publish, one stretch of the tail and — for
+        the last member, which is transformed over all the others — one gap,
+        so together they stay within the tail's bounds; the head is served
+        whatever its size.
+        """
+        group = [self.waiting.popleft()]
+        entries = len(group[0].patches)
+        size = payload_size(group[0].patches) if self.waiting else 0
+        while self.waiting:
+            entries += len(self.waiting[0].patches)
+            size += payload_size(self.waiting[0].patches)
+            if entries > TAIL_MAX_ENTRIES or size > TAIL_MAX_BYTES:
+                break
+            group.append(self.waiting.popleft())
+        return group
+
+
 class MasterService(NodeService):
     """Per-node implementation of the Master-key peer role."""
 
@@ -148,14 +230,18 @@ class MasterService(NodeService):
         self._hash_family = hash_family
         self.log: Optional[P2PLogClient] = None
         self.authority: Optional[TimestampAuthority] = None
-        self._locks: dict[str, FifoLock] = {}
+        self._queues: dict[str, DocumentQueue] = {}
         # Per document, the entries allocated here during the current tenure
         # as its Master (created on the first publish, dropped when the
         # tenure ends); read and written under the document's lock.
         self._tails: dict[str, EntryTail] = {}
-        # One proposal = one validation request, whatever its chain length.
+        # One proposal = one validation request, whatever its chain length;
+        # one publish = one round of append_many that allocated, whatever the
+        # number of proposals in it.
+        self.publishes = 0
         self.proposals_ok = 0
-        # ... of which transformed over the tail before they were published,
+        # ... of which transformed over the tail, or over the proposals ahead
+        # of them in their group, before they were published,
         self.proposals_rebased = 0
         # and, counted in none of the others, answered from it: re-sent.
         self.proposals_deduplicated = 0
@@ -225,12 +311,14 @@ class MasterService(NodeService):
             self.authority = service
         return self.authority
 
+    def _queue_for(self, key: str) -> DocumentQueue:
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = DocumentQueue(self.node.runtime)
+        return queue
+
     def _lock_for(self, key: str) -> FifoLock:
-        lock = self._locks.get(key)
-        if lock is None:
-            lock = FifoLock(self.node.runtime)
-            self._locks[key] = lock
-        return lock
+        return self._queue_for(key).lock
 
     # -- RPC handlers ---------------------------------------------------------------
 
@@ -277,29 +365,55 @@ class MasterService(NodeService):
         patch (the author's, dense per document; the following patches carry
         the following numbers) and is recorded on every entry.  Walking the
         gap it is about to transform over, the Master looks for it: a hit is
-        a re-sent proposal whose first copy landed, and is answered with the
-        ``ok`` that copy was (or would have been) answered — the timestamps
-        it landed at, the gap before them — while nothing is published.  The
-        tail is the whole table; a copy that arrives after its original left
-        the tail is answered *behind* and recognised by its proposer in the
-        log.
+        a re-sent proposal whose first copy landed — or is about to, ahead of
+        it in the same group — and is answered with the ``ok`` that copy was
+        (or would have been) answered — the timestamps it landed at, the gap
+        before them — while nothing is published.  The tail is the whole
+        table; a copy that arrives after its original left the tail is
+        answered *behind* and recognised by its proposer in the log.
 
         What runs under the per-document lock sets a hot document's commit
         rate, so it is kept to: validate — with the transform, which is local
         and bounded by the tail's bounds —, one ``store_many`` round-trip per
         Log-Peer, allocate.  The Log-Peers themselves are resolved *before*
-        the proposal that needs them: every answer has the placements of the
-        next timestamps routed in the background (:meth:`_warm_ahead`), which
-        the publish then finds in the node's route cache.
+        the proposal that needs them: a proposal that has to wait has its
+        own placements routed on arrival, every answer those of the next
+        timestamps (:meth:`_warm_ahead`), and the publish finds them in the
+        node's route cache.
 
-        The chain is atomic: it either commits completely or not at all.  In
-        particular, when a re-election moves the Master-key role away while
-        the (yielding) log publication is in flight, the handler detects the
-        hand-over before advancing any timestamp and answers ``rejected``
-        without consuming the range — the user peer re-proposes, and routing
-        delivers the retry to the new Master.  Without that guard the old
-        Master would resurrect a counter it no longer owns and fork the
-        timestamp sequence (see ``tests/test_core_master.py``).
+        **Group commit.**  That round-trip is shared.  A proposal is queued
+        (:class:`DocumentQueue`) before it waits for the lock, and the handler
+        that gets the lock takes the queue along — itself first, the others
+        in arrival order, as many as fit the tail's bounds; the rest are the
+        next holder's — and runs the statements above *once* for the group:
+        each member is verified and placed behind the members ahead of it
+        (exactly next, or transformed over the tail's suffix **plus their
+        entries**; a re-sent identity is found in either), the concatenation
+        goes out as one ``append_many``, is guarded by one re-election check,
+        allocated by one ``next_timestamps`` (one counter push) and joins the
+        tail, the checkpoint view and the equivocation knob as one chain.
+        Every member is answered what a Master serving the same arrivals one
+        by one would have answered — its own timestamps, the replicas of its
+        own entries, its own gap — and collects the answer when the lock
+        reaches it in turn.  A group of one is the only path there is.  What
+        a group may not change: a member that fails verification, proposes
+        an empty chain or cannot be transformed gets that error, alone; a
+        member that can only be answered *behind* is, with the ``last-ts``
+        and suffix that hold after the group's allocation; a failed publish
+        raises at every member that was in it, a lost Master role rejects
+        every one, and either way the whole concatenation is retracted once,
+        after the lock; and no member leaves the queue without an answer or
+        an exception, whatever becomes of the handler that took it.
+
+        The chain is atomic: it either commits completely or not at all, and
+        so does a group.  In particular, when a re-election moves the
+        Master-key role away while the (yielding) log publication is in
+        flight, the handler detects the hand-over before advancing any
+        timestamp and answers ``rejected`` without consuming the range — the
+        user peers re-propose, and routing delivers the retries to the new
+        Master.  Without that guard the old Master would resurrect a counter
+        it no longer owns and fork the timestamp sequence (see
+        ``tests/test_core_master.py``).
 
         When ``auth_enabled``, ``signatures`` must hold the author's HMAC
         over each chained commit (see :mod:`repro.p2plog.auth`); a missing
@@ -307,20 +421,28 @@ class MasterService(NodeService):
         :class:`~repro.errors.AuthenticationError` before any timestamp
         state is consulted.
         """
-        lock = self._lock_for(key)
+        queue = self._queue_for(key)
+        member = Proposal(ts, list(patches), author, base_ts, signatures, proposal)
+        queue.waiting.append(member)
+        if queue.lock.locked:
+            # It will wait, and its timestamps are known while it does.
+            self._warm_ahead(key, self._authority().last_ts(key) + queue.publishing, 0)
+        group: list[Proposal] = []
         retract: list[LogEntry] = []
         checkpoints: list[CheckpointJob] = []
-        publish_failure: Optional[PatchUnavailable] = None
-        yield from lock.acquire()
+        yield from queue.lock.acquire()
         try:
-            payload = yield from self._validate_locked(
-                key, ts, patches, author, base_ts, retract, checkpoints,
-                signatures, proposal,
-            )
-        except PatchUnavailable as error:
-            publish_failure = error
+            if not member.served:
+                # Nobody ahead took it along: it is the head of the queue.
+                group = queue.take()
+                yield from self._validate_locked(key, group, retract, checkpoints)
         finally:
-            lock.release()
+            for taken in group:
+                if not taken.served:
+                    # The handler died with proposals in its hands; what
+                    # became of their entries is not known here.
+                    taken.error = PatchUnavailable(key, taken.ts)
+            queue.lock.release()
         if retract:
             # A rejected or partially failed publish left entries carrying
             # timestamps that were never allocated.  Clean up *after*
@@ -328,41 +450,177 @@ class MasterService(NodeService):
             # serialization, and holding the lock through them would stall
             # every other proposer.
             yield from self.log.retract_many(retract)
-        if publish_failure is not None:
-            raise publish_failure
+        if member.error is not None:
+            raise member.error
         yield from self._run_checkpoint_jobs(key, checkpoints)
-        return payload
+        return member.answer
 
-    def _validate_locked(self, key: str, ts: int, patches: Any, author: str,
-                         base_ts: Optional[int], retract: list[LogEntry],
-                         checkpoints: list[CheckpointJob],
-                         signatures: Optional[Any] = None,
-                         proposal: Optional[int] = None):
+    def _validate_locked(self, key: str, group: list[Proposal],
+                         retract: list[LogEntry],
+                         checkpoints: list[CheckpointJob]):
         """The critical section of :meth:`validate_and_publish`.
 
-        Runs with the per-document lock held.  Entries that must be removed
-        from the log (rejected or partially-failed publishes) are appended
-        to ``retract``; the caller performs the removal after the lock is
-        released.
+        Runs with the per-document lock held, once for all of ``group``, and
+        leaves every member's outcome in its slot.  Entries that must be
+        removed from the log (rejected or partially-failed publishes) are
+        appended to ``retract``; the caller performs the removal after the
+        lock is released.
         """
         node = self.node
         authority = self._authority()
-        patches = list(patches)
+        last_ts = authority.last_ts(key)
+        # The concatenation: what this round publishes, in group order ...
+        entries: list[LogEntry] = []
+        # ... and who is in it — with where its own entries start and the gap
+        # it was transformed over — or repeats a member that is.
+        placed: list[tuple[Proposal, int, Optional[list[LogEntry]]]] = []
+        repeats: list[tuple[Proposal, ValidationResult]] = []
+        behind: list[Proposal] = []
+        for member in group:
+            try:
+                chain, gap = self._place(key, member, last_ts, entries)
+            except Exception as error:  # noqa: BLE001 - this member's answer, nobody else's
+                member.error = error
+                continue
+            if chain is None:
+                behind.append(member)
+            elif isinstance(chain, ValidationResult):
+                if chain.last_ts > last_ts:
+                    repeats.append((member, chain))
+                else:
+                    member.answer = chain.to_payload()
+            else:
+                placed.append((member, len(entries), gap))
+                entries.extend(chain)
+        published = [member for member, _start, _gap in placed]
+        published += [member for member, _result in repeats]
+        per_entry = None
+        if entries:
+            per_entry = yield from self._replicate(key, last_ts, entries, published, retract)
+        if per_entry is not None:
+            first_ts = authority.next_timestamps(key, len(entries))
+            # Only now are the entries part of the log for good: remember them
+            # for the proposers this commit has just put behind.
+            tail = self._tails.setdefault(key, EntryTail())
+            # Paced by the allocation before this one, so: before it joins the tail.
+            self._warm_ahead(key, entries[-1].ts, len(entries))
+            tail.extend(entries)
+            for entry in entries[:self.equivocate_next]:
+                yield from self._equivocate(entry)
+            self._note_published(
+                key, [entry.patch for entry in entries], first_ts, checkpoints
+            )
+            self.publishes += 1
+            self.proposals_ok += len(placed)
+            self.patches_published += len(entries)
+            ends = [start for _member, start, _gap in placed[1:]] + [len(entries)]
+            for (member, start, gap), end in zip(placed, ends):
+                self.proposals_rebased += gap is not None
+                replicas = min(per_entry[start:end])
+                node.runtime.trace.annotate(
+                    node.runtime.now, "ltr-master",
+                    "{} validated {}@{}..{} from {} ({} log replicas)",
+                    node.address.name, key, entries[start].ts, entries[end - 1].ts,
+                    member.author, replicas,
+                )
+                member.answer = ValidationResult.ok(
+                    entries[start].ts, entries[end - 1].ts, replicas, gap
+                ).to_payload()
+            for member, result in repeats:
+                member.answer = result.to_payload()
+        if behind:
+            # Answered last, with what holds now: a proposer that integrates
+            # this does not come round a second time for the group's entries.
+            last_ts = authority.last_ts(key)
+            for member in behind:
+                self.proposals_behind += 1
+                node.runtime.trace.annotate(
+                    node.runtime.now, "ltr-master",
+                    "{} rejects {}@{}(+{}) from {} (last-ts={})",
+                    node.address.name, key, member.ts, len(member.patches),
+                    member.author, last_ts,
+                )
+                self._warm_ahead(key, last_ts, len(member.patches))
+                member.answer = ValidationResult.behind(
+                    last_ts, self._missing_suffix(key, member.ts - 1, last_ts)
+                ).to_payload()
+
+    def _replicate(self, key: str, last_ts: int, entries: list[LogEntry],
+                   published: list[Proposal], retract: list[LogEntry]):
+        """Publish a round's ``entries``; their placement counts if it may be allocated.
+
+        ``None`` when it may not — the Log-Peers refused it, or the Master
+        role moved meanwhile: every member of ``published`` has its outcome
+        then, and the entries are in ``retract``.
+        """
+        node = self.node
+        queue = self._queue_for(key)
+        queue.publishing = len(entries)
+        try:
+            per_entry = yield from self.log.append_many(entries)
+        except PatchUnavailable as error:
+            # Partial publish: what landed carries timestamps that were
+            # never allocated — schedule it for removal, then propagate
+            # so the proposers keep their edits and retry.
+            retract.extend(entries)
+            for member in published:
+                member.error = PatchUnavailable(error.key, error.ts)
+            return None
+        finally:
+            queue.publishing = 0
+        # Re-election check before any timestamp is consumed: the publish
+        # above yields, and even the lock acquisition can span a takeover,
+        # so the Master role may have moved since the request arrived.
+        if self._lost_master_role(key, last_ts):
+            self.proposals_rejected += len(published)
+            node.runtime.trace.annotate(
+                node.runtime.now, "ltr-master",
+                "{} rejects in-flight {}@{}(+{}): master role moved during publication",
+                node.address.name, key, last_ts + 1, len(entries),
+            )
+            # The published entries carry timestamps that were never
+            # allocated; retract them so no reader can observe them
+            # before the new Master reuses the range.
+            retract.extend(entries)
+            self._tails.pop(key, None)  # the tenure these came from is over
+            rejected = ValidationResult.reelection(
+                self._authority().last_ts(key)).to_payload()
+            for member in published:
+                member.answer = rejected
+            return None
+        return per_entry
+
+    def _place(self, key: str, member: Proposal, last_ts: int,
+               ahead: list[LogEntry]):
+        """Where ``member`` goes in the round that already holds ``ahead``.
+
+        Returns ``(entries, gap)`` — its chain as the log entries that follow
+        ``ahead``, transformed over ``gap`` unless it was exactly next —, or
+        ``(answer, None)`` for a re-sent proposal whose first copy is in the
+        tail or in ``ahead``, or ``(None, None)`` for a proposal the Master
+        cannot place, which is answered *behind*.  Raises what the proposal
+        alone is to blame for.
+        """
+        node = self.node
+        patches = member.patches
+        ts = member.ts
+        base_ts = member.base_ts
         if not patches:
-            raise ValueError(f"empty commit chain proposed for {key!r}")
+            raise ValidationFailed(f"empty commit chain proposed for {key!r}")
         sigs: list[Optional[str]] = (
-            list(signatures) if signatures is not None else [None] * len(patches)
+            list(member.signatures) if member.signatures is not None
+            else [None] * len(patches)
         )
         # The chain's patches are numbered on from the identity of its first.
         identities: Sequence[Optional[int]] = (
-            range(proposal, proposal + len(patches)) if proposal is not None
-            else [None] * len(patches)
+            range(member.proposal, member.proposal + len(patches))
+            if member.proposal is not None else [None] * len(patches)
         )
         if self.config.auth_enabled:
             valid = len(sigs) == len(patches) and all(
                 verify_commit(
                     self.config.auth_secret, sigs[offset], key, ts + offset,
-                    patches[offset], author,
+                    patches[offset], member.author,
                     (base_ts + offset) if base_ts is not None else None,
                     identities[offset],
                 )
@@ -373,32 +631,25 @@ class MasterService(NodeService):
                 node.runtime.trace.annotate(
                     node.runtime.now, "ltr-master",
                     "{} rejects {}@{}(+{}) from {}: bad or missing commit signatures",
-                    node.address.name, key, ts, len(patches), author,
+                    node.address.name, key, ts, len(patches), member.author,
                 )
                 raise AuthenticationError(
-                    f"commit {key}@{ts}(+{len(patches)}) from {author!r} "
+                    f"commit {key}@{ts}(+{len(patches)}) from {member.author!r} "
                     f"failed signature verification",
                     key=key,
                     ts=ts,
                 )
-        last_ts = authority.last_ts(key)
         gap: Optional[list[LogEntry]] = None
-        if ts != last_ts + 1:
-            gap = self._missing_suffix(key, ts - 1, last_ts)
-            if gap is None or signatures is not None:
+        next_ts = last_ts + len(ahead) + 1
+        if ts != next_ts:
+            gap = self._missing_suffix(key, ts - 1, last_ts, ahead)
+            if gap is None or member.signatures is not None:
                 # Ahead of last-ts, a gap the tail does not cover, or a
                 # signed chain (the author's HMAC covers the patch and its
                 # timestamp; the Master cannot sign a transformed one for
                 # it): the proposer integrates and comes round again.
-                self.proposals_behind += 1
-                node.runtime.trace.annotate(
-                    node.runtime.now, "ltr-master",
-                    "{} rejects {}@{}(+{}) from {} (last-ts={})",
-                    node.address.name, key, ts, len(patches), author, last_ts,
-                )
-                self._warm_ahead(key, last_ts, len(patches))
-                return ValidationResult.behind(last_ts, gap).to_payload()
-            landed = find_proposal(gap, author, proposal, len(patches))
+                return None, None
+            landed = find_proposal(gap, member.author, member.proposal, len(patches))
             if landed is not None:
                 # A re-sent proposal: its first copy is in the gap.  Answer
                 # what the first copy was answered; publish nothing.
@@ -407,25 +658,25 @@ class MasterService(NodeService):
                 node.runtime.trace.annotate(
                     node.runtime.now, "ltr-master",
                     "{} has {}@{}(+{}) from {} already, at ts {}",
-                    node.address.name, key, ts, len(patches), author, gap[first].ts,
+                    node.address.name, key, ts, len(patches), member.author,
+                    gap[first].ts,
                 )
                 return ValidationResult.ok(
                     gap[first].ts, gap[first].ts + count - 1, 0, gap[:first],
-                ).to_payload()
+                ), None
             # Stale, and everything it missed is right here: transform the
             # chain over the gap — the function the proposer would run on the
             # same entries — and carry on as if it had been proposed now.
-            patches = rebase_chain(patches, [entry.patch for entry in gap], last_ts)
-            ts = last_ts + 1
+            patches = rebase_chain(patches, [entry.patch for entry in gap], next_ts - 1)
+            ts = next_ts
             if base_ts is not None:
-                base_ts = last_ts
-
-        entries = [
+                base_ts = next_ts - 1
+        return [
             LogEntry(
                 document_key=key,
                 ts=ts + offset,
                 patch=patch,
-                author=author,
+                author=member.author,
                 published_at=node.runtime.now,
                 # The chain: patch `offset` is expressed against the
                 # state produced by its predecessor, i.e. `offset`
@@ -440,56 +691,7 @@ class MasterService(NodeService):
                 proposal=identities[offset],
             )
             for offset, patch in enumerate(patches)
-        ]
-        try:
-            per_entry = yield from self.log.append_many(entries)
-        except PatchUnavailable:
-            # Partial publish: what landed carries timestamps that were
-            # never allocated — schedule it for removal, then propagate
-            # so the proposer keeps its edits and retries.
-            retract.extend(entries)
-            raise
-        replicas = min(per_entry)
-        # Re-election check before any timestamp is consumed: the publish
-        # above yields, and even the lock acquisition can span a takeover,
-        # so the Master role may have moved since the request arrived.
-        if self._lost_master_role(key, last_ts):
-            self.proposals_rejected += 1
-            node.runtime.trace.annotate(
-                node.runtime.now, "ltr-master",
-                "{} rejects in-flight {}@{}(+{}): master role moved during publication",
-                node.address.name, key, ts, len(patches),
-            )
-            # The published entries carry timestamps that were never
-            # allocated; retract them so no reader can observe them
-            # before the new Master reuses the range.
-            retract.extend(entries)
-            self._tails.pop(key, None)  # the tenure these came from is over
-            return ValidationResult.reelection(authority.last_ts(key)).to_payload()
-        first_ts = authority.next_timestamps(key, len(patches))
-        # Only now are the entries part of the log for good: remember them
-        # for the proposers this commit has just put behind.
-        tail = self._tails.get(key)
-        if tail is None:
-            tail = self._tails[key] = EntryTail()
-        # Paced by the allocation before this one, so: before it joins the tail.
-        self._warm_ahead(key, entries[-1].ts, len(patches))
-        tail.extend(entries)
-        for entry in entries[:self.equivocate_next]:
-            yield from self._equivocate(entry)
-        self._note_published(key, patches, first_ts, checkpoints)
-        self.proposals_ok += 1
-        self.proposals_rebased += gap is not None
-        self.patches_published += len(patches)
-        node.runtime.trace.annotate(
-            node.runtime.now, "ltr-master",
-            "{} validated {}@{}..{} from {} ({} log replicas)",
-            node.address.name, key, first_ts, first_ts + len(patches) - 1,
-            author, replicas,
-        )
-        return ValidationResult.ok(
-            first_ts, first_ts + len(patches) - 1, replicas, gap
-        ).to_payload()
+        ], gap
 
     def _equivocate(self, entry: LogEntry):
         """Fault injection: serve a forked copy of ``entry`` to part of the ring.
@@ -527,60 +729,75 @@ class MasterService(NodeService):
 
     # -- the tail stale proposals are served from -------------------------------------
 
-    def _missing_suffix(self, key: str, after_ts: int,
-                        last_ts: int) -> Optional[list[LogEntry]]:
-        """Entries ``(after_ts, last_ts]`` of ``key`` if the tail covers them.
+    def _missing_suffix(self, key: str, after_ts: int, last_ts: int,
+                        ahead: Sequence[LogEntry] = ()) -> Optional[list[LogEntry]]:
+        """Entries ``(after_ts, last_ts]`` of ``key`` and ``ahead``, if held.
 
-        Runs under the document's lock.  A tail that does not end at
+        Runs under the document's lock; ``ahead`` is what the round being put
+        together already holds past ``last_ts``.  A tail that does not end at
         ``last-ts`` belongs to an earlier tenure (the counter moved on
         elsewhere) and is dropped; ``None`` — also for a gap older than the
         tail, and for a proposal that is not behind at all — means *behind*
         without entries, which sends the proposer to the P2P-Log.
         """
+        if after_ts >= last_ts:
+            missed = list(ahead[after_ts - last_ts:])
+            return missed or None
         tail = self._tails.get(key)
-        if tail is None:
+        if tail is None or not tail.entries:
             return None
         if tail.last_ts != last_ts:
             del self._tails[key]
             return None
-        return tail.suffix(after_ts)
+        held = tail.suffix(after_ts)
+        return None if held is None else held + list(ahead)
 
-    def _warm_ahead(self, key: str, last_ts: int, chain: int) -> None:
+    def _warm_ahead(self, key: str, last_ts: int, answered: int) -> None:
         """Resolve the Log-Peers of the timestamps about to be handed out.
 
-        Called for every proposal this Master answers by publishing or with
-        *behind*, under the document's lock — and it only spawns, it never
-        yields: ``h_i(key + ts)`` is a pure function and the next ``ts`` is
-        known here, so the placement lookups of the coming publishes run now,
-        in the background, instead of inside a later proposal's critical
-        section (a new ``key + ts`` lands on a random arc; a route-cache miss
-        costs more than the publish it delays).
+        ``h_i(key + ts)`` is a pure function and the next ``ts`` are known
+        here, so the placement lookups of the coming publishes run now, in the
+        background, instead of inside a later round's critical section (a new
+        ``key + ts`` lands on a random arc; a route-cache miss costs more than
+        the publish it delays).  It only spawns, it never yields.  Called
 
-        Paced by what is queued: the proposals waiting for this lock will be
-        published back to back, the first of them the instant the lock is
-        released, so the warmed horizon moves on by this proposal's chain
-        length for itself and for each of them — at most
-        :data:`WARM_AHEAD_CHAINS` chains past ``last_ts`` and never over a
-        timestamp twice.  Nothing is warmed that would be stale when used:
-        only while the document's previous allocation is younger than the
-        route-cache TTL, only on a node that has a route cache, and only
-        during a tenure (no tail — first publish, takeover — no horizon).
+        * when a proposal arrives and has to wait (``answered`` 0, ``last_ts``
+          counting what the lock holder has out at the Log-Peers): its
+          timestamps are ``last_ts`` + what is queued ahead of it + its own
+          chain, whatever round carries it — also behind the first publish of
+          a tenure, when nothing else says that a second will follow;
+        * for every group that was allocated and every proposal answered
+          *behind*, under the document's lock (``answered``: the entries
+          allocated, proposed): whoever was just answered comes round again,
+          and so will whoever is still queued, so the horizon moves on by as
+          much as both, past what is queued now.
+
+        The queue is the proposals *waiting*, not the lock's waiters (which
+        include members already served).  One cap for both: never further
+        than :data:`WARM_AHEAD_CHAINS` times what the Master is looking at —
+        ``queued + answered`` — past ``last_ts``, and never over a timestamp
+        twice.  Nothing is warmed that would be stale when used: without a
+        queue only while the document's previous allocation is younger than
+        the route-cache TTL, and only on a node that has a route cache.
         """
+        queue = self._queue_for(key)
         tail = self._tails.get(key)
         config = self.node.config
-        waiters = self._lock_for(key).waiters
-        if tail is None or not config.route_cache_enabled or not (
-            waiters or (
-                tail.entries
+        if not config.route_cache_enabled or not (
+            queue.waiting or (
+                tail is not None and tail.entries
                 and self.node.runtime.now - tail.entries[-1].published_at
                 < config.route_cache_ttl
             )
         ):
             return
+        if tail is None:
+            tail = self._tails[key] = EntryTail()
+        queued = queue.queued
         warmed = max(tail.warmed_ts, last_ts)
         horizon = min(
-            warmed + chain * (1 + waiters),
-            last_ts + WARM_AHEAD_CHAINS * chain,
+            max(warmed, last_ts + queued) + (answered + queued if answered else 0),
+            last_ts + WARM_AHEAD_CHAINS * (queued + answered),
         )
         if horizon > warmed:
             self.log.warm(key, warmed + 1, horizon)
@@ -836,6 +1053,7 @@ class MasterService(NodeService):
     def statistics(self) -> dict[str, Any]:
         """Counters for the experiment reports."""
         stats = {
+            "publishes": self.publishes,
             "proposals_ok": self.proposals_ok,
             "proposals_rebased": self.proposals_rebased,
             "proposals_deduplicated": self.proposals_deduplicated,

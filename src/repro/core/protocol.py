@@ -30,7 +30,10 @@ class ValidationResult:
     held was transformed over it and committed behind it; the answer is
     ``ok`` and ``entries`` carries that gap, which the proposer integrates
     (transforming its chain by the same function) before it applies the
-    chain at ``first_ts ..``.  A proposal that had already landed — a re-sent
+    chain at ``first_ts ..``.  The gap may end in entries no older than the
+    chain itself: the proposals that were served ahead of it in the same
+    round (group commit) — to the proposer a gap like any other, and each
+    answer of a group carries its own.  A proposal that had already landed — a re-sent
     one — is answered with the same shape and the timestamps it landed at;
     ``last_ts`` then ends what landed, which is less than what was proposed
     when the chain has grown since.  A ``behind`` answer carries in

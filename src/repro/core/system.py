@@ -433,7 +433,7 @@ class LtrSystem:
             "network": self.network.stats.snapshot(),
             **{
                 counter: sum(stats[counter] for stats in master_stats)
-                for counter in ("proposals_ok", "proposals_rebased",
+                for counter in ("publishes", "proposals_ok", "proposals_rebased",
                                 "proposals_deduplicated", "proposals_behind")
             },
             "users": [user.statistics() for user in self.users()],

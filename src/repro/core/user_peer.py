@@ -202,11 +202,7 @@ class UserPeer:
         (``_in_doubt``): the proposal may have landed as it was, so what is
         saved after it follows as a patch of its own.
         """
-        if key in self._flushing:
-            raise ConfigurationError(
-                f"a commit of {key!r} is in flight; edit again once it "
-                f"completes (edits made now could be lost or mis-based)"
-            )
+        self._refuse_in_flight(key)
         replica = self.document(key)
         batch = self.batches.get(key)
         if batch is None:
@@ -236,12 +232,23 @@ class UserPeer:
 
         Dropped edits take their identities with them: what was proposed
         under them may have landed, nothing else may ever be proposed under
-        the same identities.
+        the same identities.  Refused, like a save, while a commit of ``key``
+        is in flight: the chain is out with the Master, and retiring its
+        identities under the proposal would hand them to the next edit.
         """
+        self._refuse_in_flight(key)
         self.batches.pop(key, None)
         self._acknowledge(key, self._in_doubt.get(key, 0))
 
     discard_batch = discard_pending
+
+    def _refuse_in_flight(self, key: str) -> None:
+        """One operation per document at a time: not while its commit is out."""
+        if key in self._flushing:
+            raise ConfigurationError(
+                f"a commit of {key!r} is in flight; edit again once it "
+                f"completes (edits made now could be lost or mis-based)"
+            )
 
     # --------------------------------------------------------------------- commit --
 
@@ -278,7 +285,8 @@ class UserPeer:
             self._in_doubt[key] = len(chain)
             if not self.has_pending(key):
                 # Nothing to keep: empty patches are given up with their
-                # identities rather than proposed again.
+                # identities rather than proposed again (this commit is over).
+                self._flushing.discard(key)
                 self.discard_pending(key)
             raise
         finally:

@@ -36,11 +36,19 @@ and run as a script this module writes the dumps of a whole grid to a file::
 
 Run it once per tree (this file against either ``src``) and compare the two
 files byte for byte.  The grid is the contended script over every fault and
-both chain lengths, and the **in-doubt** script (:func:`run_in_doubt`): a
+both chain lengths (``--sequential``: the sequential one, for a change that
+moves the contended script's timing but must leave alone whoever proposes
+alone), and the **in-doubt** script (:func:`run_in_doubt`): a
 commit whose reply is lost after the publish, further saves behind it, a
 foreign commit, and then one of three ways on — through ``edit``/``commit``
 and through ``stage``/``flush``, which must agree with each other too
 (``test_invariants.py``).
+
+**Group commit.**  The Master serves the proposals queued on a document as
+one group; arm ``single`` (:data:`GROUP_ARMS`) patches the queue-taking step
+to take one proposal, which is the Master serving them one by one.
+:func:`check_group_cell` holds both arms to the invariants on one cell;
+``--group-sweep`` runs it over the whole grid of ``--seeds`` seeds.
 """
 
 from __future__ import annotations
@@ -49,9 +57,11 @@ import contextlib
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, ContextManager, Iterator
+from unittest import mock
 
 from repro.check import ConvergenceChecker
 from repro.core import LtrConfig, LtrSystem
+from repro.core import master as master_module
 from repro.errors import ReproError
 from repro.net import UniformLatency
 from repro.ot import InsertLine
@@ -491,14 +501,44 @@ def run_differential(seed: int, fault: str, chain: int, arms: dict[str, Arm],
     return reports
 
 
-def dump_grid(seeds: int) -> Iterator[str]:
+#: The code as it is against a Master that takes one proposal off its queue
+#: at a time (``DocumentQueue.take`` as it would be without group commit).
+GROUP_ARMS: dict[str, Arm] = {
+    "group": contextlib.nullcontext,
+    "single": lambda: mock.patch.object(
+        master_module.DocumentQueue, "take",
+        lambda queue: [queue.waiting.popleft()]),
+}
+
+
+def check_group_cell(seed: int, fault: str, chain: int) -> dict[str, ArmReport]:
+    """``group`` and ``single`` on one cell of the contended script.
+
+    Both arms hold the checker's four invariants, lose no acknowledged edit
+    and double none (:func:`run_differential`); commit orders may differ —
+    a group changes who is answered when, and so who proposes next.  What
+    the arms differ in is how many rounds the same commits took.
+    """
+    reports = run_differential(seed, fault, chain, GROUP_ARMS)
+    group, single = reports["group"], reports["single"]
+    if chain == 1 and fault == "none":
+        # One round per commit one by one; fewer wherever somebody queued
+        # behind a publish (seed 24 of the 25 swept: nobody ever did).
+        commits = sum(map(len, single.log.values()))
+        assert sum(map(len, group.log.values())) == commits
+        assert group.publishes <= single.publishes == commits, (seed, group.publishes)
+    return reports
+
+
+def dump_grid(seeds: int, *, sequential: bool = False) -> Iterator[str]:
     """The dumps of every cell of the cross-tree grid, labelled, in order."""
+    script = "sequential" if sequential else "contended"
     for seed in range(1, seeds + 1):
         for fault in FAULTS:
             for chain in (1, 16):
-                report = run_arm(seed, fault, chain)
+                report = run_arm(seed, fault, chain, sequential=sequential)
                 report.assert_invariants(f"seed {seed} / {fault} / chain {chain}")
-                yield f"== contended seed={seed} fault={fault} chain={chain}\n{report.dump}"
+                yield f"== {script} seed={seed} fault={fault} chain={chain}\n{report.dump}"
         for variant in IN_DOUBT_VARIANTS:
             for staged in (False, True):
                 report = run_in_doubt(seed, variant, staged=staged)
@@ -512,10 +552,30 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("out", help="file the dumps are written to")
     parser.add_argument("--seeds", type=int, default=25)
+    parser.add_argument("--sequential", action="store_true",
+                        help="the sequential script in place of the contended one")
+    parser.add_argument("--group-sweep", action="store_true",
+                        help="arms group and single over the contended grid; "
+                             "the publishes of either are written to OUT")
     arguments = parser.parse_args()
     with open(arguments.out, "w", encoding="utf-8") as out:
         cells = 0
-        for cell in dump_grid(arguments.seeds):
-            out.write(cell)
-            cells += 1
+        if arguments.group_sweep:
+            red = 0
+            for seed in range(1, arguments.seeds + 1):
+                for fault in FAULTS:
+                    for chain in (1, 16):
+                        try:
+                            reports = check_group_cell(seed, fault, chain)
+                            line = " ".join(f"{name}.publishes={report.publishes}"
+                                            for name, report in reports.items())
+                        except AssertionError as violation:  # reported, and counted
+                            line, red = f"RED {violation}", red + 1
+                        out.write(f"seed={seed} fault={fault} chain={chain} {line}\n")
+                        cells += 1
+            print(f"{red} of {cells} cells red")
+        else:
+            for cell in dump_grid(arguments.seeds, sequential=arguments.sequential):
+                out.write(cell)
+                cells += 1
     print(f"{cells} cells written to {arguments.out}")

@@ -160,6 +160,43 @@ def test_forged_signature_is_rejected_when_auth_enabled():
         system.runtime.run(until=system.runtime.process(submit()))
 
 
+def signed_proposal(secret, author, ts, line, *, forged=False):
+    """The RPC arguments of ``author``'s signed chain of one at ``ts``."""
+    patch = Patch(operations=(InsertLine(0, line),), base_ts=ts - 1, author=author)
+    signature = sign_commit(author_key(secret, author), KEY, ts, patch, author,
+                            base_ts=ts - 1)
+    return dict(key=KEY, ts=ts, patches=[patch], author=author, base_ts=ts - 1,
+                signatures=["not-a-real-hmac" if forged else signature])
+
+
+def test_bad_signature_in_the_middle_of_a_group_fails_that_proposer_alone():
+    """Isolation: proposals queued behind a publish are served as one group;
+    the one whose signature does not verify gets ``AuthenticationError``, the
+    others land densely around it, every logged entry verifies."""
+    system = signed_system(commits=1)
+    secret = AUTH_CONFIG.auth_secret
+    master = system.master_service(KEY)
+    lanes = [system.runtime.process(master.validate_and_publish(**arguments))
+             for arguments in (
+                 signed_proposal(secret, "holder", 2, "holds the lock"),
+                 signed_proposal(secret, "alice", 3, "next"),
+                 signed_proposal(secret, "mallory", 4, "forged", forged=True),
+                 signed_proposal(secret, "bob", 4, "next but one"))]
+    holder, alice = (system.runtime.run(until=lane) for lane in lanes[:2])
+    with pytest.raises(AuthenticationError, match="mallory"):
+        system.runtime.run(until=lanes[2])
+    bob = system.runtime.run(until=lanes[3])
+    assert [(answer["status"], answer["first_ts"]) for answer in (holder, alice, bob)] == \
+        [("ok", 2), ("ok", 3), ("ok", 4)]
+    stats = master.statistics()
+    assert (stats["proposals_auth_rejected"], stats["proposals_ok"],
+            stats["publishes"]) == (1, 4, 3)  # one commit before, the holder, the group
+    entries = system.fetch_log(KEY, 1, 4)
+    assert [entry.author for entry in entries[1:]] == ["holder", "alice", "bob"]
+    assert all(verify_entry(secret, entry) for entry in entries)
+    assert system.last_ts(KEY) == 4
+
+
 def test_batched_signed_commits_converge():
     config = replace(AUTH_CONFIG, batch_max_edits=4)
     system = LtrSystem(seed=11, ltr_config=config)
@@ -290,6 +327,31 @@ def test_equivocation_forks_every_armed_entry_of_a_staged_chain():
     assert snapshot.keys[KEY]["forked_ts"] == [base + 1, base + 2]
     assert {record["peer"] for record in snapshot.structured
             if record["kind"] == "forked"} == {master}
+
+
+def test_equivocation_armed_for_two_forks_exactly_two_entries_of_a_group_of_three():
+    """The knob counts entries of the round, whoever proposed them: a group
+    is one chain to it."""
+    system = LtrSystem(seed=7, ltr_config=LtrConfig())
+    system.bootstrap(8)
+    system.edit_and_commit(system.peer_names()[0], KEY, "base")
+    service = system.master_service(KEY)
+
+    def propose(author, ts):
+        patch = Patch(operations=(InsertLine(0, f"by {author}"),), base_ts=ts - 1,
+                      author=author)
+        return system.runtime.process(service.validate_and_publish(
+            key=KEY, ts=ts, patches=[patch], author=author, base_ts=ts - 1))
+
+    lanes = [propose("holder", 2)] + [propose(f"u{member}", 2) for member in range(3)]
+    system.runtime.run(until=lanes[0])
+    service.equivocate_next = 2  # armed while the group of three publishes
+    answers = [system.runtime.run(until=lane) for lane in lanes]
+    assert [answer["first_ts"] for answer in answers] == [2, 3, 4, 5]
+    assert service.statistics()["equivocations"] == 2 and service.equivocate_next == 0
+    assert service.statistics()["publishes"] == 3
+    snapshot = ConvergenceChecker(keys=[KEY]).check_now(system)
+    assert snapshot.keys[KEY]["forked_ts"] == [3, 4]
 
 
 def test_mutation_corrupted_checkpoint_is_reported():

@@ -358,3 +358,99 @@ def test_an_empty_edit_that_failed_is_given_up_with_its_identity():
     result = system.flush(writer, KEY)
     assert result.ts == 3 and log_lines(system) == ["base", "staged"]
     assert system.master_service(KEY).statistics()["proposals_deduplicated"] == 0
+
+
+# ------------------------------------------------------------- inside one queue --
+
+
+def test_the_same_identity_queued_twice_lands_once_and_both_copies_get_the_same_ok():
+    """The proposer's RPC timed out while its proposal stood in the Master's
+    queue, and the re-sent copy queues behind it: both ride the same group.
+    The copy finds the identity among the entries ahead of it in the group —
+    one entry, the same *ok* for both, nothing published twice."""
+    from repro.core.protocol import ValidationResult
+    from repro.ot import Patch
+
+    system = build_system()
+    writer, other = cast(system)
+    system.edit_and_commit(other, KEY, "base")
+    master = system.master_service(KEY)
+
+    def propose(author, identity, line):
+        patch = Patch((InsertLine(1, line),), base_ts=1, author=author)
+        return system.runtime.process(master.validate_and_publish(
+            key=KEY, ts=2, patches=[patch], author=author, base_ts=1, proposal=identity))
+
+    lanes = [propose(other, 7, "theirs"),                   # holds the lock, publishing
+             propose(writer, 500, "mine"), propose(writer, 500, "mine")]
+    holder, first, copy = [ValidationResult.from_payload(system.runtime.run(until=lane))
+                           for lane in lanes]
+    assert holder.accepted and (holder.first_ts, holder.last_ts) == (2, 2)
+    assert first.accepted and copy.accepted
+    assert (first.first_ts, first.last_ts) == (copy.first_ts, copy.last_ts) == (3, 3)
+    assert [entry.ts for entry in first.entries] == [entry.ts for entry in copy.entries] == [2]
+    assert (first.replicas, copy.replicas) == (3, 0)  # the copy was not published
+    stats = master.statistics()
+    assert (stats["publishes"], stats["proposals_ok"], stats["proposals_deduplicated"],
+            stats["patches_published"]) == (3, 3, 1, 3)
+    assert system.last_ts(KEY) == 3
+    assert log_lines(system) == ["base", "theirs", "mine"]
+    assert_checker_green(system)
+
+
+def test_discarding_a_document_whose_commit_is_in_flight_is_refused():
+    """``discard_pending`` under a proposal would retire the identities it
+    travels under — the next edit would be proposed under them and taken for a
+    copy of it.  Refused like a save (it went through before, and the edit
+    made next was answered with the first one's *ok*: lost)."""
+    from repro.errors import ConfigurationError
+
+    system = build_system()
+    writer, other = cast(system)
+    system.edit_and_commit(other, KEY, "base")
+    system.sync(writer, KEY)
+    user = system.user(writer)
+    user.edit(KEY, "base\nin flight")
+    first = user._proposal(KEY)
+    commit = system.runtime.process(user.commit(KEY))
+    system.runtime.run(until=system.runtime.now + 0.005)  # the proposal is out
+    for discard in (user.discard_pending, user.discard_batch):
+        with pytest.raises(ConfigurationError, match="in flight"):
+            discard(KEY)
+    assert user._proposal(KEY) == first and user._acknowledged.get(KEY, 0) == 0
+    result = system.runtime.run(until=commit)
+    assert result.ts == 2 and user._proposal(KEY) == first + 1
+    user.edit(KEY, "base\nin flight\nnext")
+    user.discard_pending(KEY)  # nothing in flight: dropped, as ever
+    assert not user.has_pending(KEY)
+    assert log_lines(system) == ["base", "in flight"]
+    assert_checker_green(system)
+
+
+def test_staging_onto_a_full_chain_left_by_a_failed_flush_is_a_typed_error():
+    """A failed flush puts its chain back, full; the next ``stage`` used to
+    raise a bare ``ValueError`` out of ``CommitBatch.add`` — not a
+    ``ReproError``, so a driver that survives every failure of the library
+    (the fuzzers, ltrbench's lanes) died of it."""
+    from repro.errors import ConfigurationError
+
+    system = build_system(batch_max_edits=2, **IMPATIENT)
+    writer, other = cast(system)
+    system.edit_and_commit(other, KEY, "base")
+    system.sync(writer, KEY)
+    system.run_for(1.0)
+    user = system.user(writer)
+    user.stage(KEY, "base\none")
+    fail_in_doubt(system, writer, "base\none\ntwo", staged=True)
+    assert user.batch(KEY).full
+    with pytest.raises(ConfigurationError, match="flush it first") as refusal:
+        user.stage(KEY, "base\none\ntwo\nthree")
+    assert isinstance(refusal.value, ReproError)
+    assert user.staged_lines(KEY) == ["base", "one", "two"]  # nothing was lost
+    system.ring.wait_until_stable(max_time=60)
+    result = system.flush(writer, KEY)                     # it had landed: adopted
+    assert (result.first_ts, result.ts) == (2, 3)
+    user.stage(KEY, "base\none\ntwo\nthree")
+    assert system.flush(writer, KEY).ts == 4
+    assert log_lines(system) == ["base", "one", "two", "three"]
+    assert_checker_green(system, chain=2)

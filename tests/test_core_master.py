@@ -260,3 +260,278 @@ def test_handle_last_ts_matches_authority():
     master = system.master_service(key)
     assert master.handle_last_ts(key) == 1
     assert master._authority().last_ts(key) == 1
+
+
+# ------------------------------------------------------------- group commit --
+#
+# The handler that holds a document's lock serves the proposals queued behind
+# it in one round.  ``tests/test_master_rebase.py`` proves a group equal to the
+# same proposals served one by one; these pin what a group may not change.
+
+GROUP_KEY = "xwiki:group"
+
+
+def queue_behind_a_publish(system, master, proposals, key=GROUP_KEY):
+    """Spawn ``proposals`` (keyword arguments of the RPC) at one instant: the
+    first takes the lock and publishes alone, the others queue behind it."""
+    return [system.sim.process(master.validate_and_publish(key=key, **arguments))
+            for arguments in proposals]
+
+
+def outcomes(system, lanes, parse=ValidationResult.from_payload):
+    """Every lane's answer, or the exception it raised."""
+    results = []
+    for lane in lanes:
+        try:
+            results.append(parse(system.sim.run(until=lane)))
+        except Exception as error:  # noqa: BLE001 - the tests look at what it is
+            results.append(error)
+    return results
+
+
+def proposal(author, ts, lines=("x",), **extra):
+    return dict(ts=ts, author=author, base_ts=ts - 1,
+                patches=[make_patch(author, f"{author} {line}", ts - 1) for line in lines],
+                **extra)
+
+
+def run_until_the_group_is_out(system, master, holder, entries, key=GROUP_KEY):
+    """Step until the holder is answered and ``entries`` entries of the group
+    behind it are at the Log-Peers, not yet allocated."""
+    queue = master._queue_for(key)
+    while not (holder.triggered and queue.publishing == entries):
+        assert system.sim.now < 60
+        system.sim.run(until=system.sim.now + 0.001)
+
+
+def test_a_group_is_one_publish_one_allocation_and_every_member_its_own_answer():
+    system = build_system()
+    master = system.master_service(GROUP_KEY)
+    authority = master._authority()
+    lanes = queue_behind_a_publish(system, master, [
+        proposal("holder", 1), proposal("a", 1), proposal("b", 1, lines=("1", "2")),
+        proposal("c", 1)])
+    holder, a, b, c = outcomes(system, lanes)
+    assert [(r.first_ts, r.last_ts) for r in (holder, a, b, c)] == \
+        [(1, 1), (2, 2), (3, 4), (5, 5)]
+    # Each member's gap is its own: what it was behind by, members ahead included.
+    assert [[entry.ts for entry in r.entries or []] for r in (holder, a, b, c)] == \
+        [[], [1], [1, 2], [1, 2, 3, 4]]
+    assert all(r.replicas == system.ltr_config.log_replication_factor
+               for r in (holder, a, b, c))
+    assert (authority.allocations, master.log.published_entries) == (2, 5)
+    stats = master.statistics()
+    assert (stats["publishes"], stats["proposals_ok"], stats["proposals_rebased"],
+            stats["patches_published"]) == (2, 4, 3, 5)
+    assert system.statistics()["publishes"] == 2
+    assert [entry.author for entry in master._tails[GROUP_KEY].entries] == \
+        ["holder", "a", "b", "b", "c"]
+    assert [entry.base_ts for entry in system.fetch_log(GROUP_KEY, 1, 5)] == [0, 1, 2, 3, 4]
+
+
+def test_a_member_that_cannot_be_placed_raises_alone():
+    """Isolation: an empty chain, a patch that cannot be transformed — the
+    proposer to blame gets the error, the others land densely around it."""
+    from repro.errors import ReproError, ValidationFailed
+
+    system = build_system()
+    master = system.master_service(GROUP_KEY)
+    empty = dict(ts=1, author="empty", base_ts=0, patches=[])
+    broken = dict(ts=1, author="broken", base_ts=0, patches=["not a patch"])
+    lanes = queue_behind_a_publish(system, master, [
+        proposal("holder", 1), proposal("a", 1), empty, broken, proposal("b", 1)])
+    holder, a, nothing, untransformable, b = outcomes(system, lanes)
+    assert [(r.first_ts, r.last_ts) for r in (holder, a, b)] == [(1, 1), (2, 2), (3, 3)]
+    # (Pinned by reading: a bare ValueError, which the proposer's error
+    # handling — it restores the chain on ReproError — did not know.)
+    assert isinstance(nothing, ValidationFailed) and isinstance(nothing, ReproError)
+    assert isinstance(untransformable, AttributeError)
+    assert system.last_ts(GROUP_KEY) == 3 and master.statistics()["proposals_ok"] == 3
+    # Alone at the Master it is the same error.
+    with pytest.raises(ValidationFailed):
+        system.sim.run(until=system.sim.process(
+            master.validate_and_publish(key=GROUP_KEY, **empty)))
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_reelection_during_a_groups_publish_rejects_every_member(members):
+    """The chain-length 1 | 3 re-election regression, on a group of 1 | 3: a
+    join takes the arc while the group publishes — every member is rejected,
+    everything is retracted, nothing enters the tail."""
+    from repro.errors import KeyNotFound, PatchUnavailable
+
+    system = LtrSystem(ltr_config=LtrConfig(), seed=42, latency=ConstantLatency(0.02))
+    system.bootstrap(8)
+    key = "xwiki:reelect"
+    system.edit_and_commit("peer-0", key, "base revision")
+    system.run_for(2.0)
+    joiner = find_takeover_joiner(system, key)
+    old_master = system.master_service(key)
+    plain = old_master.log.append_many
+
+    def slow(entries):
+        # (The group's routes were warmed when it queued: without this its
+        # publish is one round-trip, over before any join gets anywhere.)
+        yield system.runtime.timeout(1.0)
+        result = yield from plain(entries)
+        return result
+
+    lanes = queue_behind_a_publish(system, old_master, [proposal("holder", 2)] + [
+        proposal(f"u{member}", 2) for member in range(members)], key=key)
+    system.sim.run(until=system.sim.now + 0.005)  # the holder's publish is in flight
+    old_master.log.append_many = slow
+    run_until_the_group_is_out(system, old_master, lanes[0], members, key=key)
+    system.add_peer(joiner)  # hand-off happens while the group publishes
+    holder, *group = outcomes(system, lanes)
+    assert holder.accepted and holder.last_ts == 2
+    assert all(result.rejected and result.entries is None for result in group)
+    assert old_master.proposals_rejected == members
+    assert key not in old_master._tails
+    assert system.master_of(key) == joiner and system.last_ts(key) == 2
+    log = system.log_client()
+    for orphan_ts in range(3, 3 + members):
+        with pytest.raises((PatchUnavailable, KeyNotFound)):
+            system.sim.run(until=system.sim.process(log.fetch(key, orphan_ts)))
+    follow_up = system.edit_and_commit("peer-0", key, "post-reelection revision")
+    assert follow_up.ts == 3
+    report = system.check_consistency(key)
+    assert report.converged and report.log_continuous
+
+
+def test_a_failed_publish_raises_at_every_member_and_is_retracted_once():
+    """Atomicity: the Log-Peers refuse the group's round — every proposer in
+    it gets ``PatchUnavailable`` and its edits back, a repeat of a member
+    included; the concatenation is retracted in one go, after the lock."""
+    from unittest import mock
+
+    from repro.errors import PatchUnavailable
+
+    system = build_system()
+    names = system.peer_names()
+    master = system.master_service(GROUP_KEY)
+    writers = [name for name in names if name != master.node.address.name][:3]
+    system.edit_and_commit(writers[0], GROUP_KEY, "base")
+    for name in writers:
+        system.sync(name, GROUP_KEY)
+    plain = master.log.append_many
+    rounds = []
+
+    def second_round_fails(entries):
+        rounds.append(len(entries))
+        if len(rounds) == 2:
+            yield system.runtime.timeout(0.004)
+            raise PatchUnavailable(GROUP_KEY, entries[0].ts)
+        result = yield from plain(entries)
+        return result
+
+    commits = []
+    with mock.patch.object(master.log, "append_many", second_round_fails), \
+            mock.patch.object(master.log, "retract_many",
+                              wraps=master.log.retract_many) as retractions:
+        for name in writers:
+            system.user(name).edit(GROUP_KEY, f"base\nby {name}")
+            commits.append(system.runtime.process(system.user(name).commit(GROUP_KEY)))
+        first, *failed = outcomes(system, commits, parse=lambda result: result)
+    assert first.ts == 2 and rounds == [1, 2]
+    assert [type(error) for error in failed] == [PatchUnavailable, PatchUnavailable]
+    assert retractions.call_count == 1
+    assert [entry.ts for entry in retractions.call_args.args[0]] == [3, 4]
+    assert system.last_ts(GROUP_KEY) == 2 and master.statistics()["publishes"] == 2
+    assert [entry.ts for entry in master._tails[GROUP_KEY].entries] == [1, 2]
+    # Every proposer has its edit back and lands it with the next commit.
+    for name in writers[1:]:
+        assert system.user(name).has_pending(GROUP_KEY)
+        system.commit(name, GROUP_KEY)
+    assert system.last_ts(GROUP_KEY) == 4
+    report = system.check_consistency(GROUP_KEY)
+    assert report.converged and report.log_continuous
+    lines = system.user(writers[0]).document(GROUP_KEY).lines
+    system.sync(writers[0], GROUP_KEY)
+    assert sorted(system.user(writers[0]).document(GROUP_KEY).lines) == \
+        sorted(["base"] + [f"by {name}" for name in writers]), lines
+
+
+def test_a_queue_beyond_the_tail_bounds_is_served_in_two_groups(monkeypatch):
+    """A group's entries are one stretch of the tail: bounded by its bounds,
+    in entries and in bytes; who does not fit is the next holder's."""
+    from repro.core import master as master_module
+    from repro.net import payload_size
+
+    def sizes_of_the_rounds(queue):
+        system = build_system()
+        master = system.master_service(GROUP_KEY)
+        rounds = []
+        plain = master.log.append_many
+
+        def counting(entries):
+            rounds.append(len(entries))
+            result = yield from plain(entries)
+            return result
+
+        master.log.append_many = counting
+        results = outcomes(system, queue_behind_a_publish(system, master, queue))
+        assert all(result.accepted for result in results)
+        assert system.last_ts(GROUP_KEY) == sum(rounds)
+        return rounds
+
+    # The holder, and three pairs that each propose what comes then (nobody
+    # is behind by more than its pair: the bounds below shrink the tail too).
+    queue = [proposal("holder", 1)] + [
+        proposal(f"u{ts}{n}", ts) for ts in (2, 4, 6) for n in range(2)]
+    assert sizes_of_the_rounds(queue) == [1, 6]
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 4)
+    assert sizes_of_the_rounds(queue) == [1, 4, 2]
+    chain = [proposal("holder", 1)] + [proposal("w", 1, lines="abc"), proposal("v", 5)]
+    assert sizes_of_the_rounds(chain) == [1, 4]  # a chain counts by its entries: 3 + 1
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 2)
+    assert sizes_of_the_rounds(chain) == [1, 3, 1]  # the head goes whatever its size, alone
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 256)
+    one = payload_size(proposal("u20", 2)["patches"])
+    monkeypatch.setattr(master_module, "TAIL_MAX_BYTES", 2 * one + one // 2)
+    assert sizes_of_the_rounds(queue) == [1, 2, 2, 2]
+
+
+def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_end():
+    system = build_system(checkpoint_enabled=True, checkpoint_interval=4)
+    master = system.master_service(GROUP_KEY)
+    lanes = queue_behind_a_publish(system, master, [
+        proposal("holder", 1)] + [proposal(f"u{n}", 1) for n in range(5)])
+    results = outcomes(system, lanes)
+    assert [result.last_ts for result in results] == [1, 2, 3, 4, 5, 6]
+    system.run_for(1.0)
+    # The interval is crossed at ts 4, inside the group 2..6: one checkpoint,
+    # at the group's last timestamp, holding what the log replays to there.
+    assert master.checkpoints_written == 1
+    assert master._last_checkpoint_ts[GROUP_KEY] == 6
+    index = system.sim.run(until=system.sim.process(
+        master.log.fetch_checkpoint_index(GROUP_KEY)))
+    assert tuple(index) == (6,)
+    checkpoint = system.sim.run(until=system.sim.process(
+        master.log.fetch_checkpoint(GROUP_KEY, 6)))
+    lines = []
+    for entry in system.fetch_log(GROUP_KEY, 1, 6):
+        lines = entry.patch.apply(lines)
+    assert list(checkpoint.lines) == lines and len(lines) == 6
+
+
+def test_no_member_is_orphaned_when_the_holders_handler_dies_mid_publish():
+    """No orphan: the handler that took a group along is killed while the
+    group publishes — every member leaves with an exception, none with
+    ``None``, and the document's lock is free again."""
+    from repro.errors import PatchUnavailable, ProcessInterrupted
+
+    system = build_system()
+    master = system.master_service(GROUP_KEY)
+    lanes = queue_behind_a_publish(system, master, [
+        proposal("holder", 1)] + [proposal(f"u{n}", 1) for n in range(3)])
+    run_until_the_group_is_out(system, master, lanes[0], 3)
+    lanes[1].interrupt("killed")  # the member whose handler holds the lock
+    holder, killed, *orphans = outcomes(system, lanes)
+    assert holder.accepted and isinstance(killed, ProcessInterrupted)
+    assert [type(error) for error in orphans] == [PatchUnavailable, PatchUnavailable]
+    queue = master._queue_for(GROUP_KEY)
+    assert not queue.lock.locked and not queue.waiting and queue.publishing == 0
+    assert system.last_ts(GROUP_KEY) == 1
+    # Nothing was allocated; the proposers come again and land.
+    again = run_validation(system, master, GROUP_KEY, 2, [make_patch("u1", "again", 1)], "u1")
+    assert again.accepted and again.first_ts == 2

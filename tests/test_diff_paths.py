@@ -13,6 +13,8 @@ back under the per-document lock.  Same invariants on every arm of the
 contended script — the checker's four, and no edit in the log twice; on the
 sequential script ``suffix`` and ``log`` must also produce the same log and
 the same replicas, byte for byte: the Master's transform is the proposer's.
+Arm ``single`` (``diff_paths.GROUP_ARMS``) takes one proposal off a document's
+queue at a time, where arm ``group`` — the code as it is — takes the queue.
 """
 
 import contextlib
@@ -127,3 +129,19 @@ def test_master_side_and_proposer_side_rebase_produce_the_same_log(seed, fault, 
 def test_master_side_and_proposer_side_rebase_sweep(fault, chain):
     for seed in range(3, 26):
         check_transform_cell(seed, fault, chain)
+
+
+# ------------------------------------------- a group is the same proposals one by one --
+
+
+@pytest.mark.parametrize("chain", [1, 16])
+@pytest.mark.parametrize("fault", diff_paths.FAULTS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_group_and_single_arms_hold_the_same_invariants(seed, fault, chain):
+    """The Master serving its queue in groups against serving it one proposal
+    at a time (``diff_paths.GROUP_ARMS``; seeds 3–25 were swept once through
+    ``python tests/diff_paths.py OUT --group-sweep``, see CHANGES.md PR 21)."""
+    reports = diff_paths.check_group_cell(seed, fault, chain)
+    if chain == 1 and fault == "none":
+        # Three writers on a hot document queue behind each other's publishes.
+        assert reports["group"].publishes < reports["single"].publishes

@@ -84,13 +84,18 @@ def test_e2_concurrent_publishing_shape():
     # k-th in line integrates the k - 1 patches committed ahead of it.)
     assert [row["mean_attempts"] for row in rows] == [1.0, 1.0, 1.0]
     assert [row["mean_retrieved"] for row in rows] == [0.5, 1.5, 3.5]  # mean of 0 .. n - 1
-    # The slowest commit waits for more publishes ahead of it: 98.5, 98.5 and
-    # 136.5 ms (two and four updaters tie — their documents' Masters and
-    # Log-Peers differ by exactly as much; hence the third point).  The *mean*
-    # latency is not pinned (85.0, 75.0, 102.5 ms: with four updaters one of
-    # them is the document's Master).
+    # (Pinned the slowest commit growing with the updaters, 98.5, 98.5 and
+    # 136.5 ms: it waited for one publish per updater ahead of it.)  The
+    # updaters that arrive while the first publish runs ride the next one
+    # together, so the slowest of eight waits for two rounds like the slowest
+    # of two — 79.5, 70 and 80 ms: none later than one publish each would
+    # have made it, and eight updaters nowhere near four times two.  The
+    # *mean* latency is not pinned (with four updaters one of them is the
+    # document's Master).
     slowest = [round(row["p95_commit_latency_s"], 9) for row in rows]
-    assert slowest == sorted(slowest) and slowest[-1] > slowest[0]
+    assert all(now <= one_by_one
+               for now, one_by_one in zip(slowest, [0.0985, 0.0985, 0.1365]))
+    assert slowest[-1] < 1.5 * slowest[0]
 
 
 def test_e3_master_departure_shape():

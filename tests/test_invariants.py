@@ -323,7 +323,9 @@ def test_commit_batch_size_and_deadline_bounds():
     assert batch.due(now=11.0)  # past the deadline
     batch.add(Patch((InsertLine(0, "b"),), base_ts=0))
     assert batch.full and batch.due(now=10.0)
-    with pytest.raises(ValueError):
+    # (Pinned a bare ValueError, which reached ``stage``'s caller after a
+    # failed flush had left a full chain; typed now, same message.)
+    with pytest.raises(ConfigurationError, match="flush it first"):
         batch.add(Patch((InsertLine(0, "c"),), base_ts=0))
     with pytest.raises(ValueError):
         CommitBatch(key="doc", opened_at=0.0, max_edits=0)

@@ -300,3 +300,128 @@ def test_an_identity_beyond_the_tail_is_left_to_the_proposer(monkeypatch):
     copy = answered(system, propose(master, 2, "me", 500))
     assert not copy.accepted and copy.last_ts == 4 and copy.entries is None
     assert system.last_ts(KEY) == 4  # and in no case is it committed again
+
+
+# ------------------------------------------------ a group ≡ one by one --
+
+
+def chain_of(author, ts, length):
+    """``length`` patches, each against its predecessor's output, the first
+    against the log prefix ``1 .. ts - 1``."""
+    return [Patch((InsertLine(offset, f"{author} {offset}"),), base_ts=ts - 1 + offset,
+                  author=author) for offset in range(length)]
+
+
+#: ``(author, proposed ts, chain, proposal identity, extra arguments)`` in
+#: arrival order, on a log of three entries: current, stale by one, two and
+#: three, chains of 1 and 16 mixed, a re-sent identity, one whose patch
+#: cannot be transformed, one signed (*behind*: it goes last, because a group
+#: answers it with the ``last-ts`` that holds after the group).
+GROUP = [
+    ("now", 4, 1, 100, {}),
+    ("one", 3, 16, 200, {}),
+    ("two", 2, 1, 300, {}),
+    ("now", 4, 1, 100, {}),
+    ("three", 1, 16, 400, {}),
+    ("hostile", 2, None, 500, {}),
+    ("signed", 2, 1, 600, {"signatures": ["not checked without auth_enabled"]}),
+]
+
+
+def serve_group(together):
+    """The proposals of ``GROUP`` at one Master, as one group or one by one."""
+    system = build_system()
+    master = publish(system, 3)
+    authority = master._authority()
+    allocations = authority.allocations
+
+    def proposal(author, ts, length, identity, extra):
+        patches = chain_of(author, ts, length) if length else ["not a patch"]
+        return master.validate_and_publish(
+            key=KEY, ts=ts, patches=patches, author=author, base_ts=ts - 1,
+            proposal=identity, **extra)
+
+    def outcome(process):
+        try:
+            result = ValidationResult.from_payload(system.sim.run(until=process))
+        except Exception as error:  # noqa: BLE001 - compared by type across the arms
+            return type(error).__name__
+        return (result.status, result.first_ts, result.last_ts, result.entries)
+
+    with mock.patch.object(master.log, "append_many",
+                           wraps=master.log.append_many) as publishes:
+        if together:
+            # Somebody holds the document's lock while the others arrive.
+            holder = system.sim.process(proposal("holder", 4, 1, 1, {}))
+            lanes = [system.sim.process(proposal(*member)) for member in GROUP]
+            answers = [outcome(holder)] + [outcome(lane) for lane in lanes]
+        else:
+            answers = [outcome(system.sim.process(proposal(*member)))
+                       for member in [("holder", 4, 1, 1, {})] + GROUP]
+    logged = system.fetch_log(KEY, 1, system.last_ts(KEY))
+    log = [(entry.ts, entry.author, entry.base_ts, entry.proposal, entry.patch.operations)
+           for entry in logged]
+    # Every proposer applies its answer: the gap under its chain, then the chain.
+    texts = []
+    for (author, ts, length, _identity, _extra), answer in zip(GROUP, answers[1:]):
+        if not isinstance(answer, tuple) or answer[0] != "ok":
+            texts.append(None)
+            continue
+        replica = Document(key=KEY)
+        for entry in logged[:ts - 1]:
+            replica.apply_patch(entry.patch, ts=entry.ts)
+        chain = integrate_remote_into_staged(
+            replica, [(entry.ts, entry.patch) for entry in answer[3] or []],
+            chain_of(author, ts, length))
+        for offset, patch in enumerate(chain[:answer[2] - answer[1] + 1]):
+            if answer[1] + offset > replica.applied_ts:  # (a repeat: it is in the gap)
+                replica.apply_patch(patch, ts=answer[1] + offset)
+        texts.append(replica.text)
+    return {"answers": answers, "log": log, "texts": texts,
+            "allocations": authority.allocations - allocations,
+            "publishes": publishes.call_count, "statistics": master.statistics()}
+
+
+def test_a_group_is_served_as_the_same_proposals_one_by_one_would_be():
+    group, single = serve_group(together=True), serve_group(together=False)
+    assert group["log"] == single["log"]
+
+    def comparable(answer):
+        # (``published_at`` is when the round went out: the one thing that differs.)
+        if isinstance(answer, str) or answer[3] is None:
+            return answer
+        return answer[:3] + ([(entry.ts, entry.author, entry.base_ts, entry.proposal,
+                               entry.patch.operations) for entry in answer[3]],)
+
+    assert [comparable(answer) for answer in group["answers"]] == \
+        [comparable(answer) for answer in single["answers"]]
+    assert group["texts"] == single["texts"]
+    # What it is about: holder + group against holder + one round per member
+    # that publishes (the repeat, the hostile and the signed one do not).
+    assert (group["allocations"], group["publishes"]) == (2, 2)
+    assert (single["allocations"], single["publishes"]) == (5, 5)
+    assert group["statistics"]["publishes"] == 3 + 2
+    assert single["statistics"]["publishes"] == 3 + 5
+    # ... and the shape of the run itself, so that equality is not vacuous.
+    statuses = [answer if isinstance(answer, str) else answer[0]
+                for answer in group["answers"]]
+    assert statuses == ["ok", "ok", "ok", "ok", "ok", "ok", "AttributeError", "behind"]
+    holder, now, one, two, repeat, three, _hostile, signed = group["answers"]
+    assert [(a[1], a[2]) for a in (holder, now, one, two, repeat, three)] == \
+        [(4, 4), (5, 5), (6, 21), (22, 22), (5, 5), (23, 38)]
+    assert [len(a[3] or []) for a in (holder, now, one, two, repeat, three)] == \
+        [0, 1, 3, 20, 1, 22]
+    assert signed[2] == 38 and [entry.ts for entry in signed[3]] == list(range(2, 39))
+    for key in ("proposals_ok", "proposals_rebased", "proposals_deduplicated",
+                "proposals_behind", "patches_published"):
+        assert group["statistics"][key] == single["statistics"][key], key
+    assert (group["statistics"]["proposals_ok"], group["statistics"]["proposals_rebased"],
+            group["statistics"]["proposals_deduplicated"]) == (3 + 5, 4, 1)
+    # Every replica that applied its answer reads as the log does up to there.
+    logged = [operations for _ts, _author, _base, _proposal, operations in group["log"]]
+    for answer, text in zip(group["answers"][1:], group["texts"]):
+        if text is not None:
+            lines = []
+            for operations in logged[:answer[2]]:
+                lines = Patch(operations).apply(lines)
+            assert text == "\n".join(lines)

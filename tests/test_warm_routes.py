@@ -4,8 +4,10 @@ One rule, two callers: *a placement whose timestamp is already known is
 resolved before the operation that needs it*.  The Master-key peer warms the
 Log-Peers of the timestamps it is about to hand out
 (``MasterService._warm_ahead`` → ``P2PLogClient.warm`` → ``DhtClient.warm`` →
-``ChordNode.warm_route``); a range reader has its next window resolved while
-this one is fetched (``fetch_range`` → ``get_many(items, warm_next)``).  These
+``ChordNode.warm_route``: those of a proposal that has to wait when it
+arrives, those past the queue with every answer); a range reader has its next
+window resolved while this one is fetched (``fetch_range`` →
+``get_many(items, warm_next)``).  These
 tests pin what warming may cost (nothing on a hit, ``find_successor`` only on
 a miss, no write ever), when it must stay silent, how far the horizon
 reaches, and that it lives and dies with the Master's tenure.  That a warmed
@@ -167,8 +169,9 @@ def test_local_dht_has_nothing_to_warm():
 def contended_run(chain, seed=7):
     """Three writers racing on one document.
 
-    Also returns, for each warm-up, ``last-ts`` and the number of proposals
-    queued on the document's lock at that moment.
+    Also returns, for each ``_warm_ahead``, its arguments ``last_ts`` and
+    ``chain``, the entries queued for the document at that moment, and the
+    warmed horizon before and after it.
     """
     system = LtrSystem(ltr_config=LtrConfig(batch_max_edits=chain), seed=seed,
                        chord_config=SCALE_CHORD_CONFIG,
@@ -176,12 +179,16 @@ def contended_run(chain, seed=7):
     names = system.bootstrap(32, warm=True)
     key = "xwiki:horizon"
     master = system.master_service(key)
-    authority = master._authority()
     seen = []
+    warm_ahead = master._warm_ahead
 
-    def recording_warm(self, document_key, from_ts, to_ts):
-        seen.append((authority.last_ts(key), master._lock_for(key).waiters))
-        return traced_warm(self, document_key, from_ts, to_ts)
+    def horizon():
+        return master._tails[key].warmed_ts if key in master._tails else 0
+
+    def recording_warm_ahead(document_key, last_ts, ahead):
+        before, queued = horizon(), master._queue_for(key).queued
+        warm_ahead(document_key, last_ts, ahead)
+        seen.append((last_ts, ahead, queued, before, horizon()))
 
     def writer(user, edits):
         for number in range(edits):
@@ -195,8 +202,7 @@ def contended_run(chain, seed=7):
                 yield from user.flush(key)
 
     with trace_routing() as trace:
-        traced_warm = P2PLogClient.warm
-        with mock.patch.object(P2PLogClient, "warm", recording_warm):
+        with mock.patch.object(master, "_warm_ahead", recording_warm_ahead):
             lanes = [system.runtime.process(writer(system.user(names[slot * 9]), 12))
                      for slot in range(3)]
             system.runtime.run(until=system.runtime.all_of(lanes))
@@ -204,6 +210,7 @@ def contended_run(chain, seed=7):
     stats = system.statistics()
     # It was contended — and (pinned: proposals_behind > 0) nobody was sent back.
     assert stats["proposals_rebased"] > 0 and stats["proposals_behind"] == 0
+    assert stats["publishes"] < stats["proposals_ok"] == 3 * 12  # ... in groups
     report = system.check_consistency(key)
     assert report.converged and report.log_continuous
     return system, trace, seen
@@ -211,21 +218,32 @@ def contended_run(chain, seed=7):
 
 @pytest.mark.parametrize("chain", [1, 16])
 def test_horizon_stays_within_the_cap_and_warms_no_timestamp_twice(chain):
-    """(Pinned one chain per answer: ``high - low < chain``.  An answer now
-    moves the horizon on by one chain for itself and one for each proposal
-    queued behind it — no answer is *behind* any more, and the queue is what
-    the Master can see of the publishes to come.)"""
+    """(Pinned one chain per answer, then a chain for the answer and one for
+    each proposal queued on the lock.  The horizon moves per *arrival* — a
+    proposal that has to wait has exactly its own timestamps warmed, behind
+    what is published and queued ahead of it — and per *group*: past what is
+    still queued, as much again as was allocated and as is queued.  Never
+    twice and nothing past the cap without a queue stay.)"""
     _system, trace, seen = contended_run(chain)
-    assert len(trace.warmed) == len(seen) > 0
-    cap = master_module.WARM_AHEAD_CHAINS * chain
+    moved = [call for call in seen if call[4] > call[3]]
+    assert [(max(before, last_ts) + 1, after)
+            for last_ts, _ahead, _queued, before, after in moved] == \
+        [(low, high) for _node, _key, low, high, _at in trace.warmed]
+    cap = master_module.WARM_AHEAD_CHAINS
+    for last_ts, ahead, queued, before, after in seen:
+        assert before <= after <= max(before, last_ts + cap * (queued + ahead))
+        if ahead == 0 and after > before:
+            assert after == last_ts + queued        # an arrival: the queue, itself included
+        elif after > before:
+            assert after <= max(before, last_ts + queued) + ahead + queued  # as much again
+        if not queued:
+            assert after <= max(before, last_ts + cap * ahead)  # no queue, no more than the cap
+    assert any(ahead == 0 for _l, ahead, _q, before, after in moved)    # arrivals were warmed
+    assert any(ahead > chain for _l, ahead, _q, _b, _a in seen)         # groups were answered
     previous_high = 0
-    for (_node, _key, low, high, _at), (last_ts, waiters) in zip(trace.warmed, seen):
-        assert last_ts < low <= high <= last_ts + cap   # ahead of last-ts, within the cap
-        assert high - low < chain * (1 + waiters)       # a chain for itself, one per waiter
+    for _node, _key, low, high, _at in trace.warmed:
         assert low > previous_high                      # the horizon only moves forward
         previous_high = high
-    assert any(waiters > 0 for _last_ts, waiters in seen)   # the queue was seen
-    assert any(high - low >= chain for _n, _k, low, high, _at in trace.warmed)
     # Every identifier is asked for once, and routed at most once — by the
     # warm-up or by the publish that needed it, never by both.
     assert set(Counter(trace.warm_calls).values()) == {1}
@@ -260,6 +278,11 @@ def test_both_answers_extend_the_horizon_and_the_tail_carries_it():
 
 
 def test_an_answer_warms_for_the_proposals_queued_behind_it():
+    """(Pinned ``(4, 6), (7, 8), (9, 9)``: the first answer warmed a chain for
+    itself and one for each of the two waiters, and so on, three rounds.)  A
+    proposal that waits is warmed when it arrives, the two that waited go out
+    as one group, and an answer moves the horizon on, past the queue, by what
+    it allocated and what is queued."""
     system = build_system()
     master = publish(system, 2)
     tail = master._tails[KEY]
@@ -269,26 +292,39 @@ def test_an_answer_warms_for_the_proposals_queued_behind_it():
         for lane in range(3)]
     with trace_routing() as trace:
         system.sim.run(until=system.sim.all_of(lanes))
-    # The first answer saw two proposals queued: a chain for itself and one
-    # for each of them, from where the horizon stood; the second saw one; the
-    # third none — and none of them asked for a timestamp twice.
+    # The first is published at once (its timestamp was warmed by the answer
+    # before it); the second and the third arrive meanwhile: 3 is out, so
+    # theirs are 4 and 5.  The first answer: past the queue, as much again as
+    # it allocated (one) and as is queued (two) — they all come round again.
+    # The group's answer: two more.  Nobody asked for a timestamp twice.
     assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == \
-        [(4, 6), (7, 8), (9, 9)]
-    assert system.last_ts(KEY) == 5 and tail.warmed_ts == 9
+        [(4, 4), (5, 5), (6, 8), (9, 10)]
+    assert [publish_.timestamps for publish_ in trace.publishes] == [(3,), (4, 5)]
+    assert system.last_ts(KEY) == 5 and tail.warmed_ts == 10
 
 
 def test_the_first_publish_of_a_tenure_warms_only_for_a_queue():
     """No tail, no pace: a document's first commit does not say whether a
-    second will follow — unless it is already waiting."""
+    second will follow — unless it is already waiting, and then it is warmed
+    the moment it arrives, not when the first publish is over (pinned
+    ``(2, 3), (4, 4)``, both by answers); the answers then go past it."""
     system = build_system()
     master = system.master_service(KEY)
     lanes = [system.sim.process(master.validate_and_publish(
         key=KEY, ts=1, patches=[make_patch(f"w{lane}", "x")], author=f"w{lane}"))
         for lane in range(2)]
+    arrived = system.sim.now
     with trace_routing() as trace:
         system.sim.run(until=system.sim.all_of(lanes))
+    assert [(low, high, at) for _node, _key, low, high, at in trace.warmed[:1]] == \
+        [(2, 2, arrived)]
+    # The first answer: as much again as it allocated and as is queued.
     assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == \
-        [(2, 3), (4, 4)]
+        [(2, 2), (3, 4), (5, 5)]
+    alone = build_system()
+    with trace_routing() as trace:
+        publish(alone, 1)
+    assert trace.warmed == [] and alone.master_service(KEY)._tails[KEY].warmed_ts == 0
 
 
 def test_commits_further_apart_than_the_ttl_are_not_warmed():
