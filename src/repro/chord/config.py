@@ -35,25 +35,15 @@ class ChordConfig:
         Periods (simulated seconds) of the three maintenance tasks.
     rpc_timeout:
         Per-call timeout; ``None`` uses the network default.
-    rpc_retries:
-        Retries for idempotent maintenance RPCs.
-    max_lookup_hops:
-        Safety bound on routing recursion (a broken ring raises
-        :class:`~repro.errors.LookupFailed` instead of looping forever).
-    route_cache_enabled:
-        When ``True`` (the default) every node memoizes recently resolved
-        responsibility intervals so repeated lookups towards the same
-        Master-key peer skip the O(log N) hop chain; see
-        :class:`~repro.chord.routecache.RouteCache`.  Routes are learned
-        from authoritative answers and from answers relayed out of other
-        nodes' caches alike (the latter back-dated by their reported age).
-    route_cache_size:
-        Maximum number of cached intervals per node.
     route_cache_ttl:
-        Lifetime of a cached route in simulated seconds, counted from the
-        authoritative answer however many caches relayed it since; it
-        should stay a small multiple of ``stabilize_interval`` so stale
-        routes die out at the same pace the ring repairs itself.
+        Lifetime of a route in the node's
+        :class:`~repro.chord.routecache.RouteCache` (every node memoizes
+        recently resolved responsibility intervals so repeated lookups
+        towards the same Master-key peer skip the O(log N) hop chain), in
+        simulated seconds, counted from the authoritative answer however
+        many caches relayed it since; it should stay a small multiple of
+        ``stabilize_interval`` so stale routes die out at the same pace the
+        ring repairs itself.
     maintenance_stagger:
         Fraction of each maintenance interval used to spread the *first*
         firing of a node's maintenance timers, by a deterministic per-node
@@ -67,13 +57,6 @@ class ChordConfig:
         The classic protocol fixes one per round; large rings raise this so
         routing tables converge in ``bits / fingers_per_round`` rounds
         without shortening the interval (which would multiply timer load).
-    replica_release:
-        When ``True``, an owner whose replica-holding successors change
-        tells the *dropped* targets to release their replica copies,
-        keeping the "every replica has a live custodial owner" invariant
-        tight under churn.  ``False`` (the default, the historical
-        behaviour — kept for byte-identical seeded artifacts) leaves old
-        copies behind until the holder crashes or hands them off.
     """
 
     bits: int = DEFAULT_ID_BITS
@@ -83,14 +66,9 @@ class ChordConfig:
     fix_fingers_interval: float = 0.5
     check_predecessor_interval: float = 0.5
     rpc_timeout: Optional[float] = None
-    rpc_retries: int = 1
-    max_lookup_hops: int = 64
-    route_cache_enabled: bool = True
-    route_cache_size: int = 128
     route_cache_ttl: float = 1.0
     maintenance_stagger: float = 0.0
     fingers_per_round: int = 1
-    replica_release: bool = False
 
     def __post_init__(self) -> None:
         if self.bits <= 0:
@@ -111,12 +89,6 @@ class ChordConfig:
         for name in ("stabilize_interval", "fix_fingers_interval", "check_predecessor_interval"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.max_lookup_hops < 1:
-            raise ConfigurationError("max_lookup_hops must be >= 1")
-        if self.route_cache_size < 1:
-            raise ConfigurationError(
-                f"route_cache_size must be >= 1, got {self.route_cache_size}"
-            )
         if self.route_cache_ttl <= 0:
             raise ConfigurationError("route_cache_ttl must be positive")
         if self.maintenance_stagger < 0:

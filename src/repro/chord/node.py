@@ -38,6 +38,14 @@ from .successors import SuccessorList
 
 _UNREACHABLE_ERRORS = (RequestTimeout, NodeUnreachable)
 
+#: Retries of the ``find_successor`` request a (re)joining node sends its
+#: bootstrap peer.
+RPC_RETRIES = 1
+
+#: Safety bound on routing recursion: a broken ring raises
+#: :class:`~repro.errors.LookupFailed` instead of looping forever.
+MAX_LOOKUP_HOPS = 64
+
 
 class ChordNode:
     """One peer of the Chord ring.
@@ -87,11 +95,7 @@ class ChordNode:
         self._maintenance_epoch = 0
         self._replica_targets: tuple[NodeRef, ...] = ()
         self.lookups_served = 0
-        self.route_cache: Optional[RouteCache] = (
-            RouteCache(self.config.route_cache_size, self.config.route_cache_ttl)
-            if self.config.route_cache_enabled
-            else None
-        )
+        self.route_cache = RouteCache(ttl=self.config.route_cache_ttl)
         # Identifier -> the background lookup :meth:`warm_route` started for
         # it, while that lookup is in flight.
         self._warming: dict[int, Process] = {}
@@ -105,11 +109,6 @@ class ChordNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ChordNode {self.address.name} id={self.node_id} alive={self.alive}>"
-
-    @property
-    def sim(self) -> Runtime:
-        """Backward-compatible alias for :attr:`runtime`."""
-        return self.runtime
 
     @property
     def successor(self) -> Optional[NodeRef]:
@@ -150,14 +149,13 @@ class ChordNode:
             target_id=self.node_id,
             hops=0,
             timeout=self.config.rpc_timeout,
-            retries=self.config.rpc_retries,
+            retries=RPC_RETRIES,
         )
         successor: NodeRef = answer["node"]
         self.predecessor = None
         self.successors.replace([successor])
         self.fingers.fill_with(successor)
-        if self.route_cache is not None:
-            self.route_cache.clear()  # entries from a previous incarnation
+        self.route_cache.clear()  # entries from a previous incarnation
         self.alive = True
         self._start_maintenance()
 
@@ -276,8 +274,7 @@ class ChordNode:
             )
             self.predecessor = None
             self._replica_targets = ()
-            if self.route_cache is not None:
-                self.route_cache.clear()
+            self.route_cache.clear()
         self.rpc.go_online()
 
     def rejoin(self, bootstrap: Address):
@@ -300,7 +297,7 @@ class ChordNode:
             target_id=self.node_id,
             hops=0,
             timeout=self.config.rpc_timeout,
-            retries=self.config.rpc_retries,
+            retries=RPC_RETRIES,
         )
         successor: NodeRef = answer["node"]
         if successor == self.ref:
@@ -308,8 +305,7 @@ class ChordNode:
         self.predecessor = None
         self.successors.replace([successor])
         self.fingers.fill_with(successor)
-        if self.route_cache is not None:
-            self.route_cache.clear()
+        self.route_cache.clear()
         self.rpc.notify(successor.address, "notify", candidate=self.ref)
         # While we were islanded the ring routed our arc to the successor;
         # reclaim the keys it stood in for (same hand-off a fresh join gets),
@@ -385,10 +381,8 @@ class ChordNode:
 
     def _find_successor_local(self, target_id: int, hops: int):
         """Shared routing logic used both locally and by the RPC handler."""
-        if hops > self.config.max_lookup_hops:
-            raise LookupFailed(
-                f"lookup of {target_id} exceeded {self.config.max_lookup_hops} hops"
-            )
+        if hops > MAX_LOOKUP_HOPS:
+            raise LookupFailed(f"lookup of {target_id} exceeded {MAX_LOOKUP_HOPS} hops")
         successor = self.successors.head or self.ref
         if successor == self.ref or in_interval_open_closed(
             target_id, self.node_id, successor.node_id
@@ -436,8 +430,7 @@ class ChordNode:
                 excluded.add(candidate)
                 self.fingers.remove_node(candidate)
                 self.successors.remove(candidate)
-                if self.route_cache is not None:
-                    self.route_cache.invalidate_node(candidate)
+                self.route_cache.invalidate_node(candidate)
 
     def _cached_route(
         self, target_id: int
@@ -448,8 +441,6 @@ class ChordNode:
         network; an entry pointing at a crashed/departed peer is purged
         instead of returned, so routing falls back to the finger chain.
         """
-        if self.route_cache is None:
-            return None
         cached = self.route_cache.lookup(target_id, self.runtime.now)
         if cached is None:
             return None
@@ -467,13 +458,11 @@ class ChordNode:
             return None
         return cached
 
-    # The route cache seen from outside ``repro.chord``: three verbs, each a
-    # no-op on a node that has no cache.
+    # The route cache seen from outside ``repro.chord``: three verbs.
 
     def forget_route(self, target_id: int) -> None:
         """Drop the cached routes covering ``target_id`` (its owner answered wrongly)."""
-        if self.route_cache is not None:
-            self.route_cache.forget(target_id)
+        self.route_cache.forget(target_id)
 
     def forget_routes_to(self, owner: NodeRef) -> None:
         """Drop the cached routes naming ``owner``: an RPC to it went unanswered.
@@ -484,8 +473,7 @@ class ChordNode:
         purge every retry would be routed to the same dead peer until the
         entry's TTL.
         """
-        if self.route_cache is not None:
-            self.route_cache.invalidate_node(owner)
+        self.route_cache.invalidate_node(owner)
 
     def warm_route(self, target_id: int) -> None:
         """Learn the route to ``target_id`` before the operation that needs it.
@@ -500,14 +488,13 @@ class ChordNode:
         entry, stale by the same rules as any other), never raises, and a
         :meth:`find_successor` that needs the identifier meanwhile joins it.
         """
-        cache = self.route_cache
-        if cache is None or not self.alive or target_id in self._warming:
+        if not self.alive or target_id in self._warming:
             return
         successor = self.successors.head or self.ref
         if (
             successor == self.ref
             or in_interval_open_closed(target_id, self.node_id, successor.node_id)
-            or cache.covers(target_id, self.runtime.now)
+            or self.route_cache.covers(target_id, self.runtime.now)
         ):
             return
         self._warming[target_id] = self.runtime.process(
@@ -538,9 +525,6 @@ class ChordNode:
         age is missing, not a number or not below the TTL is not stored; a
         negative age counts as zero.
         """
-        cache = self.route_cache
-        if cache is None:
-            return
         interval = answer.get("interval")
         if interval is None:
             return
@@ -548,10 +532,10 @@ class ChordNode:
         if answer.get("cached"):
             age = answer.get("age")
             # ``age < ttl`` is also False for NaN.
-            if not isinstance(age, (int, float)) or not age < cache.ttl:
+            if not isinstance(age, (int, float)) or not age < self.route_cache.ttl:
                 return
             stamp -= max(age, 0.0)
-        cache.store(tuple(interval), answer["node"], stamp)
+        self.route_cache.store(tuple(interval), answer["node"], stamp)
 
     def _first_live_successor_candidate(
         self, excluded: Optional[set[NodeRef]]
@@ -588,11 +572,7 @@ class ChordNode:
             or not self.network.is_up(self.predecessor.address)
             or in_interval_open(candidate.node_id, self.predecessor.node_id, self.node_id)
         ):
-            if (
-                self.route_cache is not None
-                and self.predecessor is not None
-                and self.predecessor != candidate
-            ):
+            if self.predecessor is not None and self.predecessor != candidate:
                 # A peer slotted in between our old predecessor and us: any
                 # cached claim about who owns that arc is now suspect.
                 self.route_cache.clear()
@@ -607,8 +587,7 @@ class ChordNode:
             elif len(self.successors) == 0:
                 self.successors.replace([replacement])
         self.fingers.remove_node(leaving)
-        if self.route_cache is not None:
-            self.route_cache.invalidate_node(leaving)
+        self.route_cache.invalidate_node(leaving)
 
     def rpc_store(self, key: str, value: Any, key_id: Optional[int] = None,
                   is_replica: bool = False) -> bool:
@@ -701,20 +680,6 @@ class ChordNode:
         if self.config.replication_factor > 1:
             if moving:
                 self.storage.absorb(moving, as_replica=True, now=self.runtime.now)
-                if self.config.replica_release:
-                    # Our own replica targets held backup copies of these keys
-                    # *because we owned them*; the requester owns them now and
-                    # replicates to its own successor set.  Release the old
-                    # copies — a holder that also belongs to the new backup
-                    # set gets the keys re-pushed by the new owner's refresh.
-                    keys = [item.key for item in moving]
-                    for target in self._replica_targets:
-                        if target == requester:
-                            continue
-                        if self.network.is_up(target.address):
-                            self.rpc.notify(
-                                target.address, "release_replicas", keys=keys
-                            )
         elif start != requester.node_id:
             # No backup role exists at replication factor 1: any replica left
             # in the transferred interval would never be refreshed or
@@ -723,10 +688,9 @@ class ChordNode:
         if moving:
             for service in self.services:
                 service.on_items_handed_off(moving, requester.name)
-        if self.route_cache is not None:
-            # The requester took over part of our old interval; any cached
-            # claim naming us for that arc is stale.
-            self.route_cache.clear()
+        # The requester took over part of our old interval; any cached claim
+        # naming us for that arc is stale.
+        self.route_cache.clear()
         return moving
 
     def rpc_receive_items(
@@ -741,22 +705,6 @@ class ChordNode:
         over; see :meth:`_absorb_items` for how it gates replica promotion.
         """
         return self._absorb_items(items, as_replica=as_replica, from_owner=from_owner)
-
-    def rpc_release_replicas(self, keys: list[str]) -> int:
-        """Drop replica copies this node no longer backs up.
-
-        Sent by an owner whose replica targets moved away from us (see
-        :meth:`_refresh_replicas_if_targets_changed`).  Only replicas are
-        dropped — if we own one of these keys by now (e.g. a concurrent
-        takeover), the release is stale and must not destroy data.
-        """
-        released = 0
-        for key in keys:
-            item = self.storage.get(key)
-            if item is not None and item.is_replica:
-                self.storage.remove(key)
-                released += 1
-        return released
 
     # ----------------------------------------------------------- maintenance --
 
@@ -865,7 +813,7 @@ class ChordNode:
             self.rpc.notify(successor.address, "notify", candidate=self.ref)
             self._refresh_replicas_if_targets_changed()
             yield from self._repair_misplaced_items()
-            if self.route_cache is not None and self.successors.head != head_before:
+            if self.successors.head != head_before:
                 # Our immediate successor changed (join or repair): our own
                 # base-case interval moved, so cached routes are suspect.
                 self.route_cache.clear()
@@ -875,8 +823,7 @@ class ChordNode:
     def _handle_successor_failure(self, failed: NodeRef) -> None:
         self.fingers.remove_node(failed)
         self.successors.remove(failed)
-        if self.route_cache is not None:
-            self.route_cache.invalidate_node(failed)
+        self.route_cache.invalidate_node(failed)
         if self.successors.head is None:
             fallback = [ref for ref in self.fingers.known_nodes() if ref != failed]
             if fallback:
@@ -1000,21 +947,10 @@ class ChordNode:
         )[:copies_needed]
         if targets == self._replica_targets:
             return
-        dropped = [
-            entry for entry in self._replica_targets if entry not in targets
-        ]
         self._replica_targets = targets
         owned = self.storage.owned_items()
         if owned and targets:
             self._push_replicas(owned)
-        if self.config.replica_release and owned and dropped:
-            # Former replica holders keep stale copies forever otherwise;
-            # tell them to release the keys we own (best-effort — a crashed
-            # holder has no copies left to release).
-            keys = [item.key for item in owned]
-            for former in dropped:
-                if self.network.is_up(former.address):
-                    self.rpc.notify(former.address, "release_replicas", keys=keys)
 
     def _push_replicas(self, items: list[StoredItem]) -> None:
         copies_needed = self.config.replication_factor - 1
@@ -1104,5 +1040,5 @@ class ChordNode:
             "stored_keys": len(self.storage),
             "owned_keys": len(self.storage.owned_items()),
             "lookups_served": self.lookups_served,
-            "route_cache": self.route_cache.stats() if self.route_cache else None,
+            "route_cache": self.route_cache.stats(),
         }

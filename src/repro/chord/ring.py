@@ -40,11 +40,9 @@ class ChordRing:
         latency: Optional[LatencyModel] = None,
         service_factory: Optional[ServiceFactory] = None,
         storage_factory: Optional[StorageFactory] = None,
-        sim: Optional[Runtime] = None,
     ) -> None:
-        # ``sim`` is the backward-compatible alias for ``runtime``; the
-        # runtime knob also accepts a backend name ("sim" / "asyncio").
-        self.runtime = resolve_runtime(runtime if runtime is not None else sim, seed=seed)
+        # ``runtime`` also accepts a backend name ("sim" / "asyncio").
+        self.runtime = resolve_runtime(runtime, seed=seed)
         if network is not None:
             self.network = network
         else:
@@ -59,11 +57,6 @@ class ChordRing:
         # Names whose successor/predecessor pointers may disagree with the
         # ideal ring; the incremental stability check only re-examines these.
         self._dirty: set[str] = set()
-
-    @property
-    def sim(self) -> Runtime:
-        """Backward-compatible alias for :attr:`runtime`."""
-        return self.runtime
 
     # ------------------------------------------------------------- creation --
 
@@ -202,8 +195,7 @@ class ChordRing:
         orchestrated churn scenarios deterministic.
         """
         for node in self.nodes.values():
-            if node.route_cache is not None:
-                node.route_cache.clear()
+            node.route_cache.clear()
 
     # ---------------------------------------------------------------- access --
 
@@ -392,7 +384,7 @@ class ChordRing:
         Anything else is a stale copy that no refresh will ever touch —
         exactly what graceless hand-offs used to leave behind.  Computed
         from global knowledge, so tests can assert the invariant after
-        churn settles (with ``replica_release`` enabled).
+        churn settles.
         """
         live = self.live_nodes()
         violations: list[dict[str, Any]] = []
@@ -423,8 +415,6 @@ class ChordRing:
         """Aggregated route-cache counters over all live nodes."""
         totals = {"entries": 0, "hits": 0, "misses": 0, "invalidations": 0}
         for node in self.live_nodes():
-            if node.route_cache is None:
-                continue
             stats = node.route_cache.stats()
             for key in totals:
                 totals[key] += stats[key]

@@ -10,14 +10,16 @@ save joins the chain one of two ways: *composed* into its last patch
 chain of one) or *added* as a patch, timestamp and log entry of its own
 (``UserPeer.stage``).
 
-A chain is bounded two ways (both set through
-:class:`~repro.core.config.LtrConfig`):
+A chain is bounded two ways:
 
-* **size** — once ``batch_max_edits`` patches are staged the chain is
-  *full* and must be committed before more edits are staged;
-* **deadline** — a chain older than ``batch_deadline`` simulated seconds
-  reports itself as *due*, so drivers committing on a timer never park a
-  trickle of edits indefinitely.
+* **size** — once ``batch_max_edits`` (an
+  :class:`~repro.core.config.LtrConfig` field) patches are staged the chain
+  is *full* and must be committed before more edits are staged;
+* **deadline** — a chain whose first save is older than :attr:`deadline`
+  simulated seconds reports itself as *due* (``LtrSystem.flush_due`` commits
+  it even when it is not full), so drivers committing on a timer never park
+  a trickle of edits indefinitely.  The clock does not ask which verb made
+  the save: a chain built by ``edit`` alone is due like a staged one.
 """
 
 from __future__ import annotations

@@ -18,20 +18,6 @@ class LtrConfig:
     log_replication_factor:
         ``n = |Hr|`` — how many independent Log-Peer placements each
         timestamped patch gets (paper Section 2).
-    max_validation_attempts:
-        Upper bound on the validate → retrieve → retry loop of the user
-        peer.  The paper loops "until last-ts value is equal to ts value";
-        the bound only exists to turn a livelock into a diagnosable error.
-        Losing a race no longer costs an attempt — the Master commits a
-        stale proposal behind what it missed, so on the Zipf benchmark every
-        commit takes one attempt on the paper path and at most two with
-        chains of 16 (round seeds 1000 .. 10000; 28 and 13 while a loser
-        was sent back).  What the number still guards is where *behind*
-        remains the answer and a proposer can lose again on the way back:
-        signed deployments (``auth_enabled``: the Master cannot re-sign a
-        transformed patch), Masters fresh from a takeover, gaps older than
-        the Master's tail — and the paced retries while routing re-converges
-        after a fault.
     validation_retries:
         How many times a single validation RPC is re-routed when the
         Master-key peer is unreachable (crash/churn window).
@@ -51,13 +37,6 @@ class LtrConfig:
         it: it wraps every save into the chain's last patch instead of
         adding one (a peer that saves with ``edit`` alone proposes chains of
         one).
-    batch_deadline:
-        Deadline bound, in simulated seconds: a chain whose first save is
-        older than this is reported as due by ``CommitBatch.due`` / committed
-        by ``LtrSystem.flush_due`` even when it is not full, so a trickle of
-        edits is never parked indefinitely.  The clock does not ask which
-        verb made the save: a chain built by ``edit`` alone is due, and
-        committed by ``flush_due``, like a staged one.
     checkpoint_enabled:
         When ``True``, the Master-key peer materializes a document snapshot
         every ``checkpoint_interval`` published timestamps and stores it
@@ -70,10 +49,6 @@ class LtrConfig:
         How many published timestamps between two checkpoints of the same
         document.  Also the staleness threshold below which ``sync`` skips
         the checkpoint probe (replaying that short a suffix is cheaper).
-    checkpoint_retention:
-        How many checkpoints per document are retained; older ones are
-        garbage-collected from the DHT when a new checkpoint slides them
-        out of the window (the log's compaction story).
     runtime_backend:
         Which execution runtime a :class:`~repro.core.LtrSystem` built from
         this config runs on when no explicit runtime is supplied:
@@ -109,14 +84,11 @@ class LtrConfig:
     """
 
     log_replication_factor: int = 3
-    max_validation_attempts: int = 64
     validation_retries: int = 8
     validation_retry_delay: float = 0.5
     batch_max_edits: int = 16
-    batch_deadline: float = 0.25
     checkpoint_enabled: bool = False
     checkpoint_interval: int = 32
-    checkpoint_retention: int = 2
     runtime_backend: str = "sim"
     storage_backend: str = "memory"
     storage_dir: Optional[str] = None
@@ -142,10 +114,6 @@ class LtrConfig:
             raise ConfigurationError(
                 f"log_replication_factor must be >= 1, got {self.log_replication_factor}"
             )
-        if self.max_validation_attempts < 1:
-            raise ConfigurationError(
-                f"max_validation_attempts must be >= 1, got {self.max_validation_attempts}"
-            )
         if self.validation_retries < 0:
             raise ConfigurationError(
                 f"validation_retries must be >= 0, got {self.validation_retries}"
@@ -158,15 +126,7 @@ class LtrConfig:
             raise ConfigurationError(
                 f"batch_max_edits must be >= 1, got {self.batch_max_edits}"
             )
-        if self.batch_deadline < 0:
-            raise ConfigurationError(
-                f"batch_deadline must be >= 0, got {self.batch_deadline}"
-            )
         if self.checkpoint_interval < 1:
             raise ConfigurationError(
                 f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
-            )
-        if self.checkpoint_retention < 1:
-            raise ConfigurationError(
-                f"checkpoint_retention must be >= 1, got {self.checkpoint_retention}"
             )

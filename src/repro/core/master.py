@@ -69,6 +69,11 @@ from .protocol import ValidationResult
 #: per-document critical section and executed after the lock is released.
 CheckpointJob = tuple[int, Optional[list[str]]]
 
+#: How many checkpoints per document are retained; older ones are
+#: garbage-collected from the DHT when a new checkpoint slides them out of the
+#: window (the log's compaction story).
+CHECKPOINT_RETENTION = 2
+
 #: Bounds of the per-document tail of allocated entries a stale proposal is
 #: served from — transformed over, and handed with the answer — in entries
 #: and in ``payload_size`` bytes (what the reply costs on the wire).  64
@@ -778,16 +783,15 @@ class MasterService(NodeService):
         ``queued + answered`` — past ``last_ts``, and never over a timestamp
         twice.  Nothing is warmed that would be stale when used: without a
         queue only while the document's previous allocation is younger than
-        the route-cache TTL, and only on a node that has a route cache.
+        the route-cache TTL.
         """
         queue = self._queue_for(key)
         tail = self._tails.get(key)
-        config = self.node.config
-        if not config.route_cache_enabled or not (
+        if not (
             queue.waiting or (
                 tail is not None and tail.entries
                 and self.node.runtime.now - tail.entries[-1].published_at
-                < config.route_cache_ttl
+                < self.node.config.route_cache_ttl
             )
         ):
             return
@@ -964,8 +968,8 @@ class MasterService(NodeService):
         # interleaved or out-of-order job) must survive the update, or the
         # DHT would keep an unindexed — hence never-collected — snapshot.
         merged = tuple(sorted(set(stored_index or ()) | {ts}, reverse=True))
-        keep = merged[:self.config.checkpoint_retention]
-        drop = merged[self.config.checkpoint_retention:]
+        keep = merged[:CHECKPOINT_RETENTION]
+        drop = merged[CHECKPOINT_RETENTION:]
         yield from self.log.publish_checkpoint_index(key, keep)
         for old_ts in drop:
             removed = yield from self.log.gc_checkpoint(key, old_ts)
@@ -1032,8 +1036,8 @@ class MasterService(NodeService):
             if not index:
                 return 0
             ordered = tuple(sorted(index, reverse=True))
-            keep = ordered[:self.config.checkpoint_retention]
-            drop = ordered[self.config.checkpoint_retention:]
+            keep = ordered[:CHECKPOINT_RETENTION]
+            drop = ordered[CHECKPOINT_RETENTION:]
             if not drop:
                 return 0
             yield from self.log.publish_checkpoint_index(key, keep)

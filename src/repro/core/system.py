@@ -51,19 +51,17 @@ class LtrSystem:
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         runtime: Optional[Runtime | str] = None,
-        sim: Optional[Runtime] = None,
         network: Optional[Network] = None,
         trace: bool = False,
     ) -> None:
         self.ltr_config = ltr_config if ltr_config is not None else LtrConfig()
         self.chord_config = chord_config if chord_config is not None else DEFAULT_CHORD_CONFIG
-        # Runtime selection: an explicit instance or backend name wins
-        # (``sim`` is the backward-compatible alias), otherwise the config's
-        # ``runtime_backend`` picks the backend.
-        selected = runtime if runtime is not None else sim
-        if selected is None:
-            selected = self.ltr_config.runtime_backend
-        self.runtime = resolve_runtime(selected, seed=seed, trace=trace)
+        # Runtime selection: an explicit instance or backend name wins,
+        # otherwise the config's ``runtime_backend`` picks the backend.
+        self.runtime = resolve_runtime(
+            runtime if runtime is not None else self.ltr_config.runtime_backend,
+            seed=seed, trace=trace,
+        )
         self.network = network if network is not None else Network(
             self.runtime, latency=latency if latency is not None else ConstantLatency(0.005)
         )
@@ -93,11 +91,6 @@ class LtrSystem:
         )
         self._users: dict[str, UserPeer] = {}
         self._observers: list[Any] = []
-
-    @property
-    def sim(self) -> Runtime:
-        """Backward-compatible alias for :attr:`runtime`."""
-        return self.runtime
 
     @property
     def runtime_backend(self) -> str:

@@ -67,6 +67,20 @@ from .protocol import CommitResult, SyncResult, ValidationResult
 
 _ROUTING_ERRORS = (RequestTimeout, NodeUnreachable)
 
+#: Upper bound on the validate → retrieve → retry loop of a commit.  The
+#: paper loops "until last-ts value is equal to ts value"; the bound only
+#: exists to turn a livelock into a diagnosable error.  Losing a race no
+#: longer costs an attempt — the Master commits a stale proposal behind what
+#: it missed, so on the Zipf benchmark every commit takes one attempt on the
+#: paper path and at most two with chains of 16 (round seeds 1000 .. 10000;
+#: 28 and 13 while a loser was sent back).  What the number still guards is
+#: where *behind* remains the answer and a proposer can lose again on the way
+#: back: signed deployments (``auth_enabled``: the Master cannot re-sign a
+#: transformed patch), Masters fresh from a takeover, gaps older than the
+#: Master's tail — and the paced retries while routing re-converges after a
+#: fault.
+MAX_VALIDATION_ATTEMPTS = 64
+
 
 class UserPeer:
     """A collaborating user working on local replicas of shared documents."""
@@ -209,7 +223,6 @@ class UserPeer:
             batch = CommitBatch(
                 key=key, opened_at=self.node.runtime.now,
                 max_edits=self.config.batch_max_edits,
-                deadline=self.config.batch_deadline,
             )
         before = batch.tip_lines(replica.lines)
         after = list(mutate(list(before)))
@@ -342,7 +355,7 @@ class UserPeer:
         replicas = 0
         while True:
             attempts += 1
-            if attempts > self.config.max_validation_attempts:
+            if attempts > MAX_VALIDATION_ATTEMPTS:
                 raise ValidationFailed(
                     f"{self.author} could not validate {len(chain)} edit(s) "
                     f"for {key!r} after {attempts - 1} attempts"

@@ -27,11 +27,6 @@ class LocalDht(DhtClient):
         self._handlers: dict[str, Any] = {}
         self.operations = 0
 
-    @property
-    def sim(self) -> Runtime:
-        """Backward-compatible alias for :attr:`runtime`."""
-        return self.runtime
-
     # -- handler registration (mimics RPC methods of the owner peer) ----------
 
     def expose(self, method: str, handler: Any) -> None:

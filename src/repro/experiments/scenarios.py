@@ -81,15 +81,15 @@ def _measure_timestamp_generation(ctx: ScenarioContext) -> dict:
     latencies = []
     for document in corpus:
         for _ in range(updates_per_document):
-            started = ring.sim.now
-            ring.sim.run(until=ring.sim.process(kts.gen_ts(document.key)))
-            latencies.append(ring.sim.now - started)
+            started = ring.runtime.now
+            ring.runtime.run(until=ring.runtime.process(kts.gen_ts(document.key)))
+            latencies.append(ring.runtime.now - started)
     per_master = {
         node.address.name: len(node.service("kts").managed_keys())
         for node in ring.live_nodes()
     }
     continuous = all(
-        ring.sim.run(until=ring.sim.process(kts.last_ts(document.key)))
+        ring.runtime.run(until=ring.runtime.process(kts.last_ts(document.key)))
         == updates_per_document
         for document in corpus
     )
@@ -539,12 +539,12 @@ def _measure_log_availability(ctx: ScenarioContext) -> dict:
     placements_alive = []
     for ts in range(1, entries + 1):
         try:
-            system.sim.run(until=system.sim.process(log.fetch(key, ts)))
+            system.runtime.run(until=system.runtime.process(log.fetch(key, ts)))
             retrievable += 1
         except (PatchUnavailable, KeyNotFound):
             pass
         placements_alive.append(
-            system.sim.run(until=system.sim.process(log.availability(key, ts)))
+            system.runtime.run(until=system.runtime.process(log.availability(key, ts)))
         )
     return {
         "replication_factor": factor,
@@ -608,12 +608,18 @@ def _measure_chord_lookup(ctx: ScenarioContext) -> dict:
     peers = ctx.params["peers"]
     lookups = ctx.params["lookups"]
     hot_lookups = ctx.params["hot_lookups"]
-    cached_config = ctx.topology.chord_config
-    plain_config = replace(cached_config, route_cache_enabled=False)
+    config = ctx.topology.chord_config
     cached_ring = ctx.build_ring(peers, latency=ConstantLatency(0.003),
-                                 config=cached_config, settle=20.0)
+                                 config=config, settle=20.0)
     plain_ring = ctx.build_ring(peers, latency=ConstantLatency(0.003),
-                                config=plain_config, settle=20.0)
+                                config=config, settle=20.0)
+
+    def uncached_hops(key: str, via: str) -> int:
+        # The uncached baseline: the same ring with every cache emptied
+        # before each of its lookups, so each one walks the finger chain.
+        plain_ring.clear_route_caches()
+        return plain_ring.lookup(key, via=via)["hops"]
+
     # Distinct keys: hop-count baseline from the uncached ring, correctness
     # checked on the cached ring (cached answers must also be right).
     correct = 0
@@ -621,7 +627,7 @@ def _measure_chord_lookup(ctx: ScenarioContext) -> dict:
     for index in range(lookups):
         key = f"lookup-key-{index}"
         via = plain_ring.ring_order()[index % peers]
-        hops.append(plain_ring.lookup(key, via=via)["hops"])
+        hops.append(uncached_hops(key, via))
         answer = cached_ring.lookup(key, via=via)
         if answer["node"] == cached_ring.responsible_node(key).ref:
             correct += 1
@@ -630,7 +636,7 @@ def _measure_chord_lookup(ctx: ScenarioContext) -> dict:
     # first lookup pays the hop chain.
     hot_key = "hot-master-key"
     hot_plain = [
-        plain_ring.lookup(hot_key, via=_hot_gateway(plain_ring, hot_key))["hops"]
+        uncached_hops(hot_key, _hot_gateway(plain_ring, hot_key))
         for _ in range(hot_lookups)
     ]
     hot_cached = [
@@ -794,13 +800,13 @@ def _measure_churn_soak(ctx: ScenarioContext) -> dict:
     )
     timeline.sort(key=lambda entry: entry[0])
 
-    start = system.sim.now
+    start = system.runtime.now
     attempted = succeeded = 0
     latencies = []
     for offset, kind, payload in timeline:
         target = start + offset
-        if system.sim.now < target:
-            system.run_for(target - system.sim.now)
+        if system.runtime.now < target:
+            system.run_for(target - system.runtime.now)
         if kind == "churn":
             action, peer = payload
             apply_churn_action(system, action, peer)
@@ -890,7 +896,7 @@ def _measure_batched_commit(ctx: ScenarioContext) -> dict:
         "\n".join(f"line-{line}-rev-{index}" for line in range(4))
         for index in range(edits)
     ]
-    started = system.sim.now
+    started = system.runtime.now
     messages_before = system.network.stats.snapshot()["sent"]
     flushes = []
     for text in texts:
@@ -900,7 +906,7 @@ def _measure_batched_commit(ctx: ScenarioContext) -> dict:
     leftover = system.flush(writer, key)
     if leftover is not None:
         flushes.append(leftover)
-    elapsed = system.sim.now - started
+    elapsed = system.runtime.now - started
     # Delta over the commit run only: bootstrap and post-run consistency
     # checking must not pollute the coordination-cost comparison.
     messages = system.network.stats.snapshot()["sent"] - messages_before

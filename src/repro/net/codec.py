@@ -3,9 +3,8 @@
 The simulator hands :class:`~repro.net.message.Message` objects between
 peers by reference; a real deployment cannot.  This module defines the wire
 representation those messages (and every payload type they carry) travel
-as: a *tagged value tree* serialized as msgpack when the library is
-available and compact JSON otherwise, wrapped in a versioned envelope and a
-length-prefixed frame.
+as: a *tagged value tree* serialized as compact JSON, wrapped in a versioned
+envelope and a length-prefixed frame.
 
 Three design points keep the codec inside the network layer without
 upward imports:
@@ -48,19 +47,13 @@ from ..errors import CodecError, NetworkError, ReproError
 from .address import Address
 from .message import Message, MessageKind
 
-try:  # msgpack is optional: JSON is the always-available fallback format.
-    import msgpack  # type: ignore
-except ModuleNotFoundError:  # pragma: no cover - depends on environment
-    msgpack = None
-
 #: Version stamped into every envelope; receivers reject other versions.
 WIRE_VERSION = 1
 
-#: The serialization format this process emits ("msgpack" or "json").
-#: Decoding sniffs the frame, so mixed-format peers interoperate as long
-#: as both sides can *read* msgpack; a JSON-only peer rejects msgpack
-#: frames with a :class:`~repro.errors.CodecError`.
-WIRE_FORMAT = "msgpack" if msgpack is not None else "json"
+#: The serialization format of every frame, announced in the hello frame.
+#: A frame in any other format is rejected with a
+#: :class:`~repro.errors.CodecError`.
+WIRE_FORMAT = "json"
 
 #: Reserved tag key of the wire representation (see module docstring).
 TAG_KEY = "~t"
@@ -72,8 +65,9 @@ FRAME_HEADER_SIZE = 4
 #: hostile length prefix allocating unbounded buffers.
 MAX_FRAME_SIZE = 16 * 1024 * 1024
 
-#: msgpack cannot represent integers outside the 64-bit range; Chord ring
-#: identifiers (160-bit by default) are tagged past these bounds.
+#: Integers outside the 64-bit range (Chord ring identifiers are 160-bit by
+#: default) travel tagged as decimal strings, so a reader that parses JSON
+#: numbers as 64-bit integers never sees one it cannot represent.
 _INT_MIN = -(2**63)
 _INT_MAX = 2**64 - 1
 
@@ -415,27 +409,18 @@ def copy_message(message: Message) -> Message:
 
 
 def _dumps(obj: Any) -> bytes:
-    if msgpack is not None:
-        return msgpack.packb(obj, use_bin_type=True)
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
 def _loads(data: bytes) -> Any:
     if not data:
         raise CodecError("empty wire frame")
-    if data[:1] == b"{":
-        try:
-            return json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CodecError(f"malformed JSON frame: {exc}") from exc
-    if msgpack is None:
-        raise CodecError(
-            "received a msgpack frame but msgpack is not installed on this peer"
-        )
+    if data[:1] != b"{":
+        raise CodecError(f"not a {WIRE_FORMAT} wire envelope: starts with {data[:1]!r}")
     try:
-        return msgpack.unpackb(data, raw=False, strict_map_key=False)
-    except Exception as exc:  # noqa: BLE001 - msgpack raises its own family
-        raise CodecError(f"malformed msgpack frame: {exc}") from exc
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CodecError(f"malformed JSON frame: {exc}") from exc
 
 
 def _envelope(kind: str, wire: Any) -> bytes:

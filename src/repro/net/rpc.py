@@ -79,11 +79,6 @@ class RpcAgent:
     # -- lifecycle -----------------------------------------------------------
 
     @property
-    def sim(self) -> Runtime:
-        """Backward-compatible alias for :attr:`runtime`."""
-        return self.runtime
-
-    @property
     def online(self) -> bool:
         """``True`` while the agent is registered with the network."""
         return self._online

@@ -74,11 +74,6 @@ class Network:
         self._stream_cache: Dict[str, Any] = {}
         self._stream_family: Any = None
 
-    @property
-    def sim(self) -> Runtime:
-        """Backward-compatible alias for :attr:`runtime`."""
-        return self.runtime
-
     def _stream(self, name: str):
         """The named RNG stream, resolved per use.
 

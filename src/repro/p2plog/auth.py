@@ -5,9 +5,9 @@ model & authenticity".  Every signature is an HMAC-SHA256 over the
 *canonical bytes* of a payload tuple — the codec's canonical wire tree
 (:func:`repro.net.codec.to_wire`) dumped as sorted, compact JSON.  Using
 the wire tree makes the signature cover exactly what crosses the network;
-dumping it with our own deterministic JSON (rather than the codec's
-``_dumps``) makes signatures identical whether the session speaks msgpack
-or the JSON fallback, so mixed-format clusters agree on validity.
+dumping it with sorted keys (the codec's ``_dumps`` keeps insertion order)
+makes the bytes independent of how a dictionary happened to be built, so
+every peer computes the same signature for the same payload.
 
 Keys are derived per author from a shared secret
 (``LtrConfig.auth_secret``): ``author_key = HMAC(secret, "author:" + name)``.
@@ -58,7 +58,7 @@ def canonical_bytes(obj: Any) -> bytes:
 
     Any object the codec can put on the wire (registered domain types,
     tuples, containers, scalars) has exactly one canonical byte string,
-    shared by the msgpack and JSON wire formats.
+    whatever the key order of the dictionaries it was built from.
     """
     tree = to_wire(obj)
     return json.dumps(

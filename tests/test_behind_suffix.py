@@ -44,7 +44,7 @@ def handle(system, master, key, ts, patches, author, **arguments):
     """``run_validation`` with the optional arguments of the RPC."""
     handler = master.validate_and_publish(key=key, ts=ts, patches=patches,
                                           author=author, **arguments)
-    return ValidationResult.from_payload(system.sim.run(until=system.sim.process(handler)))
+    return ValidationResult.from_payload(system.runtime.run(until=system.runtime.process(handler)))
 
 
 def log_reads(system):

@@ -39,7 +39,6 @@ def build_system(seed: int, *, checkpointing: bool) -> LtrSystem:
         batch_max_edits=3,
         checkpoint_enabled=checkpointing,
         checkpoint_interval=INTERVAL,
-        checkpoint_retention=2,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))
     system.bootstrap(PEERS)

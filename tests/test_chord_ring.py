@@ -45,8 +45,6 @@ def test_config_validation():
         ChordConfig(successor_list_size=1, replication_factor=3)
     with pytest.raises(ConfigurationError):
         ChordConfig(stabilize_interval=0)
-    with pytest.raises(ConfigurationError):
-        ChordConfig(max_lookup_hops=0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def test_lookup_on_dead_node_raises(ring):
     node = ring.node("a")
     node.fail()
     with pytest.raises(NodeNotJoined):
-        ring.sim.run(until=ring.sim.process(node.lookup("x")))
+        ring.runtime.run(until=ring.runtime.process(node.lookup("x")))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ def test_remove_key(ring):
     ring.bootstrap(4)
     ring.put("to-delete", 1)
     gateway = ring.gateway()
-    result = ring.sim.run(until=ring.sim.process(gateway.remove("to-delete")))
+    result = ring.runtime.run(until=ring.runtime.process(gateway.remove("to-delete")))
     assert result["removed"] is True
     with pytest.raises(KeyNotFound):
         ring.get("to-delete")
@@ -180,8 +178,8 @@ def test_put_with_explicit_key_id_places_by_id(ring):
     key_id = hash_to_id("placement", BITS, salt="hr1")
     result = ring.put("hr1:placement", "value")
     # explicit id placement must agree with the ground truth for that id
-    explicit = ring.sim.run(
-        until=ring.sim.process(ring.gateway().put("hr1:placement", "value2", key_id=key_id))
+    explicit = ring.runtime.run(
+        until=ring.runtime.process(ring.gateway().put("hr1:placement", "value2", key_id=key_id))
     )
     assert explicit["owner"] == ring.responsible_node_for_id(key_id).ref
     assert result["stored"] and explicit["stored"]
@@ -307,6 +305,6 @@ def test_restart_after_fail_requires_rejoin(ring):
     ring.wait_until_stable(max_time=60)
     node.restart()
     assert not node.alive  # restart only reconnects the transport
-    ring.sim.run(until=ring.sim.process(node.join(ring.node("a").address)))
+    ring.runtime.run(until=ring.runtime.process(node.join(ring.node("a").address)))
     ring.wait_until_stable(max_time=60)
     assert "b" in ring.ring_order()

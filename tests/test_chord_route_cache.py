@@ -2,9 +2,7 @@
 
 The cache must make repeated same-key lookups cheap (zero additional hops)
 while never serving a stale route after churn: every membership change —
-crash, graceful leave, join — must invalidate affected entries, and a
-``route_cache_enabled=False`` configuration must behave exactly like the
-uncached protocol.
+crash, graceful leave, join — must invalidate affected entries.
 """
 
 import pytest
@@ -21,14 +19,7 @@ CACHED_CONFIG = ChordConfig(
     stabilize_interval=0.25,
     fix_fingers_interval=0.5,
     check_predecessor_interval=0.5,
-    route_cache_enabled=True,
     route_cache_ttl=5.0,
-)
-PLAIN_CONFIG = ChordConfig(
-    bits=32,
-    successor_list_size=4,
-    replication_factor=2,
-    route_cache_enabled=False,
 )
 
 
@@ -116,16 +107,6 @@ def test_route_cache_rejects_invalid_parameters():
         RouteCache(capacity=0)
     with pytest.raises(ValueError):
         RouteCache(ttl=0.0)
-
-
-def test_config_flag_disables_cache_entirely():
-    ring = ChordRing(config=PLAIN_CONFIG, seed=1)
-    ring.bootstrap(4)
-    assert all(node.route_cache is None for node in ring.live_nodes())
-    key = "some-key"
-    answer = ring.lookup(key)
-    assert answer["node"] == ring.responsible_node(key).ref
-    assert "cached" not in answer
 
 
 # ------------------------------------------------------------- ring level --
@@ -230,7 +211,7 @@ def test_cache_expires_entries_with_simulated_time():
     cache = ring.node(via).route_cache
     assert len(cache) >= 1
     ring.run_for(CACHED_CONFIG.route_cache_ttl + 1.0)
-    assert cache.lookup(0, ring.sim.now) is None or True  # expiry is lazy
+    assert cache.lookup(0, ring.runtime.now) is None or True  # expiry is lazy
     answer = ring.lookup(key, via=via)
     assert answer["node"] == ring.responsible_node(key).ref
 
@@ -247,28 +228,28 @@ def test_forwarded_cache_hits_do_not_restart_the_ttl():
     interval, target = (10, 20), 15
     first.route_cache.clear()
     second.route_cache.clear()
-    stamped_at = ring.sim.now  # when some third node learned it authoritatively
+    stamped_at = ring.runtime.now  # when some third node learned it authoritatively
 
     # Relay 1: a node serves its 2 s old entry; `first` stores it back-dated.
     ring.run_for(2.0)
     first._remember_route({"node": owner, "hops": 1, "interval": interval,
-                           "cached": True, "age": ring.sim.now - stamped_at})
-    assert first.route_cache.lookup(target, ring.sim.now) == (interval, owner, stamped_at)
+                           "cached": True, "age": ring.runtime.now - stamped_at})
+    assert first.route_cache.lookup(target, ring.runtime.now) == (interval, owner, stamped_at)
 
     # Relay 2: `first` serves its copy 1.5 s later, reporting the full age.
     ring.run_for(1.5)
     _interval, _owner, stamp = first._cached_route(target)
     second._remember_route({"node": owner, "hops": 1, "interval": interval,
-                            "cached": True, "age": ring.sim.now - stamp})
-    assert second.route_cache.lookup(target, ring.sim.now) == (interval, owner, stamped_at)
+                            "cached": True, "age": ring.runtime.now - stamp})
+    assert second.route_cache.lookup(target, ring.runtime.now) == (interval, owner, stamped_at)
 
     # Both copies expire together, at the original stamp + TTL.
-    ring.run_for(stamped_at + ttl - ring.sim.now - 0.01)
-    assert first.route_cache.lookup(target, ring.sim.now) is not None
-    assert second.route_cache.lookup(target, ring.sim.now) is not None
+    ring.run_for(stamped_at + ttl - ring.runtime.now - 0.01)
+    assert first.route_cache.lookup(target, ring.runtime.now) is not None
+    assert second.route_cache.lookup(target, ring.runtime.now) is not None
     ring.run_for(0.02)
-    assert first.route_cache.lookup(target, ring.sim.now) is None
-    assert second.route_cache.lookup(target, ring.sim.now) is None
+    assert first.route_cache.lookup(target, ring.runtime.now) is None
+    assert second.route_cache.lookup(target, ring.runtime.now) is None
 
 
 @pytest.mark.parametrize("age", [None, "3", float("nan"), float("inf"),
@@ -291,7 +272,7 @@ def test_relayed_route_with_negative_age_counts_as_fresh_not_as_future():
     node.route_cache.clear()
     node._remember_route({"node": node.successor, "hops": 1, "interval": (10, 20),
                           "cached": True, "age": -30.0})
-    assert node.route_cache.lookup(15, ring.sim.now)[2] == ring.sim.now
+    assert node.route_cache.lookup(15, ring.runtime.now)[2] == ring.runtime.now
 
 
 def test_older_relay_never_overwrites_a_fresher_stamp():
@@ -300,15 +281,15 @@ def test_older_relay_never_overwrites_a_fresher_stamp():
     node.route_cache.clear()
     owner, interval = node.successor, (10, 20)
     ring.run_for(3.0)
-    learned_at = ring.sim.now
+    learned_at = ring.runtime.now
     node._remember_route({"node": owner, "hops": 1, "interval": interval})
     node._remember_route({"node": owner, "hops": 1, "interval": interval,
                           "cached": True, "age": 2.5})
-    assert node.route_cache.lookup(15, ring.sim.now) == (interval, owner, learned_at)
+    assert node.route_cache.lookup(15, ring.runtime.now) == (interval, owner, learned_at)
     # ... while a fresher (authoritative) answer does move the stamp forward.
     ring.run_for(1.0)
     node._remember_route({"node": owner, "hops": 1, "interval": interval})
-    assert node.route_cache.lookup(15, ring.sim.now) == (interval, owner, ring.sim.now)
+    assert node.route_cache.lookup(15, ring.runtime.now) == (interval, owner, ring.runtime.now)
 
 
 def test_route_served_from_a_cache_is_learned_by_the_asker():
@@ -345,11 +326,11 @@ def test_unanswered_owner_rpc_purges_the_cached_route():
     ring.network.loss = TargetedLoss(frozenset({owner.address.name}), direction="to")
     client = ChordDhtClient(gateway)
     with pytest.raises(RequestTimeout):
-        ring.sim.run(until=ring.sim.process(
+        ring.runtime.run(until=ring.runtime.process(
             client.call_owner(key, "ping", key_id=target)
         ))
     assert ring.network.is_up(owner.address)  # nothing told the network
-    assert gateway.route_cache.lookup(target, ring.sim.now) is None
+    assert gateway.route_cache.lookup(target, ring.runtime.now) is None
 
 
 def test_batched_put_many_lookups_are_served_from_the_route_cache():
@@ -362,12 +343,12 @@ def test_batched_put_many_lookups_are_served_from_the_route_cache():
     client = ChordDhtClient(node)
 
     items = [(f"hot-batch-{index}", f"rev-1-{index}", None) for index in range(12)]
-    cold = ring.sim.run(until=ring.sim.process(client.put_many(items)))
+    cold = ring.runtime.run(until=ring.runtime.process(client.put_many(items)))
     assert cold["stored"] == [True] * len(items)
     hits_after_cold = node.route_cache.stats()["hits"]
 
     rewrite = [(key, f"rev-2-{index}", None) for index, (key, _v, _id) in enumerate(items)]
-    warm = ring.sim.run(until=ring.sim.process(client.put_many(rewrite)))
+    warm = ring.runtime.run(until=ring.runtime.process(client.put_many(rewrite)))
     assert warm["stored"] == [True] * len(items)
     stats = node.route_cache.stats()
     assert stats["hits"] > hits_after_cold  # warm batch resolved from cache
@@ -375,7 +356,7 @@ def test_batched_put_many_lookups_are_served_from_the_route_cache():
     assert 0.0 < stats["hit_fraction"] <= 1.0
     # The cached answers are correct: every item is retrievable.
     for key, value, _key_id in rewrite:
-        answer = ring.sim.run(until=ring.sim.process(client.get(key)))
+        answer = ring.runtime.run(until=ring.runtime.process(client.get(key)))
         assert answer["value"] == value
 
 
@@ -385,8 +366,8 @@ def test_batched_lookup_hit_rate_reported_by_ring_stats():
     via = far_gateway(ring, "hot-batch-0")
     client = ChordDhtClient(ring.node(via))
     items = [("hot-batch-0", "a", None)] * 6  # same placement, repeated
-    ring.sim.run(until=ring.sim.process(client.put_many(items)))
-    ring.sim.run(until=ring.sim.process(client.put_many(items)))
+    ring.runtime.run(until=ring.runtime.process(client.put_many(items)))
+    ring.runtime.run(until=ring.runtime.process(client.put_many(items)))
     stats = ring.route_cache_stats()
     assert stats["hits"] >= 1
     assert stats["hit_fraction"] > 0.0
@@ -453,7 +434,7 @@ def test_cached_route_learned_before_partition_is_not_served_after_heal():
     assert gateway._cached_route(target) is None  # the fault-window observation
     ring.network.partitions.heal()
     # Well within the TTL: a surviving entry would still be considered fresh.
-    assert gateway.route_cache.lookup(target, ring.sim.now) is None, (
+    assert gateway.route_cache.lookup(target, ring.runtime.now) is None, (
         "pre-partition route survived the heal"
     )
     # The first post-heal lookup cannot be answered from the gateway's own

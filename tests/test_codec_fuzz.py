@@ -69,7 +69,7 @@ def _hostile(kind: str, body: str) -> bytes:
 
 HOSTILE_FRAMES = [
     b"",                                        # empty frame
-    b"\x00",                                    # not JSON, not msgpack-valid map
+    b"\x00",                                    # not a JSON envelope
     b"{",                                       # truncated JSON
     b"{}",                                      # JSON but no envelope fields
     b"[]",                                      # decodes, not an envelope dict

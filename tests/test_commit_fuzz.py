@@ -99,7 +99,6 @@ def run_actions(seed: int, batched: bool, actions: list[tuple]) -> None:
         batch_max_edits=4,
         checkpoint_enabled=True,
         checkpoint_interval=4,
-        checkpoint_retention=2,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))
     system.bootstrap(PEERS)
@@ -226,7 +225,6 @@ def run_adversarial_actions(seed: int, batched: bool,
         batch_max_edits=4,
         checkpoint_enabled=True,
         checkpoint_interval=4,
-        checkpoint_retention=2,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))
     system.bootstrap(PEERS)

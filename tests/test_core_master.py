@@ -33,7 +33,7 @@ def make_patch(author, text, base_ts=0):
 
 def run_validation(system, master, key, ts, patches, author):
     handler = master.validate_and_publish(key=key, ts=ts, patches=patches, author=author)
-    payload = system.sim.run(until=system.sim.process(handler))
+    payload = system.runtime.run(until=system.runtime.process(handler))
     return ValidationResult.from_payload(payload)
 
 
@@ -77,17 +77,17 @@ def test_concurrent_validations_are_serialized_per_document():
     # (Pinned: exactly one wins, the other is sent back.)  Two peers propose
     # ts=1 at the same simulated instant: served one after the other, in
     # arrival order, the second committed behind the first.
-    first = system.sim.process(
+    first = system.runtime.process(
         master.validate_and_publish(key=key, ts=1, patches=[make_patch("u1", "a")],
                                     author="u1", base_ts=0)
     )
-    second = system.sim.process(
+    second = system.runtime.process(
         master.validate_and_publish(key=key, ts=1, patches=[make_patch("u2", "b")],
                                     author="u2", base_ts=0)
     )
     results = [
-        ValidationResult.from_payload(system.sim.run(until=first)),
-        ValidationResult.from_payload(system.sim.run(until=second)),
+        ValidationResult.from_payload(system.runtime.run(until=first)),
+        ValidationResult.from_payload(system.runtime.run(until=second)),
     ]
     assert [(result.accepted, result.first_ts, result.last_ts)
             for result in results] == [(True, 1, 1), (True, 2, 2)]
@@ -185,13 +185,13 @@ def assert_in_flight_chain_is_rejected_atomically(chain_length):
     old_master = system.master_service(key)
     patches = [make_patch("u9", f"chain line {index}", base_ts=1)
                for index in range(chain_length)]
-    process = system.sim.process(
+    process = system.runtime.process(
         old_master.validate_and_publish(key=key, ts=2, patches=patches,
                                         author="u9", base_ts=1)
     )
-    system.sim.run(until=system.sim.now + 0.005)  # the publish is now in flight
+    system.runtime.run(until=system.runtime.now + 0.005)  # the publish is now in flight
     system.add_peer(joiner)  # hand-off happens while the chain publishes
-    result = ValidationResult.from_payload(system.sim.run(until=process))
+    result = ValidationResult.from_payload(system.runtime.run(until=process))
 
     assert result.rejected, "old master committed a chain after losing the key"
     assert old_master.proposals_rejected == 1
@@ -205,7 +205,7 @@ def assert_in_flight_chain_is_rejected_atomically(chain_length):
     log = system.log_client()
     for orphan_ts in range(2, 2 + chain_length):
         with pytest.raises((PatchUnavailable, KeyNotFound)):
-            system.sim.run(until=system.sim.process(log.fetch(key, orphan_ts)))
+            system.runtime.run(until=system.runtime.process(log.fetch(key, orphan_ts)))
     # The sequence continues densely at the new Master.
     follow_up = system.edit_and_commit("peer-0", key, "post-reelection revision")
     assert follow_up.ts == 2
@@ -240,10 +240,10 @@ def test_flush_retries_through_reelection_and_commits_at_new_master():
     writer = system.user("peer-0")
     for index in range(3):
         writer.stage(key, f"staged {index}\nbase revision")
-    flush = system.sim.process(writer.flush(key))
-    system.sim.run(until=system.sim.now + 0.005)
+    flush = system.runtime.process(writer.flush(key))
+    system.runtime.run(until=system.runtime.now + 0.005)
     system.add_peer(joiner)
-    outcome = system.sim.run(until=flush)
+    outcome = system.runtime.run(until=flush)
 
     assert outcome is not None and outcome.edits == 3
     assert (outcome.first_ts, outcome.ts) == (2, 4)
@@ -274,7 +274,7 @@ GROUP_KEY = "xwiki:group"
 def queue_behind_a_publish(system, master, proposals, key=GROUP_KEY):
     """Spawn ``proposals`` (keyword arguments of the RPC) at one instant: the
     first takes the lock and publishes alone, the others queue behind it."""
-    return [system.sim.process(master.validate_and_publish(key=key, **arguments))
+    return [system.runtime.process(master.validate_and_publish(key=key, **arguments))
             for arguments in proposals]
 
 
@@ -283,7 +283,7 @@ def outcomes(system, lanes, parse=ValidationResult.from_payload):
     results = []
     for lane in lanes:
         try:
-            results.append(parse(system.sim.run(until=lane)))
+            results.append(parse(system.runtime.run(until=lane)))
         except Exception as error:  # noqa: BLE001 - the tests look at what it is
             results.append(error)
     return results
@@ -300,8 +300,8 @@ def run_until_the_group_is_out(system, master, holder, entries, key=GROUP_KEY):
     behind it are at the Log-Peers, not yet allocated."""
     queue = master._queue_for(key)
     while not (holder.triggered and queue.publishing == entries):
-        assert system.sim.now < 60
-        system.sim.run(until=system.sim.now + 0.001)
+        assert system.runtime.now < 60
+        system.runtime.run(until=system.runtime.now + 0.001)
 
 
 def test_a_group_is_one_publish_one_allocation_and_every_member_its_own_answer():
@@ -349,7 +349,7 @@ def test_a_member_that_cannot_be_placed_raises_alone():
     assert system.last_ts(GROUP_KEY) == 3 and master.statistics()["proposals_ok"] == 3
     # Alone at the Master it is the same error.
     with pytest.raises(ValidationFailed):
-        system.sim.run(until=system.sim.process(
+        system.runtime.run(until=system.runtime.process(
             master.validate_and_publish(key=GROUP_KEY, **empty)))
 
 
@@ -378,7 +378,7 @@ def test_reelection_during_a_groups_publish_rejects_every_member(members):
 
     lanes = queue_behind_a_publish(system, old_master, [proposal("holder", 2)] + [
         proposal(f"u{member}", 2) for member in range(members)], key=key)
-    system.sim.run(until=system.sim.now + 0.005)  # the holder's publish is in flight
+    system.runtime.run(until=system.runtime.now + 0.005)  # the holder's publish is in flight
     old_master.log.append_many = slow
     run_until_the_group_is_out(system, old_master, lanes[0], members, key=key)
     system.add_peer(joiner)  # hand-off happens while the group publishes
@@ -391,7 +391,7 @@ def test_reelection_during_a_groups_publish_rejects_every_member(members):
     log = system.log_client()
     for orphan_ts in range(3, 3 + members):
         with pytest.raises((PatchUnavailable, KeyNotFound)):
-            system.sim.run(until=system.sim.process(log.fetch(key, orphan_ts)))
+            system.runtime.run(until=system.runtime.process(log.fetch(key, orphan_ts)))
     follow_up = system.edit_and_commit("peer-0", key, "post-reelection revision")
     assert follow_up.ts == 3
     report = system.check_consistency(key)
@@ -503,10 +503,10 @@ def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_e
     # at the group's last timestamp, holding what the log replays to there.
     assert master.checkpoints_written == 1
     assert master._last_checkpoint_ts[GROUP_KEY] == 6
-    index = system.sim.run(until=system.sim.process(
+    index = system.runtime.run(until=system.runtime.process(
         master.log.fetch_checkpoint_index(GROUP_KEY)))
     assert tuple(index) == (6,)
-    checkpoint = system.sim.run(until=system.sim.process(
+    checkpoint = system.runtime.run(until=system.runtime.process(
         master.log.fetch_checkpoint(GROUP_KEY, 6)))
     lines = []
     for entry in system.fetch_log(GROUP_KEY, 1, 6):

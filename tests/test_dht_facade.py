@@ -79,10 +79,10 @@ def test_chord_client_put_get_and_hash_key():
     assert client.bits == BITS
     assert client.hash_key("doc") == hash_to_id("doc", BITS)
     assert client.hash_key("doc", salt="ht") == hash_to_id("doc", BITS, salt="ht")
-    ring.sim.run(until=ring.sim.process(client.put("doc", "value")))
-    answer = ring.sim.run(until=ring.sim.process(client.get("doc")))
+    ring.runtime.run(until=ring.runtime.process(client.put("doc", "value")))
+    answer = ring.runtime.run(until=ring.runtime.process(client.get("doc")))
     assert answer["value"] == "value"
-    owner = ring.sim.run(until=ring.sim.process(client.lookup("doc")))
+    owner = ring.runtime.run(until=ring.runtime.process(client.lookup("doc")))
     assert owner["node"] == ring.responsible_node("doc").ref
 
 
@@ -92,7 +92,7 @@ def test_chord_client_call_owner_reaches_responsible_peer():
     for node in ring.live_nodes():
         node.rpc.expose("whoami", lambda name=node.address.name: name)
     client = ChordDhtClient(ring.gateway())
-    answer = ring.sim.run(until=ring.sim.process(client.call_owner("some-key", "whoami")))
+    answer = ring.runtime.run(until=ring.runtime.process(client.call_owner("some-key", "whoami")))
     assert answer["result"] == ring.responsible_node("some-key").address.name
     assert answer["owner"] == ring.responsible_node("some-key").ref
 
@@ -113,12 +113,12 @@ def test_chord_client_put_many_groups_items_by_owner():
     ring = build_ring()
     client = ChordDhtClient(ring.gateway())
     items = [(f"bulk-{index}", f"value-{index}", None) for index in range(9)]
-    answer = ring.sim.run(until=ring.sim.process(client.put_many(items)))
+    answer = ring.runtime.run(until=ring.runtime.process(client.put_many(items)))
     assert answer["stored"] == [True] * len(items)
     owners = {ring.responsible_node(key).address.name for key, _v, _id in items}
     assert answer["owners"] == len(owners)
     for key, value, _key_id in items:
-        fetched = ring.sim.run(until=ring.sim.process(client.get(key)))
+        fetched = ring.runtime.run(until=ring.runtime.process(client.get(key)))
         assert fetched["value"] == value
 
 
@@ -126,7 +126,7 @@ def test_chord_client_put_many_replicates_each_group_once():
     ring = build_ring()
     client = ChordDhtClient(ring.gateway())
     items = [(f"repl-{index}", index, None) for index in range(6)]
-    ring.sim.run(until=ring.sim.process(client.put_many(items)))
+    ring.runtime.run(until=ring.runtime.process(client.put_many(items)))
     ring.run_for(1.0)  # let the grouped receive_items notifications land
     replicas = sum(
         1 for node in ring.live_nodes()
@@ -139,8 +139,8 @@ def test_chord_client_put_many_replicates_each_group_once():
 def test_chord_client_remove_round_trip():
     ring = build_ring()
     client = ChordDhtClient(ring.gateway())
-    ring.sim.run(until=ring.sim.process(client.put("gone", 1)))
-    removed = ring.sim.run(until=ring.sim.process(client.remove("gone")))
+    ring.runtime.run(until=ring.runtime.process(client.put("gone", 1)))
+    removed = ring.runtime.run(until=ring.runtime.process(client.remove("gone")))
     assert removed["removed"] is True
 
 
@@ -173,14 +173,14 @@ def test_parallel_fetch_range_is_faster_over_the_ring():
     family = HashFunctionFamily.create(2, bits=BITS)
     log = P2PLogClient(ChordDhtClient(ring.gateway()), family)
     one_at_a_time = P2PLogClient(ChordDhtClient(ring.gateway()), family, max_parallel=1)
-    _publish_entries(ring.sim, log, 8)
+    _publish_entries(ring.runtime, log, 8)
 
-    start = ring.sim.now
-    ring.sim.run(until=ring.sim.process(one_at_a_time.fetch_range("doc", 1, 8)))
-    sequential_time = ring.sim.now - start
+    start = ring.runtime.now
+    ring.runtime.run(until=ring.runtime.process(one_at_a_time.fetch_range("doc", 1, 8)))
+    sequential_time = ring.runtime.now - start
 
-    start = ring.sim.now
-    ring.sim.run(until=ring.sim.process(log.fetch_range("doc", 1, 8)))
-    parallel_time = ring.sim.now - start
+    start = ring.runtime.now
+    ring.runtime.run(until=ring.runtime.process(log.fetch_range("doc", 1, 8)))
+    parallel_time = ring.runtime.now - start
 
     assert parallel_time < sequential_time

@@ -12,6 +12,8 @@ over randomized, seeded multi-writer runs of both fronts.
 import pytest
 
 from repro.core import CommitBatch, LtrConfig, LtrSystem
+from repro.core import master as master_module
+from repro.core import user_peer as user_peer_module
 from repro.core.consistency import replay_log, verify_log_continuity
 from repro.errors import ConfigurationError, ReproError, ValidationFailed
 from repro.net import ConstantLatency
@@ -26,8 +28,8 @@ def assert_timestamps_dense(system: LtrSystem, key: str):
     """The timestamp sequence of ``key`` is 1..last_ts with no gap or dupe."""
     last_ts = system.last_ts(key)
     client = system.log_client()
-    entries = system.sim.run(
-        until=system.sim.process(verify_log_continuity(client, key, last_ts))
+    entries = system.runtime.run(
+        until=system.runtime.process(verify_log_continuity(client, key, last_ts))
     )
     observed = [entry.ts for entry in entries]
     assert observed == list(range(1, last_ts + 1)), (
@@ -41,8 +43,8 @@ def assert_log_prefix_complete(system: LtrSystem, key: str) -> None:
     last_ts = system.last_ts(key)
     for name in system.peer_names():
         client = system.log_client(via=name)
-        entries = system.sim.run(
-            until=system.sim.process(client.fetch_range(key, 1, last_ts))
+        entries = system.runtime.run(
+            until=system.runtime.process(client.fetch_range(key, 1, last_ts))
         )
         assert len(entries) == last_ts, (
             f"peer {name} retrieved {len(entries)}/{last_ts} entries of {key!r}"
@@ -71,19 +73,19 @@ def assert_checkpoint_placements(system: LtrSystem, key: str):
     churn keeps placements with the responsible arc).
     """
     client = system.log_client()
-    index = system.sim.run(until=system.sim.process(client.fetch_checkpoint_index(key)))
+    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
     if not index:
         return ()
     assert list(index) == sorted(index, reverse=True), (
         f"checkpoint index of {key!r} is not newest-first: {index}"
     )
     for ts in index:
-        checkpoint = system.sim.run(
-            until=system.sim.process(client.fetch_checkpoint(key, ts))
+        checkpoint = system.runtime.run(
+            until=system.runtime.process(client.fetch_checkpoint(key, ts))
         )
         assert checkpoint.document_key == key and checkpoint.ts == ts
-        entries = system.sim.run(
-            until=system.sim.process(client.fetch_range(key, 1, ts))
+        entries = system.runtime.run(
+            until=system.runtime.process(client.fetch_range(key, 1, ts))
         )
         canonical = replay_log(key, entries)
         assert list(checkpoint.lines) == canonical.lines, (
@@ -255,7 +257,7 @@ def test_concurrent_batched_flushes_converge():
 def test_edit_and_stage_share_one_chain():
     """One chain per document: ``stage`` adds a patch to it, ``edit`` wraps a
     save into its last patch, and every other verb sees just the chain."""
-    system = build_system(peers=6, seed=5, batch_deadline=2.0)
+    system = build_system(peers=6, seed=5)
     key = "xwiki:fronts"
     user = system.user("peer-0")
     user.edit(key, "first")
@@ -273,7 +275,7 @@ def test_edit_and_stage_share_one_chain():
     # The deadline runs from a chain's first save, whichever verb made it.
     user.edit(key, "first\nsecond\nthird\nfourth")
     assert system.flush_due() == []
-    system.run_for(2.5)
+    system.run_for(CommitBatch.deadline + 0.5)
     assert [outcome.ts for outcome in system.flush_due()] == [3]
     user.stage(key, "dropped")
     user.discard_pending(key)
@@ -288,19 +290,19 @@ def test_edit_refused_while_a_flush_is_in_flight():
     user = system.user("peer-0")
     for index in range(3):
         user.stage(key, f"staged {index}\ncommon")
-    flush = system.sim.process(user.flush(key))
-    system.sim.run(until=system.sim.now + 0.001)  # flush now awaits the Master
+    flush = system.runtime.process(user.flush(key))
+    system.runtime.run(until=system.runtime.now + 0.001)  # flush now awaits the Master
     with pytest.raises(ConfigurationError):
         user.edit(key, "edit() during flush")
     with pytest.raises(ConfigurationError):
         user.stage(key, "staged during flush")
-    outcome = system.sim.run(until=flush)
+    outcome = system.runtime.run(until=flush)
     assert outcome is not None and outcome.edits == 3
     assert_system_invariants(system, [key])
 
 
 def test_noop_stage_does_not_start_the_deadline_clock():
-    system = build_system(peers=6, seed=67, batch_max_edits=16, batch_deadline=1.0)
+    system = build_system(peers=6, seed=67, batch_max_edits=16)
     key = "xwiki:noop-deadline"
     user = system.user("peer-0")
     user.stage(key, "")  # a no-op against the empty document: opens nothing
@@ -309,9 +311,9 @@ def test_noop_stage_does_not_start_the_deadline_clock():
     user.stage(key, "first real edit")
     batch = user.batch(key)
     assert batch is not None and len(batch) == 1
-    assert not batch.due(system.sim.now)  # the clock started at the real edit
-    system.run_for(1.5)
-    assert batch.due(system.sim.now)
+    assert not batch.due(system.runtime.now)  # the clock started at the real edit
+    system.run_for(batch.deadline + 0.5)
+    assert batch.due(system.runtime.now)
 
 
 def test_commit_batch_size_and_deadline_bounds():
@@ -332,11 +334,11 @@ def test_commit_batch_size_and_deadline_bounds():
 
 
 def test_flush_due_respects_the_deadline():
-    system = build_system(peers=6, seed=21, batch_max_edits=16, batch_deadline=2.0)
+    system = build_system(peers=6, seed=21, batch_max_edits=16)
     key = "xwiki:deadline"
     system.user("peer-0").stage(key, "first revision")
     assert system.flush_due() == []  # too young
-    system.run_for(2.5)
+    system.run_for(CommitBatch.deadline + 0.5)
     results = system.flush_due()
     assert [result.edits for result in results] == [1]
     assert system.last_ts(key) == 1
@@ -382,7 +384,6 @@ def test_checkpoints_survive_responsible_peer_departure():
     """Hand-off on churn keeps checkpoints reachable (placement invariant)."""
     system = build_system(
         peers=12, seed=29, checkpoint_enabled=True, checkpoint_interval=3,
-        checkpoint_retention=2,
     )
     key = "xwiki:ckpt-churn"
     writer = system.peer_names()[0]
@@ -390,7 +391,7 @@ def test_checkpoints_survive_responsible_peer_departure():
         system.edit_and_commit(writer, key, f"revision {index}\nshared tail")
     system.run_for(2.0)  # let checkpoint/log replicas settle
     client = system.log_client()
-    index = system.sim.run(until=system.sim.process(client.fetch_checkpoint_index(key)))
+    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
     assert index and index[0] == 6  # checkpoints at ts 3 and 6, newest first
     newest = index[0]
 
@@ -412,8 +413,8 @@ def test_checkpoints_survive_responsible_peer_departure():
     system.run_for(3.0)
 
     # The newest checkpoint survived via hand-off / replica promotion...
-    survivor = system.sim.run(
-        until=system.sim.process(
+    survivor = system.runtime.run(
+        until=system.runtime.process(
             system.log_client().latest_checkpoint(key, system.last_ts(key))
         )
     )
@@ -437,13 +438,13 @@ def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     for index in range(7):
         system.edit_and_commit(writer, key, f"revision {index}")
     client = system.log_client()
-    index = system.sim.run(until=system.sim.process(client.fetch_checkpoint_index(key)))
+    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
     assert index
 
     # Stage 1: every checkpoint replica is gone but the index survives —
     # the probe misses every listed timestamp and replays the full log.
     for ts in index:
-        system.sim.run(until=system.sim.process(client.gc_checkpoint(key, ts)))
+        system.runtime.run(until=system.runtime.process(client.gc_checkpoint(key, ts)))
     first_cold = system.peer_names()[2]
     result = system.sync(first_cold, key)
     assert result.checkpoint_ts is None
@@ -454,8 +455,8 @@ def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     from repro.p2plog import make_checkpoint_index_key
     index_key = make_checkpoint_index_key(key)
     for function in client.checkpoint_family:
-        system.sim.run(
-            until=system.sim.process(
+        system.runtime.run(
+            until=system.runtime.process(
                 client.dht.remove(function.placement_key(index_key),
                                   key_id=function(index_key))
             )
@@ -467,7 +468,7 @@ def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     assert_system_invariants(system, [key])  # index gone => invariant vacuous
 
 
-def test_checkpoint_index_survives_out_of_order_writes():
+def test_checkpoint_index_survives_out_of_order_writes(monkeypatch):
     """Regression: a late write for an *older* ts must not drop newer entries.
 
     The index update is a read-modify-write; if it filtered the stored
@@ -476,9 +477,9 @@ def test_checkpoint_index_survives_out_of_order_writes():
     (hence never-collected) snapshot in the DHT and sending readers to an
     older bootstrap point.
     """
+    monkeypatch.setattr(master_module, "CHECKPOINT_RETENTION", 3)
     system = build_system(
         peers=8, seed=41, checkpoint_enabled=True, checkpoint_interval=3,
-        checkpoint_retention=3,
     )
     key = "xwiki:ckpt-order"
     writer = system.peer_names()[0]
@@ -487,9 +488,9 @@ def test_checkpoint_index_survives_out_of_order_writes():
     service = system.master_service(key)
     # Checkpoints exist at ts 3 and 6; now a straggler job writes ts 5
     # (content rebuilt from checkpoint 3 + the log suffix).
-    system.sim.run(until=system.sim.process(service._write_checkpoint(key, 5, None)))
+    system.runtime.run(until=system.runtime.process(service._write_checkpoint(key, 5, None)))
     client = system.log_client()
-    stored = system.sim.run(until=system.sim.process(client.fetch_checkpoint_index(key)))
+    stored = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
     assert list(stored) == [6, 5, 3]
     assert system.latest_checkpoint(key).ts == 6
     assert_system_invariants(system, [key])  # ts-5 snapshot matches the replay
@@ -499,26 +500,26 @@ def test_gc_checkpoints_trims_beyond_the_retention_window():
     """The compaction story: old snapshots leave the DHT as new ones land."""
     system = build_system(
         peers=8, seed=37, checkpoint_enabled=True, checkpoint_interval=2,
-        checkpoint_retention=2,
     )
     key = "xwiki:ckpt-gc"
     writer = system.peer_names()[0]
     for index in range(9):
         system.edit_and_commit(writer, key, f"revision {index}")
     client = system.log_client()
-    index = system.sim.run(until=system.sim.process(client.fetch_checkpoint_index(key)))
-    assert list(index) == [8, 6]  # retention 2: ts 2 and 4 were collected
+    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
+    assert master_module.CHECKPOINT_RETENTION == 2
+    assert list(index) == [8, 6]  # ts 2 and 4 were collected
     from repro.errors import CheckpointUnavailable
     for collected in (2, 4):
         with pytest.raises(CheckpointUnavailable):
-            system.sim.run(
-                until=system.sim.process(client.fetch_checkpoint(key, collected))
+            system.runtime.run(
+                until=system.runtime.process(client.fetch_checkpoint(key, collected))
             )
     assert system.gc_checkpoints(key) == 0  # idempotent: window already applied
     assert_system_invariants(system, [key])
 
 
-def test_validation_failure_restages_the_batch():
+def test_validation_failure_restages_the_batch(monkeypatch):
     """A flush that cannot complete puts the (rebased) edits back.
 
     (The proposer used to fail by being stale with a budget of one attempt;
@@ -526,8 +527,8 @@ def test_validation_failure_restages_the_batch():
     so the Master is made to forget the gap: *behind*, and the budget is
     spent.)
     """
-    system = build_system(peers=6, seed=55, batch_max_edits=8,
-                          max_validation_attempts=1)
+    monkeypatch.setattr(user_peer_module, "MAX_VALIDATION_ATTEMPTS", 1)
+    system = build_system(peers=6, seed=55, batch_max_edits=8)
     key = "xwiki:restage"
     # Make the proposer stale: another peer commits out from under it.
     user = system.user("peer-0")

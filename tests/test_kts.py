@@ -41,7 +41,7 @@ def client_for(ring, name=None):
 
 
 def run(ring, generator):
-    return ring.sim.run(until=ring.sim.process(generator))
+    return ring.runtime.run(until=ring.runtime.process(generator))
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_the_route_cache_is_reached_only_through_the_node():
     """Nothing outside ``repro.chord`` touches a node's ``route_cache``.
 
     The node offers the verbs — ``forget_route``, ``forget_routes_to``,
-    ``warm_route`` (each a no-op without a cache) — and the ring the
+    ``warm_route`` — and the ring the
     drivers' ``clear_route_caches()`` / ``route_cache_stats()``; an attribute
     access to the cache object from another layer couples that layer to how
     routes are remembered.

@@ -122,7 +122,7 @@ def answer(system, master, ts, **arguments):
     handler = master.validate_and_publish(
         key=KEY, ts=ts, patches=[make_patch("late", "x", ts - 1)], author="late",
         **arguments)
-    return system.sim.run(until=system.sim.process(handler))
+    return system.runtime.run(until=system.runtime.process(handler))
 
 
 def test_behind_goes_out_exactly_as_before_where_the_master_cannot_rebase(monkeypatch):
@@ -184,11 +184,11 @@ def test_a_rebased_chain_rejected_on_re_election_is_retracted_and_never_enters_t
 
     patches = [make_patch("u9", f"chain line {index}", base_ts=0)
                for index in range(chain_length)]
-    process = system.sim.process(old_master.validate_and_publish(
+    process = system.runtime.process(old_master.validate_and_publish(
         key=key, ts=1, patches=patches, author="u9", base_ts=0, proposal=77))
-    system.sim.run(until=system.sim.now + 0.005)  # the rebased publish is in flight
+    system.runtime.run(until=system.runtime.now + 0.005)  # the rebased publish is in flight
     system.add_peer(joiner)  # hand-off happens while the chain publishes
-    result = ValidationResult.from_payload(system.sim.run(until=process))
+    result = ValidationResult.from_payload(system.runtime.run(until=process))
 
     assert result.rejected and result.entries is None
     assert old_master.proposals_rejected == 1 and old_master.proposals_rebased == 0
@@ -197,7 +197,7 @@ def test_a_rebased_chain_rejected_on_re_election_is_retracted_and_never_enters_t
     log = system.log_client()
     for orphan_ts in range(3, 3 + chain_length):
         with pytest.raises((PatchUnavailable, KeyNotFound)):
-            system.sim.run(until=system.sim.process(log.fetch(key, orphan_ts)))
+            system.runtime.run(until=system.runtime.process(log.fetch(key, orphan_ts)))
     # The retry reaches the new Master, which holds no tail: behind, as ever.
     new_master = system.master_service(key)
     retry = handle(system, new_master, key, 1, patches, "u9", base_ts=0, proposal=77)
@@ -219,7 +219,7 @@ def propose(master, ts, author, proposal, lines=("x",)):
 
 def answered(system, generator):
     return ValidationResult.from_payload(
-        system.sim.run(until=system.sim.process(generator)))
+        system.runtime.run(until=system.runtime.process(generator)))
 
 
 def test_a_re_sent_identity_is_answered_with_the_original_ok_at_any_queue_position():
@@ -229,9 +229,9 @@ def test_a_re_sent_identity_is_answered_with_the_original_ok_at_any_queue_positi
     # original, a copy, somebody else, another copy, somebody else, a copy.
     queue = [("me", 500), ("me", 500), ("other", 900), ("me", 500), ("third", 40),
              ("me", 500)]
-    lanes = [system.sim.process(propose(master, 3, author, proposal))
+    lanes = [system.runtime.process(propose(master, 3, author, proposal))
              for author, proposal in queue]
-    results = [ValidationResult.from_payload(system.sim.run(until=lane)) for lane in lanes]
+    results = [ValidationResult.from_payload(system.runtime.run(until=lane)) for lane in lanes]
     assert [(r.accepted, r.first_ts, r.last_ts) for r in results] == [
         (True, 3, 3), (True, 3, 3), (True, 4, 4), (True, 3, 3), (True, 5, 5), (True, 3, 3)]
     # The original ok: the timestamps it landed at, the gap before them — from
@@ -343,7 +343,7 @@ def serve_group(together):
 
     def outcome(process):
         try:
-            result = ValidationResult.from_payload(system.sim.run(until=process))
+            result = ValidationResult.from_payload(system.runtime.run(until=process))
         except Exception as error:  # noqa: BLE001 - compared by type across the arms
             return type(error).__name__
         return (result.status, result.first_ts, result.last_ts, result.entries)
@@ -352,11 +352,11 @@ def serve_group(together):
                            wraps=master.log.append_many) as publishes:
         if together:
             # Somebody holds the document's lock while the others arrive.
-            holder = system.sim.process(proposal("holder", 4, 1, 1, {}))
-            lanes = [system.sim.process(proposal(*member)) for member in GROUP]
+            holder = system.runtime.process(proposal("holder", 4, 1, 1, {}))
+            lanes = [system.runtime.process(proposal(*member)) for member in GROUP]
             answers = [outcome(holder)] + [outcome(lane) for lane in lanes]
         else:
-            answers = [outcome(system.sim.process(proposal(*member)))
+            answers = [outcome(system.runtime.process(proposal(*member)))
                        for member in [("holder", 4, 1, 1, {})] + GROUP]
     logged = system.fetch_log(KEY, 1, system.last_ts(KEY))
     log = [(entry.ts, entry.author, entry.base_ts, entry.proposal, entry.patch.operations)

@@ -38,7 +38,7 @@ def build_ring(node_count=8, seed=13):
 
 
 def run(ring, generator):
-    return ring.sim.run(until=ring.sim.process(generator))
+    return ring.runtime.run(until=ring.runtime.process(generator))
 
 
 def make_entry(ts, key="doc", author="u1", patch=None):
@@ -309,7 +309,7 @@ def tamper(ring, family, key, ts, which):
         holder = ring.responsible_node_for_id(family[index](log_key))
         item = holder.storage.get(storage_key)
         holder.storage.put(storage_key, LogEntry(key, ts, "evil patch"),
-                           is_replica=item.is_replica, now=ring.sim.now,
+                           is_replica=item.is_replica, now=ring.runtime.now,
                            key_id=item.key_id)
 
 

@@ -12,10 +12,9 @@ Three bugs, each with the failure mode it used to cause:
 3. ``rpc_handoff_keys`` left replica copies of the transferred interval
    behind at ``replication_factor == 1``: nobody ever refreshed or
    reclaimed them, so they shadowed the owner's data forever.  At higher
-   factors the hand-off now demotes the moving items to backup copies,
-   and owners whose replica targets change release the stale holders
-   (``replica_release``); the ring-level custody invariant checks that
-   no replica is held outside its owner's backup set.
+   factors the hand-off demotes the moving items to backup copies; the
+   ring-level custody invariant reports any replica held outside its
+   owner's backup set.
 """
 
 import pytest
@@ -219,23 +218,6 @@ def test_handoff_at_rf1_drops_replicas_in_transferred_interval():
     assert node.storage.get("owned-here") is None  # rf 1: no backup role
     assert node.storage.get("stale-copy") is None, (
         "hand-off left a never-refreshed replica shadowing the new owner"
-    )
-
-
-def test_replica_release_notifies_former_backup_holders():
-    """When an owner's backup set changes, ex-holders drop their copies."""
-    ring = make_ring(seed=41, replication_factor=2, replica_release=True)
-    ring.bootstrap(6)
-    for index in range(12):
-        ring.put(f"doc-{index}", f"payload {index}")
-    ring.run_for(3.0)
-    assert ring.replica_custody_violations() == []
-    # Churn: a graceful leave and a join both reshuffle backup sets.
-    ring.leave(ring.ring_order()[2])
-    ring.add_node("newcomer")
-    ring.run_for(6.0)
-    assert ring.replica_custody_violations() == [], (
-        "stale replicas survived outside their owners' backup sets"
     )
 
 

@@ -57,7 +57,7 @@ def remote_identifier(ring, node):
 
 
 def activity(ring):
-    return (ring.sim.pending_events, ring.sim.processed_events,
+    return (ring.runtime.pending_events, ring.runtime.processed_events,
             ring.network.stats.sent)
 
 
@@ -68,7 +68,7 @@ def test_a_hit_spawns_no_process_timer_or_message():
     ring = quiet_ring()
     node = ring.gateway()
     target = remote_identifier(ring, node)
-    ring.sim.run(until=ring.sim.process(node.find_successor(target)))  # learn it
+    ring.runtime.run(until=ring.runtime.process(node.find_successor(target)))  # learn it
     cache = node.route_cache
     before = activity(ring), cache.stats(), list(cache._entries)
     node.warm_route(target)                       # covered by the cache
@@ -116,7 +116,7 @@ def test_a_lookup_joins_the_warm_up_in_flight_instead_of_repeating_it():
     sent = ring.network.stats.per_method.get("find_successor", 0)
     with trace_routing() as trace:
         node.warm_route(target)
-        answer = ring.sim.run(until=ring.sim.process(node.find_successor(target)))
+        answer = ring.runtime.run(until=ring.runtime.process(node.find_successor(target)))
     assert answer["node"] == ring.responsible_node_for_id(target).ref
     assert [(lookup.target_id, lookup.warm) for lookup in trace.routed
             if lookup.node == node.address.name] == [(target, True)]
@@ -136,22 +136,7 @@ def test_warming_never_raises_on_a_node_that_cannot_route():
     assert node._warming == {}
     node.warm_route(target)  # not part of a ring any more: a no-op
     assert node._warming == {}
-    assert ring.sim.crashed_processes == []
-
-
-def test_no_route_cache_no_warming():
-    plain = replace(SCALE_CHORD_CONFIG, route_cache_enabled=False)
-    system = LtrSystem(chord_config=plain, seed=3, latency=ConstantLatency(0.003))
-    system.bootstrap(12, warm=True)
-    node = system.ring.gateway()
-    before = activity(system.ring)
-    node.warm_route(remote_identifier(system.ring, node))
-    node.forget_route(7)
-    node.forget_routes_to(node.successor)
-    assert node._warming == {} and activity(system.ring) == before
-    with trace_routing() as trace:
-        publish(system, 4)  # back to back, well inside any TTL
-    assert trace.warmed == [] and trace.warm_calls == []
+    assert ring.runtime.crashed_processes == []
 
 
 def test_local_dht_has_nothing_to_warm():
@@ -287,11 +272,11 @@ def test_an_answer_warms_for_the_proposals_queued_behind_it():
     master = publish(system, 2)
     tail = master._tails[KEY]
     assert tail.warmed_ts == 3
-    lanes = [system.sim.process(master.validate_and_publish(
+    lanes = [system.runtime.process(master.validate_and_publish(
         key=KEY, ts=3, patches=[make_patch(f"w{lane}", "x", 2)], author=f"w{lane}"))
         for lane in range(3)]
     with trace_routing() as trace:
-        system.sim.run(until=system.sim.all_of(lanes))
+        system.runtime.run(until=system.runtime.all_of(lanes))
     # The first is published at once (its timestamp was warmed by the answer
     # before it); the second and the third arrive meanwhile: 3 is out, so
     # theirs are 4 and 5.  The first answer: past the queue, as much again as
@@ -310,12 +295,12 @@ def test_the_first_publish_of_a_tenure_warms_only_for_a_queue():
     ``(2, 3), (4, 4)``, both by answers); the answers then go past it."""
     system = build_system()
     master = system.master_service(KEY)
-    lanes = [system.sim.process(master.validate_and_publish(
+    lanes = [system.runtime.process(master.validate_and_publish(
         key=KEY, ts=1, patches=[make_patch(f"w{lane}", "x")], author=f"w{lane}"))
         for lane in range(2)]
-    arrived = system.sim.now
+    arrived = system.runtime.now
     with trace_routing() as trace:
-        system.sim.run(until=system.sim.all_of(lanes))
+        system.runtime.run(until=system.runtime.all_of(lanes))
     assert [(low, high, at) for _node, _key, low, high, at in trace.warmed[:1]] == \
         [(2, 2, arrived)]
     # The first answer: as much again as it allocated and as is queued.
@@ -406,7 +391,7 @@ def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
     entries = [LogEntry(key, ts, f"patch-{ts}", author="u1", metadata={"sig": f"sig-{ts}"})
                for ts in range(1, 25)]
     verifier = lambda entry: entry.metadata.get("sig") == f"sig-{entry.ts}"  # noqa: E731
-    run = lambda generator: ring.sim.run(until=ring.sim.process(generator))  # noqa: E731
+    run = lambda generator: ring.runtime.run(until=ring.runtime.process(generator))  # noqa: E731
     run(P2PLogClient(ChordDhtClient(ring.gateway()), family).append_many(entries))
     ring.run_for(1.0)
 
