@@ -3,7 +3,8 @@
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, hash_to_id
-from repro.errors import ConfigurationError, DhtError, KeyNotFound, NodeNotJoined
+from repro.chord import node as node_module
+from repro.errors import ConfigurationError, DhtError, KeyNotFound, LookupFailed, NodeNotJoined
 from repro.net import ConstantLatency, Network
 from repro.sim import Simulator
 
@@ -120,6 +121,23 @@ def test_lookup_hop_count_bounded(ring):
     for index in range(20):
         answer = ring.lookup(f"key-{index}")
         assert answer["hops"] <= 16
+
+
+def test_lookup_past_the_hop_bound_fails_instead_of_looping(ring, monkeypatch):
+    ring.bootstrap(12)
+    ring.run_for(20)
+    ring.clear_route_caches()
+    key = next(f"far-{index}" for index in range(1000)
+               if ring.lookup(f"far-{index}")["hops"] >= 1)
+    ring.clear_route_caches()
+    monkeypatch.setattr(node_module, "MAX_LOOKUP_HOPS", 0)
+    with pytest.raises(LookupFailed, match="exceeded 0 hops"):
+        ring.lookup(key)
+    # A lookup the gateway answers from its own arc takes no hop at all.
+    gateway = ring.gateway()
+    own = ring.runtime.run(until=ring.runtime.process(
+        gateway.find_successor((gateway.node_id + 1) % 2 ** BITS)))
+    assert own["node"] == gateway.successor and own["hops"] == 0
 
 
 def test_lookup_on_dead_node_raises(ring):

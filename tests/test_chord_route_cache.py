@@ -126,6 +126,21 @@ def test_repeated_lookup_is_served_from_cache_with_zero_extra_hops():
     assert ring.node(via).route_cache.hits >= 1
 
 
+def test_cleared_caches_route_like_the_uncached_protocol():
+    """E8's uncached arm: a clear before each lookup leaves nothing to hit."""
+    ring = build_ring(12)
+    key = "cold-document"
+    via = far_gateway(ring, key)
+    ring.clear_route_caches()
+    first = ring.lookup(key, via=via)
+    assert first["hops"] >= 1 and "cached" not in first
+    ring.clear_route_caches()
+    assert all(len(node.route_cache) == 0 for node in ring.live_nodes())
+    second = ring.lookup(key, via=via)
+    assert second["node"] == first["node"] == ring.responsible_node(key).ref
+    assert second["hops"] == first["hops"] and "cached" not in second
+
+
 def test_cache_hit_covers_other_keys_in_same_interval():
     ring = build_ring(8)
     key = "warmup-key"
