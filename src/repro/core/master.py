@@ -47,6 +47,7 @@ from ..errors import (
     CheckpointUnavailable,
     NodeUnreachable,
     PatchUnavailable,
+    ReproError,
     RequestTimeout,
     ValidationFailed,
 )
@@ -65,8 +66,9 @@ from ..runtime import FifoLock
 from .config import LtrConfig
 from .protocol import ValidationResult
 
-#: ``(checkpoint ts, snapshot lines or None)`` jobs scheduled inside the
-#: per-document critical section and executed after the lock is released.
+#: ``(checkpoint ts, snapshot lines or None)``: a job scheduled inside the
+#: per-document critical section and run in the background once its group
+#: has been answered.
 CheckpointJob = tuple[int, Optional[list[str]]]
 
 #: How many checkpoints per document are retained; older ones are
@@ -420,6 +422,14 @@ class MasterService(NodeService):
         it no longer owns and fork the timestamp sequence (see
         ``tests/test_core_master.py``).
 
+        **The answer does not wait for a checkpoint.**  The commit ends when
+        the chain is published and allocated; a checkpoint is a retrieval aid
+        that may be late.  The one job a group may make due
+        (:meth:`_note_published`) is spawned once the lock is released —
+        also when the holder's own proposal was refused — and its failures
+        are traced, never raised at a proposer
+        (:meth:`_checkpoint_in_background`).
+
         When ``auth_enabled``, ``signatures`` must hold the author's HMAC
         over each chained commit (see :mod:`repro.p2plog.auth`); a missing
         or invalid signature raises
@@ -434,13 +444,13 @@ class MasterService(NodeService):
             self._warm_ahead(key, self._authority().last_ts(key) + queue.publishing, 0)
         group: list[Proposal] = []
         retract: list[LogEntry] = []
-        checkpoints: list[CheckpointJob] = []
+        checkpoint: Optional[CheckpointJob] = None
         yield from queue.lock.acquire()
         try:
             if not member.served:
                 # Nobody ahead took it along: it is the head of the queue.
                 group = queue.take()
-                yield from self._validate_locked(key, group, retract, checkpoints)
+                checkpoint = yield from self._validate_locked(key, group, retract)
         finally:
             for taken in group:
                 if not taken.served:
@@ -448,6 +458,11 @@ class MasterService(NodeService):
                     # became of their entries is not known here.
                     taken.error = PatchUnavailable(key, taken.ts)
             queue.lock.release()
+        if checkpoint is not None:
+            self.node.runtime.process(
+                self._checkpoint_in_background(key, *checkpoint),
+                name=f"checkpoint:{key}@{checkpoint[0]}",
+            )
         if retract:
             # A rejected or partially failed publish left entries carrying
             # timestamps that were never allocated.  Clean up *after*
@@ -457,19 +472,18 @@ class MasterService(NodeService):
             yield from self.log.retract_many(retract)
         if member.error is not None:
             raise member.error
-        yield from self._run_checkpoint_jobs(key, checkpoints)
         return member.answer
 
     def _validate_locked(self, key: str, group: list[Proposal],
-                         retract: list[LogEntry],
-                         checkpoints: list[CheckpointJob]):
+                         retract: list[LogEntry]):
         """The critical section of :meth:`validate_and_publish`.
 
         Runs with the per-document lock held, once for all of ``group``, and
         leaves every member's outcome in its slot.  Entries that must be
         removed from the log (rejected or partially-failed publishes) are
         appended to ``retract``; the caller performs the removal after the
-        lock is released.
+        lock is released.  Returns the checkpoint job the group made due, if
+        any, which the caller starts after the lock is released.
         """
         node = self.node
         authority = self._authority()
@@ -500,6 +514,7 @@ class MasterService(NodeService):
         published = [member for member, _start, _gap in placed]
         published += [member for member, _result in repeats]
         per_entry = None
+        checkpoint = None
         if entries:
             per_entry = yield from self._replicate(key, last_ts, entries, published, retract)
         if per_entry is not None:
@@ -512,8 +527,8 @@ class MasterService(NodeService):
             tail.extend(entries)
             for entry in entries[:self.equivocate_next]:
                 yield from self._equivocate(entry)
-            self._note_published(
-                key, [entry.patch for entry in entries], first_ts, checkpoints
+            checkpoint = self._note_published(
+                key, [entry.patch for entry in entries], first_ts
             )
             self.publishes += 1
             self.proposals_ok += len(placed)
@@ -549,6 +564,7 @@ class MasterService(NodeService):
                 member.answer = ValidationResult.behind(
                     last_ts, self._missing_suffix(key, member.ts - 1, last_ts)
                 ).to_payload()
+        return checkpoint
 
     def _replicate(self, key: str, last_ts: int, entries: list[LogEntry],
                    published: list[Proposal], retract: list[LogEntry]):
@@ -856,20 +872,21 @@ class MasterService(NodeService):
 
     # -- checkpointing -----------------------------------------------------------------
 
-    def _note_published(self, key: str, patches: Any, first_ts: int,
-                        checkpoints: list[CheckpointJob]) -> None:
-        """Track the materialized view and schedule a due checkpoint.
+    def _note_published(self, key: str, patches: Any,
+                        first_ts: int) -> Optional[CheckpointJob]:
+        """Track the materialized view; return the checkpoint job now due.
 
-        Runs inside the per-document critical section (cheap, local-only):
-        every validated patch is applied to this Master's materialized view
-        of the document, and when the published timestamps cross the
-        checkpoint interval a ``(ts, lines)`` job is appended to
-        ``checkpoints`` — the snapshot lines are captured *here*, while no
-        concurrent proposal can advance the document, and the DHT writes
-        happen after the lock is released.
+        Runs inside the per-document critical section (cheap, local-only),
+        once per group: every validated patch is applied to this Master's
+        materialized view of the document, and when the published
+        timestamps cross the checkpoint interval the ``(ts, lines)`` job is
+        returned — the snapshot lines are captured *here*, while no
+        concurrent proposal can advance the document.  The DHT writes run
+        in the background after the group has been answered
+        (:meth:`validate_and_publish`).
         """
         if not self.config.checkpoint_enabled:
-            return
+            return None
         view = self._views.get(key)
         ts = first_ts
         for patch in patches:
@@ -887,17 +904,17 @@ class MasterService(NodeService):
                     view = None
             ts += 1
         last_ts = first_ts + len(patches) - 1
-        if last_ts - self._last_checkpoint_ts.get(key, 0) >= self.config.checkpoint_interval:
-            lines = (
-                list(view.lines)
-                if view is not None and view.applied_ts == last_ts
-                else None
-            )
-            checkpoints.append((last_ts, lines))
-            # Recorded eagerly so proposals queued behind this one do not
-            # schedule the same checkpoint again; a failed write simply
-            # waits for the next interval.
-            self._last_checkpoint_ts[key] = last_ts
+        if last_ts - self._last_checkpoint_ts.get(key, 0) < self.config.checkpoint_interval:
+            return None
+        lines = (
+            list(view.lines)
+            if view is not None and view.applied_ts == last_ts
+            else None
+        )
+        # Recorded eagerly so the next group does not schedule the same
+        # checkpoint again; a failed write simply waits for the next interval.
+        self._last_checkpoint_ts[key] = last_ts
+        return last_ts, lines
 
     def _checkpoint_lock_for(self, key: str) -> FifoLock:
         """The per-document lock serializing checkpoint-index updates.
@@ -913,10 +930,21 @@ class MasterService(NodeService):
             self._checkpoint_locks[key] = lock
         return lock
 
-    def _run_checkpoint_jobs(self, key: str, checkpoints: list[CheckpointJob]):
-        """Execute scheduled checkpoint writes (process, outside the lock)."""
-        for ckpt_ts, lines in checkpoints:
-            yield from self._write_checkpoint(key, ckpt_ts, lines)
+    def _checkpoint_in_background(self, key: str, ts: int, lines: Optional[list[str]]):
+        """Write the checkpoint a group made due (process; nobody waits for it).
+
+        So nobody can be told that it failed: an error of the library is
+        traced and dropped here, and the next interval writes a checkpoint.
+        """
+        try:
+            yield from self._write_checkpoint(key, ts, lines)
+        except ReproError as error:
+            node = self.node
+            node.runtime.trace.annotate(
+                node.runtime.now, "ltr-master",
+                "{} could not checkpoint {}@{}: {!r}",
+                node.address.name, key, ts, error,
+            )
 
     def _write_checkpoint(self, key: str, ts: int, lines: Optional[list[str]]):
         """Serialized wrapper around :meth:`_write_checkpoint_locked`."""

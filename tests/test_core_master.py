@@ -514,6 +514,110 @@ def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_e
     assert list(checkpoint.lines) == lines and len(lines) == 6
 
 
+# --------------------------------------------------- checkpoints in the background --
+#
+# A checkpoint is written after the group that made it due has been answered:
+# the commit ends at publication, the snapshot is a retrieval aid.
+
+
+def assert_one_checkpoint_is_the_replay(system, master, key, ts):
+    """Exactly one checkpoint was written, at ``ts``, holding what the log
+    replays to there."""
+    assert master.checkpoints_written == 1
+    index = system.runtime.run(until=system.runtime.process(
+        master.log.fetch_checkpoint_index(key)))
+    assert tuple(index) == (ts,)
+    checkpoint = system.runtime.run(until=system.runtime.process(
+        master.log.fetch_checkpoint(key, ts)))
+    lines = []
+    for entry in system.fetch_log(key, 1, ts):
+        lines = entry.patch.apply(lines)
+    assert list(checkpoint.lines) == lines
+    return lines
+
+
+def a_writer(system, master):
+    return next(name for name in system.peer_names() if name != master.node.address.name)
+
+
+def test_the_commit_that_crosses_the_interval_is_answered_before_its_checkpoint():
+    system = build_system(checkpoint_enabled=True, checkpoint_interval=2)
+    key = "xwiki:ckpt-answer-first"
+    master = system.master_service(key)
+    writer = a_writer(system, master)
+    system.edit_and_commit(writer, key, "revision 0")
+    order = []
+    plain = master.log.publish_checkpoint
+
+    def publish_checkpoint(checkpoint):
+        result = yield from plain(checkpoint)
+        order.append(("stored", checkpoint.ts))
+        return result
+
+    def commit():
+        result = yield from system.user(writer).commit(key)
+        order.append(("answered", result.ts))
+        return result
+
+    master.log.publish_checkpoint = publish_checkpoint
+    system.user(writer).edit(key, "revision 1\nrevision 0")
+    result = system.runtime.run(until=system.runtime.process(commit()))
+    assert result.attempts == 1 and master.checkpoints_written == 0
+    system.run_for(2.0)
+    assert order == [("answered", 2), ("stored", 2)]
+    assert_one_checkpoint_is_the_replay(system, master, key, 2)
+
+
+def test_a_failed_checkpoint_write_never_reaches_the_proposer():
+    """The job nobody waits for fails with an error of the library (not one
+    that the log's best-effort publish swallows): the proposer is answered
+    all the same, once, and no process is left crashed."""
+    from repro.errors import LookupFailed
+
+    system = build_system(checkpoint_enabled=True, checkpoint_interval=3)
+    key = "xwiki:ckpt-lost"
+    master = system.master_service(key)
+    writer = a_writer(system, master)
+    plain = master.log.publish_checkpoint
+
+    def unroutable(checkpoint):
+        yield system.runtime.timeout(0.004)
+        raise LookupFailed(f"no route to the placements of checkpoint {checkpoint.ts}")
+
+    master.log.publish_checkpoint = unroutable
+    results = [system.edit_and_commit(writer, key, f"revision {n}") for n in range(3)]
+    assert [(result.ts, result.attempts) for result in results] == [(1, 1), (2, 1), (3, 1)]
+    assert not system.user(writer).has_pending(key)
+    system.run_for(2.0)
+    assert master.checkpoints_written == 0 and system.runtime.crashed_processes == []
+    # A lost job only means the next interval writes one.
+    master.log.publish_checkpoint = plain
+    for n in range(3, 6):
+        system.edit_and_commit(writer, key, f"revision {n}")
+    system.run_for(2.0)
+    assert_one_checkpoint_is_the_replay(system, master, key, 6)
+    assert system.runtime.crashed_processes == []
+
+
+def test_a_group_whose_head_is_refused_still_writes_its_checkpoint():
+    """The lock holder's own proposal fails verification; the members it
+    served behind it cross the interval, and their checkpoint is written."""
+    from repro.errors import ValidationFailed
+
+    system = build_system(checkpoint_enabled=True, checkpoint_interval=3)
+    master = system.master_service(GROUP_KEY)
+    empty = dict(ts=1, author="empty", base_ts=0, patches=[])
+    lanes = queue_behind_a_publish(system, master, [
+        proposal("holder", 1), empty, proposal("a", 1), proposal("b", 1)])
+    holder, refused, a, b = outcomes(system, lanes)
+    assert isinstance(refused, ValidationFailed)
+    assert [(r.first_ts, r.last_ts) for r in (holder, a, b)] == [(1, 1), (2, 2), (3, 3)]
+    assert master.statistics()["publishes"] == 2  # a and b went out with the refused head
+    system.run_for(2.0)
+    assert master._last_checkpoint_ts[GROUP_KEY] == 3
+    assert len(assert_one_checkpoint_is_the_replay(system, master, GROUP_KEY, 3)) == 3
+
+
 def test_no_member_is_orphaned_when_the_holders_handler_dies_mid_publish():
     """No orphan: the handler that took a group along is killed while the
     group publishes — every member leaves with an exception, none with

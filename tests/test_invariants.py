@@ -437,6 +437,7 @@ def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     writer = system.peer_names()[0]
     for index in range(7):
         system.edit_and_commit(writer, key, f"revision {index}")
+    system.run_for(2.0)  # the checkpoints are written after the commits are answered
     client = system.log_client()
     index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
     assert index
@@ -505,6 +506,7 @@ def test_gc_checkpoints_trims_beyond_the_retention_window():
     writer = system.peer_names()[0]
     for index in range(9):
         system.edit_and_commit(writer, key, f"revision {index}")
+    system.run_for(2.0)  # the checkpoints are written after the commits are answered
     client = system.log_client()
     index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
     assert master_module.CHECKPOINT_RETENTION == 2
