@@ -37,18 +37,15 @@ class LtrConfig:
         it: it wraps every save into the chain's last patch instead of
         adding one (a peer that saves with ``edit`` alone proposes chains of
         one).
-    checkpoint_enabled:
-        When ``True``, the Master-key peer materializes a document snapshot
-        every ``checkpoint_interval`` published timestamps and stores it
-        replicated under the salted checkpoint hash family, and
-        ``UserPeer.sync`` bootstraps cold catch-ups from the newest
-        checkpoint instead of replaying the whole patch log (``DESIGN.md``
-        §"Checkpointed retrieval").  ``False`` (the default) keeps the
-        paper's full-replay retrieval procedure byte-identical.
     checkpoint_interval:
         How many published timestamps between two checkpoints of the same
-        document.  Also the staleness threshold below which ``sync`` skips
-        the checkpoint probe (replaying that short a suffix is cheaper).
+        document: the Master-key peer materializes a snapshot that often and
+        stores it replicated under the salted checkpoint hash family, and
+        ``UserPeer.sync`` bootstraps a catch-up more than this many
+        timestamps behind from the newest checkpoint instead of replaying
+        the whole patch log (``DESIGN.md`` §"Checkpointed retrieval").  A
+        shorter suffix is replayed without a probe.  The paper's full-replay
+        retrieval is the value longer than the document's history.
     runtime_backend:
         Which execution runtime a :class:`~repro.core.LtrSystem` built from
         this config runs on when no explicit runtime is supplied:
@@ -87,8 +84,7 @@ class LtrConfig:
     validation_retries: int = 8
     validation_retry_delay: float = 0.5
     batch_max_edits: int = 16
-    checkpoint_enabled: bool = False
-    checkpoint_interval: int = 32
+    checkpoint_interval: int = 64
     runtime_backend: str = "sim"
     storage_backend: str = "memory"
     storage_dir: Optional[str] = None

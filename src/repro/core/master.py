@@ -885,8 +885,6 @@ class MasterService(NodeService):
         in the background after the group has been answered
         (:meth:`validate_and_publish`).
         """
-        if not self.config.checkpoint_enabled:
-            return None
         view = self._views.get(key)
         ts = first_ts
         for patch in patches:

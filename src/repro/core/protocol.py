@@ -179,8 +179,9 @@ class SyncResult:
     finished_at: float = 0.0
     already_current: bool = False
     #: Timestamp of the checkpoint the fast path bootstrapped from, or
-    #: ``None`` when the sync replayed patches only (checkpointing off,
-    #: staleness below the interval, or every checkpoint unreachable).
+    #: ``None`` when the sync replayed patches only (at most
+    #: ``checkpoint_interval`` behind, no checkpoint taken yet, or none
+    #: readable).
     checkpoint_ts: Optional[int] = None
     details: dict = field(default_factory=dict)
 

@@ -555,15 +555,15 @@ class UserPeer:
         The tentative chain, if any, is transformed so it still applies to
         the refreshed replica (:meth:`_integrate`).
 
-        With ``config.checkpoint_enabled``, a replica more than
-        ``checkpoint_interval`` timestamps behind first bootstraps from the
-        newest reachable checkpoint at or below the Master's ``last-ts``
-        (installing the snapshot and rebasing the chain over the jump,
-        :func:`~repro.ot.install_snapshot_into_staged`), then fetches only
-        the remaining suffix — so a cold catch-up costs O(staleness past the
-        last checkpoint) instead of O(document age).  When every checkpoint
-        replica is unreachable the sync silently falls back to the paper's
-        full log replay.
+        A replica more than ``config.checkpoint_interval`` timestamps behind
+        first bootstraps from the newest reachable checkpoint at or below the
+        Master's ``last-ts`` (installing the snapshot and rebasing the chain
+        over the jump, :func:`~repro.ot.install_snapshot_into_staged`), then
+        fetches only the remaining suffix — so a cold catch-up costs
+        O(staleness past the last checkpoint) instead of O(document age).
+        When no checkpoint can be read (none yet, unreachable, no route) the
+        sync falls back to the paper's full log replay, as does a replica at
+        most one interval behind, without a probe.
 
         A document whose chain is out with the Master is left alone — at the
         start and after every wait, since a commit may begin while this
@@ -600,8 +600,7 @@ class UserPeer:
         if key in self._flushing or last_ts <= replica.applied_ts:
             return finished()
         if (
-            self.config.checkpoint_enabled
-            and last_ts - replica.applied_ts > self.config.checkpoint_interval
+            last_ts - replica.applied_ts > self.config.checkpoint_interval
             # A snapshot cannot tell whether it contains a proposal of ours
             # that is still in doubt; the log can (see _integrate).
             and key not in self._in_doubt

@@ -6,8 +6,8 @@ responsible for a key) — plus their batched forms and ``warm``, the hint
 that lets an overlay resolve a known placement before it is needed.  This
 module defines that contract so the services can run either against the
 full Chord ring (production path, used by all experiments) or against a
-trivial in-process table (used by the centralized baseline and by fast unit
-tests of client-side logic).
+trivial in-process table (tests only: fast unit tests of client-side
+logic).
 
 All operations but ``warm`` are *simulation processes* (generator functions
 used with ``yield from``) because the Chord-backed implementation needs to

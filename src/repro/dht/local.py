@@ -1,10 +1,10 @@
-"""A trivial single-process DHT used by baselines and fast unit tests.
+"""A trivial single-process DHT, for tests only.
 
 :class:`LocalDht` honours the :class:`~repro.dht.api.DhtClient` contract but
 keeps everything in one Python dictionary, optionally charging a fixed
-simulated delay per operation.  The centralized-reconciler baseline
-(experiment E6) uses it to model "one reconciler node holds all state",
-and unit tests use it to exercise client-side logic without a ring.
+simulated delay per operation.  Unit tests use it to exercise client-side
+logic without a ring; no experiment runs on it (the centralized baseline of
+E6 uses no DHT at all).
 """
 
 from __future__ import annotations

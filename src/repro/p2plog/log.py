@@ -18,6 +18,7 @@ from ..errors import (
     AuthenticationError,
     CheckpointUnavailable,
     KeyNotFound,
+    LookupFailed,
     NodeUnreachable,
     PatchUnavailable,
     RequestTimeout,
@@ -363,14 +364,16 @@ class P2PLogClient:
 
         Returns a tuple, newest first, or ``None`` when no placement of the
         index answers (no checkpoint was ever taken, or all holders are
-        unreachable).
+        unreachable).  Unlike :meth:`fetch`, a placement that cannot be
+        routed to (:class:`~repro.errors.LookupFailed`) is skipped too: a
+        checkpoint is a shortcut, and a reader without one replays the log.
         """
         index_key = make_checkpoint_index_key(document_key)
         for function in self.checkpoint_family:
             storage_key = function.placement_key(index_key)
             try:
                 answer = yield from self.dht.get(storage_key, key_id=function(index_key))
-            except _RETRIEVAL_ERRORS:
+            except (LookupFailed, *_RETRIEVAL_ERRORS):
                 continue
             return tuple(answer["value"])
         return None
@@ -387,7 +390,7 @@ class P2PLogClient:
             storage_key = function.placement_key(checkpoint_key)
             try:
                 answer = yield from self.dht.get(storage_key, key_id=function(checkpoint_key))
-            except _RETRIEVAL_ERRORS:
+            except (LookupFailed, *_RETRIEVAL_ERRORS):
                 continue
             value = answer["value"]
             if self.checkpoint_verifier is not None \

@@ -355,7 +355,7 @@ def test_equivocation_armed_for_two_forks_exactly_two_entries_of_a_group_of_thre
 
 
 def test_mutation_corrupted_checkpoint_is_reported():
-    config = replace(AUTH_CONFIG, checkpoint_enabled=True, checkpoint_interval=2)
+    config = replace(AUTH_CONFIG, checkpoint_interval=2)
     system = signed_system(commits=4, config=config)
     mutated = None
     for node in system.ring.live_nodes():

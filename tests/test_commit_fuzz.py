@@ -91,13 +91,12 @@ def generate_actions(seed: int, steps: int = STEPS) -> list[tuple]:
 def run_actions(seed: int, batched: bool, actions: list[tuple]) -> None:
     """Replay an action script and assert the invariants at the end.
 
-    Both chain lengths run with the checkpointing subsystem enabled (small
-    interval) so the fuzz covers checkpoint production, GC and cold-start
-    syncs interleaved with flushes, churn and re-elections.
+    Both chain lengths checkpoint at a small interval so the fuzz covers
+    checkpoint production, GC and cold-start syncs interleaved with
+    flushes, churn and re-elections.
     """
     config = LtrConfig(
         batch_max_edits=4,
-        checkpoint_enabled=True,
         checkpoint_interval=4,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))
@@ -223,7 +222,6 @@ def run_adversarial_actions(seed: int, batched: bool,
     config = LtrConfig(
         auth_enabled=True,
         batch_max_edits=4,
-        checkpoint_enabled=True,
         checkpoint_interval=4,
     )
     system = LtrSystem(ltr_config=config, seed=seed, latency=ConstantLatency(0.004))

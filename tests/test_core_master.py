@@ -492,7 +492,7 @@ def test_a_queue_beyond_the_tail_bounds_is_served_in_two_groups(monkeypatch):
 
 
 def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_end():
-    system = build_system(checkpoint_enabled=True, checkpoint_interval=4)
+    system = build_system(checkpoint_interval=4)
     master = system.master_service(GROUP_KEY)
     lanes = queue_behind_a_publish(system, master, [
         proposal("holder", 1)] + [proposal(f"u{n}", 1) for n in range(5)])
@@ -541,7 +541,7 @@ def a_writer(system, master):
 
 
 def test_the_commit_that_crosses_the_interval_is_answered_before_its_checkpoint():
-    system = build_system(checkpoint_enabled=True, checkpoint_interval=2)
+    system = build_system(checkpoint_interval=2)
     key = "xwiki:ckpt-answer-first"
     master = system.master_service(key)
     writer = a_writer(system, master)
@@ -574,7 +574,7 @@ def test_a_failed_checkpoint_write_never_reaches_the_proposer():
     all the same, once, and no process is left crashed."""
     from repro.errors import LookupFailed
 
-    system = build_system(checkpoint_enabled=True, checkpoint_interval=3)
+    system = build_system(checkpoint_interval=3)
     key = "xwiki:ckpt-lost"
     master = system.master_service(key)
     writer = a_writer(system, master)
@@ -604,7 +604,7 @@ def test_a_group_whose_head_is_refused_still_writes_its_checkpoint():
     served behind it cross the interval, and their checkpoint is written."""
     from repro.errors import ValidationFailed
 
-    system = build_system(checkpoint_enabled=True, checkpoint_interval=3)
+    system = build_system(checkpoint_interval=3)
     master = system.master_service(GROUP_KEY)
     empty = dict(ts=1, author="empty", base_ts=0, patches=[])
     lanes = queue_behind_a_publish(system, master, [

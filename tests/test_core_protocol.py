@@ -44,7 +44,6 @@ def test_configuration_surface_is_pinned():
         "validation_retries",
         "validation_retry_delay",
         "batch_max_edits",
-        "checkpoint_enabled",
         "checkpoint_interval",
         "runtime_backend",
         "storage_backend",

@@ -114,17 +114,13 @@ def assert_proposals_landed_once(key: str, entries) -> None:
 
 
 def assert_system_invariants(system: LtrSystem, keys) -> None:
-    """All three paper invariants and at-most-once, over every given key.
-
-    When the system runs with the checkpointing subsystem, the
-    checkpoint-placement invariant is verified as well.
-    """
+    """All three paper invariants, at-most-once and checkpoint placement,
+    over every given key."""
     for key in keys:
         assert_proposals_landed_once(key, assert_timestamps_dense(system, key))
         assert_log_prefix_complete(system, key)
         assert_replicas_converge(system, key)
-        if system.ltr_config.checkpoint_enabled:
-            assert_checkpoint_placements(system, key)
+        assert_checkpoint_placements(system, key)
 
 
 # ------------------------------------------------------ randomized runs --
@@ -363,9 +359,9 @@ def test_next_timestamps_allocates_dense_ranges():
 
 
 def test_randomized_checkpointed_runs_preserve_all_invariants():
-    """The paper invariants plus checkpoint placement, checkpointing on."""
+    """The paper invariants plus checkpoint placement, checkpointing often."""
     for batched in (False, True):
-        overrides = {"checkpoint_enabled": True, "checkpoint_interval": 3}
+        overrides = {"checkpoint_interval": 3}
         if batched:
             overrides["batch_max_edits"] = 3
         system = build_system(peers=8, seed=77, **overrides)
@@ -382,9 +378,7 @@ def test_randomized_checkpointed_runs_preserve_all_invariants():
 
 def test_checkpoints_survive_responsible_peer_departure():
     """Hand-off on churn keeps checkpoints reachable (placement invariant)."""
-    system = build_system(
-        peers=12, seed=29, checkpoint_enabled=True, checkpoint_interval=3,
-    )
+    system = build_system(peers=12, seed=29, checkpoint_interval=3)
     key = "xwiki:ckpt-churn"
     writer = system.peer_names()[0]
     for index in range(8):
@@ -430,9 +424,7 @@ def test_checkpoints_survive_responsible_peer_departure():
 
 def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     """No reachable checkpoint replica => the paper's full replay, silently."""
-    system = build_system(
-        peers=8, seed=31, checkpoint_enabled=True, checkpoint_interval=3,
-    )
+    system = build_system(peers=8, seed=31, checkpoint_interval=3)
     key = "xwiki:ckpt-fallback"
     writer = system.peer_names()[0]
     for index in range(7):
@@ -469,6 +461,58 @@ def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     assert_system_invariants(system, [key])  # index gone => invariant vacuous
 
 
+def test_a_checkpoint_read_with_no_route_falls_back_to_full_replay(monkeypatch):
+    """Regression: a ``LookupFailed`` (no route, or the hop bound) on the
+    reader's checkpoint-index read is a missing checkpoint, not an error of
+    the sync: ``latest_checkpoint`` answers ``None`` and the log is replayed."""
+    from repro.errors import LookupFailed
+    from repro.p2plog import make_checkpoint_index_key
+
+    system = build_system(peers=8, seed=31, checkpoint_interval=3)
+    key = "xwiki:ckpt-no-route"
+    writer = system.peer_names()[0]
+    for index in range(7):
+        system.edit_and_commit(writer, key, f"revision {index}")
+    system.run_for(2.0)  # the checkpoints are written after the commits are answered
+    cold = system.peer_names()[2]
+    log = system.user(cold).log
+    index_placements = {
+        function.placement_key(make_checkpoint_index_key(key))
+        for function in log.checkpoint_family
+    }
+    get = log.dht.get
+
+    def get_without_route(storage_key, **arguments):
+        if storage_key in index_placements:
+            raise LookupFailed(f"no route towards {storage_key}")
+        return (yield from get(storage_key, **arguments))
+
+    monkeypatch.setattr(log.dht, "get", get_without_route)
+    probe = log.latest_checkpoint(key, system.last_ts(key))
+    assert system.runtime.run(until=system.runtime.process(probe)) is None
+    result = system.sync(cold, key)
+    assert result.checkpoint_ts is None
+    assert result.retrieved_patches == system.last_ts(key) == 7
+    assert_system_invariants(system, [key])
+
+
+def test_the_default_config_checkpoints_a_long_history():
+    """Checkpoints are on for everyone: a cold reader of a history longer
+    than the default interval (64) bootstraps from a checkpoint."""
+    system = build_system(peers=8, seed=43)
+    interval = system.ltr_config.checkpoint_interval
+    assert interval == 64
+    key = "xwiki:ckpt-default"
+    writer = system.peer_names()[0]
+    for index in range(interval + 6):
+        system.edit_and_commit(writer, key, f"revision {index}")
+    system.run_for(2.0)  # the checkpoint is written after the commit is answered
+    result = system.sync(system.peer_names()[2], key)
+    assert result.checkpoint_ts == interval
+    assert result.retrieved_patches == 6
+    assert_system_invariants(system, [key])
+
+
 def test_checkpoint_index_survives_out_of_order_writes(monkeypatch):
     """Regression: a late write for an *older* ts must not drop newer entries.
 
@@ -479,9 +523,7 @@ def test_checkpoint_index_survives_out_of_order_writes(monkeypatch):
     older bootstrap point.
     """
     monkeypatch.setattr(master_module, "CHECKPOINT_RETENTION", 3)
-    system = build_system(
-        peers=8, seed=41, checkpoint_enabled=True, checkpoint_interval=3,
-    )
+    system = build_system(peers=8, seed=41, checkpoint_interval=3)
     key = "xwiki:ckpt-order"
     writer = system.peer_names()[0]
     for index in range(7):
@@ -499,9 +541,7 @@ def test_checkpoint_index_survives_out_of_order_writes(monkeypatch):
 
 def test_gc_checkpoints_trims_beyond_the_retention_window():
     """The compaction story: old snapshots leave the DHT as new ones land."""
-    system = build_system(
-        peers=8, seed=37, checkpoint_enabled=True, checkpoint_interval=2,
-    )
+    system = build_system(peers=8, seed=37, checkpoint_interval=2)
     key = "xwiki:ckpt-gc"
     writer = system.peer_names()[0]
     for index in range(9):
