@@ -19,6 +19,9 @@ paper):
   ``last-ts``) does it answer ``behind`` with the current ``last-ts``, so the
   user peer integrates first and comes round again; a gap the Master cannot
   supply is retrieved from the P2P-Log.
+* ``ltr_catch_up`` — a reader's question for ``last-ts``, answered like a
+  proposal that is *behind*: with what the reader misses whenever the tail
+  holds it, so a sync is one round-trip (:meth:`MasterService.handle_catch_up`).
 * At most once — a proposal carries an identity, every entry records it, and
   a proposal whose identity is among the entries it missed is a re-sent one:
   it is answered with the acknowledgement of the entry that carries it.
@@ -78,10 +81,10 @@ CHECKPOINT_RETENTION = 2
 
 #: Bounds of the per-document tail of allocated entries a stale proposal is
 #: served from — transformed over, and handed with the answer — in entries
-#: and in ``payload_size`` bytes (what the reply costs on the wire).  64
-#: entries cover every gap a chain-of-one editor falls behind by under Zipf
-#: contention; batched editors fall behind by whole chains of 16.  A larger
-#: gap is answered *behind* and read from the P2P-Log.
+#: and in ``payload_size`` bytes (what the reply costs on the wire, to a
+#: proposer or a reader).  64 entries cover every gap a chain-of-one editor
+#: falls behind by under Zipf contention; batched editors fall behind by whole
+#: chains of 16.  A larger gap is answered *behind* and read from the P2P-Log.
 TAIL_MAX_ENTRIES = 256
 TAIL_MAX_BYTES = 256 * 1024
 
@@ -107,7 +110,9 @@ class EntryTail:
       so the bounds of the tail are the bounds of that work and of that reply
       (a gap may end in the entries of the proposals served ahead of it in
       the same round, which join the tail with it; a round is held to the
-      tail's bounds too, :meth:`DocumentQueue.take`);
+      tail's bounds too, :meth:`DocumentQueue.take`) — and the suffix a
+      reader misses, with the answer to its catch-up
+      (:meth:`MasterService.handle_catch_up`);
     * the **identities** of the proposals that landed lately: the tail is the
       Master's whole table of them (walked with the gap, bounded with it,
       gone with the tenure; beyond it the log is the table and the proposer
@@ -298,7 +303,7 @@ class MasterService(NodeService):
             checkpoint_verifier=checkpoint_verifier,
         )
         node.rpc.expose("ltr_validate_and_publish", self.validate_and_publish)
-        node.rpc.expose("ltr_last_ts", self.handle_last_ts)
+        node.rpc.expose("ltr_catch_up", self.handle_catch_up)
 
     @property
     def hash_family(self) -> HashFunctionFamily:
@@ -332,6 +337,24 @@ class MasterService(NodeService):
     def handle_last_ts(self, key: str) -> int:
         """Return ``last-ts`` for ``key`` (0 when no patch was ever validated)."""
         return self._authority().last_ts(key)
+
+    def handle_catch_up(self, key: str, after_ts: int) -> dict:
+        """``last-ts`` for a reader at ``after_ts``, with what it misses if held.
+
+        The answer is a *behind* :class:`~repro.core.protocol.ValidationResult`
+        payload: ``entries`` is ``(after_ts, last_ts]`` out of the document's
+        tail when the tail ends at ``last-ts`` and reaches back that far —
+        bounded like every reply served from it — and ``None`` otherwise,
+        which sends the reader to the checkpoints and the P2P-Log.  Read-only
+        and lock-free: a tail of an earlier tenure is left for
+        :meth:`_missing_suffix` to drop under the lock.
+        """
+        last_ts = self._authority().last_ts(key)
+        tail = self._tails.get(key)
+        entries = None
+        if after_ts < last_ts and tail is not None and tail.last_ts == last_ts:
+            entries = tail.suffix(after_ts)
+        return ValidationResult.behind(last_ts, entries).to_payload()
 
     def validate_and_publish(self, key: str, ts: int, patches: Any,
                              author: str = "unknown",

@@ -38,10 +38,14 @@ class ValidationResult:
     ``last_ts`` then ends what landed, which is less than what was proposed
     when the chain has grown since.  A ``behind`` answer carries in
     ``entries`` the whole of what the proposer is missing, ``(proposed ts -
-    1, last_ts]``, whenever the Master holds all of it.  On the receiving
-    side ``entries`` is outside input either way, checked by the user peer
-    (``UserPeer._carried_suffix``) before anything is integrated; without it
-    the range is read from the P2P-Log.
+    1, last_ts]``, whenever the Master holds all of it.  The answer to a
+    reader (``ltr_catch_up``, :meth:`UserPeer.sync
+    <repro.core.user_peer.UserPeer.sync>`) reuses the *behind* shape: the
+    Master's ``last_ts`` and, when it holds all of it, ``(applied_ts,
+    last_ts]``.  On the receiving side ``entries`` is outside input every
+    way, checked by the user peer (``UserPeer._carried_suffix``) before
+    anything is integrated; without it the range is read from the
+    checkpoints and the P2P-Log.
     """
 
     status: str

@@ -456,12 +456,13 @@ class UserPeer:
 
         The reply is outside input: it is used only when it is exactly the
         range this peer has to integrate next — ``applied_ts + 1 .. last_ts``
-        of this document for a *behind* answer, ``applied_ts + 1 .. first_ts
-        - 1`` (the gap the Master transformed the chain over) for an *ok* —
-        every item a :class:`~repro.p2plog.LogEntry` that passes the verifier
-        a fetched entry passes.  Anything else returns ``None`` and the
-        caller reads the range from the P2P-Log, which stays the source of
-        truth.  This is the only check of carried entries.
+        of this document for a *behind* answer (a proposal's, or a reader's
+        in :meth:`sync`), ``applied_ts + 1 .. first_ts - 1`` (the gap the
+        Master transformed the chain over) for an *ok* — every item a
+        :class:`~repro.p2plog.LogEntry` that passes the verifier a fetched
+        entry passes.  Anything else returns ``None`` and the caller reads
+        the range from the P2P-Log, which stays the source of truth.  This
+        is the only check of carried entries.
         """
         entries = result.entries
         if (
@@ -555,15 +556,23 @@ class UserPeer:
         The tentative chain, if any, is transformed so it still applies to
         the refreshed replica (:meth:`_integrate`).
 
-        A replica more than ``config.checkpoint_interval`` timestamps behind
-        first bootstraps from the newest reachable checkpoint at or below the
-        Master's ``last-ts`` (installing the snapshot and rebasing the chain
-        over the jump, :func:`~repro.ot.install_snapshot_into_staged`), then
-        fetches only the remaining suffix — so a cold catch-up costs
-        O(staleness past the last checkpoint) instead of O(document age).
-        When no checkpoint can be read (none yet, unreachable, no route) the
-        sync falls back to the paper's full log replay, as does a replica at
-        most one interval behind, without a probe.
+        The Master is asked for ``last-ts`` (``ltr_catch_up``), and what the
+        replica misses comes from the first of three sources that has it:
+
+        1. the answer itself — the Master hands over ``(applied_ts,
+           last-ts]`` whenever its tail of recent entries holds all of it, a
+           *behind* answer checked like any other (:meth:`_carried_suffix`);
+           then the sync is that one round-trip;
+        2. a checkpoint plus the log: a replica more than
+           ``config.checkpoint_interval`` timestamps behind bootstraps from
+           the newest reachable checkpoint at or below ``last-ts``
+           (installing the snapshot and rebasing the chain over the jump,
+           :func:`~repro.ot.install_snapshot_into_staged`), then fetches
+           only the remaining suffix — O(staleness past the last checkpoint)
+           instead of O(document age);
+        3. the P2P-Log alone, the paper's replay: for a replica at most one
+           interval behind, without a probe, and whenever no checkpoint can
+           be read (none yet, unreachable, no route).
 
         A document whose chain is out with the Master is left alone — at the
         start and after every wait, since a commit may begin while this
@@ -596,27 +605,33 @@ class UserPeer:
 
         if key in self._flushing:
             return finished()
-        last_ts = yield from self._call_master(key, "ltr_last_ts")
+        payload = yield from self._call_master(
+            key, "ltr_catch_up", after_ts=replica.applied_ts
+        )
+        answer = ValidationResult.from_payload(payload)
+        last_ts = answer.last_ts
         if key in self._flushing or last_ts <= replica.applied_ts:
             return finished()
-        if (
-            last_ts - replica.applied_ts > self.config.checkpoint_interval
-            # A snapshot cannot tell whether it contains a proposal of ours
-            # that is still in doubt; the log can (see _integrate).
-            and key not in self._in_doubt
-        ):
-            checkpoint = yield from self.log.latest_checkpoint(key, last_ts)
+        entries = self._carried_suffix(key, replica.applied_ts, answer)
+        if entries is None:
+            if (
+                last_ts - replica.applied_ts > self.config.checkpoint_interval
+                # A snapshot cannot tell whether it contains a proposal of ours
+                # that is still in doubt; the log can (see _integrate).
+                and key not in self._in_doubt
+            ):
+                checkpoint = yield from self.log.latest_checkpoint(key, last_ts)
+                if key in self._flushing:
+                    return finished()
+                if checkpoint is not None and checkpoint.ts > replica.applied_ts:
+                    self._rebased(key, install_snapshot_into_staged(
+                        replica, checkpoint.lines, checkpoint.ts, self._chain(key)
+                    ))
+                    checkpoint_ts = checkpoint.ts
+            entries = yield from self.log.fetch_range(key, replica.applied_ts + 1, last_ts)
             if key in self._flushing:
                 return finished()
-            if checkpoint is not None and checkpoint.ts > replica.applied_ts:
-                self._rebased(key, install_snapshot_into_staged(
-                    replica, checkpoint.lines, checkpoint.ts, self._chain(key)
-                ))
-                checkpoint_ts = checkpoint.ts
-        entries = yield from self.log.fetch_range(key, replica.applied_ts + 1, last_ts)
-        if key in self._flushing:
-            return finished()
-        entries = [entry for entry in entries if entry.ts > replica.applied_ts]
+            entries = [entry for entry in entries if entry.ts > replica.applied_ts]
         chain = self._chain(key)
         self._integrate(key, replica, entries, chain)
         self._rebased(key, chain)

@@ -19,7 +19,7 @@ EXPERIMENT_DESCRIPTIONS = {
     "E9": "Extension: Zipf-skewed edits concentrating load on few Master-key peers.",
     "E10": "Extension: periodic commits soaked in scripted join/leave/crash churn.",
     "E11": "Extension: commit chain length (batch size) sweep — one Master round-trip, one KTS range, one grouped log write per chain.",
-    "E12": "Extension: checkpointed retrieval — cold-start sync bootstraps from a DHT-stored snapshot plus a grouped suffix fetch.",
+    "E12": "Extension: checkpointed retrieval — cold-start sync bootstraps from a DHT-stored snapshot plus a grouped suffix fetch, or takes the whole history from the Master's answer while its tail holds it.",
     "E13": "Extension: live mode — the unchanged stack on the wall-clock asyncio runtime, commit invariants verified under real interleavings.",
     "E14": "Nemesis: partition + heal + re-join swept over duration and edit rate; invariant snapshots at every fault boundary, post-heal convergence timed.",
     "E15": "Nemesis: Master crash + amnesiac restart under sustained load; Master-key-Succ takeover timed, timestamp continuity checked end-to-end.",

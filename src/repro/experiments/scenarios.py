@@ -970,9 +970,17 @@ def batched_commit_spec(
 # ---------------------------------------------------------------------------
 
 
+def _forget_master_tail(system: LtrSystem, key: str) -> None:
+    """Make the Master of ``key`` forget the entries it holds in memory, as a
+    takeover leaves it: the next reader catches up from the checkpoints and
+    the P2P-Log instead of from the Master's answer."""
+    system.master_service(key)._tails.pop(key, None)
+
+
 def _measure_cold_sync(ctx: ScenarioContext) -> dict:
     history = ctx.params["history"]
     checkpointing = ctx.params["checkpointing"]
+    master_tail = ctx.params["master_tail"]
     peers = ctx.params["peers"]
     interval = ctx.params["checkpoint_interval"]
     # The paper's full replay is an interval the history never reaches.
@@ -988,6 +996,8 @@ def _measure_cold_sync(ctx: ScenarioContext) -> dict:
             writer, key, "\n".join(f"line-{line}-rev-{index}" for line in range(4))
         )
     system.run_for(1.0)  # let checkpoint/log replicas settle
+    if not master_tail:
+        _forget_master_tail(system, key)
     # Delta over the cold sync only: history building and the post-sync
     # consistency check must not pollute the catch-up cost.
     messages_before = system.network.stats.snapshot()["sent"]
@@ -997,6 +1007,7 @@ def _measure_cold_sync(ctx: ScenarioContext) -> dict:
     return {
         "history": history,
         "checkpointing": checkpointing,
+        "master_tail": master_tail,
         "sync_messages": sync_messages,
         "retrieved_patches": result.retrieved_patches,
         "used_checkpoint": result.used_checkpoint,
@@ -1013,7 +1024,8 @@ def cold_sync_spec(
     checkpoint_interval: int = 8,
     seed: int = 12,
 ) -> ScenarioSpec:
-    """Cold-start catch-up cost vs. document age, with/without checkpoints."""
+    """Cold-start catch-up cost vs. document age, with/without checkpoints,
+    with/without the entries the Master holds in memory."""
     return ScenarioSpec(
         scenario_id="E12",
         title="E12 Cold-start sync cost vs. history length",
@@ -1023,22 +1035,32 @@ def cold_sync_spec(
             "replays the whole patch log (cost O(history)); with the "
             "checkpointing subsystem the peer bootstraps from the newest "
             "DHT-stored snapshot and fetches only the suffix (cost "
-            "O(staleness past the last checkpoint))."
+            "O(staleness past the last checkpoint)).  A Master that still "
+            "holds the whole history in its bounded tail hands it over with "
+            "its answer to last-ts: one round-trip, whatever the arm."
         ),
         columns=(
-            "history", "checkpointing", "sync_messages", "retrieved_patches",
-            "used_checkpoint", "checkpoint_ts", "sync_latency_s", "synced_ts",
-            "converged",
+            "history", "checkpointing", "master_tail", "sync_messages",
+            "retrieved_patches", "used_checkpoint", "checkpoint_ts",
+            "sync_latency_s", "synced_ts", "converged",
         ),
-        grid={"history": tuple(histories), "checkpointing": (False, True)},
+        grid={
+            "history": tuple(histories),
+            "checkpointing": (False, True),
+            "master_tail": (False, True),
+        },
         constants={"peers": peers, "checkpoint_interval": checkpoint_interval},
         seed=seed,
-        # Same derived seed at every grid point: both arms of each history
-        # length replay the identical ring and editing run.
+        # Same derived seed at every grid point: every arm of each history
+        # length replays the identical ring and editing run.
         measure=_measure_cold_sync,
         notes=(
             "checkpointing=False is the paper's full replay, run as a checkpoint "
             "interval longer than the history (no checkpoint is written or probed)",
+            "master_tail=False: the Master forgot the entries it holds in memory "
+            "(as after a takeover), so the reader goes to the checkpoints and the "
+            "P2P-Log; master_tail=True: the answer to last-ts carries the whole "
+            "history (up to 256 entries / 256 KiB) and nothing else is read",
             "expected shape: without checkpoints sync messages grow linearly with "
             "history; with checkpoints they stay bounded by the checkpoint interval, "
             "a >=5x message saving at history 256 (a --full row; the quick rows "
@@ -1884,6 +1906,8 @@ def _measure_durable_restart(ctx: ScenarioContext) -> dict:
             name for name in system.peer_names()
             if name not in protected and name not in victims
         )
+        # The reader recovers from the P2P-Log, not from the Master's memory.
+        _forget_master_tail(system, key)
         expected_ts = system.last_ts(key)
         step, waited, caught_up = 0.25, 0.0, False
         while waited <= converge_budget:

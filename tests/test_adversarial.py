@@ -41,6 +41,8 @@ from repro.p2plog import (
     verify_entry,
 )
 
+from test_invariants import drop_master_tail
+
 KEY = "xwiki:adversarial"
 
 AUTH_CONFIG = LtrConfig(auth_enabled=True)
@@ -229,6 +231,7 @@ def test_tampered_copy_is_skipped_at_retrieval():
         node.storage.put(storage_key, bad, is_replica=item.is_replica,
                          now=system.runtime.now, key_id=item.key_id)
         break  # tamper exactly one copy; honest copies remain
+    drop_master_tail(system, KEY)  # the reader has to hunt the log
     reader = system.peer_names()[1]
     system.sync(reader, KEY)
     replica = system.user(reader).documents[KEY]
@@ -243,6 +246,7 @@ def test_all_copies_tampered_raises_authentication_error():
         bad.metadata.update(item.value.metadata)
         node.storage.put(storage_key, bad, is_replica=item.is_replica,
                          now=system.runtime.now, key_id=item.key_id)
+    drop_master_tail(system, KEY)
     reader = system.peer_names()[1]
     system.forget_user(reader)  # cold replica: must fetch ts 2 from the DHT
     with pytest.raises(AuthenticationError):

@@ -1,4 +1,4 @@
-"""The answer to a stale proposal carries what it missed (repro.core.master / user_peer).
+"""The Master's answer carries what the peer missed (repro.core.master / user_peer).
 
 The Master keeps a bounded tail of the entries it allocated per document.  A
 stale proposal whose gap the tail covers is transformed over it and committed
@@ -9,7 +9,10 @@ it.  Either way the user peer integrates what was carried only if it is
 exactly the missing range and passes the checks a fetched entry passes, and
 reads the P2P-Log otherwise.  These tests pin the reply shapes, the tail's
 bounds and lifetime, and every way the proposer falls back to
-``fetch_range``; ``tests/test_master_rebase.py`` pins the transform.
+``fetch_range``; ``tests/test_master_rebase.py`` pins the transform.  A
+reader asks the same question without a proposal (``ltr_catch_up``): the
+answer is *behind* and carries ``(applied_ts, last_ts]`` when the tail holds
+it, checked by the same function — the last section pins that too.
 """
 
 from dataclasses import replace
@@ -116,6 +119,9 @@ def test_tail_is_bounded_in_entries(monkeypatch):
     tail = master._tails[KEY]
     assert [entry.ts for entry in tail.entries] == [4, 5, 6, 7]
     assert tail.bytes == sum(tail.sizes) == sum(payload_size(e) for e in tail.entries)
+    # A reader's catch-up likewise: nothing from behind the tail, all of it inside.
+    assert catch_up(master, 2).entries is None
+    assert [entry.ts for entry in catch_up(master, 3).entries] == [4, 5, 6, 7]
     # A gap that reaches behind the tail is answered behind and carries
     # nothing; one inside it is committed over what it carries.
     far = run_validation(system, master, KEY, 3, [make_patch("late", "x", 2)], "late")
@@ -149,6 +155,11 @@ def test_tail_restarts_on_a_gap_and_is_dropped_when_the_counter_moved_on():
     system = build_system()
     master = publish(system, 3)
     master._authority().advance_ts(KEY, 5)  # someone else allocated 4 and 5
+    # A reader's catch-up carries nothing either, and leaves the tail alone:
+    # the handler is read-only, dropping is the lock holder's.
+    answer = catch_up(master, 1)
+    assert answer.last_ts == 5 and answer.entries is None
+    assert [entry.ts for entry in master._tails[KEY].entries] == [1, 2, 3]
     stale = run_validation(system, master, KEY, 3, [make_patch("late", "x", 2)], "late")
     assert not stale.accepted and stale.last_ts == 5 and stale.entries is None
     assert KEY not in master._tails
@@ -333,3 +344,73 @@ def test_signed_carried_suffix_verifies_and_skips_the_log():
     assert log_reads(system) == reads and user.log.auth_rejects == rejects
     stats = system.master_service(KEY).statistics()
     assert (stats["proposals_behind"], stats["proposals_rebased"]) == (1, 0)
+
+
+# ---------------------------------------------------------- the reader --
+
+
+def catch_up(master, after_ts, key=KEY):
+    return ValidationResult.from_payload(master.handle_catch_up(key, after_ts))
+
+
+def test_catch_up_answer_carries_the_readers_suffix_from_the_tail():
+    """(Pinned one request and one reply for the whole sync, no log read.)"""
+    system = build_system()
+    master = publish(system, 5)
+    answer = catch_up(master, 2)
+    assert answer.status == "behind" and answer.last_ts == 5
+    assert list(answer.entries) == system.fetch_log(KEY, 3, 5)
+    assert catch_up(master, 5).entries is None  # current: nothing to carry
+    assert catch_up(master, 0, key="xwiki:never").last_ts == 0
+    reader = system.user(system.peer_names()[0])
+    reads, calls = log_reads(system), system.network.stats.per_method.get("ltr_catch_up", 0)
+    result = system.sync(reader.author, KEY)
+    assert (result.retrieved_patches, result.checkpoint_ts) == (5, None)
+    assert log_reads(system) == reads and reader.log.retrievals == 0
+    assert system.network.stats.per_method["ltr_catch_up"] == calls + 2
+    assert reader.document(KEY).lines == [f"line {ts}" for ts in range(5, 0, -1)]
+
+
+def test_reader_beyond_the_tail_still_probes_a_checkpoint(monkeypatch):
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 4)
+    system = build_system(checkpoint_interval=3)
+    writer, reader = system.peer_names()[1], system.peer_names()[0]
+    for index in range(10):
+        system.edit_and_commit(writer, KEY, f"revision {index}")
+    system.run_for(2.0)  # the checkpoint is written after the commit is answered
+    reads = log_reads(system)
+    cold = system.sync(reader, KEY)
+    assert (cold.checkpoint_ts, cold.retrieved_patches) == (9, 1)
+    assert log_reads(system) > reads
+    # More than an interval behind, but within the tail: served from the
+    # answer, before any probe, with no log read.
+    for index in range(4):
+        system.edit_and_commit(writer, KEY, f"revision {10 + index}")
+    system.run_for(2.0)  # (the checkpoint at ts 12 reads the index: not the reader)
+    reads = log_reads(system)
+    warm = system.sync(reader, KEY)
+    assert (warm.checkpoint_ts, warm.retrieved_patches) == (None, 4)
+    assert log_reads(system) == reads
+    assert system.user(reader).document(KEY).lines == \
+        system.user(writer).document(KEY).lines
+
+
+def test_reader_refuses_a_tampered_tail_entry_and_reads_the_log():
+    system = LtrSystem(seed=7, ltr_config=LtrConfig(auth_enabled=True))
+    system.bootstrap(8)
+    writer, reader = system.peer_names()[1], system.user(system.peer_names()[0])
+    for index in range(3):
+        system.edit_and_commit(writer, KEY, f"revision {index}")
+    tail = system.master_service(KEY)._tails[KEY]
+    honest = tail.entries[1]
+    forged = honest.patch.with_operations(
+        tuple(honest.patch.operations) + (InsertLine(0, "<forged in the tail>"),)
+    )
+    tail.entries[1] = replace(honest, patch=forged)  # keeps the author's signature
+    reads, rejects = log_reads(system), reader.log.auth_rejects
+    result = system.sync(reader.author, KEY)
+    assert (result.retrieved_patches, result.checkpoint_ts) == (3, None)
+    assert reader.log.auth_rejects == rejects + 1
+    assert log_reads(system) > reads
+    assert reader.document(KEY).lines == system.user(writer).document(KEY).lines
+    assert "<forged in the tail>" not in reader.document(KEY).lines

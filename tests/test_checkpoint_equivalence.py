@@ -1,14 +1,24 @@
-"""Differential test harness for the checkpointed retrieval fast path.
+"""Differential test harness for the retrieval fast paths.
 
 Every run builds *two* byte-identical deployments from the same seed — one
 checkpointing every ``INTERVAL`` timestamps, one replaying the full patch
 log (the paper's Procedure 3: a checkpoint interval longer than the
 history) — drives the identical seeded multi-writer editing history against
-both, and then lets a peer that never synchronised catch up cold on each.  The differential property:
+both, and then lets a peer that never synchronised catch up cold on each.
+The full replay always reads the log: its Master forgets the entries it
+holds in memory first, as a takeover leaves it.  The fast deployment runs
+one of two arms:
+
+* ``checkpoint`` — its Master forgets them too, and the cold peer
+  bootstraps from a checkpoint, retrieving strictly fewer patches;
+* ``tail`` — its Master keeps them, and hands the whole history over with
+  its answer: the same patches as the full replay, with no checkpoint probed
+  and no log read.
+
+The differential property, on either arm:
 
 * the fast-path replica converges to **byte-identical text and
   ``applied_ts``** as the full-replay replica,
-* while retrieving strictly fewer patches,
 * and local tentative edits (a pending patch, or a staged commit batch)
   survive the snapshot jump: they remain committable and every paper
   invariant (dense timestamps, prefix-complete log, OT convergence — see
@@ -26,7 +36,7 @@ from repro.core import LtrConfig, LtrSystem
 from repro.net import ConstantLatency
 from repro.sim.rng import RandomStreams
 
-from test_invariants import assert_system_invariants
+from test_invariants import assert_system_invariants, drop_master_tail
 
 KEY = "xwiki:diff"
 PEERS = 6
@@ -75,7 +85,8 @@ def add_cold_local_edits(system: LtrSystem, cold: str, *, mode: str) -> None:
         user.stage(KEY, f"staged one by {cold}\nstaged two")
 
 
-def run_differential(seed: int, *, batched: bool, mode: str) -> None:
+def run_differential(seed: int, *, batched: bool, mode: str,
+                     arm: str = "checkpoint") -> None:
     steps = 10 + (seed % 5)  # history varies per seed, always > INTERVAL
     fast = build_system(seed, checkpointing=True)
     full = build_system(seed, checkpointing=False)
@@ -87,16 +98,27 @@ def run_differential(seed: int, *, batched: bool, mode: str) -> None:
     assert cold == full.peer_names()[2]
     for system in (fast, full):
         add_cold_local_edits(system, cold, mode=mode)
+    drop_master_tail(full, KEY)
+    if arm == "checkpoint":
+        drop_master_tail(fast, KEY)
 
+    log_reads = fast.network.stats.per_method.get("fetch_many", 0)
     fast_result = fast.sync(cold, KEY)
     full_result = full.sync(cold, KEY)
 
-    # The fast path really ran: it bootstrapped from a snapshot and fetched
-    # strictly fewer patches than the full replay.
-    assert fast_result.used_checkpoint, f"seed {seed}: no checkpoint used"
     assert full_result.checkpoint_ts is None
-    assert fast_result.retrieved_patches < full_result.retrieved_patches
     assert full_result.retrieved_patches == steps
+    if arm == "checkpoint":
+        # The fast path really ran: it bootstrapped from a snapshot and
+        # fetched strictly fewer patches than the full replay.
+        assert fast_result.used_checkpoint, f"seed {seed}: no checkpoint used"
+        assert fast_result.retrieved_patches < full_result.retrieved_patches
+    else:
+        # The Master's answer carried the whole history: nothing was probed
+        # or read from the log, and nothing was skipped.
+        assert fast_result.checkpoint_ts is None, f"seed {seed}: checkpoint probed"
+        assert fast.network.stats.per_method.get("fetch_many", 0) == log_reads
+        assert fast_result.retrieved_patches == full_result.retrieved_patches
 
     # The differential property: byte-identical validated state.
     fast_replica = fast.user(cold).document(KEY)
@@ -148,3 +170,22 @@ def test_checkpoint_sync_preserves_local_edits_every_mode(mode):
 def test_checkpoint_sync_matches_full_replay(seed, batched):
     """The acceptance sweep: >= 25 seeds per chain length."""
     run_differential(seed, batched=batched, mode=mode_for(seed, batched))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("seed", [2, 13])
+def test_tail_sync_matches_full_replay_smoke(seed, batched):
+    """The cold sync served from the Master's answer (the 25-seed sweep is `slow`)."""
+    run_differential(seed, batched=batched, mode=mode_for(seed, batched), arm="tail")
+
+
+@pytest.mark.parametrize("mode", ["pending", "staged"])
+def test_tail_sync_preserves_local_edits_every_mode(mode):
+    run_differential(7, batched=True, mode=mode, arm="tail")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("seed", list(SEEDS))
+def test_tail_sync_matches_full_replay(seed, batched):
+    run_differential(seed, batched=batched, mode=mode_for(seed, batched), arm="tail")

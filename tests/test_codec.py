@@ -244,7 +244,7 @@ RPC_EXEMPLARS: dict[str, dict] = {
                                  "patches": [_PATCH, _PATCH],
                                  "author": "alice",
                                  "signatures": ["ab" * 32, "cd" * 32]},
-    "ltr_last_ts": {"key": "doc"},
+    "ltr_catch_up": {"key": "doc", "after_ts": 3},
 }
 
 

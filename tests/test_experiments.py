@@ -202,7 +202,20 @@ def test_e11_batched_commit_shape():
 
 
 def test_e12_cold_sync_shape():
-    rows = rows_of("E12", histories=(48, 256), peers=10, checkpoint_interval=32)
+    all_rows = rows_of("E12", histories=(48, 256), peers=10, checkpoint_interval=32)
+    rows = [row for row in all_rows if not row["master_tail"]]
+    # A Master that still holds the history (256 entries at most) answers
+    # with it: nothing probed, nothing left to read, cheaper than either
+    # arm that reads the log (what remains is the route to the Master).
+    served = [row for row in all_rows if row["master_tail"]]
+    assert len(served) == 4
+    for row in served:
+        assert row["synced_ts"] == row["retrieved_patches"] == row["history"]
+        assert row["converged"] is True and row["used_checkpoint"] is False
+        assert row["sync_messages"] < min(
+            other["sync_messages"] for other in rows if other["history"] == row["history"]
+        )
+    # Without it, the checkpoints and the P2P-Log.
     for row in rows:
         # both arms fully catch up on the identical history and converge
         assert row["synced_ts"] == row["history"]

@@ -123,6 +123,13 @@ def assert_system_invariants(system: LtrSystem, keys) -> None:
         assert_checkpoint_placements(system, key)
 
 
+def drop_master_tail(system: LtrSystem, key: str) -> None:
+    """Make the Master of ``key`` forget the entries it holds in memory, as a
+    takeover leaves it: the next reader is served by the checkpoints and the
+    P2P-Log, not by the Master's answer."""
+    system.master_service(key)._tails.pop(key, None)
+
+
 # ------------------------------------------------------ randomized runs --
 
 
@@ -415,6 +422,7 @@ def test_checkpoints_survive_responsible_peer_departure():
     assert survivor is not None and survivor.ts == newest
     # ...a cold peer still fast-paths from it...
     cold = next(name for name in system.peer_names() if name != writer)
+    drop_master_tail(system, key)
     result = system.sync(cold, key)
     assert result.checkpoint_ts == newest
     assert result.retrieved_patches == system.last_ts(key) - newest
@@ -438,6 +446,7 @@ def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
     # the probe misses every listed timestamp and replays the full log.
     for ts in index:
         system.runtime.run(until=system.runtime.process(client.gc_checkpoint(key, ts)))
+    drop_master_tail(system, key)
     first_cold = system.peer_names()[2]
     result = system.sync(first_cold, key)
     assert result.checkpoint_ts is None
@@ -490,6 +499,7 @@ def test_a_checkpoint_read_with_no_route_falls_back_to_full_replay(monkeypatch):
     monkeypatch.setattr(log.dht, "get", get_without_route)
     probe = log.latest_checkpoint(key, system.last_ts(key))
     assert system.runtime.run(until=system.runtime.process(probe)) is None
+    drop_master_tail(system, key)
     result = system.sync(cold, key)
     assert result.checkpoint_ts is None
     assert result.retrieved_patches == system.last_ts(key) == 7
@@ -507,6 +517,7 @@ def test_the_default_config_checkpoints_a_long_history():
     for index in range(interval + 6):
         system.edit_and_commit(writer, key, f"revision {index}")
     system.run_for(2.0)  # the checkpoint is written after the commit is answered
+    drop_master_tail(system, key)
     result = system.sync(system.peer_names()[2], key)
     assert result.checkpoint_ts == interval
     assert result.retrieved_patches == 6
@@ -577,7 +588,7 @@ def test_validation_failure_restages_the_batch(monkeypatch):
     user.stage(key, "staged once")
     other = system.peer_names()[1]
     system.edit_and_commit(other, key, "committed first")
-    system.master_service(key)._tails.clear()  # as after a takeover
+    drop_master_tail(system, key)
     with pytest.raises(ValidationFailed):
         system.flush("peer-0", key)
     restaged = user.batch(key)
@@ -611,7 +622,7 @@ def test_failed_retrieval_restores_the_pending_edit():
     user.log.fetch_range = unavailable
     # Force the fallback: with its tail in place the Master would hand the
     # missing entry over and the log would not be read at all.
-    system.master_service(key)._tails.clear()
+    drop_master_tail(system, key)
     with pytest.raises(PatchUnavailable):
         system.commit("peer-0", key)
     assert user.has_pending(key)

@@ -15,7 +15,7 @@ from repro.check import ConvergenceChecker
 from repro.core.consistency import replay_log
 from repro.errors import ConfigurationError
 
-from test_invariants import assert_system_invariants, build_system
+from test_invariants import assert_system_invariants, build_system, drop_master_tail
 
 KEY = "xwiki:overlap"
 OFFSETS_MS = range(0, 45, 5)
@@ -46,11 +46,13 @@ def assert_replica_is_a_log_prefix(system, user):
     )
 
 
-@pytest.mark.parametrize("offset_ms", OFFSETS_MS)
-@pytest.mark.parametrize("verb", ["commit", "flush"])
-@pytest.mark.parametrize("order", ["sync-first", "commit-first"])
-def test_sync_and_commit_of_one_document_overlap_on_one_peer(order, verb, offset_ms):
+def overlap_sync_and_commit(order, verb, offset_ms, *, from_log=False):
+    """``from_log``: the Master's tail is dropped, as a takeover leaves it, so
+    the sync reads the P2P-Log (a wait more) instead of integrating what the
+    Master's answer carries."""
     system, user = contended_peer(stage=verb == "flush")
+    if from_log:
+        drop_master_tail(system, KEY)
     runtime = system.runtime
     operations = [user.sync, getattr(user, verb)]
     if order == "commit-first":
@@ -75,6 +77,20 @@ def test_sync_and_commit_of_one_document_overlap_on_one_peer(order, verb, offset
     assert_system_invariants(system, [KEY])
     checker = ConvergenceChecker(keys=[KEY])
     assert checker.final_check(system).ok and checker.violations() == []
+
+
+@pytest.mark.parametrize("offset_ms", OFFSETS_MS)
+@pytest.mark.parametrize("verb", ["commit", "flush"])
+@pytest.mark.parametrize("order", ["sync-first", "commit-first"])
+def test_sync_and_commit_of_one_document_overlap_on_one_peer(order, verb, offset_ms):
+    overlap_sync_and_commit(order, verb, offset_ms)
+
+
+@pytest.mark.parametrize("offset_ms", OFFSETS_MS)
+@pytest.mark.parametrize("verb", ["commit", "flush"])
+@pytest.mark.parametrize("order", ["sync-first", "commit-first"])
+def test_a_sync_reading_the_log_and_a_commit_overlap_on_one_peer(order, verb, offset_ms):
+    overlap_sync_and_commit(order, verb, offset_ms, from_log=True)
 
 
 @pytest.mark.parametrize("save", ["edit", "stage"])
