@@ -91,6 +91,8 @@ class ChordNode:
         self.predecessor: Optional[NodeRef] = None
 
         self.alive = False
+        # Set once :meth:`leave` begins: from then on ownership is refused.
+        self._leaving = False
         self._next_finger = 0
         self._maintenance_epoch = 0
         self._replica_targets: tuple[NodeRef, ...] = ()
@@ -135,6 +137,7 @@ class ChordNode:
         self.successors.replace([self.ref])
         self.fingers.fill_with(self.ref)
         self.alive = True
+        self._leaving = False
         self._start_maintenance()
 
     def join(self, bootstrap: Address):
@@ -157,6 +160,7 @@ class ChordNode:
         self.fingers.fill_with(successor)
         self.route_cache.clear()  # entries from a previous incarnation
         self.alive = True
+        self._leaving = False
         self._start_maintenance()
 
         # Ask the successor for the keys that now belong to us.
@@ -191,6 +195,7 @@ class ChordNode:
         """
         if not self.alive:
             return None
+        self._leaving = True
         for service in self.services:
             service.on_node_leaving()
         successor = self.successors.head
@@ -511,31 +516,58 @@ class ChordNode:
             del self._warming[target_id]
 
     def _remember_route(self, answer: dict) -> None:
-        """Cache the responsibility interval carried by a lookup answer.
+        """Cache the routes a lookup answer carries, the asked-for one last.
+
+        An answer that crossed the network carries the answering peer's
+        fresh routes (:meth:`_carried_routes`), each with its age; they are
+        learned first, so the route the lookup asked for is stored last and
+        a bulk learn never evicts it.
 
         Only an authoritative base-case answer (re)starts the TTL clock.  An
         answer served from another node's cache (``cached`` flag) is learned
         too — otherwise every node behind a finger would relay through that
         finger for the whole TTL — but *back-dated* by the ``age`` the
         serving node reported (``now - stamp`` on its own clock, so the
-        figure survives process boundaries).  The route therefore still dies
-        at the authoritative stamp plus TTL however many caches it travelled
-        through; re-stamping it with the arrival time instead would let a
-        stale route circulate between nodes forever.  A relayed answer whose
-        age is missing, not a number or not below the TTL is not stored; a
-        negative age counts as zero.
+        figure survives process boundaries); so is every carried route.  A
+        route therefore still dies at the authoritative stamp plus TTL
+        however many caches it travelled through; re-stamping it with the
+        arrival time instead would let a stale route circulate between nodes
+        forever.
         """
+        for interval, owner, age in answer.get("routes", ()):
+            self._learn_route(interval, owner, age)
         interval = answer.get("interval")
-        if interval is None:
+        if interval is not None:
+            age = answer.get("age") if answer.get("cached") else 0.0
+            self._learn_route(interval, answer["node"], age)
+
+    def _learn_route(self, interval, owner: NodeRef, age: Any) -> None:
+        """Store one route back-dated by ``age``.
+
+        An age that is missing, not a number or not below the TTL is not
+        stored; a negative age counts as zero.
+        """
+        # ``age < ttl`` is also False for NaN.
+        if not isinstance(age, (int, float)) or not age < self.route_cache.ttl:
             return
-        stamp = self.runtime.now
-        if answer.get("cached"):
-            age = answer.get("age")
-            # ``age < ttl`` is also False for NaN.
-            if not isinstance(age, (int, float)) or not age < self.route_cache.ttl:
-                return
-            stamp -= max(age, 0.0)
-        self.route_cache.store(tuple(interval), answer["node"], stamp)
+        self.route_cache.store(tuple(interval), owner, self.runtime.now - max(age, 0.0))
+
+    def _carried_routes(self) -> tuple:
+        """The routes a ``find_successor`` answer leaving this node carries.
+
+        Every fresh route-cache entry with its age, and this node's own
+        ``(self, successor]`` arc at age zero — the arc the base case
+        vouches for.  Nothing else: not the predecessor arc (a predecessor
+        pointer left too wide by a fault would advertise another peer's
+        arc) and not the rest of the successor list (a stale list entry
+        would be vouched for as fresh).  A tuple of immutables, so the
+        simulated network shares it instead of copying it.
+        """
+        routes = self.route_cache.fresh_routes(self.runtime.now)
+        successor = self.successors.head
+        if successor is not None and successor != self.ref:
+            routes.append(((self.node_id, successor.node_id), successor, 0.0))
+        return tuple(routes)
 
     def _first_live_successor_candidate(
         self, excluded: Optional[set[NodeRef]]
@@ -552,9 +584,19 @@ class ChordNode:
         return True
 
     def rpc_find_successor(self, target_id: int, hops: int = 0):
-        """Recursive lookup handler (generator: may forward to other peers)."""
+        """Recursive lookup handler (generator: may forward to other peers).
+
+        The answer teaches the asker what the answering peer knows: it
+        carries that peer's :meth:`_carried_routes`, which every node on the
+        way back learns.
+        """
         self.lookups_served += 1
         result = yield from self._find_successor_local(target_id, hops)
+        # Only answers that leave the node carry routes (a local lookup
+        # never builds them), and they are the routes of the peer that
+        # answered: a relayed answer carries them on unchanged.
+        if "routes" not in result:
+            result["routes"] = self._carried_routes()
         return result
 
     def rpc_get_predecessor(self) -> Optional[NodeRef]:
@@ -703,7 +745,15 @@ class ChordNode:
 
         ``from_owner`` identifies a departing predecessor handing its keys
         over; see :meth:`_absorb_items` for how it gates replica promotion.
+
+        A peer that has begun :meth:`leave` refuses ownership as if it were
+        gone already.  Its successor holds the keys it just handed over, but
+        until our ``notify`` lands the successor's predecessor pointer still
+        names us, so its misplacement repair would send them straight back
+        to depart with us; refused, the repair keeps its copy.
         """
+        if self._leaving and not as_replica:
+            raise NodeUnreachable(f"{self.address.name} is leaving the ring")
         return self._absorb_items(items, as_replica=as_replica, from_owner=from_owner)
 
     # ----------------------------------------------------------- maintenance --

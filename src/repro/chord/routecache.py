@@ -9,8 +9,10 @@ small LRU cache of recently resolved *responsibility intervals*:
     (start, end]  ->  owner NodeRef
 
 A lookup whose target falls inside a cached interval is answered in zero
-hops.  Because cached routes go stale under churn, three safety mechanisms
-bound the staleness window:
+hops.  A lookup answer that crosses the network also carries the answering
+node's fresh entries (:meth:`RouteCache.fresh_routes`), so one remote lookup
+can teach the asker many intervals.  Because cached routes go stale under
+churn, three safety mechanisms bound the staleness window:
 
 * entries expire after a TTL (a small multiple of the stabilization
   period by default), counted from the *authoritative* answer: a route
@@ -123,6 +125,20 @@ class RouteCache:
             ):
                 return True
         return False
+
+    def fresh_routes(self, now: float) -> list[tuple[Interval, NodeRef, float]]:
+        """Every fresh entry as ``(interval, owner, age)``, least recently used first.
+
+        A read, like :meth:`covers`: no counter, no reordering, no eviction.
+        ``age`` is ``now - stamp``, the figure a receiver back-dates the
+        route by, so relaying never extends a route's life.
+        """
+        ttl = self.ttl
+        return [
+            (interval, owner, now - stamp)
+            for interval, (owner, stamp) in self._entries.items()
+            if now - stamp <= ttl
+        ]
 
     # -- updates ------------------------------------------------------------
 

@@ -279,6 +279,10 @@ def test_relayed_route_without_a_usable_age_is_not_stored(age):
         answer["age"] = age
     node._remember_route(answer)
     assert len(node.route_cache) == 0
+    # A route carried along with an answer goes by the same rule.
+    node._remember_route({"node": node.successor, "hops": 1,
+                          "routes": (((30, 40), node.successor, age),)})
+    assert len(node.route_cache) == 0
 
 
 def test_relayed_route_with_negative_age_counts_as_fresh_not_as_future():
@@ -305,6 +309,89 @@ def test_older_relay_never_overwrites_a_fresher_stamp():
     ring.run_for(1.0)
     node._remember_route({"node": owner, "hops": 1, "interval": interval})
     assert node.route_cache.lookup(15, ring.runtime.now) == (interval, owner, ring.runtime.now)
+
+
+def test_carried_routes_are_back_dated_and_the_asked_for_route_is_stored_last():
+    ring = build_ring(4)
+    node = ring.gateway()
+    node.route_cache = RouteCache(capacity=3, ttl=CACHED_CONFIG.route_cache_ttl)
+    a, b, c, d = (_ref(identifier, name) for identifier, name in
+                  ((40, "a"), (60, "b"), (80, "c"), (20, "d")))
+    now = ring.runtime.now
+    node._remember_route({
+        "node": d, "hops": 2, "interval": (10, 20),
+        "routes": (((20, 40), a, 1.5), ((40, 60), b, 0.25), ((60, 80), c, 0.0),
+                   ((80, 90), c, CACHED_CONFIG.route_cache_ttl)),
+    })
+    # Four carried, one of them too old; three fit: the asked-for route is
+    # stored last, evicting the oldest carried one, and is the most recent.
+    assert list(node.route_cache._entries) == [(40, 60), (60, 80), (10, 20)]
+    assert node.route_cache.lookup(50, now) == ((40, 60), b, now - 0.25)
+    assert node.route_cache.lookup(70, now) == ((60, 80), c, now)
+    assert node.route_cache.lookup(15, now) == ((10, 20), d, now)
+
+
+def with_traffic(ring: ChordRing) -> ChordRing:
+    """Every peer looks up a few keys: the caches hold what lookups taught them."""
+    for name in ring.ring_order():
+        for index in range(4):
+            ring.lookup(f"traffic-{name}-{index}", via=name)
+    return ring
+
+
+def test_one_remote_lookup_teaches_a_cold_peer_many_routes():
+    """The answer carries the answering peer's fresh routes: a peer whose
+    cache was empty knows more than the arc it asked for, and every route it
+    learned names the peer that really owns it."""
+    ring = with_traffic(build_ring(12))
+    key = "teach-me"
+    via = far_gateway(ring, key)
+    asker = ring.node(via)
+    asker.route_cache.clear()
+    answer = ring.lookup(key, via=via)
+    assert answer["hops"] >= 1
+    routes = asker.route_cache.fresh_routes(ring.runtime.now)
+    assert len(routes) > 1
+    for (_start, end), owner, age in routes:
+        assert owner == ring.responsible_node_for_id(end).ref
+        assert 0.0 <= age < CACHED_CONFIG.route_cache_ttl
+
+
+def test_a_peer_with_a_stale_predecessor_carries_only_its_own_successor_arc():
+    """Neither ``(pred, self]`` nor the successor-list tail is carried: a
+    predecessor pointer left wrong by a fault would advertise another peer's
+    arc, and a stale list entry would be vouched for as fresh."""
+    ring = build_ring(8)
+    node = ring.gateway()
+    node.route_cache.clear()
+    assert len(node.successors) > 1
+    node.predecessor = node.successors.entries()[-1]  # far too wide
+    target = (node.node_id + 1) % 2 ** ring.config.bits
+    answer = ring.runtime.run(until=ring.runtime.process(node.rpc_find_successor(target, 1)))
+    assert answer["node"] == node.successor
+    assert answer["routes"] == (((node.node_id, node.successor.node_id), node.successor, 0.0),)
+
+
+def test_a_carried_route_naming_a_crashed_peer_is_purged_on_first_use():
+    ring = with_traffic(build_ring(12))
+    key = "carry-a-corpse"
+    via = far_gateway(ring, key)
+    asker = ring.node(via)
+    asker.route_cache.clear()
+    asked_owner = ring.lookup(key, via=via)["node"]
+    now = ring.runtime.now
+    carried = [(interval, owner) for interval, owner, _age
+               in asker.route_cache.fresh_routes(now)
+               if owner not in (asked_owner, asker.ref, asker.successor)]
+    assert carried, "the answer carried routes besides the asked-for one"
+    (_start, end), victim = carried[0]
+    ring.node(victim.address.name).fail()  # no driver-level clear
+    assert asker.route_cache.covers(end, ring.runtime.now)
+    # The first lookup that would be served by it finds the owner down and
+    # purges every entry naming it, so routing falls back to the fingers.
+    assert asker._cached_route(end) is None
+    assert all(owner != victim for _interval, owner, _age
+               in asker.route_cache.fresh_routes(ring.runtime.now))
 
 
 def test_route_served_from_a_cache_is_learned_by_the_asker():

@@ -247,6 +247,18 @@ RPC_EXEMPLARS: dict[str, dict] = {
     "ltr_catch_up": {"key": "doc", "after_ts": 3},
 }
 
+#: Answers whose shape is richer than their request's: round-tripped as
+#: responses by the same test.
+RESPONSE_EXEMPLARS: dict[str, dict] = {
+    # A base-case answer carrying the answering peer's routes: its fresh
+    # cache entries with their ages, and its own arc at age zero.
+    "find_successor": {
+        "node": _REF, "hops": 2, "interval": (2**159, 7),
+        "routes": (((9, 2**159 - 1), NodeRef(2**159 - 1, Address("peer-y", "site")), 0.375),
+                   ((2**159, 7), _REF, 0.0)),
+    },
+}
+
 
 def test_every_exposed_rpc_method_has_a_round_tripped_exemplar():
     system = LtrSystem()
@@ -266,6 +278,8 @@ def test_every_exposed_rpc_method_has_a_round_tripped_exemplar():
                 payload=payload, request_id=1, sent_at=0.0,
             )
             assert decode_message(encode_message(request)) == request
+        for method, payload in RESPONSE_EXEMPLARS.items():
+            assert _response_round_trip(method, payload) == payload
     finally:
         system.shutdown()
 
@@ -421,12 +435,23 @@ def test_cached_find_successor_answer_round_trips_with_its_age():
     assert node.route_cache.lookup(7, ring.runtime.now) == ((5, 9), _REF, ring.runtime.now - 1.75)
 
 
+def test_carried_routes_cross_the_codec_and_are_learned_with_their_ages():
+    decoded = _response_round_trip("find_successor", RESPONSE_EXEMPLARS["find_successor"])
+    ring, node = _route_cache_node()
+    now = ring.runtime.now
+    node._remember_route(decoded)
+    (carried, carrier, age), (own_arc, owner, _zero) = decoded["routes"]
+    assert node.route_cache.lookup(10, now) == (carried, carrier, now - age)
+    assert node.route_cache.lookup(3, now) == (own_arc, owner, now)
+
+
 @pytest.mark.parametrize("age", [float("nan"), float("inf"), "1.75", 2**70, [1.75],
                                  {"age": 1}, None, b"\x01"])
 def test_hostile_route_ages_cross_the_codec_and_are_not_learned(age):
     decoded = _response_round_trip(
         "find_successor",
-        {"node": _REF, "hops": 2, "interval": (5, 9), "cached": True, "age": age},
+        {"node": _REF, "hops": 2, "interval": (5, 9), "cached": True, "age": age,
+         "routes": (((9, 12), _REF, age),)},
     )
     ring, node = _route_cache_node()
     node._remember_route(decoded)

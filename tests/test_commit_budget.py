@@ -37,6 +37,13 @@ stays exact for log keys.  Its routing and replica pushes stay in the total
 proposals, the job shifts which of them queue together: 329 publishes,
 ``store_many`` 2096 and 2 more ``receive_items``, total 5467 (15.19 a
 commit).
+
+A ``find_successor`` answer now carries the answering peer's fresh routes,
+not only the one it was asked for, so an editor or a Master that looks up
+one arc learns the ring around it: ``find_successor`` 1268 → 582.  With
+lookups shorter, proposals queue together differently: 323 publishes,
+``store_many`` 2096 → 2098, ``receive_items`` 1383 → 1378, total 5467 →
+4778 (15.19 → 13.27 a commit).
 """
 
 import random
@@ -128,9 +135,10 @@ def test_contended_commit_pays_only_for_the_round_trips_it_needs():
     # No Master changed hands, every gap fits the tail: the log is never read.
     assert sent.get("fetch_many", 0) == 0 and sent.get("fetch", 0) == 0
     # Routing is warm-up only — each editor and each Master learns its few
-    # routes once, authoritatively or relayed: 3.5 lookups a commit over
-    # these 360 commits and falling with the run's length, where PR 16
-    # paid 22.5 (and 7.4 fetch_many) whatever the length.
+    # routes once, authoritatively, relayed or carried along with another
+    # answer: 1.6 messages a commit over these 360 commits (3.5 when an
+    # answer carried one route) and falling with the run's length, where
+    # PR 16 paid 22.5 (and 7.4 fetch_many) whatever the length.
     assert per_commit["find_successor"] <= 4.0, per_commit
     # The protocol itself: proposals, grouped puts, replica pushes
     # (2.0 + 5.9 + 3.9 measured).
@@ -139,9 +147,9 @@ def test_contended_commit_pays_only_for_the_round_trips_it_needs():
     assert per_commit["receive_items"] <= 4.0, per_commit
     # The exact budget (module docstring): a count that moves is a
     # behavioural change of the commit path and has to be explained.
-    assert sent == {"find_successor": 1268, "ltr_validate_and_publish": 720,
-                    "store_many": 2096, "receive_items": 1383}
-    assert sum(sent.values()) == 5467  # 15.19 a commit; PR 16 paid 44.8
+    assert sent == {"find_successor": 582, "ltr_validate_and_publish": 720,
+                    "store_many": 2098, "receive_items": 1378}
+    assert sum(sent.values()) == 4778  # 13.27 a commit; PR 16 paid 44.8
     # One checkpoint in the background: a missed index read, then three
     # snapshot and three index stores (module docstring).
     assert checkpoint == {"fetch": 6, "store": 12}
@@ -151,17 +159,17 @@ def test_a_warmed_publish_routes_nothing_under_the_lock():
     with trace_routing() as trace:
         run_write_phase(seed=1)
     # (Pinned one publish per commit.)  Every commit is published once, and
-    # the ones that queued behind a running publish share the next: 329
-    # rounds, 26 of them for two or three proposals (328 before every
-    # Master checkpointed: the background checkpoint write of the hottest
-    # document at ts 64 shifts which proposals queue together).
+    # the ones that queued behind a running publish share the next: 323
+    # rounds, 32 of them for two or three proposals (328 before every Master checkpointed: the background
+    # checkpoint write of the hottest document at ts 64 shifts which
+    # proposals queue together; 329 before answers carried routes).
     assert sum(len(publish.timestamps) for publish in trace.publishes) == COMMITS
-    assert len(trace.publishes) == 329
+    assert len(trace.publishes) == 323
     warmed = [publish for publish in trace.publishes if trace.was_warmed(publish)]
     cold = [publish for publish in trace.publishes if not trace.was_warmed(publish)]
     # All but each tenure's first publish (no previous allocation to pace by,
     # so it leaves no horizon either) and its second, unless that one was
-    # already queued behind the first: 307 of 329 (338 of 360 one by one) —
+    # already queued behind the first: 301 of 323 (338 of 360 one by one) —
     # and every group among them: who waits is warmed on arrival.
     assert len(warmed) >= len(trace.publishes) - 2 * DOCUMENTS
     assert all(len(publish.timestamps) == 1 for publish in cold)

@@ -72,6 +72,46 @@ def test_master_departure_while_other_documents_unaffected():
     assert system.check_consistency(key_b).converged
 
 
+def test_a_leaving_master_refuses_the_counter_its_successor_repairs_back():
+    """The successor runs its misplacement repair between the hand-off and
+    the departing Master's ``notify``: its predecessor pointer still names the
+    leaver, so the counter it was just handed looks misplaced and is routed
+    back to the leaver as owner.  The leaver refuses it, so the successor
+    keeps owning the counter instead of demoting it to a replica."""
+    system = build_system()
+    key = "wiki:leave-window"
+    system.edit_and_commit("peer-0", key, "v1")
+    system.run_for(2.0)
+    master_name = system.master_of(key)
+    leaver = system.ring.node(master_name)
+    successor = system.ring.node(leaver.successor.name)
+    counter_key = system.master_service(key)._authority().storage_key(key)
+    counter_id = leaver.storage.get(counter_key).key_id
+    # The successor knows the way back to the leaver: the repair routes there.
+    system.runtime.run(until=system.runtime.process(successor.find_successor(counter_id)))
+    repaired = []
+
+    def receive_then_repair(items, as_replica=False, from_owner=None):
+        absorbed = successor._absorb_items(items, as_replica=as_replica,
+                                           from_owner=from_owner)
+        if from_owner == leaver.ref:
+            # Inside the window: the leaver waits for this answer before
+            # it notifies anybody.
+            assert successor.predecessor == leaver.ref
+            yield from successor._repair_misplaced_items()
+            repaired.append(successor.storage.get(counter_key).is_replica)
+        return absorbed
+
+    successor.rpc.expose("receive_items", receive_then_repair)
+    system.leave(master_name)
+    assert repaired == [False]  # the successor kept owning the counter
+    assert system.master_of(key) == successor.address.name
+    assert not successor.storage.get(counter_key).is_replica
+    writer = surviving_writer(system, master_name)
+    assert system.edit_and_commit(writer, key, "v1\nv2").ts == 2
+    assert system.check_consistency(key).converged
+
+
 # ---------------------------------------------------------------------------
 # Scenario E3b: Master-key peer crashes
 # ---------------------------------------------------------------------------

@@ -186,10 +186,11 @@ def test_loss_burst_drops_messages_only_inside_the_window():
     loss_burst_script(seed=13)
 
 
-#: How many of the seeds 1..40 the loss-burst script fails on: 5 of 40 —
-#: seeds 1, 3, 30, 36 and 38, each with ``ValidationFailed`` after 64 paced
+#: How many of the seeds 1..40 the loss-burst script fails on: 4 of 40 —
+#: seeds 3, 30, 36 and 38, each with ``ValidationFailed`` after 64 paced
 #: retries (two peers *own* the document's counter after the burst, with
-#: different ``last-ts``, and routing serves the stale one).  A pre-existing
+#: different ``last-ts``, and routing serves the stale one); seed 1 failed
+#: too while a lookup answer carried one route.  A pre-existing
 #: hazard of a lossy window (CHANGES.md, "Found, pre-existing, not fixed");
 #: which seeds it hits moves with any change in timing, which is why the
 #: pinned seed above says what it is.  The sweep is also why owners no longer
@@ -197,7 +198,7 @@ def test_loss_burst_drops_messages_only_inside_the_window():
 #: release switched on the script failed on 9 of 40 — 1, 9, 10, 17, 18, 19,
 #: 32, 38 and 39, with ``PatchUnavailable`` (acknowledged entries gone from
 #: every replica) on 1, 17 and 32.
-LOSS_BURST_KNOWN_FAILURES = 5
+LOSS_BURST_KNOWN_FAILURES = 4
 
 
 @pytest.mark.slow

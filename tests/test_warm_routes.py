@@ -26,7 +26,7 @@ from test_behind_suffix import publish
 from test_core_master import build_system, find_takeover_joiner, make_patch, run_validation
 from test_p2plog import tamper
 
-from repro.chord import ChordRing, HashFunctionFamily
+from repro.chord import ChordNode, ChordRing, HashFunctionFamily
 from repro.core import LtrConfig, LtrSystem
 from repro.core import master as master_module
 from repro.dht import ChordDhtClient, LocalDht
@@ -381,10 +381,10 @@ def test_master_crash_with_warm_ups_in_flight_is_clean_and_the_next_master_commi
 # ---------------------------------------------------------------- the reader --
 
 
-@pytest.mark.parametrize("fault", ["none", "primary-down", "primary-tampered"])
-def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
-    """Six windows of four: same entries as one get at a time, every
-    identifier routed once, never more than a window's routings in flight."""
+def range_read(fault):
+    """Two cold readers fetch 24 entries, one get at a time and in windows of
+    four; returns the trace, each reader's log client and name, the range's
+    primary identifiers and those of them on the victim Log-Peer."""
     ring = quiet_ring(seed=13)
     family = HashFunctionFamily.create(3, bits=32)
     key = "wiki:windows"
@@ -417,7 +417,30 @@ def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
     with trace_routing() as trace:
         assert run(one.fetch_range(key, 1, 24)) == entries
         assert run(windowed.fetch_range(key, 1, 24)) == entries
-    for log, name in ((one, readers[0]), (windowed, readers[8])):
+    for log in (one, windowed):
+        assert log.retrievals == 24
+        assert log.auth_rejects == (1 if fault == "primary-tampered" else 0)
+        assert log.fallback_reads == {"none": 0, "primary-tampered": 1,
+                                      "primary-down": len(on_victim)}[fault]
+    # Only primary placements of the range were asked for: nothing is
+    # resolved that is not fetched.
+    assert {identifier for _node, identifier in trace.warm_calls} <= wanted
+    readers = ((one, readers[0]), (windowed, readers[8]))
+    return trace, readers, wanted, on_victim, primary, key
+
+
+@pytest.mark.parametrize("fault", ["none", "primary-down", "primary-tampered"])
+def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
+    """Six windows of four: same entries as one get at a time, every
+    identifier routed once, never more than a window's routings in flight.
+
+    Answers carry only the route they were asked for here: with the
+    answering peer's routes carried along, the first window would teach the
+    reader the whole ring and there would be nothing left to warm (the next
+    test)."""
+    with mock.patch.object(ChordNode, "_carried_routes", lambda self: ()):
+        trace, readers, wanted, on_victim, _primary, _key = range_read(fault)
+    for log, name in readers:
         mine = [lookup for lookup in trace.routed if lookup.node == name]
         times_routed = Counter(lookup.target_id for lookup in mine)
         assert {times_routed[identifier] for identifier in wanted - on_victim} <= {0, 1}
@@ -429,10 +452,19 @@ def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
             assert {times_routed[identifier] for identifier in on_victim} <= {0, 1}
         assert trace.peak_in_flight(name) <= log.max_parallel
         assert any(lookup.warm for lookup in mine)  # windows 2.. were resolved ahead
-        assert log.retrievals == 24
-        assert log.auth_rejects == (1 if fault == "primary-tampered" else 0)
-        assert log.fallback_reads == {"none": 0, "primary-tampered": 1,
-                                      "primary-down": len(on_victim)}[fault]
-    # Only primary placements of the range were asked for: nothing is
-    # resolved that is not fetched.
-    assert {identifier for _node, identifier in trace.warm_calls} <= wanted
+
+
+@pytest.mark.parametrize("fault", ["none", "primary-tampered"])
+def test_carried_routes_leave_windows_two_on_nothing_to_route(fault):
+    """Answers carry the answering peer's routes.  The first reader starts
+    with every cache cleared, so each answer teaches it one arc and it still
+    warms ahead; its lookups fill the caches of the peers on their way.  The
+    second reader's first window collects those routes, and its windows 2..
+    (and the tampered entry's fallback) route nothing at all."""
+    trace, readers, _wanted, _on_victim, primary, key = range_read(fault)
+    (one, first), (windowed, second) = readers
+    assert any(lookup.warm for lookup in trace.routed if lookup.node == first)
+    first_window = {primary(make_log_key(key, ts)) for ts in range(1, windowed.max_parallel + 1)}
+    mine = [lookup for lookup in trace.routed if lookup.node == second]
+    assert sorted(lookup.target_id for lookup in mine) == sorted(first_window)
+    assert not any(lookup.warm for lookup in mine)
