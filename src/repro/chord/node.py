@@ -117,11 +117,6 @@ class ChordNode:
         """The node's current immediate successor."""
         return self.successors.head
 
-    def add_service(self, service: NodeService) -> None:
-        """Attach an additional application service after construction."""
-        self.services.append(service)
-        service.attach(self)
-
     def service(self, name: str) -> Optional[NodeService]:
         """Find an attached service by its ``name`` attribute."""
         for candidate in self.services:
@@ -675,7 +670,7 @@ class ChordNode:
     def rpc_fetch_many(self, keys: list[str]) -> dict[str, Any]:
         """Return the locally stored values for every held key of ``keys``.
 
-        The server side of grouped range reads (``DhtClient.get_many`` /
+        The server side of grouped range reads (``ChordDhtClient.get_many`` /
         the P2P-Log's ``fetch_range``): a whole span of entries headed for
         this Log-Peer is answered in one RPC.  Keys not held here are
         simply absent from the answer — the caller falls back per key.

@@ -221,14 +221,6 @@ class Cluster:
         process.wait()
         self.killed.append(index)
 
-    def live_process_indices(self) -> list[int]:
-        """Indices of host processes still running."""
-        return [
-            index
-            for index, process in enumerate(self.processes)
-            if process is not None and process.poll() is None
-        ]
-
     # -- driving --------------------------------------------------------------
 
     def commit(self, key: str, text: str) -> Optional[CommitResult]:

@@ -1,7 +1,5 @@
-"""DHT client facade: a uniform put/get/lookup interface over Chord or a local table."""
+"""DHT client: put/get/lookup routed through the peer's own Chord node."""
 
-from .api import DhtClient, GetItem, PutItem
-from .chord_client import ChordDhtClient
-from .local import LocalDht
+from .chord_client import ChordDhtClient, GetItem, PutItem
 
-__all__ = ["ChordDhtClient", "DhtClient", "GetItem", "LocalDht", "PutItem"]
+__all__ = ["ChordDhtClient", "GetItem", "PutItem"]

@@ -1,4 +1,13 @@
-"""Chord-backed implementation of the :class:`~repro.dht.api.DhtClient`."""
+"""DHT client of a P2P-LTR peer, routed through the peer's own Chord node.
+
+The timestamping and logging services of P2P-LTR only need four operations
+from the DHT: ``put``, ``get``, ``remove`` and ``lookup`` (find the peer
+responsible for a key), plus ``call_owner``, the batched ``put_many`` /
+``get_many`` and ``warm``, the hint that resolves a known placement before
+it is needed.  All operations but ``warm`` are *simulation processes*
+(generator functions used with ``yield from``): they perform network round
+trips.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +15,25 @@ from typing import Any, Optional, Sequence
 
 from ..chord import ChordNode, hash_to_id
 from ..errors import PLACEMENT_FAILURES, NodeUnreachable, RequestTimeout
-from .api import DhtClient, GetItem, PutItem
+
+#: One item of a batched store: ``(key, value, key_id)`` where ``key_id`` may
+#: be ``None`` to let the client hash ``key`` itself.
+PutItem = tuple[str, Any, Optional[int]]
+
+#: One item of a batched fetch: ``(key, key_id)`` where ``key_id`` may be
+#: ``None`` to let the client hash ``key`` itself.
+GetItem = tuple[str, Optional[int]]
 
 
-class ChordDhtClient(DhtClient):
+class ChordDhtClient:
     """DHT operations routed through a peer's own Chord node.
 
     Every P2P-LTR peer is itself a member of the DHT (Figure 1 of the
     paper), so its DHT client simply delegates to the local
     :class:`~repro.chord.ChordNode`, which performs the routed lookups and
-    remote stores.
+    remote stores.  ``put`` / ``get`` / ``remove`` / ``lookup`` /
+    ``call_owner`` route one key each; ``put_many`` / ``get_many`` take a
+    batch and cost one RPC per responsible peer.
     """
 
     def __init__(self, node: ChordNode) -> None:
@@ -44,29 +62,16 @@ class ChordDhtClient(DhtClient):
         one notification per owner instead of one per item.  An item whose
         placement cannot be resolved, or whose owner is unreachable, is
         reported as not stored; the batch itself never fails wholesale.
+        Returns ``{"stored": [bool per item], "owners": int, "hops": int}``.
         """
         items = list(items)
         if not items:
             return {"stored": [], "owners": 0, "hops": 0}
+        groups, hops = yield from self._group_by_owner(
+            [(key, key_id) for key, _value, key_id in items]
+        )
         runtime = self.node.runtime
-        resolutions = [
-            runtime.process(
-                self._resolve_placement(key, key_id),
-                name=f"resolve:{key}",
-            )
-            for key, _value, key_id in items
-        ]
-        yield runtime.all_of(resolutions)
         stored = [False] * len(items)
-        hops = 0
-        groups: dict[Any, list[int]] = {}
-        for index, resolution in enumerate(resolutions):
-            outcome = resolution.value
-            if outcome is None:
-                continue
-            owner, answer_hops = outcome
-            hops += answer_hops
-            groups.setdefault(owner, []).append(index)
         writes = [
             (
                 indexes,
@@ -84,6 +89,33 @@ class ChordDhtClient(DhtClient):
                 for index in indexes:
                     stored[index] = True
         return {"stored": stored, "owners": len(groups), "hops": hops}
+
+    def _group_by_owner(self, items: Sequence[GetItem]):
+        """Resolve the placements of ``items`` concurrently and group them by owner (process).
+
+        Returns ``(groups, hops)``: ``groups`` maps each responsible peer to
+        the indexes of its items, in item order; an item whose placement
+        cannot be resolved is in no group.  ``hops`` sums the routing hops.
+        """
+        runtime = self.node.runtime
+        resolutions = [
+            runtime.process(
+                self._resolve_placement(key, key_id),
+                name=f"resolve:{key}",
+            )
+            for key, key_id in items
+        ]
+        yield runtime.all_of(resolutions)
+        hops = 0
+        groups: dict[Any, list[int]] = {}
+        for index, resolution in enumerate(resolutions):
+            outcome = resolution.value
+            if outcome is None:
+                continue
+            owner, answer_hops = outcome
+            hops += answer_hops
+            groups.setdefault(owner, []).append(index)
+        return groups, hops
 
     def _resolve_placement(self, key: str, key_id: Optional[int]):
         """Locate the owner of one placement; ``None`` when routing fails."""
@@ -129,7 +161,8 @@ class ChordDhtClient(DhtClient):
         each owner answers its whole group through a single ``fetch_many``
         RPC.  An item whose placement cannot be resolved, whose owner is
         unreachable, or which the owner does not hold is reported as
-        ``None``; the batch itself never fails wholesale.
+        ``None``; the batch itself never fails wholesale.  Returns
+        ``{"values": [value-or-None per item], "owners": int, "hops": int}``.
 
         ``warm_next`` is warmed *between* the two stages: after this batch's
         own resolutions returned (issued together, both batches would walk
@@ -140,25 +173,9 @@ class ChordDhtClient(DhtClient):
         items = list(items)
         if not items:
             return {"values": [], "owners": 0, "hops": 0}
+        groups, hops = yield from self._group_by_owner(items)
         runtime = self.node.runtime
-        resolutions = [
-            runtime.process(
-                self._resolve_placement(key, key_id),
-                name=f"resolve:{key}",
-            )
-            for key, key_id in items
-        ]
-        yield runtime.all_of(resolutions)
         values: list[Any] = [None] * len(items)
-        hops = 0
-        groups: dict[Any, list[int]] = {}
-        for index, resolution in enumerate(resolutions):
-            outcome = resolution.value
-            if outcome is None:
-                continue
-            owner, answer_hops = outcome
-            hops += answer_hops
-            groups.setdefault(owner, []).append(index)
         reads = [
             (
                 indexes,
@@ -195,7 +212,16 @@ class ChordDhtClient(DhtClient):
         return answer
 
     def warm(self, items: Sequence[GetItem]) -> None:
-        """Have the node learn the routes to ``items`` in the background."""
+        """Have the node learn the routes to ``items`` in the background.
+
+        Fire and forget: a plain call, not a process.  It returns at once,
+        never raises, and reads and writes no item.  One rule decides who
+        calls it: *a placement whose key is already known is resolved before
+        the operation that needs it* (the Master knows the next timestamps of
+        a document, a range reader its next window).  The route cache keeps
+        what it learns, so the later ``put_many`` / ``get_many`` finds the
+        owner without a lookup.
+        """
         for key, key_id in items:
             self.node.warm_route(key_id if key_id is not None else self.hash_key(key))
 

@@ -83,10 +83,6 @@ class Topology:
     storage_backend: Optional[str] = None
     storage_dir: Optional[str] = None
 
-    def latency_model(self) -> LatencyModel:
-        """The resolved :class:`~repro.net.LatencyModel` for this topology."""
-        return resolve_latency(self.latency)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

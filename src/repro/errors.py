@@ -79,10 +79,6 @@ class RequestTimeout(NetworkError):
     """An RPC did not receive a response within its timeout."""
 
 
-class MessageDropped(NetworkError):
-    """A message was dropped by the loss model or a network partition."""
-
-
 class UnknownRpcMethod(NetworkError):
     """The remote peer does not expose the requested RPC method."""
 
@@ -117,10 +113,6 @@ PLACEMENT_FAILURES = (LookupFailed, NodeUnreachable, RequestTimeout)
 
 class KeyNotFound(DhtError):
     """``get`` was called for a key that is not stored in the DHT."""
-
-
-class NotResponsible(DhtError):
-    """A node received a request for a key it is not responsible for."""
 
 
 class NodeNotJoined(DhtError):

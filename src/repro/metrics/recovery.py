@@ -57,13 +57,6 @@ class RecoveryTracker:
             return 1.0
         return self.succeeded() / len(self.probes)
 
-    def first_failure_after(self, time: float) -> Optional[float]:
-        """Time of the first failed probe at or after ``time``."""
-        for probe in self.probes:
-            if probe.time >= time and not probe.ok:
-                return probe.time
-        return None
-
     def recovery_time(self, fault_time: float,
                       until: Optional[float] = None) -> Optional[float]:
         """Seconds from ``fault_time`` until probes succeeded again.

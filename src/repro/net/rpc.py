@@ -78,11 +78,6 @@ class RpcAgent:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def online(self) -> bool:
-        """``True`` while the agent is registered with the network."""
-        return self._online
-
     def go_offline(self, *, crash: bool = False) -> None:
         """Leave the network (gracefully, or abruptly when ``crash=True``).
 

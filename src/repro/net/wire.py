@@ -258,10 +258,6 @@ class WireNetwork(Network):
 
     # -- routing ------------------------------------------------------------
 
-    def add_route(self, name: str, endpoint: Union[str, WireEndpoint]) -> None:
-        """Teach this process where peer ``name`` lives."""
-        self.routes[name] = WireEndpoint.parse(endpoint)
-
     def is_remote(self, name: str) -> bool:
         """``True`` when ``name`` routes to another process."""
         target = self.routes.get(name)

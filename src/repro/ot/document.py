@@ -70,10 +70,6 @@ class Document:
         if ts is not None:
             self.applied_ts = ts
 
-    def preview_patch(self, patch: Patch) -> list[str]:
-        """The line content this document would have after ``patch`` (no mutation)."""
-        return patch.apply(self.lines)
-
     # -- comparisons -----------------------------------------------------------------
 
     def same_content(self, other: "Document") -> bool:

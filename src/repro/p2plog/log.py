@@ -10,10 +10,10 @@ Log-Peers (or their successor replicas) is alive.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from ..chord import HashFunctionFamily
-from ..dht import DhtClient
+from ..dht import ChordDhtClient
 from ..errors import (
     AuthenticationError,
     CheckpointUnavailable,
@@ -39,36 +39,25 @@ class P2PLogClient:
 
     def __init__(
         self,
-        dht: DhtClient,
-        hash_family: Optional[HashFunctionFamily] = None,
+        dht: ChordDhtClient,
+        hash_family: HashFunctionFamily,
         *,
-        replication_factor: int = 3,
-        bits: Optional[int] = None,
-        checkpoint_family: Optional[HashFunctionFamily] = None,
         max_parallel: int = 16,
         entry_verifier=None,
         checkpoint_verifier=None,
     ) -> None:
-        if hash_family is None:
-            effective_bits = bits if bits is not None else getattr(dht, "bits", None)
-            if effective_bits is None:
-                hash_family = HashFunctionFamily.create(replication_factor)
-            else:
-                hash_family = HashFunctionFamily.create(replication_factor, bits=effective_bits)
-        if checkpoint_family is None:
-            # Same |Hr| and identifier width as the patch placements, but
-            # independent salts: a document's checkpoints live at different
-            # Log-Peers than its patches.
-            checkpoint_family = HashFunctionFamily.create(
-                len(hash_family),
-                bits=hash_family[0].bits,
-                prefix=CHECKPOINT_SALT_PREFIX,
-            )
         if max_parallel < 1:
             raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
         self.dht = dht
         self.hash_family = hash_family
-        self.checkpoint_family = checkpoint_family
+        # Same |Hr| and identifier width as the patch placements, but
+        # independent salts: a document's checkpoints live at different
+        # Log-Peers than its patches.
+        self.checkpoint_family = HashFunctionFamily.create(
+            len(hash_family),
+            bits=hash_family[0].bits,
+            prefix=CHECKPOINT_SALT_PREFIX,
+        )
         self.max_parallel = max_parallel
         #: Optional authenticity predicates (``DESIGN.md`` §"Adversarial
         #: model & authenticity"): ``entry_verifier(entry) -> bool`` is
@@ -103,7 +92,7 @@ class P2PLogClient:
         Every entry gets its full ``|Hr|`` placements
         (``Put(h1(key+ts), patch) ... Put(hn(key+ts), patch)``); the
         placements of the whole chain are pushed through
-        :meth:`~repro.dht.DhtClient.put_many`, which resolves them
+        :meth:`~repro.dht.ChordDhtClient.put_many`, which resolves them
         concurrently and groups them by responsible peer — so the chain
         lands in the log with one replicated write per peer instead of one
         per placement.  A placement whose Log-Peer is unreachable is skipped
@@ -140,7 +129,7 @@ class P2PLogClient:
         Placements are a pure function of ``key + ts``, so whoever knows the
         next timestamps (the Master-key peer) can have every one of their
         ``|Hr|`` placements routed before :meth:`append_many` needs them.
-        Fire and forget (:meth:`~repro.dht.DhtClient.warm`): it returns at
+        Fire and forget (:meth:`~repro.dht.ChordDhtClient.warm`): it returns at
         once, never raises and writes nothing.
         """
         self.dht.warm([
@@ -241,7 +230,7 @@ class P2PLogClient:
         costs one request per distinct Log-Peer per window instead of *n*
         routed round-trips (``max_parallel=1`` is the paper's one
         ``get(hi(key+ts))`` at a time).  The range is known exactly, so each
-        window hands :meth:`~repro.dht.DhtClient.get_many` the placements of
+        window hands :meth:`~repro.dht.ChordDhtClient.get_many` the placements of
         the next one: they are resolved while this window's reads are in
         flight — after its own resolutions returned, so never more than
         ``max_parallel`` routings are in flight and nothing is resolved that

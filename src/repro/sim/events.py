@@ -208,10 +208,6 @@ class ConditionValue:
         """Values of the triggered events, in the order they were passed."""
         return [event.value for event in self._events]
 
-    def todict(self) -> dict[Event, Any]:
-        """Mapping from triggered event to its value."""
-        return {event: event.value for event in self._events}
-
 
 class _Condition(Event):
     """Base class for composite events."""

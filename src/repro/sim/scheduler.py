@@ -310,13 +310,6 @@ class Simulator(EventPrimitivesMixin):
             raise IndexError("step() on an empty event queue")
         self._consume(entry)
 
-    def peek(self) -> float:
-        """Time of the next scheduled live event, or ``float('inf')`` if none."""
-        entry = self._front()
-        if entry is None:
-            return float("inf")
-        return entry[0]
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, HashFunctionFamily, hash_to_id
-from repro.dht import ChordDhtClient, LocalDht
-from repro.errors import KeyNotFound
-from repro.net import ConstantLatency
+from repro.dht import ChordDhtClient
+from repro.errors import KeyNotFound, UnknownRpcMethod
+from repro.net import ConstantLatency, NoLoss, TargetedLoss
 from repro.p2plog import LogEntry, P2PLogClient
-from repro.sim import Simulator
 
 BITS = 32
 
@@ -21,51 +20,6 @@ def build_ring(node_count=6, seed=71):
     )
     ring.bootstrap(node_count)
     return ring
-
-
-# ---------------------------------------------------------------------------
-# LocalDht
-# ---------------------------------------------------------------------------
-
-
-def test_local_dht_put_get_remove_cycle():
-    sim = Simulator()
-    dht = LocalDht(sim)
-    sim.run(until=sim.process(dht.put("k", 41)))
-    answer = sim.run(until=sim.process(dht.get("k")))
-    assert answer["value"] == 41 and answer["hops"] == 0
-    assert "k" in dht and len(dht) == 1
-    removed = sim.run(until=sim.process(dht.remove("k")))
-    assert removed["removed"] is True
-    with pytest.raises(KeyNotFound):
-        sim.run(until=sim.process(dht.get("k")))
-    assert dht.snapshot() == {}
-
-
-def test_local_dht_operation_delay_advances_clock():
-    sim = Simulator()
-    dht = LocalDht(sim, operation_delay=0.25)
-    sim.run(until=sim.process(dht.put("k", 1)))
-    sim.run(until=sim.process(dht.get("k")))
-    assert sim.now == pytest.approx(0.5)
-    assert dht.operations == 2
-
-
-def test_local_dht_call_owner_uses_registered_handlers():
-    sim = Simulator()
-    dht = LocalDht(sim)
-    dht.expose("ping", lambda value: value * 2)
-    answer = sim.run(until=sim.process(dht.call_owner("any", "ping", value=4)))
-    assert answer["result"] == 8
-    with pytest.raises(KeyNotFound):
-        sim.run(until=sim.process(dht.call_owner("any", "missing")))
-
-
-def test_local_dht_lookup_reports_itself():
-    sim = Simulator()
-    dht = LocalDht(sim, name="the-reconciler")
-    answer = sim.run(until=sim.process(dht.lookup("whatever")))
-    assert answer["node"] == "the-reconciler"
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +51,6 @@ def test_chord_client_call_owner_reaches_responsible_peer():
     assert answer["owner"] == ring.responsible_node("some-key").ref
 
 
-def test_local_dht_put_many_default_loops_over_put():
-    sim = Simulator()
-    dht = LocalDht(sim)
-    answer = sim.run(until=sim.process(dht.put_many([
-        ("a", 1, None), ("b", 2, None), ("c", 3, None),
-    ])))
-    assert answer["stored"] == [True, True, True]
-    assert dht.snapshot() == {"a": 1, "b": 2, "c": 3}
-    empty = sim.run(until=sim.process(dht.put_many([])))
-    assert empty == {"stored": [], "owners": 0, "hops": 0}
-
-
 def test_chord_client_put_many_groups_items_by_owner():
     ring = build_ring()
     client = ChordDhtClient(ring.gateway())
@@ -136,6 +78,53 @@ def test_chord_client_put_many_replicates_each_group_once():
     assert replicas >= len(items)  # replication degree preserved by store_many
 
 
+def test_a_batch_never_fails_as_a_whole():
+    """One owner goes silent while the asker's route to it is cached: its
+    items come back ``False`` / ``None`` in place, every other item is
+    stored and read back, and the asker forgets its routes to that owner."""
+    quiet = ChordConfig(bits=BITS, stabilize_interval=25.0, fix_fingers_interval=50.0,
+                        check_predecessor_interval=50.0, route_cache_ttl=50.0)
+    ring = ChordRing(config=quiet, seed=71, latency=ConstantLatency(0.002))
+    ring.bootstrap_warm(4)
+    asker = ring.gateway()
+    client = ChordDhtClient(asker)
+
+    def run(generator):
+        return ring.runtime.run(until=ring.runtime.process(generator))
+
+    def routes_to(node):
+        return [owner for _arc, owner, _age in asker.route_cache.fresh_routes(ring.runtime.now)
+                if owner == node.ref]
+
+    keys = [f"batch-{index}" for index in range(16)]
+    assert run(client.put_many([(key, "v1", None) for key in keys]))["stored"] == [True] * 16
+    owner_of = {key: ring.responsible_node(key) for key in keys}
+    # Neither the asker nor its successor: the asker reaches those without a cached route.
+    victim = next(node for node in owner_of.values()
+                  if node is not asker and node.ref != asker.successor)
+    silent = [owner_of[key] is victim for key in keys]
+    assert 0 < sum(silent) < len(keys)
+    silence = TargetedLoss(frozenset({victim.address.name}), direction="to")
+
+    assert routes_to(victim)
+    ring.network.loss = silence
+    read = run(client.get_many([(key, None) for key in keys]))
+    assert read["values"] == [None if gone else "v1" for gone in silent]
+    assert not routes_to(victim)
+
+    ring.network.loss = NoLoss()
+    run(client.lookup(keys[silent.index(True)]))
+    assert routes_to(victim)
+    ring.network.loss = silence
+    written = run(client.put_many([(key, "v2", None) for key in keys]))
+    assert written["stored"] == [not gone for gone in silent]
+    assert not routes_to(victim)
+
+    ring.network.loss = NoLoss()
+    reread = run(client.get_many([(key, None) for key in keys]))
+    assert reread["values"] == ["v1" if gone else "v2" for gone in silent]
+
+
 def test_chord_client_remove_round_trip():
     ring = build_ring()
     client = ChordDhtClient(ring.gateway())
@@ -144,26 +133,92 @@ def test_chord_client_remove_round_trip():
     assert removed["removed"] is True
 
 
+def test_chord_client_get_after_remove_raises_key_not_found():
+    ring = build_ring()
+    client = ChordDhtClient(ring.gateway())
+    ring.runtime.run(until=ring.runtime.process(client.put("gone", 1)))
+    ring.runtime.run(until=ring.runtime.process(client.remove("gone")))
+    with pytest.raises(KeyNotFound):
+        ring.runtime.run(until=ring.runtime.process(client.get("gone")))
+    owner = ring.responsible_node("gone")
+    assert "gone" not in {item.key for item in owner.storage.owned_items()}
+
+
+def test_chord_client_call_owner_of_an_unexposed_method_raises():
+    ring = build_ring()
+    client = ChordDhtClient(ring.gateway())
+    with pytest.raises(UnknownRpcMethod):
+        ring.runtime.run(until=ring.runtime.process(client.call_owner("any", "missing")))
+
+
+def test_chord_client_lookup_by_key_id_routes_that_identifier():
+    ring = build_ring()
+    client = ChordDhtClient(ring.gateway())
+    identifier = client.hash_key("doc", salt="ht")
+    answer = ring.runtime.run(until=ring.runtime.process(
+        client.lookup("ignored", key_id=identifier)))
+    assert answer["node"] == ring.responsible_node_for_id(identifier).ref
+
+
+def test_chord_client_empty_batches_send_nothing():
+    ring = build_ring()
+    client = ChordDhtClient(ring.gateway())
+    sent = ring.network.stats.sent
+    written = ring.runtime.run(until=ring.runtime.process(client.put_many([])))
+    read = ring.runtime.run(until=ring.runtime.process(client.get_many([])))
+    assert written == {"stored": [], "owners": 0, "hops": 0}
+    assert read == {"values": [], "owners": 0, "hops": 0}
+    assert ring.network.stats.sent == sent
+
+
+def test_chord_client_get_many_answers_in_item_order():
+    ring = build_ring()
+    client = ChordDhtClient(ring.gateway())
+    keys = [f"read-{index}" for index in range(8)]
+    ring.runtime.run(until=ring.runtime.process(
+        client.put_many([(key, key.upper(), None) for key in keys])))
+    items = [(key, None) for key in reversed(keys)]
+    items.insert(3, ("never-written", None))
+    items.append((keys[0], client.hash_key(keys[0])))  # a caller-supplied identifier
+    answer = ring.runtime.run(until=ring.runtime.process(client.get_many(items)))
+    assert answer["values"] == [None if key == "never-written" else key.upper()
+                                for key, _key_id in items]
+    assert answer["owners"] == len({ring.responsible_node(key).ref for key, _ in items})
+
+
+def test_group_by_owner_puts_each_item_in_its_owners_group_once():
+    ring = build_ring()
+    client = ChordDhtClient(ring.gateway())
+    items = [(f"group-{index}", None) for index in range(12)]
+    groups, hops = ring.runtime.run(until=ring.runtime.process(client._group_by_owner(items)))
+    assert sorted(index for indexes in groups.values() for index in indexes) == list(range(12))
+    for owner, indexes in groups.items():
+        assert indexes == sorted(indexes)
+        assert all(ring.responsible_node(items[index][0]).ref == owner for index in indexes)
+    assert hops >= 0
+
+
 # ---------------------------------------------------------------------------
 # the retrieval window (P2P-Log)
 # ---------------------------------------------------------------------------
 
 
-def _publish_entries(sim, log, count):
+def _publish_entries(runtime, log, count):
     entries = [LogEntry(document_key="doc", ts=ts, patch=f"patch-{ts}")
                for ts in range(1, count + 1)]
-    sim.run(until=sim.process(log.append_many(entries)))
+    runtime.run(until=runtime.process(log.append_many(entries)))
 
 
 def test_parallel_fetch_range_matches_sequential_order():
-    sim = Simulator()
-    dht = LocalDht(sim)
+    ring = ChordRing(config=ChordConfig(bits=BITS), seed=71, latency=ConstantLatency(0.002))
+    ring.bootstrap_warm(3)
+    dht = ChordDhtClient(ring.gateway())
     family = HashFunctionFamily.create(2, bits=BITS)
     log = P2PLogClient(dht, family)
-    _publish_entries(sim, log, 6)
+    _publish_entries(ring.runtime, log, 6)
     one_at_a_time = P2PLogClient(dht, family, max_parallel=1)
-    sequential = sim.run(until=sim.process(one_at_a_time.fetch_range("doc", 1, 6)))
-    parallel = sim.run(until=sim.process(log.fetch_range("doc", 1, 6)))
+    sequential = ring.runtime.run(until=ring.runtime.process(one_at_a_time.fetch_range("doc", 1, 6)))
+    parallel = ring.runtime.run(until=ring.runtime.process(log.fetch_range("doc", 1, 6)))
     assert parallel == sequential
     assert [entry.ts for entry in parallel] == [1, 2, 3, 4, 5, 6]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, HashFunctionFamily
-from repro.dht import ChordDhtClient, LocalDht
+from repro.dht import ChordDhtClient
 from repro.errors import AuthenticationError, CheckpointUnavailable, PatchUnavailable
 from repro.p2plog import (
     Checkpoint,
@@ -13,7 +13,6 @@ from repro.p2plog import (
     make_log_key,
 )
 from repro.net import ConstantLatency
-from repro.sim import Simulator
 
 BITS = 32
 
@@ -68,55 +67,65 @@ def test_log_entry_equality_ignores_metadata():
 
 
 # ---------------------------------------------------------------------------
-# publication and retrieval over LocalDht (pure client logic)
+# publication and retrieval on a warm 3-peer ring (client logic)
 # ---------------------------------------------------------------------------
 
 
-def test_publish_and_fetch_roundtrip_local():
-    sim = Simulator()
-    dht = LocalDht(sim)
-    log = P2PLogClient(dht, HashFunctionFamily.create(3, bits=BITS))
+def warm_ring(seed=13):
+    """Three wired peers: built without simulated time or messages."""
+    ring = ChordRing(config=log_config(), seed=seed, latency=ConstantLatency(0.002))
+    ring.bootstrap_warm(3)
+    return ring
+
+
+def test_publish_and_fetch_roundtrip_on_a_warm_ring():
+    ring = warm_ring()
+    log = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
     entry = make_entry(1)
 
-    stored = sim.run(until=sim.process(log.append_many([entry])))
+    stored = run(ring, log.append_many([entry]))
     assert stored == [3]
-    assert len(dht) == 3  # three distinct placements
+    owned = [item.key for node in ring.live_nodes() for item in node.storage.owned_items()]
+    assert len(owned) == 3  # three distinct placements
+    assert all(key.endswith("doc#1") for key in owned)
 
-    fetched = sim.run(until=sim.process(log.fetch("doc", 1)))
+    fetched = run(ring, log.fetch("doc", 1))
     assert fetched == entry
 
 
-def test_fetch_missing_entry_raises_local():
-    sim = Simulator()
-    log = P2PLogClient(LocalDht(sim), HashFunctionFamily.create(2, bits=BITS))
+def test_fetch_missing_entry_raises_on_a_warm_ring():
+    ring = warm_ring()
+    log = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(2, bits=BITS))
     with pytest.raises(PatchUnavailable):
-        sim.run(until=sim.process(log.fetch("doc", 9)))
+        run(ring, log.fetch("doc", 9))
 
 
-def test_fetch_range_in_order_local():
-    sim = Simulator()
-    log = P2PLogClient(LocalDht(sim), HashFunctionFamily.create(2, bits=BITS))
-    sim.run(until=sim.process(log.append_many([make_entry(ts) for ts in range(1, 6)])))
-    entries = sim.run(until=sim.process(log.fetch_range("doc", 2, 4)))
+def test_fetch_range_in_order_on_a_warm_ring():
+    ring = warm_ring()
+    log = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(2, bits=BITS))
+    run(ring, log.append_many([make_entry(ts) for ts in range(1, 6)]))
+    entries = run(ring, log.fetch_range("doc", 2, 4))
     assert [entry.ts for entry in entries] == [2, 3, 4]
-    assert sim.run(until=sim.process(log.fetch_range("doc", 4, 2))) == []
+    assert run(ring, log.fetch_range("doc", 4, 2)) == []
+
+
+def test_replication_factor_is_the_size_of_the_hash_family():
+    ring = warm_ring()
+    log = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(4, bits=BITS))
+    assert log.replication_factor == 4
+    assert len(log.placements("doc", 1)) == 4
+    assert run(ring, log.append_many([make_entry(1)])) == [4]
 
 
 def test_placements_are_distinct_and_prefixed():
-    sim = Simulator()
-    log = P2PLogClient(LocalDht(sim), HashFunctionFamily.create(3, bits=BITS))
+    ring = warm_ring()
+    log = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
     placements = log.placements("doc", 7)
     keys = [key for key, _ in placements]
     identifiers = [identifier for _, identifier in placements]
     assert len(set(keys)) == 3
     assert len(set(identifiers)) == 3
     assert all(key.endswith("doc#7") for key in keys)
-
-
-def test_default_hash_family_uses_replication_factor():
-    sim = Simulator()
-    log = P2PLogClient(LocalDht(sim), replication_factor=4, bits=BITS)
-    assert log.replication_factor == 4
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +244,10 @@ def test_fetch_span_windows_grouped_reads_by_max_parallel():
     timestamp on the wire; the range is worked through in windows of
     ``max_parallel`` instead.
     """
-    sim = Simulator(seed=2)
-    dht = LocalDht(sim)
+    ring = warm_ring()
+    dht = ChordDhtClient(ring.gateway())
     log = P2PLogClient(dht, HashFunctionFamily.create(2, bits=BITS), max_parallel=16)
-    for ts in range(1, 501):
-        entry = make_entry(ts)
-        dht._table[log.hash_family[0].placement_key(entry.log_key)] = entry
+    run(ring, log.append_many([make_entry(ts) for ts in range(1, 501)]))
 
     batches, announced = [], []
     plain_get_many = dht.get_many
@@ -252,14 +259,14 @@ def test_fetch_span_windows_grouped_reads_by_max_parallel():
         return result
 
     dht.get_many = tracking_get_many
-    entries = sim.run(until=sim.process(log.fetch_range("doc", 1, 500)))
+    entries = run(ring, log.fetch_range("doc", 1, 500))
     assert [entry.ts for entry in entries] == list(range(1, 501))
     assert batches and max(len(batch) for batch in batches) <= 16
     # Each window announces exactly the next one (the range is known), the
     # last one nothing: no placement is resolved that is not fetched.
     assert announced == batches[1:] + [[]]
     with pytest.raises(ValueError):
-        P2PLogClient(LocalDht(sim), HashFunctionFamily.create(2, bits=BITS), max_parallel=0)
+        P2PLogClient(dht, HashFunctionFamily.create(2, bits=BITS), max_parallel=0)
 
 
 @pytest.mark.parametrize("fault", ["none", "primary-down", "primary-tampered"])
@@ -404,6 +411,8 @@ def test_checkpoint_placements_use_the_salted_checkpoint_family():
     placements = client.checkpoint_placements("wiki:ckpt", 4)
     assert len({identifier for _key, identifier in placements}) == 3
     assert all(key.startswith("hc") for key, _identifier in placements)
+    assert len(client.checkpoint_family) == client.replication_factor == 3
+    assert client.checkpoint_family[0].bits == BITS
     patch_ids = {identifier for _key, identifier in client.placements("wiki:ckpt", 4)}
     assert patch_ids != {identifier for _key, identifier in placements}
     for storage_key, identifier in placements:

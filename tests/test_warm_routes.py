@@ -3,13 +3,13 @@
 One rule, two callers: *a placement whose timestamp is already known is
 resolved before the operation that needs it*.  The Master-key peer warms the
 Log-Peers of the timestamps it is about to hand out
-(``MasterService._warm_ahead`` → ``P2PLogClient.warm`` → ``DhtClient.warm`` →
-``ChordNode.warm_route``: those of a proposal that has to wait when it
-arrives, those past the queue with every answer); a range reader has its next
-window resolved while this one is fetched (``fetch_range`` →
-``get_many(items, warm_next)``).  These
-tests pin what warming may cost (nothing on a hit, ``find_successor`` only on
-a miss, no write ever), when it must stay silent, how far the horizon
+(``MasterService._warm_ahead`` → ``P2PLogClient.warm`` →
+``ChordDhtClient.warm`` → ``ChordNode.warm_route``: those of a proposal that
+has to wait when it arrives, those past the queue with every answer); a range
+reader has its next window resolved while this one is fetched
+(``fetch_range`` → ``get_many(items, warm_next)``).  These tests pin what
+warming may cost (nothing on a hit, ``find_successor`` only on a miss, no
+write ever), when it must stay silent, how far the horizon
 reaches, and that it lives and dies with the Master's tenure.  That a warmed
 publish routes nothing under the lock is ``tests/test_commit_budget.py``;
 that warm and cold runs keep the same invariants is ``tests/diff_paths.py``.
@@ -29,11 +29,10 @@ from test_p2plog import tamper
 from repro.chord import ChordNode, ChordRing, HashFunctionFamily
 from repro.core import LtrConfig, LtrSystem
 from repro.core import master as master_module
-from repro.dht import ChordDhtClient, LocalDht
+from repro.dht import ChordDhtClient
 from repro.experiments.scenarios import SCALE_CHORD_CONFIG
 from repro.net import ConstantLatency, UniformLatency
 from repro.p2plog import LogEntry, P2PLogClient, make_log_key
-from repro.sim import Simulator
 
 KEY = "xwiki:suffix"  # the document test_behind_suffix.publish() writes
 
@@ -137,15 +136,6 @@ def test_warming_never_raises_on_a_node_that_cannot_route():
     node.warm_route(target)  # not part of a ring any more: a no-op
     assert node._warming == {}
     assert ring.runtime.crashed_processes == []
-
-
-def test_local_dht_has_nothing_to_warm():
-    sim = Simulator(seed=2)
-    dht = LocalDht(sim)
-    log = P2PLogClient(dht, HashFunctionFamily.create(3, bits=32))
-    assert log.warm("doc", 1, 16) is None
-    assert sim.pending_events == 0 and len(dht) == 0
-    assert "warm" not in vars(LocalDht)  # the no-op default, untouched
 
 
 # ---------------------------------------------------------------- the Master --
