@@ -35,6 +35,10 @@ paper):
   alone, in arrival order.  Routing is kept out of that critical section:
   the Master knows the next timestamps, so it has their Log-Peers resolved
   ahead of the proposals that will need them (``_warm_ahead``).
+* Tenure — what a Master knows of a document besides the log
+  (:class:`Tenure`) sits on the document's one record
+  (:class:`DocumentQueue`) and ends in one place,
+  :meth:`MasterService.end_tenure`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from ..errors import (
     RequestTimeout,
     ValidationFailed,
 )
-from ..kts import TimestampAuthority
+from ..kts import TimestampAuthority, counter_documents
 from ..net import payload_size
 from ..ot import Document, InsertLine, rebase_chain
 from ..p2plog import (
@@ -69,10 +73,10 @@ from ..runtime import FifoLock
 from .config import LtrConfig
 from .protocol import ValidationResult
 
-#: ``(checkpoint ts, snapshot lines or None)``: a job scheduled inside the
-#: per-document critical section and run in the background once its group
-#: has been answered.
-CheckpointJob = tuple[int, Optional[list[str]]]
+#: ``(tenure, checkpoint ts, snapshot lines or None)``: a job scheduled inside
+#: the per-document critical section and run in the background once its group
+#: has been answered, writing only into the tenure it was scheduled under.
+CheckpointJob = tuple["Tenure", int, Optional[list[str]]]
 
 #: How many checkpoints per document are retained; older ones are
 #: garbage-collected from the DHT when a new checkpoint slides them out of the
@@ -102,8 +106,8 @@ class EntryTail:
     Holds only entries whose timestamps were consumed (never an unallocated
     or retracted one), in timestamp order without gaps, trimmed from the old
     end to :data:`TAIL_MAX_ENTRIES` and :data:`TAIL_MAX_BYTES`.  It is a
-    cache of what this Master published during its current tenure; the
-    P2P-Log stays the source of truth.  Three things are served from it:
+    cache of what this Master published during its current :class:`Tenure`;
+    the P2P-Log stays the source of truth.  Two things are served from it:
 
     * the **gap** a stale proposal is transformed over and that comes back
       with its *ok* — or with *behind*, where the Master cannot transform —
@@ -116,26 +120,20 @@ class EntryTail:
     * the **identities** of the proposals that landed lately: the tail is the
       Master's whole table of them (walked with the gap, bounded with it,
       gone with the tenure; beyond it the log is the table and the proposer
-      the one who looks, ``UserPeer._integrate``);
-    * :attr:`warmed_ts`, which looks the other way: the *warmed horizon*, the
-      highest timestamp whose Log-Peers this tenure already had resolved
-      (:meth:`MasterService._warm_ahead`).  It lives and dies with the tail
-      — which is why a proposal that queues behind the first publish of a
-      tenure finds an empty tail made for it.
+      the one who looks, ``UserPeer._integrate``).
     """
 
-    __slots__ = ("entries", "sizes", "bytes", "warmed_ts")
+    __slots__ = ("entries", "sizes", "bytes")
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
         self.sizes: list[int] = []
         self.bytes = 0
-        self.warmed_ts = 0
 
     def extend(self, entries: list[LogEntry]) -> None:
         """Append a freshly allocated chain; a gap restarts the tail."""
         if self.entries and self.last_ts + 1 != entries[0].ts:
-            self.entries, self.sizes, self.bytes, self.warmed_ts = [], [], 0, 0
+            self.entries, self.sizes, self.bytes = [], [], 0
         for entry in entries:
             size = payload_size(entry)
             self.entries.append(entry)
@@ -158,6 +156,28 @@ class EntryTail:
         if skip < 0 or skip >= len(self.entries):
             return None
         return self.entries[skip:]
+
+
+class Tenure:
+    """What one Master knows of one document while nobody else allocates for it.
+
+    The :attr:`tail`; the *warmed horizon* :attr:`warmed_ts`, the highest
+    timestamp whose Log-Peers this tenure had resolved
+    (:meth:`MasterService._warm_ahead`); the materialized :attr:`view`
+    checkpoints are cut from; and :attr:`last_checkpoint_ts` — 0 when fresh,
+    so the first group to reach an interval checkpoints, as a takeover does.
+    A tenure is replaced, never emptied (:meth:`MasterService.end_tenure`);
+    a job that outlives the lock writes only into the tenure it was
+    scheduled under, never into the next one.
+    """
+
+    __slots__ = ("tail", "warmed_ts", "view", "last_checkpoint_ts")
+
+    def __init__(self) -> None:
+        self.tail = EntryTail()
+        self.warmed_ts = 0
+        self.view: Optional[Document] = None
+        self.last_checkpoint_ts = 0
 
 
 class Proposal:
@@ -190,20 +210,25 @@ class Proposal:
 
 
 class DocumentQueue:
-    """The proposals one Master has for one document: its lock and who waits.
+    """One Master's record of one document: its locks, who waits, its tenure.
 
     ``waiting`` holds, in arrival order, the proposals no lock holder has
     taken yet (so it is the order of the lock's own queue, minus the
     proposals already served); ``publishing`` is how many entries the lock
     holder has out at the Log-Peers right now, published and not allocated.
+    ``checkpoint_lock`` serializes checkpoint-index read-modify-writes apart
+    from ``lock``, so their DHT round-trips never stall proposers.  Only
+    ``tenure`` is ever replaced: a lock or the queue may be held or waited on.
     """
 
-    __slots__ = ("lock", "waiting", "publishing")
+    __slots__ = ("lock", "checkpoint_lock", "waiting", "publishing", "tenure")
 
     def __init__(self, runtime) -> None:
         self.lock = FifoLock(runtime)
+        self.checkpoint_lock = FifoLock(runtime)
         self.waiting: deque[Proposal] = deque()
         self.publishing = 0
+        self.tenure = Tenure()
 
     @property
     def queued(self) -> int:
@@ -242,11 +267,9 @@ class MasterService(NodeService):
         self._hash_family = hash_family
         self.log: Optional[P2PLogClient] = None
         self.authority: Optional[TimestampAuthority] = None
-        self._queues: dict[str, DocumentQueue] = {}
-        # Per document, the entries allocated here during the current tenure
-        # as its Master (created on the first publish, dropped when the
-        # tenure ends); read and written under the document's lock.
-        self._tails: dict[str, EntryTail] = {}
+        # One record per document this node was asked to master: the locks,
+        # the queue and the current tenure.
+        self._documents: dict[str, DocumentQueue] = {}
         # One proposal = one validation request, whatever its chain length;
         # one publish = one round of append_many that allocated, whatever the
         # number of proposals in it.
@@ -268,14 +291,6 @@ class MasterService(NodeService):
         # observe diverging timestamp sequences.  Never set in production.
         self.equivocate_next = 0
         self.equivocations = 0
-        # Checkpointing state: the materialized document view this Master
-        # maintains by applying each patch it validates (rebuilt from
-        # checkpoint + log after a takeover), and the per-key timestamp of
-        # the last checkpoint written here (0 / unknown after a takeover,
-        # which merely makes the next checkpoint come early).
-        self._views: dict[str, Document] = {}
-        self._last_checkpoint_ts: dict[str, int] = {}
-        self._checkpoint_locks: dict[str, FifoLock] = {}
         self.checkpoints_written = 0
         self.checkpoint_rebuilds = 0
         self.checkpoint_placements_removed = 0
@@ -323,14 +338,17 @@ class MasterService(NodeService):
             self.authority = service
         return self.authority
 
-    def _queue_for(self, key: str) -> DocumentQueue:
-        queue = self._queues.get(key)
+    def _document(self, key: str) -> DocumentQueue:
+        queue = self._documents.get(key)
         if queue is None:
-            queue = self._queues[key] = DocumentQueue(self.node.runtime)
+            queue = self._documents[key] = DocumentQueue(self.node.runtime)
         return queue
 
-    def _lock_for(self, key: str) -> FifoLock:
-        return self._queue_for(key).lock
+    def end_tenure(self, key: str) -> None:
+        """The one place a tenure ends: ``key``'s record gets a fresh :class:`Tenure`."""
+        queue = self._documents.get(key)
+        if queue is not None:
+            queue.tenure = Tenure()
 
     # -- RPC handlers ---------------------------------------------------------------
 
@@ -347,13 +365,13 @@ class MasterService(NodeService):
         bounded like every reply served from it — and ``None`` otherwise,
         which sends the reader to the checkpoints and the P2P-Log.  Read-only
         and lock-free: a tail of an earlier tenure is left for
-        :meth:`_missing_suffix` to drop under the lock.
+        :meth:`_missing_suffix` to end under the lock.
         """
         last_ts = self._authority().last_ts(key)
-        tail = self._tails.get(key)
+        queue = self._documents.get(key)
         entries = None
-        if after_ts < last_ts and tail is not None and tail.last_ts == last_ts:
-            entries = tail.suffix(after_ts)
+        if after_ts < last_ts and queue is not None and queue.tenure.tail.last_ts == last_ts:
+            entries = queue.tenure.tail.suffix(after_ts)
         return ValidationResult.behind(last_ts, entries).to_payload()
 
     def validate_and_publish(self, key: str, ts: int, patches: Any,
@@ -459,7 +477,7 @@ class MasterService(NodeService):
         :class:`~repro.errors.AuthenticationError` before any timestamp
         state is consulted.
         """
-        queue = self._queue_for(key)
+        queue = self._document(key)
         member = Proposal(ts, list(patches), author, base_ts, signatures, proposal)
         queue.waiting.append(member)
         if queue.lock.locked:
@@ -484,7 +502,7 @@ class MasterService(NodeService):
         if checkpoint is not None:
             self.node.runtime.process(
                 self._checkpoint_in_background(key, *checkpoint),
-                name=f"checkpoint:{key}@{checkpoint[0]}",
+                name=f"checkpoint:{key}@{checkpoint[1]}",
             )
         if retract:
             # A rejected or partially failed publish left entries carrying
@@ -544,14 +562,14 @@ class MasterService(NodeService):
             first_ts = authority.next_timestamps(key, len(entries))
             # Only now are the entries part of the log for good: remember them
             # for the proposers this commit has just put behind.
-            tail = self._tails.setdefault(key, EntryTail())
+            tenure = self._documents[key].tenure
             # Paced by the allocation before this one, so: before it joins the tail.
             self._warm_ahead(key, entries[-1].ts, len(entries))
-            tail.extend(entries)
+            tenure.tail.extend(entries)
             for entry in entries[:self.equivocate_next]:
                 yield from self._equivocate(entry)
             checkpoint = self._note_published(
-                key, [entry.patch for entry in entries], first_ts
+                key, tenure, [entry.patch for entry in entries], first_ts
             )
             self.publishes += 1
             self.proposals_ok += len(placed)
@@ -598,7 +616,7 @@ class MasterService(NodeService):
         then, and the entries are in ``retract``.
         """
         node = self.node
-        queue = self._queue_for(key)
+        queue = self._documents[key]
         queue.publishing = len(entries)
         try:
             per_entry = yield from self.log.append_many(entries)
@@ -626,7 +644,7 @@ class MasterService(NodeService):
             # allocated; retract them so no reader can observe them
             # before the new Master reuses the range.
             retract.extend(entries)
-            self._tails.pop(key, None)  # the tenure these came from is over
+            self.end_tenure(key)  # the tenure these came from is over
             rejected = ValidationResult.reelection(
                 self._authority().last_ts(key)).to_payload()
             for member in published:
@@ -787,11 +805,11 @@ class MasterService(NodeService):
         if after_ts >= last_ts:
             missed = list(ahead[after_ts - last_ts:])
             return missed or None
-        tail = self._tails.get(key)
-        if tail is None or not tail.entries:
+        tail = self._documents[key].tenure.tail
+        if not tail.entries:
             return None
         if tail.last_ts != last_ts:
-            del self._tails[key]
+            self.end_tenure(key)
             return None
         held = tail.suffix(after_ts)
         return None if held is None else held + list(ahead)
@@ -824,46 +842,44 @@ class MasterService(NodeService):
         queue only while the document's previous allocation is younger than
         the route-cache TTL.
         """
-        queue = self._queue_for(key)
-        tail = self._tails.get(key)
+        queue = self._documents[key]
+        tenure = queue.tenure
+        tail = tenure.tail
         if not (
             queue.waiting or (
-                tail is not None and tail.entries
+                tail.entries
                 and self.node.runtime.now - tail.entries[-1].published_at
                 < self.node.config.route_cache_ttl
             )
         ):
             return
-        if tail is None:
-            tail = self._tails[key] = EntryTail()
         queued = queue.queued
-        warmed = max(tail.warmed_ts, last_ts)
+        warmed = max(tenure.warmed_ts, last_ts)
         horizon = min(
             max(warmed, last_ts + queued) + (answered + queued if answered else 0),
             last_ts + WARM_AHEAD_CHAINS * (queued + answered),
         )
         if horizon > warmed:
             self.log.warm(key, warmed + 1, horizon)
-            tail.warmed_ts = horizon
-
-    def _forget_tails(self, items: Iterable[StoredItem]) -> None:
-        """Drop the tail of every document whose counter is among ``items``."""
-        if self._tails:
-            storage_key = self._authority().storage_key
-            moved = {item.key for item in items}
-            for key in [key for key in self._tails if storage_key(key) in moved]:
-                del self._tails[key]
+            tenure.warmed_ts = horizon
 
     def on_items_handed_off(self, items: Iterable[StoredItem],
                             successor_name: str) -> None:
-        self._forget_tails(items)  # the new Master answers from its own tenure
+        for key in counter_documents(items):
+            self.end_tenure(key)  # the new Master answers from its own tenure
 
     def on_items_received(self, items: Iterable[StoredItem], *,
                           as_replica: bool) -> None:
         if not as_replica:
             # A counter coming (back) here was advanced by someone else: what
             # a previous tenure left behind no longer describes the log.
-            self._forget_tails(items)
+            for key in counter_documents(items):
+                self.end_tenure(key)
+
+    def on_replicas_promoted(self, items: Iterable[StoredItem]) -> None:
+        # A counter promoted after its Master crashed starts a tenure here.
+        for key in counter_documents(items):
+            self.end_tenure(key)
 
     def _lost_master_role(self, key: str, expected_last_ts: int) -> bool:
         """Did a re-election move the Master-key role away mid-request?
@@ -895,37 +911,34 @@ class MasterService(NodeService):
 
     # -- checkpointing -----------------------------------------------------------------
 
-    def _note_published(self, key: str, patches: Any,
+    def _note_published(self, key: str, tenure: Tenure, patches: Any,
                         first_ts: int) -> Optional[CheckpointJob]:
         """Track the materialized view; return the checkpoint job now due.
 
         Runs inside the per-document critical section (cheap, local-only),
-        once per group: every validated patch is applied to this Master's
-        materialized view of the document, and when the published
-        timestamps cross the checkpoint interval the ``(ts, lines)`` job is
+        once per group: every validated patch is applied to the view of
+        ``tenure`` (the one the group was allocated in), and when the
+        published timestamps cross the checkpoint interval the job is
         returned — the snapshot lines are captured *here*, while no
         concurrent proposal can advance the document.  The DHT writes run
         in the background after the group has been answered
         (:meth:`validate_and_publish`).
         """
-        view = self._views.get(key)
+        view = tenure.view
         ts = first_ts
         for patch in patches:
             if view is None and ts == 1:
-                view = Document(key=key)
-                self._views[key] = view
+                view = tenure.view = Document(key=key)
             if view is not None:
                 if view.applied_ts == ts - 1:
                     view.apply_patch(patch, ts=ts)
                 else:
-                    # A takeover left a view that does not line up with the
-                    # validated sequence; drop it and rebuild from the
-                    # checkpoint + log at the next checkpoint.
-                    self._views.pop(key, None)
-                    view = None
+                    # A view rebuilt behind the validated sequence: drop it,
+                    # the next checkpoint rebuilds from checkpoint + log.
+                    view = tenure.view = None
             ts += 1
         last_ts = first_ts + len(patches) - 1
-        if last_ts - self._last_checkpoint_ts.get(key, 0) < self.config.checkpoint_interval:
+        if last_ts - tenure.last_checkpoint_ts < self.config.checkpoint_interval:
             return None
         lines = (
             list(view.lines)
@@ -934,31 +947,18 @@ class MasterService(NodeService):
         )
         # Recorded eagerly so the next group does not schedule the same
         # checkpoint again; a failed write simply waits for the next interval.
-        self._last_checkpoint_ts[key] = last_ts
-        return last_ts, lines
+        tenure.last_checkpoint_ts = last_ts
+        return tenure, last_ts, lines
 
-    def _checkpoint_lock_for(self, key: str) -> FifoLock:
-        """The per-document lock serializing checkpoint-index updates.
-
-        Deliberately distinct from the validation lock: index maintenance
-        performs DHT round-trips and must not stall queued proposers, but
-        two concurrent read-modify-writes of the same index record would
-        lose whichever update lands first.
-        """
-        lock = self._checkpoint_locks.get(key)
-        if lock is None:
-            lock = FifoLock(self.node.runtime)
-            self._checkpoint_locks[key] = lock
-        return lock
-
-    def _checkpoint_in_background(self, key: str, ts: int, lines: Optional[list[str]]):
+    def _checkpoint_in_background(self, key: str, tenure: Tenure, ts: int,
+                                  lines: Optional[list[str]]):
         """Write the checkpoint a group made due (process; nobody waits for it).
 
         So nobody can be told that it failed: an error of the library is
         traced and dropped here, and the next interval writes a checkpoint.
         """
         try:
-            yield from self._write_checkpoint(key, ts, lines)
+            yield from self._write_checkpoint(key, tenure, ts, lines)
         except ReproError as error:
             node = self.node
             node.runtime.trace.annotate(
@@ -967,75 +967,78 @@ class MasterService(NodeService):
                 node.address.name, key, ts, error,
             )
 
-    def _write_checkpoint(self, key: str, ts: int, lines: Optional[list[str]]):
-        """Serialized wrapper around :meth:`_write_checkpoint_locked`."""
-        lock = self._checkpoint_lock_for(key)
-        yield from lock.acquire()
-        try:
-            result = yield from self._write_checkpoint_locked(key, ts, lines)
-        finally:
-            lock.release()
-        return result
-
-    def _write_checkpoint_locked(self, key: str, ts: int, lines: Optional[list[str]]):
+    def _write_checkpoint(self, key: str, tenure: Tenure, ts: int,
+                          lines: Optional[list[str]]):
         """Materialize, store, index and garbage-collect checkpoints (process).
 
-        ``lines`` is the snapshot content captured under the lock, or
-        ``None`` when this Master has no materialized view at ``ts`` (fresh
-        takeover) — then the state is rebuilt from the newest reachable
-        checkpoint plus the log suffix.  The retained-checkpoint index is
-        re-read from the DHT on every write (checkpoints are rare) so an
-        interim Master's checkpoints are never forgotten, and everything
-        sliding out of the retention window is removed from the DHT — the
-        log's compaction step.  Best effort throughout: on any failure the
-        system simply keeps the previous checkpoints.
+        Serialized by the record's ``checkpoint_lock``.  ``lines`` is the
+        snapshot captured under the validation lock, or ``None`` when
+        ``tenure`` has no view at ``ts`` (fresh takeover) — then the state is
+        rebuilt from the newest reachable checkpoint plus the log suffix.  The
+        retained-checkpoint index is re-read from the DHT on every write
+        (checkpoints are rare) so an interim Master's checkpoints are never
+        forgotten, and everything sliding out of the retention window is
+        removed from the DHT — the log's compaction step.  Best effort
+        throughout: on any failure the system simply keeps the previous
+        checkpoints.
         """
         node = self.node
-        if lines is None:
-            lines = yield from self._rebuild_lines(key, ts)
-            if lines is None:
-                return None  # log suffix unavailable; retry at the next interval
-        checkpoint = Checkpoint(
-            document_key=key,
-            ts=ts,
-            lines=tuple(lines),
-            created_at=node.runtime.now,
-            author=node.address.name,
-        )
-        if self.config.auth_enabled:
-            checkpoint.metadata["sig"] = sign_checkpoint(
-                self.config.auth_secret, checkpoint
-            )
+        lock = self._document(key).checkpoint_lock
+        yield from lock.acquire()
         try:
-            yield from self.log.publish_checkpoint(checkpoint)
-        except CheckpointUnavailable:
-            return None
-        self.checkpoints_written += 1
-        self._last_checkpoint_ts[key] = max(self._last_checkpoint_ts.get(key, 0), ts)
-        stored_index = yield from self.log.fetch_checkpoint_index(key)
-        # Union merge, newest first: an entry *newer* than this write (an
-        # interleaved or out-of-order job) must survive the update, or the
-        # DHT would keep an unindexed — hence never-collected — snapshot.
-        merged = tuple(sorted(set(stored_index or ()) | {ts}, reverse=True))
-        keep = merged[:CHECKPOINT_RETENTION]
-        drop = merged[CHECKPOINT_RETENTION:]
+            if lines is None:
+                lines = yield from self._rebuild_lines(key, tenure, ts)
+                if lines is None:
+                    return None  # log suffix unavailable; retry at the next interval
+            checkpoint = Checkpoint(
+                document_key=key,
+                ts=ts,
+                lines=tuple(lines),
+                created_at=node.runtime.now,
+                author=node.address.name,
+            )
+            if self.config.auth_enabled:
+                checkpoint.metadata["sig"] = sign_checkpoint(
+                    self.config.auth_secret, checkpoint
+                )
+            try:
+                yield from self.log.publish_checkpoint(checkpoint)
+            except CheckpointUnavailable:
+                return None
+            self.checkpoints_written += 1
+            tenure.last_checkpoint_ts = max(tenure.last_checkpoint_ts, ts)
+            stored_index = yield from self.log.fetch_checkpoint_index(key)
+            # Union merge: an entry *newer* than this write (an interleaved or
+            # out-of-order job) must survive the update, or the DHT would keep
+            # an unindexed — hence never-collected — snapshot.
+            keep, drop = yield from self._retain(key, set(stored_index or ()) | {ts})
+            node.runtime.trace.annotate(
+                node.runtime.now, "ltr-master",
+                "{} checkpointed {}@{} (retained {}, collected {})",
+                node.address.name, key, ts, list(keep), list(drop),
+            )
+            return ts
+        finally:
+            lock.release()
+
+    def _retain(self, key: str, index: Iterable[int]):
+        """Index the newest :data:`CHECKPOINT_RETENTION` of ``index``, collect the
+        rest (process; checkpoint lock held).  Returns ``(keep, drop)``."""
+        ordered = tuple(sorted(index, reverse=True))
+        keep = ordered[:CHECKPOINT_RETENTION]
+        drop = ordered[CHECKPOINT_RETENTION:]
         yield from self.log.publish_checkpoint_index(key, keep)
         for old_ts in drop:
             removed = yield from self.log.gc_checkpoint(key, old_ts)
             self.checkpoint_placements_removed += removed
-        node.runtime.trace.annotate(
-            node.runtime.now, "ltr-master",
-            "{} checkpointed {}@{} (retained {}, collected {})",
-            node.address.name, key, ts, list(keep), list(drop),
-        )
-        return ts
+        return keep, drop
 
-    def _rebuild_lines(self, key: str, ts: int) -> Any:
+    def _rebuild_lines(self, key: str, tenure: Tenure, ts: int) -> Any:
         """Reconstruct the document state at ``ts`` from checkpoint + log (process).
 
         Returns the line list, or ``None`` when some log suffix entry is
-        unavailable.  The rebuilt state is adopted as the live view so
-        subsequent validations extend it incrementally.
+        unavailable.  The rebuilt state is adopted as the view of ``tenure``
+        (unless it holds a newer one) so later validations extend it.
         """
         base = Document(key=key)
         checkpoint = yield from self.log.latest_checkpoint(key, ts)
@@ -1050,9 +1053,8 @@ class MasterService(NodeService):
             for entry in entries:
                 base.apply_patch(entry.patch, ts=entry.ts)
         self.checkpoint_rebuilds += 1
-        existing = self._views.get(key)
-        if existing is None or existing.applied_ts < base.applied_ts:
-            self._views[key] = base
+        if tenure.view is None or tenure.view.applied_ts < base.applied_ts:
+            tenure.view = base
         return list(base.lines)
 
     def force_checkpoint(self, key: str):
@@ -1066,9 +1068,10 @@ class MasterService(NodeService):
         ts = self._authority().last_ts(key)
         if ts < 1:
             return None
-        view = self._views.get(key)
+        tenure = self._document(key).tenure
+        view = tenure.view
         lines = list(view.lines) if view is not None and view.applied_ts == ts else None
-        result = yield from self._write_checkpoint(key, ts, lines)
+        result = yield from self._write_checkpoint(key, tenure, ts, lines)
         return result
 
     def gc_checkpoints(self, key: str):
@@ -1078,21 +1081,13 @@ class MasterService(NodeService):
         it removes checkpoints an interim Master retained beyond the
         window.  Returns how many checkpoints were collected.
         """
-        lock = self._checkpoint_lock_for(key)
+        lock = self._document(key).checkpoint_lock
         yield from lock.acquire()
         try:
             index = yield from self.log.fetch_checkpoint_index(key)
-            if not index:
+            if len(index or ()) <= CHECKPOINT_RETENTION:
                 return 0
-            ordered = tuple(sorted(index, reverse=True))
-            keep = ordered[:CHECKPOINT_RETENTION]
-            drop = ordered[CHECKPOINT_RETENTION:]
-            if not drop:
-                return 0
-            yield from self.log.publish_checkpoint_index(key, keep)
-            for old_ts in drop:
-                removed = yield from self.log.gc_checkpoint(key, old_ts)
-                self.checkpoint_placements_removed += removed
+            _keep, drop = yield from self._retain(key, index)
             return len(drop)
         finally:
             lock.release()

@@ -971,10 +971,10 @@ def batched_commit_spec(
 
 
 def _forget_master_tail(system: LtrSystem, key: str) -> None:
-    """Make the Master of ``key`` forget the entries it holds in memory, as a
-    takeover leaves it: the next reader catches up from the checkpoints and
-    the P2P-Log instead of from the Master's answer."""
-    system.master_service(key)._tails.pop(key, None)
+    """End the tenure of ``key``'s Master, as a takeover leaves it: the next
+    reader catches up from the checkpoints and the P2P-Log instead of from
+    the Master's answer."""
+    system.master_service(key).end_tenure(key)
 
 
 def _measure_cold_sync(ctx: ScenarioContext) -> dict:

@@ -12,7 +12,7 @@ exposes the latest one through ``last_ts``.
   timestamps for a document key.
 """
 
-from .authority import COUNTER_PREFIX, TimestampAuthority
+from .authority import COUNTER_PREFIX, TimestampAuthority, counter_documents
 from .client import KtsClient
 
-__all__ = ["COUNTER_PREFIX", "KtsClient", "TimestampAuthority"]
+__all__ = ["COUNTER_PREFIX", "KtsClient", "TimestampAuthority", "counter_documents"]

@@ -21,10 +21,15 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from ..chord import NodeService, SaltedHash, StoredItem, timestamp_hash
-from ..errors import StaleTimestamp
 
 #: Storage-key prefix under which counters are persisted.
 COUNTER_PREFIX = "kts:"
+
+
+def counter_documents(items: Iterable[StoredItem]) -> list[str]:
+    """The document keys whose timestamp counters are among ``items``."""
+    return [item.key[len(COUNTER_PREFIX):] for item in items
+            if item.key.startswith(COUNTER_PREFIX)]
 
 
 class TimestampAuthority(NodeService):
@@ -61,15 +66,13 @@ class TimestampAuthority(NodeService):
 
     def on_items_received(self, items: Iterable[StoredItem], *, as_replica: bool) -> None:
         if not as_replica:
-            self.transfers_in += sum(1 for item in items if item.key.startswith(COUNTER_PREFIX))
+            self.transfers_in += len(counter_documents(items))
 
     def on_items_handed_off(self, items: Iterable[StoredItem], successor_name: str) -> None:
-        self.transfers_out += sum(1 for item in items if item.key.startswith(COUNTER_PREFIX))
+        self.transfers_out += len(counter_documents(items))
 
     def on_replicas_promoted(self, items: Iterable[StoredItem]) -> None:
-        promoted = sum(1 for item in items if item.key.startswith(COUNTER_PREFIX))
-        if promoted:
-            self.takeovers += promoted
+        self.takeovers += len(counter_documents(items))
 
     # -- helpers ---------------------------------------------------------------
 
@@ -189,18 +192,6 @@ class TimestampAuthority(NodeService):
         )
         self._replicate_counter(item)
         return value
-
-    def expect_ts(self, key: str, proposed: int) -> int:
-        """Validate that ``proposed`` equals ``last_ts + 1`` and consume it.
-
-        Raises :class:`~repro.errors.StaleTimestamp` when the proposer is
-        behind (``last_ts >= proposed``), which is the paper's signal to run
-        the retrieval procedure first.
-        """
-        current = self.last_ts(key)
-        if proposed != current + 1:
-            raise StaleTimestamp(expected=proposed, last_ts=current)
-        return self.gen_ts(key)
 
     def managed_keys(self) -> dict[str, int]:
         """Mapping of document key to last timestamp for counters held here.

@@ -27,7 +27,14 @@ from repro.net import ConstantLatency, payload_size
 from repro.ot import InsertLine
 from repro.p2plog import LogEntry
 
-from test_core_master import build_system, find_takeover_joiner, make_patch, run_validation
+from test_core_master import (
+    build_system,
+    find_takeover_joiner,
+    is_fresh,
+    make_patch,
+    run_validation,
+    tenure,
+)
 
 KEY = "xwiki:suffix"
 
@@ -116,7 +123,7 @@ def test_tail_is_bounded_in_entries(monkeypatch):
     monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 4)
     system = build_system()
     master = publish(system, 7)
-    tail = master._tails[KEY]
+    tail = tenure(master, KEY).tail
     assert [entry.ts for entry in tail.entries] == [4, 5, 6, 7]
     assert tail.bytes == sum(tail.sizes) == sum(payload_size(e) for e in tail.entries)
     # A reader's catch-up likewise: nothing from behind the tail, all of it inside.
@@ -159,24 +166,24 @@ def test_tail_restarts_on_a_gap_and_is_dropped_when_the_counter_moved_on():
     # the handler is read-only, dropping is the lock holder's.
     answer = catch_up(master, 1)
     assert answer.last_ts == 5 and answer.entries is None
-    assert [entry.ts for entry in master._tails[KEY].entries] == [1, 2, 3]
+    assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [1, 2, 3]
     stale = run_validation(system, master, KEY, 3, [make_patch("late", "x", 2)], "late")
     assert not stale.accepted and stale.last_ts == 5 and stale.entries is None
-    assert KEY not in master._tails
+    assert is_fresh(tenure(master, KEY))
 
 
 def test_tail_is_allocated_lazily_and_dropped_on_hand_off():
     system = LtrSystem(ltr_config=LtrConfig(), seed=42, latency=ConstantLatency(0.02))
     system.bootstrap(8)
-    assert all(node.service("ltr-master")._tails == {} for node in system.ring.live_nodes())
+    assert all(node.service("ltr-master")._documents == {} for node in system.ring.live_nodes())
     old_master = publish(system, 3)
-    assert list(old_master._tails) == [KEY]
+    assert list(old_master._documents) == [KEY] and tenure(old_master, KEY).tail.entries
     system.run_for(2.0)
     system.add_peer(find_takeover_joiner(system, KEY))  # hand-off moves the counter
-    assert old_master._tails == {}
+    assert is_fresh(tenure(old_master, KEY))
     # The new Master is fresh from a takeover: it has nothing to hand over ...
     new_master = system.master_service(KEY)
-    assert new_master is not old_master and new_master._tails == {}
+    assert new_master is not old_master and new_master._documents == {}
     stale = run_validation(system, new_master, KEY, 2, [make_patch("late", "x", 1)], "late")
     assert not stale.accepted and stale.last_ts == 3 and stale.entries is None
     # ... so a stale editor's commit reads the log, and lands on the second try.
@@ -184,19 +191,63 @@ def test_tail_is_allocated_lazily_and_dropped_on_hand_off():
     result = system.edit_and_commit(system.peer_names()[0], KEY, "after the takeover")
     assert (result.ts, result.attempts, result.retrieved_patches) == (4, 2, 3)
     assert log_reads(system) > reads
-    assert [entry.ts for entry in new_master._tails[KEY].entries] == [4]
+    assert [entry.ts for entry in tenure(new_master, KEY).tail.entries] == [4]
 
 
 def test_counter_coming_back_ends_the_tenure_the_tail_was_from():
     """A crashed Master that restarts with its memory intact gets its counter
-    back from whoever stood in — what it remembers no longer describes the log."""
+    back from whoever stood in — what it remembers no longer describes the log.
+    So does a peer whose replica of the counter is promoted."""
     system = build_system()
     master = publish(system, 2)
     counter = master.node.storage.get(master._authority().storage_key(KEY))
     master.on_items_received([counter], as_replica=True)  # our own replica echo
-    assert KEY in master._tails
+    assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [1, 2]
     master.on_items_received([counter], as_replica=False)
-    assert KEY not in master._tails
+    assert is_fresh(tenure(master, KEY))
+    publish(system, 2, start=3)
+    assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [3, 4]
+    master.on_replicas_promoted([counter])
+    assert is_fresh(tenure(master, KEY))
+
+
+@pytest.mark.parametrize("departure", ["leave", "crash"])
+def test_a_regained_tenure_reads_nothing_of_the_one_before(departure):
+    """A Master hands the document off at ts 5 and gets it back at ts 6: the
+    stand-in leaves (the counter comes back) or crashes (its replica here is
+    promoted).  The first group of the regained tenure makes a checkpoint
+    due, as any takeover's does — it does not read the old tenure's
+    checkpoint at 4, nor its view, nor its tail."""
+    system = LtrSystem(ltr_config=LtrConfig(checkpoint_interval=4), seed=42,
+                       latency=ConstantLatency(0.02))
+    system.bootstrap(8)
+    master = publish(system, 5)
+    system.run_for(2.0)
+    old = tenure(master, KEY)
+    assert old.last_checkpoint_ts == 4 and old.view.applied_ts == 5
+    assert [entry.ts for entry in old.tail.entries] == [1, 2, 3, 4, 5]
+    stand_in = find_takeover_joiner(system, KEY)
+    system.add_peer(stand_in)
+    assert system.master_of(KEY) == stand_in
+    publish(system, 1, start=6)
+    system.run_for(2.0)
+    getattr(system, departure)(stand_in)
+    assert system.master_service(KEY) is master and system.last_ts(KEY) == 6
+    assert is_fresh(tenure(master, KEY))
+    written, rebuilds = master.checkpoints_written, master.checkpoint_rebuilds
+    publish(system, 1, start=7)
+    system.run_for(2.0)
+    # ts 7 is three past the old tenure's checkpoint: due because this tenure
+    # wrote none, and cut from a view rebuilt out of checkpoint + log.
+    assert system.latest_checkpoint(KEY).ts == 7
+    assert (master.checkpoints_written, master.checkpoint_rebuilds) == (written + 1, rebuilds + 1)
+    regained = tenure(master, KEY)
+    assert regained is not old
+    assert regained.last_checkpoint_ts == 7 and regained.view.applied_ts == 7
+    assert [entry.ts for entry in regained.tail.entries] == [7]
+    # The old tenure was left as it ended: nothing written into it since.
+    assert old.last_checkpoint_ts == 4 and old.view.applied_ts == 5
+    assert [entry.ts for entry in old.tail.entries] == [1, 2, 3, 4, 5]
 
 
 # ------------------------------------------------------- the proposer --
@@ -318,7 +369,7 @@ def test_tampered_tail_entry_is_rejected_counted_and_the_log_copy_used():
     system = LtrSystem(seed=7, ltr_config=LtrConfig(auth_enabled=True))
     system.bootstrap(8)
     user = stale_editor(system)
-    tail = system.master_service(KEY)._tails[KEY]
+    tail = tenure(system.master_service(KEY), KEY).tail
     honest = tail.entries[1]
     forged = honest.patch.with_operations(
         tuple(honest.patch.operations) + (InsertLine(0, "<forged in the tail>"),)
@@ -401,7 +452,7 @@ def test_reader_refuses_a_tampered_tail_entry_and_reads_the_log():
     writer, reader = system.peer_names()[1], system.user(system.peer_names()[0])
     for index in range(3):
         system.edit_and_commit(writer, KEY, f"revision {index}")
-    tail = system.master_service(KEY)._tails[KEY]
+    tail = tenure(system.master_service(KEY), KEY).tail
     honest = tail.entries[1]
     forged = honest.patch.with_operations(
         tuple(honest.patch.operations) + (InsertLine(0, "<forged in the tail>"),)

@@ -31,6 +31,17 @@ def make_patch(author, text, base_ts=0):
     return Patch((InsertLine(0, text),), base_ts=base_ts, author=author)
 
 
+def tenure(master, key):
+    """What ``master`` knows of ``key`` now (its record holds it from the first proposal)."""
+    return master._documents[key].tenure
+
+
+def is_fresh(current):
+    """Nothing of an earlier tenure: no tail, no horizon, no view, no checkpoint."""
+    return (current.tail.entries, current.warmed_ts, current.view,
+            current.last_checkpoint_ts) == ([], 0, None, 0)
+
+
 def run_validation(system, master, key, ts, patches, author):
     handler = master.validate_and_publish(key=key, ts=ts, patches=patches, author=author)
     payload = system.runtime.run(until=system.runtime.process(handler))
@@ -61,7 +72,7 @@ def test_validate_ok_then_behind():
     future = run_validation(system, master, key, 5, [make_patch("u2", "b")], "u2")
     assert not future.accepted and future.last_ts == 2 and future.entries is None
     # ... and so is a stale one whose gap this Master does not hold any more
-    del master._tails[key]
+    master.end_tenure(key)
     lost = run_validation(system, master, key, 1, [make_patch("u3", "c")], "u3")
     assert not lost.accepted and lost.last_ts == 2 and lost.entries is None
     stats = master.statistics()
@@ -109,7 +120,7 @@ def test_distinct_documents_use_distinct_locks():
     master_b = system.master_service(key_b)
     result_b = run_validation(system, master_b, key_b, 1, [make_patch("u1", "b")], "u1")
     assert result_a.accepted and result_b.accepted
-    assert master_a._lock_for(key_a) is not master_a._lock_for(key_b)
+    assert master_a._document(key_a).lock is not master_a._document(key_b).lock
 
 
 def test_publish_before_ack_writes_log_before_advancing_counter():
@@ -196,7 +207,7 @@ def assert_in_flight_chain_is_rejected_atomically(chain_length):
     assert result.rejected, "old master committed a chain after losing the key"
     assert old_master.proposals_rejected == 1
     # Never-allocated entries must not be handed to a stale proposer later.
-    assert key not in old_master._tails
+    assert is_fresh(tenure(old_master, key))
     assert system.master_of(key) == joiner
     assert system.last_ts(key) == 1  # nothing was consumed
     # The rejected chain's published entries were retracted: no orphan
@@ -298,7 +309,7 @@ def proposal(author, ts, lines=("x",), **extra):
 def run_until_the_group_is_out(system, master, holder, entries, key=GROUP_KEY):
     """Step until the holder is answered and ``entries`` entries of the group
     behind it are at the Log-Peers, not yet allocated."""
-    queue = master._queue_for(key)
+    queue = master._document(key)
     while not (holder.triggered and queue.publishing == entries):
         assert system.runtime.now < 60
         system.runtime.run(until=system.runtime.now + 0.001)
@@ -324,7 +335,7 @@ def test_a_group_is_one_publish_one_allocation_and_every_member_its_own_answer()
     assert (stats["publishes"], stats["proposals_ok"], stats["proposals_rebased"],
             stats["patches_published"]) == (2, 4, 3, 5)
     assert system.statistics()["publishes"] == 2
-    assert [entry.author for entry in master._tails[GROUP_KEY].entries] == \
+    assert [entry.author for entry in tenure(master, GROUP_KEY).tail.entries] == \
         ["holder", "a", "b", "b", "c"]
     assert [entry.base_ts for entry in system.fetch_log(GROUP_KEY, 1, 5)] == [0, 1, 2, 3, 4]
 
@@ -386,7 +397,7 @@ def test_reelection_during_a_groups_publish_rejects_every_member(members):
     assert holder.accepted and holder.last_ts == 2
     assert all(result.rejected and result.entries is None for result in group)
     assert old_master.proposals_rejected == members
-    assert key not in old_master._tails
+    assert is_fresh(tenure(old_master, key))
     assert system.master_of(key) == joiner and system.last_ts(key) == 2
     log = system.log_client()
     for orphan_ts in range(3, 3 + members):
@@ -437,7 +448,7 @@ def test_a_failed_publish_raises_at_every_member_and_is_retracted_once():
     assert retractions.call_count == 1
     assert [entry.ts for entry in retractions.call_args.args[0]] == [3, 4]
     assert system.last_ts(GROUP_KEY) == 2 and master.statistics()["publishes"] == 2
-    assert [entry.ts for entry in master._tails[GROUP_KEY].entries] == [1, 2]
+    assert [entry.ts for entry in tenure(master, GROUP_KEY).tail.entries] == [1, 2]
     # Every proposer has its edit back and lands it with the next commit.
     for name in writers[1:]:
         assert system.user(name).has_pending(GROUP_KEY)
@@ -502,7 +513,7 @@ def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_e
     # The interval is crossed at ts 4, inside the group 2..6: one checkpoint,
     # at the group's last timestamp, holding what the log replays to there.
     assert master.checkpoints_written == 1
-    assert master._last_checkpoint_ts[GROUP_KEY] == 6
+    assert tenure(master, GROUP_KEY).last_checkpoint_ts == 6
     index = system.runtime.run(until=system.runtime.process(
         master.log.fetch_checkpoint_index(GROUP_KEY)))
     assert tuple(index) == (6,)
@@ -614,7 +625,7 @@ def test_a_group_whose_head_is_refused_still_writes_its_checkpoint():
     assert [(r.first_ts, r.last_ts) for r in (holder, a, b)] == [(1, 1), (2, 2), (3, 3)]
     assert master.statistics()["publishes"] == 2  # a and b went out with the refused head
     system.run_for(2.0)
-    assert master._last_checkpoint_ts[GROUP_KEY] == 3
+    assert tenure(master, GROUP_KEY).last_checkpoint_ts == 3
     assert len(assert_one_checkpoint_is_the_replay(system, master, GROUP_KEY, 3)) == 3
 
 
@@ -633,7 +644,7 @@ def test_no_member_is_orphaned_when_the_holders_handler_dies_mid_publish():
     holder, killed, *orphans = outcomes(system, lanes)
     assert holder.accepted and isinstance(killed, ProcessInterrupted)
     assert [type(error) for error in orphans] == [PatchUnavailable, PatchUnavailable]
-    queue = master._queue_for(GROUP_KEY)
+    queue = master._documents[GROUP_KEY]
     assert not queue.lock.locked and not queue.waiting and queue.publishing == 0
     assert system.last_ts(GROUP_KEY) == 1
     # Nothing was allocated; the proposers come again and land.

@@ -124,10 +124,10 @@ def assert_system_invariants(system: LtrSystem, keys) -> None:
 
 
 def drop_master_tail(system: LtrSystem, key: str) -> None:
-    """Make the Master of ``key`` forget the entries it holds in memory, as a
-    takeover leaves it: the next reader is served by the checkpoints and the
-    P2P-Log, not by the Master's answer."""
-    system.master_service(key)._tails.pop(key, None)
+    """End the tenure of ``key``'s Master, as a takeover leaves it: the next
+    reader is served by the checkpoints and the P2P-Log, not by the Master's
+    answer."""
+    system.master_service(key).end_tenure(key)
 
 
 # ------------------------------------------------------ randomized runs --
@@ -542,7 +542,8 @@ def test_checkpoint_index_survives_out_of_order_writes(monkeypatch):
     service = system.master_service(key)
     # Checkpoints exist at ts 3 and 6; now a straggler job writes ts 5
     # (content rebuilt from checkpoint 3 + the log suffix).
-    system.runtime.run(until=system.runtime.process(service._write_checkpoint(key, 5, None)))
+    straggler = service._write_checkpoint(key, service._documents[key].tenure, 5, None)
+    system.runtime.run(until=system.runtime.process(straggler))
     client = system.log_client()
     stored = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
     assert list(stored) == [6, 5, 3]

@@ -1,10 +1,7 @@
 """Tests for the Key-based Timestamp Service (repro.kts)."""
 
-import pytest
-
 from repro.chord import ChordConfig, ChordRing, hash_to_id, timestamp_hash
 from repro.dht import ChordDhtClient
-from repro.errors import StaleTimestamp
 from repro.kts import COUNTER_PREFIX, KtsClient, TimestampAuthority
 from repro.net import Address, ConstantLatency
 
@@ -117,21 +114,6 @@ def test_advance_ts_never_lowers_counter():
     assert run(ring, kts.advance_ts("doc-adv", 1)) == 2
     assert run(ring, kts.advance_ts("doc-adv", 10)) == 10
     assert run(ring, kts.gen_ts("doc-adv")) == 11
-
-
-def test_expect_ts_validation_behaviour():
-    ring = build_ring()
-    ht = timestamp_hash(BITS)
-    master = ring.responsible_node_for_id(ht("doc-val"))
-    authority = master.service("kts")
-    assert authority.expect_ts("doc-val", 1) == 1
-    with pytest.raises(StaleTimestamp) as excinfo:
-        authority.expect_ts("doc-val", 1)
-    assert excinfo.value.last_ts == 1
-    # proposing a timestamp too far in the future is also rejected
-    with pytest.raises(StaleTimestamp):
-        authority.expect_ts("doc-val", 5)
-    assert authority.expect_ts("doc-val", 2) == 2
 
 
 def test_authority_statistics_counts_generation():

@@ -26,7 +26,7 @@ from repro.net import ConstantLatency
 from repro.ot import Document, InsertLine, Patch, integrate_remote_into_staged, rebase_chain
 
 from test_behind_suffix import KEY, handle, log_reads, publish
-from test_core_master import build_system, find_takeover_joiner, make_patch
+from test_core_master import build_system, find_takeover_joiner, is_fresh, make_patch, tenure
 
 # ---------------------------------------------------------------- the transform --
 
@@ -61,7 +61,7 @@ def test_the_logged_entries_are_what_the_proposer_applied(chain):
     assert [entry.patch for entry in logged] == applied
     assert [entry.base_ts for entry in logged] == list(range(5, 5 + chain))
     assert all(patch.base_ts == 5 for patch in applied)
-    assert [entry.patch for entry in master._tails[KEY].entries[-chain:]] == applied
+    assert [entry.patch for entry in tenure(master, KEY).tail.entries[-chain:]] == applied
     # The proposer integrated the gap first, in order.
     assert [patch.author for patch in replica.history[:5]] == [names[1]] * 5
     report = system.check_consistency(KEY)
@@ -102,11 +102,11 @@ def test_rebase_work_is_bounded_by_the_tail_bounds(monkeypatch):
     assert stats["proposals_rebased"] == len(gaps)
     assert stats["proposals_behind"] == 10 - len(gaps) > 0
     # ... nor over more bytes.
-    size = master._tails[KEY].sizes[-1]
+    size = tenure(master, KEY).tail.sizes[-1]
     monkeypatch.setattr(master_module, "TAIL_MAX_BYTES", 2 * size + size // 2)
     publish(system, 3, start=system.last_ts(KEY) + 1)
     last_ts = system.last_ts(KEY)
-    assert len(master._tails[KEY].entries) == 2
+    assert len(tenure(master, KEY).tail.entries) == 2
     far = handle(system, master, KEY, last_ts - 2, [make_patch("late", "far")], "late")
     assert not far.accepted and far.entries is None
 
@@ -128,7 +128,7 @@ def answer(system, master, ts, **arguments):
 def test_behind_goes_out_exactly_as_before_where_the_master_cannot_rebase(monkeypatch):
     system = build_system()
     master = publish(system, 6)
-    tail = list(master._tails[KEY].entries)
+    tail = list(tenure(master, KEY).tail.entries)
     # A signed proposal: the same payload as ever, suffix and all.
     assert answer(system, master, 4, signatures=["sig"]) == behind_payload(6, tail[3:])
     # A proposal ahead of last-ts.
@@ -136,10 +136,10 @@ def test_behind_goes_out_exactly_as_before_where_the_master_cannot_rebase(monkey
     # A gap older than the tail.
     monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 2)
     publish(system, 1, start=7)
-    assert [entry.ts for entry in master._tails[KEY].entries] == [6, 7]
+    assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [6, 7]
     assert answer(system, master, 5) == behind_payload(7)
     # An empty tail: a Master fresh from a takeover.
-    master._tails.clear()
+    master.end_tenure(KEY)
     assert answer(system, master, 7) == behind_payload(7)
     stats = master.statistics()
     assert (stats["proposals_behind"], stats["proposals_rebased"],
@@ -180,7 +180,7 @@ def test_a_rebased_chain_rejected_on_re_election_is_retracted_and_never_enters_t
     system.run_for(2.0)
     joiner = find_takeover_joiner(system, key)
     old_master = system.master_service(key)
-    assert [entry.ts for entry in old_master._tails[key].entries] == [1, 2]
+    assert [entry.ts for entry in tenure(old_master, key).tail.entries] == [1, 2]
 
     patches = [make_patch("u9", f"chain line {index}", base_ts=0)
                for index in range(chain_length)]
@@ -192,7 +192,7 @@ def test_a_rebased_chain_rejected_on_re_election_is_retracted_and_never_enters_t
 
     assert result.rejected and result.entries is None
     assert old_master.proposals_rejected == 1 and old_master.proposals_rebased == 0
-    assert key not in old_master._tails
+    assert is_fresh(tenure(old_master, key))
     assert system.master_of(key) == joiner and system.last_ts(key) == 2
     log = system.log_client()
     for orphan_ts in range(3, 3 + chain_length):

@@ -23,7 +23,14 @@ import pytest
 
 from route_probe import trace_routing
 from test_behind_suffix import publish
-from test_core_master import build_system, find_takeover_joiner, make_patch, run_validation
+from test_core_master import (
+    build_system,
+    find_takeover_joiner,
+    is_fresh,
+    make_patch,
+    run_validation,
+    tenure,
+)
 from test_p2plog import tamper
 
 from repro.chord import ChordNode, ChordRing, HashFunctionFamily
@@ -158,10 +165,10 @@ def contended_run(chain, seed=7):
     warm_ahead = master._warm_ahead
 
     def horizon():
-        return master._tails[key].warmed_ts if key in master._tails else 0
+        return tenure(master, key).warmed_ts
 
     def recording_warm_ahead(document_key, last_ts, ahead):
-        before, queued = horizon(), master._queue_for(key).queued
+        before, queued = horizon(), master._documents[key].queued
         warm_ahead(document_key, last_ts, ahead)
         seen.append((last_ts, ahead, queued, before, horizon()))
 
@@ -229,23 +236,23 @@ def test_horizon_stays_within_the_cap_and_warms_no_timestamp_twice(chain):
                if identifier in placements)
 
 
-def test_both_answers_extend_the_horizon_and_the_tail_carries_it():
+def test_both_answers_extend_the_horizon_and_the_tenure_carries_it():
     """(The *behind* answers here were stale proposals; those are committed
     now, so *behind* comes from a proposal ahead of last-ts — and the queue,
     which no test looked at, is what lets an answer warm more than a chain.)"""
     system = build_system()
     master = publish(system, 1)
-    tail = master._tails[KEY]
-    assert tail.warmed_ts == 0  # the first publish of a tenure has no pace to go by
+    current = tenure(master, KEY)
+    assert current.warmed_ts == 0  # the first publish of a tenure has no pace to go by
     publish(system, 1, start=2)
-    assert tail.warmed_ts == 3  # ok: last-ts 2, one chain further
+    assert current.warmed_ts == 3  # ok: last-ts 2, one chain further
     ahead = run_validation(system, master, KEY, 9, [make_patch("early", "x")], "early")
-    assert not ahead.accepted and tail.warmed_ts == 4  # behind: one more
+    assert not ahead.accepted and current.warmed_ts == 4  # behind: one more
     for _ in range(5):
         run_validation(system, master, KEY, 9, [make_patch("early", "x")], "early")
-    assert tail.warmed_ts == 2 + master_module.WARM_AHEAD_CHAINS  # the cap
+    assert current.warmed_ts == 2 + master_module.WARM_AHEAD_CHAINS  # the cap
     stale = run_validation(system, master, KEY, 1, [make_patch("late", "x")], "late")
-    assert stale.accepted and tail.warmed_ts == 3 + master_module.WARM_AHEAD_CHAINS
+    assert stale.accepted and current.warmed_ts == 3 + master_module.WARM_AHEAD_CHAINS
     with mock.patch.object(master_module, "WARM_AHEAD_CHAINS", 0), \
             trace_routing() as trace:
         publish(system, 2, start=4)
@@ -260,8 +267,8 @@ def test_an_answer_warms_for_the_proposals_queued_behind_it():
     it allocated and what is queued."""
     system = build_system()
     master = publish(system, 2)
-    tail = master._tails[KEY]
-    assert tail.warmed_ts == 3
+    current = tenure(master, KEY)
+    assert current.warmed_ts == 3
     lanes = [system.runtime.process(master.validate_and_publish(
         key=KEY, ts=3, patches=[make_patch(f"w{lane}", "x", 2)], author=f"w{lane}"))
         for lane in range(3)]
@@ -275,7 +282,7 @@ def test_an_answer_warms_for_the_proposals_queued_behind_it():
     assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == \
         [(4, 4), (5, 5), (6, 8), (9, 10)]
     assert [publish_.timestamps for publish_ in trace.publishes] == [(3,), (4, 5)]
-    assert system.last_ts(KEY) == 5 and tail.warmed_ts == 10
+    assert system.last_ts(KEY) == 5 and current.warmed_ts == 10
 
 
 def test_the_first_publish_of_a_tenure_warms_only_for_a_queue():
@@ -299,7 +306,7 @@ def test_the_first_publish_of_a_tenure_warms_only_for_a_queue():
     alone = build_system()
     with trace_routing() as trace:
         publish(alone, 1)
-    assert trace.warmed == [] and alone.master_service(KEY)._tails[KEY].warmed_ts == 0
+    assert trace.warmed == [] and tenure(alone.master_service(KEY), KEY).warmed_ts == 0
 
 
 def test_commits_further_apart_than_the_ttl_are_not_warmed():
@@ -320,26 +327,26 @@ def test_horizon_ends_with_the_tenure():
     system = LtrSystem(ltr_config=LtrConfig(), seed=42, latency=ConstantLatency(0.02))
     system.bootstrap(8)
     old_master = publish(system, 3)
-    assert old_master._tails[KEY].warmed_ts > 3
+    assert tenure(old_master, KEY).warmed_ts > 3
     system.run_for(2.0)
     system.add_peer(find_takeover_joiner(system, KEY))      # on_items_handed_off
-    assert old_master._tails == {}
+    assert is_fresh(tenure(old_master, KEY))
     new_master = system.master_service(KEY)
     with trace_routing() as trace:
         publish(system, 1, start=4)   # first publish of the new tenure: no horizon yet
-        assert trace.warmed == [] and new_master._tails[KEY].warmed_ts == 0
+        assert trace.warmed == [] and tenure(new_master, KEY).warmed_ts == 0
         publish(system, 1, start=5)
     assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(6, 6)]
     # A counter coming back from a stand-in ends the tenure too ...
     counter = new_master.node.storage.get(new_master._authority().storage_key(KEY))
     new_master.on_items_received([counter], as_replica=False)
-    assert KEY not in new_master._tails
+    assert is_fresh(tenure(new_master, KEY))
     # ... as does a counter that moved on elsewhere (found by the next proposal).
     publish(system, 2, start=6)
-    assert new_master._tails[KEY].warmed_ts > 7
+    assert tenure(new_master, KEY).warmed_ts > 7
     new_master._authority().advance_ts(KEY, 9)
     run_validation(system, new_master, KEY, 8, [make_patch("late", "x", 7)], "late")
-    assert KEY not in new_master._tails
+    assert is_fresh(tenure(new_master, KEY))
     # (the re-election guard's drop is test_core_master's in-flight rejection)
 
 
