@@ -84,7 +84,7 @@ class NodeStorage:
 
         The stored item's placement identifier is preserved (or pinned to an
         explicit ``key_id``): entries placed under a salted-family
-        identifier — KTS counters, checkpoint indexes — must not be
+        identifier — KTS counters — must not be
         silently re-hashed to ``hash(key)`` by a read-modify-write, or they
         would fall out of their responsibility interval and stop moving
         with churn-driven key transfer.

@@ -204,7 +204,8 @@ class ClusterConfig:
         """The P2P-LTR tuning every process runs.
 
         Identical in every process by construction — it sizes the shared
-        hash family, which is what makes placement agree across the wire.
+        hash family and sets the checkpoint interval, the two things that
+        make log and checkpoint placements agree across the wire.
         """
         return LtrConfig(
             log_replication_factor=self.log_replication_factor,

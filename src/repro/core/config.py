@@ -38,14 +38,17 @@ class LtrConfig:
         adding one (a peer that saves with ``edit`` alone proposes chains of
         one).
     checkpoint_interval:
-        How many published timestamps between two checkpoints of the same
-        document: the Master-key peer materializes a snapshot that often and
-        stores it replicated under the salted checkpoint hash family, and
-        ``UserPeer.sync`` bootstraps a catch-up more than this many
-        timestamps behind from the newest checkpoint instead of replaying
-        the whole patch log (``DESIGN.md`` §"Checkpointed retrieval").  A
-        shorter suffix is replayed without a probe.  The paper's full-replay
-        retrieval is the value longer than the document's history.
+        Where the checkpoints of a document are: the Master-key peer
+        materializes a snapshot at every multiple of this timestamp (a
+        *boundary*) and stores it replicated under the salted checkpoint
+        hash family, and ``UserPeer.sync`` bootstraps a catch-up more than
+        this many timestamps behind from the newest boundary instead of
+        replaying the whole patch log (``DESIGN.md`` §"Checkpointed
+        retrieval").  A shorter suffix is replayed without a probe.  The
+        interval is part of a checkpoint's address, so it must be the same
+        in every process of a system, like ``log_replication_factor``.  The
+        paper's full-replay retrieval is the value longer than the
+        document's history.
     runtime_backend:
         Which execution runtime a :class:`~repro.core.LtrSystem` built from
         this config runs on when no explicit runtime is supplied:

@@ -66,6 +66,7 @@ from ..p2plog import (
     LogEntry,
     P2PLogClient,
     find_proposal,
+    retained_boundaries,
     sign_checkpoint,
     verify_commit,
 )
@@ -73,15 +74,11 @@ from ..runtime import FifoLock
 from .config import LtrConfig
 from .protocol import ValidationResult
 
-#: ``(tenure, checkpoint ts, snapshot lines or None)``: a job scheduled inside
-#: the per-document critical section and run in the background once its group
-#: has been answered, writing only into the tenure it was scheduled under.
-CheckpointJob = tuple["Tenure", int, Optional[list[str]]]
-
-#: How many checkpoints per document are retained; older ones are
-#: garbage-collected from the DHT when a new checkpoint slides them out of the
-#: window (the log's compaction story).
-CHECKPOINT_RETENTION = 2
+#: ``(tenure, boundary, snapshot lines or None, boundaries that left the
+#: window)``: a job scheduled inside the per-document critical section and run
+#: in the background once its group has been answered, writing only into the
+#: tenure it was scheduled under.
+CheckpointJob = tuple["Tenure", int, Optional[list[str]], list[int]]
 
 #: Bounds of the per-document tail of allocated entries a stale proposal is
 #: served from — transformed over, and handed with the answer — in entries
@@ -163,21 +160,18 @@ class Tenure:
 
     The :attr:`tail`; the *warmed horizon* :attr:`warmed_ts`, the highest
     timestamp whose Log-Peers this tenure had resolved
-    (:meth:`MasterService._warm_ahead`); the materialized :attr:`view`
-    checkpoints are cut from; and :attr:`last_checkpoint_ts` — 0 when fresh,
-    so the first group to reach an interval checkpoints, as a takeover does.
-    A tenure is replaced, never emptied (:meth:`MasterService.end_tenure`);
-    a job that outlives the lock writes only into the tenure it was
-    scheduled under, never into the next one.
+    (:meth:`MasterService._warm_ahead`); and the materialized :attr:`view`
+    checkpoints are cut from.  A tenure is replaced, never emptied
+    (:meth:`MasterService.end_tenure`); a job that outlives the lock writes
+    only into the tenure it was scheduled under, never into the next one.
     """
 
-    __slots__ = ("tail", "warmed_ts", "view", "last_checkpoint_ts")
+    __slots__ = ("tail", "warmed_ts", "view")
 
     def __init__(self) -> None:
         self.tail = EntryTail()
         self.warmed_ts = 0
         self.view: Optional[Document] = None
-        self.last_checkpoint_ts = 0
 
 
 class Proposal:
@@ -210,22 +204,20 @@ class Proposal:
 
 
 class DocumentQueue:
-    """One Master's record of one document: its locks, who waits, its tenure.
+    """One Master's record of one document: its lock, who waits, its tenure.
 
     ``waiting`` holds, in arrival order, the proposals no lock holder has
     taken yet (so it is the order of the lock's own queue, minus the
     proposals already served); ``publishing`` is how many entries the lock
     holder has out at the Log-Peers right now, published and not allocated.
-    ``checkpoint_lock`` serializes checkpoint-index read-modify-writes apart
-    from ``lock``, so their DHT round-trips never stall proposers.  Only
-    ``tenure`` is ever replaced: a lock or the queue may be held or waited on.
+    Only ``tenure`` is ever replaced: the lock or the queue may be held or
+    waited on.
     """
 
-    __slots__ = ("lock", "checkpoint_lock", "waiting", "publishing", "tenure")
+    __slots__ = ("lock", "waiting", "publishing", "tenure")
 
     def __init__(self, runtime) -> None:
         self.lock = FifoLock(runtime)
-        self.checkpoint_lock = FifoLock(runtime)
         self.waiting: deque[Proposal] = deque()
         self.publishing = 0
         self.tenure = Tenure()
@@ -917,13 +909,19 @@ class MasterService(NodeService):
 
         Runs inside the per-document critical section (cheap, local-only),
         once per group: every validated patch is applied to the view of
-        ``tenure`` (the one the group was allocated in), and when the
-        published timestamps cross the checkpoint interval the job is
-        returned — the snapshot lines are captured *here*, while no
-        concurrent proposal can advance the document.  The DHT writes run
-        in the background after the group has been answered
+        ``tenure`` (the one the group was allocated in).  The group's range
+        alone decides the job: when it crosses a *boundary* (a multiple of
+        ``checkpoint_interval``), the newest boundary crossed is written —
+        its snapshot lines captured *here*, at exactly that timestamp, while
+        no concurrent proposal can advance the document — and the boundaries
+        that left the retention window with it are removed.  The DHT writes
+        run in the background after the group has been answered
         (:meth:`validate_and_publish`).
         """
+        interval = self.config.checkpoint_interval
+        window = retained_boundaries(first_ts + len(patches) - 1, interval)
+        boundary = window[0] if window and window[0] >= first_ts else None
+        lines = None
         view = tenure.view
         ts = first_ts
         for patch in patches:
@@ -932,32 +930,31 @@ class MasterService(NodeService):
             if view is not None:
                 if view.applied_ts == ts - 1:
                     view.apply_patch(patch, ts=ts)
+                    if ts == boundary:
+                        lines = list(view.lines)
                 else:
                     # A view rebuilt behind the validated sequence: drop it,
                     # the next checkpoint rebuilds from checkpoint + log.
                     view = tenure.view = None
             ts += 1
-        last_ts = first_ts + len(patches) - 1
-        if last_ts - tenure.last_checkpoint_ts < self.config.checkpoint_interval:
+        if boundary is None:
             return None
-        lines = (
-            list(view.lines)
-            if view is not None and view.applied_ts == last_ts
-            else None
-        )
-        # Recorded eagerly so the next group does not schedule the same
-        # checkpoint again; a failed write simply waits for the next interval.
-        tenure.last_checkpoint_ts = last_ts
-        return tenure, last_ts, lines
+        left = [old for old in retained_boundaries(first_ts - 1, interval)
+                if old not in window]
+        return tenure, boundary, lines, left
 
     def _checkpoint_in_background(self, key: str, tenure: Tenure, ts: int,
-                                  lines: Optional[list[str]]):
-        """Write the checkpoint a group made due (process; nobody waits for it).
+                                  lines: Optional[list[str]], left: list[int]):
+        """Remove the boundaries that left the window, then write the
+        checkpoint a group made due (process; nobody waits for it).
 
         So nobody can be told that it failed: an error of the library is
-        traced and dropped here, and the next interval writes a checkpoint.
+        traced and dropped here, and the next boundary writes a checkpoint.
         """
         try:
+            for old_ts in left:
+                removed = yield from self.log.gc_checkpoint(key, old_ts)
+                self.checkpoint_placements_removed += removed
             yield from self._write_checkpoint(key, tenure, ts, lines)
         except ReproError as error:
             node = self.node
@@ -969,79 +966,55 @@ class MasterService(NodeService):
 
     def _write_checkpoint(self, key: str, tenure: Tenure, ts: int,
                           lines: Optional[list[str]]):
-        """Materialize, store, index and garbage-collect checkpoints (process).
+        """Materialize and store the checkpoint at boundary ``ts`` (process).
 
-        Serialized by the record's ``checkpoint_lock``.  ``lines`` is the
-        snapshot captured under the validation lock, or ``None`` when
-        ``tenure`` has no view at ``ts`` (fresh takeover) — then the state is
-        rebuilt from the newest reachable checkpoint plus the log suffix.  The
-        retained-checkpoint index is re-read from the DHT on every write
-        (checkpoints are rare) so an interim Master's checkpoints are never
-        forgotten, and everything sliding out of the retention window is
-        removed from the DHT — the log's compaction step.  Best effort
-        throughout: on any failure the system simply keeps the previous
-        checkpoints.
+        ``lines`` is the snapshot captured under the validation lock, or
+        ``None`` when ``tenure`` has no view at ``ts`` (fresh takeover) —
+        then the state is rebuilt from the newest reachable checkpoint plus
+        the log suffix.  Best effort: on any failure the system simply keeps
+        the previous checkpoints.  Returns ``ts``, or ``None`` when nothing
+        was stored.
         """
         node = self.node
-        lock = self._document(key).checkpoint_lock
-        yield from lock.acquire()
-        try:
+        if lines is None:
+            lines = yield from self._rebuild_lines(key, tenure, ts)
             if lines is None:
-                lines = yield from self._rebuild_lines(key, tenure, ts)
-                if lines is None:
-                    return None  # log suffix unavailable; retry at the next interval
-            checkpoint = Checkpoint(
-                document_key=key,
-                ts=ts,
-                lines=tuple(lines),
-                created_at=node.runtime.now,
-                author=node.address.name,
+                return None  # log suffix unavailable; retry at the next boundary
+        checkpoint = Checkpoint(
+            document_key=key,
+            ts=ts,
+            lines=tuple(lines),
+            created_at=node.runtime.now,
+            author=node.address.name,
+        )
+        if self.config.auth_enabled:
+            checkpoint.metadata["sig"] = sign_checkpoint(
+                self.config.auth_secret, checkpoint
             )
-            if self.config.auth_enabled:
-                checkpoint.metadata["sig"] = sign_checkpoint(
-                    self.config.auth_secret, checkpoint
-                )
-            try:
-                yield from self.log.publish_checkpoint(checkpoint)
-            except CheckpointUnavailable:
-                return None
-            self.checkpoints_written += 1
-            tenure.last_checkpoint_ts = max(tenure.last_checkpoint_ts, ts)
-            stored_index = yield from self.log.fetch_checkpoint_index(key)
-            # Union merge: an entry *newer* than this write (an interleaved or
-            # out-of-order job) must survive the update, or the DHT would keep
-            # an unindexed — hence never-collected — snapshot.
-            keep, drop = yield from self._retain(key, set(stored_index or ()) | {ts})
-            node.runtime.trace.annotate(
-                node.runtime.now, "ltr-master",
-                "{} checkpointed {}@{} (retained {}, collected {})",
-                node.address.name, key, ts, list(keep), list(drop),
-            )
-            return ts
-        finally:
-            lock.release()
-
-    def _retain(self, key: str, index: Iterable[int]):
-        """Index the newest :data:`CHECKPOINT_RETENTION` of ``index``, collect the
-        rest (process; checkpoint lock held).  Returns ``(keep, drop)``."""
-        ordered = tuple(sorted(index, reverse=True))
-        keep = ordered[:CHECKPOINT_RETENTION]
-        drop = ordered[CHECKPOINT_RETENTION:]
-        yield from self.log.publish_checkpoint_index(key, keep)
-        for old_ts in drop:
-            removed = yield from self.log.gc_checkpoint(key, old_ts)
-            self.checkpoint_placements_removed += removed
-        return keep, drop
+        try:
+            yield from self.log.publish_checkpoint(checkpoint)
+        except CheckpointUnavailable:
+            return None
+        self.checkpoints_written += 1
+        node.runtime.trace.annotate(
+            node.runtime.now, "ltr-master", "{} checkpointed {}@{}",
+            node.address.name, key, ts,
+        )
+        return ts
 
     def _rebuild_lines(self, key: str, tenure: Tenure, ts: int) -> Any:
         """Reconstruct the document state at ``ts`` from checkpoint + log (process).
 
-        Returns the line list, or ``None`` when some log suffix entry is
-        unavailable.  The rebuilt state is adopted as the view of ``tenure``
-        (unless it holds a newer one) so later validations extend it.
+        Starts from the newest reachable checkpoint *before* ``ts`` (the one
+        at ``ts`` is what is being written).  Returns the line list, or
+        ``None`` when some log suffix entry is unavailable.  The rebuilt
+        state is adopted as the view of ``tenure`` (unless it holds a newer
+        one) so later validations extend it.
         """
         base = Document(key=key)
-        checkpoint = yield from self.log.latest_checkpoint(key, ts)
+        checkpoint = yield from self.log.latest_checkpoint(
+            key, ts - 1, self.config.checkpoint_interval
+        )
         if checkpoint is not None:
             base.lines = list(checkpoint.lines)
             base.applied_ts = checkpoint.ts
@@ -1058,39 +1031,25 @@ class MasterService(NodeService):
         return list(base.lines)
 
     def force_checkpoint(self, key: str):
-        """Materialize a checkpoint at the current ``last-ts`` (process driver).
+        """Rewrite the checkpoint at the newest boundary at or below
+        ``last-ts`` (process).
 
-        Used by scenario drivers and the fuzz harness to checkpoint at an
-        arbitrary moment instead of waiting for the interval.  Returns the
-        checkpoint timestamp, or ``None`` when nothing was published yet or
-        the write could not complete.
+        Used by the fuzz harness to checkpoint at an arbitrary moment; the
+        snapshot is cut from the view when it stands at the boundary and
+        rebuilt from checkpoint + log otherwise.  Returns the boundary, or
+        ``None`` when no boundary was reached yet or the write could not
+        complete.
         """
-        ts = self._authority().last_ts(key)
-        if ts < 1:
+        window = retained_boundaries(self._authority().last_ts(key),
+                                     self.config.checkpoint_interval)
+        if not window:
             return None
+        ts = window[0]
         tenure = self._document(key).tenure
         view = tenure.view
         lines = list(view.lines) if view is not None and view.applied_ts == ts else None
         result = yield from self._write_checkpoint(key, tenure, ts, lines)
         return result
-
-    def gc_checkpoints(self, key: str):
-        """Re-apply the retention window to the stored index (process driver).
-
-        Normally a no-op (writes garbage-collect as they go); after churn
-        it removes checkpoints an interim Master retained beyond the
-        window.  Returns how many checkpoints were collected.
-        """
-        lock = self._document(key).checkpoint_lock
-        yield from lock.acquire()
-        try:
-            index = yield from self.log.fetch_checkpoint_index(key)
-            if len(index or ()) <= CHECKPOINT_RETENTION:
-                return 0
-            _keep, drop = yield from self._retain(key, index)
-            return len(drop)
-        finally:
-            lock.release()
 
     # -- diagnostics ------------------------------------------------------------------
 

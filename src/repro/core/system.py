@@ -369,27 +369,24 @@ class LtrSystem:
     # ------------------------------------------------------------- checkpoints --
 
     def checkpoint_now(self, key: str) -> Optional[int]:
-        """Force the Master-key peer of ``key`` to checkpoint at ``last-ts``.
+        """Force the Master-key peer of ``key`` to rewrite the checkpoint at
+        the newest boundary at or below ``last-ts``.
 
         Synchronous driver around
         :meth:`~repro.core.master.MasterService.force_checkpoint`; returns
-        the checkpoint timestamp, or ``None`` when nothing was published
-        yet or the write could not complete.
+        the boundary, or ``None`` when no boundary was reached yet or the
+        write could not complete.
         """
         service = self.master_service(key)
         return self.runtime.run(until=self.runtime.process(service.force_checkpoint(key)))
 
-    def gc_checkpoints(self, key: str) -> int:
-        """Re-apply the checkpoint retention window for ``key`` (driver)."""
-        service = self.master_service(key)
-        return self.runtime.run(until=self.runtime.process(service.gc_checkpoints(key)))
-
     def latest_checkpoint(self, key: str):
         """The newest reachable checkpoint of ``key`` (driver; may be ``None``)."""
         client = self.log_client()
-        return self.runtime.run(
-            until=self.runtime.process(client.latest_checkpoint(key, self.last_ts(key)))
+        probe = client.latest_checkpoint(
+            key, self.last_ts(key), self.ltr_config.checkpoint_interval
         )
+        return self.runtime.run(until=self.runtime.process(probe))
 
     # -------------------------------------------------------------- consistency --
 

@@ -620,7 +620,9 @@ class UserPeer:
                 # that is still in doubt; the log can (see _integrate).
                 and key not in self._in_doubt
             ):
-                checkpoint = yield from self.log.latest_checkpoint(key, last_ts)
+                checkpoint = yield from self.log.latest_checkpoint(
+                    key, last_ts, self.config.checkpoint_interval
+                )
                 if key in self._flushing:
                     return finished()
                 if checkpoint is not None and checkpoint.ts > replica.applied_ts:

@@ -10,15 +10,17 @@ from .auth import (
     verify_entry,
 )
 from .checkpoint import (
+    CHECKPOINT_RETENTION,
     CHECKPOINT_SALT_PREFIX,
     Checkpoint,
-    make_checkpoint_index_key,
     make_checkpoint_key,
+    retained_boundaries,
 )
 from .entry import LogEntry, find_proposal, make_log_key
 from .log import P2PLogClient
 
 __all__ = [
+    "CHECKPOINT_RETENTION",
     "CHECKPOINT_SALT_PREFIX",
     "Checkpoint",
     "LogEntry",
@@ -26,9 +28,9 @@ __all__ = [
     "author_key",
     "canonical_bytes",
     "find_proposal",
-    "make_checkpoint_index_key",
     "make_checkpoint_key",
     "make_log_key",
+    "retained_boundaries",
     "sign_checkpoint",
     "sign_commit",
     "verify_checkpoint",

@@ -3,19 +3,20 @@
 The paper's retrieval procedure (Procedure 3) replays the timestamped patch
 log from the reader's ``applied_ts`` onward, so a freshly joined or
 long-offline peer pays O(document age) routed fetches.  A
-:class:`Checkpoint` is a full snapshot of a document at one validated
-timestamp, materialized by the Master-key peer every
-``checkpoint_interval`` published timestamps and replicated at ``|Hr|``
-distinct peers through a *salted checkpoint hash family* (``Hc``, salts
+:class:`Checkpoint` is a full snapshot of a document at one *boundary*, a
+validated timestamp that is a multiple of ``checkpoint_interval``,
+materialized by the Master-key peer and replicated at ``|Hr|`` distinct
+peers through a *salted checkpoint hash family* (``Hc``, salts
 ``hc1 .. hcN``) — exactly mirroring the Log-Peer placement of patches, so
 checkpoint placements enjoy the same hand-off-on-churn and
 successor-replication guarantees as log entries.
 
-Discovery uses a per-document *checkpoint index*: a small record listing
-the retained checkpoint timestamps (newest first), stored under the same
-hash family.  Readers fetch the index, then the newest checkpoint at or
-below their target timestamp, and fall back to full log replay when
-neither answers.
+A checkpoint's address is computed, as a log entry's is: the snapshot at
+boundary ``b`` is stored at ``hc_i(key!ckpt#b)``.  A document keeps the
+:data:`CHECKPOINT_RETENTION` newest boundaries at or below its ``last-ts``
+(:func:`retained_boundaries`); a reader probes exactly those, newest first,
+and falls back to full log replay when none answers.  Nothing lists them:
+every process knows the interval, as it knows ``|Hr|``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from typing import Any
 #: the patch replication family's ``hr`` salts so checkpoint and log
 #: placements of the same document are independent.
 CHECKPOINT_SALT_PREFIX = "hc"
+
+#: How many checkpoints a document keeps: the newest boundaries at or below
+#: its ``last-ts``.  The Master removes a boundary once it leaves this
+#: window, and a reader probes no further back.
+CHECKPOINT_RETENTION = 2
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,11 @@ def make_checkpoint_key(document_key: str, ts: int) -> str:
     return f"{document_key}!ckpt#{ts}"
 
 
-def make_checkpoint_index_key(document_key: str) -> str:
-    """The canonical placement string of a document's checkpoint index."""
-    return f"{document_key}!ckpt-index"
+def retained_boundaries(last_ts: int, interval: int) -> range:
+    """The :data:`CHECKPOINT_RETENTION` newest multiples of ``interval`` in
+    ``1 .. last_ts``, newest first: where a document's checkpoints are."""
+    newest = last_ts - last_ts % interval
+    return range(newest, max(newest - CHECKPOINT_RETENTION * interval, 0), -interval)
 
 
 # -- wire registration (see repro.net.codec) ---------------------------------

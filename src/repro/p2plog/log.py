@@ -15,23 +15,24 @@ from typing import Any, Sequence
 from ..chord import HashFunctionFamily
 from ..dht import ChordDhtClient
 from ..errors import (
+    PLACEMENT_FAILURES,
     AuthenticationError,
     CheckpointUnavailable,
     KeyNotFound,
-    LookupFailed,
-    NodeUnreachable,
     PatchUnavailable,
-    RequestTimeout,
 )
 from .checkpoint import (
     CHECKPOINT_SALT_PREFIX,
     Checkpoint,
-    make_checkpoint_index_key,
     make_checkpoint_key,
+    retained_boundaries,
 )
 from .entry import LogEntry, make_log_key
 
-_RETRIEVAL_ERRORS = (KeyNotFound, RequestTimeout, NodeUnreachable)
+#: One rule for every per-placement loop: a placement that cannot be routed
+#: to or does not answer (:data:`~repro.errors.PLACEMENT_FAILURES`) is
+#: skipped, and so, on a read, is one that does not hold the key.
+_READ_MISSES = (KeyNotFound, *PLACEMENT_FAILURES)
 
 
 class P2PLogClient:
@@ -147,9 +148,10 @@ class P2PLogClient:
         compare-and-delete (``delete_value``), atomic at the Log-Peer: a
         placement that was already re-used by the *new* Master for a
         legitimately validated patch under the same ``key + ts`` is left
-        untouched.  An unreachable Log-Peer is skipped; any orphan that
-        survives is overwritten when the timestamp is eventually allocated
-        (placement keys are a pure function of ``key + ts``).
+        untouched.  A placement that cannot be reached is skipped, and the
+        others are still retracted; any orphan that survives is overwritten
+        when the timestamp is eventually allocated (placement keys are a pure
+        function of ``key + ts``).
         """
         removed = 0
         for entry in entries:
@@ -164,7 +166,7 @@ class P2PLogClient:
                         key=storage_key,
                         expected=entry,
                     )
-                except _RETRIEVAL_ERRORS:
+                except PLACEMENT_FAILURES:
                     continue
                 if answer.get("result"):
                     removed += 1
@@ -176,7 +178,8 @@ class P2PLogClient:
         """Retrieve the entry ``(document_key, ts)`` from any placement (process).
 
         Tries the replication hash functions in order, exactly like the
-        paper's ``get(hi(key+ts))`` retrieval, and raises
+        paper's ``get(hi(key+ts))`` retrieval — a placement that cannot be
+        routed to is skipped like one that does not answer — and raises
         :class:`~repro.errors.PatchUnavailable` when no placement answers
         (:class:`~repro.errors.AuthenticationError` when the only copies
         that do answer fail verification).  A caller that already tried the
@@ -193,7 +196,7 @@ class P2PLogClient:
             storage_key = function.placement_key(log_key)
             try:
                 answer = yield from self.dht.get(storage_key, key_id=function(log_key))
-            except _RETRIEVAL_ERRORS:
+            except _READ_MISSES:
                 continue
             value = answer["value"]
             if self.entry_verifier is not None and not self.entry_verifier(value):
@@ -301,71 +304,32 @@ class P2PLogClient:
             try:
                 yield from self.dht.get(storage_key, key_id=function(log_key))
                 alive += 1
-            except _RETRIEVAL_ERRORS:
+            except _READ_MISSES:
                 continue
         return alive
 
     # -- checkpoints -------------------------------------------------------------
 
     def publish_checkpoint(self, checkpoint: Checkpoint):
-        """Store ``checkpoint`` at all its placements (process).
+        """Store ``checkpoint`` at all its placements in one sweep (process).
 
-        One ``Put`` per checkpoint hash function,
-        skipping unreachable placements, succeeding as long as at least one
-        copy lands.  Returns the number of placements written.
+        One :meth:`~repro.dht.ChordDhtClient.put_many` over the checkpoint
+        hash family, as :meth:`append_many` does for entries; a placement
+        that cannot be reached is skipped.  Returns the number of copies
+        stored; raises :class:`~repro.errors.CheckpointUnavailable` when
+        none lands.
         """
         checkpoint_key = checkpoint.checkpoint_key
-        stored = 0
-        for function in self.checkpoint_family:
-            storage_key = function.placement_key(checkpoint_key)
-            try:
-                yield from self.dht.put(storage_key, checkpoint, key_id=function(checkpoint_key))
-                stored += 1
-            except (RequestTimeout, NodeUnreachable):
-                continue
+        answer = yield from self.dht.put_many([
+            (storage_key, checkpoint, identifier)
+            for storage_key, identifier in self.checkpoint_placements(
+                checkpoint.document_key, checkpoint.ts)
+        ])
+        stored = sum(answer["stored"])
         if stored == 0:
             raise CheckpointUnavailable(checkpoint.document_key, checkpoint.ts)
         self.checkpoints_published += 1
         return stored
-
-    def publish_checkpoint_index(self, document_key: str, timestamps: Sequence[int]):
-        """Store the retained-checkpoint index of ``document_key`` (process).
-
-        ``timestamps`` lists the retained checkpoint timestamps newest
-        first.  Best effort: returns the number of placements written (0
-        when every placement is unreachable — readers then fall back to a
-        full log replay).
-        """
-        index_key = make_checkpoint_index_key(document_key)
-        value = tuple(timestamps)
-        stored = 0
-        for function in self.checkpoint_family:
-            storage_key = function.placement_key(index_key)
-            try:
-                yield from self.dht.put(storage_key, value, key_id=function(index_key))
-                stored += 1
-            except (RequestTimeout, NodeUnreachable):
-                continue
-        return stored
-
-    def fetch_checkpoint_index(self, document_key: str):
-        """The retained checkpoint timestamps of ``document_key`` (process).
-
-        Returns a tuple, newest first, or ``None`` when no placement of the
-        index answers (no checkpoint was ever taken, or all holders are
-        unreachable).  Unlike :meth:`fetch`, a placement that cannot be
-        routed to (:class:`~repro.errors.LookupFailed`) is skipped too: a
-        checkpoint is a shortcut, and a reader without one replays the log.
-        """
-        index_key = make_checkpoint_index_key(document_key)
-        for function in self.checkpoint_family:
-            storage_key = function.placement_key(index_key)
-            try:
-                answer = yield from self.dht.get(storage_key, key_id=function(index_key))
-            except (LookupFailed, *_RETRIEVAL_ERRORS):
-                continue
-            return tuple(answer["value"])
-        return None
 
     def fetch_checkpoint(self, document_key: str, ts: int):
         """Retrieve the checkpoint ``(document_key, ts)`` (process).
@@ -374,12 +338,10 @@ class P2PLogClient:
         raises :class:`~repro.errors.CheckpointUnavailable` when no
         placement answers.
         """
-        checkpoint_key = make_checkpoint_key(document_key, ts)
-        for function in self.checkpoint_family:
-            storage_key = function.placement_key(checkpoint_key)
+        for storage_key, identifier in self.checkpoint_placements(document_key, ts):
             try:
-                answer = yield from self.dht.get(storage_key, key_id=function(checkpoint_key))
-            except (LookupFailed, *_RETRIEVAL_ERRORS):
+                answer = yield from self.dht.get(storage_key, key_id=identifier)
+            except _READ_MISSES:
                 continue
             value = answer["value"]
             if self.checkpoint_verifier is not None \
@@ -394,25 +356,20 @@ class P2PLogClient:
         self.checkpoint_misses += 1
         raise CheckpointUnavailable(document_key, ts)
 
-    def latest_checkpoint(self, document_key: str, max_ts: int):
+    def latest_checkpoint(self, document_key: str, max_ts: int, interval: int):
         """The newest reachable checkpoint with ``ts <= max_ts`` (process).
 
-        This is the bootstrap step of the checkpointed retrieval fast path:
-        fetch the checkpoint index, then try the retained timestamps newest
-        first.  Returns ``None`` — *never* raises — when no index placement
-        answers or every listed checkpoint is unreachable, so callers
-        degrade gracefully to the paper's full log replay.
+        This is the bootstrap step of the checkpointed retrieval fast path.
+        Checkpoints sit at multiples of ``interval``, so the reader computes
+        where they are: it tries the retained boundaries at or below
+        ``max_ts`` (:func:`~repro.p2plog.checkpoint.retained_boundaries`),
+        newest first.  Returns ``None`` — *never* raises — when none of them
+        answers, so callers degrade gracefully to the paper's full log
+        replay.
         """
-        if max_ts < 1:
-            return None
-        index = yield from self.fetch_checkpoint_index(document_key)
-        if not index:
-            return None
-        for ts in index:
-            if ts > max_ts:
-                continue
+        for boundary in retained_boundaries(max_ts, interval):
             try:
-                checkpoint = yield from self.fetch_checkpoint(document_key, ts)
+                checkpoint = yield from self.fetch_checkpoint(document_key, boundary)
             except CheckpointUnavailable:
                 continue
             return checkpoint
@@ -421,18 +378,15 @@ class P2PLogClient:
     def gc_checkpoint(self, document_key: str, ts: int):
         """Best-effort removal of every placement of one checkpoint (process).
 
-        Called by the Master-key peer when a checkpoint slides out of the
-        retention window.  Unreachable placements are skipped; the
-        checkpoint index is updated separately so readers never look for a
-        collected snapshot.  Returns the number of placements removed.
+        Called by the Master-key peer when a boundary leaves the retention
+        window.  A placement that cannot be reached is skipped.  Returns the
+        number of placements removed.
         """
-        checkpoint_key = make_checkpoint_key(document_key, ts)
         removed = 0
-        for function in self.checkpoint_family:
-            storage_key = function.placement_key(checkpoint_key)
+        for storage_key, identifier in self.checkpoint_placements(document_key, ts):
             try:
-                answer = yield from self.dht.remove(storage_key, key_id=function(checkpoint_key))
-            except _RETRIEVAL_ERRORS:
+                answer = yield from self.dht.remove(storage_key, key_id=identifier)
+            except PLACEMENT_FAILURES:
                 continue
             if answer.get("removed"):
                 removed += 1

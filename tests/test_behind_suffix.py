@@ -215,16 +215,17 @@ def test_counter_coming_back_ends_the_tenure_the_tail_was_from():
 def test_a_regained_tenure_reads_nothing_of_the_one_before(departure):
     """A Master hands the document off at ts 5 and gets it back at ts 6: the
     stand-in leaves (the counter comes back) or crashes (its replica here is
-    promoted).  The first group of the regained tenure makes a checkpoint
-    due, as any takeover's does — it does not read the old tenure's
-    checkpoint at 4, nor its view, nor its tail."""
+    promoted).  The first group of the regained tenure to cross a boundary
+    (8) writes its checkpoint, as any takeover's does — cut from a view
+    rebuilt out of the checkpoint at 4 and the log, not from the old
+    tenure's view, nor its tail."""
     system = LtrSystem(ltr_config=LtrConfig(checkpoint_interval=4), seed=42,
                        latency=ConstantLatency(0.02))
     system.bootstrap(8)
     master = publish(system, 5)
     system.run_for(2.0)
     old = tenure(master, KEY)
-    assert old.last_checkpoint_ts == 4 and old.view.applied_ts == 5
+    assert system.latest_checkpoint(KEY).ts == 4 and old.view.applied_ts == 5
     assert [entry.ts for entry in old.tail.entries] == [1, 2, 3, 4, 5]
     stand_in = find_takeover_joiner(system, KEY)
     system.add_peer(stand_in)
@@ -237,16 +238,18 @@ def test_a_regained_tenure_reads_nothing_of_the_one_before(departure):
     written, rebuilds = master.checkpoints_written, master.checkpoint_rebuilds
     publish(system, 1, start=7)
     system.run_for(2.0)
-    # ts 7 is three past the old tenure's checkpoint: due because this tenure
-    # wrote none, and cut from a view rebuilt out of checkpoint + log.
-    assert system.latest_checkpoint(KEY).ts == 7
+    assert master.checkpoints_written == written  # ts 7 crosses no boundary
+    publish(system, 1, start=8)
+    system.run_for(2.0)
+    # ts 8 is a boundary: written from a view rebuilt out of checkpoint + log.
+    assert system.latest_checkpoint(KEY).ts == 8
     assert (master.checkpoints_written, master.checkpoint_rebuilds) == (written + 1, rebuilds + 1)
     regained = tenure(master, KEY)
     assert regained is not old
-    assert regained.last_checkpoint_ts == 7 and regained.view.applied_ts == 7
-    assert [entry.ts for entry in regained.tail.entries] == [7]
+    assert regained.view.applied_ts == 8
+    assert [entry.ts for entry in regained.tail.entries] == [7, 8]
     # The old tenure was left as it ended: nothing written into it since.
-    assert old.last_checkpoint_ts == 4 and old.view.applied_ts == 5
+    assert old.view.applied_ts == 5
     assert [entry.ts for entry in old.tail.entries] == [1, 2, 3, 4, 5]
 
 
@@ -437,7 +440,7 @@ def test_reader_beyond_the_tail_still_probes_a_checkpoint(monkeypatch):
     # answer, before any probe, with no log read.
     for index in range(4):
         system.edit_and_commit(writer, KEY, f"revision {10 + index}")
-    system.run_for(2.0)  # (the checkpoint at ts 12 reads the index: not the reader)
+    system.run_for(2.0)  # (the checkpoint at ts 12 is written: not the reader)
     reads = log_reads(system)
     warm = system.sync(reader, KEY)
     assert (warm.checkpoint_ts, warm.retrieved_patches) == (None, 4)

@@ -47,8 +47,7 @@ def generate_actions(seed: int, steps: int = STEPS) -> list[tuple]:
     * ``("sync", writer_index, key)``
     * ``("join", tag)``
     * ``("depart_master", key, crash?)`` — re-election of the key's Master
-    * ``("checkpoint", key)`` — force a checkpoint at the current last-ts
-    * ``("gc", key)`` — re-apply the checkpoint retention window
+    * ``("checkpoint", key)`` — rewrite the checkpoint at the newest boundary
     * ``("cold_join", tag, key)`` — a fresh peer joins and cold-syncs ``key``
     * ``("settle", seconds)``
     """
@@ -77,10 +76,8 @@ def generate_actions(seed: int, steps: int = STEPS) -> list[tuple]:
             actions.append(("join", step))
         elif roll < 0.74:
             actions.append(("depart_master", rng.choice(KEYS), rng.random() < 0.5))
-        elif roll < 0.80:
-            actions.append(("checkpoint", rng.choice(KEYS)))
         elif roll < 0.85:
-            actions.append(("gc", rng.choice(KEYS)))
+            actions.append(("checkpoint", rng.choice(KEYS)))
         elif roll < 0.91:
             actions.append(("cold_join", step, rng.choice(KEYS)))
         else:
@@ -92,7 +89,7 @@ def run_actions(seed: int, batched: bool, actions: list[tuple]) -> None:
     """Replay an action script and assert the invariants at the end.
 
     Both chain lengths checkpoint at a small interval so the fuzz covers
-    checkpoint production, GC and cold-start syncs interleaved with
+    checkpoint production, removal and cold-start syncs interleaved with
     flushes, churn and re-elections.
     """
     config = LtrConfig(
@@ -339,8 +336,6 @@ def _replay_honest_action(system, writers, batched, action) -> None:
             system.leave(master)
     elif kind == "checkpoint":
         system.checkpoint_now(action[1])
-    elif kind == "gc":
-        system.gc_checkpoints(action[1])
     elif kind == "cold_join":
         _, tag, key = action
         name = f"cold-joiner-{tag}"

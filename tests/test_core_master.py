@@ -37,9 +37,8 @@ def tenure(master, key):
 
 
 def is_fresh(current):
-    """Nothing of an earlier tenure: no tail, no horizon, no view, no checkpoint."""
-    return (current.tail.entries, current.warmed_ts, current.view,
-            current.last_checkpoint_ts) == ([], 0, None, 0)
+    """Nothing of an earlier tenure: no tail, no horizon, no view."""
+    return (current.tail.entries, current.warmed_ts, current.view) == ([], 0, None)
 
 
 def run_validation(system, master, key, ts, patches, author):
@@ -502,7 +501,7 @@ def test_a_queue_beyond_the_tail_bounds_is_served_in_two_groups(monkeypatch):
     assert sizes_of_the_rounds(queue) == [1, 2, 2, 2]
 
 
-def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_end():
+def test_a_boundary_crossed_inside_a_group_is_one_checkpoint_at_the_boundary():
     system = build_system(checkpoint_interval=4)
     master = system.master_service(GROUP_KEY)
     lanes = queue_behind_a_publish(system, master, [
@@ -510,19 +509,12 @@ def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_e
     results = outcomes(system, lanes)
     assert [result.last_ts for result in results] == [1, 2, 3, 4, 5, 6]
     system.run_for(1.0)
-    # The interval is crossed at ts 4, inside the group 2..6: one checkpoint,
-    # at the group's last timestamp, holding what the log replays to there.
+    # The boundary 4 is crossed inside the group 2..6: one checkpoint, at the
+    # boundary, cut from the view as it stood there — what the log replays
+    # to at ts 4, not at the group's end.
     assert master.checkpoints_written == 1
-    assert tenure(master, GROUP_KEY).last_checkpoint_ts == 6
-    index = system.runtime.run(until=system.runtime.process(
-        master.log.fetch_checkpoint_index(GROUP_KEY)))
-    assert tuple(index) == (6,)
-    checkpoint = system.runtime.run(until=system.runtime.process(
-        master.log.fetch_checkpoint(GROUP_KEY, 6)))
-    lines = []
-    for entry in system.fetch_log(GROUP_KEY, 1, 6):
-        lines = entry.patch.apply(lines)
-    assert list(checkpoint.lines) == lines and len(lines) == 6
+    assert tenure(master, GROUP_KEY).view.applied_ts == 6
+    assert len(assert_one_checkpoint_is_the_replay(system, master, GROUP_KEY, 4)) == 4
 
 
 # --------------------------------------------------- checkpoints in the background --
@@ -533,13 +525,10 @@ def test_a_checkpoint_interval_crossed_inside_a_group_is_one_checkpoint_at_its_e
 
 def assert_one_checkpoint_is_the_replay(system, master, key, ts):
     """Exactly one checkpoint was written, at ``ts``, holding what the log
-    replays to there."""
+    replays to there, and it is the one a reader finds."""
     assert master.checkpoints_written == 1
-    index = system.runtime.run(until=system.runtime.process(
-        master.log.fetch_checkpoint_index(key)))
-    assert tuple(index) == (ts,)
-    checkpoint = system.runtime.run(until=system.runtime.process(
-        master.log.fetch_checkpoint(key, ts)))
+    checkpoint = system.latest_checkpoint(key)
+    assert checkpoint.ts == ts
     lines = []
     for entry in system.fetch_log(key, 1, ts):
         lines = entry.patch.apply(lines)
@@ -601,7 +590,7 @@ def test_a_failed_checkpoint_write_never_reaches_the_proposer():
     assert not system.user(writer).has_pending(key)
     system.run_for(2.0)
     assert master.checkpoints_written == 0 and system.runtime.crashed_processes == []
-    # A lost job only means the next interval writes one.
+    # A lost job only means the next boundary writes one.
     master.log.publish_checkpoint = plain
     for n in range(3, 6):
         system.edit_and_commit(writer, key, f"revision {n}")
@@ -625,7 +614,6 @@ def test_a_group_whose_head_is_refused_still_writes_its_checkpoint():
     assert [(r.first_ts, r.last_ts) for r in (holder, a, b)] == [(1, 1), (2, 2), (3, 3)]
     assert master.statistics()["publishes"] == 2  # a and b went out with the refused head
     system.run_for(2.0)
-    assert tenure(master, GROUP_KEY).last_checkpoint_ts == 3
     assert len(assert_one_checkpoint_is_the_replay(system, master, GROUP_KEY, 3)) == 3
 
 

@@ -12,11 +12,11 @@ over randomized, seeded multi-writer runs of both fronts.
 import pytest
 
 from repro.core import CommitBatch, LtrConfig, LtrSystem
-from repro.core import master as master_module
 from repro.core import user_peer as user_peer_module
 from repro.core.consistency import replay_log, verify_log_continuity
 from repro.errors import ConfigurationError, ReproError, ValidationFailed
 from repro.net import ConstantLatency
+from repro.p2plog import CHECKPOINT_RETENTION, Checkpoint, retained_boundaries
 from repro.sim.rng import RandomStreams
 
 import diff_paths
@@ -62,24 +62,41 @@ def assert_replicas_converge(system: LtrSystem, key: str):
     return report
 
 
-def assert_checkpoint_placements(system: LtrSystem, key: str):
-    """Every retained checkpoint of ``key`` is correct, placed and reachable.
+def held_checkpoints(system: LtrSystem, key: str, *, replicas: bool = False) -> list[int]:
+    """The timestamps of the checkpoints of ``key`` that live peers hold as
+    owners (and as successor replicas, with ``replicas``), newest first."""
+    held = {
+        item.value.ts
+        for node in system.ring.live_nodes()
+        for item in node.storage
+        if (replicas or not item.is_replica)
+        and isinstance(item.value, Checkpoint) and item.value.document_key == key
+    }
+    return sorted(held, reverse=True)
 
-    The checkpoint-placement invariant of the checkpointing subsystem: each
-    timestamp listed in the document's checkpoint index must resolve to a
+
+def assert_checkpoint_placements(system: LtrSystem, key: str):
+    """Every checkpoint of ``key`` sits at a boundary; every retained one is
+    correct, placed and reachable.
+
+    The checkpoint-placement invariant of the checkpointing subsystem: no
+    peer holds a checkpoint (owned or replica) whose timestamp is not a
+    multiple of ``checkpoint_interval`` — a checkpoint's address is computed,
+    nothing lists it.  Each retained boundary (the ``CHECKPOINT_RETENTION``
+    newest at or below ``last-ts``) that is held must resolve to a
     retrievable snapshot whose content equals the canonical replay of log
     entries ``1 .. ts``, and at least one peer currently responsible for a
-    placement of the ``Hc`` hash family must hold a copy (hand-off on
-    churn keeps placements with the responsible arc).
+    placement of the ``Hc`` hash family must hold a copy (hand-off on churn
+    keeps placements with the responsible arc).  Returns those boundaries.
     """
-    client = system.log_client()
-    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
-    if not index:
-        return ()
-    assert list(index) == sorted(index, reverse=True), (
-        f"checkpoint index of {key!r} is not newest-first: {index}"
+    interval = system.ltr_config.checkpoint_interval
+    held = held_checkpoints(system, key, replicas=True)
+    assert all(ts % interval == 0 for ts in held), (
+        f"checkpoints of {key!r} off the boundaries of {interval}: {held}"
     )
-    for ts in index:
+    retained = [ts for ts in retained_boundaries(system.last_ts(key), interval) if ts in held]
+    client = system.log_client()
+    for ts in retained:
         checkpoint = system.runtime.run(
             until=system.runtime.process(client.fetch_checkpoint(key, ts))
         )
@@ -91,14 +108,14 @@ def assert_checkpoint_placements(system: LtrSystem, key: str):
         assert list(checkpoint.lines) == canonical.lines, (
             f"checkpoint {key!r}@{ts} does not match the log replay"
         )
-        held = sum(
+        holders = sum(
             1
             for storage_key, identifier in client.checkpoint_placements(key, ts)
             if system.ring.responsible_node_for_id(identifier).storage.value(storage_key)
             == checkpoint
         )
-        assert held >= 1, f"no responsible peer holds checkpoint {key!r}@{ts}"
-    return index
+        assert holders >= 1, f"no responsible peer holds checkpoint {key!r}@{ts}"
+    return retained
 
 
 def assert_proposals_landed_once(key: str, entries) -> None:
@@ -389,12 +406,11 @@ def test_checkpoints_survive_responsible_peer_departure():
     key = "xwiki:ckpt-churn"
     writer = system.peer_names()[0]
     for index in range(8):
-        system.edit_and_commit(writer, key, f"revision {index}\nshared tail")
+        system.edit_and_commit(writer, key, f"revision {index}")
     system.run_for(2.0)  # let checkpoint/log replicas settle
     client = system.log_client()
-    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
-    assert index and index[0] == 6  # checkpoints at ts 3 and 6, newest first
-    newest = index[0]
+    assert held_checkpoints(system, key) == [6, 3]  # the boundaries at or below ts 8
+    newest = 6
 
     # Depart every peer responsible for a placement of the newest
     # checkpoint — graceful leaves and a crash, both churn paths.
@@ -414,11 +430,7 @@ def test_checkpoints_survive_responsible_peer_departure():
     system.run_for(3.0)
 
     # The newest checkpoint survived via hand-off / replica promotion...
-    survivor = system.runtime.run(
-        until=system.runtime.process(
-            system.log_client().latest_checkpoint(key, system.last_ts(key))
-        )
-    )
+    survivor = system.latest_checkpoint(key)
     assert survivor is not None and survivor.ts == newest
     # ...a cold peer still fast-paths from it...
     cold = next(name for name in system.peer_names() if name != writer)
@@ -430,52 +442,51 @@ def test_checkpoints_survive_responsible_peer_departure():
     assert_system_invariants(system, [key])
 
 
-def test_sync_falls_back_to_full_replay_when_checkpoints_unreachable():
-    """No reachable checkpoint replica => the paper's full replay, silently."""
+def remove_checkpoint(system: LtrSystem, key: str, ts: int) -> None:
+    """Remove every placement of one checkpoint, and the successor replicas
+    a later promotion could bring back."""
+    client = system.log_client()
+    system.runtime.run(until=system.runtime.process(client.gc_checkpoint(key, ts)))
+    for storage_key, _identifier in client.checkpoint_placements(key, ts):
+        for node in system.ring.live_nodes():
+            node.storage.remove(storage_key)
+
+
+def test_sync_falls_back_to_an_older_boundary_then_to_full_replay():
+    """A missing newest boundary sends the reader to the one before it; with
+    no retained checkpoint reachable, it is the paper's full replay, silently."""
     system = build_system(peers=8, seed=31, checkpoint_interval=3)
     key = "xwiki:ckpt-fallback"
     writer = system.peer_names()[0]
     for index in range(7):
         system.edit_and_commit(writer, key, f"revision {index}")
     system.run_for(2.0)  # the checkpoints are written after the commits are answered
-    client = system.log_client()
-    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
-    assert index
+    assert held_checkpoints(system, key) == [6, 3]
 
-    # Stage 1: every checkpoint replica is gone but the index survives —
-    # the probe misses every listed timestamp and replays the full log.
-    for ts in index:
-        system.runtime.run(until=system.runtime.process(client.gc_checkpoint(key, ts)))
+    # Stage 1: the newest boundary is gone — the probe reads the one before.
+    remove_checkpoint(system, key, 6)
     drop_master_tail(system, key)
     first_cold = system.peer_names()[2]
     result = system.sync(first_cold, key)
-    assert result.checkpoint_ts is None
-    assert result.retrieved_patches == system.last_ts(key)
+    assert result.checkpoint_ts == 3
+    assert result.retrieved_patches == system.last_ts(key) - 3
     assert system.user(first_cold).document(key).applied_ts == system.last_ts(key)
 
-    # Stage 2: the index itself is unreachable too — same graceful fallback.
-    from repro.p2plog import make_checkpoint_index_key
-    index_key = make_checkpoint_index_key(key)
-    for function in client.checkpoint_family:
-        system.runtime.run(
-            until=system.runtime.process(
-                client.dht.remove(function.placement_key(index_key),
-                                  key_id=function(index_key))
-            )
-        )
+    # Stage 2: no retained boundary answers — the full log is replayed.
+    remove_checkpoint(system, key, 3)
     second_cold = system.peer_names()[3]
     result = system.sync(second_cold, key)
     assert result.checkpoint_ts is None
     assert result.retrieved_patches == system.last_ts(key)
-    assert_system_invariants(system, [key])  # index gone => invariant vacuous
+    assert_system_invariants(system, [key])
 
 
 def test_a_checkpoint_read_with_no_route_falls_back_to_full_replay(monkeypatch):
     """Regression: a ``LookupFailed`` (no route, or the hop bound) on the
-    reader's checkpoint-index read is a missing checkpoint, not an error of
-    the sync: ``latest_checkpoint`` answers ``None`` and the log is replayed."""
+    reader's checkpoint reads is a missing checkpoint, not an error of the
+    sync: ``latest_checkpoint`` answers ``None`` and the log is replayed."""
     from repro.errors import LookupFailed
-    from repro.p2plog import make_checkpoint_index_key
+    from repro.p2plog import CHECKPOINT_SALT_PREFIX
 
     system = build_system(peers=8, seed=31, checkpoint_interval=3)
     key = "xwiki:ckpt-no-route"
@@ -485,25 +496,40 @@ def test_a_checkpoint_read_with_no_route_falls_back_to_full_replay(monkeypatch):
     system.run_for(2.0)  # the checkpoints are written after the commits are answered
     cold = system.peer_names()[2]
     log = system.user(cold).log
-    index_placements = {
-        function.placement_key(make_checkpoint_index_key(key))
-        for function in log.checkpoint_family
-    }
     get = log.dht.get
 
     def get_without_route(storage_key, **arguments):
-        if storage_key in index_placements:
+        if storage_key.startswith(CHECKPOINT_SALT_PREFIX):
             raise LookupFailed(f"no route towards {storage_key}")
         return (yield from get(storage_key, **arguments))
 
     monkeypatch.setattr(log.dht, "get", get_without_route)
-    probe = log.latest_checkpoint(key, system.last_ts(key))
+    probe = log.latest_checkpoint(key, system.last_ts(key), 3)
     assert system.runtime.run(until=system.runtime.process(probe)) is None
     drop_master_tail(system, key)
     result = system.sync(cold, key)
     assert result.checkpoint_ts is None
     assert result.retrieved_patches == system.last_ts(key) == 7
     assert_system_invariants(system, [key])
+
+
+def test_a_cold_reader_reads_its_checkpoint_in_one_request():
+    """The reader computes where the newest checkpoint is: past the Master's
+    tail it sends one checkpoint request — a ``fetch`` of the newest
+    boundary at its first placement — and reads no index."""
+    from test_commit_budget import count_checkpoint_traffic
+
+    system = build_system(peers=8, seed=31, checkpoint_interval=3)
+    key = "xwiki:ckpt-one-request"
+    writer = system.peer_names()[0]
+    for index in range(7):
+        system.edit_and_commit(writer, key, f"revision {index}")
+    system.run_for(2.0)  # the checkpoints are written after the commits are answered
+    drop_master_tail(system, key)
+    counted = count_checkpoint_traffic(system)
+    result = system.sync(system.peer_names()[2], key)
+    assert (result.checkpoint_ts, result.retrieved_patches) == (6, 1)
+    assert counted == {"fetch": 2}  # one request, one answer
 
 
 def test_the_default_config_checkpoints_a_long_history():
@@ -524,52 +550,51 @@ def test_the_default_config_checkpoints_a_long_history():
     assert_system_invariants(system, [key])
 
 
-def test_checkpoint_index_survives_out_of_order_writes(monkeypatch):
-    """Regression: a late write for an *older* ts must not drop newer entries.
-
-    The index update is a read-modify-write; if it filtered the stored
-    index against its own timestamp, a job that completes after a newer
-    checkpoint landed would erase that newer entry — leaving an unindexed
-    (hence never-collected) snapshot in the DHT and sending readers to an
-    older bootstrap point.
-    """
-    monkeypatch.setattr(master_module, "CHECKPOINT_RETENTION", 3)
+def test_a_straggler_job_for_an_older_boundary_leaves_the_newest_readable():
+    """A job that lands late, for a boundary that has left the window, writes
+    only that boundary's address: the newest checkpoint stays where readers
+    look, and the straggler is garbage no reader looks for."""
     system = build_system(peers=8, seed=41, checkpoint_interval=3)
     key = "xwiki:ckpt-order"
     writer = system.peer_names()[0]
-    for index in range(7):
+    for index in range(10):
         system.edit_and_commit(writer, key, f"revision {index}")
+    system.run_for(2.0)  # the checkpoints are written after the commits are answered
+    assert held_checkpoints(system, key) == [9, 6]  # 3 left the window at 9
     service = system.master_service(key)
-    # Checkpoints exist at ts 3 and 6; now a straggler job writes ts 5
-    # (content rebuilt from checkpoint 3 + the log suffix).
-    straggler = service._write_checkpoint(key, service._documents[key].tenure, 5, None)
-    system.runtime.run(until=system.runtime.process(straggler))
-    client = system.log_client()
-    stored = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
-    assert list(stored) == [6, 5, 3]
-    assert system.latest_checkpoint(key).ts == 6
-    assert_system_invariants(system, [key])  # ts-5 snapshot matches the replay
+    # The straggler: the job for boundary 3, its content rebuilt from the log.
+    straggler = service._write_checkpoint(key, service._documents[key].tenure, 3, None)
+    assert system.runtime.run(until=system.runtime.process(straggler)) == 3
+    assert held_checkpoints(system, key) == [9, 6, 3]
+    assert system.latest_checkpoint(key).ts == 9
+    assert assert_checkpoint_placements(system, key) == [9, 6]
+    assert_system_invariants(system, [key])
 
 
-def test_gc_checkpoints_trims_beyond_the_retention_window():
-    """The compaction story: old snapshots leave the DHT as new ones land."""
+def test_the_retention_window_slides_as_boundaries_are_written():
+    """The compaction story: each boundary written pushes the oldest retained
+    one out of the DHT, so a quiescent document holds exactly the
+    ``CHECKPOINT_RETENTION`` newest boundaries at or below its last-ts."""
+    from repro.errors import CheckpointUnavailable
+
     system = build_system(peers=8, seed=37, checkpoint_interval=2)
     key = "xwiki:ckpt-gc"
     writer = system.peer_names()[0]
+    held = []
     for index in range(9):
         system.edit_and_commit(writer, key, f"revision {index}")
-    system.run_for(2.0)  # the checkpoints are written after the commits are answered
+        system.run_for(1.0)  # the checkpoint is written after the commit is answered
+        held.append(held_checkpoints(system, key))
+        assert held[-1] == list(retained_boundaries(system.last_ts(key), 2))
+    assert CHECKPOINT_RETENTION == 2
+    assert held == [[], [2], [2], [4, 2], [4, 2], [6, 4], [6, 4], [8, 6], [8, 6]]
     client = system.log_client()
-    index = system.runtime.run(until=system.runtime.process(client.fetch_checkpoint_index(key)))
-    assert master_module.CHECKPOINT_RETENTION == 2
-    assert list(index) == [8, 6]  # ts 2 and 4 were collected
-    from repro.errors import CheckpointUnavailable
     for collected in (2, 4):
         with pytest.raises(CheckpointUnavailable):
             system.runtime.run(
                 until=system.runtime.process(client.fetch_checkpoint(key, collected))
             )
-    assert system.gc_checkpoints(key) == 0  # idempotent: window already applied
+    assert system.master_service(key).checkpoint_placements_removed == 2 * 3
     assert_system_invariants(system, [key])
 
 

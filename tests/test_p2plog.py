@@ -420,32 +420,95 @@ def test_checkpoint_placements_use_the_salted_checkpoint_family():
         assert owner.storage.value(storage_key) == checkpoint
 
 
-def test_latest_checkpoint_walks_the_index_and_respects_max_ts():
+def test_latest_checkpoint_probes_the_retained_boundaries_below_max_ts():
+    """The reader computes the addresses: the two newest multiples of the
+    interval at or below ``max_ts``, newest first, and nothing further back."""
     ring = build_ring()
     client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(2, bits=BITS))
     for ts in (4, 8):
         run(ring, client.publish_checkpoint(make_checkpoint(ts, key="wiki:latest")))
-    run(ring, client.publish_checkpoint_index("wiki:latest", (8, 4)))
-    newest = run(ring, client.latest_checkpoint("wiki:latest", 20))
+    newest = run(ring, client.latest_checkpoint("wiki:latest", 11, 4))
     assert newest.ts == 8
-    older = run(ring, client.latest_checkpoint("wiki:latest", 7))
+    older = run(ring, client.latest_checkpoint("wiki:latest", 7, 4))
     assert older.ts == 4
-    assert run(ring, client.latest_checkpoint("wiki:latest", 3)) is None
-    assert run(ring, client.latest_checkpoint("wiki:none", 20)) is None
+    assert run(ring, client.latest_checkpoint("wiki:latest", 3, 4)) is None
+    assert run(ring, client.latest_checkpoint("wiki:latest", 0, 4)) is None
+    assert run(ring, client.latest_checkpoint("wiki:none", 20, 4)) is None
+    # At max_ts 16 the retained boundaries are 16 and 12: 8 is not looked for.
+    assert run(ring, client.latest_checkpoint("wiki:latest", 16, 4)) is None
 
 
-def test_latest_checkpoint_skips_unreachable_listed_checkpoints():
-    """An indexed checkpoint whose placements are all gone is skipped."""
+def test_latest_checkpoint_skips_an_unreachable_boundary():
+    """A boundary whose placements are all gone is skipped for the one before."""
     ring = build_ring()
     client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(2, bits=BITS))
     for ts in (4, 8):
         run(ring, client.publish_checkpoint(make_checkpoint(ts, key="wiki:skip")))
-    run(ring, client.publish_checkpoint_index("wiki:skip", (8, 4)))
     assert run(ring, client.gc_checkpoint("wiki:skip", 8)) == 2
-    fallback = run(ring, client.latest_checkpoint("wiki:skip", 20))
+    fallback = run(ring, client.latest_checkpoint("wiki:skip", 10, 4))
     assert fallback.ts == 4
     with pytest.raises(CheckpointUnavailable):
         run(ring, client.fetch_checkpoint("wiki:skip", 8))
+
+
+def test_publish_checkpoint_stores_its_copies_in_one_sweep():
+    """One ``put_many`` over the checkpoint family; ``CheckpointUnavailable``
+    when not one copy lands."""
+    ring = warm_ring()
+    client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
+    sweeps = []
+    put_many = client.dht.put_many
+
+    def counted(items):
+        sweeps.append(len(items))
+        return (yield from put_many(items))
+
+    client.dht.put_many = counted
+    assert run(ring, client.publish_checkpoint(make_checkpoint(4, key="wiki:sweep"))) == 3
+    assert sweeps == [3]
+
+    def nothing_lands(items):
+        yield ring.runtime.timeout(0.001)
+        return {"stored": [False] * len(items), "owners": 0, "hops": 0}
+
+    client.dht.put_many = nothing_lands
+    with pytest.raises(CheckpointUnavailable):
+        run(ring, client.publish_checkpoint(make_checkpoint(8, key="wiki:sweep")))
+
+
+def test_a_placement_with_no_route_is_skipped_like_one_that_does_not_answer(monkeypatch):
+    """Regression: the fallback chain over ``h2..hn`` skips a placement it
+    cannot route to (``LookupFailed``) as it skips one that does not answer.
+    With ``h1`` missing and no route to ``h2``, the range read returns the
+    ``h3`` copy; with no route at all it raises ``PatchUnavailable``, not
+    ``LookupFailed``.  A retraction skips the unroutable placement the same
+    way and still removes the others."""
+    from repro.chord import ChordNode
+    from repro.errors import LookupFailed
+
+    ring = ChordRing(config=log_config(), seed=13, latency=ConstantLatency(0.002))
+    ring.bootstrap_warm(8)
+    client = P2PLogClient(ChordDhtClient(ring.gateway()), HashFunctionFamily.create(3, bits=BITS))
+    entry = make_entry(1, key="wiki:no-route")
+    assert run(ring, client.append_many([entry])) == [3]
+    (h1_key, h1_id), (_h2_key, h2_id), _h3 = client.placements("wiki:no-route", 1)
+    assert ring.responsible_node_for_id(h1_id).storage.remove(h1_key)
+    unroutable = {h2_id}
+    find_successor = ChordNode.find_successor
+
+    def routed(node, target_id):
+        if target_id in unroutable:
+            raise LookupFailed(f"no route towards {target_id}")
+        return (yield from find_successor(node, target_id))
+
+    monkeypatch.setattr(ChordNode, "find_successor", routed)
+    assert run(ring, client.fetch_range("wiki:no-route", 1, 1)) == [entry]
+    assert client.fallback_reads == 1
+    unroutable.update(identifier for _key, identifier in client.placements("wiki:no-route", 1))
+    with pytest.raises(PatchUnavailable):
+        run(ring, client.fetch_range("wiki:no-route", 1, 1))
+    unroutable.intersection_update({h2_id})
+    assert run(ring, client.retract_many([entry])) == 1  # h3's copy (h1 is gone)
 
 
 def test_retract_many_removes_only_matching_entries():
