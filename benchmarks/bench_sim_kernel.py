@@ -1,23 +1,23 @@
-"""Microbenchmark: calendar-queue scheduler vs. the historical flat heap.
+"""Microbenchmark: the kernel's scheduler vs. the historical flat heap.
 
-Measures raw kernel event throughput on the workload that motivated the
-calendar queue — an RPC-heavy simulation where every request schedules a
+Measures raw kernel event throughput on the workload that motivated lazy
+cancellation — an RPC-heavy simulation where every request schedules a
 timeout timer and almost every timer is cancelled before it fires (the
-response arrived first).  The flat heap pays two heap operations *plus a
+response arrived first).  The legacy heap pays two heap operations *plus a
 full dispatch* for every timer whether or not its outcome still matters;
-the calendar queue takes an O(1) append on schedule and drops cancelled
-entries before they are ever sorted.
+the kernel counts cancelled entries as tombstones, compacts them away once
+they dominate its heap, and never dispatches them.
 
-The legacy scheduler is embedded below (verbatim event loop of the
-pre-calendar-queue kernel, minus the process/RNG plumbing the benchmark
-does not touch) so the comparison keeps working as the kernel evolves.
+The legacy scheduler is embedded below (verbatim event loop of the seed
+kernel, minus the process/RNG plumbing the benchmark does not touch) so the
+comparison keeps working as the kernel evolves.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_kernel.py
     PYTHONPATH=src python benchmarks/bench_sim_kernel.py --timers 20000 --json out.json
 
-Exit status is non-zero if the calendar queue fails the ``--min-speedup``
+Exit status is non-zero if the kernel fails the ``--min-speedup``
 bar on the cancel-heavy workload (the CI scale-smoke job relies on this).
 """
 
@@ -104,13 +104,13 @@ def watchdog_reset_storm(sim, *, concurrent: int, resets: int,
     long timeout watchdog that is retracted and re-armed as traffic flows,
     so almost every scheduled timer is dead long before its time comes.
     The legacy heap keeps all ``concurrent * resets`` dead entries and
-    eventually pays a pop *and a full dispatch* for each; the calendar
-    queue compacts tombstones away and never sorts or dispatches them.
+    eventually pays a pop *and a full dispatch* for each; the kernel
+    compacts tombstones away and never dispatches them.
 
     Returns ``(arm_s, drain_s)`` wall-clock seconds: the *arm* phase
     creates, cancels and re-arms the timers (timer-object construction
-    dominates and is common to both schedulers; the calendar queue also
-    pays its tombstone compactions here), the *drain* phase runs the clock
+    dominates and is common to both schedulers; the kernel also pays its
+    tombstone compactions here), the *drain* phase runs the clock
     past the horizon so the surviving timers fire — this is where the two
     schedulers differ asymptotically, and the phase the speedup gate
     checks.
@@ -131,7 +131,7 @@ def watchdog_reset_storm(sim, *, concurrent: int, resets: int,
         sim.run(until=sim.now + tick)
     arm_s = time.perf_counter() - arm_started
     # Run the clock out: the survivors fire, the dead entries are paid for
-    # (dispatched by the heap, dropped in batch by the calendar queue).
+    # (dispatched by the legacy heap, compacted away by the kernel).
     drain_started = time.perf_counter()
     sim.run(until=sim.now + timeout + 1.0)
     drain_s = time.perf_counter() - drain_started
@@ -155,29 +155,29 @@ def run_benchmark(concurrent: int, resets: int) -> dict:
 
     legacy_arm, legacy_drain = watchdog_reset_storm(
         LegacyHeapSimulator(), concurrent=concurrent, resets=resets)
-    calendar_arm, calendar_drain = watchdog_reset_storm(
+    kernel_arm, kernel_drain = watchdog_reset_storm(
         Simulator(), concurrent=concurrent, resets=resets)
     results["cancel_heavy"] = {
         "legacy_heap_arm_s": round(legacy_arm, 4),
         "legacy_heap_drain_s": round(legacy_drain, 4),
-        "calendar_queue_arm_s": round(calendar_arm, 4),
-        "calendar_queue_drain_s": round(calendar_drain, 4),
+        "kernel_arm_s": round(kernel_arm, 4),
+        "kernel_drain_s": round(kernel_drain, 4),
         "total_speedup": round(
-            (legacy_arm + legacy_drain) / (calendar_arm + calendar_drain), 2)
-        if calendar_arm + calendar_drain > 0 else float("inf"),
-        "drain_speedup": round(legacy_drain / calendar_drain, 2)
-        if calendar_drain > 0 else float("inf"),
+            (legacy_arm + legacy_drain) / (kernel_arm + kernel_drain), 2)
+        if kernel_arm + kernel_drain > 0 else float("inf"),
+        "drain_speedup": round(legacy_drain / kernel_drain, 2)
+        if kernel_drain > 0 else float("inf"),
     }
 
     timers = concurrent * resets
     legacy_uniform = uniform_timer_load(LegacyHeapSimulator(), timers=timers)
-    calendar_uniform = uniform_timer_load(Simulator(), timers=timers)
+    kernel_uniform = uniform_timer_load(Simulator(), timers=timers)
     results["uniform"] = {
         "timers": timers,
         "legacy_heap_s": round(legacy_uniform, 4),
-        "calendar_queue_s": round(calendar_uniform, 4),
-        "speedup": round(legacy_uniform / calendar_uniform, 2)
-        if calendar_uniform > 0 else float("inf"),
+        "kernel_s": round(kernel_uniform, 4),
+        "speedup": round(legacy_uniform / kernel_uniform, 2)
+        if kernel_uniform > 0 else float("inf"),
     }
     return results
 
@@ -199,12 +199,12 @@ def main(argv: list[str] | None = None) -> int:
     uniform = results["uniform"]
     print(f"cancel-heavy ({arguments.timers} concurrent x {arguments.resets} resets):")
     print(f"  arm:   legacy {cancel['legacy_heap_arm_s']}s, "
-          f"calendar {cancel['calendar_queue_arm_s']}s")
+          f"kernel {cancel['kernel_arm_s']}s")
     print(f"  drain: legacy {cancel['legacy_heap_drain_s']}s, "
-          f"calendar {cancel['calendar_queue_drain_s']}s "
+          f"kernel {cancel['kernel_drain_s']}s "
           f"-> {cancel['drain_speedup']}x  (total {cancel['total_speedup']}x)")
     print(f"uniform ({uniform['timers']} timers): "
-          f"legacy {uniform['legacy_heap_s']}s, calendar {uniform['calendar_queue_s']}s "
+          f"legacy {uniform['legacy_heap_s']}s, kernel {uniform['kernel_s']}s "
           f"-> {uniform['speedup']}x")
 
     if arguments.json:

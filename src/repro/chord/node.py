@@ -338,46 +338,51 @@ class ChordNode:
         result = yield from self.find_successor(hash_to_id(key, self.config.bits))
         return result
 
+    def call_owner(self, target_id: int, method: str, *,
+                   timeout: Optional[float] = None, **arguments: Any):
+        """Route to the peer responsible for ``target_id``, then invoke
+        ``method`` on it (process).
+
+        The one routed-call path: when the owner does not answer, the
+        routes naming it are dropped before the error propagates, so the
+        next call routes afresh instead of riding a dead route until its
+        TTL.  Returns ``{"owner": NodeRef, "hops": int, "result": Any}``.
+        """
+        answer = yield from self.find_successor(target_id)
+        owner: NodeRef = answer["node"]
+        try:
+            result = yield self.rpc.call(
+                owner.address, method, timeout=timeout, **arguments
+            )
+        except _UNREACHABLE_ERRORS:
+            self.forget_routes_to(owner)
+            raise
+        return {"owner": owner, "hops": answer["hops"], "result": result}
+
     def put(self, key: str, value: Any, *, key_id: Optional[int] = None):
         """Store ``value`` under ``key`` at the responsible node (process)."""
         identifier = key_id if key_id is not None else hash_to_id(key, self.config.bits)
-        answer = yield from self.find_successor(identifier)
-        owner: NodeRef = answer["node"]
-        stored = yield self.rpc.call(
-            owner.address,
-            "store",
-            key=key,
-            value=value,
-            key_id=identifier,
-            timeout=self.config.rpc_timeout,
+        answer = yield from self.call_owner(
+            identifier, "store", timeout=self.config.rpc_timeout,
+            key=key, value=value, key_id=identifier,
         )
-        return {"owner": owner, "hops": answer["hops"], "stored": stored}
+        return {"owner": answer["owner"], "hops": answer["hops"], "stored": answer["result"]}
 
     def get(self, key: str, *, key_id: Optional[int] = None):
         """Fetch the value stored under ``key`` (process); raises KeyNotFound."""
         identifier = key_id if key_id is not None else hash_to_id(key, self.config.bits)
-        answer = yield from self.find_successor(identifier)
-        owner: NodeRef = answer["node"]
-        value = yield self.rpc.call(
-            owner.address,
-            "fetch",
-            key=key,
-            timeout=self.config.rpc_timeout,
+        answer = yield from self.call_owner(
+            identifier, "fetch", timeout=self.config.rpc_timeout, key=key
         )
-        return {"owner": owner, "hops": answer["hops"], "value": value}
+        return {"owner": answer["owner"], "hops": answer["hops"], "value": answer["result"]}
 
     def remove(self, key: str, *, key_id: Optional[int] = None):
         """Delete ``key`` from the responsible node (process)."""
         identifier = key_id if key_id is not None else hash_to_id(key, self.config.bits)
-        answer = yield from self.find_successor(identifier)
-        owner: NodeRef = answer["node"]
-        removed = yield self.rpc.call(
-            owner.address,
-            "delete",
-            key=key,
-            timeout=self.config.rpc_timeout,
+        answer = yield from self.call_owner(
+            identifier, "delete", timeout=self.config.rpc_timeout, key=key
         )
-        return {"owner": owner, "hops": answer["hops"], "removed": removed}
+        return {"owner": answer["owner"], "hops": answer["hops"], "removed": answer["result"]}
 
     def _find_successor_local(self, target_id: int, hops: int):
         """Shared routing logic used both locally and by the RPC handler."""

@@ -284,6 +284,7 @@ class MasterService(NodeService):
         self.equivocate_next = 0
         self.equivocations = 0
         self.checkpoints_written = 0
+        self.checkpoint_failures = 0
         self.checkpoint_rebuilds = 0
         self.checkpoint_placements_removed = 0
 
@@ -460,7 +461,7 @@ class MasterService(NodeService):
         that may be late.  The one job a group may make due
         (:meth:`_note_published`) is spawned once the lock is released —
         also when the holder's own proposal was refused — and its failures
-        are traced, never raised at a proposer
+        are counted, never raised at a proposer
         (:meth:`_checkpoint_in_background`).
 
         When ``auth_enabled``, ``signatures`` must hold the author's HMAC
@@ -518,7 +519,6 @@ class MasterService(NodeService):
         lock is released.  Returns the checkpoint job the group made due, if
         any, which the caller starts after the lock is released.
         """
-        node = self.node
         authority = self._authority()
         last_ts = authority.last_ts(key)
         # The concatenation: what this round publishes, in group order ...
@@ -570,12 +570,6 @@ class MasterService(NodeService):
             for (member, start, gap), end in zip(placed, ends):
                 self.proposals_rebased += gap is not None
                 replicas = min(per_entry[start:end])
-                node.runtime.trace.annotate(
-                    node.runtime.now, "ltr-master",
-                    "{} validated {}@{}..{} from {} ({} log replicas)",
-                    node.address.name, key, entries[start].ts, entries[end - 1].ts,
-                    member.author, replicas,
-                )
                 member.answer = ValidationResult.ok(
                     entries[start].ts, entries[end - 1].ts, replicas, gap
                 ).to_payload()
@@ -587,12 +581,6 @@ class MasterService(NodeService):
             last_ts = authority.last_ts(key)
             for member in behind:
                 self.proposals_behind += 1
-                node.runtime.trace.annotate(
-                    node.runtime.now, "ltr-master",
-                    "{} rejects {}@{}(+{}) from {} (last-ts={})",
-                    node.address.name, key, member.ts, len(member.patches),
-                    member.author, last_ts,
-                )
                 self._warm_ahead(key, last_ts, len(member.patches))
                 member.answer = ValidationResult.behind(
                     last_ts, self._missing_suffix(key, member.ts - 1, last_ts)
@@ -607,7 +595,6 @@ class MasterService(NodeService):
         role moved meanwhile: every member of ``published`` has its outcome
         then, and the entries are in ``retract``.
         """
-        node = self.node
         queue = self._documents[key]
         queue.publishing = len(entries)
         try:
@@ -627,11 +614,6 @@ class MasterService(NodeService):
         # so the Master role may have moved since the request arrived.
         if self._lost_master_role(key, last_ts):
             self.proposals_rejected += len(published)
-            node.runtime.trace.annotate(
-                node.runtime.now, "ltr-master",
-                "{} rejects in-flight {}@{}(+{}): master role moved during publication",
-                node.address.name, key, last_ts + 1, len(entries),
-            )
             # The published entries carry timestamps that were never
             # allocated; retract them so no reader can observe them
             # before the new Master reuses the range.
@@ -682,11 +664,6 @@ class MasterService(NodeService):
             )
             if not valid:
                 self.proposals_auth_rejected += 1
-                node.runtime.trace.annotate(
-                    node.runtime.now, "ltr-master",
-                    "{} rejects {}@{}(+{}) from {}: bad or missing commit signatures",
-                    node.address.name, key, ts, len(patches), member.author,
-                )
                 raise AuthenticationError(
                     f"commit {key}@{ts}(+{len(patches)}) from {member.author!r} "
                     f"failed signature verification",
@@ -709,12 +686,6 @@ class MasterService(NodeService):
                 # what the first copy was answered; publish nothing.
                 first, count = landed
                 self.proposals_deduplicated += 1
-                node.runtime.trace.annotate(
-                    node.runtime.now, "ltr-master",
-                    "{} has {}@{}(+{}) from {} already, at ts {}",
-                    node.address.name, key, ts, len(patches), member.author,
-                    gap[first].ts,
-                )
                 return ValidationResult.ok(
                     gap[first].ts, gap[first].ts + count - 1, 0, gap[:first],
                 ), None
@@ -775,11 +746,6 @@ class MasterService(NodeService):
                 yield from self.log.dht.put(storage_key, forked, key_id=function(log_key))
             except (RequestTimeout, NodeUnreachable):
                 continue
-        self.node.runtime.trace.annotate(
-            self.node.runtime.now, "ltr-master",
-            "{} EQUIVOCATES on {}@{}: secondary placements forked",
-            self.node.address.name, entry.document_key, entry.ts,
-        )
 
     # -- the tail stale proposals are served from -------------------------------------
 
@@ -949,20 +915,16 @@ class MasterService(NodeService):
         checkpoint a group made due (process; nobody waits for it).
 
         So nobody can be told that it failed: an error of the library is
-        traced and dropped here, and the next boundary writes a checkpoint.
+        counted (``checkpoint_failures``) and dropped here, and the next
+        boundary writes a checkpoint.
         """
         try:
             for old_ts in left:
                 removed = yield from self.log.gc_checkpoint(key, old_ts)
                 self.checkpoint_placements_removed += removed
             yield from self._write_checkpoint(key, tenure, ts, lines)
-        except ReproError as error:
-            node = self.node
-            node.runtime.trace.annotate(
-                node.runtime.now, "ltr-master",
-                "{} could not checkpoint {}@{}: {!r}",
-                node.address.name, key, ts, error,
-            )
+        except ReproError:
+            self.checkpoint_failures += 1
 
     def _write_checkpoint(self, key: str, tenure: Tenure, ts: int,
                           lines: Optional[list[str]]):
@@ -996,10 +958,6 @@ class MasterService(NodeService):
         except CheckpointUnavailable:
             return None
         self.checkpoints_written += 1
-        node.runtime.trace.annotate(
-            node.runtime.now, "ltr-master", "{} checkpointed {}@{}",
-            node.address.name, key, ts,
-        )
         return ts
 
     def _rebuild_lines(self, key: str, tenure: Tenure, ts: int) -> Any:
@@ -1070,6 +1028,7 @@ class MasterService(NodeService):
             "patches_published": self.patches_published,
             "equivocations": self.equivocations,
             "checkpoints_written": self.checkpoints_written,
+            "checkpoint_failures": self.checkpoint_failures,
             "checkpoint_rebuilds": self.checkpoint_rebuilds,
             "checkpoint_placements_removed": self.checkpoint_placements_removed,
             "keys_mastered": len(self.keys_mastered()) if self.node is not None else 0,

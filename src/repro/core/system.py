@@ -52,7 +52,6 @@ class LtrSystem:
         latency: Optional[LatencyModel] = None,
         runtime: Optional[Runtime | str] = None,
         network: Optional[Network] = None,
-        trace: bool = False,
     ) -> None:
         self.ltr_config = ltr_config if ltr_config is not None else LtrConfig()
         self.chord_config = chord_config if chord_config is not None else DEFAULT_CHORD_CONFIG
@@ -60,7 +59,7 @@ class LtrSystem:
         # otherwise the config's ``runtime_backend`` picks the backend.
         self.runtime = resolve_runtime(
             runtime if runtime is not None else self.ltr_config.runtime_backend,
-            seed=seed, trace=trace,
+            seed=seed,
         )
         self.network = network if network is not None else Network(
             self.runtime, latency=latency if latency is not None else ConstantLatency(0.005)

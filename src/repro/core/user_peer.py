@@ -443,11 +443,6 @@ class UserPeer:
                 edits=edits,
             )
             self.commit_results.append(outcome)
-            self.node.runtime.trace.annotate(
-                self.node.runtime.now, "ltr-user",
-                "{} committed {} edit(s) of {} up to ts {} after {} attempt(s)",
-                self.author, edits, key, landed_ts, attempts,
-            )
             return outcome
 
     def _carried_suffix(self, key: str, applied_ts: int,
@@ -518,11 +513,6 @@ class UserPeer:
         del chain[:landed]
         self._acknowledge(key, landed)
         chain[:] = integrate_remote_into_staged(replica, pairs[own + landed:], chain)
-        self.node.runtime.trace.annotate(
-            self.node.runtime.now, "ltr-user",
-            "{} adopts its own {}@{}..{}: landed unacknowledged",
-            self.author, key, entries[own].ts, entries[own + landed - 1].ts,
-        )
         return entries[own + landed - 1].ts
 
     # ---------------------------------------------------------- proposal identity --

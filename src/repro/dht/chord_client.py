@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from ..chord import ChordNode, hash_to_id
-from ..errors import PLACEMENT_FAILURES, NodeUnreachable, RequestTimeout
+from ..errors import PLACEMENT_FAILURES
 
 #: One item of a batched store: ``(key, value, key_id)`` where ``key_id`` may
 #: be ``None`` to let the client hash ``key`` itself.
@@ -240,16 +240,11 @@ class ChordDhtClient:
                    timeout: Optional[float] = None, **arguments: Any):
         """Route to the responsible peer, then invoke ``method`` on it.
 
-        Returns ``{"owner": NodeRef, "hops": int, "result": Any}``.
+        Returns ``{"owner": NodeRef, "hops": int, "result": Any}``; see
+        :meth:`~repro.chord.ChordNode.call_owner`.
         """
         identifier = key_id if key_id is not None else self.hash_key(routing_key)
-        answer = yield from self.node.find_successor(identifier)
-        owner = answer["node"]
-        try:
-            outcome = yield self.node.rpc.call(
-                owner.address, method, timeout=timeout, **arguments
-            )
-        except (RequestTimeout, NodeUnreachable):
-            self.node.forget_routes_to(owner)
-            raise
-        return {"owner": owner, "hops": answer["hops"], "result": outcome}
+        result = yield from self.node.call_owner(
+            identifier, method, timeout=timeout, **arguments
+        )
+        return result

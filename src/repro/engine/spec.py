@@ -66,22 +66,14 @@ class Topology:
     ``peers`` and ``latency`` are defaults: a grid axis named ``peers`` (or
     ``latency_preset``) overrides them per grid point, and the measurement
     callback can override them again per :meth:`ScenarioContext.build_system`
-    call.  ``runtime`` selects the execution backend every built system
-    runs on (``"sim"`` — deterministic, the default — or ``"asyncio"`` —
-    wall-clock live mode); a grid axis or constant named ``runtime``
-    overrides it per grid point.  ``storage_backend`` selects every peer's
-    persistence backend (``"memory"`` default / ``"sqlite"`` durable) and
-    ``storage_dir`` the directory its database files live in; ``None``
-    defers both to the LTR config.
+    call.  The execution and storage backends are the LTR config's
+    (``runtime_backend``, ``storage_backend``, ``storage_dir``).
     """
 
     peers: int = 8
     latency: Union[str, float, LatencyModel, None] = None
     chord_config: ChordConfig = EXPERIMENT_CHORD_CONFIG
     ltr_config: Optional[LtrConfig] = None
-    runtime: str = "sim"
-    storage_backend: Optional[str] = None
-    storage_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -233,53 +225,23 @@ class ScenarioContext:
         latency: Union[str, float, LatencyModel, None] = None,
         ltr_config: Optional[LtrConfig] = None,
         chord_config: Optional[ChordConfig] = None,
-        runtime: Optional[str] = None,
         stabilize_time: Optional[float] = None,
-        storage_backend: Optional[str] = None,
-        storage_dir: Optional[str] = None,
     ) -> LtrSystem:
         """A bootstrapped :class:`~repro.core.LtrSystem` for this context.
 
         Defaults come from the topology and the context seed; every knob can
-        be overridden per call.  ``runtime`` selects the execution backend
-        (falling back to a ``runtime`` parameter, then the topology);
-        ``stabilize_time`` bounds the bootstrap stabilization budget — live
-        (asyncio) scenarios pass a tight bound because they pay it in
-        wall-clock seconds.  ``storage_backend`` / ``storage_dir`` pick the
-        peers' persistence (falling back to same-named parameters, then the
-        topology, then the LTR config's own knobs).
+        be overridden per call.  The LTR config picks the execution and
+        storage backends; ``stabilize_time`` bounds the bootstrap
+        stabilization budget — live (asyncio) scenarios pass a tight bound
+        because they pay it in wall-clock seconds.
         """
         topology = self.topology
         count = peers if peers is not None else self.param("peers", topology.peers)
-        backend = (
-            runtime if runtime is not None
-            else self.param("runtime", topology.runtime if topology.runtime != "sim" else None)
-        )
-        config = ltr_config if ltr_config is not None else topology.ltr_config
-        store = (
-            storage_backend if storage_backend is not None
-            else self.param("storage_backend", topology.storage_backend)
-        )
-        store_dir = (
-            storage_dir if storage_dir is not None
-            else self.param("storage_dir", topology.storage_dir)
-        )
-        if store is not None or store_dir is not None:
-            base = config if config is not None else LtrConfig()
-            updates: ParamDict = {}
-            if store is not None:
-                updates["storage_backend"] = store
-            if store_dir is not None:
-                updates["storage_dir"] = store_dir
-            config = replace(base, **updates)
-        # ``backend`` stays None for the default topology so that a config
-        # carrying ``runtime_backend`` keeps the final say in LtrSystem.
         system = LtrSystem(
-            ltr_config=config,
+            ltr_config=ltr_config if ltr_config is not None else topology.ltr_config,
             chord_config=chord_config if chord_config is not None else topology.chord_config,
             seed=seed if seed is not None else self.seed,
             latency=resolve_latency(latency if latency is not None else topology.latency),
-            runtime=backend,
         )
         system.bootstrap(count, stabilize_time=stabilize_time)
         return system

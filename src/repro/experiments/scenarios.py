@@ -31,12 +31,7 @@ from ..check import ConvergenceChecker
 from ..chord import ChordRing, hash_to_id
 from ..core import LtrConfig, LtrSystem
 from ..dht import ChordDhtClient
-from ..engine import (
-    EXPERIMENT_CHORD_CONFIG,
-    ScenarioContext,
-    ScenarioSpec,
-    Topology,
-)
+from ..engine import EXPERIMENT_CHORD_CONFIG, ScenarioContext, ScenarioSpec
 from ..errors import KeyNotFound, MasterUnavailable, PatchUnavailable, ReproError
 from ..faults import FaultPlan
 from ..kts import KtsClient, TimestampAuthority
@@ -1173,7 +1168,6 @@ def live_runtime_spec(
         ),
         grid={"editors": tuple(editor_counts)},
         constants={"peers": peers, "edits": edits},
-        topology=Topology(runtime="asyncio"),
         seed=seed,
         measure=_measure_live_runtime,
         notes=(
@@ -1527,7 +1521,6 @@ def live_cluster_spec(
             "commits": commits,
             "kill": kill,
         },
-        topology=Topology(runtime="asyncio"),
         seed=seed,
         measure=_measure_live_cluster,
         notes=(
@@ -1778,9 +1771,9 @@ def scale_sweep_spec(
             "wired directly into its converged state (bootstrap_warm), then "
             "serves Zipf-skewed lookups while the staggered maintenance "
             "timers tick in the background.  Headlines are events/sec "
-            "through the calendar-queue scheduler and the process peak RSS; "
-            "lookup correctness and hop counts double-check that the warm "
-            "ring routes exactly like a naturally stabilized one."
+            "through the kernel's binary-heap scheduler and the process peak "
+            "RSS; lookup correctness and hop counts double-check that the "
+            "warm ring routes exactly like a naturally stabilized one."
         ),
         columns=(
             "peers", "lookups", "mean_hops", "correct_fraction",
@@ -1794,8 +1787,9 @@ def scale_sweep_spec(
         measure=_measure_scale_sweep,
         notes=(
             "expected shape: hop count grows logarithmically while events/sec "
-            "stays roughly flat across ring sizes (the calendar queue is O(1) "
-            "per event); wall-clock columns vary by machine and are excluded "
+            "stays roughly flat across ring sizes (a heap push or pop is "
+            "O(log n) in the pending timers, small beside dispatching the "
+            "event); wall-clock columns vary by machine and are excluded "
             "from byte-identity checks",
         ),
     )
@@ -1855,7 +1849,7 @@ def _measure_durable_restart(ctx: ScenarioContext) -> dict:
     converge_budget = ctx.params["converge_budget"]
     backend = "sqlite" if recovery == "durable" else "memory"
     system = ctx.build_system(
-        peers, ltr_config=NEMESIS_LTR_CONFIG, storage_backend=backend
+        peers, ltr_config=replace(NEMESIS_LTR_CONFIG, storage_backend=backend)
     )
     try:
         key = DURABLE_KEY

@@ -146,10 +146,6 @@ class TimestampAuthority(NodeService):
         if count > 1:
             self.range_allocations += 1
         first = item.value - count + 1
-        node.runtime.trace.annotate(
-            node.runtime.now, "kts", "{} next_timestamps({}, {}) -> {}..{}",
-            node.address.name, key, count, first, item.value,
-        )
         return first
 
     def last_ts(self, key: str) -> int:

@@ -34,6 +34,11 @@ from .entry import LogEntry, make_log_key
 #: skipped, and so, on a read, is one that does not hold the key.
 _READ_MISSES = (KeyNotFound, *PLACEMENT_FAILURES)
 
+#: How many primary placements a range retrieval resolves and fetches at a
+#: time (:meth:`P2PLogClient.fetch_range`); 1 is the paper's one
+#: ``get(hi(key+ts))`` at a time.
+MAX_PARALLEL = 16
+
 
 class P2PLogClient:
     """Publish and retrieve timestamped patches in the DHT."""
@@ -43,12 +48,9 @@ class P2PLogClient:
         dht: ChordDhtClient,
         hash_family: HashFunctionFamily,
         *,
-        max_parallel: int = 16,
         entry_verifier=None,
         checkpoint_verifier=None,
     ) -> None:
-        if max_parallel < 1:
-            raise ValueError(f"max_parallel must be >= 1, got {max_parallel}")
         self.dht = dht
         self.hash_family = hash_family
         # Same |Hr| and identifier width as the patch placements, but
@@ -59,7 +61,6 @@ class P2PLogClient:
             bits=hash_family[0].bits,
             prefix=CHECKPOINT_SALT_PREFIX,
         )
-        self.max_parallel = max_parallel
         #: Optional authenticity predicates (``DESIGN.md`` §"Adversarial
         #: model & authenticity"): ``entry_verifier(entry) -> bool`` is
         #: applied to every retrieved log entry and
@@ -227,16 +228,16 @@ class P2PLogClient:
         reconciliation engine.
 
         The range's primary placements (``h1(key+ts)``) are worked through
-        in windows of :attr:`max_parallel`: a window is resolved
+        in windows of :data:`MAX_PARALLEL`: a window is resolved
         concurrently, grouped by responsible Log-Peer and fetched with one
         ``fetch_many`` RPC per peer, so a cold catch-up over *n* entries
         costs one request per distinct Log-Peer per window instead of *n*
-        routed round-trips (``max_parallel=1`` is the paper's one
+        routed round-trips (``MAX_PARALLEL = 1`` is the paper's one
         ``get(hi(key+ts))`` at a time).  The range is known exactly, so each
         window hands :meth:`~repro.dht.ChordDhtClient.get_many` the placements of
         the next one: they are resolved while this window's reads are in
         flight — after its own resolutions returned, so never more than
-        ``max_parallel`` routings are in flight and nothing is resolved that
+        ``MAX_PARALLEL`` routings are in flight and nothing is resolved that
         is not fetched.
 
         A timestamp the grouped read could not serve (its primary Log-Peer
@@ -253,8 +254,8 @@ class P2PLogClient:
             # Windowed: each get_many resolves its items' placements
             # concurrently, so handing it the whole range at once would put
             # one in-flight routing per timestamp on the wire — exactly the
-            # flood max_parallel exists to prevent.
-            end_ts = min(start_ts + self.max_parallel - 1, to_ts)
+            # flood MAX_PARALLEL exists to prevent.
+            end_ts = min(start_ts + MAX_PARALLEL - 1, to_ts)
             return [
                 (primary.placement_key(log_key), primary(log_key))
                 for log_key in (

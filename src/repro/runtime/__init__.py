@@ -6,23 +6,22 @@ layers above it (``repro.net`` upward) program against the
 processes, futures, named RNG streams — and two backends implement it:
 
 * :class:`SimRuntime` (``"sim"``, the default): the deterministic
-  discrete-event kernel.  Byte-identical to the historical
-  ``Simulator``-driven runs.
+  discrete-event kernel, dispatching in ``(time, sequence)`` order.
 * :class:`AsyncioRuntime` (``"asyncio"``): wall-clock timers and real
   in-process concurrency on an asyncio event loop, bridging to native
   tasks and queues.
 
 Backends are selected by name through :func:`create_runtime` /
-:func:`resolve_runtime` (what ``LtrConfig.runtime_backend`` and the
-scenario engine's ``Topology.runtime`` feed).  The event, process and RNG
-primitives are re-exported here so upper layers never import ``repro.sim``
-directly — ``tests/test_layering.py`` enforces that.
+:func:`resolve_runtime`, which ``LtrConfig.runtime_backend`` feeds.  The
+event, process and RNG primitives and :class:`FifoLock` are re-exported
+here so upper layers never import ``repro.sim`` directly —
+``tests/test_layering.py`` enforces that.
 """
 
 from ..sim.events import AllOf, AnyOf, ConditionValue, Event, Future, Timeout
 from ..sim.process import Process, ProcessGenerator
 from ..sim.rng import RandomStreams, derive_seed
-from ..sim.tracing import TraceLog, TraceRecord
+from ..sim.sync import FifoLock
 from .api import (
     RUNTIME_BACKENDS,
     Runtime,
@@ -32,7 +31,6 @@ from .api import (
 )
 from .asyncio_backend import AsyncioRuntime
 from .sim_backend import SimRuntime
-from .sync import FifoLock, Semaphore
 
 __all__ = [
     "AllOf",
@@ -47,11 +45,8 @@ __all__ = [
     "RUNTIME_BACKENDS",
     "RandomStreams",
     "Runtime",
-    "Semaphore",
     "SimRuntime",
     "Timeout",
-    "TraceLog",
-    "TraceRecord",
     "backend_name",
     "create_runtime",
     "derive_seed",

@@ -37,7 +37,6 @@ from ..errors import ConfigurationError
 from ..sim.events import AllOf, AnyOf, Event, Future, Timeout
 from ..sim.process import Process, ProcessGenerator
 from ..sim.rng import RandomStreams
-from ..sim.tracing import TraceLog
 
 #: Names of the available runtime backends (see :func:`create_runtime`).
 RUNTIME_BACKENDS = ("sim", "asyncio")
@@ -53,7 +52,6 @@ class Runtime(Protocol):
     """
 
     rng: RandomStreams
-    trace: TraceLog
     fail_silently: bool
     crashed_processes: list
 
@@ -107,7 +105,6 @@ def create_runtime(
     backend: str = "sim",
     *,
     seed: int = 0,
-    trace: bool = False,
     **options: Any,
 ) -> "Runtime":
     """Instantiate a runtime backend by name.
@@ -119,11 +116,11 @@ def create_runtime(
     if backend == "sim":
         from .sim_backend import SimRuntime
 
-        return SimRuntime(seed=seed, trace=trace, **options)
+        return SimRuntime(seed=seed, **options)
     if backend == "asyncio":
         from .asyncio_backend import AsyncioRuntime
 
-        return AsyncioRuntime(seed=seed, trace=trace, **options)
+        return AsyncioRuntime(seed=seed, **options)
     raise ConfigurationError(
         f"unknown runtime backend {backend!r}; known: {list(RUNTIME_BACKENDS)}"
     )
@@ -133,7 +130,6 @@ def resolve_runtime(
     runtime: Union["Runtime", str, None],
     *,
     seed: int = 0,
-    trace: bool = False,
     default: str = "sim",
 ) -> "Runtime":
     """Normalize a runtime knob: an instance, a backend name, or ``None``.
@@ -142,7 +138,7 @@ def resolve_runtime(
     an existing runtime instance is returned unchanged.
     """
     if runtime is None:
-        return create_runtime(default, seed=seed, trace=trace)
+        return create_runtime(default, seed=seed)
     if isinstance(runtime, str):
-        return create_runtime(runtime, seed=seed, trace=trace)
+        return create_runtime(runtime, seed=seed)
     return runtime

@@ -33,7 +33,6 @@ from ..sim.events import Event
 from ..sim.primitives import EventPrimitivesMixin
 from ..sim.process import Process
 from ..sim.rng import RandomStreams
-from ..sim.tracing import TraceLog
 
 
 class AsyncioRuntime(EventPrimitivesMixin):
@@ -45,9 +44,6 @@ class AsyncioRuntime(EventPrimitivesMixin):
         Master seed of the named RNG streams.  Draws stay deterministic
         *per scope* (process/task), but the interleaving of scopes is
         wall-clock dependent.
-    trace:
-        Enable the :class:`~repro.sim.tracing.TraceLog` (wall-clock
-        timestamps).
     fail_silently:
         As on the kernel: suppress ``crashed_processes`` bookkeeping.
     run_guard:
@@ -65,14 +61,12 @@ class AsyncioRuntime(EventPrimitivesMixin):
         self,
         seed: int = 0,
         *,
-        trace: bool = False,
         fail_silently: bool = False,
         run_guard: Optional[float] = 120.0,
     ) -> None:
         self._loop = asyncio.new_event_loop()
         self._epoch = self._loop.time()
         self.rng = RandomStreams(seed, scope_provider=self._rng_scope)
-        self.trace = TraceLog(enabled=trace)
         self.fail_silently = fail_silently
         self.crashed_processes: list[tuple[Process, BaseException]] = []
         self.run_guard = run_guard
@@ -144,7 +138,6 @@ class AsyncioRuntime(EventPrimitivesMixin):
         callbacks = event.callbacks
         event.callbacks = None
         self._processed_events += 1
-        self.trace.record(self.now, event)
         if callbacks:
             for callback in callbacks:
                 callback(event)

@@ -15,8 +15,7 @@ from .events import AllOf, AnyOf, ConditionValue, Event, Future, Timeout
 from .process import Process, ProcessGenerator
 from .rng import RandomStreams, derive_seed
 from .scheduler import Simulator
-from .sync import FifoLock, Semaphore
-from .tracing import TraceLog, TraceRecord
+from .sync import FifoLock
 
 __all__ = [
     "AllOf",
@@ -28,10 +27,7 @@ __all__ = [
     "Process",
     "ProcessGenerator",
     "RandomStreams",
-    "Semaphore",
     "Simulator",
     "Timeout",
-    "TraceLog",
-    "TraceRecord",
     "derive_seed",
 ]

@@ -4,9 +4,10 @@ The P2P-LTR Master-key peer "serves each user peer sequentially": a new
 timestamp for a document is only granted once the previous patch for that
 document has been replicated.  :class:`FifoLock` provides exactly that
 mutual exclusion between concurrently running handler processes, with FIFO
-fairness so validation requests are served in arrival order.
-:class:`Semaphore` generalises it to ``capacity`` concurrent holders and is
-used by the workload drivers to bound in-flight operations.
+fairness so validation requests are served in arrival order.  It needs
+nothing of its runtime but ``future()``, so the same lock serves the
+deterministic kernel and the asyncio backend; layers above
+:mod:`repro.runtime` import it from there.
 """
 
 from __future__ import annotations
@@ -67,39 +68,3 @@ class FifoLock:
             self._waiting.popleft().succeed(None)
         else:
             self._locked = False
-
-
-class Semaphore:
-    """A counting semaphore with FIFO wakeup order."""
-
-    def __init__(self, sim: "Simulator", capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"semaphore capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiting: Deque = deque()
-
-    @property
-    def available(self) -> int:
-        """Number of slots currently free."""
-        return self.capacity - self._in_use
-
-    def acquire(self):
-        """Take one slot (generator; use with ``yield from``)."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return None
-        ticket = self.sim.future()
-        self._waiting.append(ticket)
-        yield ticket
-        return None
-
-    def release(self) -> None:
-        """Return one slot, waking the longest-waiting process if any."""
-        if self._in_use <= 0:
-            raise RuntimeError("release() called on a fully released Semaphore")
-        if self._waiting:
-            self._waiting.popleft().succeed(None)
-        else:
-            self._in_use -= 1

@@ -1,12 +1,15 @@
 """Tests for the DHT client facade (repro.dht) and parallel log retrieval."""
 
+from unittest import mock
+
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, HashFunctionFamily, hash_to_id
 from repro.dht import ChordDhtClient
-from repro.errors import KeyNotFound, UnknownRpcMethod
+from repro.errors import KeyNotFound, RequestTimeout, UnknownRpcMethod
 from repro.net import ConstantLatency, NoLoss, TargetedLoss
 from repro.p2plog import LogEntry, P2PLogClient
+from repro.p2plog import log as log_module
 
 BITS = 32
 
@@ -125,6 +128,45 @@ def test_a_batch_never_fails_as_a_whole():
     assert reread["values"] == ["v1" if gone else "v2" for gone in silent]
 
 
+@pytest.mark.parametrize("operation", ["get", "put", "remove", "ring-get"])
+def test_a_single_key_operation_forgets_an_owner_that_did_not_answer(operation):
+    """Regression: ``get`` / ``put`` / ``remove`` of one key (and the
+    ring's own ``get``) route and call like ``call_owner``, so an owner that
+    does not answer is purged from the caller's route cache, as a batch
+    purges it — not ridden until the route's TTL."""
+    quiet = ChordConfig(bits=BITS, stabilize_interval=25.0, fix_fingers_interval=50.0,
+                        check_predecessor_interval=50.0, route_cache_ttl=50.0)
+    ring = ChordRing(config=quiet, seed=71, latency=ConstantLatency(0.002))
+    ring.bootstrap_warm(4)
+    asker = ring.gateway()
+    client = ChordDhtClient(asker)
+
+    def run(generator):
+        return ring.runtime.run(until=ring.runtime.process(generator))
+
+    def routes_to(node):
+        return [owner for _arc, owner, _age in asker.route_cache.fresh_routes(ring.runtime.now)
+                if owner == node.ref]
+
+    key = next(f"single-{index}" for index in range(64)
+               if ring.responsible_node(f"single-{index}") is not asker
+               and ring.responsible_node(f"single-{index}").ref != asker.successor)
+    victim = ring.responsible_node(key)
+    run(client.put(key, "v1"))
+    assert routes_to(victim)
+    # Every message to the owner is dropped; the network still reports it up.
+    ring.network.loss = TargetedLoss(frozenset({victim.address.name}), direction="to")
+    call = {
+        "get": lambda: run(client.get(key)),
+        "put": lambda: run(client.put(key, "v2")),
+        "remove": lambda: run(client.remove(key)),
+        "ring-get": lambda: ring.get(key, via=asker.address.name),
+    }[operation]
+    with pytest.raises(RequestTimeout):
+        call()
+    assert not routes_to(victim)
+
+
 def test_chord_client_remove_round_trip():
     ring = build_ring()
     client = ChordDhtClient(ring.gateway())
@@ -216,8 +258,8 @@ def test_parallel_fetch_range_matches_sequential_order():
     family = HashFunctionFamily.create(2, bits=BITS)
     log = P2PLogClient(dht, family)
     _publish_entries(ring.runtime, log, 6)
-    one_at_a_time = P2PLogClient(dht, family, max_parallel=1)
-    sequential = ring.runtime.run(until=ring.runtime.process(one_at_a_time.fetch_range("doc", 1, 6)))
+    with mock.patch.object(log_module, "MAX_PARALLEL", 1):
+        sequential = ring.runtime.run(until=ring.runtime.process(log.fetch_range("doc", 1, 6)))
     parallel = ring.runtime.run(until=ring.runtime.process(log.fetch_range("doc", 1, 6)))
     assert parallel == sequential
     assert [entry.ts for entry in parallel] == [1, 2, 3, 4, 5, 6]
@@ -227,11 +269,11 @@ def test_parallel_fetch_range_is_faster_over_the_ring():
     ring = build_ring(node_count=8, seed=73)
     family = HashFunctionFamily.create(2, bits=BITS)
     log = P2PLogClient(ChordDhtClient(ring.gateway()), family)
-    one_at_a_time = P2PLogClient(ChordDhtClient(ring.gateway()), family, max_parallel=1)
     _publish_entries(ring.runtime, log, 8)
 
     start = ring.runtime.now
-    ring.runtime.run(until=ring.runtime.process(one_at_a_time.fetch_range("doc", 1, 8)))
+    with mock.patch.object(log_module, "MAX_PARALLEL", 1):
+        ring.runtime.run(until=ring.runtime.process(log.fetch_range("doc", 1, 8)))
     sequential_time = ring.runtime.now - start
 
     start = ring.runtime.now

@@ -1,5 +1,7 @@
 """Tests for the P2P-Log (repro.p2plog)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.chord import ChordConfig, ChordRing, HashFunctionFamily
@@ -12,6 +14,7 @@ from repro.p2plog import (
     make_checkpoint_key,
     make_log_key,
 )
+from repro.p2plog import log as log_module
 from repro.net import ConstantLatency
 
 BITS = 32
@@ -242,11 +245,11 @@ def test_fetch_span_windows_grouped_reads_by_max_parallel():
     ``get_many`` resolves its items' placements concurrently, so handing
     it a whole 500-entry range at once would put one in-flight routing per
     timestamp on the wire; the range is worked through in windows of
-    ``max_parallel`` instead.
+    ``MAX_PARALLEL`` instead.
     """
     ring = warm_ring()
     dht = ChordDhtClient(ring.gateway())
-    log = P2PLogClient(dht, HashFunctionFamily.create(2, bits=BITS), max_parallel=16)
+    log = P2PLogClient(dht, HashFunctionFamily.create(2, bits=BITS))
     run(ring, log.append_many([make_entry(ts) for ts in range(1, 501)]))
 
     batches, announced = [], []
@@ -261,17 +264,15 @@ def test_fetch_span_windows_grouped_reads_by_max_parallel():
     dht.get_many = tracking_get_many
     entries = run(ring, log.fetch_range("doc", 1, 500))
     assert [entry.ts for entry in entries] == list(range(1, 501))
-    assert batches and max(len(batch) for batch in batches) <= 16
+    assert batches and max(len(batch) for batch in batches) <= log_module.MAX_PARALLEL == 16
     # Each window announces exactly the next one (the range is known), the
     # last one nothing: no placement is resolved that is not fetched.
     assert announced == batches[1:] + [[]]
-    with pytest.raises(ValueError):
-        P2PLogClient(dht, HashFunctionFamily.create(2, bits=BITS), max_parallel=0)
 
 
 @pytest.mark.parametrize("fault", ["none", "primary-down", "primary-tampered"])
 def test_window_of_one_returns_what_the_default_window_returns(fault):
-    """``max_parallel=1`` (the paper's one get at a time) and the default
+    """``MAX_PARALLEL = 1`` (the paper's one get at a time) and the default
     window retrieve the same entries, entry for entry — also when the
     primary Log-Peer of some timestamp is down or serves a tampered copy."""
     ring = build_ring(node_count=10)
@@ -295,11 +296,12 @@ def test_window_of_one_returns_what_the_default_window_returns(fault):
 
     reader = next(name for name in ring.ring_order() if name != victim.address.name)
     one = P2PLogClient(ChordDhtClient(ring.node(reader)), family,
-                       max_parallel=1, entry_verifier=verifier)
+                       entry_verifier=verifier)
     windowed = P2PLogClient(ChordDhtClient(ring.node(reader)), family,
                             entry_verifier=verifier)
-    assert windowed.max_parallel == 16
-    one_by_one = run(ring, one.fetch_range("wiki:window", 1, 24))
+    assert log_module.MAX_PARALLEL == 16
+    with mock.patch.object(log_module, "MAX_PARALLEL", 1):
+        one_by_one = run(ring, one.fetch_range("wiki:window", 1, 24))
     assert one_by_one == run(ring, windowed.fetch_range("wiki:window", 1, 24)) == entries
     assert [entry.metadata for entry in one_by_one] == [entry.metadata for entry in entries]
     if fault == "primary-tampered":

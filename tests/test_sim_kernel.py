@@ -349,22 +349,3 @@ def test_rng_spawn_namespacing():
     child_b = parent.spawn("peer-b")
     assert child_a.stream("lat").random() != child_b.stream("lat").random()
 
-
-def test_trace_log_records_annotations():
-    sim = Simulator(trace=True)
-
-    def proc(sim):
-        yield sim.timeout(1)
-        sim.trace.annotate(sim.now, "protocol", "validated patch", payload={"ts": 1})
-
-    sim.run_process(proc(sim))
-    protocol_records = sim.trace.filter(category="protocol")
-    assert len(protocol_records) == 1
-    assert protocol_records[0].payload == {"ts": 1}
-    assert "protocol" in sim.trace.categories()
-
-
-def test_trace_disabled_records_nothing():
-    sim = Simulator(trace=False)
-    sim.run_process((sim.timeout(1) for _ in range(1)))
-    assert len(sim.trace) == 0

@@ -1,8 +1,8 @@
-"""Tests for the simulation synchronization primitives (FifoLock, Semaphore)."""
+"""Tests for the simulation synchronization primitive (FifoLock)."""
 
 import pytest
 
-from repro.sim import FifoLock, Semaphore, Simulator
+from repro.sim import FifoLock, Simulator
 
 
 def test_fifo_lock_mutual_exclusion_and_order():
@@ -65,31 +65,3 @@ def test_fifo_lock_release_unlocked_raises():
     with pytest.raises(RuntimeError):
         lock.release()
 
-
-def test_semaphore_limits_concurrency():
-    sim = Simulator()
-    semaphore = Semaphore(sim, capacity=2)
-    concurrent = {"now": 0, "max": 0}
-
-    def worker(sim):
-        yield from semaphore.acquire()
-        concurrent["now"] += 1
-        concurrent["max"] = max(concurrent["max"], concurrent["now"])
-        yield sim.timeout(1)
-        concurrent["now"] -= 1
-        semaphore.release()
-
-    for _ in range(6):
-        sim.process(worker(sim))
-    sim.run()
-    assert concurrent["max"] == 2
-    assert semaphore.available == 2
-
-
-def test_semaphore_validation_and_release_guard():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Semaphore(sim, capacity=0)
-    semaphore = Semaphore(sim, capacity=1)
-    with pytest.raises(RuntimeError):
-        semaphore.release()

@@ -1,13 +1,18 @@
-"""Timer cancellation and tombstone compaction (repro.sim.scheduler).
+"""Timer cancellation, tombstone compaction and dispatch order (repro.sim.scheduler).
 
-The calendar-queue kernel cancels timers lazily: ``Event.cancel()`` leaves a
-tombstone that the scheduler drops in batch and compacts away once enough of
-them accumulate.  These tests pin down the semantics (a cancelled timer never
-fires, cancellation is idempotent) and the memory bound (a churn storm of
-cancel-heavy timers must not grow the queue without bound), plus the one
-production consumer that relies on retraction: the RPC layer cancelling a
-request's watchdog when the response arrives first.
+The kernel cancels timers lazily: ``Event.cancel()`` leaves a tombstone in
+the immediate lane or the heap that the scheduler drops when it reaches a
+front, and compacts away (filter, then heapify) once enough of them
+accumulate.  These tests pin down the semantics (a cancelled timer never
+fires, cancellation is idempotent), the memory bound (a churn storm of
+cancel-heavy timers must not grow the queue without bound), the dispatch
+order every seeded artifact relies on (``(fire time, creation order)``, also
+across compactions), plus the one production consumer that relies on
+retraction: the RPC layer cancelling a request's watchdog when the response
+arrives first.
 """
+
+import random
 
 from repro.net import Address, ConstantLatency, Network
 from repro.net.rpc import RpcAgent
@@ -125,6 +130,79 @@ def test_interleaved_cancel_and_fire_storm_keeps_order():
     sim.run(until=10.0)
     assert fired == list(range(100))
     assert sim.pending_events == 0
+
+
+# ------------------------------------------------------------ dispatch order --
+
+
+def test_dispatch_order_is_fire_time_then_creation_order():
+    """Seeded property: timers with zero, shared and random delays, created
+    and cancelled from inside each other's callbacks, fire in ``(fire time,
+    creation order)`` order — every timer that was not cancelled, and no
+    other — across several tombstone compactions."""
+
+    class CountingSimulator(Simulator):
+        compactions = 0
+
+        def _compact(self):
+            self.compactions += 1
+            super()._compact()
+
+    sim = CountingSimulator()
+    rng = random.Random(34)
+    budget = 12_000
+    created = []      # (fire time, creation index) of every timer
+    timers = []       # creation index -> timer
+    pending = []      # creation indexes not yet fired nor cancelled
+    slot = {}         # creation index -> its position in ``pending``
+    cancelled = set()
+    fired = []
+
+    def forget(index):
+        last = pending.pop()
+        if last != index:
+            pending[slot[index]] = last
+            slot[last] = slot[index]
+        del slot[index]
+
+    def create():
+        draw = rng.random()
+        if draw < 0.25:
+            delay = 0.0
+        elif draw < 0.5:
+            delay = 1.0  # many timers share a fire time
+        else:
+            delay = rng.uniform(0.0, 5.0)
+        index = len(created)
+        created.append((sim.now + delay, index))
+        timer = sim.timeout(delay)
+        timer.add_callback(lambda _event: on_fire(index))
+        timers.append(timer)
+        slot[index] = len(pending)
+        pending.append(index)
+
+    def on_fire(index):
+        fired.append(index)
+        forget(index)
+        for _ in range(rng.randint(0, 4)):
+            if len(created) < budget:
+                create()
+        for _ in range(rng.randint(0, 3)):
+            if pending:
+                victim = pending[rng.randrange(len(pending))]
+                assert timers[victim].cancel()
+                cancelled.add(victim)
+                forget(victim)
+
+    for _ in range(3000):
+        create()
+    sim.run()
+
+    assert len(created) == budget
+    assert len(cancelled) > 3 * Simulator.COMPACT_MIN_TOMBSTONES
+    assert sim.compactions >= 3
+    assert fired == [index for _when, index in sorted(created) if index not in cancelled]
+    assert sim.pending_events == 0 and sim.tombstones == 0
 
 
 # ------------------------------------------------------------ RPC retraction --

@@ -40,6 +40,7 @@ from repro.dht import ChordDhtClient
 from repro.experiments.scenarios import SCALE_CHORD_CONFIG
 from repro.net import ConstantLatency, UniformLatency
 from repro.p2plog import LogEntry, P2PLogClient, make_log_key
+from repro.p2plog import log as log_module
 
 KEY = "xwiki:suffix"  # the document test_behind_suffix.publish() writes
 
@@ -380,7 +381,7 @@ def test_master_crash_with_warm_ups_in_flight_is_clean_and_the_next_master_commi
 
 def range_read(fault):
     """Two cold readers fetch 24 entries, one get at a time and in windows of
-    four; returns the trace, each reader's log client and name, the range's
+    four; returns the trace, each reader's name and window, the range's
     primary identifiers and those of them on the victim Log-Peer."""
     ring = quiet_ring(seed=13)
     family = HashFunctionFamily.create(3, bits=32)
@@ -407,13 +408,15 @@ def range_read(fault):
 
     readers = [name for name in ring.ring_order() if name != victim.address.name]
     one = P2PLogClient(ChordDhtClient(ring.node(readers[0])), family,
-                       max_parallel=1, entry_verifier=verifier)
+                       entry_verifier=verifier)
     windowed = P2PLogClient(ChordDhtClient(ring.node(readers[8])), family,
-                            max_parallel=4, entry_verifier=verifier)
+                            entry_verifier=verifier)
     ring.clear_route_caches()
     with trace_routing() as trace:
-        assert run(one.fetch_range(key, 1, 24)) == entries
-        assert run(windowed.fetch_range(key, 1, 24)) == entries
+        with mock.patch.object(log_module, "MAX_PARALLEL", 1):
+            assert run(one.fetch_range(key, 1, 24)) == entries
+        with mock.patch.object(log_module, "MAX_PARALLEL", 4):
+            assert run(windowed.fetch_range(key, 1, 24)) == entries
     for log in (one, windowed):
         assert log.retrievals == 24
         assert log.auth_rejects == (1 if fault == "primary-tampered" else 0)
@@ -422,7 +425,7 @@ def range_read(fault):
     # Only primary placements of the range were asked for: nothing is
     # resolved that is not fetched.
     assert {identifier for _node, identifier in trace.warm_calls} <= wanted
-    readers = ((one, readers[0]), (windowed, readers[8]))
+    readers = ((readers[0], 1), (readers[8], 4))
     return trace, readers, wanted, on_victim, primary, key
 
 
@@ -437,7 +440,7 @@ def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
     test)."""
     with mock.patch.object(ChordNode, "_carried_routes", lambda self: ()):
         trace, readers, wanted, on_victim, _primary, _key = range_read(fault)
-    for log, name in readers:
+    for name, window in readers:
         mine = [lookup for lookup in trace.routed if lookup.node == name]
         times_routed = Counter(lookup.target_id for lookup in mine)
         assert {times_routed[identifier] for identifier in wanted - on_victim} <= {0, 1}
@@ -447,7 +450,7 @@ def test_range_read_resolves_the_next_window_while_this_one_is_fetched(fault):
             assert {times_routed[identifier] for identifier in on_victim} <= {1, 2}
         else:
             assert {times_routed[identifier] for identifier in on_victim} <= {0, 1}
-        assert trace.peak_in_flight(name) <= log.max_parallel
+        assert trace.peak_in_flight(name) <= window
         assert any(lookup.warm for lookup in mine)  # windows 2.. were resolved ahead
 
 
@@ -459,9 +462,9 @@ def test_carried_routes_leave_windows_two_on_nothing_to_route(fault):
     second reader's first window collects those routes, and its windows 2..
     (and the tampered entry's fallback) route nothing at all."""
     trace, readers, _wanted, _on_victim, primary, key = range_read(fault)
-    (one, first), (windowed, second) = readers
+    (first, _), (second, window) = readers
     assert any(lookup.warm for lookup in trace.routed if lookup.node == first)
-    first_window = {primary(make_log_key(key, ts)) for ts in range(1, windowed.max_parallel + 1)}
+    first_window = {primary(make_log_key(key, ts)) for ts in range(1, window + 1)}
     mine = [lookup for lookup in trace.routed if lookup.node == second]
     assert sorted(lookup.target_id for lookup in mine) == sorted(first_window)
     assert not any(lookup.warm for lookup in mine)
