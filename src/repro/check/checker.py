@@ -81,6 +81,10 @@ from ..p2plog import (
     verify_entry,
 )
 
+#: A snapshot's read of the ring: storage key -> its ``(node name, item)``
+#: copies on live peers, in ring order.
+Stored = dict[str, list[tuple[str, Any]]]
+
 
 @dataclass
 class CheckSnapshot:
@@ -152,9 +156,11 @@ class ConvergenceChecker:
         timestamp will be re-issued.
         """
         snapshot = CheckSnapshot(time=system.runtime.now, label=label)
-        for key in self._keys(system):
+        stored, checkpoints = self._read_storage(system)
+        for key in self._keys(stored):
             snapshot.keys[key] = self._check_key(
-                system, key, snapshot.violations, snapshot.structured,
+                system, stored, checkpoints.get(key, []), key,
+                snapshot.violations, snapshot.structured,
                 strict_counter=strict_counter,
             )
         return snapshot
@@ -171,11 +177,10 @@ class ConvergenceChecker:
             system.run_for(settle)
         # Quiescent state pass first: with no commit in flight the counter
         # and the log must agree exactly.
-        self.snapshots.append(
-            self.check_now(system, label=f"{label}:state", strict_counter=True)
-        )
+        state = self.check_now(system, label=f"{label}:state", strict_counter=True)
+        self.snapshots.append(state)
         snapshot = CheckSnapshot(time=system.runtime.now, label=label)
-        for key in self._keys(system):
+        for key in state.keys:
             try:
                 report = system.check_consistency(key)
             except ReproError as error:
@@ -242,27 +247,46 @@ class ConvergenceChecker:
 
     # ------------------------------------------------------------ internals --
 
-    def _keys(self, system) -> list[str]:
+    @staticmethod
+    def _read_storage(system) -> tuple[Stored, dict[str, list[tuple[str, Checkpoint]]]]:
+        """Everything the live peers store, read in one pass in ring order.
+
+        Returns ``(stored, checkpoints)``: ``stored`` maps a storage key to
+        its ``(node name, item)`` copies, ``checkpoints`` a document key to
+        its ``(node name, checkpoint)`` copies in scan order.  Copies are
+        found where they are stored, not where their own fields say they
+        belong, so a byzantine replay is judged at the address it took.
+        """
+        stored: Stored = {}
+        checkpoints: dict[str, list[tuple[str, Checkpoint]]] = {}
+        for node in system.ring.live_nodes():
+            name = node.address.name
+            for item in node.storage:
+                stored.setdefault(item.key, []).append((name, item))
+                if isinstance(item.value, Checkpoint):
+                    checkpoints.setdefault(item.value.document_key, []).append(
+                        (name, item.value)
+                    )
+        return stored, checkpoints
+
+    def _keys(self, stored: Stored) -> list[str]:
         if self.tracked:
             return list(self.tracked)
-        discovered: set[str] = set()
-        for node in system.ring.live_nodes():
-            for item in node.storage:
-                if item.key.startswith(COUNTER_PREFIX):
-                    discovered.add(item.key[len(COUNTER_PREFIX):])
-        return sorted(discovered)
+        return sorted(storage_key[len(COUNTER_PREFIX):] for storage_key in stored
+                      if storage_key.startswith(COUNTER_PREFIX))
 
-    def _check_key(self, system, key: str, violations: list[str],
-                   structured: list[dict[str, Any]],
+    def _check_key(self, system, stored: Stored,
+                   checkpoints: list[tuple[str, Checkpoint]], key: str,
+                   violations: list[str], structured: list[dict[str, Any]],
                    *, strict_counter: bool = False) -> dict[str, Any]:
-        owned, replicas = self._counter_values(system, key)
+        owned, replicas = self._counter_values(stored, key)
         last_ts = max(owned) if owned else max(replicas, default=0)
         secret = (
             system.ltr_config.auth_secret
             if system.ltr_config.auth_enabled else None
         )
 
-        log_max = self._probe_log_max(system, key, last_ts)
+        log_max = self._probe_log_max(system, stored, key, last_ts)
         missing: list[int] = []
         mismatched: list[int] = []
         tampered: list[int] = []
@@ -271,7 +295,7 @@ class ConvergenceChecker:
         landed_at: dict[tuple[str, Any], int] = {}  # proposal identity -> first ts
         entries: list[LogEntry] = []
         for ts in range(1, log_max + 1):
-            located = self._entry_copies_located(system, key, ts)
+            located = self._entry_copies(system, stored, key, ts)
             if not located:
                 missing.append(ts)
                 continue
@@ -366,7 +390,7 @@ class ConvergenceChecker:
                 f"{key}: surviving copies of ts {ts} disagree on content"
             )
         tampered_checkpoints = self._check_checkpoints(
-            system, key, secret, violations, structured
+            checkpoints, key, secret, violations, structured
         )
         allowance = 0 if strict_counter else self.max_in_flight
         if log_max - last_ts > allowance:
@@ -428,53 +452,44 @@ class ConvergenceChecker:
             "diverged": sorted(diverged),
         }
 
-    def _check_checkpoints(self, system, key: str, secret: Optional[str],
-                           violations: list[str],
+    @staticmethod
+    def _check_checkpoints(checkpoints: list[tuple[str, Checkpoint]], key: str,
+                           secret: Optional[str], violations: list[str],
                            structured: list[dict[str, Any]]) -> list[int]:
         """Signature-verify every surviving checkpoint copy of ``key``.
 
         Returns the sorted timestamps with at least one tampered copy.
-        Checkpoints are recognized by type while scanning node storage
-        directly, so no checkpoint hash family needs reconstructing.
+        Checkpoints are recognized by type while reading node storage, so
+        no checkpoint hash family needs reconstructing.
         """
         if secret is None:
             return []
         tampered: list[int] = []
-        for node in system.ring.live_nodes():
-            for item in node.storage:
-                value = item.value
-                if not isinstance(value, Checkpoint):
-                    continue
-                if value.document_key != key:
-                    continue
-                if verify_checkpoint(secret, value):
-                    continue
-                if value.ts not in tampered:
-                    tampered.append(value.ts)
-                violations.append(
-                    f"{key}: checkpoint ts {value.ts} copy on "
-                    f"{node.address.name} fails signature verification"
-                )
-                structured.append({
-                    "kind": "tampered-checkpoint", "key": key, "ts": value.ts,
-                    "peer": node.address.name,
-                    "detail": "snapshot content does not match its signature",
-                })
+        for node_name, checkpoint in checkpoints:
+            if verify_checkpoint(secret, checkpoint):
+                continue
+            if checkpoint.ts not in tampered:
+                tampered.append(checkpoint.ts)
+            violations.append(
+                f"{key}: checkpoint ts {checkpoint.ts} copy on "
+                f"{node_name} fails signature verification"
+            )
+            structured.append({
+                "kind": "tampered-checkpoint", "key": key, "ts": checkpoint.ts,
+                "peer": node_name,
+                "detail": "snapshot content does not match its signature",
+            })
         return sorted(tampered)
 
     @staticmethod
-    def _counter_values(system, key: str) -> tuple[list[int], list[int]]:
-        storage_key = f"{COUNTER_PREFIX}{key}"
+    def _counter_values(stored: Stored, key: str) -> tuple[list[int], list[int]]:
         owned: list[int] = []
         replicas: list[int] = []
-        for node in system.ring.live_nodes():
-            item = node.storage.get(storage_key)
-            if item is None:
-                continue
+        for _, item in stored.get(f"{COUNTER_PREFIX}{key}", ()):
             (replicas if item.is_replica else owned).append(int(item.value))
         return owned, replicas
 
-    def _probe_log_max(self, system, key: str, last_ts: int) -> int:
+    def _probe_log_max(self, system, stored: Stored, key: str, last_ts: int) -> int:
         """Newest timestamp with a surviving log copy.
 
         Starts from the counter value and probes upward, so entries that
@@ -482,24 +497,15 @@ class ConvergenceChecker:
         still accounted for.
         """
         log_max = last_ts
-        while log_max > 0 and not self._entry_copies(system, key, log_max):
+        while log_max > 0 and not self._entry_copies(system, stored, key, log_max):
             log_max -= 1
-        while self._entry_copies(system, key, log_max + 1):
+        while self._entry_copies(system, stored, key, log_max + 1):
             log_max += 1
         return log_max
 
     @staticmethod
-    def _entry_copies(system, key: str, ts: int) -> list[LogEntry]:
-        """Every surviving copy of ``(key, ts)`` across all live peers."""
-        return [
-            copy for _, _, copy
-            in ConvergenceChecker._entry_copies_located(system, key, ts)
-        ]
-
-    @staticmethod
-    def _entry_copies_located(
-        system, key: str, ts: int
-    ) -> list[tuple[int, str, LogEntry]]:
+    def _entry_copies(system, stored: Stored, key: str,
+                      ts: int) -> list[tuple[int, str, LogEntry]]:
         """Surviving copies of ``(key, ts)`` with their location.
 
         Yields ``(placement_index, node_name, entry)`` so detectors can
@@ -507,14 +513,12 @@ class ConvergenceChecker:
         the hash-family placement they belong to.
         """
         log_key = make_log_key(key, ts)
-        copies: list[tuple[int, str, LogEntry]] = []
-        for index, function in enumerate(system.hash_family):
-            storage_key = function.placement_key(log_key)
-            for node in system.ring.live_nodes():
-                item = node.storage.get(storage_key)
-                if item is not None and isinstance(item.value, LogEntry):
-                    copies.append((index, node.address.name, item.value))
-        return copies
+        return [
+            (index, node_name, item.value)
+            for index, function in enumerate(system.hash_family)
+            for node_name, item in stored.get(function.placement_key(log_key), ())
+            if isinstance(item.value, LogEntry)
+        ]
 
     @staticmethod
     def _replicas(system, key: str):

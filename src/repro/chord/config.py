@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..errors import ConfigurationError
 from .hashing import DEFAULT_ID_BITS
 
@@ -33,8 +31,6 @@ class ChordConfig:
         at the Master-Succ peer").
     stabilize_interval, fix_fingers_interval, check_predecessor_interval:
         Periods (simulated seconds) of the three maintenance tasks.
-    rpc_timeout:
-        Per-call timeout; ``None`` uses the network default.
     route_cache_ttl:
         Lifetime of a route in the node's
         :class:`~repro.chord.routecache.RouteCache` (every node memoizes
@@ -65,7 +61,6 @@ class ChordConfig:
     stabilize_interval: float = 0.25
     fix_fingers_interval: float = 0.5
     check_predecessor_interval: float = 0.5
-    rpc_timeout: Optional[float] = None
     route_cache_ttl: float = 1.0
     maintenance_stagger: float = 0.0
     fingers_per_round: int = 1

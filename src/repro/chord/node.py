@@ -146,7 +146,6 @@ class ChordNode:
             "find_successor",
             target_id=self.node_id,
             hops=0,
-            timeout=self.config.rpc_timeout,
             retries=RPC_RETRIES,
         )
         successor: NodeRef = answer["node"]
@@ -174,7 +173,6 @@ class ChordNode:
                 successor.address,
                 "handoff_keys",
                 requester=self.ref,
-                timeout=self.config.rpc_timeout,
             )
         except _UNREACHABLE_ERRORS:
             items = []
@@ -209,7 +207,6 @@ class ChordNode:
                         items=owned,
                         as_replica=False,
                         from_owner=self.ref,
-                        timeout=self.config.rpc_timeout,
                     )
                 if replicas:
                     # Keep the replication degree of our predecessors' data:
@@ -219,7 +216,6 @@ class ChordNode:
                         "receive_items",
                         items=replicas,
                         as_replica=True,
-                        timeout=self.config.rpc_timeout,
                     )
                 if owned:
                     for service in self.services:
@@ -296,7 +292,6 @@ class ChordNode:
             "find_successor",
             target_id=self.node_id,
             hops=0,
-            timeout=self.config.rpc_timeout,
             retries=RPC_RETRIES,
         )
         successor: NodeRef = answer["node"]
@@ -338,8 +333,7 @@ class ChordNode:
         result = yield from self.find_successor(hash_to_id(key, self.config.bits))
         return result
 
-    def call_owner(self, target_id: int, method: str, *,
-                   timeout: Optional[float] = None, **arguments: Any):
+    def call_owner(self, target_id: int, method: str, **arguments: Any):
         """Route to the peer responsible for ``target_id``, then invoke
         ``method`` on it (process).
 
@@ -351,9 +345,7 @@ class ChordNode:
         answer = yield from self.find_successor(target_id)
         owner: NodeRef = answer["node"]
         try:
-            result = yield self.rpc.call(
-                owner.address, method, timeout=timeout, **arguments
-            )
+            result = yield self.rpc.call(owner.address, method, **arguments)
         except _UNREACHABLE_ERRORS:
             self.forget_routes_to(owner)
             raise
@@ -363,8 +355,7 @@ class ChordNode:
         """Store ``value`` under ``key`` at the responsible node (process)."""
         identifier = key_id if key_id is not None else hash_to_id(key, self.config.bits)
         answer = yield from self.call_owner(
-            identifier, "store", timeout=self.config.rpc_timeout,
-            key=key, value=value, key_id=identifier,
+            identifier, "store", key=key, value=value, key_id=identifier,
         )
         return {"owner": answer["owner"], "hops": answer["hops"], "stored": answer["result"]}
 
@@ -372,7 +363,7 @@ class ChordNode:
         """Fetch the value stored under ``key`` (process); raises KeyNotFound."""
         identifier = key_id if key_id is not None else hash_to_id(key, self.config.bits)
         answer = yield from self.call_owner(
-            identifier, "fetch", timeout=self.config.rpc_timeout, key=key
+            identifier, "fetch", key=key
         )
         return {"owner": answer["owner"], "hops": answer["hops"], "value": answer["result"]}
 
@@ -380,7 +371,7 @@ class ChordNode:
         """Delete ``key`` from the responsible node (process)."""
         identifier = key_id if key_id is not None else hash_to_id(key, self.config.bits)
         answer = yield from self.call_owner(
-            identifier, "delete", timeout=self.config.rpc_timeout, key=key
+            identifier, "delete", key=key
         )
         return {"owner": answer["owner"], "hops": answer["hops"], "removed": answer["result"]}
 
@@ -425,7 +416,6 @@ class ChordNode:
                     "find_successor",
                     target_id=target_id,
                     hops=hops + 1,
-                    timeout=self.config.rpc_timeout,
                 )
                 self._remember_route(answer)
                 return answer
@@ -847,7 +837,6 @@ class ChordNode:
             their_predecessor = yield self.rpc.call(
                 successor.address,
                 "get_predecessor",
-                timeout=self.config.rpc_timeout,
             )
             if their_predecessor is not None and in_interval_open(
                 their_predecessor.node_id, self.node_id, successor.node_id
@@ -857,7 +846,6 @@ class ChordNode:
             their_list = yield self.rpc.call(
                 successor.address,
                 "get_successor_list",
-                timeout=self.config.rpc_timeout,
             )
             self.successors.adopt(successor, their_list)
             self.rpc.notify(successor.address, "notify", candidate=self.ref)
@@ -915,7 +903,6 @@ class ChordNode:
             yield self.rpc.call(
                 predecessor.address,
                 "ping",
-                timeout=self.config.rpc_timeout,
             )
         except _UNREACHABLE_ERRORS:
             self.predecessor = None
@@ -972,7 +959,6 @@ class ChordNode:
                     "receive_items",
                     items=[item],
                     as_replica=False,
-                    timeout=self.config.rpc_timeout,
                 )
             except _UNREACHABLE_ERRORS:
                 continue

@@ -64,7 +64,8 @@ class ClusterConfig:
         ``|Hr|`` — independent P2P-Log placements per patch (paper §2).
         Must be identical in every process: it sizes the shared hash family.
     rpc_timeout:
-        Default RPC timeout (wall-clock seconds).  Sized for a live ring:
+        The network's default RPC timeout (wall-clock seconds), the one
+        timeout every Chord and DHT call uses.  Sized for a live ring:
         long enough to absorb a connect retry, short enough that a killed
         process is detected within the stabilization budget.
     stabilize_interval, fix_fingers_interval, check_predecessor_interval:
@@ -197,15 +198,15 @@ class ClusterConfig:
             stabilize_interval=self.stabilize_interval,
             fix_fingers_interval=self.fix_fingers_interval,
             check_predecessor_interval=self.check_predecessor_interval,
-            rpc_timeout=self.rpc_timeout,
         )
 
     def ltr_config(self) -> LtrConfig:
         """The P2P-LTR tuning every process runs.
 
         Identical in every process by construction — it sizes the shared
-        hash family and sets the checkpoint interval, the two things that
-        make log and checkpoint placements agree across the wire.
+        hash family, which is what makes log placements agree across the
+        wire.  The checkpoint interval is left at its default, the same in
+        every process, so checkpoint addresses agree too.
         """
         return LtrConfig(
             log_replication_factor=self.log_replication_factor,

@@ -15,18 +15,10 @@ import time
 from typing import Any, Optional
 
 from ..faults import FaultPlan, Nemesis
+from ..metrics import summarize
 from .config import ClusterConfig
 from .launcher import Cluster
 from .placement import Placement, find_killable_placement, placement_of
-
-
-def _percentile(samples: list[float], fraction: float) -> float:
-    """The ``fraction`` percentile of ``samples`` (nearest-rank, 0 if empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def run_live_cluster(
@@ -89,6 +81,7 @@ def run_live_cluster(
         wall = time.monotonic() - started
         continuous = cluster.log_is_continuous(key, last_ts) if last_ts else False
         wire = cluster.wire_stats()
+        latency = summarize(latencies)
         report: dict[str, Any] = {
             "processes": config.processes,
             "peers_per_process": config.peers_per_process,
@@ -101,8 +94,8 @@ def run_live_cluster(
             "last_ts": last_ts,
             "wall_clock_s": round(wall, 3),
             "commits_per_s": round(ok / wall, 1) if wall > 0 else 0.0,
-            "p50_latency_ms": round(_percentile(latencies, 0.50) * 1000, 1),
-            "p95_latency_ms": round(_percentile(latencies, 0.95) * 1000, 1),
+            "p50_latency_ms": round(latency.median * 1000, 1),
+            "p95_latency_ms": round(latency.p95 * 1000, 1),
             "killed_process": placement.kill_target if kill else None,
             "kill_applied": bool(nemesis is not None and nemesis.applied),
             "post_kill_ok": post_kill_ok,

@@ -141,7 +141,6 @@ class ChordDhtClient:
                 owner.address,
                 "store_many",
                 items=payload,
-                timeout=self.node.config.rpc_timeout,
             )
         except PLACEMENT_FAILURES:
             self.node.forget_routes_to(owner)
@@ -204,7 +203,6 @@ class ChordDhtClient:
                 owner.address,
                 "fetch_many",
                 keys=list(keys),
-                timeout=self.node.config.rpc_timeout,
             )
         except PLACEMENT_FAILURES:
             self.node.forget_routes_to(owner)
@@ -237,14 +235,12 @@ class ChordDhtClient:
         return result
 
     def call_owner(self, routing_key: str, method: str, *, key_id: Optional[int] = None,
-                   timeout: Optional[float] = None, **arguments: Any):
+                   **arguments: Any):
         """Route to the responsible peer, then invoke ``method`` on it.
 
         Returns ``{"owner": NodeRef, "hops": int, "result": Any}``; see
         :meth:`~repro.chord.ChordNode.call_owner`.
         """
         identifier = key_id if key_id is not None else self.hash_key(routing_key)
-        result = yield from self.node.call_owner(
-            identifier, method, timeout=timeout, **arguments
-        )
+        result = yield from self.node.call_owner(identifier, method, **arguments)
         return result

@@ -20,32 +20,25 @@ A complete scenario fits in a handful of lines::
         seed=7,
     )
     result = run_scenario(spec)
+
+A spec's factory keywords are its parameters: a different profile is a
+different spec, never an override applied to a built one.  A scenario under
+faults builds its :class:`~repro.faults.FaultPlan` inside the measurement,
+from the built system's topology, and arms it there with
+``Nemesis(system, plan).start()``; the spec itself carries no fault plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..chord import ChordConfig
-from ..core import LtrConfig, LtrSystem
-from ..faults import FaultPlan, Nemesis
+from ..core import DEFAULT_CHORD_CONFIG, LtrConfig, LtrSystem
 from ..net import ConstantLatency, LatencyModel, latency_preset
 
 ParamDict = dict[str, Any]
 MeasureFn = Callable[["ScenarioContext"], Union[ParamDict, Iterable[ParamDict]]]
-NemesisFn = Callable[["ScenarioContext", LtrSystem], FaultPlan]
-
-#: Chord settings shared by the paper experiments (small id space keeps
-#: hashing cheap; intervals sized for fast simulated convergence).
-EXPERIMENT_CHORD_CONFIG = ChordConfig(
-    bits=32,
-    successor_list_size=4,
-    replication_factor=2,
-    stabilize_interval=0.25,
-    fix_fingers_interval=0.5,
-    check_predecessor_interval=0.5,
-)
 
 
 def resolve_latency(latency: Union[str, float, LatencyModel, None]) -> LatencyModel:
@@ -63,16 +56,17 @@ def resolve_latency(latency: Union[str, float, LatencyModel, None]) -> LatencyMo
 class Topology:
     """The deployment a scenario runs against.
 
-    ``peers`` and ``latency`` are defaults: a grid axis named ``peers`` (or
-    ``latency_preset``) overrides them per grid point, and the measurement
-    callback can override them again per :meth:`ScenarioContext.build_system`
-    call.  The execution and storage backends are the LTR config's
-    (``runtime_backend``, ``storage_backend``, ``storage_dir``).
+    ``peers`` and ``latency`` are defaults: a grid axis named ``peers``
+    overrides the peer count per grid point, and the measurement callback
+    can override either per :meth:`ScenarioContext.build_system` or
+    :meth:`ScenarioContext.build_ring` call (that is how a latency sweep
+    passes its latency).  The execution and storage backends are the LTR
+    config's (``runtime_backend``, ``storage_backend``, ``storage_dir``).
     """
 
     peers: int = 8
     latency: Union[str, float, LatencyModel, None] = None
-    chord_config: ChordConfig = EXPERIMENT_CHORD_CONFIG
+    chord_config: ChordConfig = DEFAULT_CHORD_CONFIG
     ltr_config: Optional[LtrConfig] = None
 
 
@@ -104,15 +98,6 @@ class ScenarioSpec:
         per-point seeds) and a repeat-specific stride.
     repeats:
         How many times to run the measurement per grid point.
-    nemesis:
-        Optional fault-plan factory: a callable receiving the
-        :class:`ScenarioContext` and the built system, returning a
-        :class:`~repro.faults.FaultPlan` built from the merged parameters
-        and the system's actual topology (which peer is the Master-key
-        peer, ring order, ...).  The measurement arms it with
-        :meth:`ScenarioContext.install_nemesis`; keeping the plan on the
-        spec makes the scenario's failure schedule part of its declarative
-        surface (E14/E15 are written this way).
     notes:
         Free-form notes attached to the result table.
     """
@@ -126,7 +111,6 @@ class ScenarioSpec:
     topology: Topology = Topology()
     seed: int = 0
     repeats: int = 1
-    nemesis: Optional[NemesisFn] = None
     seed_offset: Optional[Callable[[ParamDict], int]] = None
     notes: Sequence[str] = ()
     description: str = ""
@@ -180,40 +164,6 @@ class ScenarioContext:
     def param(self, name: str, default: Any = None) -> Any:
         """A merged parameter (grid point over constants), with a default."""
         return self.params.get(name, default)
-
-    # ------------------------------------------------------------ nemesis --
-
-    def fault_plan(self, system: LtrSystem) -> Optional[FaultPlan]:
-        """The spec's fault plan built for this context (``None`` if none)."""
-        if self.spec.nemesis is None:
-            return None
-        return self.spec.nemesis(self, system)
-
-    def install_nemesis(
-        self,
-        system: LtrSystem,
-        plan: Optional[FaultPlan] = None,
-        *,
-        observers: Sequence[Any] = (),
-        start_at: float = 0.0,
-        strict: bool = False,
-    ) -> Nemesis:
-        """Arm a fault plan against ``system`` and start its timers.
-
-        ``plan`` defaults to the spec's :attr:`~ScenarioSpec.nemesis`
-        factory; ``observers`` (e.g. a
-        :class:`~repro.check.ConvergenceChecker` and a
-        :class:`~repro.metrics.RecoveryTracker`) are attached to the system
-        before the first fault can fire.
-        """
-        effective = plan if plan is not None else self.fault_plan(system)
-        if effective is None:
-            raise ValueError(
-                f"scenario {self.spec.scenario_id!r} declares no fault plan"
-            )
-        for observer in observers:
-            system.add_observer(observer)
-        return Nemesis(system, effective, strict=strict).start(at=start_at)
 
     # ----------------------------------------------------------- builders --
 
@@ -275,23 +225,3 @@ class ScenarioContext:
         if settle > 0.0:
             ring.run_for(settle)
         return ring
-
-
-def with_parameters(spec: ScenarioSpec, **overrides: Any) -> ScenarioSpec:
-    """A copy of ``spec`` with grid axes / constants replaced by name.
-
-    A parameter that exists as a grid axis gets its value sequence replaced;
-    anything else lands in ``constants``.  ``seed`` and ``repeats`` are
-    recognized as spec-level fields.
-    """
-    grid = dict(spec.grid)
-    constants = dict(spec.constants)
-    spec_fields: ParamDict = {}
-    for name, value in overrides.items():
-        if name in ("seed", "repeats"):
-            spec_fields[name] = value
-        elif name in grid:
-            grid[name] = value
-        else:
-            constants[name] = value
-    return replace(spec, grid=grid, constants=constants, **spec_fields)

@@ -10,10 +10,9 @@ equality-or-explained gate against the committed baselines in
 ``benchmarks/artifacts``.
 """
 
-from .report import EXPERIMENT_DESCRIPTIONS, render_markdown_report
+from .report import render_markdown_report
 from .runner import (
     FULL_PARAMETERS,
-    ExperimentRun,
     check_baselines,
     load_baselines,
     render_runs,
@@ -23,8 +22,6 @@ from .runner import (
 from .scenarios import SPEC_FACTORIES
 
 __all__ = [
-    "EXPERIMENT_DESCRIPTIONS",
-    "ExperimentRun",
     "FULL_PARAMETERS",
     "SPEC_FACTORIES",
     "check_baselines",

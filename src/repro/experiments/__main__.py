@@ -52,15 +52,15 @@ def main(argv: list[str] | None = None) -> int:
         baselines = load_baselines(arguments.check, only) if arguments.check else None
         if baselines is not None:
             only = list(baselines)
-        runs = run_all(quick=not arguments.full, only=only,
-                       artifacts_dir=arguments.artifacts)
+        results = run_all(quick=not arguments.full, only=only,
+                          artifacts_dir=arguments.artifacts)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     if arguments.markdown:
-        rendering = render_markdown_report(runs)
+        rendering = render_markdown_report(results)
     else:
-        rendering = render_runs(runs)
+        rendering = render_runs(results)
     if arguments.output:
         Path(arguments.output).write_text(rendering + "\n")
         print(f"wrote {arguments.output}")
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         print(rendering)
     if baselines is None:
         return 0
-    report, failures = check_baselines(runs, baselines)
+    report, failures = check_baselines(results, baselines)
     print(report)
     return 1 if failures else 0
 

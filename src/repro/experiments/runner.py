@@ -2,10 +2,12 @@
 
 :func:`run_experiment` instantiates one registered spec factory
 (:data:`~repro.experiments.scenarios.SPEC_FACTORIES`) and runs it through
-the engine; :func:`run_all` is a loop over it that can also snapshot one
+the engine into a :class:`~repro.engine.ScenarioResult`; :func:`run_all` is
+a loop over it — the one campaign runner — that can also snapshot one
 ``BENCH_<id>.json`` artifact per experiment; ``python -m repro.experiments``
 is the command line over both.  The factories' keyword defaults are the
-quick profile; :data:`FULL_PARAMETERS` is the only override table.
+quick profile, :data:`FULL_PARAMETERS` is the only override table, and the
+factory keywords are the only override path.
 
 :func:`check_baselines` is the gate: it compares fresh quick-profile runs
 with committed artifacts, *equality-or-explained* — simulated-clock values
@@ -18,7 +20,6 @@ headlines are printed, never compared: wall-clock claims belong to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -30,7 +31,7 @@ from ..engine import (
     run_scenario,
     write_artifact,
 )
-from ..metrics import ResultTable, render_tables
+from ..metrics import render_tables
 from .scenarios import SPEC_FACTORIES
 
 #: Parameters closer to the paper's demonstration scale (slower), applied
@@ -74,21 +75,6 @@ WALL_CLOCK_EXPERIMENTS = frozenset({"E13", "E16"})
 WALL_CLOCK_TAGS = ("wall", "per_sec", "per_s", "rss")
 
 
-@dataclass
-class ExperimentRun:
-    """The outcome of running one experiment."""
-
-    result: ScenarioResult
-
-    @property
-    def experiment_id(self) -> str:
-        return self.result.scenario_id
-
-    @property
-    def table(self) -> ResultTable:
-        return self.result.table
-
-
 def _require_known(experiment_ids: Sequence[str]) -> None:
     """Raise :class:`KeyError` naming every id that is not registered."""
     unknown = [experiment_id for experiment_id in experiment_ids
@@ -108,14 +94,14 @@ def _spec(experiment_id: str, quick: bool, overrides: Optional[dict] = None) -> 
 
 
 def run_experiment(experiment_id: str, *, quick: bool = True,
-                   overrides: Optional[dict] = None) -> ExperimentRun:
+                   overrides: Optional[dict] = None) -> ScenarioResult:
     """Run one experiment by id (``"E1"`` .. ``"E20"``).
 
     ``quick`` selects the profile (factory defaults, or
     :data:`FULL_PARAMETERS` over them); ``overrides`` are factory keyword
     arguments applied last.  Unknown ids raise :class:`KeyError`.
     """
-    return ExperimentRun(run_scenario(_spec(experiment_id, quick, overrides)))
+    return run_scenario(_spec(experiment_id, quick, overrides))
 
 
 def run_all(
@@ -123,7 +109,7 @@ def run_all(
     quick: bool = True,
     only: Optional[Sequence[str]] = None,
     artifacts_dir: Optional[Union[str, Path]] = None,
-) -> list[ExperimentRun]:
+) -> list[ScenarioResult]:
     """Run every experiment (or the subset in ``only``), in registry order.
 
     Unknown ids in ``only`` raise :class:`KeyError` before anything runs.
@@ -132,21 +118,21 @@ def run_all(
     """
     if only is not None:
         _require_known(only)
-    runs = [
+    results = [
         run_experiment(experiment_id, quick=quick)
         for experiment_id in SPEC_FACTORIES
         if only is None or experiment_id in only
     ]
     if artifacts_dir is not None:
-        for run in runs:
-            write_artifact(run.result, artifacts_dir, prefix="BENCH_",
+        for result in results:
+            write_artifact(result, artifacts_dir, prefix="BENCH_",
                            profile="quick" if quick else "full")
-    return runs
+    return results
 
 
-def render_runs(runs: Sequence[ExperimentRun]) -> str:
-    """Human-readable rendering of a list of experiment runs."""
-    return render_tables([run.table for run in runs])
+def render_runs(results: Sequence[ScenarioResult]) -> str:
+    """Human-readable rendering of a list of experiment results."""
+    return render_tables([result.table for result in results])
 
 
 # ------------------------------------------------------------------ gate --
@@ -226,21 +212,21 @@ def compare_headlines(experiment_id: str, baseline: dict[str, float],
     return problems, notes
 
 
-def check_baselines(runs: Sequence[ExperimentRun],
+def check_baselines(results: Sequence[ScenarioResult],
                     baselines: dict[str, dict]) -> tuple[str, int]:
-    """Compare quick-profile ``runs`` with their baselines.
+    """Compare quick-profile ``results`` with their baselines.
 
     Returns the gate report and the number of problems (0 = passed).
     """
     lines: list[str] = []
     failures = 0
-    for run in runs:
-        baseline = baselines[run.experiment_id]["headline"]
+    for result in results:
+        baseline = baselines[result.scenario_id]["headline"]
         problems, notes = compare_headlines(
-            run.experiment_id, baseline, headline_metrics(run.result)
+            result.scenario_id, baseline, headline_metrics(result)
         )
         status = "FAIL" if problems else "ok"
-        lines.append(f"{run.experiment_id}: {status} ({len(baseline)} metrics)")
+        lines.append(f"{result.scenario_id}: {status} ({len(baseline)} metrics)")
         lines.extend(f"  {line}" for line in problems + notes)
         failures += len(problems)
     if failures:
@@ -248,5 +234,5 @@ def check_baselines(runs: Sequence[ExperimentRun],
                      f"baselines (re-baseline with --artifacts if intended, and "
                      f"explain the diff)")
     else:
-        lines.append(f"gate passed: {len(runs)} experiment(s) match their baselines")
+        lines.append(f"gate passed: {len(results)} experiment(s) match their baselines")
     return "\n".join(lines), failures

@@ -29,11 +29,11 @@ from typing import Callable, Optional, Sequence
 from ..baselines import CentralSystem, LwwSystem
 from ..check import ConvergenceChecker
 from ..chord import ChordRing, hash_to_id
-from ..core import LtrConfig, LtrSystem
+from ..core import DEFAULT_CHORD_CONFIG, LtrConfig, LtrSystem
 from ..dht import ChordDhtClient
-from ..engine import EXPERIMENT_CHORD_CONFIG, ScenarioContext, ScenarioSpec
+from ..engine import ScenarioContext, ScenarioSpec
 from ..errors import KeyNotFound, MasterUnavailable, PatchUnavailable, ReproError
-from ..faults import FaultPlan
+from ..faults import FaultPlan, Nemesis
 from ..kts import KtsClient, TimestampAuthority
 from ..metrics import RecoveryTracker, jains_fairness, summarize
 from ..net import ConstantLatency, latency_preset
@@ -50,7 +50,6 @@ from ..workloads import (
 )
 
 __all__ = [
-    "EXPERIMENT_CHORD_CONFIG",
     "SCALE_CHORD_CONFIG",
     "SPEC_FACTORIES",
 ]
@@ -1072,7 +1071,7 @@ def cold_sync_spec(
 #: but maintenance periods sized so a live ring converges in well under a
 #: second of real time instead of simulated time.
 LIVE_CHORD_CONFIG = replace(
-    EXPERIMENT_CHORD_CONFIG,
+    DEFAULT_CHORD_CONFIG,
     stabilize_interval=0.02,
     fix_fingers_interval=0.04,
     check_predecessor_interval=0.05,
@@ -1258,7 +1257,9 @@ def _measure_partition_heal(ctx: ScenarioContext) -> dict:
 
     checker = ConvergenceChecker(keys=[key])
     tracker = RecoveryTracker()
-    nemesis = ctx.install_nemesis(system, observers=(checker, tracker))
+    system.add_observer(checker)
+    system.add_observer(tracker)
+    nemesis = Nemesis(system, _e14_plan(ctx, system)).start()
     # Probes span the whole fault window: split at 1.0, heal after
     # partition_s, re-join 1.0 later, plus one interval of tail.
     probes = max(1, int((1.0 + partition_s + 2.0) / edit_interval))
@@ -1332,7 +1333,6 @@ def partition_heal_spec(
         },
         constants={"peers": peers, "converge_budget": converge_budget},
         seed=seed,
-        nemesis=_e14_plan,
         measure=_measure_partition_heal,
         notes=(
             "expected shape: success fraction stays high (the Master side keeps "
@@ -1373,7 +1373,9 @@ def _measure_master_takeover(ctx: ScenarioContext) -> dict:
 
     checker = ConvergenceChecker(keys=[key])
     tracker = RecoveryTracker()
-    nemesis = ctx.install_nemesis(system, observers=(checker, tracker))
+    system.add_observer(checker)
+    system.add_observer(tracker)
+    nemesis = Nemesis(system, _e15_plan(ctx, system)).start()
     horizon = 1.5 + restart_delay + tail
     probes = max(1, int(horizon / load_interval))
     masters_observed = set()
@@ -1438,7 +1440,6 @@ def master_takeover_spec(
         },
         constants={"peers": peers, "tail": tail},
         seed=seed,
-        nemesis=_e15_plan,
         measure=_measure_master_takeover,
         notes=(
             "paper claim under the harshest schedule: the Master-key-Succ takes "
@@ -1588,7 +1589,9 @@ def _measure_adversarial_sweep(ctx: ScenarioContext) -> dict:
 
     checker = ConvergenceChecker(keys=[key])
     tracker = RecoveryTracker()
-    ctx.install_nemesis(system, observers=(checker, tracker))
+    system.add_observer(checker)
+    system.add_observer(tracker)
+    Nemesis(system, _e17_plan(ctx, system)).start()
     _drive_probes(system, tracker, writer, key,
                   interval=edit_interval, count=probes)
     final = checker.final_check(system, settle=1.0)
@@ -1655,7 +1658,6 @@ def adversarial_sweep_spec(
             "peers": peers, "probes": probes, "edit_interval": edit_interval,
         },
         seed=seed,
-        nemesis=_e17_plan,
         measure=_measure_adversarial_sweep,
         notes=(
             "expected shape: drop is masked by replication (honest copies "
@@ -1677,7 +1679,7 @@ def adversarial_sweep_spec(
 #: node's maintenance into one simulated instant; routing converges at the
 #: same number of rounds because each round fixes eight fingers.
 SCALE_CHORD_CONFIG = replace(
-    EXPERIMENT_CHORD_CONFIG,
+    DEFAULT_CHORD_CONFIG,
     stabilize_interval=25.0,
     fix_fingers_interval=50.0,
     check_predecessor_interval=50.0,

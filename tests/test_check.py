@@ -79,6 +79,23 @@ def test_final_check_passes_and_records_state_and_endtoend_snapshots():
     assert checker.report()["violations_total"] == 0
 
 
+def test_check_now_reads_the_ring_once(monkeypatch):
+    system = committed_system()
+    calls = []
+    live_nodes = system.ring.live_nodes
+
+    def counted():
+        calls.append(1)
+        return live_nodes()
+
+    monkeypatch.setattr(system.ring, "live_nodes", counted)
+    tracked = ConvergenceChecker(keys=[KEY]).check_now(system)
+    assert tracked.ok and len(calls) == 1
+    calls.clear()
+    discovered = ConvergenceChecker().check_now(system)
+    assert list(discovered.keys) == [KEY] and len(calls) == 1
+
+
 def test_snapshot_serialization_is_deterministic():
     reports = []
     for _ in range(2):

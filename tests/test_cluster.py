@@ -117,6 +117,14 @@ def test_load_config_coerces_and_rejects_bad_values():
         load_cluster_config(env={"REPRO_CLUSTER_PROCESSES": "many"})
 
 
+def test_rpc_timeout_reaches_the_network_not_the_chord_config():
+    # The deployment timeout is the wire network's default; the ring
+    # tuning every process shares carries no timeout of its own.
+    chord = ClusterConfig(rpc_timeout=5.0).chord_config()
+    assert not hasattr(chord, "rpc_timeout")
+    assert chord == ClusterConfig(rpc_timeout=1.0).chord_config()
+
+
 def test_load_config_none_overrides_are_skipped():
     loaded = load_cluster_config(env={}, overrides={"processes": None})
     assert loaded.processes == ClusterConfig().processes

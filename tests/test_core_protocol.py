@@ -58,7 +58,6 @@ def test_configuration_surface_is_pinned():
         "stabilize_interval",
         "fix_fingers_interval",
         "check_predecessor_interval",
-        "rpc_timeout",
         "route_cache_ttl",
         "maintenance_stagger",
         "fingers_per_round",

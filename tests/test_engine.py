@@ -5,17 +5,15 @@ import json
 import pytest
 
 from repro.engine import (
-    Experiment,
     ScenarioSpec,
     Topology,
     headline_metrics,
     read_artifact,
-    render_results,
     resolve_latency,
     run_scenario,
-    with_parameters,
     write_artifact,
 )
+from repro.experiments import render_runs, run_all, run_experiment
 from repro.net import ConstantLatency, LogNormalLatency
 
 
@@ -104,43 +102,25 @@ def test_measure_may_return_multiple_rows():
     assert result.column("event") == ["a", "b"]
 
 
-def test_with_parameters_overrides_grid_constants_and_seed():
-    spec = simple_spec()
-    tweaked = with_parameters(spec, x=(7,), extra="hello", seed=99)
-    assert tweaked.grid["x"] == (7,)
-    assert tweaked.constants["extra"] == "hello"
-    assert tweaked.seed == 99
-    # the original spec is untouched (specs are frozen values)
-    assert spec.grid["x"] == (1, 2) and spec.seed == 5
-
-
-def test_run_scenario_accepts_inline_overrides():
-    result = run_scenario(simple_spec(), x=(3,), y=(30,))
-    assert [(row["x"], row["y"]) for row in result.rows] == [(3, 30)]
-
-
 def test_experiment_groups_runs_in_order_and_filters():
-    specs = [simple_spec(scenario_id=f"S{i}", grid={"x": (i,), "y": (0,)})
-             for i in range(3)]
-    experiment = Experiment(name="campaign", specs=specs)
-    assert experiment.scenario_ids() == ["S0", "S1", "S2"]
-    results = experiment.run()
-    assert [r.scenario_id for r in results] == ["S0", "S1", "S2"]
-    subset = experiment.run(only=["S2", "S0"])
-    assert [r.scenario_id for r in subset] == ["S0", "S2"]  # registration order
+    # run_all is the one campaign runner: registry order whatever the
+    # order of ``only``, and an unknown id fails before anything runs.
+    results = run_all(quick=True, only=["E3", "E1"])
+    assert [result.scenario_id for result in results] == ["E1", "E3"]
     with pytest.raises(KeyError):
-        experiment.run(only=["S9"])
+        run_all(quick=True, only=["E9", "E99"])
     with pytest.raises(KeyError):
-        experiment.spec("S9")
+        run_experiment("E99")
 
 
 def test_experiment_per_scenario_overrides():
-    specs = [simple_spec(scenario_id="A"), simple_spec(scenario_id="B")]
-    experiment = Experiment(name="campaign", specs=specs)
-    results = experiment.run(overrides={"A": {"x": (9,), "y": (9,)}})
-    by_id = {result.scenario_id: result for result in results}
-    assert [(row["x"], row["y"]) for row in by_id["A"].rows] == [(9, 9)]
-    assert len(by_id["B"].rows) == 4
+    # Overrides are the spec factory's keywords and reach only the
+    # experiment they are given to.
+    overridden = run_experiment("E3", overrides={"events": ("crash",)})
+    assert [row["event"] for row in overridden.rows] == ["crash"]
+    assert overridden.spec.constants["events"] == ("crash",)
+    default = run_experiment("E3")
+    assert [row["event"] for row in default.rows] == ["leave", "crash"]
 
 
 def test_artifacts_round_trip(tmp_path):
@@ -206,8 +186,11 @@ def test_context_builders_produce_working_systems():
 
 
 def test_render_results_concatenates_tables():
-    text = render_results([run_scenario(simple_spec())])
-    assert "engine smoke" in text
+    first = run_scenario(simple_spec())
+    second = run_scenario(simple_spec(scenario_id="T9", title="second table"))
+    text = render_runs([first, second])
+    assert "engine smoke" in text and "second table" in text
+    assert text.index("engine smoke") < text.index("second table")
 
 
 def test_invalid_specs_rejected():

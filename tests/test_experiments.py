@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
-    EXPERIMENT_DESCRIPTIONS,
     FULL_PARAMETERS,
     SPEC_FACTORIES,
     render_markdown_report,
@@ -31,14 +30,15 @@ BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "artifacts"
 
 def rows_of(experiment_id, **overrides):
     """The row dicts of one experiment run at the quick profile + overrides."""
-    return run_experiment(experiment_id, overrides=overrides).result.rows
+    return run_experiment(experiment_id, overrides=overrides).rows
 
 
 def test_experiment_registry_covers_all_ids():
     ids = list(SPEC_FACTORIES)
     assert ids == ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
                    "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"]
-    assert set(ids).issubset(EXPERIMENT_DESCRIPTIONS)
+    # Every registered spec describes itself: the report renders that text.
+    assert all(SPEC_FACTORIES[experiment_id]().description for experiment_id in ids)
     # The one override table names only registered experiments and only
     # keyword arguments their factories take.
     assert list(FULL_PARAMETERS) == ids
@@ -338,21 +338,21 @@ def test_e20_protocol_scale_shape():
 
 
 def test_run_all_subset_and_rendering():
-    runs = run_all(quick=True, only=["E3"])
-    assert len(runs) == 1
-    assert runs[0].experiment_id == "E3"
-    text = render_runs(runs)
+    results = run_all(quick=True, only=["E3"])
+    assert len(results) == 1
+    assert results[0].scenario_id == "E3"
+    text = render_runs(results)
     assert "E3" in text
-    markdown = render_markdown_report(runs)
+    markdown = render_markdown_report(results)
     assert markdown.startswith("# Experiment results")
-    assert "Master-key" in markdown
+    assert results[0].spec.description in markdown
     assert "Parameters: `events=('leave', 'crash'), peers=10`" in markdown
 
 
 def test_run_all_writes_artifacts(tmp_path):
-    runs = run_all(quick=True, only=["E3"], artifacts_dir=tmp_path / "a")
+    results = run_all(quick=True, only=["E3"], artifacts_dir=tmp_path / "a")
     assert [path.name for path in (tmp_path / "a").iterdir()] == ["BENCH_E3.json"]
-    assert runs[0].result.rows[0]["event"] == "leave"
+    assert results[0].rows[0]["event"] == "leave"
     # A simulated experiment's artifact repeats to the byte, and is the
     # committed baseline.
     run_all(quick=True, only=["E3"], artifacts_dir=tmp_path / "b")

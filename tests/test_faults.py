@@ -3,16 +3,16 @@
 Covers the plan grammar (validation, ordering, paired builders), each fault
 action against a live system (partitions, perturbation bursts, crash and
 both restart flavours, KTS replica lag, churn storms), the engine
-integration (``ScenarioSpec.nemesis=``) and the acceptance bar of the
-subsystem: the same plan replayed on the simulation backend under a fixed
-seed yields *byte-identical* checker reports.
+integration (a scenario's measurement arms its own ``Nemesis``) and the
+acceptance bar of the subsystem: the same plan replayed on the simulation
+backend under a fixed seed yields *byte-identical* checker reports.
 """
 
 import pytest
 
 from repro.check import ConvergenceChecker
 from repro.core import LtrConfig, LtrSystem
-from repro.engine import ScenarioContext, ScenarioSpec
+from repro.engine import ScenarioSpec
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import (
     CrashPeer,
@@ -376,19 +376,17 @@ def test_strict_nemesis_propagates_action_failures():
 # ------------------------------------------------------- engine integration --
 
 
-def _nemesis_factory(ctx, system):
-    victim = system.peer_names()[-1]
-    return FaultPlan().crash(
-        at=ctx.param("crash_at", 1.0), peer=victim, restart_after=2.0
-    )
-
-
 def _measure_with_nemesis(ctx):
     system = ctx.build_system(6)
     writer = system.peer_names()[0]
     system.edit_and_commit(writer, KEY, "seed")
     checker = ConvergenceChecker(keys=[KEY])
-    nemesis = ctx.install_nemesis(system, observers=(checker,))
+    system.add_observer(checker)
+    plan = FaultPlan().crash(
+        at=ctx.param("crash_at", 1.0), peer=system.peer_names()[-1],
+        restart_after=2.0,
+    )
+    nemesis = Nemesis(system, plan).start()
     system.run_for(5.0)
     final = checker.final_check(system)
     return {
@@ -398,14 +396,13 @@ def _measure_with_nemesis(ctx):
     }
 
 
-def test_scenario_spec_nemesis_integration():
+def test_scenario_measure_arms_its_own_nemesis():
     spec = ScenarioSpec(
         scenario_id="EX-NEM",
         title="nemesis integration",
         columns=("applied", "violations", "converged"),
         constants={"crash_at": 0.5},
         seed=47,
-        nemesis=_nemesis_factory,
         measure=_measure_with_nemesis,
     )
     from repro.engine import run_scenario
@@ -415,19 +412,6 @@ def test_scenario_spec_nemesis_integration():
     assert row["applied"] == 2
     assert row["violations"] == 0
     assert row["converged"] is True
-
-
-def test_install_nemesis_without_plan_or_spec_raises():
-    spec = ScenarioSpec(
-        scenario_id="EX-NONE",
-        title="no nemesis",
-        columns=("x",),
-        measure=lambda ctx: {"x": 1},
-    )
-    context = ScenarioContext(spec=spec, params={}, repeat=0, seed=0)
-    system = build_system(seed=53, peers=4)
-    with pytest.raises(ValueError):
-        context.install_nemesis(system)
 
 
 # ------------------------------------------------- asyncio (best effort) --

@@ -38,7 +38,7 @@ ALLOWED_DEPENDENCIES: dict[str, set[str]] = {
     "faults": {"errors", "runtime", "net"},
     "check": {"errors", "runtime", "ot", "kts", "p2plog", "core"},
     "engine": {"errors", "runtime", "net", "chord", "core", "metrics", "faults"},
-    "cluster": {"errors", "runtime", "net", "chord", "core", "faults"},
+    "cluster": {"errors", "runtime", "net", "chord", "core", "metrics", "faults"},
     "experiments": {
         "errors", "runtime", "net", "chord", "dht", "kts", "core",
         "baselines", "workloads", "metrics", "engine", "faults", "check",

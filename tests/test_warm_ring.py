@@ -13,9 +13,8 @@ import random
 import pytest
 
 from repro.chord import ChordRing
-from repro.core import LtrSystem
+from repro.core import DEFAULT_CHORD_CONFIG, LtrSystem
 from repro.engine import ScenarioSpec, run_scenario, write_artifact
-from repro.engine.spec import EXPERIMENT_CHORD_CONFIG
 from repro.metrics import summarize
 
 PEERS = 16
@@ -23,7 +22,7 @@ SEED = 7
 #: Simulated seconds a naturally bootstrapped ring runs after stabilizing so
 #: every finger table converges to the ideal (bits * fix_fingers_interval,
 #: plus slack for the staggered first rounds).
-SETTLE = EXPERIMENT_CHORD_CONFIG.bits * EXPERIMENT_CHORD_CONFIG.fix_fingers_interval + 5.0
+SETTLE = DEFAULT_CHORD_CONFIG.bits * DEFAULT_CHORD_CONFIG.fix_fingers_interval + 5.0
 
 
 def _names(count=PEERS):
@@ -33,10 +32,10 @@ def _names(count=PEERS):
 @pytest.fixture(scope="module")
 def rings():
     """One naturally-converged ring and one warm-wired ring, same peers."""
-    natural = ChordRing(seed=SEED, config=EXPERIMENT_CHORD_CONFIG)
+    natural = ChordRing(seed=SEED, config=DEFAULT_CHORD_CONFIG)
     natural.bootstrap(_names())
     natural.run_for(SETTLE)
-    warm = ChordRing(seed=SEED, config=EXPERIMENT_CHORD_CONFIG)
+    warm = ChordRing(seed=SEED, config=DEFAULT_CHORD_CONFIG)
     warm.bootstrap_warm(_names())
     return natural, warm
 
@@ -72,7 +71,7 @@ def test_finger_tables_match(rings):
 def test_responsibility_map_matches(rings):
     natural, warm = rings
     rng = random.Random(SEED)
-    space = 1 << EXPERIMENT_CHORD_CONFIG.bits
+    space = 1 << DEFAULT_CHORD_CONFIG.bits
     for identifier in (rng.randrange(space) for _ in range(256)):
         warm_owner = warm.responsible_node_for_id(identifier).address.name
         natural_owner = natural.responsible_node_for_id(identifier).address.name
@@ -80,7 +79,7 @@ def test_responsibility_map_matches(rings):
 
 
 def test_warm_ring_is_immediately_stable():
-    warm = ChordRing(seed=SEED, config=EXPERIMENT_CHORD_CONFIG)
+    warm = ChordRing(seed=SEED, config=DEFAULT_CHORD_CONFIG)
     warm.bootstrap_warm(_names())
     assert warm.runtime.now == 0.0  # no simulation ran during construction
     assert warm.is_stable()
@@ -89,7 +88,7 @@ def test_warm_ring_is_immediately_stable():
 
 
 def test_warm_ring_serves_storage_immediately():
-    warm = ChordRing(seed=SEED, config=EXPERIMENT_CHORD_CONFIG)
+    warm = ChordRing(seed=SEED, config=DEFAULT_CHORD_CONFIG)
     warm.bootstrap_warm(_names())
     for index in range(20):
         key = f"warm-doc-{index}"
@@ -101,7 +100,7 @@ def test_warm_ring_serves_storage_immediately():
 
 
 def test_single_node_warm_ring():
-    warm = ChordRing(seed=SEED, config=EXPERIMENT_CHORD_CONFIG)
+    warm = ChordRing(seed=SEED, config=DEFAULT_CHORD_CONFIG)
     (only,) = warm.bootstrap_warm(["solo"])
     assert warm.is_stable()
     assert only.successors.head == only.ref
@@ -121,7 +120,7 @@ def _publishing_spec(warm: bool) -> ScenarioSpec:
     """
 
     def measure(ctx):
-        system = LtrSystem(chord_config=EXPERIMENT_CHORD_CONFIG, seed=ctx.seed)
+        system = LtrSystem(chord_config=DEFAULT_CHORD_CONFIG, seed=ctx.seed)
         system.bootstrap(ctx.params["peers"], warm=warm)
         if not warm:
             system.run_for(SETTLE)  # converge the fingers to the ideal wiring

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
-    MetricsCollector,
     ResultTable,
     jains_fairness,
     percentile,
@@ -246,6 +245,7 @@ def test_summarize_basic_and_empty():
     assert summary.as_dict()["p95"] == pytest.approx(5.8)
     empty = summarize([])
     assert empty.count == 0 and empty.mean == 0.0
+    assert empty.median == 0.0 and empty.p95 == 0.0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
@@ -268,41 +268,8 @@ def test_jains_fairness_range():
 
 
 # ---------------------------------------------------------------------------
-# metrics: collector and tables
+# metrics: tables
 # ---------------------------------------------------------------------------
-
-
-def test_collector_counters_series_and_timer():
-    sim = Simulator()
-    collector = MetricsCollector(sim=sim)
-    collector.increment("commits")
-    collector.increment("commits", 2)
-    assert collector.counter("commits") == 3
-    assert collector.counter("unknown") == 0
-
-    collector.record("latency", 0.5)
-    collector.record("latency", 1.5)
-    assert collector.values("latency") == [0.5, 1.5]
-    assert collector.summary("latency").mean == 1.0
-
-    def proc(sim):
-        with collector.timer("span"):
-            yield sim.timeout(3)
-
-    sim.run_process(proc(sim))
-    assert collector.values("span") == [3.0]
-    collector.annotate("done")
-    snapshot = collector.snapshot()
-    assert snapshot["counters"]["commits"] == 3
-    assert snapshot["series"]["span"]["mean"] == 3.0
-    assert snapshot["annotations"][0][1] == "done"
-
-
-def test_collector_timer_requires_simulator():
-    collector = MetricsCollector()
-    with pytest.raises(RuntimeError):
-        with collector.timer("x"):
-            pass
 
 
 def test_result_table_row_handling_and_rendering():
