@@ -112,7 +112,8 @@ class EntryTail:
       (a gap may end in the entries of the proposals served ahead of it in
       the same round, which join the tail with it; a round is held to the
       tail's bounds too, :meth:`DocumentQueue.take`) — and the suffix a
-      reader misses, with the answer to its catch-up
+      reader misses, with the answer to its catch-up, or, for a reader
+      older than the tail, the rest it applies over the newest checkpoint
       (:meth:`MasterService.handle_catch_up`);
     * the **identities** of the proposals that landed lately: the tail is the
       Master's whole table of them (walked with the gap, bounded with it,
@@ -146,11 +147,12 @@ class EntryTail:
         return self.entries[-1].ts if self.entries else 0
 
     def suffix(self, after_ts: int) -> Optional[list[LogEntry]]:
-        """Every entry newer than ``after_ts``, if the tail reaches back that far."""
+        """Every entry newer than ``after_ts``, if the tail reaches back that far
+        (none, ``[]``, when ``after_ts`` is the newest entry held)."""
         if not self.entries:
             return None
         skip = after_ts + 1 - self.entries[0].ts
-        if skip < 0 or skip >= len(self.entries):
+        if skip < 0 or skip > len(self.entries):
             return None
         return self.entries[skip:]
 
@@ -353,18 +355,33 @@ class MasterService(NodeService):
         """``last-ts`` for a reader at ``after_ts``, with what it misses if held.
 
         The answer is a *behind* :class:`~repro.core.protocol.ValidationResult`
-        payload: ``entries`` is ``(after_ts, last_ts]`` out of the document's
-        tail when the tail ends at ``last-ts`` and reaches back that far —
-        bounded like every reply served from it — and ``None`` otherwise,
-        which sends the reader to the checkpoints and the P2P-Log.  Read-only
-        and lock-free: a tail of an earlier tenure is left for
+        payload whose ``entries`` come out of the document's tail, when the
+        tail ends at ``last-ts`` — bounded like every reply served from it:
+
+        * ``(after_ts, last_ts]`` when the tail reaches back that far: the
+          reader needs nothing else;
+        * otherwise, for a reader more than ``checkpoint_interval`` behind —
+          one that will probe a checkpoint — ``(boundary, last_ts]`` after
+          the newest boundary ``last_ts - last_ts % checkpoint_interval``, if
+          the tail reaches back to it: the rest the reader applies over that
+          checkpoint (empty when ``last-ts`` is the boundary; the wire drops
+          an empty list, and the reader's read of the empty range sends
+          nothing);
+        * ``None`` otherwise, which sends the reader to the checkpoints and
+          the P2P-Log.
+
+        Read-only and lock-free: a tail of an earlier tenure is left for
         :meth:`_missing_suffix` to end under the lock.
         """
         last_ts = self._authority().last_ts(key)
         queue = self._documents.get(key)
         entries = None
         if after_ts < last_ts and queue is not None and queue.tenure.tail.last_ts == last_ts:
-            entries = queue.tenure.tail.suffix(after_ts)
+            tail = queue.tenure.tail
+            entries = tail.suffix(after_ts)
+            interval = self.config.checkpoint_interval
+            if entries is None and last_ts - after_ts > interval:
+                entries = tail.suffix(last_ts - last_ts % interval)
         return ValidationResult.behind(last_ts, entries).to_payload()
 
     def validate_and_publish(self, key: str, ts: int, patches: Any,

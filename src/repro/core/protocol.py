@@ -42,7 +42,8 @@ class ValidationResult:
     reader (``ltr_catch_up``, :meth:`UserPeer.sync
     <repro.core.user_peer.UserPeer.sync>`) reuses the *behind* shape: the
     Master's ``last_ts`` and, when it holds all of it, ``(applied_ts,
-    last_ts]``.  On the receiving side ``entries`` is outside input every
+    last_ts]`` — or, to a reader that will install a checkpoint, the rest
+    after the newest checkpoint boundary.  On the receiving side ``entries`` is outside input every
     way, checked by the user peer (``UserPeer._carried_suffix``) before
     anything is integrated; without it the range is read from the
     checkpoints and the P2P-Log.

@@ -553,13 +553,18 @@ class UserPeer:
            last-ts]`` whenever its tail of recent entries holds all of it, a
            *behind* answer checked like any other (:meth:`_carried_suffix`);
            then the sync is that one round-trip;
-        2. a checkpoint plus the log: a replica more than
+        2. a checkpoint plus the carried rest: a replica more than
            ``config.checkpoint_interval`` timestamps behind bootstraps from
            the newest reachable checkpoint at or below ``last-ts``
            (installing the snapshot and rebasing the chain over the jump,
-           :func:`~repro.ot.install_snapshot_into_staged`), then fetches
-           only the remaining suffix — O(staleness past the last checkpoint)
-           instead of O(document age);
+           :func:`~repro.ot.install_snapshot_into_staged`); the answer
+           carries the entries after the newest boundary when the tail holds
+           them, checked by the same function from the checkpoint's
+           timestamp — so they stand in only over that boundary's checkpoint.
+           Otherwise (an older checkpoint, a tail that does not reach back to
+           the boundary, a tampered entry) the rest is read from the P2P-Log
+           — O(staleness past the last checkpoint) instead of O(document
+           age);
         3. the P2P-Log alone, the paper's replay: for a replica at most one
            interval behind, without a probe, and whenever no checkpoint can
            be read (none yet, unreachable, no route).
@@ -620,6 +625,10 @@ class UserPeer:
                         replica, checkpoint.lines, checkpoint.ts, self._chain(key)
                     ))
                     checkpoint_ts = checkpoint.ts
+                    # The answer carries the rest past the newest boundary
+                    # when the tail holds it: usable over that checkpoint only.
+                    entries = self._carried_suffix(key, replica.applied_ts, answer)
+        if entries is None:
             entries = yield from self.log.fetch_range(key, replica.applied_ts + 1, last_ts)
             if key in self._flushing:
                 return finished()

@@ -12,7 +12,9 @@ bounds and lifetime, and every way the proposer falls back to
 ``fetch_range``; ``tests/test_master_rebase.py`` pins the transform.  A
 reader asks the same question without a proposal (``ltr_catch_up``): the
 answer is *behind* and carries ``(applied_ts, last_ts]`` when the tail holds
-it, checked by the same function — the last section pins that too.
+it, checked by the same function — the last sections pin that too, and
+what the answer carries for a reader older than the tail: the rest after the
+newest checkpoint boundary, applied over that checkpoint.
 """
 
 from dataclasses import replace
@@ -27,6 +29,7 @@ from repro.net import ConstantLatency, payload_size
 from repro.ot import InsertLine
 from repro.p2plog import LogEntry
 
+import test_at_most_once as at_most_once
 from test_core_master import (
     build_system,
     find_takeover_joiner,
@@ -425,30 +428,6 @@ def test_catch_up_answer_carries_the_readers_suffix_from_the_tail():
     assert reader.document(KEY).lines == [f"line {ts}" for ts in range(5, 0, -1)]
 
 
-def test_reader_beyond_the_tail_still_probes_a_checkpoint(monkeypatch):
-    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 4)
-    system = build_system(checkpoint_interval=3)
-    writer, reader = system.peer_names()[1], system.peer_names()[0]
-    for index in range(10):
-        system.edit_and_commit(writer, KEY, f"revision {index}")
-    system.run_for(2.0)  # the checkpoint is written after the commit is answered
-    reads = log_reads(system)
-    cold = system.sync(reader, KEY)
-    assert (cold.checkpoint_ts, cold.retrieved_patches) == (9, 1)
-    assert log_reads(system) > reads
-    # More than an interval behind, but within the tail: served from the
-    # answer, before any probe, with no log read.
-    for index in range(4):
-        system.edit_and_commit(writer, KEY, f"revision {10 + index}")
-    system.run_for(2.0)  # (the checkpoint at ts 12 is written: not the reader)
-    reads = log_reads(system)
-    warm = system.sync(reader, KEY)
-    assert (warm.checkpoint_ts, warm.retrieved_patches) == (None, 4)
-    assert log_reads(system) == reads
-    assert system.user(reader).document(KEY).lines == \
-        system.user(writer).document(KEY).lines
-
-
 def test_reader_refuses_a_tampered_tail_entry_and_reads_the_log():
     system = LtrSystem(seed=7, ltr_config=LtrConfig(auth_enabled=True))
     system.bootstrap(8)
@@ -468,3 +447,160 @@ def test_reader_refuses_a_tampered_tail_entry_and_reads_the_log():
     assert log_reads(system) > reads
     assert reader.document(KEY).lines == system.user(writer).document(KEY).lines
     assert "<forged in the tail>" not in reader.document(KEY).lines
+
+
+# ------------------------------------- the reader older than the tail --
+#
+# ``TAIL_MAX_ENTRIES`` 4 and ``checkpoint_interval`` 3: a writer commits 10
+# revisions, the tail holds 7..10, the newest boundary is 9.  A cold reader
+# is 10 behind — more than an interval, older than the tail — so the answer
+# carries the rest after the boundary, ``[10]``, and the reader applies it
+# over the checkpoint at 9.
+
+
+def read_messages(system, sync):
+    """Per method, the messages ``sync()`` sends to the Master and to the
+    Log-Peers (routing and ring maintenance aside)."""
+    before = dict(system.network.stats.per_method)
+    result = sync()
+    sent = {method: system.network.stats.per_method.get(method, 0) - before.get(method, 0)
+            for method in ("ltr_catch_up", "fetch", "fetch_many")}
+    return result, {method: count for method, count in sent.items() if count}
+
+
+def long_history(monkeypatch, revisions=10, tail=4, **ltr):
+    """A writer's ``revisions`` commits at interval 3, checkpoints written;
+    returns the system, the writer and a cold reader."""
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", tail)
+    system = build_system(checkpoint_interval=3, **ltr)
+    writer, reader = system.peer_names()[1], system.peer_names()[0]
+    for index in range(revisions):
+        system.edit_and_commit(writer, KEY, f"revision {index}")
+    system.run_for(2.0)  # the checkpoint is written after the commit is answered
+    return system, writer, reader
+
+
+def test_reader_beyond_the_tail_still_probes_a_checkpoint(monkeypatch):
+    """(Pinned one catch-up and one checkpoint read, no ``fetch_many``: while
+    the answer carried nothing, the sync read entry 10 from its Log-Peer,
+    ``fetch_many`` 2.)"""
+    system, writer, reader = long_history(monkeypatch)
+    master = system.master_service(KEY)
+    assert catch_up(master, 0).entries == catch_up(master, 5).entries \
+        == system.fetch_log(KEY, 10, 10)
+    assert catch_up(master, 6).entries == system.fetch_log(KEY, 7, 10)  # all of it
+    reads = log_reads(system)
+    cold, sent = read_messages(system, lambda: system.sync(reader, KEY))
+    assert (cold.checkpoint_ts, cold.retrieved_patches) == (9, 1)
+    assert sent == {"ltr_catch_up": 2, "fetch": 2}
+    # Its one read is the checkpoint's ``fetch``, request and reply.
+    assert log_reads(system) == reads + 2
+    assert system.user(reader).log.retrievals == 0
+    assert system.user(reader).document(KEY).lines == \
+        system.user(writer).document(KEY).lines == ["revision 9"]
+    # More than an interval behind, but within the tail: served from the
+    # answer, before any probe, with no log read.
+    for index in range(4):
+        system.edit_and_commit(writer, KEY, f"revision {10 + index}")
+    system.run_for(2.0)  # (the checkpoint at ts 12 is written: not the reader)
+    reads = log_reads(system)
+    warm = system.sync(reader, KEY)
+    assert (warm.checkpoint_ts, warm.retrieved_patches) == (None, 4)
+    assert log_reads(system) == reads
+    assert system.user(reader).document(KEY).lines == \
+        system.user(writer).document(KEY).lines
+
+
+def test_a_reader_within_an_interval_is_carried_no_rest(monkeypatch):
+    """With a tail of 2 (9..10), a reader at 7 is older than the tail but
+    only an interval behind: it will not probe, so the rest is not sent."""
+    system, writer, reader = long_history(monkeypatch, tail=2)
+    master = system.master_service(KEY)
+    assert catch_up(master, 7).entries is None
+    assert catch_up(master, 6).entries == system.fetch_log(KEY, 10, 10)
+
+
+def test_last_ts_on_a_boundary_leaves_an_empty_rest(monkeypatch):
+    """``last-ts`` 9 is the boundary: the rest is ``[]`` (which the wire drops
+    — the reader's read of the empty range 10..9 sends nothing)."""
+    system, writer, reader = long_history(monkeypatch, revisions=9)
+    assert tenure(system.master_service(KEY), KEY).tail.suffix(9) == []
+    result, sent = read_messages(system, lambda: system.sync(reader, KEY))
+    assert sent == {"ltr_catch_up": 2, "fetch": 2}
+    assert (result.checkpoint_ts, result.retrieved_patches, result.to_ts) == (9, 0, 9)
+    assert system.user(reader).document(KEY).lines == \
+        system.user(writer).document(KEY).lines
+
+
+def test_an_older_checkpoint_is_not_completed_by_the_carried_rest(monkeypatch):
+    """The checkpoint at 9 is not there yet (its placements are removed): the
+    reader installs the one at 6, the carried ``[10]`` is not 7..10, and the
+    log serves the rest."""
+    system, writer, reader = long_history(monkeypatch)
+    master = system.master_service(KEY)
+    system.runtime.run(until=system.runtime.process(master.log.gc_checkpoint(KEY, 9)))
+    assert system.latest_checkpoint(KEY).ts == 6
+    result, sent = read_messages(system, lambda: system.sync(reader, KEY))
+    assert (result.checkpoint_ts, result.retrieved_patches) == (6, 4)
+    assert sent["fetch_many"] > 0 and system.user(reader).log.retrievals == 4
+    assert system.user(reader).document(KEY).lines == \
+        system.user(writer).document(KEY).lines
+
+
+def test_a_tampered_rest_is_refused_once_and_read_from_the_log(monkeypatch):
+    system, writer, reader = long_history(monkeypatch, auth_enabled=True)
+    tail = tenure(system.master_service(KEY), KEY).tail
+    honest = tail.entries[-1]
+    forged = honest.patch.with_operations(
+        tuple(honest.patch.operations) + (InsertLine(0, "<forged in the tail>"),)
+    )
+    tail.entries[-1] = replace(honest, patch=forged)  # keeps the author's signature
+    user = system.user(reader)
+    rejects = user.log.auth_rejects
+    result, sent = read_messages(system, lambda: system.sync(reader, KEY))
+    assert (result.checkpoint_ts, result.retrieved_patches) == (9, 1)
+    assert user.log.auth_rejects == rejects + 1  # checked once, after the install
+    assert sent["fetch_many"] > 0 and user.log.retrievals == 1
+    assert user.document(KEY).lines == system.user(writer).document(KEY).lines
+    assert "<forged in the tail>" not in user.document(KEY).lines
+
+
+def test_a_fresh_tenures_short_tail_carries_nothing(monkeypatch):
+    """A tail that starts after the boundary (10 revisions, the tenure ends,
+    one more) cannot hand over 10..11: the reader reads them from the log."""
+    system, writer, reader = long_history(monkeypatch)
+    master = system.master_service(KEY)
+    master.end_tenure(KEY)
+    system.edit_and_commit(writer, KEY, "revision 10")
+    assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [11]
+    assert catch_up(master, 0).entries is None
+    result, sent = read_messages(system, lambda: system.sync(reader, KEY))
+    assert (result.checkpoint_ts, result.retrieved_patches) == (9, 2)
+    assert sent["fetch_many"] > 0 and system.user(reader).log.retrievals == 2
+    assert system.user(reader).document(KEY).lines == \
+        system.user(writer).document(KEY).lines
+
+
+def test_an_in_doubt_reader_reads_the_log(monkeypatch):
+    """A peer whose commit failed although it landed (ts 2) cannot tell from a
+    snapshot whether it holds its proposal, so it never probes one: the rest
+    after the boundary comes all the same, unused, and the log serves 2..10."""
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 4)
+    system = at_most_once.build_system(checkpoint_interval=3, **at_most_once.IMPATIENT)
+    key = at_most_once.KEY
+    writer, other = at_most_once.cast(system)
+    system.edit_and_commit(other, key, "base")
+    system.sync(writer, key)
+    system.run_for(1.0)
+    user = at_most_once.fail_in_doubt(system, writer, "base\nthe edit")
+    system.ring.wait_until_stable(max_time=60)
+    for index in range(8):
+        system.edit_and_commit(other, key, f"base\nthe edit\nrevision {index}")
+    system.run_for(2.0)
+    assert user._in_doubt == {key: 1} and system.last_ts(key) == 10
+    assert catch_up(system.master_service(key), 1, key).entries == system.fetch_log(key, 10, 10)
+    result, sent = read_messages(system, lambda: system.sync(writer, key))
+    assert sent == {"ltr_catch_up": 2, "fetch_many": 10}  # no checkpoint read
+    assert (result.checkpoint_ts, result.retrieved_patches) == (None, 9)
+    assert user._in_doubt == {} and not user.has_pending(key)  # its own, adopted
+    assert user.document(key).lines == system.user(other).document(key).lines

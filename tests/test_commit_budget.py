@@ -53,13 +53,18 @@ Their replica pushes and routing stay in the total, as before.  Done
 sooner, the job shifts which proposals queue together once more: 326
 publishes (three more groups of one), ``store_many`` 2098 → 2108,
 ``receive_items`` 1378 → 1383, total 4778 → 4793 (13.27 → 13.31 a commit).
+
+The read phase has a budget of its own (:func:`run_read_phase`): cold readers
+of a document longer than the Master's tail, each of which needs a checkpoint
+and the entries after it.
 """
 
 import random
 
 from route_probe import trace_routing
 
-from repro.core import LtrSystem
+from repro.core import LtrConfig, LtrSystem
+from repro.core import master as master_module
 from repro.experiments.scenarios import SCALE_CHORD_CONFIG
 from repro.net import MessageKind, UniformLatency
 from repro.p2plog import CHECKPOINT_SALT_PREFIX
@@ -196,3 +201,52 @@ def test_a_warmed_publish_routes_nothing_under_the_lock():
 
 def test_budget_counts_repeat_exactly_for_one_seed():
     assert run_write_phase(seed=3) == run_write_phase(seed=3)
+
+
+READERS, REVISIONS, INTERVAL, TAIL = 6, 45, 8, 16
+
+
+def run_read_phase(seed: int) -> tuple[dict[str, int], list]:
+    """Messages sent while ``READERS`` cold peers sync, one after the other,
+    a document one writer committed ``REVISIONS`` times; and their results."""
+    system = LtrSystem(chord_config=SCALE_CHORD_CONFIG,
+                       ltr_config=LtrConfig(checkpoint_interval=INTERVAL),
+                       seed=seed, latency=UniformLatency(0.002, 0.004))
+    names = system.bootstrap(PEERS, warm=True)
+    writer, readers = names[0], names[1:1 + READERS]
+    for revision in range(REVISIONS):
+        system.edit_and_commit(writer, "doc", f"revision {revision}")
+    system.run_for(2.0)  # the checkpoint at 40 is written after its commit
+    before = dict(system.network.stats.per_method)
+    results = [system.sync(reader, "doc") for reader in readers]
+    sent = {method: count - before.get(method, 0)
+            for method, count in system.network.stats.per_method.items()}
+    for reader in readers:
+        assert system.user(reader).document("doc").lines == \
+            system.user(writer).document("doc").lines
+    return {method: count for method, count in sent.items() if count}, results
+
+
+def test_cold_readers_read_one_checkpoint_and_the_carried_rest(monkeypatch):
+    """The Master's tail holds 30..45 (``TAIL_MAX_ENTRIES`` patched to 16), so
+    it does not reach back to a cold reader; the newest boundary is 40.  Per
+    reader, exactly:
+
+    * ``ltr_catch_up`` 2 — the request for ``last-ts`` and its answer, which
+      carries 41..45, the rest after the boundary, out of the tail;
+    * ``fetch`` 2 — the checkpoint at 40, from its first placement;
+    * ``find_successor`` 4 to 8 — the routes to the Master and to that
+      placement, one or two hops each (34 for the six);
+    * no ``fetch_many``: nothing comes from the log.
+
+    While the answer carried nothing to a reader older than the tail, the six
+    read 41..45 from the log: ``fetch_many`` 48 (four Log-Peers each) and
+    ``find_successor`` 72 with the routes to them, 144 messages in all.
+    """
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", TAIL)
+    sent, results = run_read_phase(seed=1)
+    assert [(result.checkpoint_ts, result.retrieved_patches) for result in results] \
+        == [(40, 5)] * READERS
+    assert sent == {"find_successor": 34, "ltr_catch_up": 2 * READERS,
+                    "fetch": 2 * READERS}
+    assert sum(sent.values()) == 58
