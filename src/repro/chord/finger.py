@@ -9,7 +9,7 @@ periodic ``fix_fingers`` task and skips entries that fail a liveness check.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .idspace import finger_start
 from .refs import NodeRef
@@ -44,6 +44,13 @@ class FingerTable:
         if not 0 <= index < self.bits:
             raise ValueError(f"finger index {index} out of range")
         self._entries[index] = node
+
+    def replace(self, entries: Iterable[Optional[NodeRef]]) -> None:
+        """Set every finger at once: entry ``i`` becomes finger ``i``."""
+        entries = list(entries)
+        if len(entries) != self.bits:
+            raise ValueError(f"expected {self.bits} finger entries, got {len(entries)}")
+        self._entries = entries
 
     def remove_node(self, node: NodeRef) -> int:
         """Clear every entry pointing at ``node``; returns how many were cleared."""

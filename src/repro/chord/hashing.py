@@ -17,6 +17,7 @@ prefix plus the key text, truncated to the identifier space.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -74,8 +75,13 @@ class HashFunctionFamily:
     functions: Sequence[SaltedHash]
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def create(cls, count: int, bits: int = DEFAULT_ID_BITS, prefix: str = "hr") -> "HashFunctionFamily":
-        """Create a family of ``count`` functions named ``hr1 .. hrN``."""
+        """Create a family of ``count`` functions named ``hr1 .. hrN``.
+
+        A family is immutable, so equal arguments share one instance: every
+        peer of a ring asks for the same patch and checkpoint families.
+        """
         if count < 1:
             raise ValueError(f"a hash family needs at least one function, got {count}")
         return cls(tuple(SaltedHash(f"{prefix}{index}", bits) for index in range(1, count + 1)))

@@ -118,6 +118,10 @@ class ChordRing:
         from one that converged by stabilization — the equivalence test
         suite pins that claim — and churn after the warm build behaves
         normally.  No simulated time passes and no messages are sent.
+
+        Raises :class:`~repro.errors.DhtError`, naming the peers, when two
+        of them hash to one ring identifier (a ``bits`` too narrow for the
+        ring); the nodes are then created but none is wired or started.
         """
         if isinstance(names, int):
             names = [f"peer-{index}" for index in range(names)]
@@ -132,20 +136,40 @@ class ChordRing:
 
         ordered = sorted(nodes, key=lambda node: node.node_id)
         identifiers = [node.node_id for node in ordered]
+        clashes = [f"{before.address.name} and {after.address.name} at {after.node_id}"
+                   for before, after in zip(ordered, ordered[1:])
+                   if before.node_id == after.node_id]
+        if clashes:
+            # Each of two peers at one identifier would own an ``(a, a]`` arc
+            # that claims the whole ring; no converged wiring exists.
+            raise DhtError(f"peers share a ring identifier ({'; '.join(clashes)}); "
+                           "widen ChordConfig.bits or rename them")
+        refs = [node.ref for node in ordered]
         count = len(ordered)
         list_size = min(self.config.successor_list_size, count - 1)
         bits = self.config.bits
+        mask = (1 << bits) - 1
         for index, node in enumerate(ordered):
-            node.predecessor = ordered[(index - 1) % count].ref
+            node_id = node.node_id
+            node.predecessor = refs[index - 1]
             node.successors.replace(
-                [ordered[(index + offset) % count].ref
-                 for offset in range(1, list_size + 1)]
+                [refs[(index + offset) % count] for offset in range(1, list_size + 1)]
             )
-            fingers = node.fingers
+            # One pass along the ring: finger ``i`` starts ``2**i`` past
+            # the node, and the owner found for one start keeps every
+            # later start up to its own identifier.  ``reach`` is that
+            # owner's clockwise distance from the node (the whole ring
+            # when the owner is the node itself).
+            position = (index + 1) % count
+            reach = ((identifiers[position] - node_id - 1) & mask) + 1
+            entries = []
             for finger_index in range(bits):
-                target = fingers.start(finger_index)
-                owner = ordered[bisect_left(identifiers, target) % count]
-                fingers.update(finger_index, owner.ref)
+                step = 1 << finger_index
+                if step > reach:
+                    position = bisect_left(identifiers, (node_id + step) & mask) % count
+                    reach = ((identifiers[position] - node_id - 1) & mask) + 1
+                entries.append(refs[position])
+            node.fingers.replace(entries)
             node.alive = True
             node._start_maintenance()
         return [self.nodes[name] for name in names]

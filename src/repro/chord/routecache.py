@@ -30,9 +30,12 @@ that stores is an ordinary entry under the same three mechanisms, and the
 probe it starts with (:meth:`RouteCache.covers`) deliberately has none of
 :meth:`RouteCache.lookup`'s side effects.
 
-The cache is deliberately tiny and scan-based: with the default capacity a
-lookup touches at most ``capacity`` tuples, which in a discrete-event
-simulation is orders of magnitude cheaper than a single simulated RPC.
+The cache is scan-based: a lookup touches up to ``capacity`` tuples.  Since
+lookup answers carry routes, every node's cache fills to the default 128
+entries on a busy ring, and a scan then costs about 63 µs of host time
+(profiled on a 128-peer ltrbench round, 2-core host) — the price of a few
+simulated message deliveries, not a negligible one.  It still saves
+simulated time: a hit answers in zero hops.
 """
 
 from __future__ import annotations

@@ -31,6 +31,12 @@ from .transport import Network
 
 Handler = Callable[..., Any]
 
+#: ``(attribute, method)`` pairs of every ``rpc_`` attribute of a class,
+#: found once per class by :meth:`RpcAgent.expose_object` (``dir`` over a
+#: node class is costly).  Names only, never functions; an ``rpc_`` name a
+#: class gains after its first object was exposed is not seen.
+_RPC_NAMES: Dict[type, tuple[tuple[str, str], ...]] = {}
+
 #: Request ids live in an unsigned 32-bit wire field; allocation wraps
 #: back to 1 at this bound instead of growing without limit.
 REQUEST_ID_LIMIT = 2**32
@@ -121,14 +127,23 @@ class RpcAgent:
         """Expose every public ``rpc_``-prefixed method of ``obj``.
 
         A method named ``rpc_find_successor`` becomes callable remotely as
-        ``find_successor`` (optionally prefixed).
+        ``find_successor`` (optionally prefixed).  The names are found once
+        per class (:data:`_RPC_NAMES`) but each handler is bound from ``obj``
+        here, so a class attribute replaced after an earlier object was
+        exposed (a tracing wrapper, a test's patch) is what this one serves.
         """
-        for attribute_name in dir(obj):
-            if not attribute_name.startswith("rpc_"):
-                continue
+        cls = type(obj)
+        names = _RPC_NAMES.get(cls)
+        if names is None:
+            names = _RPC_NAMES[cls] = tuple(
+                (attribute_name, attribute_name[len("rpc_"):])
+                for attribute_name in dir(cls)
+                if attribute_name.startswith("rpc_")
+            )
+        for attribute_name, method in names:
             handler = getattr(obj, attribute_name)
             if callable(handler):
-                self.expose(prefix + attribute_name[len("rpc_"):], handler)
+                self._handlers[prefix + method] = handler
 
     def handlers(self) -> list[str]:
         """Names of all exposed methods."""

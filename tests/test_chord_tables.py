@@ -81,6 +81,16 @@ def test_fill_with_and_known_nodes_dedup():
     assert table.known_nodes() == [node]
 
 
+def test_replace_sets_every_finger_and_checks_the_count():
+    table = FingerTable(node_id=10, bits=4)
+    a, b = ref("a", 11), ref("b", 50)
+    table.replace([a, a, a, b])
+    assert list(table) == [a, a, a, b]
+    with pytest.raises(ValueError):
+        table.replace([a, b])
+    assert list(table) == [a, a, a, b]
+
+
 # ---------------------------------------------------------------------------
 # SuccessorList
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import LtrSystem
 from repro.errors import NodeUnreachable, RequestTimeout, UnknownRpcMethod
 from repro.net import (
     Address,
@@ -367,6 +368,89 @@ def test_expose_object_rpc_prefix():
         return result
 
     assert sim.run_process(caller(sim)) == "hello world"
+
+
+class _Counter:
+    """A service whose answers depend on the instance's own state."""
+
+    rpc_version = 3  # an ``rpc_`` name that is not a method: never exposed
+
+    def __init__(self, name):
+        self.name = name
+
+    def rpc_whoami(self):
+        return self.name
+
+
+class _LoudCounter(_Counter):
+    def rpc_shout(self):
+        return self.name.upper()
+
+
+def _agents(count):
+    sim = Simulator(seed=1)
+    network = Network(sim, latency=ConstantLatency(0.01))
+    agents = [RpcAgent(sim, network, Address(f"agent-{index}")) for index in range(count)]
+    return sim, agents
+
+
+def test_expose_object_subclass_adds_its_own_handlers():
+    _sim, (base, loud) = _agents(2)
+    base.expose_object(_Counter("x"))
+    loud.expose_object(_LoudCounter("y"))
+    assert base.handlers() == ["whoami"]
+    assert loud.handlers() == ["shout", "whoami"]
+
+
+def test_expose_object_binds_each_instance():
+    sim, (caller, first, second) = _agents(3)
+    first.expose_object(_Counter("first"), prefix="c_")
+    second.expose_object(_Counter("second"), prefix="c_")
+
+    def ask(sim):
+        one = yield caller.call(first.address, "c_whoami")
+        two = yield caller.call(second.address, "c_whoami")
+        return one, two
+
+    assert sim.run_process(ask(sim)) == ("first", "second")
+
+
+def test_expose_object_skips_non_callable_rpc_attributes():
+    _sim, (agent,) = _agents(1)
+    counter = _Counter("x")
+    counter.rpc_whoami = "not a method"  # shadows the method on this object
+    agent.expose_object(counter)
+    assert agent.handlers() == []
+
+
+def test_expose_object_binds_a_method_replaced_after_the_first_object(monkeypatch):
+    sim, (caller, before, after) = _agents(3)
+    before.expose_object(_Counter("before"))
+    original = _Counter.rpc_whoami
+    monkeypatch.setattr(_Counter, "rpc_whoami",
+                        lambda self: f"wrapped {original(self)}")
+    after.expose_object(_Counter("after"))
+
+    def ask(sim):
+        old = yield caller.call(before.address, "whoami")
+        new = yield caller.call(after.address, "whoami")
+        return old, new
+
+    assert sim.run_process(ask(sim)) == ("before", "wrapped after")
+
+
+def test_ltr_peer_handlers_are_pinned():
+    system = LtrSystem(seed=1)
+    names = system.bootstrap(4, warm=True)
+    for name in names:
+        assert system.ring.node(name).rpc.handlers() == [
+            "delete", "delete_value", "fetch", "fetch_many", "find_successor",
+            "get_predecessor", "get_successor_list", "handoff_keys",
+            "kts_advance_ts", "kts_gen_ts", "kts_last_ts", "kts_managed_keys",
+            "kts_next_timestamps", "ltr_catch_up", "ltr_validate_and_publish",
+            "notify", "ping", "receive_items", "store", "store_many",
+            "successor_leaving",
+        ]
 
 
 def test_network_partition_blocks_rpc():

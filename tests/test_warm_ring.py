@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from repro.chord import ChordRing
+from repro.chord import ChordConfig, ChordRing
 from repro.core import DEFAULT_CHORD_CONFIG, LtrSystem
 from repro.engine import ScenarioSpec, run_scenario, write_artifact
+from repro.errors import DhtError
 from repro.metrics import summarize
 
 PEERS = 16
@@ -106,6 +107,51 @@ def test_single_node_warm_ring():
     assert only.successors.head == only.ref
     warm.put("doc", 1)
     assert warm.get("doc")["value"] == 1
+
+
+@pytest.mark.parametrize("bits", [32, 160])
+@pytest.mark.parametrize("count", [2, 3, 17, 128, 1000])
+def test_fingers_match_a_linear_scan(count, bits):
+    """Finger ``i`` of ``n`` is the first node at or after ``n + 2**i``.
+
+    The owner is found by walking the sorted ring clockwise from ``n``,
+    one node at a time, until a node is at least ``2**i`` away (``n``
+    itself being a whole ring away).
+    """
+    ring = ChordRing(seed=SEED, config=ChordConfig(bits=bits))
+    ring.bootstrap_warm(_names(count))
+    ordered = sorted(ring.nodes.values(), key=lambda node: node.node_id)
+    size = 1 << bits
+    wrapped = crossed = 0
+    for index, node in enumerate(ordered):
+        expected = []
+        for finger_index in range(bits):
+            step = 1 << finger_index
+            wrapped += node.node_id + step >= size
+            offset = 1
+            while offset < count:
+                candidate = ordered[(index + offset) % count]
+                if (candidate.node_id - node.node_id) % size >= step:
+                    break
+                offset += 1
+            crossed += index + offset >= count
+            expected.append(ordered[(index + offset) % count].ref)
+        assert list(node.fingers) == expected, node.address.name
+    assert crossed  # some owners lie past zero...
+    assert wrapped or count == 2  # ...and some starts (both of 2 peers sit below 2**(bits-1))
+
+
+def test_warm_ring_rejects_peers_sharing_an_identifier():
+    # 9 peers on a 3-bit ring (8 identifiers): at least two must collide.
+    ring = ChordRing(seed=SEED, config=ChordConfig(bits=3))
+    with pytest.raises(DhtError, match="share a ring identifier") as raised:
+        ring.bootstrap_warm(9)
+    clashing = [node for node in ring.nodes.values()
+                if sum(other.node_id == node.node_id for other in ring.nodes.values()) > 1]
+    assert clashing
+    for node in clashing:
+        assert node.address.name in str(raised.value)
+    assert not any(node.alive for node in ring.nodes.values())
 
 
 # ------------------------------------------------- E2-style artifact parity --
