@@ -78,18 +78,42 @@ class ChordRing:
         self.nodes[name] = node
         return node
 
+    def _refuse_shared_identifiers(self, names: list[str]) -> None:
+        """Raise :class:`~repro.errors.DhtError`, naming the peers, when one
+        of ``names`` hashes to the ring identifier of a live node or of
+        another of ``names`` (a ``ChordConfig.bits`` too narrow for the
+        ring).  Runs before any node is created: each of two peers at one
+        identifier would own an ``(a, a]`` arc that claims the whole ring,
+        so no ring holding both can stabilize."""
+        bits = self.config.bits
+        holders = {node.node_id: node.address.name
+                   for node in self.nodes.values() if node.alive}
+        clashes = []
+        for name in names:
+            identifier = hash_to_id(name, bits)
+            holder = holders.setdefault(identifier, name)
+            if holder != name:
+                clashes.append(f"{holder} and {name} at {identifier}")
+        if clashes:
+            raise DhtError(f"peers share a ring identifier ({'; '.join(clashes)}); "
+                           "widen ChordConfig.bits or rename them")
+
     def bootstrap(self, names: Iterable[str] | int, *, stabilize_time: Optional[float] = None) -> list[ChordNode]:
         """Create a ring from scratch with the given node names (or a count).
 
         The first node creates the ring; the others join through it one by
         one.  The simulation is then run long enough for stabilization to
         converge (or ``stabilize_time`` simulated seconds if given).
+        Raises :class:`~repro.errors.DhtError`, naming the peers, before any
+        node is created when two of them, or one of them and a live node,
+        share a ring identifier.
         """
         if isinstance(names, int):
             names = [f"peer-{index}" for index in range(names)]
         names = list(names)
         if not names:
             raise DhtError("bootstrap requires at least one node name")
+        self._refuse_shared_identifiers(names)
 
         first = self.create_node(names[0])
         first.create()
@@ -119,15 +143,15 @@ class ChordRing:
         suite pins that claim — and churn after the warm build behaves
         normally.  No simulated time passes and no messages are sent.
 
-        Raises :class:`~repro.errors.DhtError`, naming the peers, when two
-        of them hash to one ring identifier (a ``bits`` too narrow for the
-        ring); the nodes are then created but none is wired or started.
+        Raises :class:`~repro.errors.DhtError` as :meth:`bootstrap` does
+        when peers share a ring identifier.
         """
         if isinstance(names, int):
             names = [f"peer-{index}" for index in range(names)]
         names = list(names)
         if not names:
             raise DhtError("bootstrap requires at least one node name")
+        self._refuse_shared_identifiers(names)
 
         nodes = [self.create_node(name) for name in names]
         if len(nodes) == 1:
@@ -136,14 +160,6 @@ class ChordRing:
 
         ordered = sorted(nodes, key=lambda node: node.node_id)
         identifiers = [node.node_id for node in ordered]
-        clashes = [f"{before.address.name} and {after.address.name} at {after.node_id}"
-                   for before, after in zip(ordered, ordered[1:])
-                   if before.node_id == after.node_id]
-        if clashes:
-            # Each of two peers at one identifier would own an ``(a, a]`` arc
-            # that claims the whole ring; no converged wiring exists.
-            raise DhtError(f"peers share a ring identifier ({'; '.join(clashes)}); "
-                           "widen ChordConfig.bits or rename them")
         refs = [node.ref for node in ordered]
         count = len(ordered)
         list_size = min(self.config.successor_list_size, count - 1)
@@ -175,7 +191,12 @@ class ChordRing:
         return [self.nodes[name] for name in names]
 
     def add_node(self, name: str, *, via: Optional[str] = None, stabilize: bool = True) -> ChordNode:
-        """Add one node to a running ring and (optionally) wait for stability."""
+        """Add one node to a running ring and (optionally) wait for stability.
+
+        Raises :class:`~repro.errors.DhtError` as :meth:`bootstrap` does
+        when a live node holds the new name's ring identifier.
+        """
+        self._refuse_shared_identifiers([name])
         live = self.live_nodes()
         if not live:
             node = self.create_node(name)

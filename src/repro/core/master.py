@@ -724,12 +724,10 @@ class MasterService(NodeService):
                 # state produced by its predecessor, i.e. `offset`
                 # timestamps past the chain's base.
                 base_ts=(base_ts + offset) if base_ts is not None else None,
-                # The author's proof travels with every replica; metadata is
+                # The author's proof travels with every replica; it is
                 # excluded from entry equality, so signed and unsigned copies
                 # compare the same everywhere else.
-                metadata=(
-                    {"sig": sigs[offset]} if sigs[offset] is not None else {}
-                ),
+                sig=sigs[offset],
                 proposal=identities[offset],
             )
             for offset, patch in enumerate(patches)
@@ -967,8 +965,8 @@ class MasterService(NodeService):
             author=node.address.name,
         )
         if self.config.auth_enabled:
-            checkpoint.metadata["sig"] = sign_checkpoint(
-                self.config.auth_secret, checkpoint
+            checkpoint = replace(
+                checkpoint, sig=sign_checkpoint(self.config.auth_secret, checkpoint)
             )
         try:
             yield from self.log.publish_checkpoint(checkpoint)

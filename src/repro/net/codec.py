@@ -30,7 +30,12 @@ upward imports:
 The same registry powers :func:`copy_payload`, the structural copy the
 simulated network applies per delivery so that sim-mode semantics match
 what serialization enforces, without paying byte-level encoding on every
-simulated message.
+simulated message.  A type registered without a ``copy`` hook is an
+immutable value and travels by reference: the OT patch types, ``NodeRef``,
+and the P2P-Log's ``LogEntry`` and ``Checkpoint`` (their one signature is a
+string field, set at construction), so every replica of a log entry is one
+object.  ``StoredItem`` keeps a hook: its ``is_replica`` flag is flipped in
+place, so each delivery must hand over a fresh item.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ from .address import Address
 from .message import Message, MessageKind
 
 #: Version stamped into every envelope; receivers reject other versions.
-WIRE_VERSION = 1
+#: Version 2: a log entry or checkpoint carries its signature as a string
+#: field (version 1 carried a free-form dictionary in its place).
+WIRE_VERSION = 2
 
 #: The serialization format of every frame, announced in the hello frame.
 #: A frame in any other format is rejected with a

@@ -96,22 +96,6 @@ class Network:
             stream = self._stream_cache[name] = rng.stream(name)
         return stream
 
-    @property
-    def _latency_rng(self):
-        """The latency stream (see :meth:`_stream`)."""
-        return self._stream("net.latency")
-
-    @property
-    def _loss_rng(self):
-        """The loss stream (see :meth:`_stream`)."""
-        return self._stream("net.loss")
-
-    @property
-    def _perturb_rng(self):
-        """The perturbation stream, only ever drawn from while a window is
-        active, so fault-free runs keep their historical RNG sequences."""
-        return self._stream("net.perturb")
-
     # -- perturbation windows -------------------------------------------------
 
     def begin_perturbation(self, window: PerturbationWindow) -> None:
@@ -188,6 +172,8 @@ class Network:
             raise NetworkError(f"latency model produced negative delay {delay}")
         window = self.perturbation
         if window is not None and not window.quiet:
+            # Drawn from only while a window is active, so fault-free runs
+            # keep their historical RNG sequences.
             rng = self._stream("net.perturb")
             if window.drop_probability > 0.0 and rng.random() < window.drop_probability:
                 self.perturb_stats["dropped"] += 1

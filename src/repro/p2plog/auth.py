@@ -20,17 +20,17 @@ What gets signed:
 
 * **Commits** — ``("commit", document_key, ts, patch, author, base_ts,
   proposal)``, signed by the submitting user peer, verified by the Master
-  before the timestamp check, then stored in ``LogEntry.metadata["sig"]`` so
-  every replica carries the proof.  ``published_at`` is excluded (the Master
-  stamps it after verification) and ``metadata`` is excluded (it holds the
-  signature itself).  The proposal identity is inside, so nobody can make an
-  author's entry pass for another of its proposals; a commit without one
-  (``None``: entries signed before identities existed) signs the six-tuple
-  it always did.
+  before the timestamp check, then built into the entry as ``LogEntry.sig``
+  so every replica carries the proof.  ``published_at`` is excluded (the
+  Master stamps it after verification) and so is ``sig`` itself.  The
+  proposal identity is inside, so nobody can make an author's entry pass
+  for another of its proposals; a commit without one (``None``: entries
+  signed before identities existed) signs the six-tuple it always did.
 * **Checkpoints** — ``("checkpoint", document_key, ts, lines, author)``,
-  signed by the Master that materializes the snapshot and stored in
-  ``Checkpoint.metadata["sig"]``; verified by user peers before trusting a
-  retrieved checkpoint for cold sync.
+  signed by the Master that materializes the snapshot, which then builds the
+  signed value whole (``replace(checkpoint, sig=...)``) as ``Checkpoint.sig``;
+  verified by user peers before trusting a retrieved checkpoint for cold
+  sync.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def verify_entry(secret: str, entry: Any) -> bool:
     """``True`` iff a retrieved log entry carries its author's valid signature."""
     return verify_commit(
         secret,
-        entry.metadata.get("sig"),
+        entry.sig,
         entry.document_key,
         entry.ts,
         entry.patch,
@@ -155,7 +155,7 @@ def sign_checkpoint(secret: str, checkpoint: Any) -> str:
 
 def verify_checkpoint(secret: str, checkpoint: Any) -> bool:
     """``True`` iff a retrieved checkpoint carries its Master's valid signature."""
-    signature = checkpoint.metadata.get("sig")
+    signature = checkpoint.sig
     if not isinstance(signature, str):
         return False
     return hmac.compare_digest(signature, sign_checkpoint(secret, checkpoint))

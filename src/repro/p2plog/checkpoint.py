@@ -22,7 +22,7 @@ every process knows the interval, as it knows ``|Hr|``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Optional
 
 #: Salt prefix of the checkpoint hash family (``Hc``), kept distinct from
 #: the patch replication family's ``hr`` salts so checkpoint and log
@@ -52,8 +52,9 @@ class Checkpoint:
         Simulated time at which the Master-key peer materialized it.
     author:
         Name of the Master-key peer that produced the snapshot.
-    metadata:
-        Optional free-form annotations (not part of equality).
+    sig:
+        The Master's signature over the snapshot (:mod:`repro.p2plog.auth`),
+        ``None`` when checkpoints are unsigned; not part of equality.
     """
 
     document_key: str
@@ -61,7 +62,7 @@ class Checkpoint:
     lines: tuple[str, ...] = ()
     created_at: float = 0.0
     author: str = "master"
-    metadata: dict[str, Any] = field(default_factory=dict, compare=False, hash=False)
+    sig: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.ts < 1:
@@ -72,10 +73,6 @@ class Checkpoint:
     def checkpoint_key(self) -> str:
         """The logical string hashed by the checkpoint hash family."""
         return make_checkpoint_key(self.document_key, self.ts)
-
-    def describe(self) -> str:
-        """One-line human readable description (used in traces)."""
-        return f"{self.document_key}@{self.ts} snapshot ({len(self.lines)} lines)"
 
 
 def make_checkpoint_key(document_key: str, ts: int) -> str:
@@ -101,15 +98,10 @@ register_wire_type(
     "checkpoint",
     pack=lambda obj, enc: [
         obj.document_key, obj.ts, list(obj.lines), obj.created_at,
-        obj.author, enc(obj.metadata),
+        obj.author, obj.sig,
     ],
     unpack=lambda body, dec: Checkpoint(
         document_key=body[0], ts=body[1], lines=tuple(body[2]),
-        created_at=body[3], author=body[4], metadata=dec(body[5]),
-    ),
-    copy=lambda obj, copier: Checkpoint(
-        document_key=obj.document_key, ts=obj.ts, lines=obj.lines,
-        created_at=obj.created_at, author=obj.author,
-        metadata=copier(obj.metadata),
+        created_at=body[3], author=body[4], sig=body[5],
     ),
 )

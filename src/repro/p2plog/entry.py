@@ -25,8 +25,9 @@ class LogEntry:
         The continuous timestamp assigned by the Master-key peer
         (``ts = previous ts + 1``).
     patch:
-        The patch payload.  The P2P-Log treats it as opaque; in this
-        reproduction it is a :class:`repro.ot.Patch` most of the time.
+        The patch payload, an immutable value: a :class:`repro.ot.Patch`
+        (tests use strings).  The P2P-Log treats it as opaque and never
+        changes it, so an entry is shared, not copied, wherever it travels.
     author:
         Name of the user peer that produced the patch.
     published_at:
@@ -36,8 +37,10 @@ class LogEntry:
         patch was generated against the state after applying ``base_ts``
         patches).  Used by the reconciliation engine to transform the patch
         against concurrent ones.
-    metadata:
-        Optional free-form annotations (experiment ids, sizes, ...).
+    sig:
+        The author's signature over the entry (:mod:`repro.p2plog.auth`),
+        ``None`` when commits are unsigned.  Not part of equality, so signed
+        and unsigned copies of an entry compare the same.
     proposal:
         The proposal identity the author gave this patch: together with
         ``author`` it names one patch of one proposal for the life of the
@@ -55,7 +58,7 @@ class LogEntry:
     author: str = "unknown"
     published_at: float = 0.0
     base_ts: Optional[int] = None
-    metadata: dict[str, Any] = field(default_factory=dict, compare=False, hash=False)
+    sig: Optional[str] = field(default=None, compare=False)
     proposal: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -66,10 +69,6 @@ class LogEntry:
     def log_key(self) -> str:
         """The logical ``key + ts`` string hashed by the replication functions."""
         return make_log_key(self.document_key, self.ts)
-
-    def describe(self) -> str:
-        """One-line human readable description (used in traces)."""
-        return f"{self.document_key}@{self.ts} by {self.author}"
 
 
 def find_proposal(entries: Sequence[LogEntry], author: str,
@@ -153,18 +152,10 @@ register_wire_type(
     "log-entry",
     pack=lambda obj, enc: [
         obj.document_key, obj.ts, enc(obj.patch), obj.author,
-        obj.published_at, obj.base_ts, enc(obj.metadata), obj.proposal,
+        obj.published_at, obj.base_ts, obj.sig, obj.proposal,
     ],
-    # Frames written before entries carried a proposal identity have no
-    # eighth element.
     unpack=lambda body, dec: LogEntry(
         document_key=body[0], ts=body[1], patch=dec(body[2]), author=body[3],
-        published_at=body[4], base_ts=body[5], metadata=dec(body[6]),
-        proposal=body[7] if len(body) > 7 else None,
-    ),
-    copy=lambda obj, copier: LogEntry(
-        document_key=obj.document_key, ts=obj.ts, patch=copier(obj.patch),
-        author=obj.author, published_at=obj.published_at, base_ts=obj.base_ts,
-        metadata=copier(obj.metadata), proposal=obj.proposal,
+        published_at=body[4], base_ts=body[5], sig=body[6], proposal=body[7],
     ),
 )

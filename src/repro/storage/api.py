@@ -53,17 +53,6 @@ class StoredItem:
     version: int = 0
     stored_at: float = 0.0
 
-    def copy(self) -> "StoredItem":
-        """A shallow copy (used when persisting without aliasing)."""
-        return StoredItem(
-            key=self.key,
-            value=self.value,
-            key_id=self.key_id,
-            is_replica=self.is_replica,
-            version=self.version,
-            stored_at=self.stored_at,
-        )
-
 
 def in_ring_interval(x: int, a: int, b: int) -> bool:
     """``x`` in the arc ``(a, b]`` of the circular identifier space.

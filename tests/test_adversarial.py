@@ -102,12 +102,12 @@ def test_author_keys_are_distinct_per_author():
 
 
 def test_checkpoint_sign_and_verify_roundtrip():
-    checkpoint = Checkpoint(document_key=KEY, ts=4, lines=("a", "b"),
-                            author="master")
-    checkpoint.metadata["sig"] = sign_checkpoint("secret", checkpoint)
+    unsigned = Checkpoint(document_key=KEY, ts=4, lines=("a", "b"),
+                          author="master")
+    assert not verify_checkpoint("secret", unsigned)
+    checkpoint = replace(unsigned, sig=sign_checkpoint("secret", unsigned))
     assert verify_checkpoint("secret", checkpoint)
-    tampered = replace(checkpoint, lines=("a", "b", "evil"))
-    tampered.metadata.update(checkpoint.metadata)
+    tampered = replace(checkpoint, lines=("a", "b", "evil"))  # keeps the sig
     assert not verify_checkpoint("secret", tampered)
 
 
@@ -227,7 +227,7 @@ def test_tampered_copy_is_skipped_at_retrieval():
                 + (InsertLine(0, "<tampered>"),)
             ),
         )
-        bad.metadata.update(item.value.metadata)  # keep the now-stale sig
+        assert bad.sig == item.value.sig is not None  # replace keeps the now-stale sig
         node.storage.put(storage_key, bad, is_replica=item.is_replica,
                          now=system.runtime.now, key_id=item.key_id)
         break  # tamper exactly one copy; honest copies remain
@@ -243,7 +243,6 @@ def test_all_copies_tampered_raises_authentication_error():
     system = signed_system()
     for node, storage_key, item in placement_items(system, ts=2):
         bad = replace(item.value, author=item.value.author + "?")
-        bad.metadata.update(item.value.metadata)
         node.storage.put(storage_key, bad, is_replica=item.is_replica,
                          now=system.runtime.now, key_id=item.key_id)
     drop_master_tail(system, KEY)
@@ -266,7 +265,6 @@ def test_mutation_tampered_entry_is_reported_with_custodian():
             tuple(item.value.patch.operations) + (InsertLine(0, "<evil>"),)
         ),
     )
-    bad.metadata.update(item.value.metadata)
     node.storage.put(storage_key, bad, is_replica=item.is_replica,
                      now=system.runtime.now, key_id=item.key_id)
     snapshot = ConvergenceChecker(keys=[KEY]).check_now(system)
@@ -284,7 +282,7 @@ def test_mutation_replayed_patch_is_reported():
     system = signed_system()
     node, _storage_key, item = placement_items(system, ts=1)[0]
     replayed = replace(item.value, ts=4)
-    replayed.metadata.update(item.value.metadata)  # sig binds ts=1, not 4
+    assert replayed.sig == item.value.sig is not None  # the sig binds ts=1, not 4
     log_key = make_log_key(KEY, 4)
     function = system.hash_family[0]
     node.storage.put(function.placement_key(log_key), replayed,
@@ -367,7 +365,7 @@ def test_mutation_corrupted_checkpoint_is_reported():
             if isinstance(item.value, Checkpoint):
                 bad = replace(item.value,
                               lines=tuple(item.value.lines) + ("<evil>",))
-                bad.metadata.update(item.value.metadata)
+                assert bad.sig == item.value.sig is not None
                 node.storage.put(item.key, bad, is_replica=item.is_replica)
                 mutated = (node.address.name, item.value.ts)
                 break

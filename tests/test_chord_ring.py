@@ -84,6 +84,28 @@ def test_duplicate_node_name_rejected(ring):
         ring.create_node("a")
 
 
+def test_bootstrap_rejects_peers_sharing_an_identifier():
+    # 9 peers on a 3-bit ring: peer-2, peer-3 and peer-7 all hash to 7.
+    assert {hash_to_id(f"peer-{index}", 3) for index in (2, 3, 7)} == {7}
+    ring = ChordRing(seed=1, config=ChordConfig(bits=3))
+    with pytest.raises(DhtError, match="share a ring identifier") as raised:
+        ring.bootstrap(9, stabilize_time=50.0)
+    assert "peer-2 and peer-3 at 7; peer-2 and peer-7 at 7" in str(raised.value)
+    assert not ring.nodes  # refused before any node was created or joined
+
+
+def test_add_node_rejects_the_identifier_of_a_live_node():
+    ring = ChordRing(seed=1, config=small_config(bits=3))
+    ring.bootstrap(["peer-0", "peer-2"])
+    with pytest.raises(DhtError, match="peer-2 and peer-3 at 7"):
+        ring.add_node("peer-3")
+    assert "peer-3" not in ring.nodes and ring.ring_order() == ["peer-0", "peer-2"]
+    # Only a live holder blocks the identifier: once peer-2 is gone it is free.
+    ring.crash("peer-2")
+    ring.add_node("peer-3")
+    assert ring.ring_order() == ["peer-0", "peer-3"] and ring.is_stable()
+
+
 def test_unknown_node_access_raises(ring):
     with pytest.raises(DhtError):
         ring.node("ghost")

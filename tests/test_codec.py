@@ -67,6 +67,8 @@ names = st.text(
 ring_ids = st.integers(min_value=0, max_value=2**160 - 1)
 timestamps = st.integers(min_value=0, max_value=2**40)
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+#: A log entry's or checkpoint's ``sig``: unsigned, or an HMAC-SHA256 hex digest.
+signatures = st.none() | st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
 
 addresses = st.builds(Address, name=names.filter(bool), site=names.filter(bool))
 noderefs = st.builds(NodeRef, node_id=ring_ids, address=addresses)
@@ -90,7 +92,7 @@ log_entries = st.builds(
     patch=patches,
     author=names,
     published_at=floats,
-    metadata=st.dictionaries(names, timestamps, max_size=3),
+    sig=signatures,
     proposal=st.none() | st.integers(min_value=0, max_value=2**62),
 )
 checkpoints = st.builds(
@@ -100,7 +102,7 @@ checkpoints = st.builds(
     lines=st.lists(names, max_size=8).map(tuple),
     created_at=floats,
     author=names,
-    metadata=st.dictionaries(names, timestamps, max_size=3),
+    sig=signatures,
 )
 stored_items = st.builds(
     StoredItem,
@@ -166,6 +168,8 @@ def test_registered_types_round_trip(obj):
     restored = decode(encode(obj))
     assert type(restored) is type(obj)
     assert restored == obj
+    # Outside equality, so compared on its own.
+    assert getattr(restored, "sig", None) == getattr(obj, "sig", None)
 
 
 @SEEDED
@@ -374,6 +378,19 @@ def test_wrong_wire_version_is_rejected():
         decode(json.dumps(envelope).encode())
 
 
+def test_version_1_frame_is_refused():
+    # Version 1 carried a free-form dictionary where a log entry's ``sig``
+    # now is; its frames are refused, not read as something else.
+    frame_v1 = (
+        b'{"v":1,"k":"payload","d":{"~t":"log-entry","v":'
+        b'["doc",3,"patch","alice",0.5,2,{"sig":"ab"},7]}}'
+    )
+    with pytest.raises(CodecError, match="unsupported wire version 1"):
+        decode(frame_v1)
+    with pytest.raises(CodecError, match="unsupported wire version 1"):
+        decode_any(frame_v1)
+
+
 def test_garbage_bytes_raise_codec_error():
     with pytest.raises(CodecError):
         decode(b"\x00\x01\x02not-an-envelope")
@@ -471,14 +488,12 @@ def test_negative_route_age_crosses_the_codec_and_is_clamped():
 def _behind_entries():
     return [
         LogEntry("doc", ts, _PATCH, author="alice", published_at=0.5, base_ts=ts - 1,
-                 metadata={"sig": "ab" * 32}, proposal=2**47 + ts)
+                 sig="ab" * 32, proposal=2**47 + ts)
         for ts in (4, 5)
     ]
 
 
-def test_log_entry_proposal_round_trips_and_older_frames_still_load():
-    from repro.net.codec import from_wire, to_wire
-
+def test_log_entry_proposal_round_trips_and_older_rows_still_load():
     entry = _behind_entries()[0]
     decoded = _response_round_trip("fetch", {"value": entry})["value"]
     assert decoded == entry and decoded.proposal == 2**47 + 4
@@ -487,13 +502,7 @@ def test_log_entry_proposal_round_trips_and_older_frames_still_load():
     assert dataclasses.replace(entry, proposal=7) != entry
     plain = dataclasses.replace(entry, proposal=None)
     assert _response_round_trip("fetch", {"value": plain})["value"].proposal is None
-    # A frame from before entries carried an identity has no eighth element.
-    tree = to_wire(entry)
-    assert tree["~t"] == "log-entry" and tree["v"][7] == entry.proposal
-    del tree["v"][7]
-    old = from_wire(tree)
-    assert old == plain and old.metadata == entry.metadata
-    # ... and a row pickled before it has no such attribute.
+    # A row pickled before entries carried an identity has no such attribute.
     import pickle
 
     state = dict(vars(plain))
@@ -554,7 +563,7 @@ def test_behind_payload_round_trips_with_its_entries():
     decoded = _response_round_trip("ltr_validate_and_publish", payload)
     result = ValidationResult.from_payload(decoded)
     assert result.last_ts == 5 and result.entries == _behind_entries()
-    assert [entry.metadata for entry in result.entries] == [{"sig": "ab" * 32}] * 2
+    assert [entry.sig for entry in result.entries] == ["ab" * 32] * 2
     system = LtrSystem()
     try:
         system.bootstrap(3)

@@ -21,11 +21,14 @@ new wire type without adding coverage here.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chord import NodeRef
+from repro.core import LtrConfig, LtrSystem
 from repro.net import Address, ErrorEnvelope, Message, MessageKind
 from repro.net.codec import (
     _IMMUTABLE_LEAVES,  # noqa: PLC2701 - the fast path under test
@@ -49,6 +52,8 @@ names = st.text(
 ring_ids = st.integers(min_value=0, max_value=2**160 - 1)
 timestamps = st.integers(min_value=0, max_value=2**40)
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+#: A log entry's or checkpoint's ``sig``: unsigned, or an HMAC-SHA256 hex digest.
+signatures = st.none() | st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
 scalars = st.one_of(st.none(), st.booleans(), names, floats, timestamps)
 
 addresses = st.builds(Address, name=names.filter(bool), site=names.filter(bool))
@@ -72,7 +77,7 @@ log_entries = st.builds(
     patch=patches,
     author=names,
     published_at=floats,
-    metadata=st.dictionaries(names, timestamps, max_size=3),
+    sig=signatures,
 )
 checkpoints = st.builds(
     Checkpoint,
@@ -81,7 +86,7 @@ checkpoints = st.builds(
     lines=st.lists(names, max_size=8).map(tuple),
     created_at=floats,
     author=names,
-    metadata=st.dictionaries(names, timestamps, max_size=3),
+    sig=signatures,
 )
 stored_items = st.builds(
     StoredItem,
@@ -205,18 +210,31 @@ def test_dict_payloads_are_rebuilt_and_severed():
     assert original["lines"] == ["a", "b", "c"]
 
 
-def test_log_entry_metadata_is_severed():
+def test_log_entries_and_checkpoints_are_delivered_by_reference():
     entry = LogEntry(document_key="doc", ts=3,
                      patch=Patch(operations=(InsertLine(0, "x"),), base_ts=2,
                                  author="alice"),
-                     author="alice", published_at=1.5, metadata={"site": 1})
-    copied = copy_payload(entry)
-    assert copied == entry
-    assert copied.metadata is not entry.metadata
-    entry.metadata["site"] = 99
-    assert copied.metadata == {"site": 1}
-    # The patch inside is an immutable leaf: shared, not rebuilt.
-    assert copied.patch is entry.patch
+                     author="alice", published_at=1.5, sig="ab" * 32)
+    checkpoint = Checkpoint(document_key="doc", ts=4, lines=("x",), sig="cd" * 32)
+    message = Message(source=Address("a"), destination=Address("b"),
+                      kind=MessageKind.RESPONSE, method="fetch_many",
+                      payload={"entries": [entry], "checkpoint": checkpoint},
+                      request_id=1, sent_at=0.0)
+    delivered = copy_message(message).payload
+    assert delivered is not message.payload  # the dict and list are rebuilt...
+    assert delivered["entries"][0] is entry  # ...the values inside are not
+    assert delivered["checkpoint"] is checkpoint
+
+
+@pytest.mark.parametrize("value, field", [
+    (LogEntry("doc", 3, "patch", sig="ab" * 32), "sig"),
+    (LogEntry("doc", 3, "patch"), "patch"),
+    (Checkpoint("doc", 4, ("x",), sig="cd" * 32), "sig"),
+    (Checkpoint("doc", 4, ("x",)), "lines"),
+])
+def test_shared_log_values_cannot_be_assigned_to(value, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, None)
 
 
 def test_stored_item_with_mutable_value_is_severed():
@@ -271,3 +289,46 @@ def test_message_with_mutable_payload_is_severed():
     assert delivered.payload == payload
     payload["lines"].append("b")
     assert delivered.payload["lines"] == ["a"]
+
+
+# ---------------------------------------------------------------------------
+# Sharing across a round: one object per log value
+# ---------------------------------------------------------------------------
+
+
+def test_a_round_keeps_one_object_per_log_value():
+    """Every live copy of one ``(key, ts)`` — at its Log-Peers, their
+    successor replicas and in the Masters' tails — is one object, and so is
+    every copy of one checkpoint: deliveries share log values, never
+    rebuild them."""
+    config = LtrConfig(checkpoint_interval=8, auth_enabled=True, auth_secret="secret")
+    system = LtrSystem(ltr_config=config, seed=3)
+    try:
+        peers = system.bootstrap(16, warm=True)
+        keys = ["wiki:a", "wiki:b"]
+        for revision in range(18):
+            for key in keys:
+                system.edit_and_commit(peers[revision % 3], key, f"revision {revision}")
+        system.run_for(2.0)  # the Masters write the checkpoints in the background
+        cold = system.sync(peers[-1], keys[0])
+        assert cold.retrieved_patches == 18
+
+        values = [item.value for node in system.ring.live_nodes() for item in node.storage]
+        values += [entry for node in system.ring.live_nodes()
+                   for document in node.service("ltr-master")._documents.values()
+                   for entry in document.tenure.tail.entries]
+        copies: dict[tuple, list] = {}
+        for value in values:
+            if isinstance(value, (LogEntry, Checkpoint)):
+                name = (type(value).__name__, value.document_key, value.ts)
+                copies.setdefault(name, []).append(value)
+        assert sorted(copies) == sorted(
+            [("LogEntry", key, ts) for key in keys for ts in range(1, 19)]
+            + [("Checkpoint", key, ts) for key in keys for ts in (8, 16)]
+        )
+        for name, held in copies.items():
+            assert len(held) > 3, name  # |Hr| placements, replicas (and a tail)
+            assert all(value is held[0] for value in held), name
+            assert held[0].sig is not None, name
+    finally:
+        system.shutdown()

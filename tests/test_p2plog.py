@@ -43,9 +43,9 @@ def run(ring, generator):
     return ring.runtime.run(until=ring.runtime.process(generator))
 
 
-def make_entry(ts, key="doc", author="u1", patch=None):
+def make_entry(ts, key="doc", author="u1", patch=None, sig=None):
     return LogEntry(document_key=key, ts=ts, patch=patch if patch is not None else f"patch-{ts}",
-                    author=author)
+                    author=author, sig=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +56,16 @@ def make_entry(ts, key="doc", author="u1", patch=None):
 def test_log_entry_validation_and_log_key():
     entry = make_entry(3)
     assert entry.log_key == "doc#3"
-    assert "doc@3" in entry.describe()
     with pytest.raises(ValueError):
         make_entry(0)
     with pytest.raises(ValueError):
         make_log_key("doc", 0)
 
 
-def test_log_entry_equality_ignores_metadata():
-    a = LogEntry("d", 1, "p", metadata={"x": 1})
-    b = LogEntry("d", 1, "p", metadata={"y": 2})
-    assert a == b
+def test_log_entry_equality_ignores_sig():
+    a = LogEntry("d", 1, "p", sig="ab" * 32)
+    b = LogEntry("d", 1, "p")
+    assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +276,8 @@ def test_window_of_one_returns_what_the_default_window_returns(fault):
     primary Log-Peer of some timestamp is down or serves a tampered copy."""
     ring = build_ring(node_count=10)
     family = HashFunctionFamily.create(3, bits=BITS)
-    entries = [make_entry(ts, key="wiki:window") for ts in range(1, 25)]
-    for entry in entries:
-        entry.metadata["sig"] = f"sig-{entry.ts}"
-    verifier = lambda entry: entry.metadata.get("sig") == f"sig-{entry.ts}"  # noqa: E731
+    entries = [make_entry(ts, key="wiki:window", sig=f"sig-{ts}") for ts in range(1, 25)]
+    verifier = lambda entry: entry.sig == f"sig-{entry.ts}"  # noqa: E731
     publisher = P2PLogClient(ChordDhtClient(ring.gateway()), family)
     run(ring, publisher.append_many(entries))
     ring.run_for(1.0)
@@ -303,7 +300,7 @@ def test_window_of_one_returns_what_the_default_window_returns(fault):
     with mock.patch.object(log_module, "MAX_PARALLEL", 1):
         one_by_one = run(ring, one.fetch_range("wiki:window", 1, 24))
     assert one_by_one == run(ring, windowed.fetch_range("wiki:window", 1, 24)) == entries
-    assert [entry.metadata for entry in one_by_one] == [entry.metadata for entry in entries]
+    assert [entry.sig for entry in one_by_one] == [entry.sig for entry in entries]
     if fault == "primary-tampered":
         # One tampered copy: rejected once, one read of the next placement.
         assert one.auth_rejects == 1 and windowed.auth_rejects == 1
@@ -326,10 +323,8 @@ def signed_window(which_tampered, removed=()):
     """A published range whose ts 7 has tampered / removed placements."""
     ring = build_ring(node_count=10)
     family = HashFunctionFamily.create(3, bits=BITS)
-    entries = [make_entry(ts, key="wiki:window") for ts in range(1, 13)]
-    for entry in entries:
-        entry.metadata["sig"] = f"sig-{entry.ts}"
-    verifier = lambda entry: entry.metadata.get("sig") == f"sig-{entry.ts}"  # noqa: E731
+    entries = [make_entry(ts, key="wiki:window", sig=f"sig-{ts}") for ts in range(1, 13)]
+    verifier = lambda entry: entry.sig == f"sig-{entry.ts}"  # noqa: E731
     gateway = ChordDhtClient(ring.gateway())
     run(ring, P2PLogClient(gateway, family).append_many(entries))
     ring.run_for(1.0)
@@ -396,7 +391,6 @@ def make_checkpoint(ts, key="doc", lines=("alpha", "beta")):
 def test_checkpoint_validation_and_key():
     checkpoint = make_checkpoint(4)
     assert checkpoint.checkpoint_key == "doc!ckpt#4"
-    assert "snapshot" in checkpoint.describe()
     with pytest.raises(ValueError):
         make_checkpoint(0)
     with pytest.raises(ValueError):

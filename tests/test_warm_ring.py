@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.chord import ChordConfig, ChordRing
+from repro.chord import ChordConfig, ChordRing, hash_to_id
 from repro.core import DEFAULT_CHORD_CONFIG, LtrSystem
 from repro.engine import ScenarioSpec, run_scenario, write_artifact
 from repro.errors import DhtError
@@ -146,12 +146,13 @@ def test_warm_ring_rejects_peers_sharing_an_identifier():
     ring = ChordRing(seed=SEED, config=ChordConfig(bits=3))
     with pytest.raises(DhtError, match="share a ring identifier") as raised:
         ring.bootstrap_warm(9)
-    clashing = [node for node in ring.nodes.values()
-                if sum(other.node_id == node.node_id for other in ring.nodes.values()) > 1]
+    identifiers = [hash_to_id(name, 3) for name in _names(9)]
+    clashing = [name for name, identifier in zip(_names(9), identifiers)
+                if identifiers.count(identifier) > 1]
     assert clashing
-    for node in clashing:
-        assert node.address.name in str(raised.value)
-    assert not any(node.alive for node in ring.nodes.values())
+    for name in clashing:
+        assert name in str(raised.value)
+    assert not ring.nodes  # refused before any node was created
 
 
 # ------------------------------------------------- E2-style artifact parity --

@@ -386,9 +386,9 @@ def range_read(fault):
     ring = quiet_ring(seed=13)
     family = HashFunctionFamily.create(3, bits=32)
     key = "wiki:windows"
-    entries = [LogEntry(key, ts, f"patch-{ts}", author="u1", metadata={"sig": f"sig-{ts}"})
+    entries = [LogEntry(key, ts, f"patch-{ts}", author="u1", sig=f"sig-{ts}")
                for ts in range(1, 25)]
-    verifier = lambda entry: entry.metadata.get("sig") == f"sig-{entry.ts}"  # noqa: E731
+    verifier = lambda entry: entry.sig == f"sig-{entry.ts}"  # noqa: E731
     run = lambda generator: ring.runtime.run(until=ring.runtime.process(generator))  # noqa: E731
     run(P2PLogClient(ChordDhtClient(ring.gateway()), family).append_many(entries))
     ring.run_for(1.0)
