@@ -8,7 +8,8 @@ report and every substrate it depends on:
 * :mod:`repro.runtime` — the execution-runtime abstraction the whole stack
   runs on: the deterministic ``SimRuntime`` (default) and the wall-clock
   ``AsyncioRuntime`` live backend.
-* :mod:`repro.net` — simulated network (latency, loss, partitions, RPC).
+* :mod:`repro.net` — simulated network (latency, partitions, perturbation
+  windows, RPC).
 * :mod:`repro.chord` — a from-scratch Chord DHT (the Open Chord substitute).
 * :mod:`repro.dht` — uniform DHT client facade.
 * :mod:`repro.kts` — key-based timestamp service (gen_ts / last_ts).

@@ -199,10 +199,6 @@ class ConvergenceChecker:
                 "log_continuous": report.log_continuous,
                 "converged": report.converged,
             }
-            if not report.log_continuous:
-                snapshot.violations.append(
-                    f"{key}: final log not continuous up to {report.last_ts}"
-                )
             if not report.converged:
                 snapshot.violations.append(
                     f"{key}: replicas did not converge after heal "

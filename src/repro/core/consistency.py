@@ -32,15 +32,17 @@ class ConsistencyReport:
     replica_count: int
     distinct_contents: int
     canonical_lines: list[str] = field(default_factory=list)
+    #: True on every report :func:`build_report` makes (a gap raises
+    #: before one is built); the experiments' invariant columns read it.
     log_continuous: bool = True
     details: dict = field(default_factory=dict)
 
     def raise_if_inconsistent(self) -> None:
-        """Raise :class:`~repro.errors.DivergenceDetected` unless everything checks out."""
-        if not self.log_continuous:
-            raise TimestampGapDetected(
-                f"P2P-Log of {self.document_key!r} is not continuous up to {self.last_ts}"
-            )
+        """Raise :class:`~repro.errors.DivergenceDetected` unless the replicas converged.
+
+        A gap in the log never reaches a report: :func:`verify_log_continuity`
+        raises :class:`~repro.errors.TimestampGapDetected` first.
+        """
         if not self.converged:
             raise DivergenceDetected(
                 f"{self.distinct_contents} distinct replica contents for "
@@ -105,16 +107,15 @@ def build_report(
     entries: Sequence[LogEntry],
     replicas: Sequence[Document],
 ) -> ConsistencyReport:
-    """Assemble a :class:`ConsistencyReport` from already-retrieved data."""
-    log_continuous = len(entries) == last_ts and all(
-        entry.ts == index for index, entry in enumerate(entries, start=1)
-    )
-    canonical = replay_log(key, entries) if log_continuous else Document(key=key)
+    """Assemble a :class:`ConsistencyReport` from already-retrieved data.
+
+    ``entries`` are what :func:`verify_log_continuity` returned, so the log
+    is continuous by construction (a gap raised there).
+    """
+    canonical = replay_log(key, entries)
     comparison = compare_replicas(replicas, canonical)
     converged = bool(
-        log_continuous
-        and comparison["matches_canonical"]
-        and comparison["distinct_contents"] <= 1
+        comparison["matches_canonical"] and comparison["distinct_contents"] <= 1
     )
     return ConsistencyReport(
         document_key=key,
@@ -123,6 +124,5 @@ def build_report(
         replica_count=len(replicas),
         distinct_contents=comparison["distinct_contents"],
         canonical_lines=list(canonical.lines),
-        log_continuous=log_continuous,
         details=comparison,
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..net import FailureSchedule, PerturbationWindow
+from ..net import PerturbationWindow
 
 
 class FaultAction:
@@ -272,6 +272,9 @@ class JoinPeer(FaultAction):
         ring = nemesis.ring
         node = ring.nodes.get(self.peer)
         if node is None:
+            # A fresh name at a live node's identifier would leave a ring
+            # that never stabilizes: refused, as ``ChordRing.add_node`` does.
+            ring._refuse_shared_identifiers([self.peer])
             node = ring.create_node(self.peer)
         elif node.alive:
             return  # already part of the ring
@@ -555,16 +558,22 @@ class FaultPlan:
 
         return self.add(at, MasterEquivocation(peer, count=count))
 
-    def churn_storm(self, at: float, schedule: FailureSchedule) -> "FaultPlan":
+    def churn_storm(
+        self, at: float, schedule: Iterable[tuple[float, str, str]]
+    ) -> "FaultPlan":
         """Expand a scripted churn schedule into timed fault actions.
 
-        ``schedule`` is what :func:`repro.workloads.generate_churn_schedule`
-        produces; its entries are offset by ``at``.  This turns the E10-style
-        driver loop into plan events, so churn composes with partitions and
-        bursts inside one nemesis run.
+        ``schedule`` holds ``(time, action, peer)`` entries, ``action`` one
+        of ``"crash"``, ``"leave"`` or ``"join"`` — what
+        :func:`repro.workloads.generate_churn_schedule` produces; its
+        entries are offset by ``at``.  This turns the E10-style driver loop
+        into plan events, so churn composes with partitions and bursts
+        inside one nemesis run.
         """
         actions = {"crash": CrashPeer, "leave": LeavePeer, "join": JoinPeer}
         for when, action, peer in schedule:
+            if action not in actions:
+                raise ConfigurationError(f"unknown churn action {action!r}")
             self.add(at + when, actions[action](peer))
         return self
 

@@ -1,4 +1,4 @@
-"""Network substrate: addresses, messages, latency, failures, RPC.
+"""Network substrate: addresses, messages, latency, fault state, RPC.
 
 This package replaces the Java RMI transport of the original P2P-LTR
 prototype with a runtime-driven message layer (see the substitution table
@@ -21,15 +21,7 @@ from .codec import (
     frame,
     register_wire_type,
 )
-from .failures import (
-    BernoulliLoss,
-    FailureSchedule,
-    LossModel,
-    NoLoss,
-    PartitionManager,
-    PerturbationWindow,
-    TargetedLoss,
-)
+from .failures import PartitionManager, PerturbationWindow
 from .latency import (
     ConstantLatency,
     LatencyModel,
@@ -39,7 +31,7 @@ from .latency import (
     UniformLatency,
     latency_preset,
 )
-from .message import DeliveryReceipt, Message, MessageKind, TrafficStats, payload_size
+from .message import Message, MessageKind, TrafficStats, payload_size
 from .rpc import RpcAgent, normalize_backend_error
 from .transport import Network
 from .wire import WireEndpoint, WireNetwork
@@ -60,23 +52,17 @@ __all__ = [
     "exception_from_envelope",
     "frame",
     "register_wire_type",
-    "BernoulliLoss",
     "ConstantLatency",
-    "DeliveryReceipt",
-    "FailureSchedule",
     "LatencyModel",
     "LogNormalLatency",
-    "LossModel",
     "Message",
     "MessageKind",
     "Network",
-    "NoLoss",
     "PairwiseLatency",
     "PartitionManager",
     "PerturbationWindow",
     "RpcAgent",
     "SiteAwareLatency",
-    "TargetedLoss",
     "TrafficStats",
     "UniformLatency",
     "latency_preset",

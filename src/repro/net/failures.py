@@ -1,90 +1,30 @@
-"""Failure injection for the simulated network.
+"""The transport's fault state: partitions and perturbation windows.
 
-Three orthogonal failure mechanisms are provided, matching the knobs the
-paper's prototype GUI exposes ("may provoke failures"):
+The paper's prototype GUI lets the demonstrator "provoke failures"; the
+declarative :class:`~repro.faults.FaultPlan` is the one vocabulary for
+them, and these are the two pieces of state its actions set on the
+:class:`~repro.net.transport.Network`:
 
-* **Crash / departure** of a peer — handled by the transport registry
-  (:meth:`repro.net.transport.Network.crash` /
-  :meth:`~repro.net.transport.Network.unregister`).
-* **Message loss** — a :class:`LossModel` decides per message whether it is
-  silently dropped.
 * **Partitions** — a :class:`PartitionManager` groups addresses into
   components; messages crossing component boundaries are dropped until the
   partition heals.
+* **Perturbation windows** — a :class:`PerturbationWindow` drops,
+  duplicates or delays messages while a nemesis burst runs (probabilistic
+  loss is ``FaultPlan.loss_burst``).
+
+Crashes and departures are the transport registry itself
+(:meth:`~repro.net.transport.Network.crash` /
+:meth:`~repro.net.transport.Network.unregister`), and a peer that receives
+nothing while still listed as up is :attr:`Network.silenced
+<repro.net.transport.Network.silenced>`.
 """
 
 from __future__ import annotations
 
-import random
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from .address import Address
-from .message import Message
-
-
-class LossModel(ABC):
-    """Decides whether an individual message is dropped."""
-
-    @abstractmethod
-    def should_drop(self, rng: random.Random, message: Message) -> bool:
-        """Return ``True`` if the message must be dropped."""
-
-
-@dataclass(frozen=True)
-class NoLoss(LossModel):
-    """Never drops messages (the default)."""
-
-    def should_drop(self, rng: random.Random, message: Message) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class BernoulliLoss(LossModel):
-    """Drops each message independently with probability ``probability``."""
-
-    probability: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-
-    def should_drop(self, rng: random.Random, message: Message) -> bool:
-        if self.probability == 0.0:
-            return False
-        return rng.random() < self.probability
-
-
-@dataclass(frozen=True)
-class TargetedLoss(LossModel):
-    """Drops messages to/from a specific set of peers with given probability.
-
-    Used to emulate a flaky peer without fully crashing it.
-    """
-
-    peers: frozenset[str]
-    probability: float = 1.0
-    direction: str = "both"  # "to", "from" or "both"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.direction not in ("to", "from", "both"):
-            raise ValueError(f"direction must be 'to', 'from' or 'both', got {self.direction!r}")
-
-    def should_drop(self, rng: random.Random, message: Message) -> bool:
-        to_match = message.destination.name in self.peers
-        from_match = message.source.name in self.peers
-        if self.direction == "to":
-            affected = to_match
-        elif self.direction == "from":
-            affected = from_match
-        else:
-            affected = to_match or from_match
-        if not affected:
-            return False
-        return rng.random() < self.probability
 
 
 class PartitionManager:
@@ -137,8 +77,8 @@ class PerturbationWindow:
 
     A window is installed on the :class:`~repro.net.transport.Network` by the
     fault-injection layer (:mod:`repro.faults`) and removed when the burst
-    ends.  While active, every message that survived the permanent loss model
-    and the partition check is additionally subjected to:
+    ends.  While active, every message that survived the partition and
+    silence checks is additionally subjected to:
 
     * an extra independent drop with probability ``drop_probability``,
     * duplication with probability ``duplicate_probability`` (the copy is
@@ -148,7 +88,7 @@ class PerturbationWindow:
       reorders messages whose base latencies are close together.
 
     All draws come from a dedicated ``net.perturb`` RNG stream, so installing
-    a window never changes the draws of the base latency/loss streams — runs
+    a window never changes the draws of the base latency stream — runs
     without faults stay byte-identical to historical artifacts.
     """
 
@@ -174,47 +114,3 @@ class PerturbationWindow:
             and self.duplicate_probability == 0.0
             and self.reorder_jitter == 0.0
         )
-
-
-@dataclass
-class FailureSchedule:
-    """A scripted sequence of crash / leave / join actions.
-
-    Each entry is ``(time, action, peer_name)`` where ``action`` is one of
-    ``"crash"``, ``"leave"`` or ``"join"``.  The churn workload generator
-    (:mod:`repro.workloads.churn`) produces these schedules; the experiment
-    harness replays them against a running system.
-    """
-
-    entries: list[tuple[float, str, str]] = field(default_factory=list)
-
-    VALID_ACTIONS = ("crash", "leave", "join")
-
-    def add(self, time: float, action: str, peer_name: str) -> None:
-        """Append an action, keeping the schedule sorted by time."""
-        if action not in self.VALID_ACTIONS:
-            raise ValueError(f"unknown churn action {action!r}")
-        if time < 0:
-            raise ValueError(f"negative schedule time {time}")
-        self.entries.append((time, action, peer_name))
-        self.entries.sort(key=lambda entry: entry[0])
-
-    def between(self, start: float, end: float) -> list[tuple[float, str, str]]:
-        """Entries with ``start <= time < end``."""
-        return [entry for entry in self.entries if start <= entry[0] < end]
-
-    def actions_for(self, peer_name: str) -> list[tuple[float, str, str]]:
-        """All entries affecting ``peer_name``."""
-        return [entry for entry in self.entries if entry[2] == peer_name]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def last_time(self) -> Optional[float]:
-        """Time of the last scheduled action, or ``None`` if empty."""
-        if not self.entries:
-            return None
-        return self.entries[-1][0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any
 
 from .address import Address
 
@@ -250,13 +250,3 @@ class TrafficStats:
             "bytes_sent": self.bytes_sent,
             "per_method": dict(self.per_method),
         }
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryReceipt:
-    """Returned by :meth:`repro.net.transport.Network.send` for tracing."""
-
-    message: Message
-    delivered: bool
-    latency: Optional[float]
-    reason: Optional[str] = None

@@ -2,10 +2,11 @@
 
 :class:`Network` is the single switchboard all peers register with.  It
 models per-message latency (via a :class:`~repro.net.latency.LatencyModel`),
-message loss, partitions and peer crashes.  Delivery is asynchronous: a sent
-message is handed to the destination endpoint after the sampled latency has
-elapsed on the simulator clock, provided the destination is still reachable
-at that moment.
+partitions, perturbation windows, silenced peers and peer crashes.  Delivery
+is asynchronous: a sent message is handed to the destination endpoint after
+the sampled latency has elapsed on the simulator clock, provided the
+destination is still reachable at that moment.  :class:`TrafficStats` is the
+one record of what became of each send.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from ..errors import NetworkError
 from ..runtime import Runtime
 from .address import Address
 from .codec import copy_message
-from .failures import LossModel, NoLoss, PartitionManager, PerturbationWindow
+from .failures import PartitionManager, PerturbationWindow
 from .latency import ConstantLatency, LatencyModel
-from .message import DeliveryReceipt, Message, TrafficStats
+from .message import Message, TrafficStats
 
 class Endpoint(Protocol):
     """Anything that can receive messages from the network."""
@@ -38,8 +39,6 @@ class Network:
         :class:`~repro.runtime.Runtime` backend).
     latency:
         One-way delay model (default: 10 ms constant).
-    loss:
-        Message loss model (default: no loss).
     default_timeout:
         Default RPC timeout in seconds, used by the RPC layer when the
         caller does not specify one.  It defaults to a generous multiple of
@@ -51,13 +50,15 @@ class Network:
         self,
         runtime: Runtime,
         latency: Optional[LatencyModel] = None,
-        loss: Optional[LossModel] = None,
         default_timeout: Optional[float] = None,
     ) -> None:
         self.runtime = runtime
         self.latency = latency if latency is not None else ConstantLatency(0.01)
-        self.loss = loss if loss is not None else NoLoss()
         self.partitions = PartitionManager()
+        #: Names of peers every message *to* is dropped while the network
+        #: still lists them as up: an owner that stopped answering (a
+        #: peer in another process, an unannounced crash).
+        self.silenced: set[str] = set()
         self.perturbation: Optional[PerturbationWindow] = None
         self.perturb_stats = {"dropped": 0, "duplicated": 0, "jittered": 0}
         self.stats = TrafficStats()
@@ -143,27 +144,25 @@ class Network:
 
     # -- sending --------------------------------------------------------------
 
-    def send(self, message: Message) -> DeliveryReceipt:
-        """Send ``message``; returns a receipt describing what happened.
+    def send(self, message: Message) -> None:
+        """Send ``message``; :attr:`stats` records what became of it.
 
         A message is dropped (never delivered) when the sender is not
-        registered, a partition separates the endpoints, or the loss model
-        says so.  Messages to unknown/crashed destinations are accepted and
-        silently lost — exactly like UDP datagrams to a dead host — so that
-        the RPC layer's timeout logic is exercised, which is what the
-        P2P-LTR failure-handling procedures react to.
+        registered, a partition separates the endpoints, or the destination
+        is :attr:`silenced`.  Messages to unknown/crashed destinations are
+        accepted and silently lost — exactly like UDP datagrams to a dead
+        host — so that the RPC layer's timeout logic is exercised, which is
+        what the P2P-LTR failure-handling procedures react to.
         """
         self.stats.record_sent(message)
 
-        if message.source not in self._endpoints:
+        if (
+            message.source not in self._endpoints
+            or not self.partitions.allows(message.source, message.destination)
+            or message.destination.name in self.silenced
+        ):
             self.stats.record_dropped(message)
-            return DeliveryReceipt(message, False, None, "source not registered")
-        if not self.partitions.allows(message.source, message.destination):
-            self.stats.record_dropped(message)
-            return DeliveryReceipt(message, False, None, "partitioned")
-        if self.loss.should_drop(self._stream("net.loss"), message):
-            self.stats.record_dropped(message)
-            return DeliveryReceipt(message, False, None, "lost")
+            return
 
         delay = self.latency.sample(
             self._stream("net.latency"), message.source, message.destination
@@ -178,7 +177,7 @@ class Network:
             if window.drop_probability > 0.0 and rng.random() < window.drop_probability:
                 self.perturb_stats["dropped"] += 1
                 self.stats.record_dropped(message)
-                return DeliveryReceipt(message, False, None, "perturbed")
+                return
             if (
                 window.duplicate_probability > 0.0
                 and rng.random() < window.duplicate_probability
@@ -199,7 +198,6 @@ class Network:
                 self.perturb_stats["jittered"] += 1
                 delay += rng.random() * window.reorder_jitter
         self.runtime.call_later(delay, self._deliver, message)
-        return DeliveryReceipt(message, True, delay)
 
     def _deliver(self, message: Message) -> None:
         endpoint = self._endpoints.get(message.destination)

@@ -33,7 +33,7 @@ from ..errors import CodecError, ConfigurationError
 from .address import Address
 from .codec import FrameDecoder, decode_any, encode_hello, encode_message, frame
 from .latency import LatencyModel
-from .message import DeliveryReceipt, Message
+from .message import Message
 from .transport import Network
 
 #: Per-link cap on queued outbound frames; beyond it new frames are dropped
@@ -278,19 +278,18 @@ class WireNetwork(Network):
 
     # -- sending ------------------------------------------------------------
 
-    def send(self, message: Message) -> DeliveryReceipt:
+    def send(self, message: Message) -> None:
         if not self.is_remote(message.destination.name):
-            return super().send(message)
+            super().send(message)
+            return
         self.stats.record_sent(message)
         if message.source not in self._endpoints:
             self.stats.record_dropped(message)
-            return DeliveryReceipt(message, False, None, "source not registered")
+            return
         data = frame(encode_message(message))
         link = self._link(self.routes[message.destination.name])
         if not link.send(data):
             self.stats.record_dropped(message)
-            return DeliveryReceipt(message, False, None, "outbound queue full")
-        return DeliveryReceipt(message, True, None)
 
     def _link(self, endpoint: WireEndpoint) -> _OutboundLink:
         link = self._links.get(endpoint)

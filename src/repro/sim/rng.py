@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Optional
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -87,35 +87,3 @@ class RandomStreams:
                 generator = random.Random(derive_seed(self.master_seed, resolved))
                 self._streams[resolved] = generator
             return generator
-
-    def __getitem__(self, name: str) -> random.Random:
-        return self.stream(name)
-
-    def __contains__(self, name: str) -> bool:
-        resolved = self._resolve(name)
-        with self._lock:
-            return resolved in self._streams
-
-    def __iter__(self) -> Iterator[str]:
-        with self._lock:
-            return iter(list(self._streams))
-
-    def names(self) -> list[str]:
-        """Names of all (resolved) streams created so far."""
-        with self._lock:
-            return sorted(self._streams)
-
-    def reset(self) -> None:
-        """Forget all streams; subsequent calls re-create them from scratch."""
-        with self._lock:
-            self._streams.clear()
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Create a child family whose master seed is derived from ``name``.
-
-        Useful when a subsystem (e.g. one peer) wants its own namespace of
-        streams without risking collisions with other subsystems.
-        """
-        return RandomStreams(
-            derive_seed(self.master_seed, name), scope_provider=self.scope_provider
-        )

@@ -2,8 +2,9 @@
 
 The paper's prototype GUI lets the demonstrator "add/remove peers to/from
 the system" and "provoke failures"; these generators produce equivalent
-scripted schedules (:class:`~repro.net.failures.FailureSchedule`) that the
-experiment harness replays during an editing workload.
+scripted schedules — time-sorted ``(time, action, peer)`` lists — that the
+experiment harness replays during an editing workload or
+:meth:`~repro.faults.FaultPlan.churn_storm` turns into fault actions.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Sequence
-
-from ..net import FailureSchedule
 
 
 @dataclass(frozen=True)
@@ -54,16 +53,18 @@ def generate_churn_schedule(
     seed: int = 0,
     protected: Sequence[str] = (),
     new_peer_prefix: str = "joiner",
-) -> FailureSchedule:
+) -> list[tuple[float, str, str]]:
     """Build a churn schedule over ``duration`` simulated seconds.
 
     Departures and crashes pick random currently-alive, unprotected peers;
     joins introduce fresh names (``joiner-0``, ``joiner-1``, ...).  The
     schedule never removes the last two peers so the ring always survives.
+    Entries are ``(time, action, peer)`` with ``action`` one of ``"join"``,
+    ``"leave"`` or ``"crash"``, in time order.
     """
     profile.validate()
     rng = random.Random(seed)
-    schedule = FailureSchedule()
+    schedule: list[tuple[float, str, str]] = []
     alive = list(initial_peers)
     protected_set = set(protected)
     joined = 0
@@ -80,7 +81,7 @@ def generate_churn_schedule(
         if choice < profile.join_rate:
             name = f"{new_peer_prefix}-{joined}"
             joined += 1
-            schedule.add(time, "join", name)
+            schedule.append((time, "join", name))
             alive.append(name)
             continue
         removable = [name for name in alive if name not in protected_set]
@@ -89,9 +90,9 @@ def generate_churn_schedule(
         victim = rng.choice(removable)
         alive.remove(victim)
         if choice < profile.join_rate + profile.leave_rate:
-            schedule.add(time, "leave", victim)
+            schedule.append((time, "leave", victim))
         else:
-            schedule.add(time, "crash", victim)
+            schedule.append((time, "crash", victim))
     return schedule
 
 

@@ -285,6 +285,20 @@ def test_mutation_total_data_loss_fails_the_final_check():
     assert checker.report()["violations_total"] > 0
 
 
+def test_mutation_gap_in_the_log_reaches_the_final_check_as_one_error_line():
+    """A gap surfaces once, from the retrieval inside ``check_consistency``;
+    no report of a gapped log is ever built."""
+    system = committed_system()
+    for node, storage_key, _item in placement_items(system, ts=2):
+        node.storage.remove(storage_key)
+    final = ConvergenceChecker(keys=[KEY]).final_check(system)
+    assert final.keys[KEY] == {"error": "PatchUnavailable"}
+    assert final.violations == [
+        f"{KEY}: final consistency check failed (PatchUnavailable: "
+        f"patch ({KEY!r}, ts=2) unavailable at all replicas)"
+    ]
+
+
 def test_mutation_lost_tail_entries_are_reported():
     """The newest acked entries vanish: the counter outruns the log."""
     system = committed_system()  # last_ts == 4

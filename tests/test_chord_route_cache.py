@@ -419,13 +419,12 @@ def test_unanswered_owner_rpc_purges_the_cached_route():
     unannounced crash) is found out by the RPC that goes unanswered: the
     DHT client purges its routes instead of re-serving them on every retry."""
     from repro.errors import RequestTimeout
-    from repro.net import TargetedLoss
 
     ring = build_ring(8)
     key = "silent-owner"
     gateway, target = warm_cached_route(ring, key)
     owner = ring.responsible_node(key)
-    ring.network.loss = TargetedLoss(frozenset({owner.address.name}), direction="to")
+    ring.network.silenced.add(owner.address.name)
     client = ChordDhtClient(gateway)
     with pytest.raises(RequestTimeout):
         ring.runtime.run(until=ring.runtime.process(

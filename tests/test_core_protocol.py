@@ -6,14 +6,17 @@ module, ``tests/test_core_churn.py``.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
+import repro.net
 from repro.chord import ChordConfig
 from repro.core import LtrConfig, LtrSystem, ValidationResult
 from repro.core.protocol import STATUS_BEHIND, STATUS_OK
 from repro.errors import ConfigurationError
-from repro.net import ConstantLatency
+from repro.faults import ALL_ACTION_KINDS, FaultAction
+from repro.net import ConstantLatency, Network
 from repro.ot import all_converged
 
 
@@ -62,6 +65,25 @@ def test_configuration_surface_is_pinned():
         "maintenance_stagger",
         "fingers_per_round",
     ]
+    # One mechanism per fault: the transport takes no fault model, and the
+    # fault state it exports is what the FaultPlan's actions set.
+    assert list(inspect.signature(Network.__init__).parameters)[1:] == [
+        "runtime",
+        "latency",
+        "default_timeout",
+    ]
+    assert sorted(name for name in repro.net.__all__
+                  if inspect.getmodule(getattr(repro.net, name)) is repro.net.failures) == [
+        "PartitionManager",
+        "PerturbationWindow",
+    ]
+    # Every FaultAction kind is listed, and nothing else is.
+    kinds, pending = [], [FaultAction]
+    while pending:
+        for action in pending.pop().__subclasses__():
+            kinds.append(action.kind)
+            pending.append(action)
+    assert sorted(ALL_ACTION_KINDS) == sorted(kinds)
 
 
 def test_ltr_config_validation():

@@ -7,7 +7,7 @@ import pytest
 from repro.chord import ChordConfig, ChordRing, HashFunctionFamily, hash_to_id
 from repro.dht import ChordDhtClient
 from repro.errors import KeyNotFound, RequestTimeout, UnknownRpcMethod
-from repro.net import ConstantLatency, NoLoss, TargetedLoss
+from repro.net import ConstantLatency
 from repro.p2plog import LogEntry, P2PLogClient
 from repro.p2plog import log as log_module
 
@@ -107,23 +107,21 @@ def test_a_batch_never_fails_as_a_whole():
                   if node is not asker and node.ref != asker.successor)
     silent = [owner_of[key] is victim for key in keys]
     assert 0 < sum(silent) < len(keys)
-    silence = TargetedLoss(frozenset({victim.address.name}), direction="to")
-
     assert routes_to(victim)
-    ring.network.loss = silence
+    ring.network.silenced.add(victim.address.name)
     read = run(client.get_many([(key, None) for key in keys]))
     assert read["values"] == [None if gone else "v1" for gone in silent]
     assert not routes_to(victim)
 
-    ring.network.loss = NoLoss()
+    ring.network.silenced.clear()
     run(client.lookup(keys[silent.index(True)]))
     assert routes_to(victim)
-    ring.network.loss = silence
+    ring.network.silenced.add(victim.address.name)
     written = run(client.put_many([(key, "v2", None) for key in keys]))
     assert written["stored"] == [not gone for gone in silent]
     assert not routes_to(victim)
 
-    ring.network.loss = NoLoss()
+    ring.network.silenced.clear()
     reread = run(client.get_many([(key, None) for key in keys]))
     assert reread["values"] == ["v1" if gone else "v2" for gone in silent]
 
@@ -155,7 +153,7 @@ def test_a_single_key_operation_forgets_an_owner_that_did_not_answer(operation):
     run(client.put(key, "v1"))
     assert routes_to(victim)
     # Every message to the owner is dropped; the network still reports it up.
-    ring.network.loss = TargetedLoss(frozenset({victim.address.name}), direction="to")
+    ring.network.silenced.add(victim.address.name)
     call = {
         "get": lambda: run(client.get(key)),
         "put": lambda: run(client.put(key, "v2")),

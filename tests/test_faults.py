@@ -11,9 +11,11 @@ backend under a fixed seed yields *byte-identical* checker reports.
 import pytest
 
 from repro.check import ConvergenceChecker
+from repro.chord import ChordConfig
+from repro.chord.hashing import hash_to_id
 from repro.core import LtrConfig, LtrSystem
 from repro.engine import ScenarioSpec
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, DhtError, ReproError
 from repro.faults import (
     CrashPeer,
     FaultPlan,
@@ -102,6 +104,10 @@ def test_plan_validation_errors():
         FaultPlan().kts_lag(0.0, duration=1.0, delay=-1.0)
     with pytest.raises(ValueError):
         PerturbationWindow(drop_probability=1.5)
+    with pytest.raises(ConfigurationError, match="unknown churn action"):
+        FaultPlan().churn_storm(0.0, [(1.0, "explode", "a")])
+    with pytest.raises(ConfigurationError):
+        FaultPlan().churn_storm(0.0, [(-1.0, "crash", "a")])
 
 
 def test_overlapping_perturbation_bursts_are_rejected():
@@ -371,6 +377,32 @@ def test_strict_nemesis_propagates_action_failures():
     lenient = Nemesis(build_system(seed=43), plan).start()
     lenient.system.run_for(1.0)
     assert len(lenient.errors) == 1
+
+
+def test_a_nemesis_join_refuses_the_identifier_of_a_live_peer():
+    """Regression: ``JoinPeer`` runs the clash check ``ChordRing.add_node``
+    runs.  A fresh name at a live node's ring identifier is refused before
+    any node is created: recorded in ``errors``, raised under ``strict``."""
+    assert hash_to_id("joiner-12", 4) == hash_to_id("a", 4) == 13
+
+    def build():
+        system = LtrSystem(seed=3, chord_config=ChordConfig(bits=4))
+        system.bootstrap(["a", "b", "c"])
+        return system
+
+    system = build()
+    nemesis = Nemesis(system, FaultPlan().join(1.0, "joiner-12")).start()
+    system.run_for(5.0)
+    assert "joiner-12" not in system.ring.nodes
+    [(_when, label, message)] = nemesis.errors
+    assert label == "join[joiner-12]" and "a and joiner-12 at 13" in message
+    assert system.ring.is_stable()
+
+    strict = build()
+    Nemesis(strict, FaultPlan().join(1.0, "joiner-12"), strict=True).start()
+    with pytest.raises(DhtError, match="share a ring identifier"):
+        strict.run_for(5.0)
+    assert "joiner-12" not in strict.ring.nodes
 
 
 # ------------------------------------------------------- engine integration --

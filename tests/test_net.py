@@ -8,19 +8,15 @@ from repro.core import LtrSystem
 from repro.errors import NodeUnreachable, RequestTimeout, UnknownRpcMethod
 from repro.net import (
     Address,
-    BernoulliLoss,
     ConstantLatency,
-    FailureSchedule,
     LogNormalLatency,
     Message,
     MessageKind,
     Network,
-    NoLoss,
     PairwiseLatency,
     PartitionManager,
     RpcAgent,
     SiteAwareLatency,
-    TargetedLoss,
     UniformLatency,
     latency_preset,
     make_addresses,
@@ -118,43 +114,8 @@ def test_latency_preset_scaling():
 
 
 # ---------------------------------------------------------------------------
-# Loss models and partitions
+# Partitions
 # ---------------------------------------------------------------------------
-
-
-def _dummy_message():
-    return Message(Address("a"), Address("b"), MessageKind.ONEWAY, "ping")
-
-
-def test_no_loss_never_drops():
-    assert not NoLoss().should_drop(random.Random(0), _dummy_message())
-
-
-def test_bernoulli_loss_statistics():
-    model = BernoulliLoss(0.5)
-    rng = random.Random(0)
-    drops = sum(model.should_drop(rng, _dummy_message()) for _ in range(1000))
-    assert 400 < drops < 600
-
-
-def test_bernoulli_loss_validation():
-    with pytest.raises(ValueError):
-        BernoulliLoss(1.5)
-
-
-def test_targeted_loss_direction():
-    message = _dummy_message()  # a -> b
-    rng = random.Random(0)
-    assert TargetedLoss(frozenset({"b"}), 1.0, "to").should_drop(rng, message)
-    assert not TargetedLoss(frozenset({"b"}), 1.0, "from").should_drop(rng, message)
-    assert TargetedLoss(frozenset({"a"}), 1.0, "from").should_drop(rng, message)
-    assert TargetedLoss(frozenset({"a"}), 1.0, "both").should_drop(rng, message)
-    assert not TargetedLoss(frozenset({"c"}), 1.0, "both").should_drop(rng, message)
-
-
-def test_targeted_loss_validation():
-    with pytest.raises(ValueError):
-        TargetedLoss(frozenset({"a"}), 1.0, "sideways")
 
 
 def test_partition_manager_split_and_heal():
@@ -171,33 +132,14 @@ def test_partition_manager_split_and_heal():
     assert manager.allows(a, b)
 
 
-def test_failure_schedule_ordering_and_queries():
-    schedule = FailureSchedule()
-    schedule.add(5.0, "crash", "p1")
-    schedule.add(1.0, "join", "p2")
-    schedule.add(3.0, "leave", "p1")
-    assert [entry[0] for entry in schedule] == [1.0, 3.0, 5.0]
-    assert len(schedule.between(0, 4)) == 2
-    assert len(schedule.actions_for("p1")) == 2
-    assert schedule.last_time() == 5.0
-
-
-def test_failure_schedule_validation():
-    schedule = FailureSchedule()
-    with pytest.raises(ValueError):
-        schedule.add(1.0, "explode", "p1")
-    with pytest.raises(ValueError):
-        schedule.add(-1.0, "crash", "p1")
-
-
 # ---------------------------------------------------------------------------
 # Transport + RPC
 # ---------------------------------------------------------------------------
 
 
-def _build_pair(latency=0.01, **network_kwargs):
+def _build_pair(latency=0.01):
     sim = Simulator(seed=1)
-    network = Network(sim, latency=ConstantLatency(latency), **network_kwargs)
+    network = Network(sim, latency=ConstantLatency(latency))
     a = RpcAgent(sim, network, Address("a"))
     b = RpcAgent(sim, network, Address("b"))
     return sim, network, a, b
@@ -492,7 +434,7 @@ def test_network_stats_accounting():
 
 
 def test_message_reply_only_for_requests():
-    message = _dummy_message()
+    message = Message(Address("a"), Address("b"), MessageKind.ONEWAY, "ping")
     with pytest.raises(ValueError):
         message.reply("nope", sent_at=0.0)
 
@@ -517,12 +459,13 @@ def test_crash_drops_inflight_messages():
     assert network.stats.dropped >= 1
 
 
-def test_loss_model_forces_timeouts():
+def test_silenced_destination_forces_timeouts():
     sim = Simulator(seed=3)
-    network = Network(sim, latency=ConstantLatency(0.01), loss=BernoulliLoss(1.0))
+    network = Network(sim, latency=ConstantLatency(0.01))
     a = RpcAgent(sim, network, Address("a"))
     b = RpcAgent(sim, network, Address("b"))
     b.expose("ping", lambda: "pong")
+    network.silenced.add("b")
 
     def caller(sim):
         try:

@@ -342,10 +342,3 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "a") != derive_seed(1, "b")
     assert derive_seed(1, "a") != derive_seed(2, "a")
 
-
-def test_rng_spawn_namespacing():
-    parent = RandomStreams(7)
-    child_a = parent.spawn("peer-a")
-    child_b = parent.spawn("peer-b")
-    assert child_a.stream("lat").random() != child_b.stream("lat").random()
-

@@ -216,8 +216,7 @@ def _send_payload(network, sim, payload):
         kind=MessageKind.REQUEST, method="edit", payload=payload,
         request_id=1, sent_at=sim.now,
     )
-    receipt = network.send(message)
-    assert receipt.delivered
+    network.send(message)
     sim.run()
     return receiver.received
 
