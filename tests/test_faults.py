@@ -405,6 +405,19 @@ def test_a_nemesis_join_refuses_the_identifier_of_a_live_peer():
     assert "joiner-12" not in strict.ring.nodes
 
 
+def test_a_nemesis_join_of_a_free_identifier_still_joins():
+    """The clash check refuses only a shared identifier; ``joiner-1`` (id 1)
+    joins the ``bits=4`` ring of ``a``, ``b``, ``c`` (13, 14, 12)."""
+    assert hash_to_id("joiner-1", 4) == 1
+    system = LtrSystem(seed=3, chord_config=ChordConfig(bits=4))
+    system.bootstrap(["a", "b", "c"])
+    nemesis = Nemesis(system, FaultPlan().join(1.0, "joiner-1")).start()
+    system.run_for(10.0)
+    assert nemesis.errors == []
+    assert "joiner-1" in system.peer_names()
+    assert system.ring.is_stable()
+
+
 # ------------------------------------------------------- engine integration --
 
 

@@ -15,6 +15,7 @@ from repro.net import (
     Network,
     PairwiseLatency,
     PartitionManager,
+    PerturbationWindow,
     RpcAgent,
     SiteAwareLatency,
     UniformLatency,
@@ -130,6 +131,59 @@ def test_partition_manager_split_and_heal():
     assert not manager.allows(a, c)
     manager.heal()
     assert manager.allows(a, b)
+
+
+class _Inbox:
+    def __init__(self):
+        self.received = []
+
+    def deliver(self, message):
+        self.received.append(message)
+
+
+def _oneway_network(seed=0):
+    sim = Simulator(seed=seed)
+    network = Network(sim, latency=ConstantLatency(0.01))
+    inbox = _Inbox()
+    network.register(Address("a"), _Inbox())
+    network.register(Address("b"), inbox)
+    return sim, network, inbox
+
+
+def _ping():
+    return Message(Address("a"), Address("b"), MessageKind.ONEWAY, "ping")
+
+
+def test_healthy_network_never_drops():
+    sim, network, inbox = _oneway_network()
+    for _ in range(200):
+        network.send(_ping())
+    sim.run()
+    assert len(inbox.received) == 200
+    assert network.stats.dropped == 0
+
+
+def test_drop_window_statistics():
+    sim, network, inbox = _oneway_network()
+    network.begin_perturbation(PerturbationWindow(drop_probability=0.5))
+    for _ in range(1000):
+        network.send(_ping())
+    sim.run()
+    drops = network.perturb_stats["dropped"]
+    assert 400 < drops < 600
+    assert network.stats.dropped == drops
+    assert len(inbox.received) == 1000 - drops
+
+
+def test_perturbation_window_validation():
+    with pytest.raises(ValueError):
+        PerturbationWindow(drop_probability=1.5)
+    with pytest.raises(ValueError):
+        PerturbationWindow(duplicate_probability=-0.1)
+    with pytest.raises(ValueError):
+        PerturbationWindow(reorder_jitter=-1.0)
+    assert PerturbationWindow().quiet
+    assert not PerturbationWindow(drop_probability=0.1).quiet
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +529,22 @@ def test_silenced_destination_forces_timeouts():
         return None
 
     assert sim.run_process(caller(sim)) == "lost"
+
+
+def test_silenced_caller_loses_the_reply_to_its_own_request():
+    """Silence drops every message *to* a peer, replies included."""
+    sim, network, a, b = _build_pair()
+    served = []
+    b.expose("ping", lambda: served.append("ping") or "pong")
+    network.silenced.add("a")
+
+    def caller(sim):
+        try:
+            yield a.call(b.address, "ping", timeout=0.2)
+        except RequestTimeout:
+            return "lost"
+        return None
+
+    assert sim.run_process(caller(sim)) == "lost"
+    assert served == ["ping"]
+    assert network.stats.dropped == 1

@@ -12,6 +12,7 @@ from repro.net import (
     MessageKind,
     Network,
     PartitionManager,
+    PerturbationWindow,
 )
 from repro.sim import Simulator
 
@@ -107,6 +108,22 @@ def test_network_send_drops_every_message_to_a_silenced_peer():
     assert len(endpoints["b"].received) == 1
 
 
+def test_a_full_drop_window_loses_every_send_until_it_ends():
+    """Probabilistic loss is a perturbation window, counted in both tables."""
+    sim, network, endpoints = build_network()
+    network.begin_perturbation(PerturbationWindow(drop_probability=1.0))
+    network.send(message("a", "b"))
+    network.send(message("b", "a"))
+    sim.run()
+    assert endpoints["a"].received == [] and endpoints["b"].received == []
+    assert network.perturb_stats["dropped"] == 2
+    assert network.stats.dropped == 2
+    network.end_perturbation()
+    network.send(message("a", "b"))
+    sim.run()
+    assert len(endpoints["b"].received) == 1
+
+
 # ------------------------------------------- crashed / unknown destinations --
 
 
@@ -148,3 +165,20 @@ def test_reregistering_a_crashed_address_restores_delivery():
     network.send(message("a", "b"))
     sim.run()
     assert len(revived.received) == 1
+
+
+def test_traffic_stats_record_the_outcome_of_every_send():
+    """``send`` returns nothing; the stats are the one record of each path."""
+    sim, network, endpoints = build_network()
+    network.silenced.add("c")
+    network.crash(Address("b"))
+    assert network.send(message("a", "a")) is None  # delivered
+    network.send(message("a", "c"))  # silenced
+    network.send(message("a", "b"))  # accepted, lost at the crashed host
+    network.send(message("ghost", "a"))  # unregistered source
+    sim.run()
+    snapshot = network.stats.snapshot()
+    assert snapshot["sent"] == 4
+    assert snapshot["delivered"] == 1
+    assert snapshot["dropped"] == 3
+    assert len(endpoints["a"].received) == 1

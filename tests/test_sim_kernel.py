@@ -342,3 +342,14 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "a") != derive_seed(1, "b")
     assert derive_seed(1, "a") != derive_seed(2, "a")
 
+
+def test_rng_streams_are_namespaced_by_name():
+    """Per-peer streams are plain name prefixes: one generator per name."""
+    streams = RandomStreams(7)
+    peer_a = streams.stream("peer-a/lat")
+    assert peer_a is streams.stream("peer-a/lat")
+    assert peer_a.random() != streams.stream("peer-b/lat").random()
+    assert (
+        RandomStreams(7).stream("peer-a/lat").random()
+        != RandomStreams(8).stream("peer-a/lat").random()
+    )

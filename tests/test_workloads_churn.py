@@ -33,6 +33,20 @@ def test_zero_duration_churn_produces_an_empty_schedule():
     assert schedule == []
 
 
+def test_churn_schedule_is_a_plain_time_sorted_list():
+    """The schedule is data: ``(time, action, peer)`` tuples in time order."""
+    schedule = generate_churn_schedule(
+        initial_peers=PEERS, duration=60.0, profile=PROFILES["aggressive"], seed=3
+    )
+    assert isinstance(schedule, list) and schedule
+    assert all(len(entry) == 3 for entry in schedule)
+    assert [entry[0] for entry in schedule] == sorted(entry[0] for entry in schedule)
+    assert {action for _when, action, _peer in schedule} <= {"join", "leave", "crash"}
+    assert schedule == generate_churn_schedule(
+        initial_peers=PEERS, duration=60.0, profile=PROFILES["aggressive"], seed=3
+    )
+
+
 def test_negative_duration_behaves_like_zero():
     schedule = generate_churn_schedule(
         initial_peers=PEERS, duration=-5.0, profile=PROFILES["aggressive"], seed=1
