@@ -10,19 +10,26 @@ retry loop needs, without driving the runtime (observer callbacks run
 inside timer callbacks, where re-entrant ``run`` calls are forbidden):
 
 1. **Dense timestamps** — the authoritative counter of every tracked
-   document stays within ``max_in_flight`` of the newest *surviving* log
-   entry, in both directions.  The Master publishes *before* it advances
-   the counter (publish-then-allocate is the protocol), so mid-commit
-   snapshots legitimately observe the newest entry without its timestamp
-   allocation; a counter further behind would let a timestamp be re-issued and fork
-   the total order, and a counter further *ahead* means acked tail entries
-   vanished from every live peer.
+   document stays close to the newest *surviving* log entry, in both
+   directions.  The Master publishes *before* it advances the counter
+   (publish-then-allocate is the protocol), and it has several rounds of one
+   document out at the Log-Peers at once, so a mid-commit snapshot
+   legitimately observes entries past the counter — as many as the Master
+   lets out at once: the bounds of its tail
+   (:data:`~repro.core.master.TAIL_MAX_ENTRIES`), or one chain longer than
+   that, which goes out alone (``max_in_flight``).  A counter further behind
+   would let a timestamp be re-issued and fork the total order.  A counter
+   *ahead* of the log by more than ``max_in_flight`` means acked tail
+   entries vanished from every live peer.
 2. **Prefix-complete log** — every timestamp ``1 .. log_max`` survives on
    at least one live peer (owned or replica copy), and all surviving copies
    of one timestamp agree on *content* (``base_ts`` + patch).  Provenance
    fields (``published_at``) may differ: a publish that was retracted or
    re-run after a partial failure leaves re-stamped copies behind, which is
-   benign as long as the replayed content is identical.
+   benign as long as the replayed content is identical.  A timestamp whose
+   every copy is stamped with another timestamp — an entry replayed or
+   re-stamped at the wrong address — is reported, and nothing is replayed
+   for it.
 3. **OT convergence** — every caught-up user replica equals the canonical
    replay of the log prefix.
 4. **At most once** — no proposal identity (``author`` +
@@ -59,9 +66,9 @@ Snapshots are plain deterministic data: on the simulation backend the same
 runs, which the test-suite asserts.
 
 Caveat: the snapshot gap check assumes log publication is ordered per key
-(chains of one patch, or quiescent batches at fault boundaries).  A
-snapshot taken mid-flight of a longer chain's publish may observe a
-transient gap, because a chain's placements are written in parallel.
+(quiescent documents at fault boundaries).  A snapshot taken while a longer
+chain, or several rounds of one document, are being published may observe a
+transient gap, because their placements are written in parallel.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
+from ..core import master as core_master
 from ..core.consistency import replay_log
 from ..errors import ReproError
 from ..kts.authority import COUNTER_PREFIX
@@ -125,10 +133,10 @@ class ConvergenceChecker:
         #: Documents to check.  When empty, every document with a counter
         #: item anywhere in the ring is discovered at snapshot time.
         self.tracked: list[str] = sorted(set(keys)) if keys else []
-        #: How far the newest log entry may run ahead of the counter at a
-        #: fault boundary (publish-before-ack in-flight window): the longest
-        #: chain the run commits — one for ``edit``/``commit``, the batch
-        #: size for staged runs.
+        #: The longest chain the run commits — one for ``edit``/``commit``,
+        #: the batch size for staged runs: how far the counter may run ahead
+        #: of the surviving log at a fault boundary, and — where it is longer
+        #: than what the Master lets out at once — behind it (invariant 1).
         self.max_in_flight = max_in_flight
         self.snapshots: list[CheckSnapshot] = []
 
@@ -284,6 +292,7 @@ class ConvergenceChecker:
 
         log_max = self._probe_log_max(system, stored, key, last_ts)
         missing: list[int] = []
+        misplaced: list[int] = []
         mismatched: list[int] = []
         tampered: list[int] = []
         forked: list[int] = []
@@ -375,11 +384,21 @@ class ConvergenceChecker:
                         f"contents across {len(located)} surviving copies"
                     ),
                 })
-            entries.append(trusted[0])
+            stamped = [copy for copy in trusted if (copy.document_key, copy.ts) == (key, ts)]
+            if stamped:
+                entries.append(stamped[0])
+            else:
+                # Every copy claims another address: nothing to replay here.
+                misplaced.append(ts)
 
         for ts in missing:
             violations.append(
                 f"{key}: log entry ts {ts} lost from every live peer"
+            )
+        for ts in misplaced:
+            violations.append(
+                f"{key}: every surviving copy of ts {ts} is stamped with another "
+                f"timestamp (a restamped or replayed entry)"
             )
         for ts in mismatched:
             violations.append(
@@ -389,7 +408,8 @@ class ConvergenceChecker:
             checkpoints, key, secret, violations, structured
         )
         allowance = 0 if strict_counter else self.max_in_flight
-        if log_max - last_ts > allowance:
+        out_at_once = 0 if strict_counter else max(allowance, core_master.TAIL_MAX_ENTRIES)
+        if log_max - last_ts > out_at_once:
             violations.append(
                 f"{key}: counter last-ts {last_ts} behind log max {log_max} "
                 f"(timestamp fork hazard)"
@@ -407,7 +427,7 @@ class ConvergenceChecker:
         caught_up = lagging = 0
         diverged: list[str] = []
         ahead: list[str] = []
-        if not missing and not mismatched and log_max > 0:
+        if not missing and not misplaced and not mismatched and log_max > 0:
             canonical = replay_log(key, entries)
             for author, replica in self._replicas(system, key):
                 if replica.applied_ts == log_max:
@@ -438,6 +458,7 @@ class ConvergenceChecker:
             "log_max": log_max,
             "counter_owners": len(owned),
             "missing_ts": missing,
+            "misplaced_ts": misplaced,
             "mismatched_ts": mismatched,
             "tampered_ts": tampered,
             "forked_ts": forked,

@@ -14,10 +14,12 @@ Entry points: ``python -m repro.cluster run`` (CLI) or::
 
     with Cluster(ClusterConfig(processes=3)) as cluster:
         cluster.commit("doc-1", "hello from another process")
+
+The host side (``build_host_system``, ``run_host``) and the socket transport
+are loaded on first use, so a process that only simulates imports no asyncio.
 """
 
 from .config import CLIENT_NAME, ClusterConfig, load_cluster_config
-from .host import build_host_system, run_host
 from .launcher import Cluster
 from .placement import Placement, find_killable_placement, placement_of
 from .scenario import run_live_cluster
@@ -34,3 +36,11 @@ __all__ = [
     "run_host",
     "run_live_cluster",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("build_host_system", "run_host"):
+        from . import host
+
+        return getattr(host, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

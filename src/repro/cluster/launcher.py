@@ -27,13 +27,15 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..core import CommitResult, LtrSystem
 from ..errors import ClusterError, ReproError
-from ..net import Address, WireNetwork
+from ..net import Address
 from .config import CLIENT_NAME, ClusterConfig
-from .host import READY_BANNER, build_host_system, join_with_retries
+
+if TYPE_CHECKING:  # pragma: no cover - the host side loads asyncio
+    from ..net import WireNetwork
 
 
 def _repro_src_dir() -> str:
@@ -126,6 +128,8 @@ class Cluster:
 
     def _await_ready(self, process: subprocess.Popen, index: int) -> None:
         """Block until the child prints its READY banner (or fail loudly)."""
+        from .host import READY_BANNER
+
         assert process.stdout is not None
         deadline = time.monotonic() + self.config.startup_timeout
         buffer = b""
@@ -154,6 +158,8 @@ class Cluster:
         )
 
     def _start_client(self) -> None:
+        from .host import build_host_system, join_with_retries
+
         runtime, network, system = build_host_system(
             self.config, -1, process_name=CLIENT_NAME
         )

@@ -25,16 +25,16 @@ paper):
 * At most once — a proposal carries an identity, every entry records it, and
   a proposal whose identity is among the entries it missed is a re-sent one:
   it is answered with the acknowledgement of the entry that carries it.
-* Per-document serialization — "a new timestamp for a given document d is
-  provided after the replication of the previous timestamped patch on d":
-  one replication round per document at a time, and timestamps only for what
-  that round replicated.  The round carries every proposal that queued while
-  the previous one ran (*group commit*): the handler that gets the document's
-  lock serves the queue behind it too — one publish, one allocation, one
-  counter push — and each proposer is answered as if it had been served
-  alone, in arrival order.  Routing is kept out of that critical section:
-  the Master knows the next timestamps, so it has their Log-Peers resolved
-  ahead of the proposals that will need them (``_warm_ahead``).
+* Per-document order — "a new timestamp for a given document d is provided
+  after the replication of the previous timestamped patch on d": timestamps
+  are allocated one round at a time, in order, each only once its own
+  entries are at the Log-Peers.  The replications themselves overlap
+  (:class:`Round`): a proposal is placed behind the entries still out at the
+  Log-Peers as soon as it arrives, and published at once; the per-document
+  lock covers that placement only, which does not yield.  Routing is kept
+  out of the way too: the Master knows the next timestamps, so it has their
+  Log-Peers resolved ahead of the proposals that will need them
+  (``_warm_ahead``).
 * Tenure — what a Master knows of a document besides the log
   (:class:`Tenure`) sits on the document's one record
   (:class:`DocumentQueue`) and ends in one place,
@@ -75,9 +75,9 @@ from .config import LtrConfig
 from .protocol import ValidationResult
 
 #: ``(tenure, boundary, snapshot lines or None, boundaries that left the
-#: window)``: a job scheduled inside the per-document critical section and run
-#: in the background once its group has been answered, writing only into the
-#: tenure it was scheduled under.
+#: window)``: a job made due by a round's allocation and run in the
+#: background once the round has been answered, writing only into the tenure
+#: it was scheduled under.
 CheckpointJob = tuple["Tenure", int, Optional[list[str]], list[int]]
 
 #: Bounds of the per-document tail of allocated entries a stale proposal is
@@ -86,12 +86,14 @@ CheckpointJob = tuple["Tenure", int, Optional[list[str]], list[int]]
 #: proposer or a reader).  64 entries cover every gap a chain-of-one editor
 #: falls behind by under Zipf contention; batched editors fall behind by whole
 #: chains of 16.  A larger gap is answered *behind* and read from the P2P-Log.
+#: The entries out at the Log-Peers at once are held to the same bounds
+#: (:meth:`DocumentQueue.full`): a gap ends in them.
 TAIL_MAX_ENTRIES = 256
 TAIL_MAX_BYTES = 256 * 1024
 
 #: How far past ``last-ts`` the Master resolves Log-Peers ahead of the
 #: proposals that will need them, in multiples of what it is looking at: the
-#: chains queued plus the chains being answered (``_warm_ahead``).
+#: entries in flight plus the ones being answered (``_warm_ahead``).
 #: One chain is not enough: a hot document's next proposal arrives one
 #: round-trip after the ack, a lookup that misses the route cache takes two.
 WARM_AHEAD_CHAINS = 4
@@ -109,12 +111,11 @@ class EntryTail:
     * the **gap** a stale proposal is transformed over and that comes back
       with its *ok* — or with *behind*, where the Master cannot transform —
       so the bounds of the tail are the bounds of that work and of that reply
-      (a gap may end in the entries of the proposals served ahead of it in
-      the same round, which join the tail with it; a round is held to the
-      tail's bounds too, :meth:`DocumentQueue.take`) — and the suffix a
-      reader misses, with the answer to its catch-up, or, for a reader
-      older than the tail, the rest it applies over the newest checkpoint
-      (:meth:`MasterService.handle_catch_up`);
+      (a gap may end in the entries of the rounds still in flight ahead of
+      it, which are held to the tail's bounds too, :meth:`DocumentQueue.full`)
+      — and the suffix a reader misses, with the answer to its catch-up, or,
+      for a reader older than the tail, the rest it applies over the newest
+      checkpoint (:meth:`MasterService.handle_catch_up`);
     * the **identities** of the proposals that landed lately: the tail is the
       Master's whole table of them (walked with the gap, bounded with it,
       gone with the tenure; beyond it the log is the table and the proposer
@@ -128,15 +129,14 @@ class EntryTail:
         self.sizes: list[int] = []
         self.bytes = 0
 
-    def extend(self, entries: list[LogEntry]) -> None:
-        """Append a freshly allocated chain; a gap restarts the tail."""
+    def extend(self, entries: list[LogEntry], sizes: list[int]) -> None:
+        """Append a freshly allocated chain (with the ``payload_size`` of each
+        entry); a gap restarts the tail."""
         if self.entries and self.last_ts + 1 != entries[0].ts:
             self.entries, self.sizes, self.bytes = [], [], 0
-        for entry in entries:
-            size = payload_size(entry)
-            self.entries.append(entry)
-            self.sizes.append(size)
-            self.bytes += size
+        self.entries.extend(entries)
+        self.sizes.extend(sizes)
+        self.bytes += sum(sizes)
         while len(self.entries) > TAIL_MAX_ENTRIES or self.bytes > TAIL_MAX_BYTES:
             del self.entries[0]
             self.bytes -= self.sizes.pop(0)
@@ -164,7 +164,7 @@ class Tenure:
     timestamp whose Log-Peers this tenure had resolved
     (:meth:`MasterService._warm_ahead`); and the materialized :attr:`view`
     checkpoints are cut from.  A tenure is replaced, never emptied
-    (:meth:`MasterService.end_tenure`); a job that outlives the lock writes
+    (:meth:`MasterService.end_tenure`); a job that outlives its round writes
     only into the tenure it was scheduled under, never into the next one.
     """
 
@@ -177,16 +177,9 @@ class Tenure:
 
 
 class Proposal:
-    """One validation request, for as long as it is at the Master.
+    """What one validation request proposes (:meth:`MasterService.validate_and_publish`)."""
 
-    What was proposed, and the slot its outcome is put into — by the handler
-    that holds the document's lock when the proposal is served, which is its
-    own or that of a proposal queued ahead of it
-    (:meth:`MasterService.validate_and_publish`).
-    """
-
-    __slots__ = ("ts", "patches", "author", "base_ts", "signatures", "proposal",
-                 "answer", "error")
+    __slots__ = ("ts", "patches", "author", "base_ts", "signatures", "proposal")
 
     def __init__(self, ts: int, patches: list, author: str, base_ts: Optional[int],
                  signatures: Optional[Any], proposal: Optional[int]) -> None:
@@ -196,57 +189,101 @@ class Proposal:
         self.base_ts = base_ts
         self.signatures = signatures
         self.proposal = proposal
-        self.answer: Optional[dict] = None
-        self.error: Optional[BaseException] = None
 
-    @property
-    def served(self) -> bool:
-        """Has a lock holder put this proposal's outcome into its slot?"""
-        return self.answer is not None or self.error is not None
+
+class Failure:
+    """Why a round, and every round placed behind it, was given up.
+
+    ``refused`` when the Log-Peers refused a publish (each round raises
+    :class:`~repro.errors.PatchUnavailable`), otherwise the Master role was
+    lost (each round is answered ``rejected``).  The rounds behind were
+    transformed over the entries of the one that failed, so they cannot be
+    allocated either.  ``entries`` collects what the rounds given up so far
+    published, and ``pending`` counts those still out at the Log-Peers: the
+    last of them to come back retracts the whole lot, once.
+    """
+
+    __slots__ = ("refused", "entries", "pending")
+
+    def __init__(self, refused: bool) -> None:
+        self.refused = refused
+        self.entries: list[LogEntry] = []
+        self.pending = 0
+
+
+class Round:
+    """One placed proposal, from its placement until it is settled.
+
+    ``entries`` — with the ``payload_size`` of each in ``sizes`` — is the
+    chain as the log will hold it, ``gap`` what it was transformed over
+    (``None`` when it was exactly next).  ``done`` triggers when the round is
+    settled: allocated, or given up with a :class:`Failure` in ``failure``
+    (which a round placed behind a failed one gets too, before it is
+    settled).  The round behind it waits for that before it may allocate.
+    """
+
+    __slots__ = ("entries", "sizes", "gap", "done", "failure")
+
+    def __init__(self, entries: list[LogEntry], sizes: list[int],
+                 gap: Optional[list[LogEntry]], done) -> None:
+        self.entries = entries
+        self.sizes = sizes
+        self.gap = gap
+        self.done = done
+        self.failure: Optional[Failure] = None
 
 
 class DocumentQueue:
-    """One Master's record of one document: its lock, who waits, its tenure.
+    """One Master's record of one document: its lock, its rounds, its tenure.
 
-    ``waiting`` holds, in arrival order, the proposals no lock holder has
-    taken yet (so it is the order of the lock's own queue, minus the
-    proposals already served); ``publishing`` is how many entries the lock
-    holder has out at the Log-Peers right now, published and not allocated.
-    Only ``tenure`` is ever replaced: the lock or the queue may be held or
-    waited on.
+    ``rounds`` holds the rounds placed and not yet settled, in timestamp
+    order: their entries follow ``last-ts`` without a gap, so the next
+    proposal is placed behind them (:meth:`ahead`).  The ``lock`` is held
+    while one proposal is placed, and by a proposal that waits for room in
+    front of it (:meth:`full`) or for rounds given up to come back; the
+    proposals behind that one wait on the lock, in arrival order.  Only
+    ``tenure`` is ever replaced: the lock may be held or waited on, and
+    rounds may be in flight.
     """
 
-    __slots__ = ("lock", "waiting", "publishing", "tenure")
+    __slots__ = ("lock", "rounds", "tenure")
 
     def __init__(self, runtime) -> None:
         self.lock = FifoLock(runtime)
-        self.waiting: deque[Proposal] = deque()
-        self.publishing = 0
+        self.rounds: deque[Round] = deque()
         self.tenure = Tenure()
 
     @property
-    def queued(self) -> int:
-        """Entries the waiting proposals will add to the log."""
-        return sum(len(member.patches) for member in self.waiting)
+    def in_flight(self) -> int:
+        """Entries placed and not yet settled."""
+        return sum(len(round_.entries) for round_ in self.rounds)
 
-    def take(self) -> list[Proposal]:
-        """The next group: the head of the queue and who fits in behind it.
+    def ahead(self) -> list[LogEntry]:
+        """The entries of the rounds in flight, in timestamp order."""
+        return [entry for round_ in self.rounds for entry in round_.entries]
 
-        A group's entries are one publish, one stretch of the tail and — for
-        the last member, which is transformed over all the others — one gap,
-        so together they stay within the tail's bounds; the head is served
-        whatever its size.
-        """
-        group = [self.waiting.popleft()]
-        entries = len(group[0].patches)
-        size = payload_size(group[0].patches) if self.waiting else 0
-        while self.waiting:
-            entries += len(self.waiting[0].patches)
-            size += payload_size(self.waiting[0].patches)
-            if entries > TAIL_MAX_ENTRIES or size > TAIL_MAX_BYTES:
-                break
-            group.append(self.waiting.popleft())
-        return group
+    def full(self, entries: int, size: int) -> bool:
+        """Would a round of ``entries`` entries and ``size`` bytes take what is
+        in flight past the tail's bounds?  The first round goes whatever its
+        size."""
+        return bool(self.rounds) and (
+            self.in_flight + entries > TAIL_MAX_ENTRIES
+            or sum(sum(round_.sizes) for round_ in self.rounds) + size > TAIL_MAX_BYTES
+        )
+
+    def doomed(self) -> Optional[Round]:
+        """The last round in flight that was given up, if any."""
+        for round_ in reversed(self.rounds):
+            if round_.failure is not None:
+                return round_
+        return None
+
+    def holding(self, ts: int) -> Optional[Round]:
+        """The round in flight whose entries include ``ts`` (``None`` once allocated)."""
+        for round_ in self.rounds:
+            if round_.entries[0].ts <= ts <= round_.entries[-1].ts:
+                return round_
+        return None
 
 
 class MasterService(NodeService):
@@ -262,15 +299,14 @@ class MasterService(NodeService):
         self.log: Optional[P2PLogClient] = None
         self.authority: Optional[TimestampAuthority] = None
         # One record per document this node was asked to master: the locks,
-        # the queue and the current tenure.
+        # the rounds in flight and the current tenure.
         self._documents: dict[str, DocumentQueue] = {}
         # One proposal = one validation request, whatever its chain length;
-        # one publish = one round of append_many that allocated, whatever the
-        # number of proposals in it.
+        # one publish = one round (one proposal's append_many) that allocated.
         self.publishes = 0
         self.proposals_ok = 0
-        # ... of which transformed over the tail, or over the proposals ahead
-        # of them in their group, before they were published,
+        # ... of which transformed over the tail, or over the rounds in flight
+        # ahead of them, before they were published,
         self.proposals_rebased = 0
         # and, counted in none of the others, answered from it: re-sent.
         self.proposals_deduplicated = 0
@@ -423,62 +459,56 @@ class MasterService(NodeService):
         patch (the author's, dense per document; the following patches carry
         the following numbers) and is recorded on every entry.  Walking the
         gap it is about to transform over, the Master looks for it: a hit is
-        a re-sent proposal whose first copy landed — or is about to, ahead of
-        it in the same group — and is answered with the ``ok`` that copy was
-        (or would have been) answered — the timestamps it landed at, the gap
-        before them — while nothing is published.  The tail is the whole
+        a re-sent proposal whose first copy landed — or is on its way, in a
+        round still in flight — and is answered with the ``ok`` that copy was
+        (or will be) answered — the timestamps it landed at, the gap before
+        them — once that copy's round is allocated, and the way that round
+        failed if it failed; nothing is published.  The tail is the whole
         table; a copy that arrives after its original left the tail is
         answered *behind* and recognised by its proposer in the log.
 
-        What runs under the per-document lock sets a hot document's commit
-        rate, so it is kept to: validate — with the transform, which is local
-        and bounded by the tail's bounds —, one ``store_many`` round-trip per
-        Log-Peer, allocate.  The Log-Peers themselves are resolved *before*
-        the proposal that needs them: a proposal that has to wait has its
-        own placements routed on arrival, every answer those of the next
-        timestamps (:meth:`_warm_ahead`), and the publish finds them in the
-        node's route cache.
-
-        **Group commit.**  That round-trip is shared.  A proposal is queued
-        (:class:`DocumentQueue`) before it waits for the lock, and the handler
-        that gets the lock takes the queue along — itself first, the others
-        in arrival order, as many as fit the tail's bounds; the rest are the
-        next holder's — and runs the statements above *once* for the group:
-        each member is verified and placed behind the members ahead of it
-        (exactly next, or transformed over the tail's suffix **plus their
-        entries**; a re-sent identity is found in either), the concatenation
-        goes out as one ``append_many``, is guarded by one re-election check,
-        allocated by one ``next_timestamps`` (one counter push) and joins the
-        tail, the checkpoint view and the equivocation knob as one chain.
-        Every member is answered what a Master serving the same arrivals one
-        by one would have answered — its own timestamps, the replicas of its
-        own entries, its own gap — and collects the answer when the lock
-        reaches it in turn.  A group of one is the only path there is.  What
-        a group may not change: a member that fails verification, proposes
-        an empty chain or cannot be transformed gets that error, alone; a
-        member that can only be answered *behind* is, with the ``last-ts``
-        and suffix that hold after the group's allocation; a failed publish
-        raises at every member that was in it, a lost Master role rejects
-        every one, and either way the whole concatenation is retracted once,
-        after the lock; and no member leaves the queue without an answer or
-        an exception, whatever becomes of the handler that took it.
+        **Overlapping rounds.**  Only the placement runs under the
+        per-document lock: verify, transform over the tail *and the entries
+        of every round still in flight* (a re-sent identity is found in
+        either), build the entries that follow them — local work that does
+        not yield.  The proposal is then a :class:`Round` of its own, sent to
+        its Log-Peers at once, while the rounds ahead of it are still there;
+        the Log-Peers were resolved before it arrived (:meth:`_warm_ahead`).
+        Timestamps stay in publish-then-allocate order: a round whose publish
+        is back waits for the round ahead of it to be settled, and only then
+        runs the re-election check, ``next_timestamps``, joins the tail and
+        the checkpoint view and is answered (:meth:`_publish`) — so the
+        counter moves densely, in order, and the tail never holds an
+        unallocated entry.  What is in flight is held to the tail's bounds
+        (:meth:`DocumentQueue.full`): a proposal that does not fit waits,
+        holding the lock, for the oldest round to settle — the proposals
+        behind it wait on the lock, in arrival order.  A proposal that can
+        only be answered *behind* is, once the rounds ahead of it are
+        settled, with the ``last-ts`` and suffix that hold then, so it does
+        not come round again for them.  A member that fails verification,
+        proposes an empty chain or cannot be transformed gets that error,
+        alone, and nothing is placed.
 
         The chain is atomic: it either commits completely or not at all, and
-        so does a group.  In particular, when a re-election moves the
-        Master-key role away while the (yielding) log publication is in
-        flight, the handler detects the hand-over before advancing any
-        timestamp and answers ``rejected`` without consuming the range — the
-        user peers re-propose, and routing delivers the retries to the new
-        Master.  Without that guard the old Master would resurrect a counter
-        it no longer owns and fork the timestamp sequence (see
-        ``tests/test_core_master.py``).
+        so does every round behind it that was transformed over it.  When
+        the Log-Peers refuse a round (``PatchUnavailable``) or a re-election
+        moves the Master-key role away while it was in flight — the handler
+        detects the hand-over before advancing any timestamp — the round and
+        every round behind it fail the same way: they raise
+        ``PatchUnavailable``, or are answered ``rejected`` without consuming
+        the range (the user peers re-propose, and routing delivers the
+        retries to the new Master).  Their entries are retracted once, after
+        the last of them is back from the Log-Peers, and nothing is placed
+        behind them meanwhile.  Without the guard the old Master would
+        resurrect a counter it no longer owns and fork the timestamp
+        sequence (see ``tests/test_core_master.py``).  No round is left
+        unsettled, whatever becomes of the handler that publishes it.
 
         **The answer does not wait for a checkpoint.**  The commit ends when
         the chain is published and allocated; a checkpoint is a retrieval aid
-        that may be late.  The one job a group may make due
-        (:meth:`_note_published`) is spawned once the lock is released —
-        also when the holder's own proposal was refused — and its failures
-        are counted, never raised at a proposer
+        that may be late.  The one job a round may make due
+        (:meth:`_note_published`) is spawned once it has been answered, and
+        its failures are counted, never raised at a proposer
         (:meth:`_checkpoint_in_background`).
 
         When ``auth_enabled``, ``signatures`` must hold the author's HMAC
@@ -489,163 +519,166 @@ class MasterService(NodeService):
         """
         queue = self._document(key)
         member = Proposal(ts, list(patches), author, base_ts, signatures, proposal)
-        queue.waiting.append(member)
-        if queue.lock.locked:
-            # It will wait, and its timestamps are known while it does.
-            self._warm_ahead(key, self._authority().last_ts(key) + queue.publishing, 0)
-        group: list[Proposal] = []
-        retract: list[LogEntry] = []
-        checkpoint: Optional[CheckpointJob] = None
         yield from queue.lock.acquire()
         try:
-            if not member.served:
-                # Nobody ahead took it along: it is the head of the queue.
-                group = queue.take()
-                checkpoint = yield from self._validate_locked(key, group, retract)
+            placed, ahead = yield from self._admit(key, queue, member)
         finally:
-            for taken in group:
-                if not taken.served:
-                    # The handler died with proposals in its hands; what
-                    # became of their entries is not known here.
-                    taken.error = PatchUnavailable(key, taken.ts)
             queue.lock.release()
+        if isinstance(placed, Round):
+            answer = yield from self._publish(key, queue, placed, ahead)
+            return answer
+        if ahead is not None and not ahead.done.triggered:
+            yield ahead.done
+        if placed is None:
+            # Answered after the rounds ahead of it, with what holds now: a
+            # proposer that integrates this does not come round again for them.
+            self.proposals_behind += 1
+            last_ts = self._authority().last_ts(key)
+            self._warm_ahead(key, last_ts, len(member.patches))
+            return ValidationResult.behind(
+                last_ts, self._missing_suffix(key, member.ts - 1, last_ts)
+            ).to_payload()
+        if ahead is not None and ahead.failure is not None:
+            return self._given_up(key, ahead.failure, placed.first_ts)
+        return placed.to_payload()
+
+    def _admit(self, key: str, queue: DocumentQueue, member: Proposal):
+        """Place ``member`` behind the rounds in flight (under the lock).
+
+        Returns ``(round, the round ahead of it)`` for a chain that is now in
+        flight, ``(answer, round)`` for a re-sent proposal — ``round`` the one
+        its first copy is in, if that is still in flight — or ``(None, the
+        last round in flight)`` for a proposal answered *behind*.  Waits —
+        the only yields under the lock — while rounds that were given up are
+        still out, and while the chain does not fit in what may be in flight.
+        """
+        authority = self._authority()
+        while True:
+            doomed = queue.doomed()
+            if doomed is not None:
+                # Nothing is placed behind entries that will be retracted.
+                yield doomed.done
+                continue
+            chain, gap = self._place(key, member, authority.last_ts(key), queue.ahead())
+            if chain is None:
+                return None, (queue.rounds[-1] if queue.rounds else None)
+            if isinstance(chain, ValidationResult):
+                return chain, queue.holding(chain.last_ts)
+            sizes = [payload_size(entry) for entry in chain]
+            if queue.full(len(chain), sum(sizes)):
+                yield queue.rounds[0].done
+                continue
+            placed = Round(chain, sizes, gap, self.node.runtime.future())
+            ahead = queue.rounds[-1] if queue.rounds else None
+            queue.rounds.append(placed)
+            if ahead is not None:
+                self._warm_ahead(key, authority.last_ts(key), 0)
+            return placed, ahead
+
+    def _publish(self, key: str, queue: DocumentQueue, placed: Round,
+                 ahead: Optional[Round]):
+        """Publish a placed round, then allocate it after ``ahead`` — or give it up."""
+        refused = False
+        try:
+            try:
+                per_entry = yield from self.log.append_many(placed.entries)
+            except PatchUnavailable:
+                # Partial publish: what landed carries timestamps that were
+                # never allocated — retracted with the round's failure, so
+                # the proposer keeps its edits and retries.
+                refused = True
+            if ahead is not None and not ahead.done.triggered:
+                yield ahead.done
+            if placed.failure is None and not refused and not self._lost_master_role(
+                    key, placed.entries[0].ts - 1):
+                answer, checkpoint = self._allocate(key, queue, placed, per_entry)
+            else:
+                if placed.failure is None and not refused:
+                    # Re-election check: the publish yields, so the Master
+                    # role may have moved since the proposal was placed.
+                    self.end_tenure(key)  # the tenure these came from is over
+                retract = self._give_up(queue, placed, Failure(refused=refused))
+                if retract:
+                    # The entries carry timestamps that were never allocated:
+                    # removed so no reader observes them before the range is
+                    # reused (compare-and-delete: a round placed since at the
+                    # same timestamps is left alone).
+                    yield from self.log.retract_many(retract)
+                return self._given_up(key, placed.failure, placed.entries[0].ts)
+        finally:
+            if not placed.done.triggered:
+                # The handler died with its round out: what became of the
+                # entries is not known here; the rounds behind it fail too.
+                retract = self._give_up(queue, placed, Failure(refused=True))
+                if retract:
+                    self.node.runtime.process(self.log.retract_many(retract),
+                                              name=f"retract:{key}")
+        for entry in placed.entries[:self.equivocate_next]:
+            yield from self._equivocate(entry)
         if checkpoint is not None:
             self.node.runtime.process(
                 self._checkpoint_in_background(key, *checkpoint),
                 name=f"checkpoint:{key}@{checkpoint[1]}",
             )
-        if retract:
-            # A rejected or partially failed publish left entries carrying
-            # timestamps that were never allocated.  Clean up *after*
-            # releasing the lock — the removal round-trips need no
-            # serialization, and holding the lock through them would stall
-            # every other proposer.
-            yield from self.log.retract_many(retract)
-        if member.error is not None:
-            raise member.error
-        return member.answer
+        return answer
 
-    def _validate_locked(self, key: str, group: list[Proposal],
-                         retract: list[LogEntry]):
-        """The critical section of :meth:`validate_and_publish`.
+    def _allocate(self, key: str, queue: DocumentQueue, placed: Round,
+                  per_entry: list[int]) -> tuple[dict, Optional[CheckpointJob]]:
+        """Consume the timestamps of a round whose publish is back and whose
+        predecessor is allocated; settle it.  Returns its answer and the
+        checkpoint job it made due, if any."""
+        entries = placed.entries
+        first_ts = self._authority().next_timestamps(key, len(entries))
+        queue.rounds.remove(placed)
+        placed.done.succeed()
+        # Only now are the entries part of the log for good: remember them
+        # for the proposers this commit has just put behind.
+        tenure = queue.tenure
+        # Paced by the allocation before this one, so: before it joins the tail.
+        self._warm_ahead(key, entries[-1].ts, len(entries))
+        tenure.tail.extend(entries, placed.sizes)
+        checkpoint = self._note_published(
+            key, tenure, [entry.patch for entry in entries], first_ts
+        )
+        self.publishes += 1
+        self.proposals_ok += 1
+        self.proposals_rebased += placed.gap is not None
+        self.patches_published += len(entries)
+        answer = ValidationResult.ok(
+            first_ts, entries[-1].ts, min(per_entry), placed.gap
+        ).to_payload()
+        return answer, checkpoint
 
-        Runs with the per-document lock held, once for all of ``group``, and
-        leaves every member's outcome in its slot.  Entries that must be
-        removed from the log (rejected or partially-failed publishes) are
-        appended to ``retract``; the caller performs the removal after the
-        lock is released.  Returns the checkpoint job the group made due, if
-        any, which the caller starts after the lock is released.
-        """
-        authority = self._authority()
-        last_ts = authority.last_ts(key)
-        # The concatenation: what this round publishes, in group order ...
-        entries: list[LogEntry] = []
-        # ... and who is in it — with where its own entries start and the gap
-        # it was transformed over — or repeats a member that is.
-        placed: list[tuple[Proposal, int, Optional[list[LogEntry]]]] = []
-        repeats: list[tuple[Proposal, ValidationResult]] = []
-        behind: list[Proposal] = []
-        for member in group:
-            try:
-                chain, gap = self._place(key, member, last_ts, entries)
-            except Exception as error:  # noqa: BLE001 - this member's answer, nobody else's
-                member.error = error
-                continue
-            if chain is None:
-                behind.append(member)
-            elif isinstance(chain, ValidationResult):
-                if chain.last_ts > last_ts:
-                    repeats.append((member, chain))
-                else:
-                    member.answer = chain.to_payload()
-            else:
-                placed.append((member, len(entries), gap))
-                entries.extend(chain)
-        published = [member for member, _start, _gap in placed]
-        published += [member for member, _result in repeats]
-        per_entry = None
-        checkpoint = None
-        if entries:
-            per_entry = yield from self._replicate(key, last_ts, entries, published, retract)
-        if per_entry is not None:
-            first_ts = authority.next_timestamps(key, len(entries))
-            # Only now are the entries part of the log for good: remember them
-            # for the proposers this commit has just put behind.
-            tenure = self._documents[key].tenure
-            # Paced by the allocation before this one, so: before it joins the tail.
-            self._warm_ahead(key, entries[-1].ts, len(entries))
-            tenure.tail.extend(entries)
-            for entry in entries[:self.equivocate_next]:
-                yield from self._equivocate(entry)
-            checkpoint = self._note_published(
-                key, tenure, [entry.patch for entry in entries], first_ts
-            )
-            self.publishes += 1
-            self.proposals_ok += len(placed)
-            self.patches_published += len(entries)
-            ends = [start for _member, start, _gap in placed[1:]] + [len(entries)]
-            for (member, start, gap), end in zip(placed, ends):
-                self.proposals_rebased += gap is not None
-                replicas = min(per_entry[start:end])
-                member.answer = ValidationResult.ok(
-                    entries[start].ts, entries[end - 1].ts, replicas, gap
-                ).to_payload()
-            for member, result in repeats:
-                member.answer = result.to_payload()
-        if behind:
-            # Answered last, with what holds now: a proposer that integrates
-            # this does not come round a second time for the group's entries.
-            last_ts = authority.last_ts(key)
-            for member in behind:
-                self.proposals_behind += 1
-                self._warm_ahead(key, last_ts, len(member.patches))
-                member.answer = ValidationResult.behind(
-                    last_ts, self._missing_suffix(key, member.ts - 1, last_ts)
-                ).to_payload()
-        return checkpoint
+    @staticmethod
+    def _give_up(queue: DocumentQueue, placed: Round,
+                 failure: Failure) -> Optional[list[LogEntry]]:
+        """Settle ``placed`` as failed — with ``failure``, unless it was
+        placed behind a round that failed before it — and return the entries
+        to retract now, if it is the last of its failure to come back."""
+        if placed.failure is None:
+            placed.failure = failure
+            for behind in queue.rounds:
+                if behind.failure is None and behind.entries[0].ts > placed.entries[0].ts:
+                    behind.failure = failure
+                    failure.pending += 1
+        else:
+            failure = placed.failure
+            failure.pending -= 1
+        failure.entries.extend(placed.entries)
+        queue.rounds.remove(placed)
+        placed.done.succeed()
+        return failure.entries if failure.pending == 0 else None
 
-    def _replicate(self, key: str, last_ts: int, entries: list[LogEntry],
-                   published: list[Proposal], retract: list[LogEntry]):
-        """Publish a round's ``entries``; their placement counts if it may be allocated.
-
-        ``None`` when it may not — the Log-Peers refused it, or the Master
-        role moved meanwhile: every member of ``published`` has its outcome
-        then, and the entries are in ``retract``.
-        """
-        queue = self._documents[key]
-        queue.publishing = len(entries)
-        try:
-            per_entry = yield from self.log.append_many(entries)
-        except PatchUnavailable as error:
-            # Partial publish: what landed carries timestamps that were
-            # never allocated — schedule it for removal, then propagate
-            # so the proposers keep their edits and retry.
-            retract.extend(entries)
-            for member in published:
-                member.error = PatchUnavailable(error.key, error.ts)
-            return None
-        finally:
-            queue.publishing = 0
-        # Re-election check before any timestamp is consumed: the publish
-        # above yields, and even the lock acquisition can span a takeover,
-        # so the Master role may have moved since the request arrived.
-        if self._lost_master_role(key, last_ts):
-            self.proposals_rejected += len(published)
-            # The published entries carry timestamps that were never
-            # allocated; retract them so no reader can observe them
-            # before the new Master reuses the range.
-            retract.extend(entries)
-            self.end_tenure(key)  # the tenure these came from is over
-            rejected = ValidationResult.reelection(
-                self._authority().last_ts(key)).to_payload()
-            for member in published:
-                member.answer = rejected
-            return None
-        return per_entry
+    def _given_up(self, key: str, failure: Failure, ts: int) -> dict:
+        """The outcome of a proposal whose round failed: raise or answer."""
+        if failure.refused:
+            raise PatchUnavailable(key, ts)
+        self.proposals_rejected += 1
+        return ValidationResult.reelection(self._authority().last_ts(key)).to_payload()
 
     def _place(self, key: str, member: Proposal, last_ts: int,
                ahead: list[LogEntry]):
-        """Where ``member`` goes in the round that already holds ``ahead``.
+        """Where ``member`` goes behind the entries ``ahead`` still in flight.
 
         Returns ``(entries, gap)`` — its chain as the log entries that follow
         ``ahead``, transformed over ``gap`` unless it was exactly next —, or
@@ -768,8 +801,8 @@ class MasterService(NodeService):
                         ahead: Sequence[LogEntry] = ()) -> Optional[list[LogEntry]]:
         """Entries ``(after_ts, last_ts]`` of ``key`` and ``ahead``, if held.
 
-        Runs under the document's lock; ``ahead`` is what the round being put
-        together already holds past ``last_ts``.  A tail that does not end at
+        Runs under the document's lock; ``ahead`` is what the rounds in flight
+        hold past ``last_ts``.  A tail that does not end at
         ``last-ts`` belongs to an earlier tenure (the counter moved on
         elsewhere) and is dropped; ``None`` — also for a gap older than the
         tail, and for a proposal that is not behind at all — means *behind*
@@ -792,45 +825,43 @@ class MasterService(NodeService):
 
         ``h_i(key + ts)`` is a pure function and the next ``ts`` are known
         here, so the placement lookups of the coming publishes run now, in the
-        background, instead of inside a later round's critical section (a new
+        background, instead of inside a later round's publish (a new
         ``key + ts`` lands on a random arc; a route-cache miss costs more than
         the publish it delays).  It only spawns, it never yields.  Called
 
-        * when a proposal arrives and has to wait (``answered`` 0, ``last_ts``
-          counting what the lock holder has out at the Log-Peers): its
-          timestamps are ``last_ts`` + what is queued ahead of it + its own
-          chain, whatever round carries it — also behind the first publish of
-          a tenure, when nothing else says that a second will follow;
-        * for every group that was allocated and every proposal answered
-          *behind*, under the document's lock (``answered``: the entries
-          allocated, proposed): whoever was just answered comes round again,
-          and so will whoever is still queued, so the horizon moves on by as
-          much as both, past what is queued now.
+        * for every round that was allocated and every proposal answered
+          *behind* (``answered``: the entries allocated, proposed): whoever was
+          just answered comes round again, and so will whoever has a round
+          still in flight, so the horizon moves on by as much as both, past
+          what is in flight now (which its own publish routed);
+        * for every round placed behind another (``answered`` 0): an arrival
+          while rounds are out says the document is contended, so the horizon
+          moves one timestamp further — one, not a chain: the answers move it
+          by chains.
 
-        The queue is the proposals *waiting*, not the lock's waiters (which
-        include members already served).  One cap for both: never further
-        than :data:`WARM_AHEAD_CHAINS` times what the Master is looking at —
-        ``queued + answered`` — past ``last_ts``, and never over a timestamp
-        twice.  Nothing is warmed that would be stale when used: without a
-        queue only while the document's previous allocation is younger than
-        the route-cache TTL.
+        Never further than :data:`WARM_AHEAD_CHAINS` times what the Master is
+        looking at — ``in flight + answered`` — past ``last_ts``, and never
+        over a timestamp twice.  Nothing is warmed that would be stale when
+        used: with nothing in flight only while the document's previous
+        allocation is younger than the route-cache TTL.
         """
         queue = self._documents[key]
         tenure = queue.tenure
         tail = tenure.tail
         if not (
-            queue.waiting or (
+            queue.rounds or (
                 tail.entries
                 and self.node.runtime.now - tail.entries[-1].published_at
                 < self.node.config.route_cache_ttl
             )
         ):
             return
-        queued = queue.queued
-        warmed = max(tenure.warmed_ts, last_ts)
+        in_flight = queue.in_flight
+        # What is in flight was routed by its own publish.
+        warmed = max(tenure.warmed_ts, last_ts + in_flight)
         horizon = min(
-            max(warmed, last_ts + queued) + (answered + queued if answered else 0),
-            last_ts + WARM_AHEAD_CHAINS * (queued + answered),
+            warmed + (answered + in_flight if answered else 1),
+            last_ts + WARM_AHEAD_CHAINS * (in_flight + answered),
         )
         if horizon > warmed:
             self.log.warm(key, warmed + 1, horizon)
@@ -888,15 +919,15 @@ class MasterService(NodeService):
                         first_ts: int) -> Optional[CheckpointJob]:
         """Track the materialized view; return the checkpoint job now due.
 
-        Runs inside the per-document critical section (cheap, local-only),
-        once per group: every validated patch is applied to the view of
-        ``tenure`` (the one the group was allocated in).  The group's range
+        Runs once per round, as it is allocated (cheap, local-only, in
+        timestamp order): every validated patch is applied to the view of
+        ``tenure`` (the one the round was allocated in).  The round's range
         alone decides the job: when it crosses a *boundary* (a multiple of
         ``checkpoint_interval``), the newest boundary crossed is written —
         its snapshot lines captured *here*, at exactly that timestamp, while
-        no concurrent proposal can advance the document — and the boundaries
+        no other allocation can advance the document — and the boundaries
         that left the retention window with it are removed.  The DHT writes
-        run in the background after the group has been answered
+        run in the background after the round has been answered
         (:meth:`validate_and_publish`).
         """
         interval = self.config.checkpoint_interval
@@ -927,7 +958,7 @@ class MasterService(NodeService):
     def _checkpoint_in_background(self, key: str, tenure: Tenure, ts: int,
                                   lines: Optional[list[str]], left: list[int]):
         """Remove the boundaries that left the window, then write the
-        checkpoint a group made due (process; nobody waits for it).
+        checkpoint a round made due (process; nobody waits for it).
 
         So nobody can be told that it failed: an error of the library is
         counted (``checkpoint_failures``) and dropped here, and the next
@@ -945,7 +976,7 @@ class MasterService(NodeService):
                           lines: Optional[list[str]]):
         """Materialize and store the checkpoint at boundary ``ts`` (process).
 
-        ``lines`` is the snapshot captured under the validation lock, or
+        ``lines`` is the snapshot captured as its round was allocated, or
         ``None`` when ``tenure`` has no view at ``ts`` (fresh takeover) —
         then the state is rebuilt from the newest reachable checkpoint plus
         the log suffix.  Best effort: on any failure the system simply keeps

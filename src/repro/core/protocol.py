@@ -31,9 +31,9 @@ class ValidationResult:
     ``ok`` and ``entries`` carries that gap, which the proposer integrates
     (transforming its chain by the same function) before it applies the
     chain at ``first_ts ..``.  The gap may end in entries no older than the
-    chain itself: the proposals that were served ahead of it in the same
-    round (group commit) — to the proposer a gap like any other, and each
-    answer of a group carries its own.  A proposal that had already landed — a re-sent
+    chain itself: those of the rounds that were still at the Log-Peers when it
+    was placed (overlapping rounds) — to the proposer a gap like any other,
+    and each answer carries its own.  A proposal that had already landed — a re-sent
     one — is answered with the same shape and the timestamps it landed at;
     ``last_ts`` then ends what landed, which is less than what was proposed
     when the chain has grown since.  A ``behind`` answer carries in

@@ -3,7 +3,9 @@
 This package replaces the Java RMI transport of the original P2P-LTR
 prototype with a runtime-driven message layer (see the substitution table
 in ``DESIGN.md``): deterministic under the simulation backend, wall-clock
-concurrent under the asyncio backend.
+concurrent under the asyncio backend.  The socket transport
+(:class:`WireNetwork`, :class:`WireEndpoint`) is loaded on first use, so a
+simulated process never imports asyncio.
 """
 
 from .address import Address, make_addresses
@@ -34,7 +36,6 @@ from .latency import (
 from .message import Message, MessageKind, TrafficStats, payload_size
 from .rpc import RpcAgent, normalize_backend_error
 from .transport import Network
-from .wire import WireEndpoint, WireNetwork
 
 __all__ = [
     "WireEndpoint",
@@ -70,3 +71,11 @@ __all__ = [
     "normalize_backend_error",
     "payload_size",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("WireEndpoint", "WireNetwork"):
+        from . import wire
+
+        return getattr(wire, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,8 @@ processes, futures, named RNG streams — and two backends implement it:
   discrete-event kernel, dispatching in ``(time, sequence)`` order.
 * :class:`AsyncioRuntime` (``"asyncio"``): wall-clock timers and real
   in-process concurrency on an asyncio event loop, bridging to native
-  tasks and queues.
+  tasks and queues.  It is loaded on first use, so a simulated process
+  never imports asyncio.
 
 Backends are selected by name through :func:`create_runtime` /
 :func:`resolve_runtime`, which ``LtrConfig.runtime_backend`` feeds.  The
@@ -29,7 +30,6 @@ from .api import (
     create_runtime,
     resolve_runtime,
 )
-from .asyncio_backend import AsyncioRuntime
 from .sim_backend import SimRuntime
 
 __all__ = [
@@ -52,3 +52,11 @@ __all__ = [
     "derive_seed",
     "resolve_runtime",
 ]
+
+
+def __getattr__(name: str):
+    if name == "AsyncioRuntime":
+        from .asyncio_backend import AsyncioRuntime
+
+        return AsyncioRuntime
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

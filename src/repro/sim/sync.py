@@ -53,7 +53,17 @@ class FifoLock:
             return None
         ticket = self.sim.future()
         self._waiting.append(ticket)
-        yield ticket
+        try:
+            yield ticket
+        except BaseException:
+            # Interrupted while waiting: leave the queue — or, if release()
+            # had already handed the lock over, pass it on — so a waiter that
+            # is gone cannot hold the lock for ever.
+            if ticket.triggered:
+                self.release()
+            else:
+                self._waiting.remove(ticket)
+            raise
         # Ownership was passed directly to us by release(); the lock is
         # already marked as held.
         return None

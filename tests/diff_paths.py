@@ -44,11 +44,12 @@ foreign commit, and then one of three ways on — through ``edit``/``commit``
 and through ``stage``/``flush``, which must agree with each other too
 (``test_invariants.py``).
 
-**Group commit.**  The Master serves the proposals queued on a document as
-one group; arm ``single`` (:data:`GROUP_ARMS`) patches the queue-taking step
-to take one proposal, which is the Master serving them one by one.
-:func:`check_group_cell` holds both arms to the invariants on one cell;
-``--group-sweep`` runs it over the whole grid of ``--seeds`` seeds.
+**Overlapping rounds.**  The Master places a proposal behind the rounds of
+its document still at the Log-Peers and publishes it at once; arm ``serial``
+(:data:`PIPELINE_ARMS`) patches the room check to let one round out at a
+time, which is the Master publishing them one after the other.
+:func:`check_pipeline_cell` holds both arms to the invariants on one cell;
+``--pipeline-sweep`` runs it over the whole grid of ``--seeds`` seeds.
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ class ArmReport:
     #: ahead) — of all publishes, and of those whose timestamps the Master
     #: had warmed before they arrived.
     publishes: int = 0
+    #: Most publishes one Master had out for one document at one instant.
+    peak_rounds: int = 0
     lookups_under_lock: int = 0
     warmed_publishes: int = 0
     warmed_lookups_under_lock: int = 0
@@ -481,6 +484,7 @@ def run_arm(seed: int, fault: str, chain: int,
                 }
         finally:
             system.shutdown()
+    report.peak_rounds = _peak_rounds(routing.publishes)
     for publish in routing.publishes:
         routed = len(routing.lookups_under_lock(publish))
         warmed = routing.was_warmed(publish)
@@ -489,6 +493,22 @@ def run_arm(seed: int, fault: str, chain: int,
         report.warmed_publishes += warmed
         report.warmed_lookups_under_lock += routed * warmed
     return report
+
+
+def _peak_rounds(publishes) -> int:
+    """Most publishes one node had out for one document at one instant."""
+    edges: dict[tuple[str, str], list[tuple[float, int]]] = {}
+    for publish in publishes:
+        # a publish that returns at t is over before one that starts at t
+        edges.setdefault((publish.node, publish.key), []).extend(
+            ((publish.started, 1), (publish.finished, -1)))
+    peak = 0
+    for moments in edges.values():
+        current = 0
+        for _time, step in sorted(moments):
+            current += step
+            peak = max(peak, current)
+    return peak
 
 
 def run_differential(seed: int, fault: str, chain: int, arms: dict[str, Arm],
@@ -501,32 +521,32 @@ def run_differential(seed: int, fault: str, chain: int, arms: dict[str, Arm],
     return reports
 
 
-#: The code as it is against a Master that takes one proposal off its queue
-#: at a time (``DocumentQueue.take`` as it would be without group commit).
-GROUP_ARMS: dict[str, Arm] = {
-    "group": contextlib.nullcontext,
-    "single": lambda: mock.patch.object(
-        master_module.DocumentQueue, "take",
-        lambda queue: [queue.waiting.popleft()]),
+#: The code as it is against a Master that lets one round of a document out at
+#: a time (``DocumentQueue.full`` as soon as anything is in flight).
+PIPELINE_ARMS: dict[str, Arm] = {
+    "overlap": contextlib.nullcontext,
+    "serial": lambda: mock.patch.object(
+        master_module.DocumentQueue, "full",
+        lambda queue, entries, size: bool(queue.rounds)),
 }
 
 
-def check_group_cell(seed: int, fault: str, chain: int) -> dict[str, ArmReport]:
-    """``group`` and ``single`` on one cell of the contended script.
+def check_pipeline_cell(seed: int, fault: str, chain: int) -> dict[str, ArmReport]:
+    """``overlap`` and ``serial`` on one cell of the contended script.
 
     Both arms hold the checker's four invariants, lose no acknowledged edit
     and double none (:func:`run_differential`); commit orders may differ —
-    a group changes who is answered when, and so who proposes next.  What
-    the arms differ in is how many rounds the same commits took.
+    overlapping rounds change who is answered when, and so who proposes
+    next.  What the arms differ in is how many rounds were out at once.
     """
-    reports = run_differential(seed, fault, chain, GROUP_ARMS)
-    group, single = reports["group"], reports["single"]
+    reports = run_differential(seed, fault, chain, PIPELINE_ARMS)
+    overlap, serial = reports["overlap"], reports["serial"]
+    assert serial.peak_rounds <= 1, (seed, serial.peak_rounds)
     if chain == 1 and fault == "none":
-        # One round per commit one by one; fewer wherever somebody queued
-        # behind a publish (seed 24 of the 25 swept: nobody ever did).
-        commits = sum(map(len, single.log.values()))
-        assert sum(map(len, group.log.values())) == commits
-        assert group.publishes <= single.publishes == commits, (seed, group.publishes)
+        # One round per commit either way.
+        commits = sum(map(len, serial.log.values()))
+        assert sum(map(len, overlap.log.values())) == commits
+        assert overlap.publishes == serial.publishes == commits, (seed, overlap.publishes)
     return reports
 
 
@@ -554,20 +574,22 @@ if __name__ == "__main__":
     parser.add_argument("--seeds", type=int, default=25)
     parser.add_argument("--sequential", action="store_true",
                         help="the sequential script in place of the contended one")
-    parser.add_argument("--group-sweep", action="store_true",
-                        help="arms group and single over the contended grid; "
-                             "the publishes of either are written to OUT")
+    parser.add_argument("--pipeline-sweep", action="store_true",
+                        help="arms overlap and serial over the contended grid; "
+                             "the publishes and peak rounds of either are "
+                             "written to OUT")
     arguments = parser.parse_args()
     with open(arguments.out, "w", encoding="utf-8") as out:
         cells = 0
-        if arguments.group_sweep:
+        if arguments.pipeline_sweep:
             red = 0
             for seed in range(1, arguments.seeds + 1):
                 for fault in FAULTS:
                     for chain in (1, 16):
                         try:
-                            reports = check_group_cell(seed, fault, chain)
-                            line = " ".join(f"{name}.publishes={report.publishes}"
+                            reports = check_pipeline_cell(seed, fault, chain)
+                            line = " ".join(f"{name}.publishes={report.publishes} "
+                                            f"{name}.peak_rounds={report.peak_rounds}"
                                             for name, report in reports.items())
                         except AssertionError as violation:  # reported, and counted
                             line, red = f"RED {violation}", red + 1

@@ -171,10 +171,11 @@ def signed_proposal(secret, author, ts, line, *, forged=False):
                 signatures=["not-a-real-hmac" if forged else signature])
 
 
-def test_bad_signature_in_the_middle_of_a_group_fails_that_proposer_alone():
-    """Isolation: proposals queued behind a publish are served as one group;
-    the one whose signature does not verify gets ``AuthenticationError``, the
-    others land densely around it, every logged entry verifies."""
+def test_bad_signature_among_rounds_in_flight_fails_that_proposer_alone():
+    """Isolation: proposals arriving together are placed behind each other and
+    out at the Log-Peers at once; the one whose signature does not verify gets
+    ``AuthenticationError`` and places nothing, the others land densely around
+    it, every logged entry verifies."""
     system = signed_system(commits=1)
     secret = AUTH_CONFIG.auth_secret
     master = system.master_service(KEY)
@@ -192,7 +193,7 @@ def test_bad_signature_in_the_middle_of_a_group_fails_that_proposer_alone():
         [("ok", 2), ("ok", 3), ("ok", 4)]
     stats = master.statistics()
     assert (stats["proposals_auth_rejected"], stats["proposals_ok"],
-            stats["publishes"]) == (1, 4, 3)  # one commit before, the holder, the group
+            stats["publishes"]) == (1, 4, 4)  # one commit before, one a proposal
     entries = system.fetch_log(KEY, 1, 4)
     assert [entry.author for entry in entries[1:]] == ["holder", "alice", "bob"]
     assert all(verify_entry(secret, entry) for entry in entries)
@@ -331,9 +332,9 @@ def test_equivocation_forks_every_armed_entry_of_a_staged_chain():
             if record["kind"] == "forked"} == {master}
 
 
-def test_equivocation_armed_for_two_forks_exactly_two_entries_of_a_group_of_three():
-    """The knob counts entries of the round, whoever proposed them: a group
-    is one chain to it."""
+def test_equivocation_armed_for_two_forks_exactly_the_next_two_entries_allocated():
+    """The knob counts entries as they are allocated — in timestamp order,
+    whichever round they are in: of three rounds out at once, the first two."""
     system = LtrSystem(seed=7, ltr_config=LtrConfig())
     system.bootstrap(8)
     system.edit_and_commit(system.peer_names()[0], KEY, "base")
@@ -345,15 +346,14 @@ def test_equivocation_armed_for_two_forks_exactly_two_entries_of_a_group_of_thre
         return system.runtime.process(service.validate_and_publish(
             key=KEY, ts=ts, patches=[patch], author=author, base_ts=ts - 1))
 
-    lanes = [propose("holder", 2)] + [propose(f"u{member}", 2) for member in range(3)]
-    system.runtime.run(until=lanes[0])
-    service.equivocate_next = 2  # armed while the group of three publishes
+    lanes = [propose(f"u{member}", 2) for member in range(3)]
+    service.equivocate_next = 2  # armed while the three rounds publish
     answers = [system.runtime.run(until=lane) for lane in lanes]
-    assert [answer["first_ts"] for answer in answers] == [2, 3, 4, 5]
+    assert [answer["first_ts"] for answer in answers] == [2, 3, 4]
     assert service.statistics()["equivocations"] == 2 and service.equivocate_next == 0
-    assert service.statistics()["publishes"] == 3
+    assert service.statistics()["publishes"] == 4
     snapshot = ConvergenceChecker(keys=[KEY]).check_now(system)
-    assert snapshot.keys[KEY]["forked_ts"] == [3, 4]
+    assert snapshot.keys[KEY]["forked_ts"] == [2, 3]
 
 
 def test_mutation_corrupted_checkpoint_is_reported():

@@ -360,14 +360,14 @@ def test_an_empty_edit_that_failed_is_given_up_with_its_identity():
     assert system.master_service(KEY).statistics()["proposals_deduplicated"] == 0
 
 
-# ------------------------------------------------------------- inside one queue --
+# ----------------------------------------------------------- inside one round --
 
 
 def test_the_same_identity_queued_twice_lands_once_and_both_copies_get_the_same_ok():
-    """The proposer's RPC timed out while its proposal stood in the Master's
-    queue, and the re-sent copy queues behind it: both ride the same group.
-    The copy finds the identity among the entries ahead of it in the group —
-    one entry, the same *ok* for both, nothing published twice."""
+    """The proposer's RPC timed out while its proposal was at the Log-Peers,
+    and the re-sent copy arrives behind it.  The copy finds the identity among
+    the entries of the rounds still in flight and is answered once that round
+    is allocated — one entry, the same *ok* for both, nothing published twice."""
     from repro.core.protocol import ValidationResult
     from repro.ot import Patch
 
@@ -395,6 +395,43 @@ def test_the_same_identity_queued_twice_lands_once_and_both_copies_get_the_same_
             stats["patches_published"]) == (3, 3, 1, 3)
     assert system.last_ts(KEY) == 3
     assert log_lines(system) == ["base", "theirs", "mine"]
+    assert_checker_green(system)
+
+
+def test_a_copy_of_a_round_that_fails_in_flight_fails_the_same_way():
+    """The copy's original is in a round still at the Log-Peers, and the
+    Log-Peers refuse that round: the copy is answered with the original's
+    outcome — ``PatchUnavailable`` for both, nothing in the log, nothing
+    allocated — not with an *ok* for an entry that was never committed."""
+    from repro.errors import PatchUnavailable
+    from repro.ot import Patch
+
+    system = build_system()
+    writer, other = cast(system)
+    system.edit_and_commit(other, KEY, "base")
+    master = system.master_service(KEY)
+    plain = master.log.append_many
+
+    def refused(entries):
+        yield system.runtime.timeout(0.01)
+        if entries[0].author == writer:
+            raise PatchUnavailable(KEY, entries[0].ts)
+        result = yield from plain(entries)
+        return result
+
+    def propose(author, identity, line):
+        patch = Patch((InsertLine(1, line),), base_ts=1, author=author)
+        return system.runtime.process(master.validate_and_publish(
+            key=KEY, ts=2, patches=[patch], author=author, base_ts=1, proposal=identity))
+
+    master.log.append_many = refused
+    original, copy = propose(writer, 500, "mine"), propose(writer, 500, "mine")
+    for lane in (original, copy):
+        with pytest.raises(PatchUnavailable):
+            system.runtime.run(until=lane)
+    master.log.append_many = plain
+    assert master.statistics()["proposals_deduplicated"] == 1
+    assert system.last_ts(KEY) == 1 and log_lines(system) == ["base"]
     assert_checker_green(system)
 
 

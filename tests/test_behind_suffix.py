@@ -141,24 +141,29 @@ def test_tail_is_bounded_in_entries(monkeypatch):
     assert [entry.ts for entry in near.entries] == [4, 5, 6, 7]
 
 
+def extend(tail, entries):
+    """Allocate ``entries`` into ``tail`` as the Master does, sizes alongside."""
+    tail.extend(entries, [payload_size(entry) for entry in entries])
+
+
 def test_tail_is_bounded_in_bytes(monkeypatch):
     entry = LogEntry(KEY, 1, make_patch("u1", "line 1"), author="u1")
     monkeypatch.setattr(master_module, "TAIL_MAX_BYTES", int(2.5 * payload_size(entry)))
     tail = EntryTail()
     for ts in range(1, 6):
-        tail.extend([replace(entry, ts=ts)])
+        extend(tail, [replace(entry, ts=ts)])
         assert tail.bytes <= master_module.TAIL_MAX_BYTES
     assert [held.ts for held in tail.entries] == [4, 5]
     # One entry bigger than the whole budget is not kept at all.
-    tail.extend([replace(entry, ts=6, patch=make_patch("u1", "x" * 4096))])
+    extend(tail, [replace(entry, ts=6, patch=make_patch("u1", "x" * 4096))])
     assert tail.entries == [] and tail.bytes == 0 and tail.suffix(5) is None
 
 
 def test_tail_restarts_on_a_gap_and_is_dropped_when_the_counter_moved_on():
     tail = EntryTail()
     entry = LogEntry(KEY, 1, make_patch("u1", "line"))
-    tail.extend([replace(entry, ts=1), replace(entry, ts=2)])
-    tail.extend([replace(entry, ts=7)])  # 3..6 were allocated elsewhere
+    extend(tail, [replace(entry, ts=1), replace(entry, ts=2)])
+    extend(tail, [replace(entry, ts=7)])  # 3..6 were allocated elsewhere
     assert [held.ts for held in tail.entries] == [7]
     assert tail.suffix(5) is None and [held.ts for held in tail.suffix(6)] == [7]
     # At the Master: a tail that does not end at last-ts is from another tenure.
@@ -218,7 +223,7 @@ def test_counter_coming_back_ends_the_tenure_the_tail_was_from():
 def test_a_regained_tenure_reads_nothing_of_the_one_before(departure):
     """A Master hands the document off at ts 5 and gets it back at ts 6: the
     stand-in leaves (the counter comes back) or crashes (its replica here is
-    promoted).  The first group of the regained tenure to cross a boundary
+    promoted).  The first round of the regained tenure to cross a boundary
     (8) writes its checkpoint, as any takeover's does — cut from a view
     rebuilt out of the checkpoint at 4 and the log, not from the old
     tenure's view, nor its tail."""

@@ -228,7 +228,31 @@ def test_mutation_restamped_copy_with_identical_content_is_benign():
     assert snapshot.ok, "a provenance-only difference must not be a violation"
 
 
-def test_mutation_counter_behind_log_is_reported():
+def test_mutation_entry_stamped_with_another_timestamp_is_reported_not_raised():
+    """Every placement of ts 2 holds the ts-3 entry (a replayed or re-stamped
+    copy at the wrong address): a snapshot violation, not an
+    ``InvalidOperation`` out of the canonical replay."""
+    system = committed_system()
+    ts3_entry = placement_items(system, ts=3)[0][2].value
+    for node, storage_key, item in placement_items(system, ts=2):
+        node.storage.put(storage_key, ts3_entry, is_replica=item.is_replica,
+                         now=system.runtime.now, key_id=item.key_id)
+    checker = ConvergenceChecker(keys=[KEY])
+    snapshot = checker.check_now(system)
+    assert snapshot.keys[KEY]["misplaced_ts"] == [2]
+    assert f"{KEY}: every surviving copy of ts 2 is stamped with another timestamp " \
+        "(a restamped or replayed entry)" in snapshot.violations
+    final = checker.final_check(system)
+    assert not final.ok and checker.snapshots[-2].keys[KEY]["misplaced_ts"] == [2]
+
+
+def test_mutation_counter_behind_log_is_reported(monkeypatch):
+    """(The allowance behind is what the Master lets out at once, its tail's
+    bounds: held to two entries here, the three of log max 4 over counter 1
+    are beyond it.)"""
+    from repro.core import master as master_module
+
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 2)
     system = committed_system()
     counter_key = f"{COUNTER_PREFIX}{KEY}"
     for node in system.ring.live_nodes():
@@ -237,6 +261,41 @@ def test_mutation_counter_behind_log_is_reported():
             item.value = 1  # log max is 4: beyond any in-flight allowance
     snapshot = ConvergenceChecker(keys=[KEY]).check_now(system)
     assert any("behind log max" in violation for violation in snapshot.violations)
+
+
+def test_two_rounds_out_at_once_are_in_flight_not_a_fork_hazard(monkeypatch):
+    """A snapshot taken while two rounds of one document are at the Log-Peers
+    and neither is allocated sees the log two past the counter: legitimate,
+    up to what the Master lets out at once (its tail's bounds) — and flagged
+    beyond it."""
+    from repro.core import master as master_module
+    from repro.ot import InsertLine, Patch
+
+    system = committed_system()  # last_ts == 4
+    master = system.master_service(KEY)
+    plain = master.log.append_many
+
+    def held_back(entries):
+        result = yield from plain(entries)
+        yield system.runtime.timeout(1.0)  # stored, not yet allocated
+        return result
+
+    master.log.append_many = held_back
+    lanes = [system.runtime.process(master.validate_and_publish(
+        key=KEY, ts=5, author=author, base_ts=4,
+        patches=[Patch((InsertLine(0, author),), base_ts=4, author=author)]))
+        for author in ("one", "two")]
+    system.runtime.run(until=system.runtime.now + 0.5)
+    checker = ConvergenceChecker(keys=[KEY])  # chains of one
+    snapshot = checker.check_now(system)
+    assert (snapshot.keys[KEY]["last_ts"], snapshot.keys[KEY]["log_max"]) == (4, 6)
+    assert snapshot.ok, snapshot.violations
+    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 1)
+    assert any("behind log max" in violation
+               for violation in checker.check_now(system).violations)
+    monkeypatch.undo()
+    system.runtime.run(until=system.runtime.all_of(lanes))
+    assert ConvergenceChecker(keys=[KEY]).check_now(system, strict_counter=True).ok
 
 
 def test_mutation_counter_one_behind_is_tolerated_then_strict_at_final():

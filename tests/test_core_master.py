@@ -272,18 +272,19 @@ def test_handle_last_ts_matches_authority():
     assert master._authority().last_ts(key) == 1
 
 
-# ------------------------------------------------------------- group commit --
+# ---------------------------------------------------------- overlapping rounds --
 #
-# The handler that holds a document's lock serves the proposals queued behind
-# it in one round.  ``tests/test_master_rebase.py`` proves a group equal to the
-# same proposals served one by one; these pin what a group may not change.
+# A proposal is placed behind the rounds still at the Log-Peers as soon as it
+# arrives, and published at once; allocation stays in timestamp order.
+# ``tests/test_master_rebase.py`` proves the rounds equal to the same proposals
+# served one by one; these pin what overlapping may not change.
 
-GROUP_KEY = "xwiki:group"
+ROUNDS_KEY = "xwiki:rounds"
 
 
-def queue_behind_a_publish(system, master, proposals, key=GROUP_KEY):
-    """Spawn ``proposals`` (keyword arguments of the RPC) at one instant: the
-    first takes the lock and publishes alone, the others queue behind it."""
+def arrive_together(system, master, proposals, key=ROUNDS_KEY):
+    """Spawn ``proposals`` (keyword arguments of the RPC) at one instant: each
+    is placed behind the ones before it and published at once."""
     return [system.runtime.process(master.validate_and_publish(key=key, **arguments))
             for arguments in proposals]
 
@@ -305,38 +306,119 @@ def proposal(author, ts, lines=("x",), **extra):
                 **extra)
 
 
-def run_until_the_group_is_out(system, master, holder, entries, key=GROUP_KEY):
-    """Step until the holder is answered and ``entries`` entries of the group
-    behind it are at the Log-Peers, not yet allocated."""
+def run_until_in_flight(system, master, entries, key=ROUNDS_KEY):
+    """Step until ``entries`` entries are placed at the Log-Peers, not yet allocated."""
     queue = master._document(key)
-    while not (holder.triggered and queue.publishing == entries):
+    while queue.in_flight != entries:
         assert system.runtime.now < 60
         system.runtime.run(until=system.runtime.now + 0.001)
 
 
-def test_a_group_is_one_publish_one_allocation_and_every_member_its_own_answer():
+def recorded_publishes(system, master):
+    """Wrap the Master's ``append_many``: ``(first ts, started, returned)`` of
+    every publish, in the order they return."""
+    publishes = []
+    plain = master.log.append_many
+
+    def recording(entries):
+        started = system.runtime.now
+        result = yield from plain(entries)
+        publishes.append((entries[0].ts, started, system.runtime.now))
+        return result
+
+    master.log.append_many = recording
+    return publishes
+
+
+def test_proposals_arriving_together_are_in_flight_together_each_its_own_answer():
     system = build_system()
-    master = system.master_service(GROUP_KEY)
+    master = system.master_service(ROUNDS_KEY)
     authority = master._authority()
-    lanes = queue_behind_a_publish(system, master, [
-        proposal("holder", 1), proposal("a", 1), proposal("b", 1, lines=("1", "2")),
+    publishes = recorded_publishes(system, master)
+    lanes = arrive_together(system, master, [
+        proposal("first", 1), proposal("a", 1), proposal("b", 1, lines=("1", "2")),
         proposal("c", 1)])
-    holder, a, b, c = outcomes(system, lanes)
-    assert [(r.first_ts, r.last_ts) for r in (holder, a, b, c)] == \
+    first, a, b, c = outcomes(system, lanes)
+    assert [(r.first_ts, r.last_ts) for r in (first, a, b, c)] == \
         [(1, 1), (2, 2), (3, 4), (5, 5)]
-    # Each member's gap is its own: what it was behind by, members ahead included.
-    assert [[entry.ts for entry in r.entries or []] for r in (holder, a, b, c)] == \
+    # Each gap is its own: what it was behind by, the rounds in flight included.
+    assert [[entry.ts for entry in r.entries or []] for r in (first, a, b, c)] == \
         [[], [1], [1, 2], [1, 2, 3, 4]]
     assert all(r.replicas == system.ltr_config.log_replication_factor
-               for r in (holder, a, b, c))
-    assert (authority.allocations, master.log.published_entries) == (2, 5)
+               for r in (first, a, b, c))
+    # One publish and one allocation a proposal, and every publish went out
+    # before the first came back: the second did not wait for the first.
+    assert (authority.allocations, master.log.published_entries) == (4, 5)
+    started = {ts: at for ts, at, _returned in publishes}
+    first_back = min(returned for _ts, _started, returned in publishes)
+    assert sorted(started) == [1, 2, 3, 5] and max(started.values()) < first_back
     stats = master.statistics()
     assert (stats["publishes"], stats["proposals_ok"], stats["proposals_rebased"],
-            stats["patches_published"]) == (2, 4, 3, 5)
-    assert system.statistics()["publishes"] == 2
-    assert [entry.author for entry in tenure(master, GROUP_KEY).tail.entries] == \
-        ["holder", "a", "b", "b", "c"]
-    assert [entry.base_ts for entry in system.fetch_log(GROUP_KEY, 1, 5)] == [0, 1, 2, 3, 4]
+            stats["patches_published"]) == (4, 4, 3, 5)
+    assert [entry.author for entry in tenure(master, ROUNDS_KEY).tail.entries] == \
+        ["first", "a", "b", "b", "c"]
+    assert [entry.base_ts for entry in system.fetch_log(ROUNDS_KEY, 1, 5)] == [0, 1, 2, 3, 4]
+    assert not master._document(ROUNDS_KEY).rounds
+
+
+def test_allocation_stays_in_order_when_a_later_publish_returns_first():
+    """The second round is back from its Log-Peers while the first is still
+    out: it waits — counter, tail and answer — for the first to be allocated."""
+    system = build_system()
+    master = system.master_service(ROUNDS_KEY)
+    authority = master._authority()
+    plain = master.log.append_many
+    allocated = []
+    next_timestamps = authority.next_timestamps
+
+    def slow_first(entries):
+        if entries[0].ts == 1:
+            yield system.runtime.timeout(0.5)
+        result = yield from plain(entries)
+        return result
+
+    def recording(key, count):
+        allocated.append((next_timestamps(key, count), system.runtime.now))
+        return allocated[-1][0]
+
+    master.log.append_many = slow_first
+    authority.next_timestamps = recording
+    lanes = arrive_together(system, master, [proposal("slow", 1), proposal("fast", 1)])
+    system.runtime.run(until=system.runtime.now + 0.25)
+    # The fast one is back from the Log-Peers; nothing is allocated or held.
+    assert system.fetch_log(ROUNDS_KEY, 2, 2)[0].author == "fast"
+    assert (authority.last_ts(ROUNDS_KEY), lanes[1].triggered) == (0, False)
+    assert tenure(master, ROUNDS_KEY).tail.entries == []
+    slow, fast = outcomes(system, lanes)
+    assert [ts for ts, _at in allocated] == [1, 2]
+    assert allocated[0][1] >= 0.5 and allocated[1][1] == allocated[0][1]
+    assert (slow.first_ts, fast.first_ts) == (1, 2)
+    assert [entry.ts for entry in tenure(master, ROUNDS_KEY).tail.entries] == [1, 2]
+    report = system.check_consistency(ROUNDS_KEY)
+    assert report.converged and report.log_continuous
+
+
+def test_a_behind_proposal_is_answered_after_the_rounds_ahead_of_it():
+    """Proposed ahead of last-ts while a round is out: it is answered once that
+    round is allocated, with the ``last-ts`` that holds then — so it does not
+    come round again for that round's entry."""
+    system = build_system()
+    master = system.master_service(ROUNDS_KEY)
+    plain = master.log.append_many
+
+    def slow(entries):
+        yield system.runtime.timeout(0.5)
+        result = yield from plain(entries)
+        return result
+
+    master.log.append_many = slow
+    out, early = arrive_together(system, master, [proposal("out", 1), proposal("early", 5)])
+    system.runtime.run(until=system.runtime.now + 0.25)
+    assert not early.triggered
+    answers = outcomes(system, [out, early])
+    assert answers[0].accepted and answers[0].last_ts == 1
+    assert not answers[1].accepted and answers[1].last_ts == 1
+    assert master.statistics()["proposals_behind"] == 1
 
 
 def test_a_member_that_cannot_be_placed_raises_alone():
@@ -345,29 +427,32 @@ def test_a_member_that_cannot_be_placed_raises_alone():
     from repro.errors import ReproError, ValidationFailed
 
     system = build_system()
-    master = system.master_service(GROUP_KEY)
+    master = system.master_service(ROUNDS_KEY)
     empty = dict(ts=1, author="empty", base_ts=0, patches=[])
     broken = dict(ts=1, author="broken", base_ts=0, patches=["not a patch"])
-    lanes = queue_behind_a_publish(system, master, [
-        proposal("holder", 1), proposal("a", 1), empty, broken, proposal("b", 1)])
-    holder, a, nothing, untransformable, b = outcomes(system, lanes)
-    assert [(r.first_ts, r.last_ts) for r in (holder, a, b)] == [(1, 1), (2, 2), (3, 3)]
+    lanes = arrive_together(system, master, [
+        proposal("first", 1), proposal("a", 1), empty, broken, proposal("b", 1)])
+    first, a, nothing, untransformable, b = outcomes(system, lanes)
+    assert [(r.first_ts, r.last_ts) for r in (first, a, b)] == [(1, 1), (2, 2), (3, 3)]
     # (Pinned by reading: a bare ValueError, which the proposer's error
     # handling — it restores the chain on ReproError — did not know.)
     assert isinstance(nothing, ValidationFailed) and isinstance(nothing, ReproError)
     assert isinstance(untransformable, AttributeError)
-    assert system.last_ts(GROUP_KEY) == 3 and master.statistics()["proposals_ok"] == 3
+    assert system.last_ts(ROUNDS_KEY) == 3 and master.statistics()["proposals_ok"] == 3
     # Alone at the Master it is the same error.
     with pytest.raises(ValidationFailed):
         system.runtime.run(until=system.runtime.process(
-            master.validate_and_publish(key=GROUP_KEY, **empty)))
+            master.validate_and_publish(key=ROUNDS_KEY, **empty)))
 
 
-@pytest.mark.parametrize("members", [1, 3])
-def test_reelection_during_a_groups_publish_rejects_every_member(members):
-    """The chain-length 1 | 3 re-election regression, on a group of 1 | 3: a
-    join takes the arc while the group publishes — every member is rejected,
-    everything is retracted, nothing enters the tail."""
+@pytest.mark.parametrize("behind", [1, 3])
+def test_reelection_while_rounds_are_out_rejects_every_one_and_retracts_once(behind):
+    """The chain-length 1 | 3 re-election regression, on 1 | 3 rounds behind
+    the first: a join takes the arc while all are at the Log-Peers — the first
+    round is rejected, every round behind it too (they were transformed over
+    it), all their entries are retracted in one go and none enters the tail."""
+    from unittest import mock
+
     from repro.errors import KeyNotFound, PatchUnavailable
 
     system = LtrSystem(ltr_config=LtrConfig(), seed=42, latency=ConstantLatency(0.02))
@@ -380,49 +465,51 @@ def test_reelection_during_a_groups_publish_rejects_every_member(members):
     plain = old_master.log.append_many
 
     def slow(entries):
-        # (The group's routes were warmed when it queued: without this its
-        # publish is one round-trip, over before any join gets anywhere.)
+        # (Their routes were warmed by the base revision's answer: without this
+        # a publish is one round-trip, over before any join gets anywhere.)
         yield system.runtime.timeout(1.0)
         result = yield from plain(entries)
         return result
 
-    lanes = queue_behind_a_publish(system, old_master, [proposal("holder", 2)] + [
-        proposal(f"u{member}", 2) for member in range(members)], key=key)
-    system.runtime.run(until=system.runtime.now + 0.005)  # the holder's publish is in flight
     old_master.log.append_many = slow
-    run_until_the_group_is_out(system, old_master, lanes[0], members, key=key)
-    system.add_peer(joiner)  # hand-off happens while the group publishes
-    holder, *group = outcomes(system, lanes)
-    assert holder.accepted and holder.last_ts == 2
-    assert all(result.rejected and result.entries is None for result in group)
-    assert old_master.proposals_rejected == members
-    assert is_fresh(tenure(old_master, key))
-    assert system.master_of(key) == joiner and system.last_ts(key) == 2
+    with mock.patch.object(old_master.log, "retract_many",
+                           wraps=old_master.log.retract_many) as retractions:
+        lanes = arrive_together(system, old_master, [proposal("first", 2)] + [
+            proposal(f"u{member}", 2) for member in range(behind)], key=key)
+        run_until_in_flight(system, old_master, 1 + behind, key=key)
+        system.add_peer(joiner)  # hand-off happens while the rounds publish
+        results = outcomes(system, lanes)
+    assert all(result.rejected and result.entries is None for result in results)
+    assert old_master.proposals_rejected == 1 + behind
+    assert retractions.call_count == 1
+    assert [entry.ts for entry in retractions.call_args.args[0]] == list(range(2, 3 + behind))
+    assert is_fresh(tenure(old_master, key)) and not old_master._document(key).rounds
+    assert system.master_of(key) == joiner and system.last_ts(key) == 1
     log = system.log_client()
-    for orphan_ts in range(3, 3 + members):
+    for orphan_ts in range(2, 3 + behind):
         with pytest.raises((PatchUnavailable, KeyNotFound)):
             system.runtime.run(until=system.runtime.process(log.fetch(key, orphan_ts)))
     follow_up = system.edit_and_commit("peer-0", key, "post-reelection revision")
-    assert follow_up.ts == 3
+    assert follow_up.ts == 2
     report = system.check_consistency(key)
     assert report.converged and report.log_continuous
 
 
-def test_a_failed_publish_raises_at_every_member_and_is_retracted_once():
-    """Atomicity: the Log-Peers refuse the group's round — every proposer in
-    it gets ``PatchUnavailable`` and its edits back, a repeat of a member
-    included; the concatenation is retracted in one go, after the lock."""
+def test_a_failed_publish_fails_the_rounds_behind_it_and_is_retracted_once():
+    """Atomicity: the Log-Peers refuse the second round — it and the round
+    transformed over it raise ``PatchUnavailable`` and get their edits back;
+    the round ahead of it is not touched; both are retracted in one go."""
     from unittest import mock
 
     from repro.errors import PatchUnavailable
 
     system = build_system()
     names = system.peer_names()
-    master = system.master_service(GROUP_KEY)
+    master = system.master_service(ROUNDS_KEY)
     writers = [name for name in names if name != master.node.address.name][:3]
-    system.edit_and_commit(writers[0], GROUP_KEY, "base")
+    system.edit_and_commit(writers[0], ROUNDS_KEY, "base")
     for name in writers:
-        system.sync(name, GROUP_KEY)
+        system.sync(name, ROUNDS_KEY)
     plain = master.log.append_many
     rounds = []
 
@@ -430,7 +517,7 @@ def test_a_failed_publish_raises_at_every_member_and_is_retracted_once():
         rounds.append(len(entries))
         if len(rounds) == 2:
             yield system.runtime.timeout(0.004)
-            raise PatchUnavailable(GROUP_KEY, entries[0].ts)
+            raise PatchUnavailable(ROUNDS_KEY, entries[0].ts)
         result = yield from plain(entries)
         return result
 
@@ -439,87 +526,90 @@ def test_a_failed_publish_raises_at_every_member_and_is_retracted_once():
             mock.patch.object(master.log, "retract_many",
                               wraps=master.log.retract_many) as retractions:
         for name in writers:
-            system.user(name).edit(GROUP_KEY, f"base\nby {name}")
-            commits.append(system.runtime.process(system.user(name).commit(GROUP_KEY)))
+            system.user(name).edit(ROUNDS_KEY, f"base\nby {name}")
+            commits.append(system.runtime.process(system.user(name).commit(ROUNDS_KEY)))
         first, *failed = outcomes(system, commits, parse=lambda result: result)
-    assert first.ts == 2 and rounds == [1, 2]
+    assert first.ts == 2 and rounds == [1, 1, 1]
     assert [type(error) for error in failed] == [PatchUnavailable, PatchUnavailable]
     assert retractions.call_count == 1
     assert [entry.ts for entry in retractions.call_args.args[0]] == [3, 4]
-    assert system.last_ts(GROUP_KEY) == 2 and master.statistics()["publishes"] == 2
-    assert [entry.ts for entry in tenure(master, GROUP_KEY).tail.entries] == [1, 2]
+    assert system.last_ts(ROUNDS_KEY) == 2 and master.statistics()["publishes"] == 2
+    assert [entry.ts for entry in tenure(master, ROUNDS_KEY).tail.entries] == [1, 2]
     # Every proposer has its edit back and lands it with the next commit.
     for name in writers[1:]:
-        assert system.user(name).has_pending(GROUP_KEY)
-        system.commit(name, GROUP_KEY)
-    assert system.last_ts(GROUP_KEY) == 4
-    report = system.check_consistency(GROUP_KEY)
+        assert system.user(name).has_pending(ROUNDS_KEY)
+        system.commit(name, ROUNDS_KEY)
+    assert system.last_ts(ROUNDS_KEY) == 4
+    report = system.check_consistency(ROUNDS_KEY)
     assert report.converged and report.log_continuous
-    lines = system.user(writers[0]).document(GROUP_KEY).lines
-    system.sync(writers[0], GROUP_KEY)
-    assert sorted(system.user(writers[0]).document(GROUP_KEY).lines) == \
+    lines = system.user(writers[0]).document(ROUNDS_KEY).lines
+    system.sync(writers[0], ROUNDS_KEY)
+    assert sorted(system.user(writers[0]).document(ROUNDS_KEY).lines) == \
         sorted(["base"] + [f"by {name}" for name in writers]), lines
 
 
-def test_a_queue_beyond_the_tail_bounds_is_served_in_two_groups(monkeypatch):
-    """A group's entries are one stretch of the tail: bounded by its bounds,
-    in entries and in bytes; who does not fit is the next holder's."""
+def test_what_is_in_flight_stays_within_the_tail_bounds(monkeypatch):
+    """The entries out at once are held to the tail's bounds, in entries and in
+    bytes — a gap ends in them; who does not fit waits for the oldest round."""
     from repro.core import master as master_module
-    from repro.net import payload_size
 
-    def sizes_of_the_rounds(queue):
+    sizes = []
+
+    def peak_in_flight(arrivals):
         system = build_system()
-        master = system.master_service(GROUP_KEY)
-        rounds = []
+        master = system.master_service(ROUNDS_KEY)
+        queue = master._document(ROUNDS_KEY)
+        peaks = []
         plain = master.log.append_many
 
         def counting(entries):
-            rounds.append(len(entries))
+            peaks.append(queue.in_flight)
+            sizes.extend(queue.rounds[-1].sizes)
             result = yield from plain(entries)
             return result
 
         master.log.append_many = counting
-        results = outcomes(system, queue_behind_a_publish(system, master, queue))
+        results = outcomes(system, arrive_together(system, master, arrivals))
         assert all(result.accepted for result in results)
-        assert system.last_ts(GROUP_KEY) == sum(rounds)
-        return rounds
+        assert system.last_ts(ROUNDS_KEY) == sum(len(a["patches"]) for a in arrivals)
+        report = system.check_consistency(ROUNDS_KEY)
+        assert report.converged and report.log_continuous
+        return max(peaks)
 
-    # The holder, and three pairs that each propose what comes then (nobody
-    # is behind by more than its pair: the bounds below shrink the tail too).
-    queue = [proposal("holder", 1)] + [
-        proposal(f"u{ts}{n}", ts) for ts in (2, 4, 6) for n in range(2)]
-    assert sizes_of_the_rounds(queue) == [1, 6]
+    # Seven of one entry each, all proposing ts 1: each is placed behind the
+    # ones before it, transformed over what is in flight.
+    arrivals = [proposal(f"u{n}", 1) for n in range(7)]
+    assert peak_in_flight(arrivals) == 7
     monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 4)
-    assert sizes_of_the_rounds(queue) == [1, 4, 2]
-    chain = [proposal("holder", 1)] + [proposal("w", 1, lines="abc"), proposal("v", 5)]
-    assert sizes_of_the_rounds(chain) == [1, 4]  # a chain counts by its entries: 3 + 1
+    assert peak_in_flight(arrivals) == 4
+    # (The tail is held to the same bounds, so from here on every proposal is
+    # exactly next: none needs a gap the smaller tail no longer holds.)
+    chain = [proposal("w", 1, lines="abc"), proposal("v", 4), proposal("u", 5)]
+    assert peak_in_flight(chain) == 4  # a chain counts by its entries: 3 + 1
     monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 2)
-    assert sizes_of_the_rounds(chain) == [1, 3, 1]  # the head goes whatever its size, alone
+    assert peak_in_flight(chain) == 3  # the first goes whatever its size, alone
     monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 256)
-    one = payload_size(proposal("u20", 2)["patches"])
-    monkeypatch.setattr(master_module, "TAIL_MAX_BYTES", 2 * one + one // 2)
-    assert sizes_of_the_rounds(queue) == [1, 2, 2, 2]
+    monkeypatch.setattr(master_module, "TAIL_MAX_BYTES", max(sizes) * 5 // 2)
+    assert peak_in_flight([proposal(f"u{n}", n + 1) for n in range(7)]) == 2
 
 
-def test_a_boundary_crossed_inside_a_group_is_one_checkpoint_at_the_boundary():
+def test_rounds_across_a_boundary_write_one_checkpoint_at_the_boundary():
     system = build_system(checkpoint_interval=4)
-    master = system.master_service(GROUP_KEY)
-    lanes = queue_behind_a_publish(system, master, [
-        proposal("holder", 1)] + [proposal(f"u{n}", 1) for n in range(5)])
+    master = system.master_service(ROUNDS_KEY)
+    lanes = arrive_together(system, master, [proposal(f"u{n}", 1) for n in range(6)])
     results = outcomes(system, lanes)
     assert [result.last_ts for result in results] == [1, 2, 3, 4, 5, 6]
     system.run_for(1.0)
-    # The boundary 4 is crossed inside the group 2..6: one checkpoint, at the
-    # boundary, cut from the view as it stood there — what the log replays
-    # to at ts 4, not at the group's end.
+    # The boundary 4 is crossed by the fourth round while the others are out:
+    # one checkpoint, at the boundary, cut from the view as it stood there —
+    # what the log replays to at ts 4, not at the end of what was in flight.
     assert master.checkpoints_written == 1
-    assert tenure(master, GROUP_KEY).view.applied_ts == 6
-    assert len(assert_one_checkpoint_is_the_replay(system, master, GROUP_KEY, 4)) == 4
-
+    assert tenure(master, ROUNDS_KEY).view.applied_ts == 6
+    assert len(assert_one_checkpoint_is_the_replay(system, master, ROUNDS_KEY, 4)) == 4
 
 # --------------------------------------------------- checkpoints in the background --
 #
-# A checkpoint is written after the group that made it due has been answered:
+# A checkpoint is written after the round that made it due has been answered:
 # the commit ends at publication, the snapshot is a retrieval aid.
 
 
@@ -599,42 +689,54 @@ def test_a_failed_checkpoint_write_never_reaches_the_proposer():
     assert system.runtime.crashed_processes == []
 
 
-def test_a_group_whose_head_is_refused_still_writes_its_checkpoint():
-    """The lock holder's own proposal fails verification; the members it
-    served behind it cross the interval, and their checkpoint is written."""
+def test_a_refused_proposal_between_rounds_leaves_the_checkpoint_to_the_round_that_crosses():
+    """A proposal fails verification while rounds are out around it; the
+    round that crosses the interval writes its checkpoint."""
     from repro.errors import ValidationFailed
 
     system = build_system(checkpoint_interval=3)
-    master = system.master_service(GROUP_KEY)
+    master = system.master_service(ROUNDS_KEY)
     empty = dict(ts=1, author="empty", base_ts=0, patches=[])
-    lanes = queue_behind_a_publish(system, master, [
-        proposal("holder", 1), empty, proposal("a", 1), proposal("b", 1)])
-    holder, refused, a, b = outcomes(system, lanes)
+    lanes = arrive_together(system, master, [
+        proposal("first", 1), empty, proposal("a", 1), proposal("b", 1)])
+    first, refused, a, b = outcomes(system, lanes)
     assert isinstance(refused, ValidationFailed)
-    assert [(r.first_ts, r.last_ts) for r in (holder, a, b)] == [(1, 1), (2, 2), (3, 3)]
-    assert master.statistics()["publishes"] == 2  # a and b went out with the refused head
+    assert [(r.first_ts, r.last_ts) for r in (first, a, b)] == [(1, 1), (2, 2), (3, 3)]
+    assert master.statistics()["publishes"] == 3
     system.run_for(2.0)
-    assert len(assert_one_checkpoint_is_the_replay(system, master, GROUP_KEY, 3)) == 3
+    assert len(assert_one_checkpoint_is_the_replay(system, master, ROUNDS_KEY, 3)) == 3
 
 
-def test_no_member_is_orphaned_when_the_holders_handler_dies_mid_publish():
-    """No orphan: the handler that took a group along is killed while the
-    group publishes — every member leaves with an exception, none with
-    ``None``, and the document's lock is free again."""
-    from repro.errors import PatchUnavailable, ProcessInterrupted
+def test_no_round_is_orphaned_when_a_handler_dies_mid_publish():
+    """No orphan: the handler of the second of four rounds is killed while all
+    are out — the rounds behind it leave with ``PatchUnavailable`` (they were
+    transformed over its entries), none with ``None``; the round ahead of it
+    lands; nothing is left in flight, the lock is free, and the entries of the
+    three rounds given up are retracted in one go."""
+    from unittest import mock
+
+    from repro.errors import KeyNotFound, PatchUnavailable, ProcessInterrupted
 
     system = build_system()
-    master = system.master_service(GROUP_KEY)
-    lanes = queue_behind_a_publish(system, master, [
-        proposal("holder", 1)] + [proposal(f"u{n}", 1) for n in range(3)])
-    run_until_the_group_is_out(system, master, lanes[0], 3)
-    lanes[1].interrupt("killed")  # the member whose handler holds the lock
-    holder, killed, *orphans = outcomes(system, lanes)
-    assert holder.accepted and isinstance(killed, ProcessInterrupted)
+    master = system.master_service(ROUNDS_KEY)
+    with mock.patch.object(master.log, "retract_many",
+                           wraps=master.log.retract_many) as retractions:
+        lanes = arrive_together(system, master, [proposal(f"u{n}", 1) for n in range(4)])
+        run_until_in_flight(system, master, 4)
+        lanes[1].interrupt("killed")
+        first, killed, *orphans = outcomes(system, lanes)
+    assert first.accepted and isinstance(killed, ProcessInterrupted)
     assert [type(error) for error in orphans] == [PatchUnavailable, PatchUnavailable]
-    queue = master._documents[GROUP_KEY]
-    assert not queue.lock.locked and not queue.waiting and queue.publishing == 0
-    assert system.last_ts(GROUP_KEY) == 1
+    queue = master._documents[ROUNDS_KEY]
+    assert not queue.lock.locked and not queue.rounds
+    assert system.last_ts(ROUNDS_KEY) == 1
+    assert retractions.call_count == 1
+    assert [entry.ts for entry in retractions.call_args.args[0]] == [2, 3, 4]
+    log = system.log_client()
+    for orphan_ts in (2, 3, 4):
+        with pytest.raises((PatchUnavailable, KeyNotFound)):
+            system.runtime.run(until=system.runtime.process(log.fetch(ROUNDS_KEY, orphan_ts)))
     # Nothing was allocated; the proposers come again and land.
-    again = run_validation(system, master, GROUP_KEY, 2, [make_patch("u1", "again", 1)], "u1")
+    again = run_validation(system, master, ROUNDS_KEY, 2,
+                           [make_patch("u1", "again", 1)], "u1")
     assert again.accepted and again.first_ts == 2

@@ -155,3 +155,21 @@ def test_the_route_cache_is_reached_only_through_the_node():
         f"route_cache reached into from outside repro.chord: {offenders}; "
         "use ChordNode.forget_route / forget_routes_to / warm_route"
     )
+
+
+def test_a_simulated_process_loads_no_live_backend():
+    """The asyncio runtime, the socket transport and the cluster host are
+    loaded on first use (module ``__getattr__`` in ``repro.runtime``,
+    ``repro.net`` and ``repro.cluster``): importing everything a simulated
+    run needs — the cluster facade included — pulls in no asyncio."""
+    import os
+    import subprocess
+    import sys
+
+    probe = ("import sys, repro.core, repro.cluster, repro.experiments; "
+             "assert 'asyncio' not in sys.modules, sorted("
+             "name for name in sys.modules if name.startswith('asyncio'))")
+    source = str(SRC_ROOT.parent)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": source})
+    assert result.returncode == 0, result.stderr

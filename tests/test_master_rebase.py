@@ -302,7 +302,7 @@ def test_an_identity_beyond_the_tail_is_left_to_the_proposer(monkeypatch):
     assert system.last_ts(KEY) == 4  # and in no case is it committed again
 
 
-# ------------------------------------------------ a group ≡ one by one --
+# ---------------------------------------- overlapping rounds ≡ one by one --
 
 
 def chain_of(author, ts, length):
@@ -315,9 +315,9 @@ def chain_of(author, ts, length):
 #: ``(author, proposed ts, chain, proposal identity, extra arguments)`` in
 #: arrival order, on a log of three entries: current, stale by one, two and
 #: three, chains of 1 and 16 mixed, a re-sent identity, one whose patch
-#: cannot be transformed, one signed (*behind*: it goes last, because a group
-#: answers it with the ``last-ts`` that holds after the group).
-GROUP = [
+#: cannot be transformed, one signed (*behind*: it goes last, because it is
+#: answered with the ``last-ts`` that holds after the rounds ahead of it).
+ARRIVALS = [
     ("now", 4, 1, 100, {}),
     ("one", 3, 16, 200, {}),
     ("two", 2, 1, 300, {}),
@@ -328,8 +328,9 @@ GROUP = [
 ]
 
 
-def serve_group(together):
-    """The proposals of ``GROUP`` at one Master, as one group or one by one."""
+def serve(together):
+    """The proposals of ``ARRIVALS`` at one Master, arriving together (each
+    placed behind the rounds still out, all of them out at once) or one by one."""
     system = build_system()
     master = publish(system, 3)
     authority = master._authority()
@@ -348,22 +349,27 @@ def serve_group(together):
             return type(error).__name__
         return (result.status, result.first_ts, result.last_ts, result.entries)
 
-    with mock.patch.object(master.log, "append_many",
-                           wraps=master.log.append_many) as publishes:
+    plain, peaks = master.log.append_many, []
+
+    def counting(entries):
+        peaks.append(len(master._document(KEY).rounds))
+        result = yield from plain(entries)
+        return result
+
+    with mock.patch.object(master.log, "append_many", side_effect=counting) as publishes:
         if together:
-            # Somebody holds the document's lock while the others arrive.
             holder = system.runtime.process(proposal("holder", 4, 1, 1, {}))
-            lanes = [system.runtime.process(proposal(*member)) for member in GROUP]
+            lanes = [system.runtime.process(proposal(*member)) for member in ARRIVALS]
             answers = [outcome(holder)] + [outcome(lane) for lane in lanes]
         else:
             answers = [outcome(system.runtime.process(proposal(*member)))
-                       for member in [("holder", 4, 1, 1, {})] + GROUP]
+                       for member in [("holder", 4, 1, 1, {})] + ARRIVALS]
     logged = system.fetch_log(KEY, 1, system.last_ts(KEY))
     log = [(entry.ts, entry.author, entry.base_ts, entry.proposal, entry.patch.operations)
            for entry in logged]
     # Every proposer applies its answer: the gap under its chain, then the chain.
     texts = []
-    for (author, ts, length, _identity, _extra), answer in zip(GROUP, answers[1:]):
+    for (author, ts, length, _identity, _extra), answer in zip(ARRIVALS, answers[1:]):
         if not isinstance(answer, tuple) or answer[0] != "ok":
             texts.append(None)
             continue
@@ -379,12 +385,13 @@ def serve_group(together):
         texts.append(replica.text)
     return {"answers": answers, "log": log, "texts": texts,
             "allocations": authority.allocations - allocations,
-            "publishes": publishes.call_count, "statistics": master.statistics()}
+            "publishes": publishes.call_count, "peak_in_flight": max(peaks),
+            "statistics": master.statistics()}
 
 
-def test_a_group_is_served_as_the_same_proposals_one_by_one_would_be():
-    group, single = serve_group(together=True), serve_group(together=False)
-    assert group["log"] == single["log"]
+def test_overlapping_rounds_serve_the_same_proposals_as_one_by_one():
+    overlapped, single = serve(together=True), serve(together=False)
+    assert overlapped["log"] == single["log"]
 
     def comparable(answer):
         # (``published_at`` is when the round went out: the one thing that differs.)
@@ -393,20 +400,21 @@ def test_a_group_is_served_as_the_same_proposals_one_by_one_would_be():
         return answer[:3] + ([(entry.ts, entry.author, entry.base_ts, entry.proposal,
                                entry.patch.operations) for entry in answer[3]],)
 
-    assert [comparable(answer) for answer in group["answers"]] == \
+    assert [comparable(answer) for answer in overlapped["answers"]] == \
         [comparable(answer) for answer in single["answers"]]
-    assert group["texts"] == single["texts"]
-    # What it is about: holder + group against holder + one round per member
-    # that publishes (the repeat, the hostile and the signed one do not).
-    assert (group["allocations"], group["publishes"]) == (2, 2)
+    assert overlapped["texts"] == single["texts"]
+    # What it is about: one round per proposal that publishes (the repeat, the
+    # hostile and the signed one do not) either way — all of them out at the
+    # Log-Peers at once, against one after the other.
+    assert (overlapped["allocations"], overlapped["publishes"]) == (5, 5)
     assert (single["allocations"], single["publishes"]) == (5, 5)
-    assert group["statistics"]["publishes"] == 3 + 2
-    assert single["statistics"]["publishes"] == 3 + 5
+    assert overlapped["statistics"]["publishes"] == single["statistics"]["publishes"] == 3 + 5
+    assert overlapped["peak_in_flight"] == 5 and single["peak_in_flight"] == 1
     # ... and the shape of the run itself, so that equality is not vacuous.
     statuses = [answer if isinstance(answer, str) else answer[0]
-                for answer in group["answers"]]
+                for answer in overlapped["answers"]]
     assert statuses == ["ok", "ok", "ok", "ok", "ok", "ok", "AttributeError", "behind"]
-    holder, now, one, two, repeat, three, _hostile, signed = group["answers"]
+    holder, now, one, two, repeat, three, _hostile, signed = overlapped["answers"]
     assert [(a[1], a[2]) for a in (holder, now, one, two, repeat, three)] == \
         [(4, 4), (5, 5), (6, 21), (22, 22), (5, 5), (23, 38)]
     assert [len(a[3] or []) for a in (holder, now, one, two, repeat, three)] == \
@@ -414,12 +422,12 @@ def test_a_group_is_served_as_the_same_proposals_one_by_one_would_be():
     assert signed[2] == 38 and [entry.ts for entry in signed[3]] == list(range(2, 39))
     for key in ("proposals_ok", "proposals_rebased", "proposals_deduplicated",
                 "proposals_behind", "patches_published"):
-        assert group["statistics"][key] == single["statistics"][key], key
-    assert (group["statistics"]["proposals_ok"], group["statistics"]["proposals_rebased"],
-            group["statistics"]["proposals_deduplicated"]) == (3 + 5, 4, 1)
+        assert overlapped["statistics"][key] == single["statistics"][key], key
+    assert (overlapped["statistics"]["proposals_ok"], overlapped["statistics"]["proposals_rebased"],
+            overlapped["statistics"]["proposals_deduplicated"]) == (3 + 5, 4, 1)
     # Every replica that applied its answer reads as the log does up to there.
-    logged = [operations for _ts, _author, _base, _proposal, operations in group["log"]]
-    for answer, text in zip(group["answers"][1:], group["texts"]):
+    logged = [operations for _ts, _author, _base, _proposal, operations in overlapped["log"]]
+    for answer, text in zip(overlapped["answers"][1:], overlapped["texts"]):
         if text is not None:
             lines = []
             for operations in logged[:answer[2]]:

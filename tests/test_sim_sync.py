@@ -65,3 +65,39 @@ def test_fifo_lock_release_unlocked_raises():
     with pytest.raises(RuntimeError):
         lock.release()
 
+
+
+@pytest.mark.parametrize("handed_over", [False, True])
+def test_an_interrupted_waiter_does_not_keep_the_lock(handed_over):
+    """A waiter interrupted in ``acquire`` leaves the queue — or, interrupted
+    in the instant the lock was handed to it, passes the lock on — so the
+    next waiter gets it; before, the lock stayed held by nobody for ever."""
+    sim = Simulator()
+    lock = FifoLock(sim)
+    entered = []
+
+    def holder(sim):
+        yield from lock.acquire()
+        yield sim.timeout(1)
+        if handed_over:
+            # Delivered after the release below has granted the ticket, and
+            # before the waiter resumes with it.
+            waiter.interrupt("killed")
+        lock.release()
+
+    def waits(name):
+        def proc(sim):
+            yield from lock.acquire()
+            entered.append(name)
+            lock.release()
+        return proc
+
+    sim.process(holder(sim))
+    waiter = sim.process(waits("killed")(sim))
+    later = sim.process(waits("later")(sim))
+    sim.run(until=0.5)
+    if not handed_over:
+        waiter.interrupt("killed")
+    sim.run()
+    assert entered == ["later"] and later.triggered
+    assert not lock.locked and lock.waiters == 0

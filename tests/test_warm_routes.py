@@ -4,8 +4,8 @@ One rule, two callers: *a placement whose timestamp is already known is
 resolved before the operation that needs it*.  The Master-key peer warms the
 Log-Peers of the timestamps it is about to hand out
 (``MasterService._warm_ahead`` → ``P2PLogClient.warm`` →
-``ChordDhtClient.warm`` → ``ChordNode.warm_route``: those of a proposal that
-has to wait when it arrives, those past the queue with every answer); a range
+``ChordDhtClient.warm`` → ``ChordNode.warm_route``: those past the rounds in
+flight with every answer, and one more with every arrival behind them); a range
 reader has its next window resolved while this one is fetched
 (``fetch_range`` → ``get_many(items, warm_next)``).  These tests pin what
 warming may cost (nothing on a hit, ``find_successor`` only on a miss, no
@@ -153,7 +153,7 @@ def contended_run(chain, seed=7):
     """Three writers racing on one document.
 
     Also returns, for each ``_warm_ahead``, its arguments ``last_ts`` and
-    ``chain``, the entries queued for the document at that moment, and the
+    ``chain``, the entries in flight for the document at that moment, and the
     warmed horizon before and after it.
     """
     system = LtrSystem(ltr_config=LtrConfig(batch_max_edits=chain), seed=seed,
@@ -169,9 +169,9 @@ def contended_run(chain, seed=7):
         return tenure(master, key).warmed_ts
 
     def recording_warm_ahead(document_key, last_ts, ahead):
-        before, queued = horizon(), master._documents[key].queued
+        before, in_flight = horizon(), master._documents[key].in_flight
         warm_ahead(document_key, last_ts, ahead)
-        seen.append((last_ts, ahead, queued, before, horizon()))
+        seen.append((last_ts, ahead, in_flight, before, horizon()))
 
     def writer(user, edits):
         for number in range(edits):
@@ -193,7 +193,7 @@ def contended_run(chain, seed=7):
     stats = system.statistics()
     # It was contended — and (pinned: proposals_behind > 0) nobody was sent back.
     assert stats["proposals_rebased"] > 0 and stats["proposals_behind"] == 0
-    assert stats["publishes"] < stats["proposals_ok"] == 3 * 12  # ... in groups
+    assert stats["publishes"] == stats["proposals_ok"] == 3 * 12  # a round each
     report = system.check_consistency(key)
     assert report.converged and report.log_continuous
     return system, trace, seen
@@ -202,27 +202,26 @@ def contended_run(chain, seed=7):
 @pytest.mark.parametrize("chain", [1, 16])
 def test_horizon_stays_within_the_cap_and_warms_no_timestamp_twice(chain):
     """(Pinned one chain per answer, then a chain for the answer and one for
-    each proposal queued on the lock.  The horizon moves per *arrival* — a
-    proposal that has to wait has exactly its own timestamps warmed, behind
-    what is published and queued ahead of it — and per *group*: past what is
-    still queued, as much again as was allocated and as is queued.  Never
-    twice and nothing past the cap without a queue stay.)"""
+    each proposal queued on the lock, warmed as it arrived.)  The horizon
+    moves per *answer*: past what is in flight — routed by its own publish —
+    as much again as was allocated and as is in flight; and per *arrival*
+    behind a round in flight, by one timestamp.  Never twice and nothing past
+    the cap."""
     _system, trace, seen = contended_run(chain)
     moved = [call for call in seen if call[4] > call[3]]
-    assert [(max(before, last_ts) + 1, after)
-            for last_ts, _ahead, _queued, before, after in moved] == \
+    assert [(max(before, last_ts + in_flight) + 1, after)
+            for last_ts, _ahead, in_flight, before, after in moved] == \
         [(low, high) for _node, _key, low, high, _at in trace.warmed]
     cap = master_module.WARM_AHEAD_CHAINS
-    for last_ts, ahead, queued, before, after in seen:
-        assert before <= after <= max(before, last_ts + cap * (queued + ahead))
-        if ahead == 0 and after > before:
-            assert after == last_ts + queued        # an arrival: the queue, itself included
-        elif after > before:
-            assert after <= max(before, last_ts + queued) + ahead + queued  # as much again
-        if not queued:
-            assert after <= max(before, last_ts + cap * ahead)  # no queue, no more than the cap
-    assert any(ahead == 0 for _l, ahead, _q, before, after in moved)    # arrivals were warmed
-    assert any(ahead > chain for _l, ahead, _q, _b, _a in seen)         # groups were answered
+    for last_ts, ahead, in_flight, before, after in seen:
+        assert before <= after <= max(before, last_ts + cap * (in_flight + ahead))
+        if ahead == 0:
+            assert in_flight > 1  # an arrival behind a round still out
+        if after > before:
+            # past what is in flight: as much again for an answer, one for an arrival
+            assert after <= max(before, last_ts + in_flight) + (ahead + in_flight if ahead else 1)
+    assert any(ahead == 0 for _l, ahead, _f, _b, _a in moved)  # arrivals moved it
+    assert any(ahead and in_flight for _l, ahead, in_flight, _b, _a in moved)  # overlapped
     previous_high = 0
     for _node, _key, low, high, _at in trace.warmed:
         assert low > previous_high                      # the horizon only moves forward
@@ -239,8 +238,9 @@ def test_horizon_stays_within_the_cap_and_warms_no_timestamp_twice(chain):
 
 def test_both_answers_extend_the_horizon_and_the_tenure_carries_it():
     """(The *behind* answers here were stale proposals; those are committed
-    now, so *behind* comes from a proposal ahead of last-ts — and the queue,
-    which no test looked at, is what lets an answer warm more than a chain.)"""
+    now, so *behind* comes from a proposal ahead of last-ts — and what is in
+    flight, which no test looked at, is what lets an answer warm more than a
+    chain.)"""
     system = build_system()
     master = publish(system, 1)
     current = tenure(master, KEY)
@@ -260,12 +260,14 @@ def test_both_answers_extend_the_horizon_and_the_tenure_carries_it():
     assert trace.warmed == []  # cap 0: the cold arm of tests/diff_paths.py
 
 
-def test_an_answer_warms_for_the_proposals_queued_behind_it():
-    """(Pinned ``(4, 6), (7, 8), (9, 9)``: the first answer warmed a chain for
-    itself and one for each of the two waiters, and so on, three rounds.)  A
-    proposal that waits is warmed when it arrives, the two that waited go out
-    as one group, and an answer moves the horizon on, past the queue, by what
-    it allocated and what is queued."""
+def test_an_answer_warms_past_the_rounds_in_flight():
+    """(Pinned ``(4, 4), (5, 5), (6, 8), (9, 10)`` while the two that arrived
+    behind a publish queued on the lock, were warmed on arrival and went out
+    as one group.)  Three proposals arrive together: each is published at
+    once; an arrival behind a round still out moves the horizon one
+    timestamp on, and an answer moves it past the rounds still in flight
+    (their publishes route their own placements) by what it allocated and
+    what is in flight."""
     system = build_system()
     master = publish(system, 2)
     current = tenure(master, KEY)
@@ -275,35 +277,33 @@ def test_an_answer_warms_for_the_proposals_queued_behind_it():
         for lane in range(3)]
     with trace_routing() as trace:
         system.runtime.run(until=system.runtime.all_of(lanes))
-    # The first is published at once (its timestamp was warmed by the answer
-    # before it); the second and the third arrive meanwhile: 3 is out, so
-    # theirs are 4 and 5.  The first answer: past the queue, as much again as
-    # it allocated (one) and as is queued (two) — they all come round again.
-    # The group's answer: two more.  Nobody asked for a timestamp twice.
+    # 3 was warmed by the answer before; 4 and 5 are published while 3 is out,
+    # and each of them, arriving, warms one more: 5, then 6.  The first answer:
+    # past 6, as much again as it allocated (one) and as is in flight (two) —
+    # they all come round again.  The second: two more.  Nobody asked for a
+    # timestamp twice.
     assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == \
-        [(4, 4), (5, 5), (6, 8), (9, 10)]
-    assert [publish_.timestamps for publish_ in trace.publishes] == [(3,), (4, 5)]
-    assert system.last_ts(KEY) == 5 and current.warmed_ts == 10
+        [(5, 5), (6, 6), (7, 9), (10, 11)]
+    assert sorted(publish_.timestamps for publish_ in trace.publishes) == [(3,), (4,), (5,)]
+    assert system.last_ts(KEY) == 5 and current.warmed_ts == 11
 
 
-def test_the_first_publish_of_a_tenure_warms_only_for_a_queue():
+def test_the_first_publish_of_a_tenure_warms_nothing_ahead_of_itself():
     """No tail, no pace: a document's first commit does not say whether a
-    second will follow — unless it is already waiting, and then it is warmed
-    the moment it arrives, not when the first publish is over (pinned
-    ``(2, 3), (4, 4)``, both by answers); the answers then go past it."""
+    second will follow (pinned: one that waited for it was warmed the moment
+    it arrived).  A second arriving while the first is out is published at
+    once and warms one timestamp past itself; the answers then go past both."""
     system = build_system()
     master = system.master_service(KEY)
     lanes = [system.runtime.process(master.validate_and_publish(
         key=KEY, ts=1, patches=[make_patch(f"w{lane}", "x")], author=f"w{lane}"))
         for lane in range(2)]
-    arrived = system.runtime.now
     with trace_routing() as trace:
         system.runtime.run(until=system.runtime.all_of(lanes))
-    assert [(low, high, at) for _node, _key, low, high, at in trace.warmed[:1]] == \
-        [(2, 2, arrived)]
-    # The first answer: as much again as it allocated and as is queued.
+    # The first answer: as much again as it allocated and as is in flight.
     assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == \
-        [(2, 2), (3, 4), (5, 5)]
+        [(3, 3), (4, 5), (6, 6)]
+    assert sorted(publish_.timestamps for publish_ in trace.publishes) == [(1,), (2,)]
     alone = build_system()
     with trace_routing() as trace:
         publish(alone, 1)
