@@ -14,13 +14,14 @@ inside timer callbacks, where re-entrant ``run`` calls are forbidden):
    directions.  The Master publishes *before* it advances the counter
    (publish-then-allocate is the protocol), and it has several rounds of one
    document out at the Log-Peers at once, so a mid-commit snapshot
-   legitimately observes entries past the counter — as many as the Master
-   lets out at once: the bounds of its tail
-   (:data:`~repro.core.master.TAIL_MAX_ENTRIES`), or one chain longer than
-   that, which goes out alone (``max_in_flight``).  A counter further behind
-   would let a timestamp be re-issued and fork the total order.  A counter
-   *ahead* of the log by more than ``max_in_flight`` means acked tail
-   entries vanished from every live peer.
+   legitimately observes entries past the counter: as many as the live
+   Masters have out at that moment — the entries of their rounds in flight
+   and of rounds given up and not yet retracted
+   (:meth:`~repro.core.master.MasterService.entries_out`) — and one chain
+   (``max_in_flight``) a Master that is gone may have left.  A counter
+   further behind would let a timestamp be re-issued and fork the total
+   order.  A counter *ahead* of the log by more than ``max_in_flight`` means
+   acked tail entries vanished from every live peer.
 2. **Prefix-complete log** — every timestamp ``1 .. log_max`` survives on
    at least one live peer (owned or replica copy), and all surviving copies
    of one timestamp agree on *content* (``base_ts`` + patch).  Provenance
@@ -77,7 +78,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from ..core import master as core_master
 from ..core.consistency import replay_log
 from ..errors import ReproError
 from ..kts.authority import COUNTER_PREFIX
@@ -135,8 +135,8 @@ class ConvergenceChecker:
         self.tracked: list[str] = sorted(set(keys)) if keys else []
         #: The longest chain the run commits — one for ``edit``/``commit``,
         #: the batch size for staged runs: how far the counter may run ahead
-        #: of the surviving log at a fault boundary, and — where it is longer
-        #: than what the Master lets out at once — behind it (invariant 1).
+        #: of the surviving log at a fault boundary, and behind it beyond
+        #: what the live Masters have out (invariant 1).
         self.max_in_flight = max_in_flight
         self.snapshots: list[CheckSnapshot] = []
 
@@ -164,10 +164,10 @@ class ConvergenceChecker:
         timestamp will be re-issued.
         """
         snapshot = CheckSnapshot(time=system.runtime.now, label=label)
-        stored, checkpoints = self._read_storage(system)
+        stored, checkpoints, masters = self._read_storage(system)
         for key in self._keys(stored):
             snapshot.keys[key] = self._check_key(
-                system, stored, checkpoints.get(key, []), key,
+                system, stored, checkpoints.get(key, []), masters, key,
                 snapshot.violations, snapshot.structured,
                 strict_counter=strict_counter,
             )
@@ -252,26 +252,31 @@ class ConvergenceChecker:
     # ------------------------------------------------------------ internals --
 
     @staticmethod
-    def _read_storage(system) -> tuple[Stored, dict[str, list[tuple[str, Checkpoint]]]]:
+    def _read_storage(system) -> tuple[Stored, dict[str, list[tuple[str, Checkpoint]]], list]:
         """Everything the live peers store, read in one pass in ring order.
 
-        Returns ``(stored, checkpoints)``: ``stored`` maps a storage key to
-        its ``(node name, item)`` copies, ``checkpoints`` a document key to
-        its ``(node name, checkpoint)`` copies in scan order.  Copies are
-        found where they are stored, not where their own fields say they
-        belong, so a byzantine replay is judged at the address it took.
+        Returns ``(stored, checkpoints, masters)``: ``stored`` maps a storage
+        key to its ``(node name, item)`` copies, ``checkpoints`` a document
+        key to its ``(node name, checkpoint)`` copies in scan order, and
+        ``masters`` lists the live peers' Master services.  Copies are found
+        where they are stored, not where their own fields say they belong, so
+        a byzantine replay is judged at the address it took.
         """
         stored: Stored = {}
         checkpoints: dict[str, list[tuple[str, Checkpoint]]] = {}
+        masters = []
         for node in system.ring.live_nodes():
             name = node.address.name
+            master = node.service("ltr-master")
+            if master is not None:
+                masters.append(master)
             for item in node.storage:
                 stored.setdefault(item.key, []).append((name, item))
                 if isinstance(item.value, Checkpoint):
                     checkpoints.setdefault(item.value.document_key, []).append(
                         (name, item.value)
                     )
-        return stored, checkpoints
+        return stored, checkpoints, masters
 
     def _keys(self, stored: Stored) -> list[str]:
         if self.tracked:
@@ -280,7 +285,7 @@ class ConvergenceChecker:
                       if storage_key.startswith(COUNTER_PREFIX))
 
     def _check_key(self, system, stored: Stored,
-                   checkpoints: list[tuple[str, Checkpoint]], key: str,
+                   checkpoints: list[tuple[str, Checkpoint]], masters: list, key: str,
                    violations: list[str], structured: list[dict[str, Any]],
                    *, strict_counter: bool = False) -> dict[str, Any]:
         owned, replicas = self._counter_values(stored, key)
@@ -408,8 +413,10 @@ class ConvergenceChecker:
             checkpoints, key, secret, violations, structured
         )
         allowance = 0 if strict_counter else self.max_in_flight
-        out_at_once = 0 if strict_counter else max(allowance, core_master.TAIL_MAX_ENTRIES)
-        if log_max - last_ts > out_at_once:
+        # What the live Masters have published and not yet allocated or
+        # retracted.
+        out = 0 if strict_counter else sum(master.entries_out(key) for master in masters)
+        if log_max - last_ts > allowance + out:
             violations.append(
                 f"{key}: counter last-ts {last_ts} behind log max {log_max} "
                 f"(timestamp fork hazard)"

@@ -101,9 +101,6 @@ class ChordNode:
         # Identifier -> the background lookup :meth:`warm_route` started for
         # it, while that lookup is in flight.
         self._warming: dict[int, Process] = {}
-        # Successors given up on after an unanswered RPC while the network
-        # still lists them as up (:meth:`_retry_suspect`).
-        self._suspects: list[NodeRef] = []
 
         self.services: list[NodeService] = list(services or [])
         self.rpc.expose_object(self)
@@ -273,7 +270,6 @@ class ChordNode:
             )
             self.predecessor = None
             self._replica_targets = ()
-            self._suspects = []
             self.route_cache.clear()
         self.rpc.go_online()
 
@@ -854,7 +850,6 @@ class ChordNode:
             self.successors.adopt(successor, their_list)
             self.rpc.notify(successor.address, "notify", candidate=self.ref)
             self._refresh_replicas_if_targets_changed()
-            yield from self._retry_suspect(successor)
             yield from self._repair_misplaced_items()
             if self.successors.head != head_before:
                 # Our immediate successor changed (join or repair): our own
@@ -863,36 +858,7 @@ class ChordNode:
         except _UNREACHABLE_ERRORS:
             self._handle_successor_failure(successor)
 
-    def _retry_suspect(self, successor: NodeRef):
-        """Take back a successor given up on, if it answers again (process).
-
-        One unanswered RPC drops a successor (:meth:`_handle_successor_failure`).
-        Under message loss that is often a peer that is up: the ring routes
-        around it, and when its neighbours drop each other too the ring
-        splits into cycles that stabilization alone never joins again (after
-        a 3 s burst of 20 % loss, 10 of 40 seeded 8-peer rings never
-        stabilized again).  So every stabilization round pings the oldest
-        such suspect that still sits before ``successor`` and, if it answers,
-        makes it the successor again and notifies it.  A peer that is down is
-        never a suspect, so a crash costs nothing here; one that does not
-        answer is dropped.
-        """
-        if not self._suspects:
-            return
-        suspect = self._suspects.pop(0)
-        if not (self.network.is_up(suspect.address)
-                and in_interval_open(suspect.node_id, self.node_id, successor.node_id)):
-            return
-        try:
-            yield self.rpc.call(suspect.address, "ping")
-        except _UNREACHABLE_ERRORS:
-            return
-        self.successors.replace([suspect] + self.successors.entries())
-        self.rpc.notify(suspect.address, "notify", candidate=self.ref)
-
     def _handle_successor_failure(self, failed: NodeRef) -> None:
-        if self.network.is_up(failed.address) and failed not in self._suspects:
-            self._suspects.append(failed)
         self.fingers.remove_node(failed)
         self.successors.remove(failed)
         self.route_cache.invalidate_node(failed)

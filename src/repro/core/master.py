@@ -175,6 +175,12 @@ class Tenure:
         self.warmed_ts = 0
         self.view: Optional[Document] = None
 
+    def lapsed(self, now: float, ttl: float) -> bool:
+        """Is this tenure's newest allocation older than ``ttl``, the
+        route-cache TTL?  Then the routes it warmed before have expired."""
+        entries = self.tail.entries
+        return bool(entries) and now - entries[-1].published_at >= ttl
+
 
 class Proposal:
     """What one validation request proposes (:meth:`MasterService.validate_and_publish`)."""
@@ -241,16 +247,19 @@ class DocumentQueue:
     proposal is placed behind them (:meth:`ahead`).  The ``lock`` is held
     while one proposal is placed, and by a proposal that waits for room in
     front of it (:meth:`full`) or for rounds given up to come back; the
-    proposals behind that one wait on the lock, in arrival order.  Only
-    ``tenure`` is ever replaced: the lock may be held or waited on, and
-    rounds may be in flight.
+    proposals behind that one wait on the lock, in arrival order.
+    ``given_up`` counts the entries of rounds given up whose retraction has
+    not finished: like those in flight, they are at the Log-Peers past
+    ``last-ts``.  Only ``tenure`` is ever replaced: the lock may be held or
+    waited on, and rounds may be in flight.
     """
 
-    __slots__ = ("lock", "rounds", "tenure")
+    __slots__ = ("lock", "rounds", "given_up", "tenure")
 
     def __init__(self, runtime) -> None:
         self.lock = FifoLock(runtime)
         self.rounds: deque[Round] = deque()
+        self.given_up = 0
         self.tenure = Tenure()
 
     @property
@@ -570,6 +579,9 @@ class MasterService(NodeService):
                 continue
             placed = Round(chain, sizes, gap, self.node.runtime.future())
             ahead = queue.rounds[-1] if queue.rounds else None
+            if ahead is None and queue.tenure.lapsed(
+                    self.node.runtime.now, self.node.config.route_cache_ttl):
+                queue.tenure.warmed_ts = 0  # what was warmed before the lull expired
             queue.rounds.append(placed)
             if ahead is not None:
                 self._warm_ahead(key, authority.last_ts(key), 0)
@@ -599,11 +611,7 @@ class MasterService(NodeService):
                     self.end_tenure(key)  # the tenure these came from is over
                 retract = self._give_up(queue, placed, Failure(refused=refused))
                 if retract:
-                    # The entries carry timestamps that were never allocated:
-                    # removed so no reader observes them before the range is
-                    # reused (compare-and-delete: a round placed since at the
-                    # same timestamps is left alone).
-                    yield from self.log.retract_many(retract)
+                    yield from self._retract(queue, retract)
                 return self._given_up(key, placed.failure, placed.entries[0].ts)
         finally:
             if not placed.done.triggered:
@@ -611,7 +619,7 @@ class MasterService(NodeService):
                 # entries is not known here; the rounds behind it fail too.
                 retract = self._give_up(queue, placed, Failure(refused=True))
                 if retract:
-                    self.node.runtime.process(self.log.retract_many(retract),
+                    self.node.runtime.process(self._retract(queue, retract),
                                               name=f"retract:{key}")
         for entry in placed.entries[:self.equivocate_next]:
             yield from self._equivocate(entry)
@@ -666,8 +674,21 @@ class MasterService(NodeService):
             failure.pending -= 1
         failure.entries.extend(placed.entries)
         queue.rounds.remove(placed)
+        queue.given_up += len(placed.entries)
         placed.done.succeed()
         return failure.entries if failure.pending == 0 else None
+
+    def _retract(self, queue: DocumentQueue, entries: list[LogEntry]):
+        """Remove the entries of rounds given up from the Log-Peers (process).
+
+        They carry timestamps that were never allocated: removed so no reader
+        observes them before the range is reused (compare-and-delete: a round
+        placed since at the same timestamps is left alone).
+        """
+        try:
+            yield from self.log.retract_many(entries)
+        finally:
+            queue.given_up -= len(entries)
 
     def _given_up(self, key: str, failure: Failure, ts: int) -> dict:
         """The outcome of a proposal whose round failed: raise or answer."""
@@ -837,23 +858,30 @@ class MasterService(NodeService):
         * for every round placed behind another (``answered`` 0): an arrival
           while rounds are out says the document is contended, so the horizon
           moves one timestamp further — one, not a chain: the answers move it
-          by chains.
+          by chains.  It is what warms the third writer of a tenure's opening
+          burst, placed behind the second before the first is allocated.
 
         Never further than :data:`WARM_AHEAD_CHAINS` times what the Master is
         looking at — ``in flight + answered`` — past ``last_ts``, and never
-        over a timestamp twice.  Nothing is warmed that would be stale when
-        used: with nothing in flight only while the document's previous
-        allocation is younger than the route-cache TTL.
+        over a timestamp twice while the document is busy.  Nothing is warmed
+        that would be stale when used: with nothing in flight, only while the
+        document's previous allocation in this tenure is younger than the
+        route-cache TTL; and a round placed after such a lull drops the
+        horizon (:meth:`_admit`) — the routes warmed before it have expired,
+        so the timestamps past the new rounds are warmed again.  A
+        tenure that allocated nothing yet has none to pace by, and warms
+        wherever this node holds the document's counter: a new Master's
+        writers come round together — the ones a fault cut off retry at once
+        — and the rounds that arrive behind the first would otherwise route
+        their own placements.  A peer without the counter (a stale route led
+        a proposer to it) warms nothing.
         """
         queue = self._documents[key]
         tenure = queue.tenure
         tail = tenure.tail
-        if not (
-            queue.rounds or (
-                tail.entries
-                and self.node.runtime.now - tail.entries[-1].published_at
-                < self.node.config.route_cache_ttl
-            )
+        if not queue.rounds and (
+            tenure.lapsed(self.node.runtime.now, self.node.config.route_cache_ttl)
+            if tail.entries else not self._authority().owns_counter(key)
         ):
             return
         in_flight = queue.in_flight
@@ -1056,6 +1084,13 @@ class MasterService(NodeService):
         return result
 
     # -- diagnostics ------------------------------------------------------------------
+
+    def entries_out(self, key: str) -> int:
+        """Entries of ``key`` this Master has at the Log-Peers past ``last-ts``:
+        those of the rounds in flight and those given up and not yet retracted
+        (what a snapshot may find in the log beyond the counter)."""
+        queue = self._documents.get(key)
+        return 0 if queue is None else queue.in_flight + queue.given_up
 
     def keys_mastered(self) -> dict[str, int]:
         """Documents this node currently is the Master-key peer for."""

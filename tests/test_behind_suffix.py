@@ -174,10 +174,16 @@ def test_tail_restarts_on_a_gap_and_is_dropped_when_the_counter_moved_on():
     # the handler is read-only, dropping is the lock holder's.
     answer = catch_up(master, 1)
     assert answer.last_ts == 5 and answer.entries is None
-    assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [1, 2, 3]
+    ended = tenure(master, KEY)
+    assert [entry.ts for entry in ended.tail.entries] == [1, 2, 3]
     stale = run_validation(system, master, KEY, 3, [make_patch("late", "x", 2)], "late")
     assert not stale.accepted and stale.last_ts == 5 and stale.entries is None
-    assert is_fresh(tenure(master, KEY))
+    # A new tenure, holding nothing of the old one; the *behind* answer warmed
+    # its first timestamp, the one the proposer comes round for (the counter
+    # is still here).
+    current = tenure(master, KEY)
+    assert current is not ended and (current.tail.entries, current.view) == ([], None)
+    assert current.warmed_ts == 6
 
 
 def test_tail_is_allocated_lazily_and_dropped_on_hand_off():

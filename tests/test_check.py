@@ -246,13 +246,9 @@ def test_mutation_entry_stamped_with_another_timestamp_is_reported_not_raised():
     assert not final.ok and checker.snapshots[-2].keys[KEY]["misplaced_ts"] == [2]
 
 
-def test_mutation_counter_behind_log_is_reported(monkeypatch):
-    """(The allowance behind is what the Master lets out at once, its tail's
-    bounds: held to two entries here, the three of log max 4 over counter 1
-    are beyond it.)"""
-    from repro.core import master as master_module
-
-    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 2)
+def test_mutation_counter_behind_log_is_reported():
+    """Nothing is out at any Master: the allowance behind is one chain, and
+    the three of log max 4 over counter 1 are beyond it."""
     system = committed_system()
     counter_key = f"{COUNTER_PREFIX}{KEY}"
     for node in system.ring.live_nodes():
@@ -266,9 +262,9 @@ def test_mutation_counter_behind_log_is_reported(monkeypatch):
 def test_two_rounds_out_at_once_are_in_flight_not_a_fork_hazard(monkeypatch):
     """A snapshot taken while two rounds of one document are at the Log-Peers
     and neither is allocated sees the log two past the counter: legitimate,
-    up to what the Master lets out at once (its tail's bounds) — and flagged
-    beyond it."""
-    from repro.core import master as master_module
+    since the Master has those two out (``MasterService.entries_out``) — and
+    the same log is a fork hazard where no Master has anything out."""
+    from repro.core.master import MasterService
     from repro.ot import InsertLine, Patch
 
     system = committed_system()  # last_ts == 4
@@ -289,8 +285,9 @@ def test_two_rounds_out_at_once_are_in_flight_not_a_fork_hazard(monkeypatch):
     checker = ConvergenceChecker(keys=[KEY])  # chains of one
     snapshot = checker.check_now(system)
     assert (snapshot.keys[KEY]["last_ts"], snapshot.keys[KEY]["log_max"]) == (4, 6)
+    assert master.entries_out(KEY) == 2
     assert snapshot.ok, snapshot.violations
-    monkeypatch.setattr(master_module, "TAIL_MAX_ENTRIES", 1)
+    monkeypatch.setattr(MasterService, "entries_out", lambda self, key: 0)
     assert any("behind log max" in violation
                for violation in checker.check_now(system).violations)
     monkeypatch.undo()

@@ -64,7 +64,10 @@ pushes, one for each round that used to ride in a group), ``store_many``
 grouped write), ``find_successor`` 582 → 578 (the horizon is counted past the
 rounds in flight, which their own publishes routed, so no warm-up asks for
 them again; an arrival behind a round in flight warms one timestamp on);
-total 4793 → 4841 (13.31 → 13.45 a commit).
+total 4793 → 4841 (13.31 → 13.45 a commit).  A tenure's first allocation
+warms the timestamps after it, where one with nothing in flight used to warm
+nothing (no previous allocation to pace by): ``find_successor`` 578 → 566,
+total 4841 → 4829 (13.41 a commit).
 
 The read phase has a budget of its own (:func:`run_read_phase`): cold readers
 of a document longer than the Master's tail, each of which needs a checkpoint
@@ -177,9 +180,9 @@ def test_contended_commit_pays_only_for_the_round_trips_it_needs():
     assert per_commit["receive_items"] <= 4.0, per_commit
     # The exact budget (module docstring): a count that moves is a
     # behavioural change of the commit path and has to be explained.
-    assert sent == {"find_successor": 578, "ltr_validate_and_publish": 720,
+    assert sent == {"find_successor": 566, "ltr_validate_and_publish": 720,
                     "store_many": 2120, "receive_items": 1423}
-    assert sum(sent.values()) == 4841  # 13.45 a commit
+    assert sum(sent.values()) == 4829  # 13.41 a commit
     # One checkpoint in the background: its three snapshot copies, one
     # ``store_many`` and one answer per owner, no index (module docstring).
     assert checkpoint == {"store_many": 6}
@@ -198,11 +201,12 @@ def test_a_warmed_publish_routes_nothing_under_the_lock():
     assert len(trace.publishes) == COMMITS
     warmed = [publish for publish in trace.publishes if trace.was_warmed(publish)]
     cold = [publish for publish in trace.publishes if not trace.was_warmed(publish)]
-    # All but each tenure's first publish (no previous allocation to pace by,
-    # so it leaves no horizon either) and those placed while the rounds ahead
-    # of them were still out, past the horizon: 329 of 360 (304 of 326 in
-    # groups, whose waiters were warmed as they arrived).
-    assert len(warmed) == 329 >= len(trace.publishes) - 3 * DOCUMENTS
+    # All but each tenure's first publish (no previous allocation to pace by)
+    # and those placed while the rounds ahead of them were still out, past
+    # the horizon: 338 of 360 (329 while a tenure's first allocation warmed
+    # nothing; 304 of 326 in groups, whose waiters were warmed as they
+    # arrived).
+    assert len(warmed) == 338 >= len(trace.publishes) - 3 * DOCUMENTS
     assert all(len(publish.timestamps) == 1 for publish in cold)
     assert [trace.lookups_under_lock(publish) for publish in warmed] == [[]] * len(warmed)
     # ... which is where the routing of the others still sits, and was for all.

@@ -498,7 +498,8 @@ def test_reelection_while_rounds_are_out_rejects_every_one_and_retracts_once(beh
 def test_a_failed_publish_fails_the_rounds_behind_it_and_is_retracted_once():
     """Atomicity: the Log-Peers refuse the second round — it and the round
     transformed over it raise ``PatchUnavailable`` and get their edits back;
-    the round ahead of it is not touched; both are retracted in one go."""
+    the round ahead of it is not touched; both are retracted in one go, and
+    count as out at the Log-Peers (``entries_out``) until they are."""
     from unittest import mock
 
     from repro.errors import PatchUnavailable
@@ -521,10 +522,18 @@ def test_a_failed_publish_fails_the_rounds_behind_it_and_is_retracted_once():
         result = yield from plain(entries)
         return result
 
+    plain_retract = master.log.retract_many
+    out_when_retracted = []
+
+    def counted_retract(entries):
+        out_when_retracted.append(master.entries_out(ROUNDS_KEY))
+        result = yield from plain_retract(entries)
+        return result
+
     commits = []
     with mock.patch.object(master.log, "append_many", second_round_fails), \
             mock.patch.object(master.log, "retract_many",
-                              wraps=master.log.retract_many) as retractions:
+                              wraps=counted_retract) as retractions:
         for name in writers:
             system.user(name).edit(ROUNDS_KEY, f"base\nby {name}")
             commits.append(system.runtime.process(system.user(name).commit(ROUNDS_KEY)))
@@ -533,6 +542,7 @@ def test_a_failed_publish_fails_the_rounds_behind_it_and_is_retracted_once():
     assert [type(error) for error in failed] == [PatchUnavailable, PatchUnavailable]
     assert retractions.call_count == 1
     assert [entry.ts for entry in retractions.call_args.args[0]] == [3, 4]
+    assert out_when_retracted == [2] and master.entries_out(ROUNDS_KEY) == 0
     assert system.last_ts(ROUNDS_KEY) == 2 and master.statistics()["publishes"] == 2
     assert [entry.ts for entry in tenure(master, ROUNDS_KEY).tail.entries] == [1, 2]
     # Every proposer has its edit back and lands it with the next commit.

@@ -48,30 +48,21 @@ def check_cell(seed, fault, chain):
     if fault in ("none", "partition-heal"):  # the Masters kept their tenure
         assert suffix.write_phase_log_reads == suffix.behind_answers == 0
     # ... and with the cap at zero no publish found its timestamps warmed,
-    # while most did otherwise — and those routed less than a publish that
-    # had to do it all itself: nothing at all while no fault cleared the
-    # caches in between.  (Pinned, while a proposal that had to wait for the
-    # lock was warmed on arrival: more than half of every cell's publishes
-    # warmed, and with chains of one fewer lookups in publishes than the
-    # ``cold`` arm in every cell.  Rounds overlap now: a proposal arriving
-    # behind rounds in flight is published at once, and an arrival warms one
-    # timestamp, so a chain of 16 placed behind another routes most of its
-    # own placements — over seeds 1–25, 273 of 421 publishes warmed without a
-    # fault, 214 of 421 through churn.  And under a fault a warm-up's routes
-    # can go stale before they are used: with chains of one the warmed arm
-    # routes less in its publishes in aggregate — 394 against 522 lookups
-    # through partition-heal, 319 against 459 through a Master crash, 378
-    # against 574 through churn — but not in every cell: partition-heal seed
-    # 14 and master-crash seed 25 route more.)
-    assert cold.warmed_publishes == 0 < suffix.warmed_publishes
+    # while most did otherwise (chains of one: 1,083–1,103 of 1,200 per fault
+    # over seeds 1–25; chains of 16: 260–276 of 421 — not the first round of
+    # a tenure, nor most rounds placed behind it before it was allocated:
+    # they publish at once and route their own placements; the tenure's first
+    # allocation warms for the rest) — and those routed less than a publish
+    # that had to do it all itself: nothing at all while no fault cleared the
+    # caches in between.
+    assert cold.warmed_publishes == 0
+    assert suffix.warmed_publishes > suffix.publishes / 2
     assert (suffix.warmed_lookups_under_lock / suffix.warmed_publishes
             < cold.lookups_under_lock / cold.publishes)
     if fault == "none":
         assert suffix.warmed_lookups_under_lock == 0
-    if chain == 1:  # (chains of 16: ~16 publishes, the cold ones route 48 placements each)
-        assert suffix.warmed_publishes > suffix.publishes / 2
-        if fault == "none":
-            assert suffix.lookups_under_lock < cold.lookups_under_lock
+    if chain == 1:  # (chains of 16: ~16 publishes, the few cold ones route 48 placements each)
+        assert suffix.lookups_under_lock < cold.lookups_under_lock
     return reports
 
 

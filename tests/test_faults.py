@@ -186,24 +186,6 @@ def loss_burst_script(seed: int) -> None:
     assert report.converged and report.log_continuous
 
 
-def test_a_ring_split_by_a_loss_burst_heals():
-    """Under 20 % loss a peer gives up on successors that are up (one lost RPC
-    is enough), and neighbours that give up on each other leave the ring in
-    separate cycles; a peer takes a successor it gave up on back once it
-    answers a ping again (``ChordNode._retry_suspect``), so every ring is whole
-    again once the burst is over — 10 of these 40 never were before."""
-    unstable = []
-    for seed in range(1, 41):
-        system = build_system(seed=seed)
-        Nemesis(system, FaultPlan().loss_burst(at=1.0, duration=3.0,
-                                               probability=0.2)).start()
-        system.run_for(14.0)
-        assert system.network.perturb_stats["dropped"] > 0
-        if not system.ring.is_stable():
-            unstable.append(seed)
-    assert unstable == []
-
-
 def test_loss_burst_drops_messages_only_inside_the_window():
     # Seed 13 is one of the seeds this script passes on — not all do, see the
     # sweep below; re-pin it only with the sweep's count next to the change.
@@ -211,14 +193,13 @@ def test_loss_burst_drops_messages_only_inside_the_window():
 
 
 #: How many of the seeds 1..40 the loss-burst script fails on: 4 of 40 —
-#: seeds 26, 27, 31 and 39, each with ``ValidationFailed`` after 64 paced
+#: seeds 1, 22, 32 and 36, each with ``ValidationFailed`` after 64 paced
 #: retries (two peers *own* the document's counter after the burst, with
-#: different ``last-ts``, and routing serves the stale one).  Before a peer
-#: took back a successor it had given up on (``ChordNode._retry_suspect``)
-#: the burst left rings split into separate cycles: 3, 30, 36 and 38 failed,
-#: and seeds 41..240 failed 44 times in 200 (14 since); seed 1 failed
-#: too while a lookup answer carried one route.  A pre-existing
-#: hazard of a lossy window (CHANGES.md, "Found, pre-existing, not fixed");
+#: different ``last-ts``, and routing serves the stale one); 3, 30, 36 and 38
+#: before the Master's rounds overlapped, which changed how many messages go
+#: out during the burst.  Seeds 41..240 fail 26 times in 200 (44 before).
+#: A pre-existing hazard of a lossy window (CHANGES.md, "Found, pre-existing,
+#: not fixed");
 #: which seeds it hits moves with any change in timing, which is why the
 #: pinned seed above says what it is.  The sweep is also why owners no longer
 #: tell former backup holders to release their replica copies: with that

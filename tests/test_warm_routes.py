@@ -244,7 +244,7 @@ def test_both_answers_extend_the_horizon_and_the_tenure_carries_it():
     system = build_system()
     master = publish(system, 1)
     current = tenure(master, KEY)
-    assert current.warmed_ts == 0  # the first publish of a tenure has no pace to go by
+    assert current.warmed_ts == 2  # a tenure's first answer: one chain further
     publish(system, 1, start=2)
     assert current.warmed_ts == 3  # ok: last-ts 2, one chain further
     ahead = run_validation(system, master, KEY, 9, [make_patch("early", "x")], "early")
@@ -288,11 +288,37 @@ def test_an_answer_warms_past_the_rounds_in_flight():
     assert system.last_ts(KEY) == 5 and current.warmed_ts == 11
 
 
-def test_the_first_publish_of_a_tenure_warms_nothing_ahead_of_itself():
-    """No tail, no pace: a document's first commit does not say whether a
-    second will follow (pinned: one that waited for it was warmed the moment
-    it arrived).  A second arriving while the first is out is published at
-    once and warms one timestamp past itself; the answers then go past both."""
+def test_a_lull_past_the_ttl_drops_the_horizon_and_the_next_burst_warms_again():
+    """Three proposals together leave the horizon at 11 with last-ts 5.  After
+    a lull longer than the route-cache TTL those routes have expired: the
+    next burst's first round drops the horizon, and the arrivals and answers
+    warm from what is in flight again (8, 9, 10–12, 13–14) instead of on
+    from 11 (12, 13, 14–16, …), which would leave 8–11 to the publishes that
+    need them."""
+    system = build_system()
+    master = publish(system, 2)
+
+    def burst(ts):
+        lanes = [system.runtime.process(master.validate_and_publish(
+            key=KEY, ts=ts, patches=[make_patch(f"w{lane}@{ts}", "x", ts - 1)],
+            author=f"w{lane}@{ts}")) for lane in range(3)]
+        with trace_routing() as trace:
+            system.runtime.run(until=system.runtime.all_of(lanes))
+        return [(low, high) for _node, _key, low, high, _at in trace.warmed]
+
+    burst(3)
+    assert system.last_ts(KEY) == 5 and tenure(master, KEY).warmed_ts == 11
+    system.run_for(system.chord_config.route_cache_ttl + 0.2)
+    assert burst(6) == [(8, 8), (9, 9), (10, 12), (13, 14)]
+    assert system.last_ts(KEY) == 8
+
+
+def test_the_first_answer_of_a_tenure_warms_past_what_is_in_flight():
+    """A tenure's first allocation has no previous one to pace by, and warms
+    all the same: a new Master's writers come round together.  (Pinned: it
+    warmed nothing, while one that waited for it was warmed the moment it
+    arrived.)  A second arriving while the first is out is published at once
+    and warms one timestamp past itself; the answers then go past both."""
     system = build_system()
     master = system.master_service(KEY)
     lanes = [system.runtime.process(master.validate_and_publish(
@@ -307,21 +333,22 @@ def test_the_first_publish_of_a_tenure_warms_nothing_ahead_of_itself():
     alone = build_system()
     with trace_routing() as trace:
         publish(alone, 1)
-    assert trace.warmed == [] and tenure(alone.master_service(KEY), KEY).warmed_ts == 0
+    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(2, 2)]
+    assert tenure(alone.master_service(KEY), KEY).warmed_ts == 2
 
 
 def test_commits_further_apart_than_the_ttl_are_not_warmed():
     system = build_system()
     ttl = system.chord_config.route_cache_ttl
     with trace_routing() as trace:
-        publish(system, 1)
+        publish(system, 1)            # the tenure's first answer warms ts 2
         for ts in range(2, 5):
             system.run_for(ttl + 0.2)  # the route would be stale when used
             publish(system, 1, start=ts)
-        assert trace.warmed == []
+        assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(2, 2)]
         system.run_for(ttl / 4)
         publish(system, 1, start=5)   # within the TTL of the previous allocation
-    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(6, 6)]
+    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(2, 2), (6, 6)]
 
 
 def test_horizon_ends_with_the_tenure():
@@ -334,20 +361,26 @@ def test_horizon_ends_with_the_tenure():
     assert is_fresh(tenure(old_master, KEY))
     new_master = system.master_service(KEY)
     with trace_routing() as trace:
-        publish(system, 1, start=4)   # first publish of the new tenure: no horizon yet
-        assert trace.warmed == [] and tenure(new_master, KEY).warmed_ts == 0
+        publish(system, 1, start=4)   # the new tenure's horizon starts at its first answer
+        assert tenure(new_master, KEY).warmed_ts == 5
         publish(system, 1, start=5)
-    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(6, 6)]
+    assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(5, 5), (6, 6)]
     # A counter coming back from a stand-in ends the tenure too ...
     counter = new_master.node.storage.get(new_master._authority().storage_key(KEY))
     new_master.on_items_received([counter], as_replica=False)
     assert is_fresh(tenure(new_master, KEY))
     # ... as does a counter that moved on elsewhere (found by the next proposal).
     publish(system, 2, start=6)
-    assert tenure(new_master, KEY).warmed_ts > 7
+    ended = tenure(new_master, KEY)
+    assert ended.warmed_ts > 7
     new_master._authority().advance_ts(KEY, 9)
     run_validation(system, new_master, KEY, 8, [make_patch("late", "x", 7)], "late")
-    assert is_fresh(tenure(new_master, KEY))
+    # (The *behind* answer then warms the new tenure's first timestamp, the
+    # one its proposer comes round for: 10, past last-ts 9 — the counter is
+    # still here.)
+    current = tenure(new_master, KEY)
+    assert current is not ended and (current.tail.entries, current.view) == ([], None)
+    assert current.warmed_ts == 10
     # (the re-election guard's drop is test_core_master's in-flight rejection)
 
 
