@@ -4,7 +4,9 @@ The node implements the protocol of Stoica et al. (ref [9] of the P2P-LTR
 report) with the extensions the P2P-LTR prototype added on top of Open
 Chord: successor lists sized for the *-Succ* backup roles, explicit key
 hand-off on graceful departure, replica promotion after a predecessor crash
-and service hooks so the timestamping layer learns about ownership changes.
+and one ownership transition (:meth:`ChordNode._take` /
+:meth:`ChordNode._release`) whose service hook tells the timestamping layer
+about every ownership change.
 
 All long-running behaviour (joining, lookups, maintenance) is written as
 simulation processes; RPC handlers that need to contact other peers are
@@ -189,8 +191,6 @@ class ChordNode:
         if not self.alive:
             return None
         self._leaving = True
-        for service in self.services:
-            service.on_node_leaving()
         successor = self.successors.head
         owned = self.storage.owned_items()
         replicas = self.storage.replica_items()
@@ -218,8 +218,9 @@ class ChordNode:
                         as_replica=True,
                     )
                 if owned:
-                    for service in self.services:
-                        service.on_items_handed_off(owned, successor.name)
+                    handed = {item.key for item in owned}
+                    self._release([item for item in self.storage.owned_items()
+                                   if item.key in handed])
             except _UNREACHABLE_ERRORS:
                 pass
         # Link predecessor and successor to each other so stabilization
@@ -700,7 +701,8 @@ class ChordNode:
         The requester sits between our (old) predecessor and us, so it takes
         every owned key outside our new responsibility interval
         ``(requester, self]``.  We keep a replica copy because we are the
-        first successor of those keys.
+        first successor of those keys; the copies go to the back of the
+        store, as they are taken out of it first.
         """
         start = self.predecessor.node_id if self.predecessor is not None else self.node_id
         moving = self.storage.extract_interval(start, requester.node_id)
@@ -709,17 +711,16 @@ class ChordNode:
             # predecessor pointer is stale (e.g. it crashed silently).
             start = self.node_id
             moving = self.storage.extract_interval(start, requester.node_id)
-        if self.config.replication_factor > 1:
-            if moving:
-                self.storage.absorb(moving, as_replica=True, now=self.runtime.now)
-        elif start != requester.node_id:
+        keep_copy = self.config.replication_factor > 1
+        if not keep_copy and start != requester.node_id:
             # No backup role exists at replication factor 1: any replica left
             # in the transferred interval would never be refreshed or
             # reclaimed, shadowing the owner's data forever.
-            self.storage.drop_replicas_in_interval(start, requester.node_id)
-        if moving:
-            for service in self.services:
-                service.on_items_handed_off(moving, requester.name)
+            for stale in self.storage.items_in_interval(
+                start, requester.node_id, include_replicas=True
+            ):
+                self.storage.remove(stale.key)
+        self._release(moving, keep_copy=keep_copy)
         # The requester took over part of our old interval; any cached claim
         # naming us for that arc is stale.
         self.route_cache.clear()
@@ -734,7 +735,7 @@ class ChordNode:
         """Accept items pushed by another node (leave hand-off or replication).
 
         ``from_owner`` identifies a departing predecessor handing its keys
-        over; see :meth:`_absorb_items` for how it gates replica promotion.
+        over; see :meth:`_take` for how it gates replica promotion.
 
         A peer that has begun :meth:`leave` refuses ownership as if it were
         gone already.  Its successor holds the keys it just handed over, but
@@ -905,16 +906,10 @@ class ChordNode:
                 "ping",
             )
         except _UNREACHABLE_ERRORS:
+            # With no predecessor our arc is the whole ring: every replica
+            # held here is taken.
             self.predecessor = None
-            promoted = self.storage.promote_replicas(lambda item: True)
-            if promoted:
-                # Promotion makes us the owner of items that just lost their
-                # only other copy; restore the replication degree right away
-                # instead of waiting for a successor-list change — a second
-                # failure in the window would otherwise lose them for good.
-                self._push_replicas(promoted)
-                for service in self.services:
-                    service.on_replicas_promoted(promoted)
+            self._take(self.storage.replica_items())
 
     #: How many misplaced items one stabilize round repairs (bounds the
     #: extra traffic a heavily disturbed node generates per interval).
@@ -963,7 +958,9 @@ class ChordNode:
             except _UNREACHABLE_ERRORS:
                 continue
             # Keep a backup copy; the owner re-replicates to its successors.
-            self.storage.demote_to_replica(item.key)
+            held = self.storage.get(item.key)
+            if held is not None and not held.is_replica:
+                self._release([held])
 
     # ----------------------------------------------------------- replication --
 
@@ -1000,22 +997,8 @@ class ChordNode:
             if len(targets) >= copies_needed:
                 break
         for target in targets:
-            self.rpc.notify(
-                target.address,
-                "receive_items",
-                items=[
-                    StoredItem(
-                        key=item.key,
-                        value=item.value,
-                        key_id=item.key_id,
-                        is_replica=True,
-                        version=item.version,
-                        stored_at=item.stored_at,
-                    )
-                    for item in items
-                ],
-                as_replica=True,
-            )
+            # The receiver builds its own replica records (``absorb``).
+            self.rpc.notify(target.address, "receive_items", items=items, as_replica=True)
 
     def _absorb_items(
         self,
@@ -1024,33 +1007,71 @@ class ChordNode:
         as_replica: bool,
         from_owner: Optional[NodeRef] = None,
     ) -> int:
-        may_promote = None
+        absorbed = self.storage.absorb(items, as_replica=as_replica, now=self.runtime.now)
         if not as_replica:
-            def may_promote(existing: StoredItem) -> bool:
-                # A replayed ownership transfer only promotes our replica if
-                # we actually cover the key — or if the sender is the
-                # predecessor gracefully handing its interval over (it tells
-                # us *before* updating our predecessor pointer).  Without
-                # the gate a stale replay after a concurrent takeover would
-                # mint a second owner for the key.
-                if self.is_responsible_for(existing.key_id):
-                    return True
-                return from_owner is not None and from_owner == self.predecessor
-        absorbed = self.storage.absorb(
-            items, as_replica=as_replica, now=self.runtime.now, may_promote=may_promote
-        )
-        if not as_replica:
-            # We just became the owner of these items (join hand-off or a
-            # departing predecessor's hand-over): immediately restore their
-            # replication degree at our own successors.
-            owned_now = [
-                stored for item in items
-                if (stored := self.storage.get(item.key)) is not None and not stored.is_replica
-            ]
-            self._push_replicas(owned_now)
-        for service in self.services:
-            service.on_items_received(items, as_replica=as_replica)
+            # An ownership transfer (join hand-off, a departing predecessor's
+            # hand-over, a misplaced item forwarded here).
+            self._take(
+                [held for item in items if (held := self.storage.get(item.key)) is not None],
+                sender=from_owner,
+            )
         return absorbed
+
+    # ------------------------------------------------------------- ownership --
+
+    def _take(self, items: list[StoredItem], *,
+              sender: Optional[NodeRef] = None) -> list[StoredItem]:
+        """Make this node the owner of ``items``, records of its store.
+
+        One of the two halves of the ownership transition (the other is
+        :meth:`_release`), and the only way a held record becomes owned.  A
+        record held as a replica copy is taken only if this node's arc covers
+        it, or if ``sender`` is the predecessor gracefully handing its arc
+        over (it tells us *before* updating our predecessor pointer).
+        Without the gate a replayed transfer arriving after a concurrent
+        takeover moved the arc elsewhere would mint a second owner.  A crash
+        promotion clears the predecessor first, so its arc covers every
+        copy.
+
+        The flag is written through, the replication degree is restored at
+        the successors right away — a second failure before the next
+        successor-list change would otherwise lose items that just lost
+        their only other copy — and the services hear of the items taken.
+        Returns them.
+        """
+        taken = [
+            item for item in items
+            if not item.is_replica
+            or self.is_responsible_for(item.key_id)
+            or (sender is not None and sender == self.predecessor)
+        ]
+        for item in taken:
+            if item.is_replica:
+                item.is_replica = False
+                self.storage.write(item)
+        self._push_replicas(taken)
+        if taken:
+            for service in self.services:
+                service.on_ownership_moved(taken)
+        return taken
+
+    def _release(self, items: list[StoredItem], *, keep_copy: bool = True) -> None:
+        """End this node's ownership of ``items``, its owned records.
+
+        The other half of the ownership transition.  With ``keep_copy`` each
+        record is written back as a replica copy (in place, or at the back
+        of the store for one the caller took out of it); without, it is
+        deleted.  The services hear of the items released.
+        """
+        for item in items:
+            if keep_copy:
+                item.is_replica = True
+                self.storage.write(item)
+            else:
+                self.storage.remove(item.key)
+        if items:
+            for service in self.services:
+                service.on_ownership_moved(items)
 
     # ----------------------------------------------------------- diagnostics --
 

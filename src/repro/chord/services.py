@@ -4,14 +4,18 @@ The P2P-LTR roles (Master-key peer, Log-Peer, timestamp counter holder) are
 not separate machines: they are responsibilities taken on by whichever DHT
 node is currently the successor of a key.  To model that cleanly, a Chord
 node hosts a list of :class:`NodeService` instances.  A service can expose
-extra RPC methods and reacts to ownership changes (key transfer on join and
-leave, replica promotion after a predecessor failure) — exactly the hooks
-the P2P-LTR succession procedures need.
+extra RPC methods and learns of every ownership change through one hook,
+:meth:`NodeService.on_ownership_moved`.  The node fires it from its one
+ownership transition, for the items it took (a join reclaiming its arc, a
+leaving predecessor's hand-over, a misplaced item forwarded here, replica
+promotion after a predecessor failure) or released (its own hand-off to a
+joiner or at leave, a misplaced item forwarded to its owner).  That is the
+hook the P2P-LTR succession procedures need.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .storage import StoredItem
 
@@ -42,16 +46,11 @@ class NodeService:
     def register_handlers(self, node: "ChordNode") -> None:
         """Expose the service's RPC methods on the node's agent (override)."""
 
-    # -- ownership hooks ------------------------------------------------------
+    # -- ownership hook ---------------------------------------------------------
 
-    def on_items_received(self, items: Iterable[StoredItem], *, as_replica: bool) -> None:
-        """Called when keys are transferred into this node (join/leave hand-off)."""
+    def on_ownership_moved(self, items: list[StoredItem]) -> None:
+        """Called once per ownership change with the items that changed hands.
 
-    def on_items_handed_off(self, items: Iterable[StoredItem], successor_name: str) -> None:
-        """Called when this node hands keys over to another node."""
-
-    def on_replicas_promoted(self, items: Iterable[StoredItem]) -> None:
-        """Called when replicas become owned after a predecessor failure."""
-
-    def on_node_leaving(self) -> None:
-        """Called just before the hosting node leaves the ring gracefully."""
+        The node took them (owned here now) or released them (a replica copy
+        here at most).
+        """

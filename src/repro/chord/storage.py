@@ -3,18 +3,23 @@
 Every Chord node stores the data it is *responsible* for (keys hashing into
 ``(predecessor, self]``) plus replicas it holds on behalf of its
 predecessors.  The store keeps both under the same namespace but tags each
-entry, because key transfer on join/leave only moves owned entries while
-failure recovery promotes replicas to owned entries.
+entry (``is_replica``), because key transfer on join/leave only moves owned
+entries while failure recovery promotes replicas to owned entries.
+
+*When* an entry changes hands is not decided here: the node's one ownership
+transition (:meth:`~repro.chord.node.ChordNode._take` and
+:meth:`~repro.chord.node.ChordNode._release`) sets the flag and writes it
+through :meth:`NodeStorage.write`.  This class builds records
+(:meth:`~NodeStorage.put`, :meth:`~NodeStorage.absorb`) and scans them.
 
 Values are opaque to this layer; P2P-LTR stores patch payloads and
 timestamp counters in it through higher-level services.
 
 Persistence is delegated to a :class:`~repro.storage.StorageBackend` (the
-volatile in-memory dict by default, or SQLite/WAL for durable peers).  All
-ownership mutations — promotion, demotion, absorption — go through this
-class and are written through to the backend, so a durable peer's on-disk
-state always reflects its in-memory state and a crash-restart recovery
-(:meth:`reopen`) reloads exactly what the protocol had persisted.
+volatile in-memory dict by default, or SQLite/WAL for durable peers).  Every
+write goes through to the backend, so a durable peer's on-disk state always
+reflects its in-memory state and a crash-restart recovery (:meth:`reopen`)
+reloads exactly what the protocol had persisted.
 """
 
 from __future__ import annotations
@@ -120,29 +125,14 @@ class NodeStorage:
         """Items held only as replicas for other nodes."""
         return [item for item in self.backend.scan() if item.is_replica]
 
-    def promote_replicas(self, predicate: Callable[[StoredItem], bool]) -> list[StoredItem]:
-        """Turn matching replicas into owned items (failure takeover).
+    def write(self, item: StoredItem) -> None:
+        """Write ``item`` back after its ownership flag changed.
 
-        Returns the promoted items.  The promotion is written through to the
-        backend so a durable peer restarts with the takeover intact.
+        The version is kept: the record is the same data, owned or held as a
+        copy.  A held key keeps its position in the insertion order; a record
+        taken out of the store (:meth:`extract_interval`) goes to the back.
         """
-        promoted = []
-        for item in list(self.backend.scan()):
-            if item.is_replica and predicate(item):
-                item.is_replica = False
-                self.backend.put(item)
-                promoted.append(item)
-        return promoted
-
-    def demote_to_replica(self, key: str) -> Optional[StoredItem]:
-        """Mark ``key`` as a replica copy (ownership moved elsewhere)."""
-        item = self.backend.get(key)
-        if item is None:
-            return None
-        if not item.is_replica:
-            item.is_replica = True
-            self.backend.put(item)
-        return item
+        self.backend.put(item)
 
     def items_in_interval(self, start_exclusive: int, end_inclusive: int,
                           *, include_replicas: bool = False) -> list[StoredItem]:
@@ -158,41 +148,16 @@ class NodeStorage:
             self.backend.delete(item.key)
         return moving
 
-    def drop_replicas_in_interval(self, start_exclusive: int,
-                                  end_inclusive: int) -> list[StoredItem]:
-        """Remove and return replica copies in ``(start, end]``.
-
-        Used by key hand-off when this node keeps no backup role for the
-        transferred interval (``replication_factor == 1``): a stale replica
-        left behind would never be refreshed or reclaimed.
-        """
-        dropping = [
-            item for item in self.backend.scan_interval(
-                start_exclusive, end_inclusive, include_replicas=True
-            )
-            if item.is_replica
-        ]
-        for item in dropping:
-            self.backend.delete(item.key)
-        return dropping
-
-    def absorb(
-        self,
-        items: list[StoredItem],
-        *,
-        as_replica: bool = False,
-        now: float = 0.0,
-        may_promote: Optional[Callable[[StoredItem], bool]] = None,
-    ) -> int:
+    def absorb(self, items: list[StoredItem], *, as_replica: bool = False,
+               now: float = 0.0) -> int:
         """Insert items received from another node; returns how many were newer.
 
         An incoming item only overwrites an existing entry if its version is
-        strictly greater, so replaying a transfer is idempotent.  When an
-        owned transfer (``as_replica=False``) replays against an entry we
-        already hold as a replica, the replica is promoted to owned — but
-        only if ``may_promote`` (when given) allows it: a replayed hand-off
-        arriving after a concurrent takeover moved the interval elsewhere
-        must not mint a second owner.
+        strictly greater, so replaying a transfer is idempotent.  A newer
+        item is stored owned or as a replica copy as ``as_replica`` says; an
+        entry that is not older is left as it is, flag included — whether an
+        owned transfer makes this node the owner of a copy it already held is
+        the node's decision (:meth:`~repro.chord.node.ChordNode._take`).
         """
         absorbed = 0
         fresh: dict[str, StoredItem] = {}
@@ -201,14 +166,6 @@ class NodeStorage:
             if existing is None:
                 existing = self.backend.get(incoming.key)
             if existing is not None and existing.version >= incoming.version:
-                if existing.is_replica and not as_replica and (
-                    may_promote is None or may_promote(existing)
-                ):
-                    existing.is_replica = False
-                    if incoming.key in fresh:
-                        fresh[incoming.key] = existing
-                    else:
-                        self.backend.put(existing)
                 continue
             fresh[incoming.key] = StoredItem(
                 key=incoming.key,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..chord import HashFunctionFamily, NodeService, StoredItem
 from ..dht import ChordDhtClient
@@ -895,21 +895,10 @@ class MasterService(NodeService):
             self.log.warm(key, warmed + 1, horizon)
             tenure.warmed_ts = horizon
 
-    def on_items_handed_off(self, items: Iterable[StoredItem],
-                            successor_name: str) -> None:
-        for key in counter_documents(items):
-            self.end_tenure(key)  # the new Master answers from its own tenure
-
-    def on_items_received(self, items: Iterable[StoredItem], *,
-                          as_replica: bool) -> None:
-        if not as_replica:
-            # A counter coming (back) here was advanced by someone else: what
-            # a previous tenure left behind no longer describes the log.
-            for key in counter_documents(items):
-                self.end_tenure(key)
-
-    def on_replicas_promoted(self, items: Iterable[StoredItem]) -> None:
-        # A counter promoted after its Master crashed starts a tenure here.
+    def on_ownership_moved(self, items: list[StoredItem]) -> None:
+        # A counter that moved, either way, ends the tenure here: a new
+        # Master answers from its own tenure, and what a previous one left
+        # behind no longer describes a log someone else advanced meanwhile.
         for key in counter_documents(items):
             self.end_tenure(key)
 

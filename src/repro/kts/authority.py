@@ -49,11 +49,8 @@ class TimestampAuthority(NodeService):
         self.generated = 0
         self.allocations = 0
         self.range_allocations = 0
-        self.takeovers = 0
-        self.transfers_in = 0
-        self.transfers_out = 0
 
-    # -- NodeService hooks -------------------------------------------------
+    # -- NodeService hook --------------------------------------------------
 
     def register_handlers(self, node) -> None:  # noqa: D401 - see base class
         if self._ht is None:
@@ -63,16 +60,6 @@ class TimestampAuthority(NodeService):
         node.rpc.expose("kts_last_ts", self.last_ts)
         node.rpc.expose("kts_advance_ts", self.advance_ts)
         node.rpc.expose("kts_managed_keys", self.managed_keys)
-
-    def on_items_received(self, items: Iterable[StoredItem], *, as_replica: bool) -> None:
-        if not as_replica:
-            self.transfers_in += len(counter_documents(items))
-
-    def on_items_handed_off(self, items: Iterable[StoredItem], successor_name: str) -> None:
-        self.transfers_out += len(counter_documents(items))
-
-    def on_replicas_promoted(self, items: Iterable[StoredItem]) -> None:
-        self.takeovers += len(counter_documents(items))
 
     # -- helpers ---------------------------------------------------------------
 
@@ -209,8 +196,5 @@ class TimestampAuthority(NodeService):
             "generated": self.generated,
             "allocations": self.allocations,
             "range_allocations": self.range_allocations,
-            "takeovers": self.takeovers,
-            "transfers_in": self.transfers_in,
-            "transfers_out": self.transfers_out,
             "managed_keys": len(self.managed_keys()),
         }

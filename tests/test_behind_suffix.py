@@ -214,14 +214,18 @@ def test_counter_coming_back_ends_the_tenure_the_tail_was_from():
     So does a peer whose replica of the counter is promoted."""
     system = build_system()
     master = publish(system, 2)
-    counter = master.node.storage.get(master._authority().storage_key(KEY))
-    master.on_items_received([counter], as_replica=True)  # our own replica echo
+    node = master.node
+    counter_key = master._authority().storage_key(KEY)
+    counter = node.storage.get(counter_key)
+    node.rpc_receive_items([counter], as_replica=True)  # our own replica echo
     assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [1, 2]
-    master.on_items_received([counter], as_replica=False)
+    node.rpc_receive_items([counter], as_replica=False)
     assert is_fresh(tenure(master, KEY))
     publish(system, 2, start=3)
     assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [3, 4]
-    master.on_replicas_promoted([counter])
+    held = node.storage.get(counter_key)
+    held.is_replica = True  # as a stand-in's owned copy would leave it here
+    assert node._take([held]) == [held]
     assert is_fresh(tenure(master, KEY))
 
 

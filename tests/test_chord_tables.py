@@ -172,14 +172,21 @@ def test_storage_owned_vs_replica_classification():
     assert sorted(storage.keys()) == ["owned", "replica"]
 
 
-def test_storage_promote_replicas():
+def test_storage_write_keeps_the_position_of_a_held_key():
     storage = NodeStorage(bits=16)
     storage.put("a", 1, is_replica=True)
     storage.put("b", 2, is_replica=True)
-    promoted = storage.promote_replicas(lambda item: item.key == "a")
-    assert [item.key for item in promoted] == ["a"]
+    item = storage.get("a")
+    item.is_replica = False
+    storage.write(item)
     assert not storage.get("a").is_replica
     assert storage.get("b").is_replica
+    assert storage.get("a").version == 1  # the same data, owned now
+    assert storage.keys() == ["a", "b"]
+    # A record taken out of the store goes to the back when written back.
+    storage.remove("a")
+    storage.write(item)
+    assert storage.keys() == ["b", "a"]
 
 
 def test_storage_interval_extraction_with_explicit_ids():
@@ -216,11 +223,15 @@ def test_storage_absorb_is_idempotent_and_version_aware():
     assert destination.absorb([newer]) == 0
 
 
-def test_storage_absorb_promotes_existing_replica_when_ownership_arrives():
+def test_storage_absorb_leaves_the_flag_of_an_entry_it_does_not_replace():
     destination = NodeStorage(bits=8)
     destination.put("k", "value", key_id=5, is_replica=True)
     same_version = StoredItem(key="k", value="value", key_id=5, version=1)
     destination.absorb([same_version], as_replica=False)
+    # Promotion is the node's ownership transition, not the store's.
+    assert destination.get("k").is_replica
+    newer = StoredItem(key="k", value="newer", key_id=5, version=2)
+    destination.absorb([newer], as_replica=False)
     assert not destination.get("k").is_replica
 
 

@@ -6,9 +6,11 @@ Three bugs, each with the failure mode it used to cause:
    silently moving salted-family placements (KTS counters, checkpoint
    indexes) to ``hash(key)`` — out of their responsibility interval, so
    churn-driven key transfer stopped moving them.
-2. ``NodeStorage.absorb`` promoted a replica to owned on *any* replayed
-   ownership transfer, even when a concurrent takeover had moved the
-   interval elsewhere — minting a second owner for the key.
+2. A replayed ownership transfer promoted a replica to owned on *any*
+   replay, even when a concurrent takeover had moved the interval
+   elsewhere — minting a second owner for the key.  The gate is the node's
+   ownership transition (``ChordNode._take``); ``NodeStorage.absorb`` only
+   builds the records of what is newer.
 3. ``rpc_handoff_keys`` left replica copies of the transferred interval
    behind at ``replication_factor == 1``: nobody ever refreshed or
    reclaimed them, so they shadowed the owner's data forever.  At higher
@@ -122,30 +124,35 @@ def stale_transfer(key="k", *, key_id=50, version=3):
     return [StoredItem(key=key, value="stale", key_id=key_id, version=version)]
 
 
-def test_absorb_stale_replay_promotes_without_a_gate():
+def test_absorb_leaves_a_replayed_copy_to_the_node():
     storage = NodeStorage(BITS)
     seeded_replica(storage)
     absorbed = storage.absorb(stale_transfer())
     assert absorbed == 0  # older version: the payload is not taken
-    assert storage.get("k").is_replica is False  # but ownership transfers
-
-
-def test_absorb_gate_blocks_promotion_after_concurrent_takeover():
-    storage = NodeStorage(BITS)
-    seeded_replica(storage)
-    absorbed = storage.absorb(stale_transfer(), may_promote=lambda item: False)
-    assert absorbed == 0
-    assert storage.get("k").is_replica is True, (
-        "a stale replay minted a second owner despite the takeover gate"
-    )
+    # Whether the transfer makes the copy owned is the node's decision.
+    assert storage.get("k").is_replica is True
     assert storage.get("k").value == "held"
 
 
-def test_absorb_gate_allows_promotion_when_responsible():
-    storage = NodeStorage(BITS)
-    seeded_replica(storage)
-    storage.absorb(stale_transfer(), may_promote=lambda item: True)
-    assert storage.get("k").is_replica is False
+def test_take_refuses_a_copy_outside_the_arc_after_a_concurrent_takeover():
+    ring = make_ring(seed=21)
+    ring.bootstrap(4)
+    node = ring.live_nodes()[0]
+    held = seeded_replica(node.storage, key_id=node.predecessor.node_id)
+    assert node._take([held]) == []
+    assert node.storage.get("k").is_replica is True, (
+        "a stale replay minted a second owner despite the takeover gate"
+    )
+    assert node.storage.get("k").value == "held"
+
+
+def test_take_promotes_a_copy_the_arc_covers():
+    ring = make_ring(seed=21)
+    ring.bootstrap(4)
+    node = ring.live_nodes()[0]
+    held = seeded_replica(node.storage, key_id=node.node_id)
+    assert node._take([held]) == [held]
+    assert node.storage.get("k").is_replica is False
 
 
 def test_node_rejects_promotion_for_foreign_interval():

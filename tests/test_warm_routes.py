@@ -357,7 +357,7 @@ def test_horizon_ends_with_the_tenure():
     old_master = publish(system, 3)
     assert tenure(old_master, KEY).warmed_ts > 3
     system.run_for(2.0)
-    system.add_peer(find_takeover_joiner(system, KEY))      # on_items_handed_off
+    system.add_peer(find_takeover_joiner(system, KEY))      # the hand-off's release
     assert is_fresh(tenure(old_master, KEY))
     new_master = system.master_service(KEY)
     with trace_routing() as trace:
@@ -367,7 +367,7 @@ def test_horizon_ends_with_the_tenure():
     assert [(low, high) for _node, _key, low, high, _at in trace.warmed] == [(5, 5), (6, 6)]
     # A counter coming back from a stand-in ends the tenure too ...
     counter = new_master.node.storage.get(new_master._authority().storage_key(KEY))
-    new_master.on_items_received([counter], as_replica=False)
+    new_master.node.rpc_receive_items([counter], as_replica=False)
     assert is_fresh(tenure(new_master, KEY))
     # ... as does a counter that moved on elsewhere (found by the next proposal).
     publish(system, 2, start=6)
