@@ -735,7 +735,9 @@ class ChordNode:
         """Accept items pushed by another node (leave hand-off or replication).
 
         ``from_owner`` identifies a departing predecessor handing its keys
-        over; see :meth:`_take` for how it gates replica promotion.
+        over; see :meth:`_take` for how it gates replica promotion.  Answers
+        how many of the items this node owns afterwards for an ownership
+        transfer, how many were newer for a replica push.
 
         A peer that has begun :meth:`leave` refuses ownership as if it were
         gone already.  Its successor holds the keys it just handed over, but
@@ -925,10 +927,11 @@ class ChordNode:
         (hand-off only covers joins and departures), leaving the item
         invisible to every correctly routed read.  Each stabilize round
         therefore re-routes up to :data:`REPAIR_BATCH` misplaced owned
-        items to their current owner, keeping a local replica copy as a
-        backup.  On a stable ring with correctly placed data this scan
-        finds nothing and costs no messages — seeded fault-free runs stay
-        byte-identical.
+        items to their current owner, and releases its own copy — keeping
+        it as a replica, a backup — only once the owner answers that it
+        took the item.  On a stable ring with correctly placed data this
+        scan finds nothing and costs no messages — seeded fault-free runs
+        stay byte-identical.
         """
         if self.predecessor is None or self.predecessor == self.ref:
             return
@@ -949,7 +952,7 @@ class ChordNode:
             if owner == self.ref:
                 continue  # our view says it is ours after all
             try:
-                yield self.rpc.call(
+                taken = yield self.rpc.call(
                     owner.address,
                     "receive_items",
                     items=[item],
@@ -957,7 +960,11 @@ class ChordNode:
                 )
             except _UNREACHABLE_ERRORS:
                 continue
-            # Keep a backup copy; the owner re-replicates to its successors.
+            if not taken:
+                # The receiver kept its copy a replica (by its own
+                # predecessor pointer it is not responsible): releasing ours
+                # would leave no owner.  A later round routes it again.
+                continue
             held = self.storage.get(item.key)
             if held is not None and not held.is_replica:
                 self._release([held])
@@ -1008,14 +1015,14 @@ class ChordNode:
         from_owner: Optional[NodeRef] = None,
     ) -> int:
         absorbed = self.storage.absorb(items, as_replica=as_replica, now=self.runtime.now)
-        if not as_replica:
-            # An ownership transfer (join hand-off, a departing predecessor's
-            # hand-over, a misplaced item forwarded here).
-            self._take(
-                [held for item in items if (held := self.storage.get(item.key)) is not None],
-                sender=from_owner,
-            )
-        return absorbed
+        if as_replica:
+            return absorbed
+        # An ownership transfer (join hand-off, a departing predecessor's
+        # hand-over, a misplaced item forwarded here).
+        return len(self._take(
+            [held for item in items if (held := self.storage.get(item.key)) is not None],
+            sender=from_owner,
+        ))
 
     # ------------------------------------------------------------- ownership --
 
@@ -1023,21 +1030,16 @@ class ChordNode:
               sender: Optional[NodeRef] = None) -> list[StoredItem]:
         """Make this node the owner of ``items``, records of its store.
 
-        One of the two halves of the ownership transition (the other is
-        :meth:`_release`), and the only way a held record becomes owned.  A
-        record held as a replica copy is taken only if this node's arc covers
-        it, or if ``sender`` is the predecessor gracefully handing its arc
-        over (it tells us *before* updating our predecessor pointer).
-        Without the gate a replayed transfer arriving after a concurrent
-        takeover moved the arc elsewhere would mint a second owner.  A crash
-        promotion clears the predecessor first, so its arc covers every
-        copy.
-
-        The flag is written through, the replication degree is restored at
-        the successors right away — a second failure before the next
-        successor-list change would otherwise lose items that just lost
-        their only other copy — and the services hear of the items taken.
-        Returns them.
+        One half of the ownership transition (:meth:`_release` is the
+        other).  A replica copy is taken only if this node's arc covers it,
+        or if ``sender`` is the predecessor gracefully handing its arc over
+        (it tells us *before* updating our predecessor pointer): a replayed
+        transfer arriving after a concurrent takeover moved the arc
+        elsewhere must not mint a second owner.  The flag is written
+        through, replication is restored at the successors right away (a
+        second failure would otherwise lose items that just lost their only
+        other copy), and the services hear of the items taken.  Returns
+        them.
         """
         taken = [
             item for item in items

@@ -92,15 +92,16 @@ def test_a_leaving_master_refuses_the_counter_its_successor_repairs_back():
     repaired = []
 
     def receive_then_repair(items, as_replica=False, from_owner=None):
-        absorbed = successor._absorb_items(items, as_replica=as_replica,
-                                           from_owner=from_owner)
+        answer = successor._absorb_items(items, as_replica=as_replica,
+                                         from_owner=from_owner)
         if from_owner == leaver.ref:
             # Inside the window: the leaver waits for this answer before
             # it notifies anybody.
             assert successor.predecessor == leaver.ref
+            assert answer == len(items)  # the hand-over took everything
             yield from successor._repair_misplaced_items()
             repaired.append(successor.storage.get(counter_key).is_replica)
-        return absorbed
+        return answer
 
     successor.rpc.expose("receive_items", receive_then_repair)
     system.leave(master_name)

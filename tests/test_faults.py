@@ -232,25 +232,24 @@ def _failure_class(error: Exception) -> str:
     return type(error).__name__
 
 
-#: How many of the seeds 1..40 the loss-burst script fails on: 4 of 40 —
-#: seeds 1, 22, 32 and 36, each with ``ValidationFailed`` after 64 paced
-#: retries (two peers *own* the document's counter after the burst, with
-#: different ``last-ts``, and routing serves the stale one); 3, 30, 36 and 38
-#: before the Master's rounds overlapped, which changed how many messages go
-#: out during the burst.
-#: A pre-existing hazard of a lossy window (CHANGES.md, "Found, pre-existing,
-#: not fixed");
-#: which seeds it hits moves with any change in timing, which is why the
-#: pinned seed above says what it is.  The sweep is also why owners no longer
-#: tell former backup holders to release their replica copies: with that
-#: release switched on the script failed on 9 of 40 — 1, 9, 10, 17, 18, 19,
-#: 32, 38 and 39, with ``PatchUnavailable`` (acknowledged entries gone from
-#: every replica) on 1, 17 and 32.
-LOSS_BURST_KNOWN_FAILURES = 4
+#: How many of the seeds 1..40 the loss-burst script fails on: 2 of 40 —
+#: seeds 1 and 36, each with ``ValidationFailed`` after 64 paced retries (two
+#: peers *own* the document's counter after the burst, with different
+#: ``last-ts``, and routing serves the stale one; ROADMAP item 1(b)).  4 —
+#: 1, 22, 32 and 36 — while the misplacement repair demoted its owned copy
+#: whatever the receiver did with it: a receiver that kept the forwarded
+#: item a replica left no peer owning it.  Which seeds fail moves with any
+#: change in timing, which is why the pinned seed above says what it is.
+#: The sweep is also why owners no longer tell former backup holders to
+#: release their replica copies: with that release switched on the script
+#: failed on 9 of 40 — 1, 9, 10, 17, 18, 19, 32, 38 and 39, with
+#: ``PatchUnavailable`` (acknowledged entries gone from every replica) on 1,
+#: 17 and 32.
+LOSS_BURST_KNOWN_FAILURES = 2
 
-#: The same bound over seeds 41..240: 26 of 200 (17 ``ValidationFailed``, 8
-#: gaps at the final read, 1 inside a commit).
-LOSS_BURST_WIDE_KNOWN_FAILURES = 26
+#: The same bound over seeds 41..240: 13 of 200 (9 ``ValidationFailed``, 4
+#: gaps), 26 while the repair demoted whatever the receiver did.
+LOSS_BURST_WIDE_KNOWN_FAILURES = 13
 
 
 @pytest.mark.slow

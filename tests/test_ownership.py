@@ -26,6 +26,7 @@ import pytest
 
 from test_core_master import find_takeover_joiner
 
+from repro.chord import ChordConfig, ChordRing
 from repro.core import LtrConfig, LtrSystem
 from repro.core.master import MasterService
 from repro.core.system import DEFAULT_CHORD_CONFIG
@@ -146,3 +147,32 @@ def test_each_path_moves_ownership_through_the_one_transition(path, hook_calls, 
             assert is_fresh(tenure(giver))
     finally:
         system.shutdown()
+
+
+def test_a_repair_releases_only_what_the_receiver_took():
+    """A stand-in owns an item outside its arc, and the peer its lookup names
+    holds a replica of it but, by its own predecessor pointer, is not
+    responsible, so it keeps its copy a replica and answers that it took
+    nothing.  The stand-in must go on owning the item: releasing it too left
+    only replica copies, and no read ever found the entry again (seeds 88,
+    104, 115, 162 and 187 of the loss-burst sweep lost an acknowledged edit
+    that way on a stable ring)."""
+    ring = ChordRing(
+        config=ChordConfig(bits=32, successor_list_size=4, replication_factor=2),
+        seed=11,
+        latency=ConstantLatency(0.002),
+    )
+    ring.bootstrap(4)
+    stand_in, after, owner, holder = sorted(ring.live_nodes(), key=lambda node: node.node_id)
+    key_id = owner.node_id  # in the owner's arc, outside the stand-in's
+    stand_in.storage.put("doc", "payload", key_id=key_id)
+    holder.storage.put("doc", "payload", key_id=key_id, is_replica=True)
+    # The stand-in's route to the item is stale and names the holder.
+    stand_in.route_cache.store((after.node_id, owner.node_id), holder.ref, ring.runtime.now)
+    ring.runtime.run(until=ring.runtime.process(stand_in._repair_misplaced_items()))
+    owners = [
+        node.address.name for node in ring.live_nodes()
+        if (held := node.storage.get("doc")) is not None and not held.is_replica
+    ]
+    assert owners == [stand_in.address.name]
+    assert holder.storage.get("doc").is_replica
