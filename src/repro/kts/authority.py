@@ -50,7 +50,7 @@ class TimestampAuthority(NodeService):
         self.allocations = 0
         self.range_allocations = 0
 
-    # -- NodeService hook --------------------------------------------------
+    # -- NodeService -------------------------------------------------------
 
     def register_handlers(self, node) -> None:  # noqa: D401 - see base class
         if self._ht is None:
