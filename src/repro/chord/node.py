@@ -218,6 +218,8 @@ class ChordNode:
                         as_replica=True,
                     )
                 if owned:
+                    # The records as held now: a write may have replaced one
+                    # while the calls were out.
                     handed = {item.key for item in owned}
                     self._release([item for item in self.storage.owned_items()
                                    if item.key in handed])

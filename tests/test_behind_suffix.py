@@ -224,7 +224,7 @@ def test_counter_coming_back_ends_the_tenure_the_tail_was_from():
     publish(system, 2, start=3)
     assert [entry.ts for entry in tenure(master, KEY).tail.entries] == [3, 4]
     held = node.storage.get(counter_key)
-    held.is_replica = True  # as a stand-in's owned copy would leave it here
+    held.is_replica = True  # planted: a replica copy, the tail still from its tenure
     assert node._take([held]) == [held]
     assert is_fresh(tenure(master, KEY))
 
