@@ -15,14 +15,14 @@ Run with ``python examples/churn_tolerance.py``.
 """
 
 from repro.core import LtrConfig
-from repro.engine import ScenarioSpec, Topology, run_scenario
+from repro.engine import ScenarioSpec, run_scenario
 
 KEY = "xwiki:LivingDocument"
 
 
 def measure_churn_story(ctx):
     """One row per churn event: leave, crash, then a fresh join."""
-    system = ctx.build_system()
+    system = ctx.build_system(ltr_config=LtrConfig(log_replication_factor=3))
     print(f"  ring up with {len(system.peer_names())} peers (seed {ctx.seed})")
 
     print("  initial updates...")
@@ -69,8 +69,7 @@ def main() -> None:
         title="Churn tolerance: departures, crashes and joins during editing",
         columns=("event", "master_before", "master_after", "ts_before",
                  "next_ts", "no_gap", "converged"),
-        topology=Topology(peers=10, latency=0.005,
-                          ltr_config=LtrConfig(log_replication_factor=3)),
+        constants={"peers": 10},
         seed=99,
         measure=measure_churn_story,
         notes=("paper claim: keys and last-ts transfer to the Master-key-Succ, "

@@ -12,7 +12,7 @@ Run with ``python examples/collaborative_wiki.py``.
 
 from repro import LtrSystem
 from repro.app import CollaborativeWiki, EditorSession
-from repro.engine import ScenarioSpec, Topology, run_scenario
+from repro.engine import ScenarioSpec, run_scenario
 
 
 def main() -> None:
@@ -66,7 +66,7 @@ def main() -> None:
         title="Concurrent editors hammering one wiki page",
         columns=("editors", "revisions", "total_retrieved", "converged"),
         grid={"editors": (2, 4, 8)},
-        topology=Topology(peers=10),
+        constants={"peers": 10},
         seed=7,
         measure=measure,
     )

@@ -12,7 +12,12 @@ class ChordConfig:
     """Tunable parameters of the Chord DHT.
 
     The defaults favour small simulated rings (tests, examples).  The
-    benchmarks override the intervals and sizes to match each experiment.
+    benchmarks override the intervals to match each experiment.
+    What no caller varies is a module constant next to its reader: the
+    successor list's length (:data:`~repro.chord.successors.SUCCESSOR_LIST_SIZE`,
+    4) and the copies of each stored item
+    (:data:`~repro.chord.node.REPLICATION_FACTOR`, 2: the owner's and one on
+    its first successor, the paper's Master-key-Succ / Log-Peer-Succ).
 
     Attributes
     ----------
@@ -21,14 +26,6 @@ class ChordConfig:
         protocol uses 160 (SHA-1); tests use smaller spaces for readable
         identifiers — collisions are still essentially impossible for the
         node counts used.
-    successor_list_size:
-        Number of successors each node tracks for fault tolerance.  The
-        second entry plays the role of the paper's Master-key-Succ /
-        Log-Peer-Succ backup.
-    replication_factor:
-        Number of copies of each stored item (1 = no replication; 2 = owner
-        plus one successor replica, matching the paper's "replicate last-ts
-        at the Master-Succ peer").
     stabilize_interval, fix_fingers_interval, check_predecessor_interval:
         Periods (simulated seconds) of the three maintenance tasks.
     route_cache_ttl:
@@ -56,8 +53,6 @@ class ChordConfig:
     """
 
     bits: int = DEFAULT_ID_BITS
-    successor_list_size: int = 4
-    replication_factor: int = 2
     stabilize_interval: float = 0.25
     fix_fingers_interval: float = 0.5
     check_predecessor_interval: float = 0.5
@@ -68,19 +63,6 @@ class ChordConfig:
     def __post_init__(self) -> None:
         if self.bits <= 0:
             raise ConfigurationError(f"bits must be positive, got {self.bits}")
-        if self.successor_list_size < 1:
-            raise ConfigurationError(
-                f"successor_list_size must be >= 1, got {self.successor_list_size}"
-            )
-        if self.replication_factor < 1:
-            raise ConfigurationError(
-                f"replication_factor must be >= 1, got {self.replication_factor}"
-            )
-        if self.replication_factor > self.successor_list_size + 1:
-            raise ConfigurationError(
-                "replication_factor cannot exceed successor_list_size + 1 "
-                f"({self.replication_factor} > {self.successor_list_size + 1})"
-            )
         for name in ("stabilize_interval", "fix_fingers_interval", "check_predecessor_interval"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")

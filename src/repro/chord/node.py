@@ -48,6 +48,10 @@ RPC_RETRIES = 1
 #: :class:`~repro.errors.LookupFailed` instead of looping forever.
 MAX_LOOKUP_HOPS = 64
 
+#: Copies of each stored item: the owner's and a replica on its first live
+#: successor, the paper's "replicate last-ts at the Master-Succ peer".
+REPLICATION_FACTOR = 2
+
 
 class ChordNode:
     """One peer of the Chord ring.
@@ -89,7 +93,7 @@ class ChordNode:
         self.rpc = RpcAgent(runtime, network, address)
         self.storage = NodeStorage(self.config.bits, backend=storage_backend)
         self.fingers = FingerTable(self.node_id, self.config.bits)
-        self.successors = SuccessorList(self.node_id, self.config.successor_list_size)
+        self.successors = SuccessorList(self.node_id)
         self.predecessor: Optional[NodeRef] = None
 
         self.alive = False
@@ -268,9 +272,7 @@ class ChordNode:
             else:
                 self.storage.reopen()
             self.fingers = FingerTable(self.node_id, self.config.bits)
-            self.successors = SuccessorList(
-                self.node_id, self.config.successor_list_size
-            )
+            self.successors = SuccessorList(self.node_id)
             self.predecessor = None
             self._replica_targets = ()
             self.route_cache.clear()
@@ -713,16 +715,7 @@ class ChordNode:
             # predecessor pointer is stale (e.g. it crashed silently).
             start = self.node_id
             moving = self.storage.extract_interval(start, requester.node_id)
-        keep_copy = self.config.replication_factor > 1
-        if not keep_copy and start != requester.node_id:
-            # No backup role exists at replication factor 1: any replica left
-            # in the transferred interval would never be refreshed or
-            # reclaimed, shadowing the owner's data forever.
-            for stale in self.storage.items_in_interval(
-                start, requester.node_id, include_replicas=True
-            ):
-                self.storage.remove(stale.key)
-        self._release(moving, keep_copy=keep_copy)
+        self._release(moving)
         # The requester took over part of our old interval; any cached claim
         # naming us for that arc is stale.
         self.route_cache.clear()
@@ -981,12 +974,7 @@ class ChordNode:
         slot in between us and the old replica holder.  Refreshing on every
         successor-list change keeps the paper's *-Succ* backups populated.
         """
-        copies_needed = self.config.replication_factor - 1
-        if copies_needed <= 0:
-            return
-        targets = tuple(
-            entry for entry in self.successors.entries() if entry != self.ref
-        )[:copies_needed]
+        targets = self._backups()
         if targets == self._replica_targets:
             return
         self._replica_targets = targets
@@ -994,18 +982,16 @@ class ChordNode:
         if owned and targets:
             self._push_replicas(owned)
 
+    def _backups(self) -> tuple[NodeRef, ...]:
+        """The successors that hold replica copies of this node's items."""
+        return tuple(
+            entry for entry in self.successors.entries() if entry != self.ref
+        )[:REPLICATION_FACTOR - 1]
+
     def _push_replicas(self, items: list[StoredItem]) -> None:
-        copies_needed = self.config.replication_factor - 1
-        if copies_needed <= 0 or not items:
+        if not items:
             return
-        targets = []
-        for entry in self.successors.entries():
-            if entry == self.ref:
-                continue
-            targets.append(entry)
-            if len(targets) >= copies_needed:
-                break
-        for target in targets:
+        for target in self._backups():
             # The receiver builds its own replica records (``absorb``).
             self.rpc.notify(target.address, "receive_items", items=items, as_replica=True)
 
@@ -1059,20 +1045,17 @@ class ChordNode:
                 service.on_ownership_moved(taken)
         return taken
 
-    def _release(self, items: list[StoredItem], *, keep_copy: bool = True) -> None:
+    def _release(self, items: list[StoredItem]) -> None:
         """End this node's ownership of ``items``, its owned records.
 
-        The other half of the ownership transition.  With ``keep_copy`` each
-        record is written back as a replica copy (in place, or at the back
-        of the store for one the caller took out of it); without, it is
-        deleted.  The services hear of the items released.
+        The other half of the ownership transition.  Each record is written
+        back as a replica copy (in place, or at the back of the store for
+        one the caller took out of it).  The services hear of the items
+        released.
         """
         for item in items:
-            if keep_copy:
-                item.is_replica = True
-                self.storage.write(item)
-            else:
-                self.storage.remove(item.key)
+            item.is_replica = True
+            self.storage.write(item)
         if items:
             for service in self.services:
                 service.on_ownership_moved(items)

@@ -19,9 +19,10 @@ from ..runtime import Runtime, resolve_runtime
 from ..storage import StorageBackend
 from .config import ChordConfig
 from .hashing import hash_to_id
-from .node import ChordNode
+from .node import REPLICATION_FACTOR, ChordNode
 from .refs import NodeRef
 from .services import NodeService
+from .successors import SUCCESSOR_LIST_SIZE
 
 ServiceFactory = Callable[[Address], list[NodeService]]
 StorageFactory = Callable[[str], Optional[StorageBackend]]
@@ -162,7 +163,7 @@ class ChordRing:
         identifiers = [node.node_id for node in ordered]
         refs = [node.ref for node in ordered]
         count = len(ordered)
-        list_size = min(self.config.successor_list_size, count - 1)
+        list_size = min(SUCCESSOR_LIST_SIZE, count - 1)
         bits = self.config.bits
         mask = (1 << bits) - 1
         for index, node in enumerate(ordered):
@@ -425,7 +426,7 @@ class ChordRing:
 
         A replica of key ``k`` is *in custody* when its holder is the
         ground-truth owner of ``k`` (a pending promotion) or one of the
-        owner's first ``replication_factor - 1`` live successors (a backup).
+        owner's first ``REPLICATION_FACTOR - 1`` live successors (a backup).
         Anything else is a stale copy that no refresh will ever touch —
         exactly what graceless hand-offs used to leave behind.  Computed
         from global knowledge, so tests can assert the invariant after
@@ -435,11 +436,10 @@ class ChordRing:
         violations: list[dict[str, Any]] = []
         if len(live) <= 1:
             return violations
-        copies = self.config.replication_factor - 1
         for index, node in enumerate(live):
             backup_of = {
                 live[(index - offset) % len(live)].address.name
-                for offset in range(1, copies + 1)
+                for offset in range(1, REPLICATION_FACTOR)
             }
             for item in node.storage.replica_items():
                 owner = self.responsible_node_for_id(item.key_id)

@@ -14,11 +14,15 @@ from typing import Iterable, Iterator, Optional
 
 from .refs import NodeRef
 
+#: Successors each node tracks.  The second entry plays the paper's
+#: Master-key-Succ / Log-Peer-Succ backup role; the rest ride out failures.
+SUCCESSOR_LIST_SIZE = 4
+
 
 class SuccessorList:
     """Ordered list of a node's nearest known successors."""
 
-    def __init__(self, owner_id: int, capacity: int = 4) -> None:
+    def __init__(self, owner_id: int, capacity: int = SUCCESSOR_LIST_SIZE) -> None:
         if capacity < 1:
             raise ValueError(f"successor list capacity must be >= 1, got {capacity}")
         self.owner_id = owner_id

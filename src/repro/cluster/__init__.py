@@ -19,19 +19,20 @@ The host side (``build_host_system``, ``run_host``) and the socket transport
 are loaded on first use, so a process that only simulates imports no asyncio.
 """
 
-from .config import CLIENT_NAME, ClusterConfig, load_cluster_config
+from .config import CLIENT_NAME, CLUSTER_CHORD_CONFIG, CLUSTER_LTR_CONFIG, ClusterConfig
 from .launcher import Cluster
 from .placement import Placement, find_killable_placement, placement_of
 from .scenario import run_live_cluster
 
 __all__ = [
     "CLIENT_NAME",
+    "CLUSTER_CHORD_CONFIG",
+    "CLUSTER_LTR_CONFIG",
     "Cluster",
     "ClusterConfig",
     "Placement",
     "build_host_system",
     "find_killable_placement",
-    "load_cluster_config",
     "placement_of",
     "run_host",
     "run_live_cluster",

@@ -5,8 +5,8 @@ exercise (:func:`~repro.cluster.scenario.run_live_cluster`) and prints the
 report as JSON.  ``host`` is the internal child-process entry point the
 launcher spawns; it is not meant to be invoked by hand.
 
-Configuration layers, weakest first: built-in defaults, ``--config-file``
-JSON, ``REPRO_CLUSTER_*`` environment variables, CLI flags.
+The flags of ``run`` are the deployment's fields (:class:`ClusterConfig`);
+a flag left out keeps the field's default.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import sys
 
 from ..errors import ClusterError
-from .config import ClusterConfig, load_cluster_config
+from .config import ClusterConfig
 from .host import run_host
 from .scenario import run_live_cluster
 
@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="boot a cluster and drive commits")
-    run.add_argument("--config-file", help="JSON file with ClusterConfig fields")
     run.add_argument("--processes", type=int, help="number of host processes")
     run.add_argument("--peers-per-process", type=int, dest="peers_per_process")
     run.add_argument("--transport", choices=("uds", "tcp"))
@@ -63,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(arguments, name) is not None
     }
     try:
-        config = load_cluster_config(arguments.config_file, overrides=overrides)
+        config = ClusterConfig(**overrides)
         report = run_live_cluster(
             config, commits=arguments.commits, kill=not arguments.no_kill
         )

@@ -2,36 +2,51 @@
 
 A :class:`ClusterConfig` fully determines a multi-process deployment — how
 many host processes, how many peers each hosts, the transport (Unix-domain
-sockets or TCP), the seeds and the protocol tuning.  The launcher serializes
-the *resolved* config as JSON onto each child's command line, so every
-process derives the identical peer naming, endpoint table and hash family
-from the same source of truth; nothing about the topology is negotiated at
-runtime.
-
-Values are layered, weakest first: built-in defaults, then a JSON config
-file, then ``REPRO_CLUSTER_*`` environment variables, then explicit
-overrides (CLI flags).  :func:`load_cluster_config` applies the layering.
+sockets or TCP) and the seed.  The launcher serializes the *resolved* config
+as JSON onto each child's command line, so every process derives the
+identical peer naming and endpoint table from the same source of truth;
+nothing about the topology is negotiated at runtime.  The protocol tuning is
+not configured at all: every process runs :data:`CLUSTER_CHORD_CONFIG` and
+:data:`CLUSTER_LTR_CONFIG`, which is what makes the hash family, and so
+every log placement, agree across the wire.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import ClassVar, Optional
 
-from ..chord import ChordConfig
-from ..core import LtrConfig
+from ..core import DEFAULT_CHORD_CONFIG, LtrConfig
 from ..errors import ClusterError
-
-#: Environment prefix for the env layer, e.g. ``REPRO_CLUSTER_PROCESSES=5``.
-ENV_PREFIX = "REPRO_CLUSTER_"
 
 #: The launcher's own peer (it joins the ring like any other node, so the
 #: commit driver exercises the same lookup/validation path as a real user).
 CLIENT_NAME = "client"
+
+#: The Chord tuning every process runs: the interactive defaults with
+#: maintenance periods in wall-clock seconds, sized for a live ring (compare
+#: E13's single-process ``LIVE_CHORD_CONFIG``).
+CLUSTER_CHORD_CONFIG = replace(
+    DEFAULT_CHORD_CONFIG,
+    stabilize_interval=0.05,
+    fix_fingers_interval=0.1,
+    check_predecessor_interval=0.1,
+)
+
+#: The P2P-LTR tuning every process runs.  ``log_replication_factor`` is
+#: ``|Hr|`` (paper §2): it sizes the shared hash family, so it must be the
+#: same in every process.  The validation retries let a user peer re-route
+#: while a Master-key peer is dead and its successor has not yet taken over.
+#: The checkpoint interval is the default, so checkpoint addresses agree too.
+CLUSTER_LTR_CONFIG = LtrConfig(
+    log_replication_factor=2,
+    validation_retries=12,
+    validation_retry_delay=0.25,
+    runtime_backend="asyncio",
+)
 
 
 @dataclass(frozen=True)
@@ -60,31 +75,6 @@ class ClusterConfig:
         Master seed; process ``i`` runs on ``seed + 1 + i``, the client on
         ``seed``.  Hash placement (which is what cross-process agreement
         needs) depends only on names, not on these seeds.
-    log_replication_factor:
-        ``|Hr|`` — independent P2P-Log placements per patch (paper §2).
-        Must be identical in every process: it sizes the shared hash family.
-    rpc_timeout:
-        The network's default RPC timeout (wall-clock seconds), the one
-        timeout every Chord and DHT call uses.  Sized for a live ring:
-        long enough to absorb a connect retry, short enough that a killed
-        process is detected within the stabilization budget.
-    stabilize_interval, fix_fingers_interval, check_predecessor_interval:
-        Chord maintenance periods (wall-clock seconds; live-tuned, compare
-        the E13 single-process live config).
-    validation_retries, validation_retry_delay:
-        User-peer re-routing behaviour while a Master-key peer is dead and
-        its successor has not yet taken over.
-    join_retries, join_retry_delay:
-        How long a starting process keeps trying to join through the
-        founder before giving up (startup races resolve here).
-    startup_timeout:
-        Wall-clock budget the launcher grants each child to report READY.
-    settle_time:
-        Post-bootstrap stabilization wait before the ring is considered
-        usable.
-    run_guard:
-        Hard wall-clock bound on any single driver step, so a wedged
-        cluster fails loudly instead of hanging CI.
     """
 
     processes: int = 3
@@ -94,19 +84,11 @@ class ClusterConfig:
     host: str = "127.0.0.1"
     base_port: int = 0
     seed: int = 0
-    log_replication_factor: int = 2
-    rpc_timeout: float = 1.0
-    stabilize_interval: float = 0.05
-    fix_fingers_interval: float = 0.1
-    check_predecessor_interval: float = 0.1
-    validation_retries: int = 12
-    validation_retry_delay: float = 0.25
-    join_retries: int = 20
-    join_retry_delay: float = 0.25
-    startup_timeout: float = 30.0
-    settle_time: float = 1.0
-    run_guard: float = 120.0
-    bits: int = 32
+
+    #: Post-bootstrap stabilization wait (wall-clock seconds) before the
+    #: ring is considered usable.  A constant, not a field: readable here
+    #: for callers that take it out of a measured start-up time.
+    settle_time: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         if self.processes < 1:
@@ -187,34 +169,6 @@ class ClusterConfig:
         table[CLIENT_NAME] = self.client_endpoint()
         return table
 
-    # -- derived protocol configs --------------------------------------------
-
-    def chord_config(self) -> ChordConfig:
-        """The Chord tuning every process runs (live-cluster intervals)."""
-        return ChordConfig(
-            bits=self.bits,
-            successor_list_size=4,
-            replication_factor=2,
-            stabilize_interval=self.stabilize_interval,
-            fix_fingers_interval=self.fix_fingers_interval,
-            check_predecessor_interval=self.check_predecessor_interval,
-        )
-
-    def ltr_config(self) -> LtrConfig:
-        """The P2P-LTR tuning every process runs.
-
-        Identical in every process by construction — it sizes the shared
-        hash family, which is what makes log placements agree across the
-        wire.  The checkpoint interval is left at its default, the same in
-        every process, so checkpoint addresses agree too.
-        """
-        return LtrConfig(
-            log_replication_factor=self.log_replication_factor,
-            validation_retries=self.validation_retries,
-            validation_retry_delay=self.validation_retry_delay,
-            runtime_backend="asyncio",
-        )
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
@@ -224,66 +178,3 @@ class ClusterConfig:
     @classmethod
     def from_json(cls, data: str) -> "ClusterConfig":
         return cls(**json.loads(data))
-
-
-def _coerce(name: str, raw: Any, target_type: type) -> Any:
-    """Coerce a string layer value (file/env) onto the field's type."""
-    if isinstance(raw, target_type) and not (
-        target_type is int and isinstance(raw, bool)
-    ):
-        return raw
-    try:
-        if target_type is bool:
-            if isinstance(raw, str):
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return bool(raw)
-        return target_type(raw)
-    except (TypeError, ValueError) as error:
-        raise ClusterError(f"bad value for {name}: {raw!r} ({error})") from None
-
-
-def load_cluster_config(
-    path: Optional[str | Path] = None,
-    *,
-    env: Optional[Mapping[str, str]] = None,
-    overrides: Optional[Mapping[str, Any]] = None,
-) -> ClusterConfig:
-    """Build a :class:`ClusterConfig` from layered sources.
-
-    Precedence, weakest first: dataclass defaults < JSON config file at
-    ``path`` < ``REPRO_CLUSTER_<FIELD>`` environment variables < explicit
-    ``overrides`` (CLI flags).  Unknown keys in any layer are rejected —
-    a typo must not silently fall back to a default.
-    """
-    fields = {f.name: f.type for f in dataclasses.fields(ClusterConfig)}
-    types = {
-        name: {"int": int, "float": float, "str": str, "bool": bool}.get(
-            str(annotation).replace("builtins.", ""), str
-        )
-        for name, annotation in fields.items()
-    }
-    values: dict[str, Any] = {}
-
-    if path is not None:
-        try:
-            file_values = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise ClusterError(f"cannot read cluster config {path}: {error}") from None
-        for name, raw in file_values.items():
-            if name not in fields:
-                raise ClusterError(f"unknown key {name!r} in config file {path}")
-            values[name] = _coerce(name, raw, types[name])
-
-    environment = env if env is not None else os.environ
-    for name in fields:
-        env_key = ENV_PREFIX + name.upper()
-        if env_key in environment:
-            values[name] = _coerce(name, environment[env_key], types[name])
-
-    for name, raw in (overrides or {}).items():
-        if name not in fields:
-            raise ClusterError(f"unknown cluster config override {name!r}")
-        if raw is not None:
-            values[name] = _coerce(name, raw, types[name])
-
-    return ClusterConfig(**values)

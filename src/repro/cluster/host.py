@@ -26,11 +26,22 @@ from ..core import LtrSystem
 from ..errors import ClusterError, ReproError
 from ..net import Address, ConstantLatency, WireNetwork
 from ..runtime import AsyncioRuntime
-from .config import ClusterConfig
+from .config import CLUSTER_CHORD_CONFIG, CLUSTER_LTR_CONFIG, ClusterConfig
 
 #: Printed (with the process index) once the local peers have joined;
 #: the launcher blocks on this line before spawning the next process.
 READY_BANNER = "CLUSTER-HOST-READY"
+
+#: The network's default RPC timeout (wall-clock seconds), the one timeout
+#: every Chord and DHT call uses: long enough to absorb a connect retry,
+#: short enough that a killed process is detected within the stabilization
+#: budget.
+RPC_TIMEOUT = 1.0
+
+#: How long a starting peer keeps trying to join through the founder before
+#: giving up (startup races resolve here).
+JOIN_RETRIES = 20
+JOIN_RETRY_DELAY = 0.25
 
 
 def build_host_system(
@@ -40,12 +51,10 @@ def build_host_system(
 
     Shared by the child processes (their whole world) and the launcher
     (its client leg), so both sides derive the identical hash family and
-    protocol tuning from the one :class:`ClusterConfig`.
+    protocol tuning (:data:`~repro.cluster.config.CLUSTER_LTR_CONFIG`,
+    :data:`~repro.cluster.config.CLUSTER_CHORD_CONFIG`).
     """
-    runtime = AsyncioRuntime(
-        seed=config.seed + 1 + index if index >= 0 else config.seed,
-        run_guard=config.run_guard,
-    )
+    runtime = AsyncioRuntime(seed=config.seed + 1 + index if index >= 0 else config.seed)
     listen = config.endpoint_for(index) if index >= 0 else config.client_endpoint()
     network = WireNetwork(
         runtime,
@@ -53,19 +62,18 @@ def build_host_system(
         listen=listen,
         routes=config.routes(),
         latency=ConstantLatency(0.0005),
-        default_timeout=config.rpc_timeout,
+        default_timeout=RPC_TIMEOUT,
     )
     system = LtrSystem(
-        ltr_config=config.ltr_config(),
-        chord_config=config.chord_config(),
+        ltr_config=CLUSTER_LTR_CONFIG,
+        chord_config=CLUSTER_CHORD_CONFIG,
         runtime=runtime,
         network=network,
     )
     return runtime, network, system
 
 
-def join_with_retries(system: LtrSystem, name: str, gateway: Address,
-                      *, retries: int, delay: float) -> None:
+def join_with_retries(system: LtrSystem, name: str, gateway: Address) -> None:
     """Create peer ``name`` and join it through ``gateway``, retrying.
 
     Startup is racy by construction — the founder's process may not be
@@ -75,7 +83,7 @@ def join_with_retries(system: LtrSystem, name: str, gateway: Address,
     node = system.ring.create_node(name)
     runtime = system.runtime
     last_error: Exception | None = None
-    for _attempt in range(retries + 1):
+    for _attempt in range(JOIN_RETRIES + 1):
         try:
             runtime.run(until=runtime.process(node.join(gateway)))
             return
@@ -83,7 +91,7 @@ def join_with_retries(system: LtrSystem, name: str, gateway: Address,
             last_error = error
             if node.alive:
                 return  # joined; only the best-effort key hand-off failed
-            runtime.run(until=runtime.timeout(delay))
+            runtime.run(until=runtime.timeout(JOIN_RETRY_DELAY))
     raise ClusterError(f"{name} could not join via {gateway}: {last_error}")
 
 
@@ -132,10 +140,7 @@ def run_host(config: ClusterConfig, index: int, *,
             to_join = names
         gateway = Address(config.founder, "default")
         for name in to_join:
-            join_with_retries(
-                system, name, gateway,
-                retries=config.join_retries, delay=config.join_retry_delay,
-            )
+            join_with_retries(system, name, gateway)
         print(f"{READY_BANNER} {index}", file=out, flush=True)
         runtime.run_until_complete(_serve_until_shutdown(runtime.loop, sys.stdin))
         return 0

@@ -37,6 +37,14 @@ from .config import CLIENT_NAME, ClusterConfig
 if TYPE_CHECKING:  # pragma: no cover - the host side loads asyncio
     from ..net import WireNetwork
 
+#: Wall-clock budget each child gets to report READY.
+STARTUP_TIMEOUT = 30.0
+
+#: How :meth:`Cluster.commit_with_retries` rides out the window after a
+#: fault: retries, and the wall-clock pause between two attempts.
+COMMIT_RETRIES = 16
+COMMIT_RETRY_DELAY = 0.25
+
 
 def _repro_src_dir() -> str:
     """The directory that must be on PYTHONPATH for ``import repro``."""
@@ -113,16 +121,18 @@ class Cluster:
         env["PYTHONPATH"] = _repro_src_dir() + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cluster", "host",
-                "--index", str(index), "--config", self.config.to_json(),
-            ],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=open(log_path, "wb"),
-            env=env,
-        )
+        # The child keeps its own descriptor of the log; ours closes here.
+        with open(log_path, "wb") as log:
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cluster", "host",
+                    "--index", str(index), "--config", self.config.to_json(),
+                ],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=log,
+                env=env,
+            )
         self.processes.append(process)
         self._await_ready(process, index)
 
@@ -131,7 +141,7 @@ class Cluster:
         from .host import READY_BANNER
 
         assert process.stdout is not None
-        deadline = time.monotonic() + self.config.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         buffer = b""
         fd = process.stdout.fileno()
         while time.monotonic() < deadline:
@@ -153,7 +163,7 @@ class Cluster:
             if f"{READY_BANNER} {index}".encode() in buffer:
                 return
         raise ClusterError(
-            f"host {index} not READY within {self.config.startup_timeout}s "
+            f"host {index} not READY within {STARTUP_TIMEOUT}s "
             f"(see {self._logs[index]})"
         )
 
@@ -166,12 +176,8 @@ class Cluster:
         self._network = network
         self.system = system
         network.start()
-        join_with_retries(
-            system, CLIENT_NAME, Address(self.config.founder, "default"),
-            retries=self.config.join_retries, delay=self.config.join_retry_delay,
-        )
-        if self.config.settle_time > 0:
-            runtime.run(until=runtime.timeout(self.config.settle_time))
+        join_with_retries(system, CLIENT_NAME, Address(self.config.founder, "default"))
+        runtime.run(until=runtime.timeout(self.config.settle_time))
 
     def stop(self) -> None:
         """Tear the deployment down: children first, then the client leg."""
@@ -234,9 +240,7 @@ class Cluster:
         assert self.system is not None
         return self.system.edit_and_commit(CLIENT_NAME, key, text)
 
-    def commit_with_retries(
-        self, key: str, text: str, *, retries: int = 8, delay: float = 0.25
-    ) -> tuple[Optional[CommitResult], int]:
+    def commit_with_retries(self, key: str, text: str) -> tuple[Optional[CommitResult], int]:
         """Commit, riding out the unavailability window after a fault.
 
         Returns ``(result, attempts_used)``; ``result`` is ``None`` when
@@ -246,16 +250,16 @@ class Cluster:
         """
         assert self.system is not None
         runtime = self.system.runtime
-        for attempt in range(retries + 1):
+        for attempt in range(COMMIT_RETRIES + 1):
             try:
                 result = self.commit(key, text)
                 if result is not None:
                     return result, attempt + 1
             except ReproError:
                 pass
-            if attempt < retries:
-                runtime.run(until=runtime.timeout(delay))
-        return None, retries + 1
+            if attempt < COMMIT_RETRIES:
+                runtime.run(until=runtime.timeout(COMMIT_RETRY_DELAY))
+        return None, COMMIT_RETRIES + 1
 
     def run_for(self, duration: float) -> None:
         """Let the client leg idle for ``duration`` wall-clock seconds."""

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from ..chord import hash_to_id, timestamp_hash
 from ..errors import ClusterError
-from .config import ClusterConfig
+from .config import CLUSTER_CHORD_CONFIG, ClusterConfig
 
 
 def ring_ids(names: Sequence[str], bits: int) -> dict[str, int]:
@@ -60,8 +60,9 @@ class Placement:
 
 def placement_of(config: ClusterConfig, key: str) -> Placement:
     """Compute ``key``'s Master peer and replica holder for ``config``."""
-    ids = ring_ids(config.all_peers(), config.bits)
-    ht = timestamp_hash(config.bits)
+    bits = CLUSTER_CHORD_CONFIG.bits
+    ids = ring_ids(config.all_peers(), bits)
+    ht = timestamp_hash(bits)
     master = successor_name(ids, ht(key))
     successor = next_on_ring(ids, master)
     return Placement(

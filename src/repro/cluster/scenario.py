@@ -26,9 +26,6 @@ def run_live_cluster(
     *,
     commits: int = 30,
     kill: bool = True,
-    kill_after: Optional[int] = None,
-    retries: int = 16,
-    retry_delay: float = 0.25,
 ) -> dict[str, Any]:
     """Boot a cluster, drive ``commits`` edits, optionally kill the Master.
 
@@ -36,8 +33,8 @@ def run_live_cluster(
     peer lives in a killable child process while the Master's ring successor
     (holder of the replicated last-ts and KTS counter) survives elsewhere —
     the offline placement math makes the fault deterministic.  The kill
-    fires through a :class:`~repro.faults.Nemesis` after ``kill_after``
-    successful commits (default: half of them).
+    fires through a :class:`~repro.faults.Nemesis` after half of the
+    commits.
 
     Returns a flat report dict (the E16 row).
     """
@@ -46,7 +43,7 @@ def run_live_cluster(
         find_killable_placement(config) if kill else placement_of(config, "doc-0")
     )
     key = placement.key
-    kill_point = kill_after if kill_after is not None else commits // 2
+    kill_point = commits // 2
     latencies: list[float] = []
     ok = failed = 0
     post_kill_ok = 0
@@ -65,8 +62,7 @@ def run_live_cluster(
             document_lines.append(f"line-{index} by client")
             begin = time.monotonic()
             result, attempts = cluster.commit_with_retries(
-                key, "\n".join(document_lines),
-                retries=retries, delay=retry_delay,
+                key, "\n".join(document_lines)
             )
             elapsed = time.monotonic() - begin
             total_attempts += attempts

@@ -32,8 +32,6 @@ from .user_peer import UserPeer
 #: Chord parameters sized for interactive experiments (small rings, fast churn).
 DEFAULT_CHORD_CONFIG = ChordConfig(
     bits=32,
-    successor_list_size=4,
-    replication_factor=2,
     stabilize_interval=0.25,
     fix_fingers_interval=0.5,
     check_predecessor_interval=0.5,

@@ -1,7 +1,7 @@
 """The declarative scenario engine.
 
 Instead of hand-building rings, loops and tables, an experiment declares a
-:class:`ScenarioSpec` — topology, parameter grid, repeat count, measurement
+:class:`ScenarioSpec` — parameter grid, repeat count, measurement
 callback — and :func:`run_scenario` does the sweeping, seeding and
 tabulation into one :class:`ScenarioResult`, which
 :func:`write_artifact` snapshots as JSON.  ``repro.experiments`` defines
@@ -16,7 +16,6 @@ from .spec import (
     ParamDict,
     ScenarioContext,
     ScenarioSpec,
-    Topology,
     resolve_latency,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "ScenarioContext",
     "ScenarioResult",
     "ScenarioSpec",
-    "Topology",
     "headline_metrics",
     "read_artifact",
     "resolve_latency",

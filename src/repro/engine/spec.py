@@ -1,9 +1,8 @@
 """Declarative scenario specifications.
 
 A :class:`ScenarioSpec` describes *what* an experiment measures without
-spelling out *how* to loop over its parameters: a topology (peer count,
-latency preset, Chord/LTR configuration), a parameter grid, a repeat count
-and a measurement callback.  The engine runner
+spelling out *how* to loop over its parameters: a parameter grid, a repeat
+count and a measurement callback.  The engine runner
 (:mod:`repro.engine.runner`) expands the grid, derives per-point and
 per-repeat seeds, hands the callback a :class:`ScenarioContext` with ready
 made system builders, and assembles the returned rows into a
@@ -26,6 +25,10 @@ different spec, never an override applied to a built one.  A scenario under
 faults builds its :class:`~repro.faults.FaultPlan` inside the measurement,
 from the built system's topology, and arms it there with
 ``Nemesis(system, plan).start()``; the spec itself carries no fault plan.
+Nor does it carry a deployment: the context's builders make a ring of
+:data:`DEFAULT_PEERS` peers on the interactive Chord defaults and 5 ms
+links, a ``peers`` parameter (grid axis or constant) sets the ring size,
+and a measurement passes anything else per builder call.
 """
 
 from __future__ import annotations
@@ -52,27 +55,14 @@ def resolve_latency(latency: Union[str, float, LatencyModel, None]) -> LatencyMo
     return latency
 
 
-@dataclass(frozen=True)
-class Topology:
-    """The deployment a scenario runs against.
-
-    ``peers`` and ``latency`` are defaults: a grid axis named ``peers``
-    overrides the peer count per grid point, and the measurement callback
-    can override either per :meth:`ScenarioContext.build_system` or
-    :meth:`ScenarioContext.build_ring` call (that is how a latency sweep
-    passes its latency).  The execution and storage backends are the LTR
-    config's (``runtime_backend``, ``storage_backend``, ``storage_dir``).
-    """
-
-    peers: int = 8
-    latency: Union[str, float, LatencyModel, None] = None
-    chord_config: ChordConfig = DEFAULT_CHORD_CONFIG
-    ltr_config: Optional[LtrConfig] = None
+#: Ring size of a context's builders when neither the call nor a ``peers``
+#: parameter gives one.
+DEFAULT_PEERS = 8
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One declarative scenario: topology + grid + repeats + measurement.
+    """One declarative scenario: grid + repeats + measurement.
 
     Attributes
     ----------
@@ -90,8 +80,6 @@ class ScenarioSpec:
     constants:
         Parameters shared by every grid point (merged under the grid point,
         which wins on collision).
-    topology:
-        Default deployment; see :class:`Topology`.
     seed:
         Base seed.  The effective per-context seed adds ``seed_offset``
         (a function of the merged parameters, for backward-compatible
@@ -108,7 +96,6 @@ class ScenarioSpec:
     measure: MeasureFn
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     constants: Mapping[str, Any] = field(default_factory=dict)
-    topology: Topology = Topology()
     seed: int = 0
     repeats: int = 1
     seed_offset: Optional[Callable[[ParamDict], int]] = None
@@ -157,10 +144,6 @@ class ScenarioContext:
         stay identical across grid points)."""
         return self.spec.seed
 
-    @property
-    def topology(self) -> Topology:
-        return self.spec.topology
-
     def param(self, name: str, default: Any = None) -> Any:
         """A merged parameter (grid point over constants), with a default."""
         return self.params.get(name, default)
@@ -179,19 +162,19 @@ class ScenarioContext:
     ) -> LtrSystem:
         """A bootstrapped :class:`~repro.core.LtrSystem` for this context.
 
-        Defaults come from the topology and the context seed; every knob can
-        be overridden per call.  The LTR config picks the execution and
+        The ring has the ``peers`` parameter's size (:data:`DEFAULT_PEERS`
+        without one) and the context seed; every knob can be overridden per
+        call.  The LTR config picks the execution and
         storage backends; ``stabilize_time`` bounds the bootstrap
         stabilization budget — live (asyncio) scenarios pass a tight bound
         because they pay it in wall-clock seconds.
         """
-        topology = self.topology
-        count = peers if peers is not None else self.param("peers", topology.peers)
+        count = peers if peers is not None else self.param("peers", DEFAULT_PEERS)
         system = LtrSystem(
-            ltr_config=ltr_config if ltr_config is not None else topology.ltr_config,
-            chord_config=chord_config if chord_config is not None else topology.chord_config,
+            ltr_config=ltr_config,
+            chord_config=chord_config,
             seed=seed if seed is not None else self.seed,
-            latency=resolve_latency(latency if latency is not None else topology.latency),
+            latency=resolve_latency(latency),
         )
         system.bootstrap(count, stabilize_time=stabilize_time)
         return system
@@ -213,12 +196,11 @@ class ScenarioContext:
         """
         from ..chord import ChordRing  # local import: chord is below engine
 
-        topology = self.topology
-        count = peers if peers is not None else self.param("peers", topology.peers)
+        count = peers if peers is not None else self.param("peers", DEFAULT_PEERS)
         ring = ChordRing(
-            config=config if config is not None else topology.chord_config,
+            config=config if config is not None else DEFAULT_CHORD_CONFIG,
             seed=seed if seed is not None else self.seed,
-            latency=resolve_latency(latency if latency is not None else topology.latency),
+            latency=resolve_latency(latency),
             service_factory=service_factory,
         )
         ring.bootstrap(count)

@@ -602,11 +602,8 @@ def _measure_chord_lookup(ctx: ScenarioContext) -> dict:
     peers = ctx.params["peers"]
     lookups = ctx.params["lookups"]
     hot_lookups = ctx.params["hot_lookups"]
-    config = ctx.topology.chord_config
-    cached_ring = ctx.build_ring(peers, latency=ConstantLatency(0.003),
-                                 config=config, settle=20.0)
-    plain_ring = ctx.build_ring(peers, latency=ConstantLatency(0.003),
-                                config=config, settle=20.0)
+    cached_ring = ctx.build_ring(peers, latency=ConstantLatency(0.003), settle=20.0)
+    plain_ring = ctx.build_ring(peers, latency=ConstantLatency(0.003), settle=20.0)
 
     def uncached_hops(key: str, via: str) -> int:
         # The uncached baseline: the same ring with every cache emptied

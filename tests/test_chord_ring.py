@@ -15,8 +15,6 @@ BITS = 32
 def small_config(**overrides):
     defaults = dict(
         bits=BITS,
-        successor_list_size=4,
-        replication_factor=2,
         stabilize_interval=0.2,
         fix_fingers_interval=0.3,
         check_predecessor_interval=0.4,
@@ -38,12 +36,6 @@ def ring():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ChordConfig(bits=0)
-    with pytest.raises(ConfigurationError):
-        ChordConfig(successor_list_size=0)
-    with pytest.raises(ConfigurationError):
-        ChordConfig(replication_factor=0)
-    with pytest.raises(ConfigurationError):
-        ChordConfig(successor_list_size=1, replication_factor=3)
     with pytest.raises(ConfigurationError):
         ChordConfig(stabilize_interval=0)
 
@@ -289,7 +281,7 @@ def test_crash_recovers_via_successor_replicas(ring):
             continue
         assert value == key.upper()
         recovered += 1
-    # with replication_factor=2 a single crash loses nothing
+    # with a replica on the successor a single crash loses nothing
     assert recovered == len(keys)
 
 

@@ -14,8 +14,6 @@ from repro.net import Address, ConstantLatency
 
 CACHED_CONFIG = ChordConfig(
     bits=32,
-    successor_list_size=4,
-    replication_factor=2,
     stabilize_interval=0.25,
     fix_fingers_interval=0.5,
     check_predecessor_interval=0.5,

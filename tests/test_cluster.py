@@ -1,20 +1,22 @@
 """Tests for multi-process cluster mode (repro.cluster).
 
-Configuration layering, offline placement math, the process-kill fault
-action, and a real cross-process smoke: a two-process ring over Unix-domain
-sockets with commits crossing the wire codec.
+The deployment config, offline placement math, the process-kill fault
+action, and a real cross-process smoke: a ring of host processes over
+Unix-domain sockets with commits crossing the wire codec.
 """
 
-import json
+import warnings
 
 import pytest
 
+from repro.chord.successors import SUCCESSOR_LIST_SIZE
 from repro.cluster import (
     CLIENT_NAME,
+    CLUSTER_CHORD_CONFIG,
+    CLUSTER_LTR_CONFIG,
     Cluster,
     ClusterConfig,
     find_killable_placement,
-    load_cluster_config,
     placement_of,
 )
 from repro.cluster.placement import next_on_ring, ring_ids, successor_name
@@ -80,54 +82,21 @@ def test_config_json_round_trip():
     assert ClusterConfig.from_json(config.to_json()) == config
 
 
-# ---------------------------------------------------------------------------
-# load_cluster_config: layering precedence
-# ---------------------------------------------------------------------------
-
-
-def test_load_config_layering_precedence(tmp_path):
-    config_file = tmp_path / "cluster.json"
-    config_file.write_text(json.dumps(
-        {"processes": 5, "peers_per_process": 4, "seed": 1}
-    ))
-    loaded = load_cluster_config(
-        config_file,
-        env={"REPRO_CLUSTER_PEERS_PER_PROCESS": "3", "REPRO_CLUSTER_SEED": "2"},
-        overrides={"seed": 9},
-    )
-    assert loaded.processes == 5          # file beats defaults
-    assert loaded.peers_per_process == 3  # env beats file
-    assert loaded.seed == 9               # overrides beat env
-    assert loaded.transport == "uds"      # untouched default
-
-
-def test_load_config_rejects_unknown_keys(tmp_path):
-    config_file = tmp_path / "cluster.json"
-    config_file.write_text(json.dumps({"procesess": 5}))  # typo must not pass
-    with pytest.raises(ClusterError):
-        load_cluster_config(config_file, env={})
-    with pytest.raises(ClusterError):
-        load_cluster_config(env={}, overrides={"procesess": 5})
-
-
-def test_load_config_coerces_and_rejects_bad_values():
-    loaded = load_cluster_config(env={"REPRO_CLUSTER_RPC_TIMEOUT": "2.5"})
-    assert loaded.rpc_timeout == 2.5
-    with pytest.raises(ClusterError):
-        load_cluster_config(env={"REPRO_CLUSTER_PROCESSES": "many"})
-
-
-def test_rpc_timeout_reaches_the_network_not_the_chord_config():
+def test_rpc_timeout_reaches_the_network_not_the_chord_config(tmp_path):
     # The deployment timeout is the wire network's default; the ring
     # tuning every process shares carries no timeout of its own.
-    chord = ClusterConfig(rpc_timeout=5.0).chord_config()
-    assert not hasattr(chord, "rpc_timeout")
-    assert chord == ClusterConfig(rpc_timeout=1.0).chord_config()
+    from repro.cluster.host import RPC_TIMEOUT, build_host_system
 
-
-def test_load_config_none_overrides_are_skipped():
-    loaded = load_cluster_config(env={}, overrides={"processes": None})
-    assert loaded.processes == ClusterConfig().processes
+    assert not hasattr(CLUSTER_CHORD_CONFIG, "rpc_timeout")
+    config = ClusterConfig(processes=1, socket_dir=str(tmp_path))
+    _runtime, network, system = build_host_system(config, 0, process_name="host-0")
+    try:
+        assert network.default_timeout == RPC_TIMEOUT
+        assert system.chord_config is CLUSTER_CHORD_CONFIG
+        assert system.ltr_config is CLUSTER_LTR_CONFIG
+    finally:
+        network.stop()
+        system.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +118,11 @@ def test_placement_is_deterministic_and_process_independent():
     first = placement_of(config, "doc-1")
     second = placement_of(config, "doc-1")
     assert first == second
-    # Only names feed the hash: a config differing in seeds/timeouts places
+    # Only names feed the hash: a config differing in its seed places
     # identically, which is what lets every process agree without talking.
-    other = ClusterConfig(processes=3, peers_per_process=2, seed=99,
-                          rpc_timeout=5.0)
+    other = ClusterConfig(processes=3, peers_per_process=2, seed=99)
     assert placement_of(other, "doc-1") == first
-    ids = ring_ids(config.all_peers(), config.bits)
+    ids = ring_ids(config.all_peers(), CLUSTER_CHORD_CONFIG.bits)
     assert first.successor == next_on_ring(ids, first.master)
 
 
@@ -218,24 +186,30 @@ def test_kill_process_rejects_negative_index_and_plain_systems():
 
 
 def test_three_process_cluster_commits_across_the_wire():
-    config = ClusterConfig(processes=3, peers_per_process=1, seed=3,
-                           settle_time=0.5)
-    with Cluster(config) as cluster:
-        last_ts = 0
-        for index in range(3):
-            result, attempts = cluster.commit_with_retries(
-                "smoke-doc", f"line-{index}"
-            )
-            assert result is not None, f"commit {index} failed"
-            assert attempts >= 1
-            last_ts = result.ts
-        assert last_ts == 3
-        assert cluster.log_is_continuous("smoke-doc", last_ts)
-        stats = cluster.wire_stats()
-        # The client's ring traffic genuinely crossed process boundaries.
-        assert stats["frames_out"] > 0
-        assert stats["frames_in"] > 0
-        assert stats["decode_errors"] == 0
+    """Also a regression: the launcher kept its handle of every host's log
+    file open, one ``ResourceWarning: unclosed file`` per host."""
+    config = ClusterConfig(processes=3, peers_per_process=1, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with Cluster(config) as cluster:
+            last_ts = 0
+            for index in range(3):
+                result, attempts = cluster.commit_with_retries(
+                    "smoke-doc", f"line-{index}"
+                )
+                assert result is not None, f"commit {index} failed"
+                assert attempts >= 1
+                last_ts = result.ts
+            assert last_ts == 3
+            assert cluster.log_is_continuous("smoke-doc", last_ts)
+            stats = cluster.wire_stats()
+            # The client's ring traffic genuinely crossed process boundaries.
+            assert stats["frames_out"] > 0
+            assert stats["frames_in"] > 0
+            assert stats["decode_errors"] == 0
+    leaked = [str(warning.message) for warning in caught
+              if issubclass(warning.category, ResourceWarning)]
+    assert leaked == []
 
 
 def test_route_cache_and_stabilization_work_across_processes():
@@ -244,8 +218,7 @@ def test_route_cache_and_stabilization_work_across_processes():
     each cached route on sight (0 entries after any number of commits),
     never adopted a remote predecessor-of-successor and kept a successor
     list of one process's peers with no predecessor at all."""
-    config = ClusterConfig(processes=2, peers_per_process=3, seed=3,
-                           settle_time=1.0)
+    config = ClusterConfig(processes=2, peers_per_process=3, seed=3)
     with Cluster(config) as cluster:
         # Several documents: a Master that happens to be the client's own
         # successor is resolved without the cache.
@@ -258,9 +231,9 @@ def test_route_cache_and_stabilization_work_across_processes():
         stats = client.route_cache.stats()
         assert stats["entries"] > 0, "every cached route was purged on sight"
         assert stats["hits"] > stats["invalidations"], stats  # hits were served
-        ids = ring_ids(config.all_peers(), config.bits)
+        ids = ring_ids(config.all_peers(), CLUSTER_CHORD_CONFIG.bits)
         ring_order, name = [], CLIENT_NAME
-        for _ in range(client.config.successor_list_size):
+        for _ in range(SUCCESSOR_LIST_SIZE):
             name = next_on_ring(ids, name)
             ring_order.append(name)
         assert [ref.name for ref in client.successors.entries()] == ring_order

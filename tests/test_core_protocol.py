@@ -12,6 +12,7 @@ import pytest
 
 import repro.net
 from repro.chord import ChordConfig
+from repro.cluster import ClusterConfig
 from repro.core import LtrConfig, LtrSystem, ValidationResult
 from repro.core.protocol import STATUS_BEHIND, STATUS_OK
 from repro.errors import ConfigurationError
@@ -40,7 +41,8 @@ def test_configuration_surface_is_pinned():
 
     A value only one caller uses is a module constant next to its reader
     (``MAX_VALIDATION_ATTEMPTS``, ``CHECKPOINT_RETENTION``,
-    ``MAX_LOOKUP_HOPS``, ...), not a field.
+    ``MAX_LOOKUP_HOPS``, ``SUCCESSOR_LIST_SIZE``, ``REPLICATION_FACTOR``,
+    the cluster's ``RPC_TIMEOUT``, ...), not a field.
     """
     assert [field.name for field in dataclasses.fields(LtrConfig)] == [
         "log_replication_factor",
@@ -56,14 +58,23 @@ def test_configuration_surface_is_pinned():
     ]
     assert [field.name for field in dataclasses.fields(ChordConfig)] == [
         "bits",
-        "successor_list_size",
-        "replication_factor",
         "stabilize_interval",
         "fix_fingers_interval",
         "check_predecessor_interval",
         "route_cache_ttl",
         "maintenance_stagger",
         "fingers_per_round",
+    ]
+    # A deployment is its shape, transport and seed; every process runs the
+    # same protocol tuning (CLUSTER_CHORD_CONFIG, CLUSTER_LTR_CONFIG).
+    assert [field.name for field in dataclasses.fields(ClusterConfig)] == [
+        "processes",
+        "peers_per_process",
+        "transport",
+        "socket_dir",
+        "host",
+        "base_port",
+        "seed",
     ]
     # One mechanism per fault: the transport takes no fault model, and the
     # fault state it exports is what the FaultPlan's actions set.

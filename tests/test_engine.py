@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine import (
     ScenarioSpec,
-    Topology,
     headline_metrics,
     read_artifact,
     resolve_latency,
@@ -176,7 +175,7 @@ def test_context_builders_produce_working_systems():
         scenario_id="T6",
         title="builders",
         columns=("ts", "correct"),
-        topology=Topology(peers=5),
+        constants={"peers": 5},
         measure=measure,
         seed=3,
     )

@@ -1,7 +1,7 @@
 """The four simulated examples run clean, with stdout captured.
 
 The examples are the scenario engine's callers outside the package
-(``ScenarioSpec``, ``Topology``, ``run_scenario``), so each is executed as a
+(``ScenarioSpec``, ``run_scenario``), so each is executed as a
 script, the way a reader runs it, and its printed verdict is checked.
 ``examples/live_wiki.py`` runs on the wall-clock asyncio backend and is left
 to its own ``--quick`` invocation.

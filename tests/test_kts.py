@@ -11,8 +11,6 @@ BITS = 32
 def kts_config(**overrides):
     defaults = dict(
         bits=BITS,
-        successor_list_size=4,
-        replication_factor=2,
         stabilize_interval=0.2,
         fix_fingers_interval=0.3,
         check_predecessor_interval=0.4,

@@ -9,7 +9,6 @@ per path that moves ownership, each checked on both sides of its transfer:
   Master (the crashed side runs nothing);
 * ``join`` — the Master hands the joiner its arc and keeps replica copies;
   the joiner absorbs them owned;
-* ``join-rf1`` — the same at replication factor 1: the Master keeps nothing;
 * ``leave`` — the Master hands everything it owns to its successor;
 * ``repair`` — the joiner's hand-off is lost, so the old Master goes on
   owning the counter as a stand-in until its misplacement repair forwards
@@ -20,8 +19,6 @@ the items that changed hands there; that the flag reached the node's
 database; and that the counter's old Master holds a fresh tenure.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from test_core_master import find_takeover_joiner
@@ -29,7 +26,6 @@ from test_core_master import find_takeover_joiner
 from repro.chord import ChordConfig, ChordRing
 from repro.core import LtrConfig, LtrSystem
 from repro.core.master import MasterService
-from repro.core.system import DEFAULT_CHORD_CONFIG
 from repro.kts.authority import COUNTER_PREFIX
 from repro.net import ConstantLatency
 from repro.storage.sqlite import SqliteBackend
@@ -101,20 +97,17 @@ def repair(system, master):
 
 
 PATHS = {
-    "crash": (crash, 2),
-    "join": (join, 2),
-    "join-rf1": (join, 1),
-    "leave": (leave, 2),
-    "repair": (repair, 2),
+    "crash": crash,
+    "join": join,
+    "leave": leave,
+    "repair": repair,
 }
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
 def test_each_path_moves_ownership_through_the_one_transition(path, hook_calls, tmp_path):
-    move, replication_factor = PATHS[path]
     system = LtrSystem(
         ltr_config=LtrConfig(storage_backend="sqlite", storage_dir=str(tmp_path)),
-        chord_config=replace(DEFAULT_CHORD_CONFIG, replication_factor=replication_factor),
         seed=7,
         latency=ConstantLatency(0.005),
     )
@@ -129,13 +122,12 @@ def test_each_path_moves_ownership_through_the_one_transition(path, hook_calls, 
         before = {name: owned(node) for name, node in system.ring.nodes.items()}
         del hook_calls[:]
 
-        giver, taker = move(system, master)
+        giver, taker = PATHS[path](system, master)
         system.run_for(3.0)
 
         sides = [(taker, owned(taker) - before.get(taker.address.name, set()), False)]
         if giver is not None:
-            kept = None if replication_factor == 1 else True
-            sides.append((giver, before[giver.address.name] - owned(giver), kept))
+            sides.append((giver, before[giver.address.name] - owned(giver), True))
         for node, moved, flag in sides:
             calls = [keys for name, keys in hook_calls if name == node.address.name]
             assert len([keys for keys in calls if COUNTER in keys]) == 1, calls
@@ -158,7 +150,7 @@ def test_a_repair_releases_only_what_the_receiver_took():
     104, 115, 162 and 187 of the loss-burst sweep lost an acknowledged edit
     that way on a stable ring)."""
     ring = ChordRing(
-        config=ChordConfig(bits=32, successor_list_size=4, replication_factor=2),
+        config=ChordConfig(bits=32),
         seed=11,
         latency=ConstantLatency(0.002),
     )

@@ -11,12 +11,10 @@ Three bugs, each with the failure mode it used to cause:
    elsewhere — minting a second owner for the key.  The gate is the node's
    ownership transition (``ChordNode._take``); ``NodeStorage.absorb`` only
    builds the records of what is newer.
-3. ``rpc_handoff_keys`` left replica copies of the transferred interval
-   behind at ``replication_factor == 1``: nobody ever refreshed or
-   reclaimed them, so they shadowed the owner's data forever.  At higher
-   factors the hand-off demotes the moving items to backup copies; the
-   ring-level custody invariant reports any replica held outside its
-   owner's backup set.
+3. A hand-off must leave no untracked replica behind: ``rpc_handoff_keys``
+   demotes the moving items to backup copies (the old owner is the new
+   owner's first successor), and the ring-level custody invariant reports
+   any replica held outside its owner's backup set.
 """
 
 import pytest
@@ -31,8 +29,6 @@ BITS = 32
 def ring_config(**overrides):
     defaults = dict(
         bits=BITS,
-        successor_list_size=4,
-        replication_factor=2,
         stabilize_interval=0.2,
         fix_fingers_interval=0.3,
         check_predecessor_interval=0.4,
@@ -195,8 +191,8 @@ def test_node_accepts_promotion_for_own_interval():
 
 
 def test_handoff_demotes_transferred_items_to_replicas():
-    """At rf > 1 the old owner keeps the moving items as backup copies."""
-    ring = make_ring(seed=31, replication_factor=2)
+    """The old owner keeps the moving items as backup copies."""
+    ring = make_ring(seed=31)
     ring.bootstrap(["a", "b", "c"])
     ring.put("doc", "payload")
     owner = ring.nodes[ring.lookup("doc")["node"].name]
@@ -208,34 +204,14 @@ def test_handoff_demotes_transferred_items_to_replicas():
     assert kept is not None and kept.is_replica is True
 
 
-def test_handoff_at_rf1_drops_replicas_in_transferred_interval():
-    ring = make_ring(seed=31, replication_factor=1, successor_list_size=4)
-    ring.bootstrap(["a", "b", "c"])
-    node = ring.live_nodes()[0]
-    predecessor_id = node.predecessor.node_id
-    # A midpoint of (predecessor, self]: in the arc a joiner there takes over.
-    span = (node.node_id - predecessor_id) % (2 ** BITS)
-    middle = (predecessor_id + span // 2) % (2 ** BITS)
-    node.storage.put("stale-copy", "old", is_replica=True, key_id=middle)
-    node.storage.put("owned-here", "mine", is_replica=False, key_id=middle)
-    joiner = ring.create_node("joiner-x")
-    joiner.node_id = middle  # place the joiner exactly at the midpoint
-    moved = node.rpc_handoff_keys(joiner.ref)
-    assert [item.key for item in moved] == ["owned-here"]
-    assert node.storage.get("owned-here") is None  # rf 1: no backup role
-    assert node.storage.get("stale-copy") is None, (
-        "hand-off left a never-refreshed replica shadowing the new owner"
-    )
-
-
 def test_custody_invariant_reports_a_planted_stale_copy():
-    ring = make_ring(seed=41, replication_factor=2)
+    ring = make_ring(seed=41)
     ring.bootstrap(6)
     ring.put("doc", "payload")
     owner = ring.nodes[ring.lookup("doc")["node"].name]
     live = ring.live_nodes()
     index = next(i for i, node in enumerate(live) if node is owner)
-    # Two steps *ahead* of the owner: outside its (rf - 1)-successor backup set.
+    # Two steps *ahead* of the owner: outside its one-successor backup set.
     outsider = live[(index + 2) % len(live)]
     item = owner.storage.get("doc")
     outsider.storage.put("doc", item.value, is_replica=True, key_id=item.key_id)
