@@ -5,6 +5,8 @@ action, and a real cross-process smoke: a ring of host processes over
 Unix-domain sockets with commits crossing the wire codec.
 """
 
+import json
+import os
 import warnings
 
 import pytest
@@ -20,8 +22,9 @@ from repro.cluster import (
     placement_of,
 )
 from repro.cluster.placement import next_on_ring, ring_ids, successor_name
-from repro.errors import ClusterError, ConfigurationError
+from repro.errors import ClusterError, ConfigurationError, NetworkError
 from repro.faults import ALL_ACTION_KINDS, FaultPlan, KillProcess
+from repro.net import Address
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,184 @@ def test_find_killable_placement_invariants():
 def test_find_killable_placement_needs_two_processes():
     with pytest.raises(ClusterError):
         find_killable_placement(ClusterConfig(processes=1))
+
+
+# ---------------------------------------------------------------------------
+# The CLI: flags are the deployment's fields
+# ---------------------------------------------------------------------------
+
+
+HEALTHY_REPORT = {"commits_ok": 3, "log_continuous": True}
+
+
+@pytest.fixture
+def cli_runs(monkeypatch):
+    """Stand in for the live run: record each ``(config, commits, kill)``."""
+    import repro.cluster.__main__ as cli
+
+    runs = []
+    report = dict(HEALTHY_REPORT)
+
+    def fake_run(config, *, commits, kill):
+        runs.append((config, commits, kill))
+        return report
+
+    monkeypatch.setattr(cli, "run_live_cluster", fake_run)
+    return cli, runs, report
+
+
+def test_cli_flags_left_out_keep_the_field_defaults(cli_runs, capsys):
+    cli, runs, _report = cli_runs
+    assert cli.main(["run"]) == 0
+    ((config, commits, kill),) = runs
+    assert config == ClusterConfig()
+    assert (commits, kill) == (30, True)
+    assert json.loads(capsys.readouterr().out) == HEALTHY_REPORT
+
+
+def test_cli_flags_set_the_deployment_fields(cli_runs):
+    cli, runs, _report = cli_runs
+    assert cli.main([
+        "run", "--processes", "5", "--peers-per-process", "3",
+        "--transport", "tcp", "--base-port", "9600", "--seed", "9",
+        "--commits", "4", "--no-kill", "--output", os.devnull,
+    ]) == 0
+    ((config, commits, kill),) = runs
+    assert config == ClusterConfig(processes=5, peers_per_process=3,
+                                   transport="tcp", base_port=9600, seed=9)
+    assert (commits, kill) == (4, False)
+
+
+def test_cli_reports_an_invalid_deployment_as_a_cluster_error(cli_runs, capsys):
+    cli, runs, _report = cli_runs
+    assert cli.main(["run", "--processes", "0"]) == 1
+    assert runs == []  # refused before anything was spawned
+    assert "cluster error" in capsys.readouterr().err
+
+
+def test_cli_exit_code_and_output_file_follow_the_report(cli_runs, tmp_path):
+    cli, _runs, report = cli_runs
+    output = tmp_path / "report.json"
+    assert cli.main(["run", "--output", str(output)]) == 0
+    assert json.loads(output.read_text()) == HEALTHY_REPORT
+    report["log_continuous"] = False
+    assert cli.main(["run", "--output", str(output)]) == 2
+    report.update(log_continuous=True, commits_ok=0)
+    assert cli.main(["run", "--output", str(output)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The launcher's retry loops and child spawning, without child processes
+# ---------------------------------------------------------------------------
+
+
+class _ClockStub:
+    """A runtime whose timeouts are recorded instead of waited out."""
+
+    def __init__(self, fail_runs=0):
+        self.delays = []
+        self.fail_runs = fail_runs
+
+    def timeout(self, delay):
+        self.delays.append(delay)
+        return ("timeout", delay)
+
+    def process(self, work):
+        work.close()  # the join coroutine is never driven
+        return ("process",)
+
+    def run(self, until):
+        if until[0] == "process" and self.fail_runs:
+            self.fail_runs -= 1
+            raise NetworkError("gateway not listening yet")
+
+
+class _CommitterStub:
+    """A client-side system whose commits follow a script of outcomes."""
+
+    def __init__(self, outcomes):
+        self.runtime = _ClockStub()
+        self.outcomes = list(outcomes)
+        self.commits = 0
+
+    def edit_and_commit(self, user, key, text):
+        self.commits += 1
+        outcome = self.outcomes.pop(0) if self.outcomes else None
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def test_commit_with_retries_gives_up_after_the_constant_budget(tmp_path):
+    from repro.cluster.launcher import COMMIT_RETRIES, COMMIT_RETRY_DELAY
+
+    cluster = Cluster(ClusterConfig(processes=1, socket_dir=str(tmp_path)))
+    cluster.system = _CommitterStub([NetworkError("master down")])
+    result, attempts = cluster.commit_with_retries("doc", "line")
+    assert result is None
+    assert attempts == cluster.system.commits == COMMIT_RETRIES + 1
+    # A pause between two attempts, none after the last.
+    assert cluster.system.runtime.delays == [COMMIT_RETRY_DELAY] * COMMIT_RETRIES
+
+
+def test_commit_with_retries_returns_the_first_success(tmp_path):
+    from repro.cluster.launcher import COMMIT_RETRY_DELAY
+
+    committed = object()
+    cluster = Cluster(ClusterConfig(processes=1, socket_dir=str(tmp_path)))
+    cluster.system = _CommitterStub([NetworkError("master down"), None, committed])
+    assert cluster.commit_with_retries("doc", "line") == (committed, 3)
+    assert cluster.system.runtime.delays == [COMMIT_RETRY_DELAY] * 2
+
+
+class _JoinerStub:
+    def __init__(self, fail_runs):
+        self.runtime = _ClockStub(fail_runs)
+        self.node = self
+        self.alive = False
+        self.ring = self
+
+    def create_node(self, name):
+        return self.node
+
+    async def join(self, gateway):  # driven only through _ClockStub.process
+        return None
+
+
+def test_join_with_retries_rides_out_a_late_gateway_then_gives_up():
+    from repro.cluster.host import JOIN_RETRIES, JOIN_RETRY_DELAY, join_with_retries
+
+    gateway = Address("p0n0", "default")
+    late = _JoinerStub(fail_runs=2)
+    join_with_retries(late, "p1n0", gateway)
+    assert late.runtime.delays == [JOIN_RETRY_DELAY] * 2
+
+    never = _JoinerStub(fail_runs=JOIN_RETRIES + 1)
+    with pytest.raises(ClusterError, match="could not join"):
+        join_with_retries(never, "p1n0", gateway)
+    assert never.runtime.delays == [JOIN_RETRY_DELAY] * (JOIN_RETRIES + 1)
+
+
+def test_spawn_host_leaves_no_log_handle_open_in_the_launcher(tmp_path, monkeypatch):
+    """Regression: the launcher passed ``stderr=open(log_path, "wb")`` to the
+    child and never closed its own handle, one leaked file per host."""
+    import repro.cluster.launcher as launcher
+
+    handed = []
+
+    def fake_popen(argv, **kwargs):
+        handed.append(kwargs["stderr"])
+        return object()
+
+    monkeypatch.setattr(launcher.subprocess, "Popen", fake_popen)
+    monkeypatch.setattr(Cluster, "_await_ready", lambda self, process, index: None)
+    cluster = Cluster(ClusterConfig(processes=2, socket_dir=str(tmp_path)))
+    cluster._spawn_host(0)
+    cluster._spawn_host(1)
+    assert [log.name for log in handed] == [
+        str(tmp_path / "host-0.log"), str(tmp_path / "host-1.log"),
+    ]
+    assert all(log.closed for log in handed)
 
 
 # ---------------------------------------------------------------------------
